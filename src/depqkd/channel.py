@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
+from .device import measure_single
 from .quantum import (
     Freq,
     JointState,
@@ -25,8 +24,6 @@ from .quantum import (
     SeededGenerator,
     partial_measure,
     pol_freq_eigenstate,
-    polarization_frequency_basis,
-    tensor,
 )
 
 
@@ -84,24 +81,11 @@ class EveRecord:
     freq: Freq
 
 
-@dataclass(frozen=True)
-class TransmissionRecord:
-    """Channel bookkeeping for one transmitted photon."""
-
-    delivered: bool
-    eve_record: Optional[EveRecord] = None
-
-    @property
-    def eve_measured(self) -> bool:
-        return self.eve_record is not None
-
-
 def apply_loss(loss_probability: float, g: SeededGenerator) -> bool:
-    """Decide whether a photon survives the channel; True means delivered."""
-    if not 0.0 <= loss_probability <= 1.0:
-        raise ConfigError(
-            f"loss probability must lie in [0, 1], got {loss_probability}"
-        )
+    """Decide whether a photon survives the channel; True means delivered.
+
+    ``loss_probability`` is taken as validated by :class:`ChannelConfig`.
+    """
     return not g.coin(loss_probability)
 
 
@@ -123,16 +107,7 @@ def ir_attack_entangled(
     pair disentangled.
     """
     basis = _choose_basis(strategy, g)
-    measurement = polarization_frequency_basis(basis)
-    (comp, freq), collapsed = partial_measure(state, photon, measurement, g)
-    fresh = pol_freq_eigenstate(basis, comp, freq)
-    m = collapsed.as_matrix()
-    if photon is Photon.B:
-        remote = LocalState(m @ fresh.vec.conj())
-        out = tensor(remote.normalized(), fresh)
-    else:
-        remote = LocalState(fresh.vec.conj() @ m)
-        out = tensor(fresh, remote.normalized())
+    (comp, freq), out = partial_measure(state, photon, basis, g)
     return out, EveRecord(basis, comp, freq)
 
 
@@ -141,9 +116,5 @@ def ir_attack_decoy(
 ) -> tuple[LocalState, EveRecord]:
     """Intercept-resend on a lone photon; returns the resent state."""
     basis = _choose_basis(strategy, g)
-    measurement = polarization_frequency_basis(basis)
-    rows = measurement.stacked()
-    amps = rows.conj() @ state.vec
-    k = g.sample_index(np.abs(amps) ** 2)
-    comp, freq = measurement.outcomes[k][0]
+    comp, freq = measure_single(state, basis, g)
     return pol_freq_eigenstate(basis, comp, freq), EveRecord(basis, comp, freq)

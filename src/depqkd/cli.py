@@ -18,6 +18,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import Callable, Optional, TextIO
 
@@ -135,7 +136,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _convert(key: str, raw: str) -> object:
+    try:
+        return _CONVERTERS[key](raw)
+    except ValueError:
+        kind = _CONVERTERS[key].__name__
+        raise ConfigError(f"{key} must be {kind}, got {raw!r}") from None
+
+
 def _read_config_file(path: str) -> dict[str, str]:
+    """Raw values by setting name; either key spelling is accepted."""
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -145,36 +155,36 @@ def _read_config_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key not in _DEFAULTS:
+                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = value.strip()
     return values
 
 
 def _effective_settings(args: argparse.Namespace) -> dict[str, object]:
     """Merge flag values, config-file values, and defaults (in that order)."""
-    file_values: dict[str, str] = {}
-    if getattr(args, "config", None):
-        file_values = _read_config_file(args.config)
+    file_values = _read_config_file(args.config) if args.config else {}
     settings: dict[str, object] = {}
     for key, default in _DEFAULTS.items():
-        flag_value = getattr(args, key, None)
+        flag_value = getattr(args, key)
         if flag_value is not None:
             settings[key] = flag_value
-        elif key.replace("_", "-") in file_values:
-            settings[key] = _CONVERTERS[key](file_values[key.replace("_", "-")])
         elif key in file_values:
-            settings[key] = _CONVERTERS[key](file_values[key])
+            settings[key] = _convert(key, file_values[key])
         else:
             settings[key] = default
-    for key in ("check", "eve", "eve_targets"):
-        allowed = {"check": _CHECK_CHOICES, "eve": _EVE_CHOICES, "eve_targets": _TARGET_CHOICES}[key]
-        if settings[key] not in allowed:
-            raise ConfigError(f"{key} must be one of {allowed}, got {settings[key]!r}")
     if settings["trials"] < 1:
         raise ConfigError(f"trials must be positive, got {settings['trials']}")
     return settings
 
 
 def _config_from_settings(settings: dict[str, object]) -> ProtocolConfig:
+    for key, allowed in (
+        ("check", _CHECK_CHOICES), ("eve", _EVE_CHOICES), ("eve_targets", _TARGET_CHOICES)
+    ):
+        if settings[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {allowed}, got {settings[key]!r}")
     eve = None
     if settings["eve"] != "none":
         eve = EveConfig(
@@ -238,13 +248,6 @@ def _run_trials(
         )
 
 
-def cmd_run(args: argparse.Namespace, out: TextIO) -> int:
-    settings = _effective_settings(args)
-    config = _config_from_settings(settings)
-    _run_trials("run", config, 0, int(settings["trials"]), out)
-    return 0
-
-
 _SWEEPABLE = {
     "pairs",
     "decoy-fraction",
@@ -258,23 +261,21 @@ _SWEEPABLE = {
 }
 
 
-def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
+def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], int]:
+    """Validated configuration of every sweep cell (the one cell of ``run``)
+    and the number of trials per cell."""
     settings = _effective_settings(args)
-    param = args.param.strip().lstrip("-")
-    if param not in _SWEEPABLE:
-        raise ConfigError(f"cannot sweep {param!r}; choose one of {sorted(_SWEEPABLE)}")
-    raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
-    if not raw_values:
-        raise ConfigError("sweep needs at least one value")
-    key = param.replace("-", "_")
-    converted = [_CONVERTERS[key](v) for v in raw_values]
-    trials = int(settings["trials"])
-    for sweep_index, value in enumerate(converted):
-        cell = dict(settings)
-        cell[key] = value
-        config = _config_from_settings(cell)
-        _run_trials("sweep", config, sweep_index, trials, out)
-    return 0
+    cells = [settings]
+    if args.subcommand == "sweep":
+        param = args.param.strip().lstrip("-")
+        if param not in _SWEEPABLE:
+            raise ConfigError(f"cannot sweep {param!r}; choose one of {sorted(_SWEEPABLE)}")
+        raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
+        if not raw_values:
+            raise ConfigError("sweep needs at least one value")
+        key = param.replace("-", "_")
+        cells = [{**settings, key: _convert(key, v)} for v in raw_values]
+    return [_config_from_settings(cell) for cell in cells], int(settings["trials"])
 
 
 def run_table_verification() -> list[tuple[str, bool, str]]:
@@ -363,23 +364,22 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    out: TextIO = sys.stdout
-    close_out = False
+    if args.subcommand == "verify-tables":
+        return cmd_verify_tables(sys.stdout)
     try:
-        if getattr(args, "output", None):
-            out = open(args.output, "w", encoding="utf-8")
-            close_out = True
-        if args.subcommand == "verify-tables":
-            return cmd_verify_tables(out)
-        if args.subcommand == "run":
-            return cmd_run(args, out)
-        return cmd_sweep(args, out)
+        configs, trials = _session_configs(args)
+        # opened only once the settings are valid, so a rejected invocation
+        # leaves an existing output file untouched
+        with (
+            open(args.output, "w", encoding="utf-8") if args.output
+            else nullcontext(sys.stdout)
+        ) as out:
+            for sweep_index, config in enumerate(configs):
+                _run_trials(args.subcommand, config, sweep_index, trials, out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if close_out:
-            out.close()
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

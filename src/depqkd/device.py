@@ -24,17 +24,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .quantum import (
+    LOCAL_BASIS,
     Freq,
     JointState,
     LocalState,
     Photon,
     Pol,
     PolBasis,
-    ProjectiveMeasurement,
     SeededGenerator,
     StateError,
+    local_outcome,
     mode_index,
-    polarization_frequency_basis,
 )
 from .states import DepLabel, Family, label_to_codeword
 
@@ -66,55 +66,20 @@ _PORTS_A = (1, 3)
 _PORTS_B = (2, 4)
 
 
-def convert_in_port(port: int, content: LocalState) -> np.ndarray:
-    """Polarization qubit produced by one port's wavelength converter.
-
-    ``content`` must be supported on the two modes the port collects;
-    amplitudes elsewhere raise :class:`StateError`.  Returns the (H, V)
-    amplitude pair.
-    """
-    if port not in _PORT_MODES:
-        raise ValueError(f"no such port: {port}")
-    h_mode, v_mode = _PORT_MODES[port]
-    outside = [i for i in range(4) if i not in (h_mode, v_mode)]
-    if np.any(np.abs(content.vec[outside]) > 1e-12):
-        raise StateError(f"state has support outside port {port}")
-    return np.array([content.vec[h_mode], content.vec[v_mode]], dtype=complex)
-
-
-class PolarizationPairState:
-    """Two-qubit polarization state (HH, HV, VH, VV) left after both
-    photons pass wavelength converters."""
-
-    __slots__ = ("vec",)
-    dim = 4
-
-    def __init__(self, amplitudes) -> None:
-        vec = np.array(amplitudes, dtype=complex).reshape(4)
-        vec.setflags(write=False)
-        self.vec = vec
-
-    def as_matrix(self) -> np.ndarray:
-        return self.vec.reshape(2, 2)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PolarizationPairState({np.array2string(self.vec, precision=4)})"
-
-
-def wavelength_convert_global(state: JointState) -> PolarizationPairState:
+def wavelength_convert_global(state: JointState) -> np.ndarray:
     """Erase both photons' frequency bins, combining amplitudes coherently.
 
     Models ideal wavelength converters applied to both photons outside the
-    measurement chain.  The result is renormalized; a state whose
-    polarization amplitudes cancel entirely cannot be converted and raises
-    :class:`StateError`.
+    measurement chain.  Returns the renormalized two-qubit polarization
+    amplitudes (HH, HV, VH, VV); a state whose polarization amplitudes
+    cancel entirely cannot be converted and raises :class:`StateError`.
     """
     cube = state.vec.reshape(2, 2, 2, 2)  # (pol_a, freq_a, pol_b, freq_b)
     flat = cube.sum(axis=(1, 3)).reshape(4)
     norm = np.linalg.norm(flat)
     if norm < 1e-12:
         raise StateError("wavelength conversion annihilated the state")
-    return PolarizationPairState(flat / norm)
+    return flat / norm
 
 
 class DeviceOutcome(NamedTuple):
@@ -156,17 +121,6 @@ def _build_device_basis() -> tuple[tuple[DeviceOutcome, ...], np.ndarray]:
 _DEVICE_OUTCOMES, _DEVICE_MATRIX = _build_device_basis()
 
 
-def device_projective_measurement() -> ProjectiveMeasurement:
-    """The device as a generic 16-outcome projective measurement."""
-    return ProjectiveMeasurement.from_groups(
-        [
-            (outcome, _DEVICE_MATRIX[i : i + 1])
-            for i, outcome in enumerate(_DEVICE_OUTCOMES)
-        ],
-        16,
-    )
-
-
 def device_outcome_distribution(
     state: JointState,
 ) -> list[tuple[DeviceOutcome, float]]:
@@ -178,30 +132,14 @@ def device_outcome_distribution(
     ]
 
 
-def device_measure(
-    state: JointState, g: SeededGenerator
-) -> tuple[DeviceOutcome, JointState]:
-    """Sample one detector coincidence; returns (outcome, collapsed state)."""
-    amps = _DEVICE_MATRIX.conj() @ state.vec
-    probs = np.abs(amps) ** 2
-    k = g.sample_index(probs)
-    return _DEVICE_OUTCOMES[k], JointState(_DEVICE_MATRIX[k])
+def device_measure(state: JointState, g: SeededGenerator) -> DeviceOutcome:
+    """Sample one detector coincidence.
 
-
-def device_sample_counts(
-    state: JointState, shots: int, g: SeededGenerator
-) -> np.ndarray:
-    """Outcome counts over many shots, indexed like the outcome list.
-
-    Uses the same inverse-CDF sampler as :func:`device_measure` and consumes
-    the identical generator draws, so the counts equal what a loop of
-    ``shots`` single measurements would produce.
+    The pair collapses onto the outcome's row of the device matrix, so the
+    outcome alone describes it.
     """
     amps = _DEVICE_MATRIX.conj() @ state.vec
-    cdf = np.cumsum(np.abs(amps) ** 2)
-    draws = g.uniforms(shots) * cdf[-1]
-    ks = np.minimum(np.searchsorted(cdf, draws, side="right"), len(cdf) - 1)
-    return np.bincount(ks, minlength=len(_DEVICE_OUTCOMES))
+    return _DEVICE_OUTCOMES[g.sample_index(np.abs(amps) ** 2)]
 
 
 def device_outcomes() -> tuple[DeviceOutcome, ...]:
@@ -215,41 +153,29 @@ _FAMILY_BY_PORTS: dict[tuple[int, int], Family] = {
     (3, 4): Family.UPSILON,
 }
 
-# Sign rule frozen from the one-time expansion of each family's converted
-# state in the diagonal basis: for every family the plus state produces
-# parallel analyzer signs and the minus state opposite signs.  The tests
-# recompute this table from the amplitudes rather than trusting symmetry.
-_PARALLEL_MEANS_PLUS: dict[Family, bool] = {
-    Family.PHI: True,
-    Family.PSI: True,
-    Family.GAMMA: True,
-    Family.UPSILON: True,
-}
-
 
 def decode(outcome: DeviceOutcome) -> tuple[DepLabel, int]:
-    """Pair state and codeword announced by a detector coincidence."""
+    """Pair state and codeword announced by a detector coincidence.
+
+    The ports fix the family.  The sign rule is the same for every family:
+    the plus state produces parallel analyzer signs and the minus state
+    opposite signs (the tests recompute this from the amplitudes).
+    """
     family = _FAMILY_BY_PORTS[(outcome.port_a, outcome.port_b)]
-    parallel = outcome.x_a == outcome.x_b
-    plus = parallel if _PARALLEL_MEANS_PLUS[family] else not parallel
-    label = DepLabel.of(family, +1 if plus else -1)
+    label = DepLabel.of(family, +1 if outcome.x_a == outcome.x_b else -1)
     return label, label_to_codeword(label)
 
 
 def measure_single(
-    state: LocalState, photon: Photon, basis: PolBasis, g: SeededGenerator
+    state: LocalState, basis: PolBasis, g: SeededGenerator
 ) -> tuple[int, Freq]:
     """Measure a lone photon: frequency bin via the demultiplexer plus a
     polarization measurement in the chosen basis.
 
     Returns ``(comp, freq)`` where ``comp`` 0 means H or the +45 degree
-    outcome and 1 means V or the -45 degree outcome.  The ``photon``
-    argument only fixes which physical bins the frequency labels denote.
+    outcome and 1 means V or the -45 degree outcome.  Both photons share the
+    same local mode layout, so the result does not depend on which photon
+    is measured.
     """
-    del photon  # both photons share the same local mode layout
-    measurement = polarization_frequency_basis(basis)
-    rows = measurement.stacked()
-    amps = rows.conj() @ state.vec
-    k = g.sample_index(np.abs(amps) ** 2)
-    comp, freq = measurement.outcomes[k][0]
-    return comp, freq
+    amps = LOCAL_BASIS[basis].conj() @ state.vec
+    return local_outcome(g.sample_index(np.abs(amps) ** 2))

@@ -404,7 +404,7 @@ def decoy_check(
         if not record.delivered:
             continue
         basis = PolBasis.Z if g.coin(0.5) else PolBasis.X
-        comp, freq = measure_single(record.state, Photon.B, basis, g)
+        comp, freq = measure_single(record.state, basis, g)
         record.bob_basis = basis
         record.bob_comp = comp
         record.bob_freq = freq
@@ -511,7 +511,7 @@ def wc_check(
         basis_b = PolBasis.Z if g.coin(0.5) else PolBasis.X
         amp = (
             _BASIS_ROWS[basis_a].conj()
-            @ converted.as_matrix()
+            @ converted.reshape(2, 2)
             @ _BASIS_ROWS[basis_b].conj().T
         )
         k = g.sample_index(np.abs(amp.reshape(4)) ** 2)
@@ -592,7 +592,7 @@ def step5_decode_and_sift(
     """Jointly measure every reunited pair and keep the surviving ones."""
     survivors = [r for r in pairs if r.surviving]
     for record in survivors:
-        record.outcome, _ = device_measure(record.state, g)
+        record.outcome = device_measure(record.state, g)
         _, record.decoded = decode(record.outcome)
     transcript.append(
         "bob",
@@ -621,18 +621,7 @@ def run_session(
     security check aborts the session with empty keys.
     """
     t = transcript if transcript is not None else Transcript()
-    gens = {
-        k: SeededGenerator(config.seed, k)
-        for k in (
-            _STREAM_ALICE,
-            _STREAM_DECOY,
-            _STREAM_CHANNEL_B,
-            _STREAM_BOB_DECOY,
-            _STREAM_WC,
-            _STREAM_CHANNEL_A,
-            _STREAM_DEVICE,
-        )
-    }
+    gens = [SeededGenerator(config.seed, k) for k in range(7)]
     pairs = step1_prepare_and_encode(config, gens[_STREAM_ALICE])
     strategy = config.check_strategy
     if strategy.uses_decoy:
@@ -667,7 +656,7 @@ def run_session(
     wc_qber: Optional[float] = None
     aborted = False
 
-    if strategy.uses_decoy and not aborted:
+    if strategy.uses_decoy:
         try:
             result = decoy_check(
                 decoys, config.qber_threshold, t, gens[_STREAM_BOB_DECOY]

@@ -18,7 +18,6 @@ from depqkd import (
     Pol,
     PolBasis,
     SeededGenerator,
-    TransmissionRecord,
     apply_loss,
     dep_basis,
     ir_attack_decoy,
@@ -39,10 +38,6 @@ def test_apply_loss_extremes():
     g = SeededGenerator(1, 0)
     assert all(apply_loss(0.0, g) for _ in range(100))
     assert not any(apply_loss(1.0, g) for _ in range(100))
-    with pytest.raises(ConfigError):
-        apply_loss(-0.1, g)
-    with pytest.raises(ConfigError):
-        apply_loss(1.1, g)
 
 
 def test_apply_loss_rate():
@@ -70,12 +65,6 @@ def test_eve_target_coverage():
     assert EveTarget.BOTH.covers(Photon.A)
     assert EveTarget.BOTH.covers(Photon.B)
     assert EveConfig(EveStrategy.Z).target is EveTarget.B
-
-
-def test_transmission_record_flags():
-    assert not TransmissionRecord(delivered=True).eve_measured
-    rec = TransmissionRecord(True, EveRecord(PolBasis.Z, 0, Freq.LOW))
-    assert rec.eve_measured
 
 
 def test_z_attack_on_entangled_pair_yields_the_two_product_states():
@@ -216,7 +205,7 @@ def test_decoy_attack_error_rates_match_enumeration():
             freq = Freq.LOW if g.coin(0.5) else Freq.HIGH
             prepared = pol_freq_eigenstate(basis, comp, freq)
             resent, _ = ir_attack_decoy(prepared, strategy, g)
-            seen_comp, seen_freq = measure_single(resent, Photon.B, basis, g)
+            seen_comp, seen_freq = measure_single(resent, basis, g)
             bad = seen_comp != comp or seen_freq != freq
             stats[basis.value][0] += 1
             stats[basis.value][1] += bad

@@ -310,3 +310,46 @@ def test_output_flag_writes_the_lines_to_a_file(capsys, tmp_path):
     lines = [json.loads(l) for l in target.read_text().splitlines()]
     assert len(lines) == 1
     assert lines[0]["config"]["pairs"] == 80
+
+
+def test_sweep_values_that_do_not_convert_exit_with_code_two(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--param", "pairs", "--values", "10,abc")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    code, out, err = run_cli(capsys, "sweep", "--param", "eve", "--values", "none,bogus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_config_file_values_that_do_not_convert_exit_with_code_two(capsys, tmp_path):
+    cfg = tmp_path / "float.cfg"
+    cfg.write_text("pairs = 1e3\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_config_file_unknown_keys_exit_with_code_two(capsys, tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("pair = 5\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "pair" in err and err.startswith("error:")
+
+
+def test_rejected_settings_leave_an_existing_output_file_untouched(capsys, tmp_path):
+    target = tmp_path / "keep.txt"
+    target.write_text("earlier results\n")
+    code, _, err = run_cli(capsys, "run", "--loss", "2", "--output", str(target))
+    assert code == 2
+    assert err.startswith("error:")
+    assert target.read_text() == "earlier results\n"
+    code, _, _ = run_cli(
+        capsys, "sweep", "--param", "loss", "--values", "0,2", "--pairs", "20",
+        "--output", str(target),
+    )
+    assert code == 2
+    assert target.read_text() == "earlier results\n"

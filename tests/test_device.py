@@ -21,14 +21,12 @@ from depqkd import (
     device_measure,
     device_outcome_distribution,
     device_outcomes,
-    device_projective_measurement,
-    device_sample_counts,
     label_to_codeword,
     measure_single,
     port_of,
     wavelength_convert_global,
 )
-from depqkd.device import _FAMILY_BY_PORTS, _PARALLEL_MEANS_PLUS, convert_in_port
+from depqkd.device import _DEVICE_MATRIX, _FAMILY_BY_PORTS
 from depqkd.states import _SUPPORT
 
 
@@ -62,36 +60,16 @@ def test_pair_supports_route_to_the_decoding_port_pair():
         assert _FAMILY_BY_PORTS[ports_seen.pop()] is label.family
 
 
-def test_convert_in_port_maps_collected_modes_to_qubit_axes():
-    out = convert_in_port(1, LocalState.mode(Pol.H, Freq.LOW))
-    assert np.allclose(out, [1, 0])
-    out = convert_in_port(1, LocalState.mode(Pol.V, Freq.HIGH))
-    assert np.allclose(out, [0, 1])
-    out = convert_in_port(3, LocalState.mode(Pol.H, Freq.HIGH))
-    assert np.allclose(out, [1, 0])
-    out = convert_in_port(4, LocalState.mode(Pol.V, Freq.LOW))
-    assert np.allclose(out, [0, 1])
-    mixed = LocalState(np.array([0.6, 0, 0, 0.8j]))
-    assert np.allclose(convert_in_port(2, mixed), [0.6, 0.8j])
-
-
-def test_convert_in_port_rejects_foreign_modes_and_unknown_ports():
-    with pytest.raises(StateError):
-        convert_in_port(1, LocalState.mode(Pol.H, Freq.HIGH))
-    with pytest.raises(ValueError):
-        convert_in_port(5, LocalState.mode(Pol.H, Freq.LOW))
-
-
 def test_wavelength_convert_global_on_pair_states():
     sq2 = np.sqrt(2.0)
     phi = wavelength_convert_global(dep_basis(DepLabel.PHI_PLUS))
-    assert np.allclose(phi.vec, [1 / sq2, 0, 0, 1 / sq2], atol=1e-12)
+    assert np.allclose(phi, [1 / sq2, 0, 0, 1 / sq2], atol=1e-12)
     psi_minus = wavelength_convert_global(dep_basis(DepLabel.PSI_MINUS))
-    assert np.allclose(psi_minus.vec, [0, 1 / sq2, -1 / sq2, 0], atol=1e-12)
+    assert np.allclose(psi_minus, [0, 1 / sq2, -1 / sq2, 0], atol=1e-12)
     gamma = wavelength_convert_global(dep_basis(DepLabel.GAMMA_PLUS))
-    assert np.allclose(gamma.vec, [0, 1 / sq2, 1 / sq2, 0], atol=1e-12)
+    assert np.allclose(gamma, [0, 1 / sq2, 1 / sq2, 0], atol=1e-12)
     upsilon = wavelength_convert_global(dep_basis(DepLabel.UPSILON_MINUS))
-    assert np.allclose(upsilon.vec, [-1 / sq2, 0, 0, 1 / sq2], atol=1e-12)
+    assert np.allclose(upsilon, [-1 / sq2, 0, 0, 1 / sq2], atol=1e-12)
 
 
 def test_wavelength_convert_global_matches_frequency_erasure_oracle():
@@ -103,7 +81,7 @@ def test_wavelength_convert_global_matches_frequency_erasure_oracle():
         if norm < 1e-6:
             continue
         assert np.allclose(
-            wavelength_convert_global(s).vec, expected / norm, atol=1e-12
+            wavelength_convert_global(s), expected / norm, atol=1e-12
         )
 
 
@@ -116,9 +94,9 @@ def test_wavelength_convert_global_rejects_cancelling_amplitudes():
 
 
 def test_device_measurement_is_complete_and_orthonormal():
-    meas = device_projective_measurement()
-    meas.validate()
-    total = sum(oracles.projector(rows) for _, rows in meas.outcomes)
+    gram = _DEVICE_MATRIX @ _DEVICE_MATRIX.conj().T
+    assert np.allclose(gram, np.eye(16), atol=1e-12)
+    total = sum(oracles.projector(row) for row in _DEVICE_MATRIX)
     assert np.allclose(total, np.eye(16), atol=1e-12)
     assert len(device_outcomes()) == 16
     assert len(set(device_outcomes())) == 16
@@ -154,7 +132,7 @@ def test_device_discriminates_all_eight_states_deterministically():
 
 
 def test_sign_rule_table_recomputed_from_amplitudes():
-    # rebuild the parallel-signs-means-plus table instead of trusting it
+    # plus states give parallel analyzer signs, minus states opposite ones
     for family in Family:
         plus = dep_basis(DepLabel.of(family, +1))
         supported = [
@@ -163,7 +141,7 @@ def test_sign_rule_table_recomputed_from_amplitudes():
             if p > 1e-12
         ]
         parallel = {o.x_a == o.x_b for o in supported}
-        assert parallel == {_PARALLEL_MEANS_PLUS[family]}
+        assert parallel == {True}
         minus = dep_basis(DepLabel.of(family, -1))
         supported = [
             outcome
@@ -171,7 +149,7 @@ def test_sign_rule_table_recomputed_from_amplitudes():
             if p > 1e-12
         ]
         parallel = {o.x_a == o.x_b for o in supported}
-        assert parallel == {not _PARALLEL_MEANS_PLUS[family]}
+        assert parallel == {False}
 
 
 def test_decode_examples():
@@ -183,41 +161,31 @@ def test_decode_examples():
 
 
 def test_device_measure_collapses_onto_the_outcome_vector():
+    # the post-measurement pair is the outcome's device row, which must
+    # overlap the measured state
     g = SeededGenerator(12, 0)
-    meas = device_projective_measurement()
-    rows = {outcome: vecs[0] for outcome, vecs in meas.outcomes}
+    state = dep_basis(DepLabel.GAMMA_MINUS)
+    rows = dict(zip(device_outcomes(), _DEVICE_MATRIX))
     for _ in range(50):
-        outcome, post = device_measure(dep_basis(DepLabel.GAMMA_MINUS), g)
+        outcome = device_measure(state, g)
         assert decode(outcome) == (DepLabel.GAMMA_MINUS, 7)
-        assert np.allclose(post.vec, rows[outcome], atol=1e-12)
-
-
-def test_device_sample_counts_equals_a_loop_of_single_measurements():
-    state = dep_basis(DepLabel.PHI_MINUS)
-    counts = device_sample_counts(state, 500, SeededGenerator(77, 4))
-    g = SeededGenerator(77, 4)
-    index_of = {o: i for i, o in enumerate(device_outcomes())}
-    loop_counts = np.zeros(16, dtype=int)
-    for _ in range(500):
-        outcome, _ = device_measure(state, g)
-        loop_counts[index_of[outcome]] += 1
-    assert np.array_equal(counts, loop_counts)
-    assert counts.sum() == 500
+        overlap = abs(np.vdot(rows[outcome], state.vec)) ** 2
+        assert overlap == pytest.approx(0.5, abs=1e-12)
 
 
 def test_measure_single_deterministic_cases():
     g = SeededGenerator(9, 0)
     for freq in (Freq.LOW, Freq.HIGH):
         comp, seen_freq = measure_single(
-            LocalState.mode(Pol.V, freq), Photon.B, PolBasis.Z, g
+            LocalState.mode(Pol.V, freq), PolBasis.Z, g
         )
         assert (comp, seen_freq) == (1, freq)
         comp, seen_freq = measure_single(
-            LocalState.diagonal(+1, freq), Photon.A, PolBasis.X, g
+            LocalState.diagonal(+1, freq), PolBasis.X, g
         )
         assert (comp, seen_freq) == (0, freq)
         comp, seen_freq = measure_single(
-            LocalState.diagonal(-1, freq), Photon.B, PolBasis.X, g
+            LocalState.diagonal(-1, freq), PolBasis.X, g
         )
         assert (comp, seen_freq) == (1, freq)
 
@@ -226,7 +194,7 @@ def test_measure_single_mismatched_basis_is_unbiased():
     g = SeededGenerator(10, 0)
     n = 4000
     comps = [
-        measure_single(LocalState.mode(Pol.H, Freq.HIGH), Photon.B, PolBasis.X, g)
+        measure_single(LocalState.mode(Pol.H, Freq.HIGH), PolBasis.X, g)
         for _ in range(n)
     ]
     assert {freq for _, freq in comps} == {Freq.HIGH}

@@ -1,30 +1,27 @@
-"""Core state, operation, measurement, and generator behavior."""
+"""Core state, operation, local measurement, and generator behavior."""
 
 import numpy as np
 import pytest
 
 import oracles
 from depqkd import (
+    LOCAL_BASIS,
     Freq,
     JointState,
     LocalState,
-    MeasurementError,
     Pauli,
     Photon,
     Pol,
     PolBasis,
-    ProjectiveMeasurement,
     SeededGenerator,
     StateError,
     apply_local,
-    born_distribution,
     dep_basis,
     equal_up_to_global_phase,
-    measure_projective,
+    local_outcome,
     mode_index,
     partial_measure,
     pol_freq_eigenstate,
-    polarization_frequency_basis,
     tensor,
 )
 from depqkd.quantum import PAULI_MATRICES
@@ -126,107 +123,27 @@ def test_equal_up_to_global_phase():
     assert not equal_up_to_global_phase(s, dep_basis(DepLabel.PSI_MINUS), 1e-9)
 
 
-def test_born_distribution_on_computational_basis():
-    meas = ProjectiveMeasurement.computational(16)
-    dist = dict(born_distribution(dep_basis(DepLabel.PSI_PLUS), meas))
-    assert dist[2] == pytest.approx(0.5, abs=1e-12)
-    assert dist[13] == pytest.approx(0.5, abs=1e-12)
-    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-    assert all(p >= 0 for p in dist.values())
-
-
-def test_born_distribution_rejects_incomplete_measurement():
-    eye = np.eye(16, dtype=complex)
-    meas = ProjectiveMeasurement.from_groups(
-        [(i, eye[i : i + 1]) for i in range(15)], 16
-    )
-    with pytest.raises(MeasurementError):
-        born_distribution(dep_basis(DepLabel.PSI_PLUS), meas)
-
-
-def test_born_distribution_rejects_non_orthonormal_measurement():
-    rows = np.eye(16, dtype=complex)
-    rows = np.vstack([rows[:15], rows[14:15]])  # duplicated direction
-    meas = ProjectiveMeasurement.from_groups([(0, rows)], 16)
-    with pytest.raises(MeasurementError):
-        born_distribution(dep_basis(DepLabel.PSI_PLUS), meas)
-
-
-def test_grouped_measurement_matches_projector_oracle():
-    rng = np.random.default_rng(23)
-    eye = np.eye(16, dtype=complex)
-    groups = [(0, eye[:5]), (1, eye[5:6]), (2, eye[6:])]
-    meas = ProjectiveMeasurement.from_groups(groups, 16)
-    for _ in range(20):
-        s = JointState(random_state(rng, 16))
-        dist = born_distribution(s, meas)
-        for (label, prob), (_, rows) in zip(dist, groups):
-            expected = oracles.born_probability(s.vec, oracles.projector(rows))
-            assert prob == pytest.approx(expected, abs=1e-12)
-
-
 def test_projectors_of_package_measurements_sum_to_identity():
-    for meas in (
-        ProjectiveMeasurement.computational(4),
-        ProjectiveMeasurement.computational(16),
-        polarization_frequency_basis(PolBasis.Z),
-        polarization_frequency_basis(PolBasis.X),
-    ):
-        total = sum(
-            oracles.projector(rows) for _, rows in meas.outcomes
-        )
-        assert np.allclose(total, np.eye(meas.dim), atol=1e-12)
-        meas.validate()
-
-
-def test_measure_projective_deterministic_outcome():
-    meas = ProjectiveMeasurement.computational(16)
-    vec = np.zeros(16)
-    vec[7] = 1.0
-    g = SeededGenerator(3, 0)
-    outcome, post = measure_projective(JointState(vec), meas, g)
-    assert outcome == 7
-    assert equal_up_to_global_phase(post, JointState(vec), 1e-12)
-
-
-def test_measure_projective_post_state_is_normalized_projection():
-    rng = np.random.default_rng(1)
-    eye = np.eye(16, dtype=complex)
-    meas = ProjectiveMeasurement.from_groups([(0, eye[:8]), (1, eye[8:])], 16)
-    g = SeededGenerator(17, 0)
-    s = JointState(random_state(rng, 16))
-    outcome, post = measure_projective(s, meas, g)
-    assert post.is_normalized(1e-12)
-    half = slice(0, 8) if outcome == 0 else slice(8, 16)
-    expected = np.zeros(16, dtype=complex)
-    expected[half] = s.vec[half]
-    expected /= np.linalg.norm(expected)
-    assert equal_up_to_global_phase(post, JointState(expected), 1e-12)
-
-
-def test_measure_projective_frequencies_match_born_distribution():
-    # empirical sampling against the analytic distribution, 1e5 draws
-    rng = np.random.default_rng(99)
-    s = JointState(random_state(rng, 16))
-    meas = ProjectiveMeasurement.computational(16)
-    expected = np.array([p for _, p in born_distribution(s, meas)])
-    g = SeededGenerator(2024, 0)
-    counts = np.zeros(16)
-    n = 100_000
-    for _ in range(n):
-        outcome, _ = measure_projective(s, meas, g)
-        counts[outcome] += 1
-    assert oracles.tv_distance(counts / n, expected) <= 0.01
+    for basis in PolBasis:
+        rows = LOCAL_BASIS[basis]
+        expected = oracles.local_basis_vectors(basis.value)
+        assert rows.shape == (4, 4)
+        for k, (outcome, vec) in enumerate(expected):
+            assert local_outcome(k) == outcome
+            assert np.allclose(rows[k], vec, atol=1e-12)
+        total = sum(oracles.projector(row) for row in rows)
+        assert np.allclose(total, np.eye(4), atol=1e-12)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0
 
 
 def test_partial_measure_on_psi_plus_photon_b():
     g = SeededGenerator(5, 0)
-    meas = polarization_frequency_basis(PolBasis.Z)
     seen = {}
     n = 4000
     for _ in range(n):
         (comp, freq), post = partial_measure(
-            dep_basis(DepLabel.PSI_PLUS), Photon.B, meas, g
+            dep_basis(DepLabel.PSI_PLUS), Photon.B, PolBasis.Z, g
         )
         seen[(comp, freq)] = seen.get((comp, freq), 0) + 1
         if (comp, freq) == (1, Freq.LOW):
@@ -243,38 +160,32 @@ def test_partial_measure_product_state_leaves_remote_untouched():
     b = LocalState.mode(Pol.V, Freq.HIGH)
     joint = tensor(a, b)
     g = SeededGenerator(6, 0)
-    meas = polarization_frequency_basis(PolBasis.Z)
-    (comp, freq), post = partial_measure(joint, Photon.B, meas, g)
+    (comp, freq), post = partial_measure(joint, Photon.B, PolBasis.Z, g)
     assert (comp, freq) == (1, Freq.HIGH)
     assert equal_up_to_global_phase(post, joint, 1e-12)
 
 
 def test_partial_measure_distribution_matches_density_matrix_oracle():
     # reduced-state statistics for all eight pair states, both photons
+    eye = np.eye(4, dtype=complex)
     for label in DepLabel:
         s = dep_basis(label)
         for photon, tag in ((Photon.A, "a"), (Photon.B, "b")):
             rho = oracles.reduced_density_matrix(s.vec, tag)
             for basis in (PolBasis.Z, PolBasis.X):
-                meas = polarization_frequency_basis(basis)
-                # package route: embed the local measurement in the pair space
-                embedded = []
-                for outcome_label, rows in meas.outcomes:
-                    eye = np.eye(4, dtype=complex)
+                oracle_vectors = oracles.local_basis_vectors(basis.value)
+                for row, (_, vec) in zip(LOCAL_BASIS[basis], oracle_vectors):
+                    # package route: lift the table row to the pair space
+                    local = oracles.projector(row)
                     if photon is Photon.A:
-                        lifted = [np.kron(r, e) for r in rows for e in eye]
+                        lifted = np.kron(local, eye)
                     else:
-                        lifted = [np.kron(e, r) for r in rows for e in eye]
-                    embedded.append((outcome_label, lifted))
-                joint_meas = ProjectiveMeasurement.from_groups(embedded, 16)
-                package = dict(born_distribution(s, joint_meas))
-                for outcome_label, rows in meas.outcomes:
+                        lifted = np.kron(eye, local)
+                    package = oracles.born_probability(s.vec, lifted)
                     expected = float(
-                        np.real(np.trace(oracles.projector(rows) @ rho))
+                        np.real(np.trace(oracles.projector(vec) @ rho))
                     )
-                    assert package[outcome_label] == pytest.approx(
-                        expected, abs=1e-12
-                    )
+                    assert package == pytest.approx(expected, abs=1e-12)
 
 
 def test_pol_freq_eigenstates_are_orthonormal_per_basis():
@@ -316,3 +227,17 @@ def test_seeded_generator_helpers():
         assert g.sample_index([0.0, 1.0, 0.0]) == 1
     with pytest.raises(ValueError):
         g.randint(0)
+
+
+def test_sample_index_matches_a_numpy_inverse_cdf():
+    # reference: the cumsum/searchsorted formulation, on the same draws
+    rng = np.random.default_rng(8)
+    g = SeededGenerator(44, 0)
+    ref = SeededGenerator(44, 0)
+    for n in (4, 16) * 2000:
+        p = np.abs(rng.normal(size=n)) ** 2
+        p[rng.integers(n)] = 0.0
+        cdf = np.cumsum(p)
+        u = ref.uniform() * cdf[-1]
+        expected = min(int(np.searchsorted(cdf, u, side="right")), n - 1)
+        assert g.sample_index(p) == expected
