@@ -2,8 +2,9 @@
 ``elapsed_ms`` timing field stripped, for a fixed set of small invocations.
 
 Together the cases cover every check x attacker x target combination,
-loss, both indeterminate checks, and sweeps over attacker policy and loss.
-A refactor that keeps exact replay leaves every digest unchanged.  A change
+loss with and without an attack on photon b among decoys, both
+indeterminate checks, and sweeps over attacker policy and loss.  A
+refactor that keeps exact replay leaves every digest unchanged.  A change
 that alters report bytes on purpose re-pins the table (print it with
 ``PYTHONPATH=src python tests/test_golden.py``) and says why in CHANGES.md.
 """
@@ -37,6 +38,21 @@ CASES.update({
     "loss-sweep": (
         "sweep", "--param", "loss", "--values", "0,0.1", "--trials", "2",
         "--check", "wc", "--eve", "ir-z", "--eve-targets", "a", "--pairs", "200",
+    ),
+    # loss together with an attack on photon b among interleaved decoys: the
+    # channel's per-item draw count varies with every loss coin
+    "loss-attack-b-decoys": (
+        "run", "--pairs", "300", "--loss", "0.2", "--check", "both",
+        "--eve", "ir-random", "--eve-targets", "both", "--decoy-fraction", "0.5",
+        "--trials", "2",
+    ),
+    # the same with a threshold the attack passes, so the converter check,
+    # the second transmission and the joint measurement see attacked pairs
+    "loss-attack-b-decoys-kept": (
+        "sweep", "--param", "eve", "--values", "ir-z,ir-random", "--pairs", "300",
+        "--loss", "0.3", "--check", "both", "--eve-targets", "both",
+        "--decoy-fraction", "0.4", "--threshold", "0.6", "--sample-fraction", "0.3",
+        "--seed", "8",
     ),
 })
 
@@ -101,6 +117,14 @@ GOLDEN = {
     "loss": [
         "0c29a89f9048fd9ac7f9c1ea48ac8df791da75fdb48d2fb0116a9ba4e03b1358",
         "2d8fc86755c470353082f740940fbefedf2f7aa9ca280ba1d5602baf55458796",
+    ],
+    "loss-attack-b-decoys": [
+        "81f3b75c4585699a840aa14d9b2dc8b6b16642aba10ef53ac13d9f1f9fef7171",
+        "9205baaeeca4877fee6b8e160f2137703e45a2201d25e46fe396065c36bab09e",
+    ],
+    "loss-attack-b-decoys-kept": [
+        "9c9f49ab888b82559dc1fa505bd7607aad361a787761adfa5a83fabb33629480",
+        "0b287553f32354ca9bd45d89ffa219ea42c83b2d2e2b6ebff210eeb807b29899",
     ],
     "loss-sweep": [
         "00ddeef8a2edce91e154c5a7d654ff86f079c2312a69a5752b978bd2319d59d8",
