@@ -22,6 +22,8 @@ from contextlib import nullcontext
 from dataclasses import replace
 from typing import Callable, Optional, TextIO
 
+import numpy as np
+
 from .channel import ChannelConfig, ConfigError, EveConfig, EveStrategy, EveTarget
 from .device import decode, device_outcome_distribution, port_of
 from .protocol import CheckStrategy, ProtocolConfig, run_session
@@ -77,11 +79,7 @@ def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> i
 def bits_to_hex(bits) -> str:
     """Hex-encode a bit sequence, first bit most significant, zero-padded
     at the tail to a whole number of bytes."""
-    out = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
-        if bit:
-            out[i // 8] |= 0x80 >> (i % 8)
-    return out.hex()
+    return np.packbits(np.frombuffer(bytes(bits), dtype=np.uint8)).tobytes().hex()
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:

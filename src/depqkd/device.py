@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .quantum import (
-    LOCAL_BASIS,
     Freq,
     JointState,
     LocalState,
@@ -34,6 +33,7 @@ from .quantum import (
     SeededGenerator,
     StateError,
     local_outcome,
+    local_probabilities,
     mode_index,
 )
 from .states import DepLabel, Family, label_to_codeword
@@ -119,16 +119,22 @@ def _build_device_basis() -> tuple[tuple[DeviceOutcome, ...], np.ndarray]:
 
 
 _DEVICE_OUTCOMES, _DEVICE_MATRIX = _build_device_basis()
+_DEVICE_BRAS = _DEVICE_MATRIX.conj()
+
+
+def device_probabilities(state: JointState) -> np.ndarray:
+    """Probabilities of the 16 device outcomes, in :func:`device_outcomes`
+    order."""
+    return np.abs(_DEVICE_BRAS @ state.vec) ** 2
 
 
 def device_outcome_distribution(
     state: JointState,
 ) -> list[tuple[DeviceOutcome, float]]:
     """Analytic outcome probabilities of the device on a pair state."""
-    amps = _DEVICE_MATRIX.conj() @ state.vec
     return [
         (outcome, float(p))
-        for outcome, p in zip(_DEVICE_OUTCOMES, np.abs(amps) ** 2)
+        for outcome, p in zip(_DEVICE_OUTCOMES, device_probabilities(state))
     ]
 
 
@@ -138,8 +144,7 @@ def device_measure(state: JointState, g: SeededGenerator) -> DeviceOutcome:
     The pair collapses onto the outcome's row of the device matrix, so the
     outcome alone describes it.
     """
-    amps = _DEVICE_MATRIX.conj() @ state.vec
-    return _DEVICE_OUTCOMES[g.sample_index(np.abs(amps) ** 2)]
+    return _DEVICE_OUTCOMES[g.sample_index(device_probabilities(state))]
 
 
 def device_outcomes() -> tuple[DeviceOutcome, ...]:
@@ -177,5 +182,4 @@ def measure_single(
     same local mode layout, so the result does not depend on which photon
     is measured.
     """
-    amps = LOCAL_BASIS[basis].conj() @ state.vec
-    return local_outcome(g.sample_index(np.abs(amps) ** 2))
+    return local_outcome(g.sample_index(local_probabilities(state, basis)))

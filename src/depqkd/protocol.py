@@ -19,27 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from functools import cache
+from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import (
-    ChannelConfig,
-    ConfigError,
-    EveRecord,
-    apply_loss,
-    ir_attack_decoy,
-    ir_attack_entangled,
-)
+from .channel import ChannelConfig, ConfigError, EveStrategy
 from .device import (
-    DeviceOutcome,
     decode,
-    device_measure,
-    measure_single,
+    device_outcomes,
+    device_probabilities,
     wavelength_convert_global,
 )
 from .quantum import (
-    Freq,
+    LOCAL_BASIS,
     JointState,
     LocalState,
     Pauli,
@@ -47,13 +40,16 @@ from .quantum import (
     PolBasis,
     SeededGenerator,
     apply_local,
-    pol_freq_eigenstate,
+    cumulative,
+    inverse_cdf,
+    local_probabilities,
+    partial_collapse,
+    partial_probabilities,
 )
 from .states import (
     DepLabel,
     EncodingPair,
     Family,
-    codeword_bits,
     dep_basis,
     encoding_choices,
     encoding_to_label,
@@ -174,27 +170,10 @@ _STREAM_WC = 4
 _STREAM_CHANNEL_A = 5
 _STREAM_DEVICE = 6
 
-
-@dataclass
-class PairRecord:
-    """Simulation-side bookkeeping for one entangled pair."""
-
-    index: int
-    codeword: int
-    encoding: EncodingPair
-    state: JointState
-    b_delivered: bool = True
-    a_delivered: bool = True
-    checked: bool = False
-    eve_on_b: Optional[EveRecord] = None
-    eve_on_a: Optional[EveRecord] = None
-    outcome: Optional[DeviceOutcome] = None
-    decoded: Optional[int] = None
-
-    @property
-    def surviving(self) -> bool:
-        """Contributes key bits: both photons arrived, not consumed by a check."""
-        return self.b_delivered and self.a_delivered and not self.checked
+# Arrays hold operations as indices into _PAULIS and bases as indices into
+# _BASES (0 = H/V, 1 = diagonal).
+_PAULIS = tuple(Pauli)
+_BASES = tuple(PolBasis)
 
 
 class DecoyPol(Enum):
@@ -214,36 +193,372 @@ class DecoyPol(Enum):
         return self.value[1]
 
 
-_DECOY_POLS = tuple(DecoyPol)
-_FREQS = (Freq.LOW, Freq.HIGH)
+_DECOY_BASIS = np.array([_BASES.index(pol.basis) for pol in DecoyPol])
+_DECOY_COMP = np.array([pol.comp for pol in DecoyPol])
+
+# Operation indices (op_a, op_b) of encoding_choices(codeword)[choice].
+_CHOICE_OPS = np.array(
+    [
+        [[_PAULIS.index(op) for op in pair] for pair in encoding_choices(codeword)]
+        for codeword in range(8)
+    ]
+)
 
 
-@dataclass(frozen=True)
-class DecoyPhoton:
-    """Ground truth of one inserted check photon."""
-
-    position: int  # slot in the mixed transmission sequence
-    freq: Freq
-    pol: DecoyPol
+def _unset(n: int) -> np.ndarray:
+    return np.full(n, -1, dtype=np.int64)
 
 
 @dataclass
-class DecoyRecord:
-    """Runtime bookkeeping for one check photon."""
+class PairBatch:
+    """Every pair of a session as parallel arrays, one entry per pair.
 
-    photon: DecoyPhoton
-    state: LocalState
-    delivered: bool = True
-    eve: Optional[EveRecord] = None
-    bob_basis: Optional[PolBasis] = None
-    bob_comp: Optional[int] = None
-    bob_freq: Optional[Freq] = None
+    ``state`` holds ids into :data:`ALPHABET`; ``op_a``/``op_b`` index
+    ``tuple(Pauli)``.  For each photon the attacker intercepted, ``eve_*_basis``
+    indexes ``tuple(PolBasis)`` and ``eve_*_outcome`` is the row ``k`` of that
+    :data:`~depqkd.quantum.LOCAL_BASIS` table it observed.  ``-1`` marks an
+    attacker record that does not exist and a pair the receiver never
+    decoded.
+    """
+
+    codeword: np.ndarray
+    choice: np.ndarray  # which of encoding_choices(codeword)
+    op_a: np.ndarray
+    op_b: np.ndarray
+    state: np.ndarray
+    b_delivered: np.ndarray
+    a_delivered: np.ndarray
+    checked: np.ndarray
+    eve_b_basis: np.ndarray
+    eve_b_outcome: np.ndarray
+    eve_a_basis: np.ndarray
+    eve_a_outcome: np.ndarray
+    decoded: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.codeword)
+
+    def encoding(self, i: int) -> EncodingPair:
+        return EncodingPair(_PAULIS[self.op_a[i]], _PAULIS[self.op_b[i]])
+
+    @property
+    def surviving(self) -> np.ndarray:
+        """Contributes key bits: both photons arrived, not consumed by a check."""
+        return self.b_delivered & self.a_delivered & ~self.checked
 
 
-# The channel treats the mixed sequence uniformly; items are tagged so the
-# attacker cannot be given side information about which slots are decoys.
-PAIR_ITEM = "pair"
-DECOY_ITEM = "decoy"
+@dataclass
+class DecoyBatch:
+    """Every check photon of a session as parallel arrays, in slot order.
+
+    ``pol`` indexes ``tuple(DecoyPol)``.  A photon's ``state`` is the local
+    id ``4 * basis + k`` of row ``k`` of the ``tuple(PolBasis)[basis]``
+    :data:`~depqkd.quantum.LOCAL_BASIS` table; the attacker resends such a
+    row too.  Bases and outcomes of the attacker and the receiver use the
+    same encoding as :class:`PairBatch`, with ``-1`` for none.
+    """
+
+    position: np.ndarray  # slot in the mixed transmission sequence
+    freq: np.ndarray
+    pol: np.ndarray
+    state: np.ndarray
+    delivered: np.ndarray
+    eve_basis: np.ndarray
+    eve_outcome: np.ndarray
+    bob_basis: np.ndarray
+    bob_outcome: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.position)
+
+
+def _decoy_batch(position, freq, pol) -> DecoyBatch:
+    n = len(position)
+    return DecoyBatch(
+        position=position,
+        freq=freq,
+        pol=pol,
+        state=4 * _DECOY_BASIS[pol] + 2 * _DECOY_COMP[pol] + freq,
+        delivered=np.ones(n, dtype=bool),
+        eve_basis=_unset(n),
+        eve_outcome=_unset(n),
+        bob_basis=_unset(n),
+        bob_outcome=_unset(n),
+    )
+
+
+_PSI_PLUS = dep_basis(DepLabel.PSI_PLUS)
+
+
+class StateAlphabet:
+    """Every pair state the sessions reach, interned by exact amplitudes,
+    with the outcome tables of each state filled in on first use.
+
+    Each entry is computed by the scalar function the single-item samplers
+    use, so a lookup gives the very floats a direct call would.  Entries
+    depend only on the amplitudes, so one table serves every session.
+    Bases are indices into ``tuple(PolBasis)`` and operations into
+    ``tuple(Pauli)``; the ``*_cdf`` entries are :func:`cumulative` tables.
+    """
+
+    def __init__(self) -> None:
+        self.states: list[JointState] = []
+        self._ids: dict[bytes, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def intern(self, state: JointState) -> int:
+        key = state.vec.tobytes()
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = self._ids[key] = len(self.states)
+            self.states.append(state)
+        return sid
+
+    # The alphabet lives as long as the process, so caching on the
+    # instance holds nothing longer than it would be held anyway.
+    @cache
+    def prepared(self, op_b: int) -> int:
+        """Id of a fresh PSI+ pair after the photon-b operation."""
+        return self.intern(apply_local(_PAULIS[op_b], Photon.B, _PSI_PLUS))
+
+    @cache
+    def encoded(self, sid: int, op_a: int) -> int:
+        """Id of a pair after the photon-a operation."""
+        return self.intern(apply_local(_PAULIS[op_a], Photon.A, self.states[sid]))
+
+    @cache
+    def partial_cdf(self, sid: int, photon: Photon, basis: int) -> list[float]:
+        state = self.states[sid]
+        return cumulative(partial_probabilities(state, photon, _BASES[basis]))
+
+    @cache
+    def collapsed(self, sid: int, photon: Photon, basis: int, k: int) -> int:
+        """Id of a pair after outcome ``k`` on one of its photons."""
+        state = self.states[sid]
+        return self.intern(partial_collapse(state, photon, _BASES[basis], k))
+
+    @cache
+    def device_cdf(self, sid: int) -> list[float]:
+        return cumulative(device_probabilities(self.states[sid]))
+
+    @cache
+    def converted(self, sid: int) -> np.ndarray:
+        """Converted polarization amplitudes; raises :class:`StateError`
+        for a state the converters annihilate."""
+        return wavelength_convert_global(self.states[sid])
+
+    @cache
+    def wc_cdf(self, sid: int, basis_a: int, basis_b: int) -> list[float]:
+        return cumulative(_wc_probabilities(self.converted(sid), basis_a, basis_b))
+
+    @cache
+    def local_cdf(self, local_id: int, basis: int) -> list[float]:
+        """Outcome cdf of a check photon with :class:`DecoyBatch` state id
+        ``local_id``."""
+        row_basis, k = divmod(local_id, 4)
+        photon = LocalState(LOCAL_BASIS[_BASES[row_basis]][k])
+        return cumulative(local_probabilities(photon, _BASES[basis]))
+
+
+#: The state table shared by every session of the process.
+ALPHABET = StateAlphabet()
+
+
+def _randints(u: np.ndarray, n: int) -> np.ndarray:
+    """:meth:`SeededGenerator.randint` of each draw."""
+    return np.minimum((u * n).astype(np.int64), n - 1)
+
+
+def _distinct(keys: np.ndarray) -> list[int]:
+    return np.flatnonzero(np.bincount(keys)).tolist()
+
+
+def _per_key(keys: np.ndarray, fn: Callable[[int], int]) -> np.ndarray:
+    """``fn`` of each entry of a small non-negative integer array, evaluated
+    once per distinct value."""
+    table = np.zeros(int(keys.max()) + 1 if len(keys) else 0, dtype=np.int64)
+    for key in _distinct(keys):
+        table[key] = fn(key)
+    return table[keys]
+
+
+def _sample(
+    keys: np.ndarray, u: np.ndarray, cdf_of: Callable[[int], list[float]]
+) -> np.ndarray:
+    """Inverse-CDF index of each draw under the cdf of its item's key."""
+    k = np.zeros(len(keys), dtype=np.int64)
+    for key in _distinct(keys):
+        sel = keys == key
+        k[sel] = inverse_cdf(cdf_of(key), u[sel])
+    return k
+
+
+def _basis_coins(u: np.ndarray) -> np.ndarray:
+    """Basis index of each fair coin: H/V on heads (``u < 0.5``)."""
+    return (~(u < 0.5)).astype(np.int64)
+
+
+def _channel(
+    n: int, channel: ChannelConfig, photon: Photon, g: SeededGenerator
+) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Send ``n`` photons through the channel.
+
+    Per photon the stream gives one loss coin, then, if the photon was
+    delivered and is attacked, the attacker's basis coin (random policy
+    only) and its measurement draw.  Returns the delivery mask and, when
+    the attacker covers this transmission, its basis per photon (``-1``
+    where it measured nothing) and its measurement draws.
+    """
+    eve = channel.eve
+    loss = channel.loss_probability
+    if eve is None or not eve.target.covers(photon):
+        return ~(g.uniforms(n) < loss), None, None
+    extra = 2 if eve.strategy is EveStrategy.RANDOM_ZX else 1
+    stride = 1 + extra
+    if loss == 0.0:
+        pool = g.uniforms(stride * n)
+        delivered = np.ones(n, dtype=bool)
+        starts = np.arange(1, stride * n, stride)
+    else:
+        # Scan the loss coins, drawing only what the remaining photons must
+        # still consume (at least their loss coins), so nothing is over-drawn.
+        chunks = [g.uniforms(n)]
+        coins = chunks[0].tolist()
+        hit: list[int] = []
+        begin: list[int] = []
+        pos = 0
+        for i in range(n):
+            if coins[pos] < loss:
+                pos += 1
+                continue
+            hit.append(i)
+            begin.append(pos + 1)
+            pos += stride
+            short = pos + n - 1 - i - len(coins)
+            if short > 0:
+                chunks.append(g.uniforms(short))
+                coins.extend(chunks[-1].tolist())
+        pool = np.concatenate(chunks)
+        delivered = np.zeros(n, dtype=bool)
+        delivered[hit] = True
+        starts = np.array(begin, dtype=np.int64)
+    basis = _unset(n)
+    if eve.strategy is EveStrategy.RANDOM_ZX:
+        basis[delivered] = _basis_coins(pool[starts])
+    else:
+        basis[delivered] = _BASES.index(
+            PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
+        )
+    u = np.zeros(n)
+    u[delivered] = pool[starts + extra - 1]
+    return delivered, basis, u
+
+
+def _intercept_pairs(
+    pairs: PairBatch, idx: np.ndarray, photon: Photon, basis: np.ndarray, u: np.ndarray
+) -> None:
+    """Measure one photon of each pair ``idx`` and resend the eigenstate."""
+    keys = 2 * pairs.state[idx] + basis
+    k = _sample(keys, u, lambda key: ALPHABET.partial_cdf(key >> 1, photon, key & 1))
+    pairs.state[idx] = _per_key(
+        4 * keys + k,
+        lambda key: ALPHABET.collapsed(key >> 3, photon, (key >> 2) & 1, key & 3),
+    )
+    if photon is Photon.B:
+        pairs.eve_b_basis[idx], pairs.eve_b_outcome[idx] = basis, k
+    else:
+        pairs.eve_a_basis[idx], pairs.eve_a_outcome[idx] = basis, k
+
+
+def step1_prepare_and_encode(config: ProtocolConfig, g: SeededGenerator) -> PairBatch:
+    """Draw a codeword per pair, pick one of its two operation pairs, and
+    apply the photon-b operation to a fresh PSI+ pair."""
+    n = config.n_pairs
+    u = g.uniforms(2 * n).reshape(n, 2)
+    codeword = _randints(u[:, 0], 8)
+    choice = _randints(u[:, 1], 2)
+    op_b = _CHOICE_OPS[codeword, choice, 1]
+    return PairBatch(
+        codeword=codeword,
+        choice=choice,
+        op_a=_CHOICE_OPS[codeword, choice, 0],
+        op_b=op_b,
+        state=_per_key(op_b, ALPHABET.prepared),
+        b_delivered=np.ones(n, dtype=bool),
+        a_delivered=np.ones(n, dtype=bool),
+        checked=np.zeros(n, dtype=bool),
+        eve_b_basis=_unset(n),
+        eve_b_outcome=_unset(n),
+        eve_a_basis=_unset(n),
+        eve_a_outcome=_unset(n),
+        decoded=_unset(n),
+    )
+
+
+def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
+    """Mask of the ``count`` smallest keys, equal keys taken in index order:
+    the first ``count`` entries of a stable argsort, found in linear time."""
+    cut = np.partition(keys, count - 1)[count - 1]
+    mask = keys < cut
+    mask[np.flatnonzero(keys == cut)[: count - np.count_nonzero(mask)]] = True
+    return mask
+
+
+def insert_decoys(
+    pairs: PairBatch, decoy_fraction: float, g: SeededGenerator
+) -> tuple[np.ndarray, DecoyBatch]:
+    """Mix single-photon check states into the b transmission sequence.
+
+    The decoy count is binomial with mean ``decoy_fraction * len(pairs)``;
+    positions are uniform among the mixed slots and preparations are
+    uniform over the eight (frequency bin, polarization) combinations.
+    Positions and preparations stay secret until the check.  Returns the
+    mask of decoy slots in the mixed sequence, whose other slots carry the
+    pairs in order, and the decoys.
+    """
+    n = len(pairs)
+    count = int(np.count_nonzero(g.uniforms(n) < decoy_fraction))
+    # The slots of the ``count`` smallest of ``n + count`` uniform keys hold
+    # the decoys.
+    if count:
+        is_decoy = _smallest(g.uniforms(n + count), count)
+    else:
+        is_decoy = np.zeros(n, dtype=bool)
+    u = g.uniforms(2 * count).reshape(count, 2)
+    decoys = _decoy_batch(
+        np.flatnonzero(is_decoy), _randints(u[:, 0], 2), _randints(u[:, 1], 4)
+    )
+    return is_decoy, decoys
+
+
+def transmit_b(
+    pairs: PairBatch,
+    decoys: DecoyBatch,
+    is_decoy: np.ndarray,
+    channel: ChannelConfig,
+    g: SeededGenerator,
+) -> None:
+    """Send the mixed b sequence through the channel, updating both batches.
+
+    Loss is decided first; the attacker only touches delivered photons and
+    cannot tell pair photons from check photons.
+    """
+    delivered, basis, u = _channel(len(is_decoy), channel, Photon.B, g)
+    is_pair = ~is_decoy
+    pairs.b_delivered[:] = delivered[is_pair]
+    decoys.delivered[:] = delivered[is_decoy]
+    if basis is None:
+        return
+    hit = np.flatnonzero(delivered[is_pair])
+    _intercept_pairs(pairs, hit, Photon.B, basis[is_pair][hit], u[is_pair][hit])
+    hit = np.flatnonzero(decoys.delivered)
+    basis, u = basis[is_decoy][hit], u[is_decoy][hit]
+    keys = 2 * decoys.state[hit] + basis
+    k = _sample(keys, u, lambda key: ALPHABET.local_cdf(key >> 1, key & 1))
+    decoys.eve_basis[hit], decoys.eve_outcome[hit] = basis, k
+    decoys.state[hit] = 4 * basis + k
 
 
 @dataclass(frozen=True)
@@ -288,102 +603,59 @@ class RunReport:
     seed: int
 
 
-_PSI_PLUS = dep_basis(DepLabel.PSI_PLUS)
+def _post(
+    transcript: Optional[Transcript],
+    sender: str,
+    kind: MessageKind,
+    payload: Callable[[], object],
+) -> None:
+    """Append a message when a transcript is kept; ``payload`` builds its
+    body only then."""
+    if transcript is not None:
+        transcript.append(sender, kind, payload())
 
-# State of a pair after the first encoding step, per photon-b operation.
-_STEP1_STATE: dict[Pauli, JointState] = {
-    op: apply_local(op, Photon.B, _PSI_PLUS) for op in Pauli
+
+# Announced abort reason and error message of a check that compared nothing.
+_INDETERMINATE = {
+    "decoy": ("no matched decoys", "no matched decoy comparisons"),
+    "wc": ("no matched pair comparisons", "no matched converted-pair comparisons"),
 }
 
 
-def step1_prepare_and_encode(
-    config: ProtocolConfig, g: SeededGenerator
-) -> list[PairRecord]:
-    """Draw a codeword per pair, pick one of its two operation pairs, and
-    apply the photon-b operation to a fresh PSI+ pair."""
-    records = []
-    for i in range(config.n_pairs):
-        codeword = g.randint(8)
-        pair = g.pick(encoding_choices(codeword))
-        records.append(
-            PairRecord(
-                index=i,
-                codeword=codeword,
-                encoding=pair,
-                state=_STEP1_STATE[pair.op_b],
-            )
-        )
-    return records
-
-
-def insert_decoys(
-    pairs: list[PairRecord], decoy_fraction: float, g: SeededGenerator
-) -> tuple[list[tuple[str, object]], list[DecoyRecord]]:
-    """Mix single-photon check states into the b transmission sequence.
-
-    The decoy count is binomial with mean ``decoy_fraction * len(pairs)``;
-    positions are uniform among the mixed slots and preparations are
-    uniform over the eight (frequency bin, polarization) combinations.
-    Positions and preparations stay secret until the check.
-    """
-    n = len(pairs)
-    count = int(np.count_nonzero(g.uniforms(n) < decoy_fraction)) if n else 0
-    total = n + count
-    # A random permutation (stable argsort over uniform keys) picks which
-    # slots hold decoys; pair order is preserved in the remaining slots.
-    decoy_slots = set()
-    if count:
-        keys = g.uniforms(total)
-        decoy_slots = set(np.argsort(keys, kind="stable")[:count].tolist())
-    mixed: list[tuple[str, object]] = []
-    decoys: list[DecoyRecord] = []
-    pair_iter = iter(pairs)
-    for slot in range(total):
-        if slot in decoy_slots:
-            freq = _FREQS[g.randint(2)]
-            pol = _DECOY_POLS[g.randint(4)]
-            photon = DecoyPhoton(position=slot, freq=freq, pol=pol)
-            record = DecoyRecord(
-                photon=photon,
-                state=pol_freq_eigenstate(pol.basis, pol.comp, freq),
-            )
-            decoys.append(record)
-            mixed.append((DECOY_ITEM, record))
-        else:
-            mixed.append((PAIR_ITEM, next(pair_iter)))
-    return mixed, decoys
-
-
-def transmit_b(
-    mixed: list[tuple[str, object]], channel: ChannelConfig, g: SeededGenerator
-) -> None:
-    """Send the mixed b sequence through the channel, mutating records.
-
-    Loss is decided first; the attacker only touches delivered photons and
-    cannot tell pair photons from check photons.
-    """
-    eve = channel.eve
-    attack_b = eve is not None and eve.target.covers(Photon.B)
-    for kind, record in mixed:
-        delivered = apply_loss(channel.loss_probability, g)
-        if kind == PAIR_ITEM:
-            record.b_delivered = delivered
-            if delivered and attack_b:
-                record.state, record.eve_on_b = ir_attack_entangled(
-                    record.state, Photon.B, eve.strategy, g
-                )
-        else:
-            record.delivered = delivered
-            if delivered and attack_b:
-                record.state, record.eve = ir_attack_decoy(
-                    record.state, eve.strategy, g
-                )
+def _conclude(
+    check: str,
+    compared: int,
+    errors: int,
+    qber_threshold: float,
+    transcript: Optional[Transcript],
+) -> tuple[float, bool]:
+    """Error rate and verdict of a check, announced; raises
+    :class:`IndeterminateCheckError` when nothing was compared."""
+    if compared == 0:
+        reason, message = _INDETERMINATE[check]
+        _post(transcript, "alice", MessageKind.ABORT, lambda: {"reason": reason})
+        raise IndeterminateCheckError(message)
+    qber = errors / compared
+    proceed = qber <= qber_threshold
+    _post(
+        transcript,
+        "alice",
+        MessageKind.OUTCOME_COMPARISON,
+        lambda: {"check": check, "compared": compared, "errors": errors, "qber": qber},
+    )
+    _post(
+        transcript,
+        "alice",
+        MessageKind.PROCEED if proceed else MessageKind.ABORT,
+        lambda: {"check": check, "qber": qber},
+    )
+    return qber, proceed
 
 
 def decoy_check(
-    decoys: list[DecoyRecord],
+    decoys: DecoyBatch,
     qber_threshold: float,
-    transcript: Transcript,
+    transcript: Optional[Transcript],
     g: SeededGenerator,
 ) -> DecoyCheckResult:
     """Compare delivered check photons measured in matched bases.
@@ -394,74 +666,69 @@ def decoy_check(
     count as errors.  Raises :class:`IndeterminateCheckError` when nothing
     could be compared.
     """
-    transcript.append(
+    t = transcript
+    _post(
+        t,
         "alice",
         MessageKind.POSITIONS,
-        {"decoy_positions": tuple(d.photon.position for d in decoys)},
+        lambda: {"decoy_positions": tuple(decoys.position.tolist())},
     )
-    declarations = []
-    for record in decoys:
-        if not record.delivered:
-            continue
-        basis = PolBasis.Z if g.coin(0.5) else PolBasis.X
-        comp, freq = measure_single(record.state, basis, g)
-        record.bob_basis = basis
-        record.bob_comp = comp
-        record.bob_freq = freq
-        declarations.append((record.photon.position, basis.value))
-    transcript.append(
-        "bob", MessageKind.BASIS_DECLARATION, {"decoy_bases": tuple(declarations)}
+    idx = np.flatnonzero(decoys.delivered)
+    u = g.uniforms(2 * len(idx)).reshape(len(idx), 2)
+    basis = _basis_coins(u[:, 0])
+    k = _sample(
+        2 * decoys.state[idx] + basis,
+        u[:, 1],
+        lambda key: ALPHABET.local_cdf(key >> 1, key & 1),
     )
-    compared = errors = pol_errors = freq_errors = 0
-    z_compared = z_errors = x_compared = x_errors = 0
-    for record in decoys:
-        if not record.delivered or record.bob_basis is not record.photon.pol.basis:
-            continue
-        compared += 1
-        pol_bad = record.bob_comp != record.photon.pol.comp
-        freq_bad = record.bob_freq != record.photon.freq
-        pol_errors += pol_bad
-        freq_errors += freq_bad
-        bad = pol_bad or freq_bad
-        errors += bad
-        if record.photon.pol.basis is PolBasis.Z:
-            z_compared += 1
-            z_errors += bad
-        else:
-            x_compared += 1
-            x_errors += bad
-    if compared == 0:
-        transcript.append("alice", MessageKind.ABORT, {"reason": "no matched decoys"})
-        raise IndeterminateCheckError("no matched decoy comparisons")
-    qber = errors / compared
-    proceed = qber <= qber_threshold
-    transcript.append(
-        "alice",
-        MessageKind.OUTCOME_COMPARISON,
-        {"check": "decoy", "compared": compared, "errors": errors, "qber": qber},
+    decoys.bob_basis[idx], decoys.bob_outcome[idx] = basis, k
+    _post(
+        t,
+        "bob",
+        MessageKind.BASIS_DECLARATION,
+        lambda: {
+            "decoy_bases": tuple(
+                (pos, _BASES[b].value)
+                for pos, b in zip(decoys.position[idx].tolist(), basis.tolist())
+            )
+        },
     )
-    transcript.append(
-        "alice",
-        MessageKind.ABORT if not proceed else MessageKind.PROCEED,
-        {"check": "decoy", "qber": qber},
-    )
+    pol = decoys.pol[idx]
+    prepared = _DECOY_BASIS[pol]
+    matched = basis == prepared
+    pol_bad = matched & (k // 2 != _DECOY_COMP[pol])
+    freq_bad = matched & (k % 2 != decoys.freq[idx])
+    bad = pol_bad | freq_bad
+    z = prepared == _BASES.index(PolBasis.Z)
+    compared = int(np.count_nonzero(matched))
+    errors = int(np.count_nonzero(bad))
+    qber, proceed = _conclude("decoy", compared, errors, qber_threshold, t)
     return DecoyCheckResult(
         qber=qber,
         proceed=proceed,
         compared=compared,
         errors=errors,
-        pol_errors=pol_errors,
-        freq_errors=freq_errors,
-        z_prepared_compared=z_compared,
-        z_prepared_errors=z_errors,
-        x_prepared_compared=x_compared,
-        x_prepared_errors=x_errors,
+        pol_errors=int(np.count_nonzero(pol_bad)),
+        freq_errors=int(np.count_nonzero(freq_bad)),
+        z_prepared_compared=int(np.count_nonzero(matched & z)),
+        z_prepared_errors=int(np.count_nonzero(bad & z)),
+        x_prepared_compared=int(np.count_nonzero(matched & ~z)),
+        x_prepared_errors=int(np.count_nonzero(bad & ~z)),
     )
 
 
 _Z_ROWS = np.eye(2, dtype=complex)
 _X_ROWS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_BASIS_ROWS = {PolBasis.Z: _Z_ROWS, PolBasis.X: _X_ROWS}
+# Bras of the converted-qubit bases, indexed like _BASES.
+_BASIS_BRAS = (_Z_ROWS.conj(), _X_ROWS.conj())
+
+
+def _wc_probabilities(converted: np.ndarray, basis_a: int, basis_b: int) -> np.ndarray:
+    """Outcome probabilities ``2 * comp_a + comp_b`` of both converted
+    photons measured in the bases ``tuple(PolBasis)[basis_a]`` and
+    ``[basis_b]``."""
+    amp = _BASIS_BRAS[basis_a] @ converted.reshape(2, 2) @ _BASIS_BRAS[basis_b].T
+    return np.abs(amp.reshape(4)) ** 2
 
 
 def _expected_correlation(step1_label: DepLabel, basis: PolBasis) -> bool:
@@ -476,11 +743,23 @@ def _expected_correlation(step1_label: DepLabel, basis: PolBasis) -> bool:
     return step1_label.sign > 0
 
 
+# Expected agreement per (photon-b operation, matched basis).
+_EXPECTED_AGREE = np.array(
+    [
+        [
+            _expected_correlation(encoding_to_label(EncodingPair(Pauli.I, op)), basis)
+            for basis in _BASES
+        ]
+        for op in _PAULIS
+    ]
+)
+
+
 def wc_check(
-    pairs: list[PairRecord],
+    pairs: PairBatch,
     sample_fraction: float,
     qber_threshold: float,
-    transcript: Transcript,
+    transcript: Optional[Transcript],
     g: SeededGenerator,
 ) -> WcCheckResult:
     """Convert and measure a random sample of stored pairs.
@@ -491,124 +770,117 @@ def wc_check(
     Checked pairs are consumed and never contribute key bits.  Raises
     :class:`IndeterminateCheckError` when no matched comparison happened.
     """
-    sampled = [
-        r
-        for r in pairs
-        if r.b_delivered and not r.checked and g.coin(sample_fraction)
-    ]
-    transcript.append(
+    t = transcript
+    eligible = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
+    sampled = eligible[g.uniforms(len(eligible)) < sample_fraction]
+    _post(
+        t,
         "bob",
         MessageKind.POSITIONS,
-        {"wc_positions": tuple(r.index for r in sampled)},
+        lambda: {"wc_positions": tuple(sampled.tolist())},
     )
-    declarations = []
-    compared = errors = 0
-    z_compared = z_errors = x_compared = x_errors = 0
-    for record in sampled:
-        record.checked = True
-        converted = wavelength_convert_global(record.state)
-        basis_a = PolBasis.Z if g.coin(0.5) else PolBasis.X
-        basis_b = PolBasis.Z if g.coin(0.5) else PolBasis.X
-        amp = (
-            _BASIS_ROWS[basis_a].conj()
-            @ converted.reshape(2, 2)
-            @ _BASIS_ROWS[basis_b].conj().T
-        )
-        k = g.sample_index(np.abs(amp.reshape(4)) ** 2)
-        comp_a, comp_b = divmod(k, 2)
-        declarations.append((record.index, basis_a.value, basis_b.value))
-        if basis_a is not basis_b:
-            continue
-        step1_label = encoding_to_label(EncodingPair(Pauli.I, record.encoding.op_b))
-        agree = comp_a == comp_b
-        bad = agree != _expected_correlation(step1_label, basis_a)
-        compared += 1
-        errors += bad
-        if basis_a is PolBasis.Z:
-            z_compared += 1
-            z_errors += bad
-        else:
-            x_compared += 1
-            x_errors += bad
-    transcript.append(
-        "both", MessageKind.BASIS_DECLARATION, {"wc_bases": tuple(declarations)}
+    pairs.checked[sampled] = True
+    ids = pairs.state[sampled]
+    for sid in _distinct(ids):
+        ALPHABET.converted(sid)  # a state the converters annihilate raises here
+    m = len(sampled)
+    u = g.uniforms(3 * m).reshape(m, 3)
+    basis_a = _basis_coins(u[:, 0])
+    basis_b = _basis_coins(u[:, 1])
+    k = _sample(
+        4 * ids + 2 * basis_a + basis_b,
+        u[:, 2],
+        lambda key: ALPHABET.wc_cdf(key >> 2, (key >> 1) & 1, key & 1),
     )
-    if compared == 0:
-        transcript.append(
-            "alice", MessageKind.ABORT, {"reason": "no matched pair comparisons"}
-        )
-        raise IndeterminateCheckError("no matched converted-pair comparisons")
-    qber = errors / compared
-    proceed = qber <= qber_threshold
-    transcript.append(
-        "alice",
-        MessageKind.OUTCOME_COMPARISON,
-        {"check": "wc", "compared": compared, "errors": errors, "qber": qber},
+    _post(
+        t,
+        "both",
+        MessageKind.BASIS_DECLARATION,
+        lambda: {
+            "wc_bases": tuple(
+                (i, _BASES[a].value, _BASES[b].value)
+                for i, a, b in zip(
+                    sampled.tolist(), basis_a.tolist(), basis_b.tolist()
+                )
+            )
+        },
     )
-    transcript.append(
-        "alice",
-        MessageKind.ABORT if not proceed else MessageKind.PROCEED,
-        {"check": "wc", "qber": qber},
-    )
+    matched = basis_a == basis_b
+    agree = k // 2 == k % 2
+    bad = matched & (agree != _EXPECTED_AGREE[pairs.op_b[sampled], basis_a])
+    z = basis_a == _BASES.index(PolBasis.Z)
+    compared = int(np.count_nonzero(matched))
+    errors = int(np.count_nonzero(bad))
+    qber, proceed = _conclude("wc", compared, errors, qber_threshold, t)
     return WcCheckResult(
         qber=qber,
         proceed=proceed,
         compared=compared,
         errors=errors,
-        z_compared=z_compared,
-        z_errors=z_errors,
-        x_compared=x_compared,
-        x_errors=x_errors,
-        checked_count=len(sampled),
+        z_compared=int(np.count_nonzero(matched & z)),
+        z_errors=int(np.count_nonzero(bad & z)),
+        x_compared=int(np.count_nonzero(matched & ~z)),
+        x_errors=int(np.count_nonzero(bad & ~z)),
+        checked_count=m,
     )
 
 
-def step4_encode_a(pairs: list[PairRecord]) -> list[PairRecord]:
-    """Apply the photon-a operation, completing each surviving codeword."""
-    active = [r for r in pairs if r.b_delivered and not r.checked]
-    for record in active:
-        record.state = apply_local(record.encoding.op_a, Photon.A, record.state)
+def step4_encode_a(pairs: PairBatch) -> np.ndarray:
+    """Apply the photon-a operation, completing each stored codeword;
+    returns the indices of those active pairs."""
+    active = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
+    pairs.state[active] = _per_key(
+        4 * pairs.state[active] + pairs.op_a[active],
+        lambda key: ALPHABET.encoded(key >> 2, key & 3),
+    )
     return active
 
 
 def transmit_a(
-    active: list[PairRecord], channel: ChannelConfig, g: SeededGenerator
+    pairs: PairBatch, active: np.ndarray, channel: ChannelConfig, g: SeededGenerator
 ) -> None:
     """Send the photons a of the active pairs through the channel."""
-    eve = channel.eve
-    attack_a = eve is not None and eve.target.covers(Photon.A)
-    for record in active:
-        delivered = apply_loss(channel.loss_probability, g)
-        record.a_delivered = delivered
-        if delivered and attack_a:
-            record.state, record.eve_on_a = ir_attack_entangled(
-                record.state, Photon.A, eve.strategy, g
-            )
+    delivered, basis, u = _channel(len(active), channel, Photon.A, g)
+    pairs.a_delivered[active] = delivered
+    if basis is not None:
+        hit = delivered
+        _intercept_pairs(pairs, active[hit], Photon.A, basis[hit], u[hit])
+
+
+# Codeword announced by each device outcome, in device_outcomes() order.
+_DECODED = np.array([decode(outcome)[1] for outcome in device_outcomes()])
 
 
 def step5_decode_and_sift(
-    pairs: list[PairRecord], transcript: Transcript, g: SeededGenerator
-) -> list[PairRecord]:
-    """Jointly measure every reunited pair and keep the surviving ones."""
-    survivors = [r for r in pairs if r.surviving]
-    for record in survivors:
-        record.outcome = device_measure(record.state, g)
-        _, record.decoded = decode(record.outcome)
-    transcript.append(
+    pairs: PairBatch, transcript: Optional[Transcript], g: SeededGenerator
+) -> np.ndarray:
+    """Jointly measure every reunited pair; returns the indices of these
+    surviving pairs."""
+    survivors = np.flatnonzero(pairs.surviving)
+    outcome = _sample(
+        pairs.state[survivors], g.uniforms(len(survivors)), ALPHABET.device_cdf
+    )
+    pairs.decoded[survivors] = _DECODED[outcome]
+    _post(
+        transcript,
         "bob",
         MessageKind.POSITIONS,
-        {"decoded_positions": tuple(r.index for r in survivors)},
+        lambda: {"decoded_positions": tuple(survivors.tolist())},
     )
     return survivors
 
 
-def _keys_from(survivors: list[PairRecord]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    alice: list[int] = []
-    bob: list[int] = []
-    for record in survivors:
-        alice.extend(codeword_bits(record.codeword))
-        bob.extend(codeword_bits(record.decoded))
-    return tuple(alice), tuple(bob)
+def _received(pairs: PairBatch, decoys: DecoyBatch, is_decoy: np.ndarray) -> tuple:
+    """Slots of the mixed b sequence that arrived."""
+    received = np.empty(len(is_decoy), dtype=bool)
+    received[~is_decoy] = pairs.b_delivered
+    received[is_decoy] = decoys.delivered
+    return tuple(np.flatnonzero(received).tolist())
+
+
+def _key_bits(codewords: np.ndarray) -> np.ndarray:
+    """Three bits per codeword, most significant first."""
+    return ((codewords[:, None] >> np.array([2, 1, 0])) & 1).ravel()
 
 
 def run_session(
@@ -618,36 +890,32 @@ def run_session(
 
     The report is a pure function of the configuration: identical configs
     (including the seed) give identical reports.  A failed or indeterminate
-    security check aborts the session with empty keys.
+    security check aborts the session with empty keys.  The public
+    messages are recorded only when a ``transcript`` is passed.
     """
-    t = transcript if transcript is not None else Transcript()
+    t = transcript
     gens = [SeededGenerator(config.seed, k) for k in range(7)]
     pairs = step1_prepare_and_encode(config, gens[_STREAM_ALICE])
     strategy = config.check_strategy
     if strategy.uses_decoy:
-        mixed, decoys = insert_decoys(
+        is_decoy, decoys = insert_decoys(
             pairs, config.decoy_fraction, gens[_STREAM_DECOY]
         )
-    else:
-        mixed = [(PAIR_ITEM, r) for r in pairs]
-        decoys = []
-    transmit_b(mixed, config.channel, gens[_STREAM_CHANNEL_B])
-    t.append(
+    else:  # the b sequence carries the pairs alone
+        is_decoy = np.zeros(len(pairs), dtype=bool)
+        decoys = _decoy_batch(*np.zeros((3, 0), dtype=np.int64))
+    transmit_b(pairs, decoys, is_decoy, config.channel, gens[_STREAM_CHANNEL_B])
+    _post(
+        t,
         "bob",
         MessageKind.POSITIONS,
-        {
-            "received_b": tuple(
-                slot
-                for slot, (kind, record) in enumerate(mixed)
-                if (record.b_delivered if kind == PAIR_ITEM else record.delivered)
-            )
-        },
+        lambda: {"received_b": _received(pairs, decoys, is_decoy)},
     )
 
     counts: dict[str, int] = {
         "pairs": config.n_pairs,
         "decoys": len(decoys),
-        "decoys_lost": sum(not d.delivered for d in decoys),
+        "decoys_lost": int(np.count_nonzero(~decoys.delivered)),
         "checked": 0,
         "lost": 0,
         "key_pairs": 0,
@@ -700,7 +968,7 @@ def run_session(
             aborted = True
 
     if aborted:
-        counts["lost"] = sum(not r.b_delivered for r in pairs)
+        counts["lost"] = int(np.count_nonzero(~pairs.b_delivered))
         return RunReport(
             decoy_qber=decoy_qber,
             wc_qber=wc_qber,
@@ -714,21 +982,22 @@ def run_session(
         )
 
     active = step4_encode_a(pairs)
-    transmit_a(active, config.channel, gens[_STREAM_CHANNEL_A])
+    transmit_a(pairs, active, config.channel, gens[_STREAM_CHANNEL_A])
     survivors = step5_decode_and_sift(pairs, t, gens[_STREAM_DEVICE])
-    alice_key, bob_key = _keys_from(survivors)
-    mismatches = sum(a != b for a, b in zip(alice_key, bob_key))
-    final_qber = mismatches / len(alice_key) if alice_key else 0.0
-    counts["lost"] = sum(
-        not (r.b_delivered and r.a_delivered) for r in pairs if not r.checked
+    alice_bits = _key_bits(pairs.codeword[survivors])
+    bob_bits = _key_bits(pairs.decoded[survivors])
+    mismatches = int(np.count_nonzero(alice_bits != bob_bits))
+    final_qber = mismatches / len(alice_bits) if len(alice_bits) else 0.0
+    counts["lost"] = int(
+        np.count_nonzero(~(pairs.b_delivered & pairs.a_delivered) & ~pairs.checked)
     )
     counts["key_pairs"] = len(survivors)
     return RunReport(
         decoy_qber=decoy_qber,
         wc_qber=wc_qber,
         aborted=False,
-        alice_key=alice_key,
-        bob_key=bob_key,
+        alice_key=tuple(alice_bits.tolist()),
+        bob_key=tuple(bob_bits.tolist()),
         final_qber=final_qber,
         counts=counts,
         config=config,

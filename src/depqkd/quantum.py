@@ -216,6 +216,21 @@ def equal_up_to_global_phase(s1, s2, tol: float = PHASE_TOL) -> bool:
     return bool(abs(np.vdot(s1.vec, s2.vec)) >= 1.0 - tol)
 
 
+def cumulative(probabilities) -> list[float]:
+    """Running sum of a probability vector, over Python floats.
+
+    The same additions as ``np.cumsum``, at a fraction of its call overhead
+    on vectors of 4 or 16 entries.
+    """
+    return list(accumulate(np.asarray(probabilities, dtype=float).tolist()))
+
+
+def inverse_cdf(cdf, u: np.ndarray) -> np.ndarray:
+    """Index of each uniform ``u`` under a :func:`cumulative` table: what
+    :meth:`SeededGenerator.sample_index` returns for that draw."""
+    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
+
+
 class SeededGenerator:
     """Deterministic random source keyed by (master seed, stream index).
 
@@ -261,10 +276,13 @@ class SeededGenerator:
 
     def sample_index(self, probabilities) -> int:
         """Index drawn from a probability vector by inverse CDF."""
-        # a running sum over Python floats: the same additions as np.cumsum,
-        # at a fraction of its call overhead on vectors of 4 or 16 entries
-        cdf = list(accumulate(np.asarray(probabilities, dtype=float).tolist()))
+        cdf = cumulative(probabilities)
         return min(bisect_right(cdf, self.uniform() * cdf[-1]), len(cdf) - 1)
+
+    def sample_indices(self, probabilities, n: int) -> np.ndarray:
+        """``n`` indices drawn from one probability vector; the same indices
+        and draws as ``n`` calls of :meth:`sample_index`."""
+        return inverse_cdf(cumulative(probabilities), self.uniforms(n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeededGenerator(seed={self.seed}, stream={self.stream})"
@@ -301,6 +319,43 @@ LOCAL_BASIS: dict[PolBasis, np.ndarray] = {
     basis: _local_basis(basis) for basis in PolBasis
 }
 
+# The conjugated rows (bras) of each table, built once.
+_LOCAL_BRAS: dict[PolBasis, np.ndarray] = {
+    basis: rows.conj() for basis, rows in LOCAL_BASIS.items()
+}
+
+
+def local_probabilities(state: LocalState, basis: PolBasis) -> np.ndarray:
+    """Probabilities of the :data:`LOCAL_BASIS` outcomes on a lone photon."""
+    return np.abs(_LOCAL_BRAS[basis] @ state.vec) ** 2
+
+
+def _partial_amplitudes(
+    state: JointState, photon: Photon, basis: PolBasis
+) -> np.ndarray:
+    # row k: the other photon's unnormalized state given outcome k
+    m = state.as_matrix()
+    return _LOCAL_BRAS[basis] @ (m if photon is Photon.A else m.T)
+
+
+def partial_probabilities(
+    state: JointState, photon: Photon, basis: PolBasis
+) -> np.ndarray:
+    """Probabilities of the :data:`LOCAL_BASIS` outcomes on one photon of a
+    pair."""
+    return np.sum(np.abs(_partial_amplitudes(state, photon, basis)) ** 2, axis=1)
+
+
+def partial_collapse(
+    state: JointState, photon: Photon, basis: PolBasis, k: int
+) -> JointState:
+    """The pair after outcome ``k`` on one photon: the product of the
+    observed eigenstate and the conditional state of the other photon."""
+    row = LOCAL_BASIS[basis][k]
+    other = _partial_amplitudes(state, photon, basis)[k]
+    post = np.outer(row, other) if photon is Photon.A else np.outer(other, row)
+    return JointState(post.reshape(16) / np.linalg.norm(post))
+
 
 def partial_measure(
     state: JointState, photon: Photon, basis: PolBasis, g: SeededGenerator
@@ -308,16 +363,7 @@ def partial_measure(
     """Measure one photon of a pair in a :data:`LOCAL_BASIS` basis.
 
     Returns the sampled ``(comp, freq)`` outcome and the collapsed joint
-    state: the product of the observed eigenstate and the conditional state
-    of the other photon.
+    state (:func:`partial_collapse`).
     """
-    rows = LOCAL_BASIS[basis]
-    m = state.as_matrix()
-    # row k of coeffs: the other photon's unnormalized state given outcome k
-    coeffs = rows.conj() @ (m if photon is Photon.A else m.T)
-    k = g.sample_index(np.sum(np.abs(coeffs) ** 2, axis=1))
-    if photon is Photon.A:
-        post = np.outer(rows[k], coeffs[k])
-    else:
-        post = np.outer(coeffs[k], rows[k])
-    return local_outcome(k), JointState(post.reshape(16) / np.linalg.norm(post))
+    k = g.sample_index(partial_probabilities(state, photon, basis))
+    return local_outcome(k), partial_collapse(state, photon, basis, k)

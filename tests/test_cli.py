@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from depqkd import Pauli
@@ -47,6 +48,23 @@ def test_bits_to_hex():
     assert bits_to_hex([1] * 8) == "ff"
     assert bits_to_hex([0] * 9 + [1]) == "0040"
     assert bits_to_hex((0, 1, 1, 0, 1, 0, 0, 1)) == "69"
+
+
+def loop_bits_to_hex(bits) -> str:
+    """Reference: set each bit of the output bytes one at a time."""
+    out = bytearray((len(bits) + 7) // 8)
+    for i, bit in enumerate(bits):
+        if bit:
+            out[i // 8] |= 0x80 >> (i % 8)
+    return out.hex()
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 3, 30, 3 * 18_000])
+def test_bits_to_hex_matches_the_bitwise_loop(length):
+    rng = np.random.default_rng(length)
+    bits = tuple(rng.integers(0, 2, size=length).tolist())
+    assert bits_to_hex(bits) == loop_bits_to_hex(bits)
+    assert bits_to_hex((1,) * length) == loop_bits_to_hex((1,) * length)
 
 
 def test_trial_seed_derivation_is_the_documented_digest():

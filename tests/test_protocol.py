@@ -15,22 +15,26 @@ from depqkd import (
     EveConfig,
     EveStrategy,
     EveTarget,
+    LOCAL_BASIS,
     IndeterminateCheckError,
+    JointState,
     LocalState,
     MessageKind,
     Pauli,
     PolBasis,
     ProtocolConfig,
     SeededGenerator,
+    StateError,
     Transcript,
     classify,
     encoding_choices,
     encoding_to_label,
+    local_outcome,
     run_session,
 )
 from depqkd.protocol import (
-    DECOY_ITEM,
-    PAIR_ITEM,
+    ALPHABET,
+    _smallest,
     decoy_check,
     insert_decoys,
     step1_prepare_and_encode,
@@ -55,6 +59,35 @@ EVE_CODEWORD_MI = {"Z": 1.0, "X": 0.0, "RANDOM": 0.5}
 
 # chi-squared critical value, 7 degrees of freedom, 1% significance
 CHI2_7_CRIT = 18.475
+
+BASES = tuple(PolBasis)
+
+
+def prepared(n, seed):
+    """The pairs of step 1 for ``n`` pairs and a seed, on stream 0."""
+    return step1_prepare_and_encode(
+        ProtocolConfig(n_pairs=n, seed=seed), SeededGenerator(seed, 0)
+    )
+
+
+def no_decoys():
+    _, decoys = insert_decoys(prepared(1, 0), 0.0, SeededGenerator(0, 1))
+    assert len(decoys) == 0
+    return decoys
+
+
+def transmit_pairs_b(pairs, channel, g):
+    """The first transmission of a sequence of pairs without decoys."""
+    transmit_b(pairs, no_decoys(), np.zeros(len(pairs), dtype=bool), channel, g)
+
+
+def pair_state(pairs, i):
+    return ALPHABET.states[pairs.state[i]]
+
+
+def decoy_state(decoys, i):
+    basis, k = divmod(int(decoys.state[i]), 4)
+    return LocalState(LOCAL_BASIS[BASES[basis]][k])
 
 
 def ideal_config(**overrides):
@@ -138,69 +171,77 @@ def test_check_strategy_flags():
 
 
 def test_step1_draws_codewords_uniformly_and_encodes_photon_b():
-    config = ProtocolConfig(n_pairs=10_000, seed=3)
-    records = step1_prepare_and_encode(config, SeededGenerator(3, 0))
-    assert len(records) == 10_000
-    counts = np.bincount([r.codeword for r in records], minlength=8)
+    pairs = prepared(10_000, 3)
+    assert len(pairs) == 10_000
+    counts = np.bincount(pairs.codeword, minlength=8)
     assert np.all(np.abs(counts / 10_000 - 0.125) < 0.015)
     first_choice = 0
-    for r in records[:2000]:
-        options = encoding_choices(r.codeword)
-        assert r.encoding in options
-        first_choice += r.encoding == options[0]
-        produced = classify(r.state)
-        assert produced is encoding_to_label(EncodingPair(Pauli.I, r.encoding.op_b))
+    for i in range(2000):
+        options = encoding_choices(int(pairs.codeword[i]))
+        encoding = pairs.encoding(i)
+        assert encoding in options
+        assert encoding == options[pairs.choice[i]]
+        first_choice += encoding == options[0]
+        produced = classify(pair_state(pairs, i))
+        assert produced is encoding_to_label(EncodingPair(Pauli.I, encoding.op_b))
     assert first_choice / 2000 == pytest.approx(0.5, abs=0.04)
 
 
 def test_insert_decoys_zero_fraction_changes_nothing():
-    records = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=30, seed=1), SeededGenerator(1, 0)
-    )
-    mixed, decoys = insert_decoys(records, 0.0, SeededGenerator(1, 1))
-    assert decoys == []
-    assert [kind for kind, _ in mixed] == [PAIR_ITEM] * 30
-    assert [rec for _, rec in mixed] == records
+    pairs = prepared(30, 1)
+    codewords = pairs.codeword.copy()
+    is_decoy, decoys = insert_decoys(pairs, 0.0, SeededGenerator(1, 1))
+    assert len(decoys) == 0
+    assert is_decoy.tolist() == [False] * 30
+    assert np.array_equal(pairs.codeword, codewords)
 
 
 def test_insert_decoys_count_positions_and_preparations():
     n = 5000
-    records = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=n, seed=5), SeededGenerator(5, 0)
-    )
-    mixed, decoys = insert_decoys(records, 0.2, SeededGenerator(5, 1))
+    pairs = prepared(n, 5)
+    is_decoy, decoys = insert_decoys(pairs, 0.2, SeededGenerator(5, 1))
     count = len(decoys)
     sigma = np.sqrt(n * 0.2 * 0.8)
     assert abs(count - n * 0.2) < 4 * sigma
-    assert len(mixed) == n + count
-    # pair order is preserved in the non-decoy slots
-    passthrough = [rec for kind, rec in mixed if kind == PAIR_ITEM]
-    assert passthrough == records
-    for kind, rec in mixed:
-        if kind == DECOY_ITEM:
-            assert mixed[rec.photon.position][1] is rec
+    assert len(is_decoy) == n + count
+    # the pairs fill the remaining slots, in order
+    assert np.count_nonzero(~is_decoy) == len(pairs)
+    # each decoy knows its slot in the mixed sequence
+    assert np.array_equal(decoys.position, np.flatnonzero(is_decoy))
     # preparations are uniform over the eight (bin, polarization) choices
-    pol_index = {pol: i for i, pol in enumerate(DecoyPol)}
     combos = np.zeros(8)
-    for rec in decoys:
-        combos[int(rec.photon.freq) * 4 + pol_index[rec.photon.pol]] += 1
+    for freq, pol in zip(decoys.freq, decoys.pol):
+        combos[int(freq) * 4 + int(pol)] += 1
     chi2 = float(np.sum((combos - count / 8) ** 2 / (count / 8)))
     assert chi2 < CHI2_7_CRIT
-    for rec in decoys:
-        expected = rec.photon.pol
-        state = rec.state
+    pols = tuple(DecoyPol)
+    for i in range(count):
+        expected = pols[decoys.pol[i]]
+        state = decoy_state(decoys, i)
         assert state.is_normalized(1e-12)
         if expected.basis is PolBasis.Z:
-            idx = 2 * expected.comp + int(rec.photon.freq)
+            idx = 2 * expected.comp + int(decoys.freq[i])
             assert abs(state.vec[idx]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_decoy_slots_are_the_head_of_a_stable_argsort():
+    # the replayed slot choice: the first `count` indices of a stable argsort
+    rng = np.random.default_rng(12)
+    for trial in range(500):
+        n = int(rng.integers(1, 40))
+        count = int(rng.integers(1, n + 1))
+        keys = rng.integers(0, 4, n).astype(float) if trial % 2 else rng.random(n)
+        expected = np.zeros(n, dtype=bool)
+        expected[np.argsort(keys, kind="stable")[:count]] = True
+        assert np.array_equal(_smallest(keys, count), expected)
+
+
 def test_decoy_check_clean_channel_reports_zero_error():
-    records = step1_prepare_and_encode(
+    pairs = step1_prepare_and_encode(
         ProtocolConfig(n_pairs=500, seed=11, decoy_fraction=0.5),
         SeededGenerator(11, 0),
     )
-    _, decoys = insert_decoys(records, 0.5, SeededGenerator(11, 1))
+    _, decoys = insert_decoys(pairs, 0.5, SeededGenerator(11, 1))
     transcript = Transcript()
     result = decoy_check(decoys, 0.05, transcript, SeededGenerator(11, 3))
     assert result.qber == 0.0
@@ -218,13 +259,16 @@ def test_decoy_check_clean_channel_reports_zero_error():
 
 
 def test_decoy_check_flags_shifted_bins_and_aborts():
-    records = step1_prepare_and_encode(
+    pairs = step1_prepare_and_encode(
         ProtocolConfig(n_pairs=200, seed=13, decoy_fraction=0.5),
         SeededGenerator(13, 0),
     )
-    _, decoys = insert_decoys(records, 0.5, SeededGenerator(13, 1))
-    for rec in decoys:  # swap every photon's frequency bin in place
-        rec.state = LocalState(rec.state.vec.reshape(2, 2)[:, ::-1].reshape(4))
+    _, decoys = insert_decoys(pairs, 0.5, SeededGenerator(13, 1))
+    # swap every photon's frequency bin: the row of the other bin
+    for i in range(len(decoys)):
+        swapped = decoy_state(decoys, i).vec.reshape(2, 2)[:, ::-1].reshape(4)
+        decoys.state[i] ^= 1
+        assert np.array_equal(decoy_state(decoys, i).vec, swapped)
     transcript = Transcript()
     result = decoy_check(decoys, 0.05, transcript, SeededGenerator(13, 3))
     assert result.qber == 1.0
@@ -237,21 +281,19 @@ def test_decoy_check_flags_shifted_bins_and_aborts():
 def test_decoy_check_with_nothing_to_compare_raises():
     transcript = Transcript()
     with pytest.raises(IndeterminateCheckError):
-        decoy_check([], 0.05, transcript, SeededGenerator(1, 3))
+        decoy_check(no_decoys(), 0.05, transcript, SeededGenerator(1, 3))
     assert MessageKind.ABORT in transcript.kinds()
 
 
 def test_wc_check_clean_channel_reports_zero_error():
-    records = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=800, seed=17), SeededGenerator(17, 0)
-    )
+    pairs = prepared(800, 17)
     transcript = Transcript()
-    result = wc_check(records, 0.5, 0.05, transcript, SeededGenerator(17, 4))
+    result = wc_check(pairs, 0.5, 0.05, transcript, SeededGenerator(17, 4))
     assert result.qber == 0.0
     assert result.proceed
     assert result.z_errors == result.x_errors == 0
     assert result.z_compared + result.x_compared == result.compared
-    assert result.checked_count == sum(r.checked for r in records)
+    assert result.checked_count == np.count_nonzero(pairs.checked)
     assert result.checked_count / 800 == pytest.approx(0.5, abs=0.07)
     assert result.compared / result.checked_count == pytest.approx(0.5, abs=0.07)
     assert transcript.kinds() == (
@@ -263,23 +305,18 @@ def test_wc_check_clean_channel_reports_zero_error():
 
 
 def test_wc_check_skips_lost_pairs_and_marks_checked():
-    records = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=100, seed=19), SeededGenerator(19, 0)
-    )
-    for r in records[:30]:
-        r.b_delivered = False
-    wc_check(records, 1.0, 0.05, Transcript(), SeededGenerator(19, 4))
-    assert all(not r.checked for r in records[:30])
-    assert all(r.checked for r in records[30:])
+    pairs = prepared(100, 19)
+    pairs.b_delivered[:30] = False
+    wc_check(pairs, 1.0, 0.05, Transcript(), SeededGenerator(19, 4))
+    assert not pairs.checked[:30].any()
+    assert pairs.checked[30:].all()
 
 
 def test_wc_check_error_rates_under_fixed_z_attack():
-    records = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=6000, seed=23), SeededGenerator(23, 0)
-    )
+    pairs = prepared(6000, 23)
     channel = ChannelConfig(eve=EveConfig(EveStrategy.Z, EveTarget.B))
-    transmit_b([(PAIR_ITEM, r) for r in records], channel, SeededGenerator(23, 2))
-    result = wc_check(records, 1.0, 0.05, Transcript(), SeededGenerator(23, 4))
+    transmit_pairs_b(pairs, channel, SeededGenerator(23, 2))
+    result = wc_check(pairs, 1.0, 0.05, Transcript(), SeededGenerator(23, 4))
     rates = WC_RATES["Z"]
     assert result.z_errors / result.z_compared == pytest.approx(rates["z"], abs=0.01)
     assert result.x_errors / result.x_compared == pytest.approx(rates["x"], abs=0.03)
@@ -288,12 +325,10 @@ def test_wc_check_error_rates_under_fixed_z_attack():
 
 
 def test_wc_check_error_rates_under_random_basis_attack():
-    records = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=6000, seed=29), SeededGenerator(29, 0)
-    )
+    pairs = prepared(6000, 29)
     channel = ChannelConfig(eve=EveConfig(EveStrategy.RANDOM_ZX, EveTarget.B))
-    transmit_b([(PAIR_ITEM, r) for r in records], channel, SeededGenerator(29, 2))
-    result = wc_check(records, 1.0, 0.05, Transcript(), SeededGenerator(29, 4))
+    transmit_pairs_b(pairs, channel, SeededGenerator(29, 2))
+    result = wc_check(pairs, 1.0, 0.05, Transcript(), SeededGenerator(29, 4))
     rates = WC_RATES["RANDOM"]
     assert result.z_errors / result.z_compared == pytest.approx(rates["z"], abs=0.03)
     assert result.x_errors / result.x_compared == pytest.approx(rates["x"], abs=0.03)
@@ -301,36 +336,40 @@ def test_wc_check_error_rates_under_random_basis_attack():
 
 
 def test_wc_check_with_no_matched_bases_raises():
-    records = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=3, seed=31), SeededGenerator(31, 0)
-    )
-    for r in records:
-        r.b_delivered = False
+    pairs = prepared(3, 31)
+    pairs.b_delivered[:] = False
     with pytest.raises(IndeterminateCheckError):
-        wc_check(records, 1.0, 0.05, Transcript(), SeededGenerator(31, 4))
+        wc_check(pairs, 1.0, 0.05, Transcript(), SeededGenerator(31, 4))
+
+
+def test_wc_check_surfaces_a_state_the_converters_annihilate():
+    # (H,LOW)(H,LOW) - (H,HIGH)(H,LOW): conversion cancels every amplitude
+    vec = np.zeros(16, dtype=complex)
+    vec[0], vec[4] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+    pairs = prepared(5, 43)
+    pairs.state[:] = ALPHABET.intern(JointState(vec))
+    transcript = Transcript()
+    with pytest.raises(StateError):
+        wc_check(pairs, 1.0, 0.05, transcript, SeededGenerator(43, 4))
+    # raised after the sampled positions are announced, before any basis
+    assert transcript.kinds() == (MessageKind.POSITIONS,)
 
 
 def test_second_encoding_completes_every_codeword():
-    records = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=200, seed=37), SeededGenerator(37, 0)
-    )
-    active = step4_encode_a(records)
-    assert active == records
-    for r in active:
-        assert classify(r.state) is encoding_to_label(r.encoding)
+    pairs = prepared(200, 37)
+    active = step4_encode_a(pairs)
+    assert active.tolist() == list(range(200))
+    for i in active:
+        assert classify(pair_state(pairs, i)) is encoding_to_label(pairs.encoding(i))
 
 
 def test_decode_step_recovers_every_codeword_without_noise():
-    records = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=300, seed=41), SeededGenerator(41, 0)
-    )
-    step4_encode_a(records)
+    pairs = prepared(300, 41)
+    step4_encode_a(pairs)
     transcript = Transcript()
-    survivors = step5_decode_and_sift(records, transcript, SeededGenerator(41, 6))
-    assert survivors == records
-    for r in survivors:
-        assert r.decoded == r.codeword
-        assert r.outcome is not None
+    survivors = step5_decode_and_sift(pairs, transcript, SeededGenerator(41, 6))
+    assert survivors.tolist() == list(range(300))
+    assert np.array_equal(pairs.decoded, pairs.codeword)
     assert transcript.kinds() == (MessageKind.POSITIONS,)
 
 
@@ -431,20 +470,18 @@ def test_attacker_record_gains_exactly_the_known_information():
     for stream, (strategy, expected_mi) in enumerate(
         ((EveStrategy.Z, 1.0), (EveStrategy.X, 0.0), (EveStrategy.RANDOM_ZX, 0.5))
     ):
-        records = step1_prepare_and_encode(
-            ProtocolConfig(n_pairs=5000, seed=59 + stream), SeededGenerator(59 + stream, 0)
-        )
+        pairs = prepared(5000, 59 + stream)
         channel = ChannelConfig(eve=EveConfig(strategy, EveTarget.B))
-        transmit_b(
-            [(PAIR_ITEM, r) for r in records], channel, SeededGenerator(59 + stream, 2)
-        )
+        transmit_pairs_b(pairs, channel, SeededGenerator(59 + stream, 2))
         joint = {}
-        for r in records:
-            key = (
-                (r.eve_on_b.basis.value, r.eve_on_b.comp, int(r.eve_on_b.freq)),
-                r.codeword,
-            )
-            joint[key] = joint.get(key, 0.0) + 1.0 / len(records)
+        for basis, k, codeword in zip(
+            pairs.eve_b_basis.tolist(),
+            pairs.eve_b_outcome.tolist(),
+            pairs.codeword.tolist(),
+        ):
+            comp, freq = local_outcome(k)
+            key = ((BASES[basis].value, comp, int(freq)), codeword)
+            joint[key] = joint.get(key, 0.0) + 1.0 / len(pairs)
         mi = oracles.mutual_information_bits(joint)
         # finite sampling biases the plug-in estimate upward slightly
         assert mi == pytest.approx(expected_mi, abs=0.05)
@@ -506,3 +543,21 @@ def test_consuming_every_pair_in_the_check_leaves_an_empty_key():
     assert report.counts["key_pairs"] == 0
     assert report.alice_key == () and report.bob_key == ()
     assert report.final_qber == 0.0
+
+
+def test_state_alphabet_stays_small_and_normalized():
+    # every pair state a session can reach is one of a small set
+    for check in CheckStrategy:
+        for strategy in (None, *EveStrategy):
+            for target in EveTarget if strategy else (EveTarget.B,):
+                eve = EveConfig(strategy, target) if strategy else None
+                run_session(
+                    ideal_config(
+                        n_pairs=300,
+                        check_strategy=check,
+                        qber_threshold=0.9,
+                        channel=ChannelConfig(loss_probability=0.2, eve=eve),
+                    )
+                )
+    assert len(ALPHABET) <= 128
+    assert all(state.is_normalized() for state in ALPHABET.states)

@@ -241,3 +241,19 @@ def test_sample_index_matches_a_numpy_inverse_cdf():
         u = ref.uniform() * cdf[-1]
         expected = min(int(np.searchsorted(cdf, u, side="right")), n - 1)
         assert g.sample_index(p) == expected
+
+
+def test_sample_indices_match_a_loop_of_sample_index():
+    rng = np.random.default_rng(9)
+    bulk = SeededGenerator(45, 0)
+    loop = SeededGenerator(45, 0)
+    for n in (4, 16) * 2000:
+        p = np.abs(rng.normal(size=n)) ** 2
+        p[rng.integers(n, size=rng.integers(n))] = 0.0
+        if not p.any():
+            p[rng.integers(n)] = 1.0
+        draws = int(rng.integers(4))
+        got = bulk.sample_indices(p, draws)
+        assert got.tolist() == [loop.sample_index(p) for _ in range(draws)]
+    # both consumed the same draws
+    assert bulk.uniform() == loop.uniform()
