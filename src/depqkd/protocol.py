@@ -13,6 +13,11 @@ each reunited pair jointly and reads three key bits per pair.
 An intercept-resend attacker on the first transmission disturbs both
 checks at known rates and, because each codeword is completed only by the
 second operation, its measurement records never determine final key bits.
+
+A session runs as a batch.  :class:`PairBatch` and :class:`DecoyBatch`
+hold one array entry per item, pair states are ids into :data:`ALPHABET`,
+and each phase draws for all of its items at once, from the same stream,
+in the same order and number as a simulation item by item would.
 """
 
 from __future__ import annotations
@@ -329,7 +334,7 @@ class StateAlphabet:
         return self.intern(apply_local(_PAULIS[op_a], Photon.A, self.states[sid]))
 
     @cache
-    def partial_cdf(self, sid: int, photon: Photon, basis: int) -> list[float]:
+    def partial_cdf(self, sid: int, photon: Photon, basis: int) -> tuple[float, ...]:
         state = self.states[sid]
         return cumulative(partial_probabilities(state, photon, _BASES[basis]))
 
@@ -340,7 +345,7 @@ class StateAlphabet:
         return self.intern(partial_collapse(state, photon, _BASES[basis], k))
 
     @cache
-    def device_cdf(self, sid: int) -> list[float]:
+    def device_cdf(self, sid: int) -> tuple[float, ...]:
         return cumulative(device_probabilities(self.states[sid]))
 
     @cache
@@ -350,11 +355,11 @@ class StateAlphabet:
         return wavelength_convert_global(self.states[sid])
 
     @cache
-    def wc_cdf(self, sid: int, basis_a: int, basis_b: int) -> list[float]:
+    def wc_cdf(self, sid: int, basis_a: int, basis_b: int) -> tuple[float, ...]:
         return cumulative(_wc_probabilities(self.converted(sid), basis_a, basis_b))
 
     @cache
-    def local_cdf(self, local_id: int, basis: int) -> list[float]:
+    def local_cdf(self, local_id: int, basis: int) -> tuple[float, ...]:
         """Outcome cdf of a check photon with :class:`DecoyBatch` state id
         ``local_id``."""
         row_basis, k = divmod(local_id, 4)
@@ -385,7 +390,7 @@ def _per_key(keys: np.ndarray, fn: Callable[[int], int]) -> np.ndarray:
 
 
 def _sample(
-    keys: np.ndarray, u: np.ndarray, cdf_of: Callable[[int], list[float]]
+    keys: np.ndarray, u: np.ndarray, cdf_of: Callable[[int], tuple[float, ...]]
 ) -> np.ndarray:
     """Inverse-CDF index of each draw under the cdf of its item's key."""
     k = np.zeros(len(keys), dtype=np.int64)
@@ -422,23 +427,27 @@ def _channel(
         delivered = np.ones(n, dtype=bool)
         starts = np.arange(1, stride * n, stride)
     else:
-        # Scan the loss coins, drawing only what the remaining photons must
-        # still consume (at least their loss coins), so nothing is over-drawn.
+        # Scan the loss coins.  Whenever the pool runs out, draw what the
+        # remaining photons must still consume at the least (one loss coin
+        # each, plus the current photon's attack draws), so the stream is
+        # never drawn past the photons' last draw.
         chunks = [g.uniforms(n)]
         coins = chunks[0].tolist()
         hit: list[int] = []
         begin: list[int] = []
         pos = 0
         for i in range(n):
+            if pos == len(coins):
+                chunks.append(g.uniforms(n - i))
+                coins.extend(chunks[-1].tolist())
             if coins[pos] < loss:
                 pos += 1
                 continue
             hit.append(i)
             begin.append(pos + 1)
             pos += stride
-            short = pos + n - 1 - i - len(coins)
-            if short > 0:
-                chunks.append(g.uniforms(short))
+            if pos > len(coins):
+                chunks.append(g.uniforms(pos + n - 1 - i - len(coins)))
                 coins.extend(chunks[-1].tolist())
         pool = np.concatenate(chunks)
         delivered = np.zeros(n, dtype=bool)

@@ -216,13 +216,13 @@ def equal_up_to_global_phase(s1, s2, tol: float = PHASE_TOL) -> bool:
     return bool(abs(np.vdot(s1.vec, s2.vec)) >= 1.0 - tol)
 
 
-def cumulative(probabilities) -> list[float]:
+def cumulative(probabilities) -> tuple[float, ...]:
     """Running sum of a probability vector, over Python floats.
 
     The same additions as ``np.cumsum``, at a fraction of its call overhead
     on vectors of 4 or 16 entries.
     """
-    return list(accumulate(np.asarray(probabilities, dtype=float).tolist()))
+    return tuple(accumulate(np.asarray(probabilities, dtype=float).tolist()))
 
 
 def inverse_cdf(cdf, u: np.ndarray) -> np.ndarray:

@@ -55,7 +55,8 @@ def test_any_valid_config_runs_and_reports_consistently(config):
         assert report.alice_key == () and report.final_qber == 0.0
     else:
         # every pair is consumed by the check, lost, or kept
-        assert counts["key_pairs"] + counts["checked"] + counts["lost"] == config.n_pairs
+        kept = counts["key_pairs"]
+        assert kept + counts["checked"] + counts["lost"] == config.n_pairs
 
 
 @SMALL

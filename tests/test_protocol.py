@@ -21,6 +21,7 @@ from depqkd import (
     LocalState,
     MessageKind,
     Pauli,
+    Photon,
     PolBasis,
     ProtocolConfig,
     SeededGenerator,
@@ -34,6 +35,7 @@ from depqkd import (
 )
 from depqkd.protocol import (
     ALPHABET,
+    _channel,
     _smallest,
     decoy_check,
     insert_decoys,
@@ -234,6 +236,33 @@ def test_decoy_slots_are_the_head_of_a_stable_argsort():
         expected = np.zeros(n, dtype=bool)
         expected[np.argsort(keys, kind="stable")[:count]] = True
         assert np.array_equal(_smallest(keys, count), expected)
+
+
+def test_channel_draws_like_one_photon_at_a_time():
+    # reference: per photon a loss coin, then for a delivered one the
+    # attacker's basis coin (random policy only) and its measurement draw
+    for strategy in EveStrategy:
+        for loss in (0.0, 0.3, 0.9, 1.0):
+            for n in (1, 7, 500):
+                channel = ChannelConfig(loss, EveConfig(strategy, EveTarget.A))
+                g = SeededGenerator(n, 5)
+                delivered, basis, u = _channel(n, channel, Photon.A, g)
+                ref = SeededGenerator(n, 5)
+                for i in range(n):
+                    assert delivered[i] == (not ref.coin(loss))
+                    if not delivered[i]:
+                        assert basis[i] == -1
+                        continue
+                    if strategy is EveStrategy.RANDOM_ZX:
+                        expected = PolBasis.Z if ref.coin(0.5) else PolBasis.X
+                    elif strategy is EveStrategy.Z:
+                        expected = PolBasis.Z
+                    else:
+                        expected = PolBasis.X
+                    assert BASES[basis[i]] is expected
+                    assert u[i] == ref.uniform()
+                # both consumed the same draws, none more
+                assert g.uniform() == ref.uniform()
 
 
 def test_decoy_check_clean_channel_reports_zero_error():
