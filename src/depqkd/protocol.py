@@ -179,6 +179,7 @@ _STREAM_DEVICE = 6
 # _BASES (0 = H/V, 1 = diagonal).
 _PAULIS = tuple(Pauli)
 _BASES = tuple(PolBasis)
+_BASIS_NAMES = np.array([basis.value for basis in _BASES], dtype=object)
 
 
 class DecoyPol(Enum):
@@ -697,8 +698,7 @@ def decoy_check(
         MessageKind.BASIS_DECLARATION,
         lambda: {
             "decoy_bases": tuple(
-                (pos, _BASES[b].value)
-                for pos, b in zip(decoys.position[idx].tolist(), basis.tolist())
+                zip(decoys.position[idx].tolist(), _BASIS_NAMES[basis].tolist())
             )
         },
     )
@@ -807,9 +807,10 @@ def wc_check(
         MessageKind.BASIS_DECLARATION,
         lambda: {
             "wc_bases": tuple(
-                (i, _BASES[a].value, _BASES[b].value)
-                for i, a, b in zip(
-                    sampled.tolist(), basis_a.tolist(), basis_b.tolist()
+                zip(
+                    sampled.tolist(),
+                    _BASIS_NAMES[basis_a].tolist(),
+                    _BASIS_NAMES[basis_b].tolist(),
                 )
             )
         },
