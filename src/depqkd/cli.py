@@ -16,10 +16,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import cache
 from typing import Callable, Optional, TextIO
 
 import numpy as np
@@ -77,8 +79,10 @@ def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> i
 
 
 def bits_to_hex(bits) -> str:
-    """Hex-encode a bit sequence, first bit most significant, zero-padded
-    at the tail to a whole number of bytes."""
+    """Hex-encode a bit sequence (``bytes`` of 0/1 bytes, as in a
+    :class:`~depqkd.protocol.RunReport`, or any sequence of 0/1 ints),
+    first bit most significant, zero-padded at the tail to a whole number
+    of bytes."""
     return np.packbits(np.frombuffer(bytes(bits), dtype=np.uint8)).tobytes().hex()
 
 
@@ -115,6 +119,13 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="flat key=value config file; flags win")
 
 
+# A negative number, exponent included.  Python 3.11's argparse matches
+# only "-3" and "-0.5" and reads "-3e-05" as an option, so the value would
+# never reach the range checks.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="depqkd",
@@ -129,6 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(run_p)
     sweep_p = sub.add_parser("sweep", help="run trials across a list of parameter values")
     _add_run_flags(sweep_p)
+    for p in (run_p, sweep_p):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     sweep_p.add_argument("--param", required=True, help="parameter to sweep (a run flag name)")
     sweep_p.add_argument("--values", required=True, help="comma-separated values for the swept parameter")
     return parser

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,7 +46,6 @@ from .quantum import (
     SeededGenerator,
     apply_local,
     cumulative,
-    inverse_cdf,
     local_probabilities,
     partial_collapse,
     partial_probabilities,
@@ -393,11 +392,22 @@ def _per_key(keys: np.ndarray, fn: Callable[[int], int]) -> np.ndarray:
 def _sample(
     keys: np.ndarray, u: np.ndarray, cdf_of: Callable[[int], tuple[float, ...]]
 ) -> np.ndarray:
-    """Inverse-CDF index of each draw under the cdf of its item's key."""
+    """Inverse-CDF index of each draw under the cdf of its item's key.
+
+    Equals :func:`inverse_cdf` per key: a cdf never decreases, so the
+    clamped ``searchsorted`` index of ``x = u * cdf[-1]`` is the count of
+    the first ``L - 1`` entries that are ``<= x``.  The count runs one
+    column of the call's table at a time, whatever the number of keys.
+    """
+    if not len(keys):
+        return np.zeros(0, dtype=np.int64)
+    present = np.bincount(keys) > 0
+    table = np.array([cdf_of(key) for key in np.flatnonzero(present).tolist()])
+    row = (np.cumsum(present) - 1)[keys]
+    x = u * table[row, -1]
     k = np.zeros(len(keys), dtype=np.int64)
-    for key in _distinct(keys):
-        sel = keys == key
-        k[sel] = inverse_cdf(cdf_of(key), u[sel])
+    for column in table[:, :-1].T:
+        k += column[row] <= x
     return k
 
 
@@ -605,8 +615,8 @@ class RunReport:
     decoy_qber: Optional[float]
     wc_qber: Optional[float]
     aborted: bool
-    alice_key: tuple[int, ...]
-    bob_key: tuple[int, ...]
+    alice_key: bytes  # one byte, 0 or 1, per key bit
+    bob_key: bytes
     final_qber: float
     counts: dict[str, int]
     config: ProtocolConfig
@@ -889,8 +899,9 @@ def _received(pairs: PairBatch, decoys: DecoyBatch, is_decoy: np.ndarray) -> tup
 
 
 def _key_bits(codewords: np.ndarray) -> np.ndarray:
-    """Three bits per codeword, most significant first."""
-    return ((codewords[:, None] >> np.array([2, 1, 0])) & 1).ravel()
+    """Three bits per codeword, most significant first, as ``uint8``."""
+    shifts = np.array([2, 1, 0], dtype=np.uint8)
+    return ((codewords.astype(np.uint8)[:, None] >> shifts) & 1).ravel()
 
 
 def run_session(
@@ -904,17 +915,18 @@ def run_session(
     messages are recorded only when a ``transcript`` is passed.
     """
     t = transcript
-    gens = [SeededGenerator(config.seed, k) for k in range(7)]
-    pairs = step1_prepare_and_encode(config, gens[_STREAM_ALICE])
+    # Each stream feeds one phase and is built only when that phase runs.
+    stream = partial(SeededGenerator, config.seed)
+    pairs = step1_prepare_and_encode(config, stream(_STREAM_ALICE))
     strategy = config.check_strategy
     if strategy.uses_decoy:
         is_decoy, decoys = insert_decoys(
-            pairs, config.decoy_fraction, gens[_STREAM_DECOY]
+            pairs, config.decoy_fraction, stream(_STREAM_DECOY)
         )
     else:  # the b sequence carries the pairs alone
         is_decoy = np.zeros(len(pairs), dtype=bool)
         decoys = _decoy_batch(*np.zeros((3, 0), dtype=np.int64))
-    transmit_b(pairs, decoys, is_decoy, config.channel, gens[_STREAM_CHANNEL_B])
+    transmit_b(pairs, decoys, is_decoy, config.channel, stream(_STREAM_CHANNEL_B))
     _post(
         t,
         "bob",
@@ -937,7 +949,7 @@ def run_session(
     if strategy.uses_decoy:
         try:
             result = decoy_check(
-                decoys, config.qber_threshold, t, gens[_STREAM_BOB_DECOY]
+                decoys, config.qber_threshold, t, stream(_STREAM_BOB_DECOY)
             )
             decoy_qber = result.qber
             counts.update(
@@ -961,7 +973,7 @@ def run_session(
                 config.check_sample_fraction,
                 config.qber_threshold,
                 t,
-                gens[_STREAM_WC],
+                stream(_STREAM_WC),
             )
             wc_qber = result.qber
             counts.update(
@@ -983,8 +995,8 @@ def run_session(
             decoy_qber=decoy_qber,
             wc_qber=wc_qber,
             aborted=True,
-            alice_key=(),
-            bob_key=(),
+            alice_key=b"",
+            bob_key=b"",
             final_qber=0.0,
             counts=counts,
             config=config,
@@ -992,8 +1004,8 @@ def run_session(
         )
 
     active = step4_encode_a(pairs)
-    transmit_a(pairs, active, config.channel, gens[_STREAM_CHANNEL_A])
-    survivors = step5_decode_and_sift(pairs, t, gens[_STREAM_DEVICE])
+    transmit_a(pairs, active, config.channel, stream(_STREAM_CHANNEL_A))
+    survivors = step5_decode_and_sift(pairs, t, stream(_STREAM_DEVICE))
     alice_bits = _key_bits(pairs.codeword[survivors])
     bob_bits = _key_bits(pairs.decoded[survivors])
     mismatches = int(np.count_nonzero(alice_bits != bob_bits))
@@ -1006,8 +1018,8 @@ def run_session(
         decoy_qber=decoy_qber,
         wc_qber=wc_qber,
         aborted=False,
-        alice_key=tuple(alice_bits.tolist()),
-        bob_key=tuple(bob_bits.tolist()),
+        alice_key=alice_bits.tobytes(),
+        bob_key=bob_bits.tobytes(),
         final_qber=final_qber,
         counts=counts,
         config=config,

@@ -6,7 +6,15 @@ import json
 import numpy as np
 import pytest
 
-from depqkd import Pauli
+from depqkd import (
+    ChannelConfig,
+    EveConfig,
+    EveStrategy,
+    EveTarget,
+    Pauli,
+    ProtocolConfig,
+    run_session,
+)
 from depqkd.cli import bits_to_hex, derive_trial_seed, main
 from depqkd.quantum import PAULI_MATRICES
 
@@ -65,6 +73,32 @@ def test_bits_to_hex_matches_the_bitwise_loop(length):
     bits = tuple(rng.integers(0, 2, size=length).tolist())
     assert bits_to_hex(bits) == loop_bits_to_hex(bits)
     assert bits_to_hex((1,) * length) == loop_bits_to_hex((1,) * length)
+
+
+def test_report_keys_are_bytes_of_bits_and_hex_like_the_loop():
+    # an attack on the second transmission leaves the two keys different
+    config = ProtocolConfig(
+        n_pairs=400,
+        seed=8,
+        qber_threshold=0.3,
+        channel=ChannelConfig(eve=EveConfig(EveStrategy.Z, EveTarget.A)),
+    )
+    report = run_session(config)
+    assert not report.aborted and report.alice_key != report.bob_key
+    for key in (report.alice_key, report.bob_key):
+        assert type(key) is bytes
+        assert set(key) == {0, 1}
+        assert len(key) == 3 * report.counts["key_pairs"]
+        assert bits_to_hex(key) == loop_bits_to_hex(tuple(key))
+    aborted = run_session(
+        ProtocolConfig(
+            n_pairs=200,
+            decoy_fraction=0.5,
+            channel=ChannelConfig(eve=EveConfig(EveStrategy.RANDOM_ZX)),
+        )
+    )
+    assert aborted.aborted and aborted.alice_key == b"" == aborted.bob_key
+    assert bits_to_hex(aborted.alice_key) == ""
 
 
 def test_trial_seed_derivation_is_the_documented_digest():
@@ -273,6 +307,22 @@ def test_invalid_settings_exit_with_code_two(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "run", "--trials", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "subcommand", [("run",), ("sweep", "--param", "pairs", "--values", "20")]
+)
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--loss", "-3e-05"), ("--threshold", "-1E-3"), ("--decoy-fraction", "-2e-1")],
+)
+def test_negative_exponent_values_reach_the_range_check(capsys, subcommand, flag, value):
+    code, out, err = run_cli(capsys, *subcommand, flag, value)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
+    assert str(float(value)) in lines[0]
 
 
 def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path):

@@ -52,7 +52,7 @@ def test_any_valid_config_runs_and_reports_consistently(config):
     assert 0.0 <= report.final_qber <= 1.0
     counts = report.counts
     if report.aborted:
-        assert report.alice_key == () and report.final_qber == 0.0
+        assert report.alice_key == b"" and report.final_qber == 0.0
     else:
         # every pair is consumed by the check, lost, or kept
         kept = counts["key_pairs"]

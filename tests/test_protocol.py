@@ -36,6 +36,7 @@ from depqkd import (
 from depqkd.protocol import (
     ALPHABET,
     _channel,
+    _sample,
     _smallest,
     decoy_check,
     insert_decoys,
@@ -45,6 +46,7 @@ from depqkd.protocol import (
     transmit_b,
     wc_check,
 )
+from depqkd.quantum import cumulative, inverse_cdf
 
 # Exact per-check error rates of an intercept-resend attack on photon b,
 # frozen from the outcome-tree enumeration in oracles.py.
@@ -265,6 +267,38 @@ def test_channel_draws_like_one_photon_at_a_time():
                 assert g.uniform() == ref.uniform()
 
 
+def reference_sample(keys, u, cdf_of):
+    """Reference: one inverse CDF per distinct key over that key's draws."""
+    k = np.zeros(len(keys), dtype=np.int64)
+    for key in np.unique(keys).tolist():
+        sel = keys == key
+        k[sel] = inverse_cdf(cdf_of(key), u[sel])
+    return k
+
+
+def test_sample_matches_a_per_key_inverse_cdf():
+    rng = np.random.default_rng(17)
+    for trial in range(3000):
+        length = (4, 16)[trial % 2]
+        n_keys = int(rng.integers(1, 40))
+        p = np.abs(rng.normal(size=(n_keys, length))) ** 2
+        p[rng.random(p.shape) < 0.3] = 0.0  # zero entries, some rows all zero
+        p *= rng.uniform(0.1, 3.0, size=(n_keys, 1))  # unnormalised rows
+        cdfs = [cumulative(row) for row in p]
+        # keys with gaps, each mapped to a row of the table
+        key_values = np.sort(rng.choice(5 * n_keys, size=n_keys, replace=False))
+        cdf_of = dict(zip(key_values.tolist(), cdfs)).__getitem__
+        n = int(rng.integers(0, 200))
+        keys = rng.choice(key_values, size=n)
+        u = rng.random(n)
+        u[rng.random(n) < 0.05] = 0.0
+        got = _sample(keys, u, cdf_of)
+        assert got.dtype == np.int64
+        assert got.tolist() == reference_sample(keys, u, cdf_of).tolist()
+    empty = _sample(np.zeros(0, dtype=np.int64), np.zeros(0), cdf_of)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
+
+
 def test_decoy_check_clean_channel_reports_zero_error():
     pairs = step1_prepare_and_encode(
         ProtocolConfig(n_pairs=500, seed=11, decoy_fraction=0.5),
@@ -448,7 +482,7 @@ def test_session_aborts_on_random_basis_attack_via_decoys():
     report = run_session(config, transcript)
     assert report.aborted
     assert report.decoy_qber == pytest.approx(DECOY_POOLED_RATE, abs=0.04)
-    assert report.alice_key == () and report.bob_key == ()
+    assert report.alice_key == b"" and report.bob_key == b""
     assert report.final_qber == 0.0
     assert report.counts["key_pairs"] == 0
     assert MessageKind.ABORT in transcript.kinds()
@@ -542,7 +576,7 @@ def test_session_aborts_when_no_decoys_could_be_compared():
     report = run_session(config)
     assert report.aborted
     assert report.decoy_qber is None
-    assert report.alice_key == ()
+    assert report.alice_key == b""
 
 
 def test_session_aborts_when_every_photon_is_lost():
@@ -555,7 +589,7 @@ def test_session_aborts_when_every_photon_is_lost():
         )
         report = run_session(config)
         assert report.aborted
-        assert report.alice_key == ()
+        assert report.alice_key == b""
 
 
 def test_consuming_every_pair_in_the_check_leaves_an_empty_key():
@@ -570,7 +604,7 @@ def test_consuming_every_pair_in_the_check_leaves_an_empty_key():
     assert report.wc_qber == 0.0
     assert report.counts["checked"] == 120
     assert report.counts["key_pairs"] == 0
-    assert report.alice_key == () and report.bob_key == ()
+    assert report.alice_key == b"" and report.bob_key == b""
     assert report.final_qber == 0.0
 
 
