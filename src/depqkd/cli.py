@@ -119,15 +119,23 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="flat key=value config file; flags win")
 
 
-# A negative number, exponent included.  Python 3.11's argparse matches
-# only "-3" and "-0.5" and reads "-3e-05" as an option, so the value would
-# never reach the range checks.
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+# A value that starts like a negative number: "-3e-05", "-inf", or a sweep
+# list such as "-0.1,0.2".  Python 3.11's argparse takes only "-3" and
+# "-0.5" as values and reads the rest as options, so they would never reach
+# the range checks.
+_NEGATIVE_VALUE = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one ``error:`` line, without usage."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="depqkd",
         description="Simulate two-step key distribution over doubly entangled photon pairs.",
     )
@@ -141,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run trials across a list of parameter values")
     _add_run_flags(sweep_p)
     for p in (run_p, sweep_p):
-        p._negative_number_matcher = _NEGATIVE_NUMBER
+        p._negative_number_matcher = _NEGATIVE_VALUE
     sweep_p.add_argument("--param", required=True, help="parameter to sweep (a run flag name)")
     sweep_p.add_argument("--values", required=True, help="comma-separated values for the swept parameter")
     return parser
@@ -370,11 +378,13 @@ def cmd_verify_tables(out: TextIO) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
         return int(exc.code) if exc.code is not None else 0
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.subcommand == "verify-tables":
         return cmd_verify_tables(sys.stdout)
     try:

@@ -16,8 +16,8 @@ second operation, its measurement records never determine final key bits.
 
 A session runs as a batch.  :class:`PairBatch` and :class:`DecoyBatch`
 hold one array entry per item, pair states are ids into :data:`ALPHABET`,
-and each phase draws for all of its items at once, from the same stream,
-in the same order and number as a simulation item by item would.
+and each phase draws for all of its items at once, in a fixed number of
+blocks from its own stream, so no phase loops over its items in Python.
 """
 
 from __future__ import annotations
@@ -421,59 +421,23 @@ def _channel(
 ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Send ``n`` photons through the channel.
 
-    Per photon the stream gives one loss coin, then, if the photon was
-    delivered and is attacked, the attacker's basis coin (random policy
-    only) and its measurement draw.  Returns the delivery mask and, when
-    the attacker covers this transmission, its basis per photon (``-1``
-    where it measured nothing) and its measurement draws.
+    The stream gives one block of ``n`` loss coins, then, when the
+    attacker covers this transmission, one block with a row per delivered
+    photon in slot order: the attacker's basis coin (random policy only)
+    and its measurement draw.  Returns the delivery mask and, for an
+    attacked transmission, the attacker's basis and measurement draw per
+    delivered photon.
     """
+    delivered = ~(g.uniforms(n) < channel.loss_probability)
     eve = channel.eve
-    loss = channel.loss_probability
     if eve is None or not eve.target.covers(photon):
-        return ~(g.uniforms(n) < loss), None, None
-    extra = 2 if eve.strategy is EveStrategy.RANDOM_ZX else 1
-    stride = 1 + extra
-    if loss == 0.0:
-        pool = g.uniforms(stride * n)
-        delivered = np.ones(n, dtype=bool)
-        starts = np.arange(1, stride * n, stride)
-    else:
-        # Scan the loss coins.  Whenever the pool runs out, draw what the
-        # remaining photons must still consume at the least (one loss coin
-        # each, plus the current photon's attack draws), so the stream is
-        # never drawn past the photons' last draw.
-        chunks = [g.uniforms(n)]
-        coins = chunks[0].tolist()
-        hit: list[int] = []
-        begin: list[int] = []
-        pos = 0
-        for i in range(n):
-            if pos == len(coins):
-                chunks.append(g.uniforms(n - i))
-                coins.extend(chunks[-1].tolist())
-            if coins[pos] < loss:
-                pos += 1
-                continue
-            hit.append(i)
-            begin.append(pos + 1)
-            pos += stride
-            if pos > len(coins):
-                chunks.append(g.uniforms(pos + n - 1 - i - len(coins)))
-                coins.extend(chunks[-1].tolist())
-        pool = np.concatenate(chunks)
-        delivered = np.zeros(n, dtype=bool)
-        delivered[hit] = True
-        starts = np.array(begin, dtype=np.int64)
-    basis = _unset(n)
+        return delivered, None, None
+    m = int(np.count_nonzero(delivered))
     if eve.strategy is EveStrategy.RANDOM_ZX:
-        basis[delivered] = _basis_coins(pool[starts])
-    else:
-        basis[delivered] = _BASES.index(
-            PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
-        )
-    u = np.zeros(n)
-    u[delivered] = pool[starts + extra - 1]
-    return delivered, basis, u
+        u = g.uniforms(2 * m).reshape(m, 2)
+        return delivered, _basis_coins(u[:, 0]), u[:, 1]
+    fixed = PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
+    return delivered, np.full(m, _BASES.index(fixed)), g.uniforms(m)
 
 
 def _intercept_pairs(
@@ -566,15 +530,15 @@ def transmit_b(
     cannot tell pair photons from check photons.
     """
     delivered, basis, u = _channel(len(is_decoy), channel, Photon.B, g)
-    is_pair = ~is_decoy
-    pairs.b_delivered[:] = delivered[is_pair]
+    pairs.b_delivered[:] = delivered[~is_decoy]
     decoys.delivered[:] = delivered[is_decoy]
     if basis is None:
         return
-    hit = np.flatnonzero(delivered[is_pair])
-    _intercept_pairs(pairs, hit, Photon.B, basis[is_pair][hit], u[is_pair][hit])
+    on_decoy = is_decoy[delivered]
+    hit = np.flatnonzero(pairs.b_delivered)
+    _intercept_pairs(pairs, hit, Photon.B, basis[~on_decoy], u[~on_decoy])
     hit = np.flatnonzero(decoys.delivered)
-    basis, u = basis[is_decoy][hit], u[is_decoy][hit]
+    basis, u = basis[on_decoy], u[on_decoy]
     keys = 2 * decoys.state[hit] + basis
     k = _sample(keys, u, lambda key: ALPHABET.local_cdf(key >> 1, key & 1))
     decoys.eve_basis[hit], decoys.eve_outcome[hit] = basis, k
@@ -863,8 +827,7 @@ def transmit_a(
     delivered, basis, u = _channel(len(active), channel, Photon.A, g)
     pairs.a_delivered[active] = delivered
     if basis is not None:
-        hit = delivered
-        _intercept_pairs(pairs, active[hit], Photon.A, basis[hit], u[hit])
+        _intercept_pairs(pairs, active[delivered], Photon.A, basis, u)
 
 
 # Codeword announced by each device outcome, in device_outcomes() order.

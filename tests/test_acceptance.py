@@ -28,7 +28,6 @@ from depqkd import (
     apply_local,
     dep_basis,
     decode,
-    device_measure,
     device_outcomes,
     equal_up_to_global_phase,
     ir_attack_entangled,
@@ -36,6 +35,7 @@ from depqkd import (
     run_session,
 )
 from depqkd.cli import main
+from depqkd.device import device_probabilities
 from depqkd.states import ENCODING_TABLE
 
 
@@ -63,12 +63,10 @@ def test_criterion_1_encoding_table_closure():
 
 
 def sample_counts(state, shots, g):
-    """Outcome counts of ``shots`` device measurements, in outcome order."""
-    index = {outcome: k for k, outcome in enumerate(device_outcomes())}
-    counts = np.zeros(len(index), dtype=int)
-    for _ in range(shots):
-        counts[index[device_measure(state, g)]] += 1
-    return counts
+    """Outcome counts of ``shots`` device measurements, in outcome order:
+    the same draws and counts as ``shots`` calls of ``device_measure``."""
+    indices = g.sample_indices(device_probabilities(state), shots)
+    return np.bincount(indices, minlength=len(device_outcomes()))
 
 
 PORT_PAIR = {

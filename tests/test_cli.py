@@ -325,6 +325,35 @@ def test_negative_exponent_values_reach_the_range_check(capsys, subcommand, flag
     assert str(float(value)) in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("sweep", "--param", "loss", "--values", "-0.1,0.2"),
+            "error: loss probability must lie in [0, 1], got -0.1",
+        ),
+        (("run", "--loss", "-inf"), "error: loss probability must lie in [0, 1], got -inf"),
+        (("run", "--pairs", "notanint"), "error: argument --pairs: invalid int value"),
+        (("run", "--eve", "ir-everything"), "error: argument --eve: invalid choice"),
+        (("run", "--loss"), "error: argument --loss: expected one argument"),
+        (("nonsense",), "error: argument subcommand: invalid choice"),
+    ],
+)
+def test_bad_command_lines_print_one_error_line_without_usage(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), err
+
+
+def test_help_prints_usage_and_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "run", "--help")
+    assert code == 0
+    assert out.startswith("usage: depqkd run") and "--loss LOSS" in out
+    assert err == ""
+
+
 def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path):
     cfg = tmp_path / "session.cfg"
     cfg.write_text(

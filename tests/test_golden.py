@@ -40,7 +40,7 @@ CASES.update({
         "--check", "wc", "--eve", "ir-z", "--eve-targets", "a", "--pairs", "200",
     ),
     # loss together with an attack on photon b among interleaved decoys: the
-    # channel's per-item draw count varies with every loss coin
+    # attacker draws for the delivered photons only, pairs and decoys alike
     "loss-attack-b-decoys": (
         "run", "--pairs", "300", "--loss", "0.2", "--check", "both",
         "--eve", "ir-random", "--eve-targets", "both", "--decoy-fraction", "0.5",
@@ -64,7 +64,7 @@ GOLDEN = {
         "00cbf0f2d8da7ca812f240ee2100df92383a39acbb2f5ac202abc005aeb1d34f",
         "35f04d53f1776ef1533ba37f3137d2da9a6d9c6e359c593af421ae3798666621",
         "5273b9231e2f62cf0d77045964ea00458600cbdfabb24122917d13c1814c7530",
-        "3edb2e4c7f9410b42661fb414f38c6ac505d561bc32b307ede39d4c43c0ad255",
+        "2f014a91c5c4eb64ba1e0fd56ad8524cde6b46f4be9f72f98f17f07732c139fd",
     ],
     "eve-sweep/both/b": [
         "00cbf0f2d8da7ca812f240ee2100df92383a39acbb2f5ac202abc005aeb1d34f",
@@ -82,7 +82,7 @@ GOLDEN = {
         "100e326fa86c8aebece6396f0899f2e89268c6b6c8e80f31c77dcb5d5bbf2647",
         "c564583078adf98b4fb362ecdbb4224e08810dafa79f7ee07e497f6943d1bae4",
         "ed46a4a9b83566455157eb4aeed967ea0fbe1bf2e8fb53b5ce1dc175ce5dd391",
-        "a481792b9e078b5992178b38796abf0c1661ea2e621ba6a0edd696c1799c0f6a",
+        "b0aafda3a12cc245547ec139411a1426b2ca18c47328cdd211ed34595912b6b6",
     ],
     "eve-sweep/decoy/b": [
         "100e326fa86c8aebece6396f0899f2e89268c6b6c8e80f31c77dcb5d5bbf2647",
@@ -100,37 +100,37 @@ GOLDEN = {
         "08bcacef4f64aeeba06d3eed2df0b17dda8842e50931b18d7502ad7f2a8d7a18",
         "f1e0a646b1c1170adbebeeaf556f9b95375b7cecece044a4b40b1313c95a5770",
         "4832e0d696cb21bedfaa34ba4f51d70b3016074482abf5aa76ad6f7812c2830d",
-        "cd773896de8b7f6f5c3e01fa1e275a5baa01377fcab1eaae53b20630ba58a07b",
+        "5074a1aae9dfe7a8b7d80702ff7df1a7791af251981914e9dc228ddd096a53c6",
     ],
     "eve-sweep/wc/b": [
         "08bcacef4f64aeeba06d3eed2df0b17dda8842e50931b18d7502ad7f2a8d7a18",
         "3cd227199b7fe9d65aafad0204a2da8f931889aacb7544f8c82518aa3b0cef05",
         "bd6b00e22793b33160d118e21ad36bc8e61242509673899e2ce6346b42755bf0",
-        "397f78eff4716600339c7d28d7cd5c09f4d3afdf899b4bc2cc010df4feae609d",
+        "882c613718bc994d240b2b80a779c3102045cc6bcb1330cf8853eae99df2adca",
     ],
     "eve-sweep/wc/both": [
         "08bcacef4f64aeeba06d3eed2df0b17dda8842e50931b18d7502ad7f2a8d7a18",
         "4771ebd388a428aac108d25300fad1c09a927187adcb8d2e361089000e181e94",
         "9e820f648c38ec356fcbf36bdad938b5fd0e04ad2f3a9ae465aa05f80b70ea9f",
-        "f6bf23a1460623784a18c07609fe6bc8652820edb7c89f3653d711b1deb0fabf",
+        "6676facdeec901cee1b52591b4dc76e25b40fec8eab81ac3a8187078b7e5541d",
     ],
     "loss": [
-        "0c29a89f9048fd9ac7f9c1ea48ac8df791da75fdb48d2fb0116a9ba4e03b1358",
-        "2d8fc86755c470353082f740940fbefedf2f7aa9ca280ba1d5602baf55458796",
+        "33f6fa12edbc2b627c9bdd1d8c321d4cb4de207e8d0a103332cf38706bbef6ee",
+        "7ae6ac4d8a71eaaca29310770f05d37dd83b785cbc5ecda00875eaaa1b06b910",
     ],
     "loss-attack-b-decoys": [
-        "81f3b75c4585699a840aa14d9b2dc8b6b16642aba10ef53ac13d9f1f9fef7171",
-        "9205baaeeca4877fee6b8e160f2137703e45a2201d25e46fe396065c36bab09e",
+        "2ffcaa6582a9cfb8871649cddd9c7fd2288ec9b6e99287ba0cf1e18e73a35804",
+        "75c6c0e240cfafde749e7fffa5c4803ff16471c5c4a67c8e7499d2c9220abad5",
     ],
     "loss-attack-b-decoys-kept": [
-        "9c9f49ab888b82559dc1fa505bd7607aad361a787761adfa5a83fabb33629480",
-        "0b287553f32354ca9bd45d89ffa219ea42c83b2d2e2b6ebff210eeb807b29899",
+        "34a824b8a729e3ad8258102c5b0873681450ae60c302366a764b75d4c3c45fca",
+        "7ba3f1bc839bd894a8e46ec5340aa3594bdbc423e67ea0548af78aae31585809",
     ],
     "loss-sweep": [
         "00ddeef8a2edce91e154c5a7d654ff86f079c2312a69a5752b978bd2319d59d8",
         "2fde6e1404a50fd21d94ab5d19e3c6e99f69c0c7d56883cb1660ec393d953932",
-        "4066b81b034bca0fb7534f2f62fa547cccd07afffc683d7157154be0cef6a88b",
-        "2dd95c8d8beba021ffc85abc29ae7effee62e8c1a5f9b71d8fd86f970afe2537",
+        "b5996cb71564dc746aaf9ebe8c93afd091e7e7acf98839fea1c96068b97dc1a3",
+        "b83b4b52715ecdccc0fe290152eec02a91dcad1b5d9eef204c5ef03bcbf61de6",
     ],
     "no-decoys": [
         "369a4a555295432681e456798eb1521d501fdbdbd30219a03a074961329cac44",

@@ -79,9 +79,23 @@ SETTINGS = {
 }
 
 
+# Text that is no valid value of any setting in SETTINGS: it does not
+# parse, or it parses to a float outside every range.
+BAD_VALUES = st.sampled_from(["abc", "1.5.2", "0x10", "", "-", "-abc", "-inf", "nan"])
+
+
 @st.composite
 def cli_settings(draw):
-    values = {flag: draw(strategy) for flag, (strategy, _) in SETTINGS.items()}
+    # about half the examples keep every setting in range, so that valid
+    # settings are generated as well as invalid ones
+    in_range = draw(st.booleans())
+    values = {
+        flag: draw(strategy.filter(ok) if in_range else strategy)
+        for flag, (strategy, ok) in SETTINGS.items()
+    }
+    spoiled = draw(st.none() | st.sampled_from(sorted(SETTINGS)))
+    if spoiled is not None:
+        values[spoiled] = draw(BAD_VALUES)
     values["--check"] = draw(st.sampled_from([c.value for c in CheckStrategy]))
     values["--eve"] = draw(st.sampled_from(["none"] + [e.value for e in EveStrategy]))
     values["--eve-targets"] = draw(st.sampled_from([t.value for t in EveTarget]))
@@ -90,11 +104,16 @@ def cli_settings(draw):
 
 
 @SMALL
-@given(cli_settings())
-def test_valid_settings_run_and_invalid_ones_exit_two(values):
-    # flag=value keeps argparse from reading a negative value as a flag
-    argv = ["run"] + [f"{flag}={value}" for flag, value in values.items()]
-    valid = all(ok(values[flag]) for flag, (_, ok) in SETTINGS.items())
+@given(cli_settings(), st.lists(st.booleans(), min_size=10, max_size=10))
+def test_valid_settings_run_and_invalid_ones_exit_two(values, joined):
+    # each flag spelt "--flag=value" or "--flag value"
+    argv = ["run"]
+    for (flag, value), join in zip(values.items(), joined, strict=True):
+        argv += [f"{flag}={value}"] if join else [flag, str(value)]
+    valid = all(
+        not isinstance(values[flag], str) and ok(values[flag])
+        for flag, (_, ok) in SETTINGS.items()
+    )
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)

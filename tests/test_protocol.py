@@ -1,6 +1,7 @@
 """Session steps, security checks, and full protocol runs."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -240,31 +241,33 @@ def test_decoy_slots_are_the_head_of_a_stable_argsort():
         assert np.array_equal(_smallest(keys, count), expected)
 
 
-def test_channel_draws_like_one_photon_at_a_time():
-    # reference: per photon a loss coin, then for a delivered one the
-    # attacker's basis coin (random policy only) and its measurement draw
-    for strategy in EveStrategy:
-        for loss in (0.0, 0.3, 0.9, 1.0):
-            for n in (1, 7, 500):
-                channel = ChannelConfig(loss, EveConfig(strategy, EveTarget.A))
-                g = SeededGenerator(n, 5)
-                delivered, basis, u = _channel(n, channel, Photon.A, g)
-                ref = SeededGenerator(n, 5)
-                for i in range(n):
-                    assert delivered[i] == (not ref.coin(loss))
-                    if not delivered[i]:
-                        assert basis[i] == -1
-                        continue
-                    if strategy is EveStrategy.RANDOM_ZX:
-                        expected = PolBasis.Z if ref.coin(0.5) else PolBasis.X
-                    elif strategy is EveStrategy.Z:
-                        expected = PolBasis.Z
-                    else:
-                        expected = PolBasis.X
-                    assert BASES[basis[i]] is expected
-                    assert u[i] == ref.uniform()
-                # both consumed the same draws, none more
-                assert g.uniform() == ref.uniform()
+def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
+    # reference: n loss coins, then for each delivered photon in slot order
+    # the attacker's basis coin (random policy only) and its measurement draw
+    for strategy, target, loss, n in itertools.product(
+        EveStrategy, EveTarget, (0.0, 0.3, 0.9, 1.0), (0, 1, 7, 500)
+    ):
+        channel = ChannelConfig(loss, EveConfig(strategy, target))
+        g = SeededGenerator(n, 5)
+        delivered, basis, u = _channel(n, channel, Photon.A, g)
+        ref = SeededGenerator(n, 5)
+        coins = [not ref.coin(loss) for _ in range(n)]
+        assert delivered.tolist() == coins
+        if not target.covers(Photon.A):
+            assert basis is None and u is None
+        else:
+            assert len(basis) == len(u) == sum(coins)
+            for b, draw in zip(basis.tolist(), u.tolist()):
+                if strategy is EveStrategy.RANDOM_ZX:
+                    expected = PolBasis.Z if ref.coin(0.5) else PolBasis.X
+                elif strategy is EveStrategy.Z:
+                    expected = PolBasis.Z
+                else:
+                    expected = PolBasis.X
+                assert BASES[b] is expected
+                assert draw == ref.uniform()
+        # both consumed the same draws, none more
+        assert g.uniform() == ref.uniform()
 
 
 def reference_sample(keys, u, cdf_of):
