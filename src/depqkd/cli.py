@@ -2,7 +2,10 @@
 
 ``run`` and ``sweep`` emit one JSON object per line and per trial with a
 fixed field set, so output files diff cleanly and identical invocations
-produce identical bytes except for the ``elapsed_ms`` timing field.
+produce identical bytes except for the ``elapsed_ms`` timing field.  The
+trials of one configuration run in batches of up to ``_BATCH_PAIRS`` pairs;
+``elapsed_ms`` is the batch's wall time over its trials, and a batch's
+lines are written together, in trial order, once it ends.
 
 Per-trial seeds derive from the master seed as
 ``sha256(master || sweep_index || trial_index)`` over big-endian 64-bit
@@ -28,7 +31,7 @@ import numpy as np
 
 from .channel import ChannelConfig, ConfigError, EveConfig, EveStrategy, EveTarget
 from .device import decode, device_outcome_distribution, port_of
-from .protocol import CheckStrategy, ProtocolConfig, run_session
+from .protocol import CheckStrategy, ProtocolConfig, run_sessions
 from .quantum import Freq, Photon, Pol, apply_local, equal_up_to_global_phase
 from .states import (
     DepLabel,
@@ -54,6 +57,10 @@ _DEFAULTS: dict[str, object] = {
     "seed": 0,
     "trials": 1,
 }
+
+#: Pairs per engine batch: the trials of a configuration run together, as
+#: many as fit; a session larger than this runs alone.
+_BATCH_PAIRS = 8192
 
 _CONVERTERS: dict[str, Callable[[str], object]] = {
     "pairs": int,
@@ -166,18 +173,22 @@ def _convert(key: str, raw: str) -> object:
 def _read_config_file(path: str) -> dict[str, str]:
     """Raw values by setting name; either key spelling is accepted."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key not in _DEFAULTS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip().replace("-", "_")
+        if key not in _DEFAULTS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
@@ -253,17 +264,17 @@ def _run_trials(
     trials: int,
     out: TextIO,
 ) -> None:
-    for trial_index in range(trials):
-        trial_seed = derive_trial_seed(base_config.seed, sweep_index, trial_index)
-        trial_config = replace(base_config, seed=trial_seed)
+    per_batch = max(1, _BATCH_PAIRS // base_config.n_pairs)
+    for first in range(0, trials, per_batch):
+        indices = range(first, min(first + per_batch, trials))
+        seeds = [derive_trial_seed(base_config.seed, sweep_index, i) for i in indices]
+        configs = [replace(base_config, seed=seed) for seed in seeds]
         start = time.perf_counter()
-        report = run_session(trial_config)
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        out.write(
-            _report_line(
-                subcommand, trial_index, trial_seed, base_config, report, elapsed_ms
-            )
-            + "\n"
+        reports = run_sessions(configs)
+        elapsed_ms = (time.perf_counter() - start) * 1000.0 / len(configs)
+        out.writelines(
+            _report_line(subcommand, i, seed, base_config, report, elapsed_ms) + "\n"
+            for i, seed, report in zip(indices, seeds, reports)
         )
 
 

@@ -14,18 +14,24 @@ An intercept-resend attacker on the first transmission disturbs both
 checks at known rates and, because each codeword is completed only by the
 second operation, its measurement records never determine final key bits.
 
-A session runs as a batch.  :class:`PairBatch` and :class:`DecoyBatch`
-hold one array entry per item, pair states are ids into :data:`ALPHABET`,
-and each phase draws for all of its items at once, in a fixed number of
-blocks from its own stream, so no phase loops over its items in Python.
+Sessions run as a batch: :func:`run_sessions` runs several sessions that
+differ only in their seeds together, and :func:`run_session` is the batch
+of one.  :class:`PairBatch` and :class:`DecoyBatch` hold one array entry
+per item, session after session, and pair states are ids into
+:data:`ALPHABET`.  Each phase draws every session's blocks from that
+session's own stream, in the same order and sizes as a session run alone,
+and then works on all items of the batch at once, so no phase loops over
+its items in Python.  Every stream is a counter-based Philox key, so a
+session's draws do not depend on the sessions beside it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import cache, partial
-from typing import Callable, Optional
+from functools import cache
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -160,10 +166,6 @@ class Transcript:
         return iter(self._messages)
 
 
-class IndeterminateCheckError(RuntimeError):
-    """A security check ended with zero matched comparisons."""
-
-
 # Streams of the session's master seed, one per protocol phase, so that a
 # change in one phase's draw count never shifts another phase's draws.
 _STREAM_ALICE = 0
@@ -214,9 +216,47 @@ def _unset(n: int) -> np.ndarray:
     return np.full(n, -1, dtype=np.int64)
 
 
+def _streams(seeds: Sequence[int], stream: int) -> list[SeededGenerator]:
+    """Stream ``stream`` of each session's seed, in session order."""
+    return [SeededGenerator(seed, stream) for seed in seeds]
+
+
+def _draw(
+    gens: Sequence[SeededGenerator], sizes: Sequence[int], width: int = 1
+) -> np.ndarray:
+    """``sizes[s]`` rows of ``width`` doubles from each ``gens[s]``, in
+    session order; a batch of one makes a single call and no copy."""
+    if len(gens) == 1:
+        u = gens[0].uniforms(sizes[0] * width)
+    else:
+        u = np.concatenate([g.uniforms(m * width) for g, m in zip(gens, sizes)])
+    return u.reshape(-1, width)
+
+
+def _tally(mask: np.ndarray, sizes: Sequence[int]) -> list[int]:
+    """True entries of ``mask`` in each session, for a ``mask`` holding
+    ``sizes[s]`` entries of each session ``s`` in session order."""
+    counts, start = [], 0
+    for size in sizes:
+        counts.append(int(np.count_nonzero(mask[start : start + size])))
+        start += size
+    return counts
+
+
+def _sizes(pairs: PairBatch, idx: np.ndarray, count: int) -> list[int]:
+    """How many of the sorted pair indices ``idx`` belong to each of the
+    ``count`` sessions of ``pairs``."""
+    n = len(pairs) // count
+    inner = (bisect_left(idx, start) for start in range(n, len(pairs), n))
+    bounds = [0, *inner, len(idx)]
+    return [b - a for a, b in zip(bounds, bounds[1:])]
+
+
 @dataclass
 class PairBatch:
-    """Every pair of a session as parallel arrays, one entry per pair.
+    """Every pair of a batch of sessions as parallel arrays, one entry per
+    pair.  Every session has the same number ``n`` of pairs, so pair ``i``
+    belongs to session ``i // n``.
 
     ``state`` holds ids into :data:`ALPHABET`; ``op_a``/``op_b`` index
     ``tuple(Pauli)``.  For each photon the attacker intercepted, ``eve_*_basis``
@@ -251,10 +291,14 @@ class PairBatch:
         """Contributes key bits: both photons arrived, not consumed by a check."""
         return self.b_delivered & self.a_delivered & ~self.checked
 
+    def take(self, mask: np.ndarray) -> PairBatch:
+        """The pairs where ``mask`` holds."""
+        return PairBatch(*(getattr(self, f.name)[mask] for f in fields(self)))
+
 
 @dataclass
 class DecoyBatch:
-    """Every check photon of a session as parallel arrays, in slot order.
+    """Every check photon of a batch as parallel arrays, in slot order.
 
     ``pol`` indexes ``tuple(DecoyPol)``.  A photon's ``state`` is the local
     id ``4 * basis + k`` of row ``k`` of the ``tuple(PolBasis)[basis]``
@@ -263,7 +307,8 @@ class DecoyBatch:
     same encoding as :class:`PairBatch`, with ``-1`` for none.
     """
 
-    position: np.ndarray  # slot in the mixed transmission sequence
+    sizes: list[int]  # decoys of each session
+    position: np.ndarray  # slot in the batch's mixed transmission sequence
     freq: np.ndarray
     pol: np.ndarray
     state: np.ndarray
@@ -277,9 +322,10 @@ class DecoyBatch:
         return len(self.position)
 
 
-def _decoy_batch(position, freq, pol) -> DecoyBatch:
+def _decoy_batch(sizes, position, freq, pol) -> DecoyBatch:
     n = len(position)
     return DecoyBatch(
+        sizes=sizes,
         position=position,
         freq=freq,
         pol=pol,
@@ -417,27 +463,31 @@ def _basis_coins(u: np.ndarray) -> np.ndarray:
 
 
 def _channel(
-    n: int, channel: ChannelConfig, photon: Photon, g: SeededGenerator
+    sizes: Sequence[int],
+    channel: ChannelConfig,
+    photon: Photon,
+    gens: Sequence[SeededGenerator],
 ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Send ``n`` photons through the channel.
+    """Send ``sizes[s]`` photons of each session ``s`` through the channel.
 
-    The stream gives one block of ``n`` loss coins, then, when the
-    attacker covers this transmission, one block with a row per delivered
-    photon in slot order: the attacker's basis coin (random policy only)
-    and its measurement draw.  Returns the delivery mask and, for an
-    attacked transmission, the attacker's basis and measurement draw per
-    delivered photon.
+    Each session's stream gives one block of its loss coins, then, when
+    the attacker covers this transmission, one block with a row per
+    delivered photon in slot order: the attacker's basis coin (random
+    policy only) and its measurement draw.  Returns the delivery mask and,
+    for an attacked transmission, the attacker's basis and measurement
+    draw per delivered photon.
     """
-    delivered = ~(g.uniforms(n) < channel.loss_probability)
+    delivered = ~(_draw(gens, sizes)[:, 0] < channel.loss_probability)
     eve = channel.eve
     if eve is None or not eve.target.covers(photon):
         return delivered, None, None
-    m = int(np.count_nonzero(delivered))
+    m = _tally(delivered, sizes)
     if eve.strategy is EveStrategy.RANDOM_ZX:
-        u = g.uniforms(2 * m).reshape(m, 2)
+        u = _draw(gens, m, 2)
         return delivered, _basis_coins(u[:, 0]), u[:, 1]
     fixed = PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
-    return delivered, np.full(m, _BASES.index(fixed)), g.uniforms(m)
+    u = _draw(gens, m)[:, 0]
+    return delivered, np.full(len(u), _BASES.index(fixed)), u
 
 
 def _intercept_pairs(
@@ -456,11 +506,12 @@ def _intercept_pairs(
         pairs.eve_a_basis[idx], pairs.eve_a_outcome[idx] = basis, k
 
 
-def step1_prepare_and_encode(config: ProtocolConfig, g: SeededGenerator) -> PairBatch:
-    """Draw a codeword per pair, pick one of its two operation pairs, and
-    apply the photon-b operation to a fresh PSI+ pair."""
-    n = config.n_pairs
-    u = g.uniforms(2 * n).reshape(n, 2)
+def step1_prepare_and_encode(n: int, gens: Sequence[SeededGenerator]) -> PairBatch:
+    """Draw a codeword for each of the ``n`` pairs of every session, pick
+    one of its two operation pairs, and apply the photon-b operation to a
+    fresh PSI+ pair."""
+    u = _draw(gens, [n] * len(gens), 2)
+    size = len(u)
     codeword = _randints(u[:, 0], 8)
     choice = _randints(u[:, 1], 2)
     op_b = _CHOICE_OPS[codeword, choice, 1]
@@ -470,14 +521,14 @@ def step1_prepare_and_encode(config: ProtocolConfig, g: SeededGenerator) -> Pair
         op_a=_CHOICE_OPS[codeword, choice, 0],
         op_b=op_b,
         state=_per_key(op_b, ALPHABET.prepared),
-        b_delivered=np.ones(n, dtype=bool),
-        a_delivered=np.ones(n, dtype=bool),
-        checked=np.zeros(n, dtype=bool),
-        eve_b_basis=_unset(n),
-        eve_b_outcome=_unset(n),
-        eve_a_basis=_unset(n),
-        eve_a_outcome=_unset(n),
-        decoded=_unset(n),
+        b_delivered=np.ones(size, dtype=bool),
+        a_delivered=np.ones(size, dtype=bool),
+        checked=np.zeros(size, dtype=bool),
+        eve_b_basis=_unset(size),
+        eve_b_outcome=_unset(size),
+        eve_a_basis=_unset(size),
+        eve_a_outcome=_unset(size),
+        decoded=_unset(size),
     )
 
 
@@ -491,28 +542,34 @@ def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
 
 
 def insert_decoys(
-    pairs: PairBatch, decoy_fraction: float, g: SeededGenerator
+    pairs: PairBatch, decoy_fraction: float, gens: Sequence[SeededGenerator]
 ) -> tuple[np.ndarray, DecoyBatch]:
-    """Mix single-photon check states into the b transmission sequence.
+    """Mix single-photon check states into each session's b sequence.
 
-    The decoy count is binomial with mean ``decoy_fraction * len(pairs)``;
-    positions are uniform among the mixed slots and preparations are
+    A session's decoy count is binomial with mean ``decoy_fraction * n``;
+    positions are uniform among its mixed slots and preparations are
     uniform over the eight (frequency bin, polarization) combinations.
     Positions and preparations stay secret until the check.  Returns the
-    mask of decoy slots in the mixed sequence, whose other slots carry the
-    pairs in order, and the decoys.
+    mask of decoy slots in the batch's mixed sequence, session after
+    session, whose other slots carry the pairs in order, and the decoys.
     """
-    n = len(pairs)
-    count = int(np.count_nonzero(g.uniforms(n) < decoy_fraction))
+    t = len(gens)
+    n = len(pairs) // t
+    count = _tally(_draw(gens, [n] * t)[:, 0] < decoy_fraction, [n] * t)
     # The slots of the ``count`` smallest of ``n + count`` uniform keys hold
-    # the decoys.
-    if count:
-        is_decoy = _smallest(g.uniforms(n + count), count)
-    else:
-        is_decoy = np.zeros(n, dtype=bool)
-    u = g.uniforms(2 * count).reshape(count, 2)
+    # a session's decoys; a session without decoys draws no keys.
+    is_decoy = np.concatenate(
+        [
+            _smallest(g.uniforms(n + c), c) if c else np.zeros(n, dtype=bool)
+            for g, c in zip(gens, count)
+        ]
+    )
+    u = _draw(gens, count, 2)
     decoys = _decoy_batch(
-        np.flatnonzero(is_decoy), _randints(u[:, 0], 2), _randints(u[:, 1], 4)
+        count,
+        np.flatnonzero(is_decoy),
+        _randints(u[:, 0], 2),
+        _randints(u[:, 1], 4),
     )
     return is_decoy, decoys
 
@@ -522,14 +579,16 @@ def transmit_b(
     decoys: DecoyBatch,
     is_decoy: np.ndarray,
     channel: ChannelConfig,
-    g: SeededGenerator,
+    gens: Sequence[SeededGenerator],
 ) -> None:
     """Send the mixed b sequence through the channel, updating both batches.
 
     Loss is decided first; the attacker only touches delivered photons and
     cannot tell pair photons from check photons.
     """
-    delivered, basis, u = _channel(len(is_decoy), channel, Photon.B, g)
+    t = len(gens)
+    sizes = [len(pairs) // t + c for c in decoys.sizes]
+    delivered, basis, u = _channel(sizes, channel, Photon.B, gens)
     pairs.b_delivered[:] = delivered[~is_decoy]
     decoys.delivered[:] = delivered[is_decoy]
     if basis is None:
@@ -599,11 +658,8 @@ def _post(
         transcript.append(sender, kind, payload())
 
 
-# Announced abort reason and error message of a check that compared nothing.
-_INDETERMINATE = {
-    "decoy": ("no matched decoys", "no matched decoy comparisons"),
-    "wc": ("no matched pair comparisons", "no matched converted-pair comparisons"),
-}
+# Announced abort reason of a check that compared nothing.
+_INDETERMINATE = {"decoy": "no matched decoys", "wc": "no matched pair comparisons"}
 
 
 def _conclude(
@@ -612,13 +668,13 @@ def _conclude(
     errors: int,
     qber_threshold: float,
     transcript: Optional[Transcript],
-) -> tuple[float, bool]:
-    """Error rate and verdict of a check, announced; raises
-    :class:`IndeterminateCheckError` when nothing was compared."""
+) -> Optional[tuple[float, bool]]:
+    """Error rate and verdict of a check, announced; ``None`` when nothing
+    was compared, which leaves the check indeterminate."""
     if compared == 0:
-        reason, message = _INDETERMINATE[check]
+        reason = _INDETERMINATE[check]
         _post(transcript, "alice", MessageKind.ABORT, lambda: {"reason": reason})
-        raise IndeterminateCheckError(message)
+        return None
     qber = errors / compared
     proceed = qber <= qber_threshold
     _post(
@@ -636,19 +692,44 @@ def _conclude(
     return qber, proceed
 
 
+def _verdicts(
+    result: type,
+    check: str,
+    sizes: Sequence[int],
+    qber_threshold: float,
+    transcript: Optional[Transcript],
+    **masks: np.ndarray,
+) -> list:
+    """Each session's ``result``, built from its count of true entries of
+    each mask over its ``sizes[s]`` items, or ``None`` for a session whose
+    check compared nothing."""
+    verdicts, start = [], 0
+    for size in sizes:
+        tally = {
+            key: int(np.count_nonzero(mask[start : start + size]))
+            for key, mask in masks.items()
+        }
+        start += size
+        verdict = _conclude(
+            check, tally["compared"], tally["errors"], qber_threshold, transcript
+        )
+        verdicts.append(verdict and result(*verdict, **tally))
+    return verdicts
+
+
 def decoy_check(
     decoys: DecoyBatch,
     qber_threshold: float,
     transcript: Optional[Transcript],
-    g: SeededGenerator,
-) -> DecoyCheckResult:
+    gens: Sequence[SeededGenerator],
+) -> list[Optional[DecoyCheckResult]]:
     """Compare delivered check photons measured in matched bases.
 
     The receiver measures every delivered decoy in a uniformly random
     basis; comparisons count only where that basis matches the
     preparation.  A polarization flip or a frequency-bin mismatch both
-    count as errors.  Raises :class:`IndeterminateCheckError` when nothing
-    could be compared.
+    count as errors.  Returns each session's result, ``None`` for a
+    session where nothing could be compared.
     """
     t = transcript
     _post(
@@ -658,7 +739,8 @@ def decoy_check(
         lambda: {"decoy_positions": tuple(decoys.position.tolist())},
     )
     idx = np.flatnonzero(decoys.delivered)
-    u = g.uniforms(2 * len(idx)).reshape(len(idx), 2)
+    sizes = _tally(decoys.delivered, decoys.sizes)
+    u = _draw(gens, sizes, 2)
     basis = _basis_coins(u[:, 0])
     k = _sample(
         2 * decoys.state[idx] + basis,
@@ -683,20 +765,20 @@ def decoy_check(
     freq_bad = matched & (k % 2 != decoys.freq[idx])
     bad = pol_bad | freq_bad
     z = prepared == _BASES.index(PolBasis.Z)
-    compared = int(np.count_nonzero(matched))
-    errors = int(np.count_nonzero(bad))
-    qber, proceed = _conclude("decoy", compared, errors, qber_threshold, t)
-    return DecoyCheckResult(
-        qber=qber,
-        proceed=proceed,
-        compared=compared,
-        errors=errors,
-        pol_errors=int(np.count_nonzero(pol_bad)),
-        freq_errors=int(np.count_nonzero(freq_bad)),
-        z_prepared_compared=int(np.count_nonzero(matched & z)),
-        z_prepared_errors=int(np.count_nonzero(bad & z)),
-        x_prepared_compared=int(np.count_nonzero(matched & ~z)),
-        x_prepared_errors=int(np.count_nonzero(bad & ~z)),
+    return _verdicts(
+        DecoyCheckResult,
+        "decoy",
+        sizes,
+        qber_threshold,
+        t,
+        compared=matched,
+        errors=bad,
+        pol_errors=pol_bad,
+        freq_errors=freq_bad,
+        z_prepared_compared=matched & z,
+        z_prepared_errors=bad & z,
+        x_prepared_compared=matched & ~z,
+        x_prepared_errors=bad & ~z,
     )
 
 
@@ -743,19 +825,22 @@ def wc_check(
     sample_fraction: float,
     qber_threshold: float,
     transcript: Optional[Transcript],
-    g: SeededGenerator,
-) -> WcCheckResult:
+    gens: Sequence[SeededGenerator],
+) -> list[Optional[WcCheckResult]]:
     """Convert and measure a random sample of stored pairs.
 
     Both parties wavelength-convert their photon of each sampled pair and
     measure it in an independently random basis; matched-basis outcomes
     are compared against the correlation the first encoding step dictates.
-    Checked pairs are consumed and never contribute key bits.  Raises
-    :class:`IndeterminateCheckError` when no matched comparison happened.
+    Checked pairs are consumed and never contribute key bits.  Returns
+    each session's result, ``None`` for a session where no matched
+    comparison happened.
     """
     t = transcript
     eligible = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
-    sampled = eligible[g.uniforms(len(eligible)) < sample_fraction]
+    sizes = _sizes(pairs, eligible, len(gens))
+    sampling = _draw(gens, sizes)[:, 0] < sample_fraction
+    sampled = eligible[sampling]
     _post(
         t,
         "bob",
@@ -766,8 +851,8 @@ def wc_check(
     ids = pairs.state[sampled]
     for sid in _distinct(ids):
         ALPHABET.converted(sid)  # a state the converters annihilate raises here
-    m = len(sampled)
-    u = g.uniforms(3 * m).reshape(m, 3)
+    sizes = _tally(sampling, sizes)
+    u = _draw(gens, sizes, 3)
     basis_a = _basis_coins(u[:, 0])
     basis_b = _basis_coins(u[:, 1])
     k = _sample(
@@ -793,19 +878,19 @@ def wc_check(
     agree = k // 2 == k % 2
     bad = matched & (agree != _EXPECTED_AGREE[pairs.op_b[sampled], basis_a])
     z = basis_a == _BASES.index(PolBasis.Z)
-    compared = int(np.count_nonzero(matched))
-    errors = int(np.count_nonzero(bad))
-    qber, proceed = _conclude("wc", compared, errors, qber_threshold, t)
-    return WcCheckResult(
-        qber=qber,
-        proceed=proceed,
-        compared=compared,
-        errors=errors,
-        z_compared=int(np.count_nonzero(matched & z)),
-        z_errors=int(np.count_nonzero(bad & z)),
-        x_compared=int(np.count_nonzero(matched & ~z)),
-        x_errors=int(np.count_nonzero(bad & ~z)),
-        checked_count=m,
+    return _verdicts(
+        WcCheckResult,
+        "wc",
+        sizes,
+        qber_threshold,
+        t,
+        compared=matched,
+        errors=bad,
+        z_compared=matched & z,
+        z_errors=bad & z,
+        x_compared=matched & ~z,
+        x_errors=bad & ~z,
+        checked_count=np.ones(len(sampled), dtype=bool),
     )
 
 
@@ -821,10 +906,14 @@ def step4_encode_a(pairs: PairBatch) -> np.ndarray:
 
 
 def transmit_a(
-    pairs: PairBatch, active: np.ndarray, channel: ChannelConfig, g: SeededGenerator
+    pairs: PairBatch,
+    active: np.ndarray,
+    channel: ChannelConfig,
+    gens: Sequence[SeededGenerator],
 ) -> None:
     """Send the photons a of the active pairs through the channel."""
-    delivered, basis, u = _channel(len(active), channel, Photon.A, g)
+    sizes = _sizes(pairs, active, len(gens))
+    delivered, basis, u = _channel(sizes, channel, Photon.A, gens)
     pairs.a_delivered[active] = delivered
     if basis is not None:
         _intercept_pairs(pairs, active[delivered], Photon.A, basis, u)
@@ -835,13 +924,16 @@ _DECODED = np.array([decode(outcome)[1] for outcome in device_outcomes()])
 
 
 def step5_decode_and_sift(
-    pairs: PairBatch, transcript: Optional[Transcript], g: SeededGenerator
+    pairs: PairBatch,
+    transcript: Optional[Transcript],
+    gens: Sequence[SeededGenerator],
 ) -> np.ndarray:
     """Jointly measure every reunited pair; returns the indices of these
     surviving pairs."""
     survivors = np.flatnonzero(pairs.surviving)
+    sizes = _sizes(pairs, survivors, len(gens))
     outcome = _sample(
-        pairs.state[survivors], g.uniforms(len(survivors)), ALPHABET.device_cdf
+        pairs.state[survivors], _draw(gens, sizes)[:, 0], ALPHABET.device_cdf
     )
     pairs.decoded[survivors] = _DECODED[outcome]
     _post(
@@ -867,29 +959,39 @@ def _key_bits(codewords: np.ndarray) -> np.ndarray:
     return ((codewords.astype(np.uint8)[:, None] >> shifts) & 1).ravel()
 
 
-def run_session(
-    config: ProtocolConfig, transcript: Optional[Transcript] = None
-) -> RunReport:
-    """Run one full session and report the outcome.
+def run_sessions(
+    configs: Sequence[ProtocolConfig], transcript: Optional[Transcript] = None
+) -> list[RunReport]:
+    """Run sessions whose configs differ only in the seed as one batch.
 
-    The report is a pure function of the configuration: identical configs
-    (including the seed) give identical reports.  A failed or indeterminate
-    security check aborts the session with empty keys.  The public
-    messages are recorded only when a ``transcript`` is passed.
+    Each report is a pure function of its own config: identical configs
+    (including the seed) give identical reports, whichever sessions run
+    beside them.  A failed or indeterminate security check aborts its
+    session with empty keys, and the session's pairs drop out of the batch.
+    The public messages are recorded only when a ``transcript`` is passed,
+    which only a batch of one accepts.
     """
-    t = transcript
-    # Each stream feeds one phase and is built only when that phase runs.
-    stream = partial(SeededGenerator, config.seed)
-    pairs = step1_prepare_and_encode(config, stream(_STREAM_ALICE))
+    config = configs[0]
+    if any(replace(c, seed=config.seed) != config for c in configs):
+        raise ValueError("the sessions of a batch may differ only in their seeds")
+    if transcript is not None and len(configs) > 1:
+        raise ValueError("a transcript records a batch of one session")
+    t, n, count = transcript, config.n_pairs, len(configs)
+    seeds = [c.seed for c in configs]
+    # Each stream feeds one phase and is built only for the sessions that
+    # reach that phase.
+    pairs = step1_prepare_and_encode(n, _streams(seeds, _STREAM_ALICE))
     strategy = config.check_strategy
     if strategy.uses_decoy:
         is_decoy, decoys = insert_decoys(
-            pairs, config.decoy_fraction, stream(_STREAM_DECOY)
+            pairs, config.decoy_fraction, _streams(seeds, _STREAM_DECOY)
         )
-    else:  # the b sequence carries the pairs alone
+    else:  # the b sequences carry the pairs alone
         is_decoy = np.zeros(len(pairs), dtype=bool)
-        decoys = _decoy_batch(*np.zeros((3, 0), dtype=np.int64))
-    transmit_b(pairs, decoys, is_decoy, config.channel, stream(_STREAM_CHANNEL_B))
+        decoys = _decoy_batch([0] * count, *np.zeros((3, 0), dtype=np.int64))
+    transmit_b(
+        pairs, decoys, is_decoy, config.channel, _streams(seeds, _STREAM_CHANNEL_B)
+    )
     _post(
         t,
         "bob",
@@ -897,94 +999,90 @@ def run_session(
         lambda: {"received_b": _received(pairs, decoys, is_decoy)},
     )
 
-    counts: dict[str, int] = {
-        "pairs": config.n_pairs,
-        "decoys": len(decoys),
-        "decoys_lost": int(np.count_nonzero(~decoys.delivered)),
-        "checked": 0,
-        "lost": 0,
-        "key_pairs": 0,
-    }
-    decoy_qber: Optional[float] = None
-    wc_qber: Optional[float] = None
-    aborted = False
+    counts = [
+        dict(pairs=n, decoys=d, decoys_lost=lost, checked=0, lost=0, key_pairs=0)
+        for d, lost in zip(decoys.sizes, _tally(~decoys.delivered, decoys.sizes))
+    ]
+    qbers = [{"decoy_qber": None, "wc_qber": None} for _ in configs]
+    lost_b = _tally(~pairs.b_delivered, [n] * count)
+    live = np.arange(count)  # the sessions still in the batch, in order
+
+    def conclude(check: str, results: list) -> None:
+        """Record each live session's check, and drop the aborted ones."""
+        nonlocal live, pairs
+        proceed = np.array([r is not None and r.proceed for r in results], dtype=bool)
+        for s, result, kept in zip(live.tolist(), results, proceed.tolist()):
+            if result is not None:
+                qbers[s][f"{check}_qber"] = result.qber
+                for f in fields(result)[2:]:  # the counts after qber and proceed
+                    key = "checked" if f.name == "checked_count" else f"{check}_{f.name}"
+                    counts[s][key] = getattr(result, f.name)
+            if not kept:
+                counts[s]["lost"] = lost_b[s]
+        if not proceed.all():
+            live, pairs = live[proceed], pairs.take(np.repeat(proceed, n))
+
+    def live_streams(stream: int) -> list[SeededGenerator]:
+        return _streams([seeds[s] for s in live.tolist()], stream)
 
     if strategy.uses_decoy:
-        try:
-            result = decoy_check(
-                decoys, config.qber_threshold, t, stream(_STREAM_BOB_DECOY)
-            )
-            decoy_qber = result.qber
-            counts.update(
-                decoy_compared=result.compared,
-                decoy_errors=result.errors,
-                decoy_pol_errors=result.pol_errors,
-                decoy_freq_errors=result.freq_errors,
-                decoy_z_prepared_compared=result.z_prepared_compared,
-                decoy_z_prepared_errors=result.z_prepared_errors,
-                decoy_x_prepared_compared=result.x_prepared_compared,
-                decoy_x_prepared_errors=result.x_prepared_errors,
-            )
-            aborted = not result.proceed
-        except IndeterminateCheckError:
-            aborted = True
-
-    if strategy.uses_wc and not aborted:
-        try:
-            result = wc_check(
+        conclude(
+            "decoy",
+            decoy_check(
+                decoys, config.qber_threshold, t, live_streams(_STREAM_BOB_DECOY)
+            ),
+        )
+    if strategy.uses_wc and len(live):
+        conclude(
+            "wc",
+            wc_check(
                 pairs,
                 config.check_sample_fraction,
                 config.qber_threshold,
                 t,
-                stream(_STREAM_WC),
-            )
-            wc_qber = result.qber
-            counts.update(
-                checked=result.checked_count,
-                wc_compared=result.compared,
-                wc_errors=result.errors,
-                wc_z_compared=result.z_compared,
-                wc_z_errors=result.z_errors,
-                wc_x_compared=result.x_compared,
-                wc_x_errors=result.x_errors,
-            )
-            aborted = not result.proceed
-        except IndeterminateCheckError:
-            aborted = True
-
-    if aborted:
-        counts["lost"] = int(np.count_nonzero(~pairs.b_delivered))
-        return RunReport(
-            decoy_qber=decoy_qber,
-            wc_qber=wc_qber,
-            aborted=True,
-            alice_key=b"",
-            bob_key=b"",
-            final_qber=0.0,
-            counts=counts,
-            config=config,
-            seed=config.seed,
+                live_streams(_STREAM_WC),
+            ),
         )
 
-    active = step4_encode_a(pairs)
-    transmit_a(pairs, active, config.channel, stream(_STREAM_CHANNEL_A))
-    survivors = step5_decode_and_sift(pairs, t, stream(_STREAM_DEVICE))
-    alice_bits = _key_bits(pairs.codeword[survivors])
-    bob_bits = _key_bits(pairs.decoded[survivors])
-    mismatches = int(np.count_nonzero(alice_bits != bob_bits))
-    final_qber = mismatches / len(alice_bits) if len(alice_bits) else 0.0
-    counts["lost"] = int(
-        np.count_nonzero(~(pairs.b_delivered & pairs.a_delivered) & ~pairs.checked)
-    )
-    counts["key_pairs"] = len(survivors)
-    return RunReport(
-        decoy_qber=decoy_qber,
-        wc_qber=wc_qber,
-        aborted=False,
-        alice_key=alice_bits.tobytes(),
-        bob_key=bob_bits.tobytes(),
-        final_qber=final_qber,
-        counts=counts,
-        config=config,
-        seed=config.seed,
-    )
+    keys = {}  # the key bits of each session that kept its key
+    if len(live):
+        active = step4_encode_a(pairs)
+        transmit_a(pairs, active, config.channel, live_streams(_STREAM_CHANNEL_A))
+        survivors = step5_decode_and_sift(pairs, t, live_streams(_STREAM_DEVICE))
+        alice_bits = _key_bits(pairs.codeword[survivors])
+        bob_bits = _key_bits(pairs.decoded[survivors])
+        lost = ~(pairs.b_delivered & pairs.a_delivered) & ~pairs.checked
+        end = 0
+        for s, kept, lost_s in zip(
+            live.tolist(),
+            _sizes(pairs, survivors, len(live)),
+            _tally(lost, [n] * len(live)),
+        ):
+            start, end = end, end + 3 * kept
+            keys[s] = alice_bits[start:end], bob_bits[start:end]
+            counts[s].update(lost=lost_s, key_pairs=kept)
+    reports = []
+    for s, config in enumerate(configs):
+        alice, bob = keys.get(s, (np.zeros(0, dtype=np.uint8),) * 2)
+        mismatches = int(np.count_nonzero(alice != bob))
+        reports.append(
+            RunReport(
+                **qbers[s],
+                aborted=s not in keys,
+                alice_key=alice.tobytes(),
+                bob_key=bob.tobytes(),
+                final_qber=mismatches / len(alice) if len(alice) else 0.0,
+                counts=counts[s],
+                config=config,
+                seed=config.seed,
+            )
+        )
+    return reports
+
+
+def run_session(
+    config: ProtocolConfig, transcript: Optional[Transcript] = None
+) -> RunReport:
+    """Run one full session and report the outcome: the batch of one of
+    :func:`run_sessions`."""
+    return run_sessions([config], transcript)[0]

@@ -231,6 +231,18 @@ def inverse_cdf(cdf, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
 
 
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Hands Philox its ``[seed, stream]`` key as the seed state: the
+    generator of ``Philox(key=...)``, without the ``SeedSequence`` of fresh
+    OS entropy that call builds and discards."""
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
 class SeededGenerator:
     """Deterministic random source keyed by (master seed, stream index).
 
@@ -248,8 +260,8 @@ class SeededGenerator:
     def __init__(self, seed: int, stream: int = 0) -> None:
         self.seed = int(seed) & self._MASK
         self.stream = int(stream) & self._MASK
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        key = _PhiloxKey(np.array([self.seed, self.stream], dtype=np.uint64))
+        self._gen = np.random.Generator(np.random.Philox(key))
 
     def uniform(self) -> float:
         """One double in [0, 1)."""

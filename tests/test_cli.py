@@ -15,6 +15,7 @@ from depqkd import (
     ProtocolConfig,
     run_session,
 )
+from depqkd import cli
 from depqkd.cli import bits_to_hex, derive_trial_seed, main
 from depqkd.quantum import PAULI_MATRICES
 
@@ -188,6 +189,23 @@ def test_run_emits_one_schema_line_per_trial(capsys):
     assert line["key_len"] % 3 == 0
     assert len(line["alice_key_hex"]) == 2 * ((line["key_len"] + 7) // 8)
     assert line["elapsed_ms"] >= 0.0
+
+
+def test_batching_the_trials_changes_no_report_byte(capsys, monkeypatch):
+    args = (
+        "sweep", "--param", "loss", "--values", "0,0.3", "--trials", "5",
+        "--pairs", "30", "--check", "both", "--eve", "ir-random",
+        "--eve-targets", "both", "--threshold", "0.4", "--seed", "11",
+    )
+    outputs = []
+    # one trial per batch, two per batch, and every trial of a cell at once
+    for budget in (1, 60, 10_000):
+        monkeypatch.setattr(cli, "_BATCH_PAIRS", budget)
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        outputs.append([strip_timing(line) for line in out.splitlines()])
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert [line["trial_index"] for line in json_lines(out)] == [0, 1, 2, 3, 4] * 2
 
 
 def test_run_is_reproducible_except_for_timing(capsys):
@@ -395,6 +413,12 @@ def test_config_file_problems_exit_with_code_two(capsys, tmp_path):
     wrong.write_text("eve = everything\n")
     code, _, err = run_cli(capsys, "run", "--config", str(wrong))
     assert code == 2
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"pairs = 60\n\xff\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(binary))
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert str(binary) in err
 
 
 def test_output_flag_writes_the_lines_to_a_file(capsys, tmp_path):

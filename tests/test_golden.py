@@ -54,11 +54,30 @@ CASES.update({
         "--decoy-fraction", "0.4", "--threshold", "0.6", "--sample-fraction", "0.3",
         "--seed", "8",
     ),
+    # eight trials of one cell that end in every way a session can: a decoy
+    # abort, an indeterminate decoy check, a converter abort, an
+    # indeterminate converter check and two kept keys
+    "batch-endings": (
+        "run", "--pairs", "40", "--trials", "8", "--check", "both",
+        "--eve", "ir-random", "--eve-targets", "both", "--loss", "0.2",
+        "--decoy-fraction", "0.15", "--threshold", "0.3",
+        "--sample-fraction", "0.3", "--seed", "6",
+    ),
 })
 
 GOLDEN = {
     "all-lost": [
         "d96ef2833e46cc57c3651219d246329296e7d8c73ad23e6b86477f94c323cdc5",
+    ],
+    "batch-endings": [
+        "810468458201a27731754171661106edabacc938f0cf3a0cc231903939098794",
+        "2ccb0bd3830070e5fc7e871ae441b63d7b24c4a5449f57c61d40a714580bebc0",
+        "371abdcb47b18767477139dc53d112d92f9f9c6069531331db9c392bf8da9b07",
+        "0077311653b825d2e641ad7dd0ae3887aa4839d336dba0c7cfb3931e469ad5eb",
+        "b7a8f28a7ed483855ceb248134c01e270d2e3cbfb81c16ffebf5aea113331a91",
+        "f8d2988e52d434b43063e674f409a714599a2f7d26dd0ed2bca6557efde2f954",
+        "caf58c4fb950d14e891ca13b21c4ecff98992afb18130179263eb2aef003723c",
+        "f522110ad7e9f79ac370f965d3881351b9efa3cfa209d5d0a52b64613f232b53",
     ],
     "eve-sweep/both/a": [
         "00cbf0f2d8da7ca812f240ee2100df92383a39acbb2f5ac202abc005aeb1d34f",

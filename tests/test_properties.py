@@ -4,9 +4,11 @@ Sessions are kept to a few dozen pairs, so each property runs in well
 under a second.  Examples are derandomized: every run checks the same ones.
 """
 
+import dataclasses
 import io
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +19,11 @@ from depqkd import (
     EveStrategy,
     EveTarget,
     ProtocolConfig,
+    SeededGenerator,
+    Transcript,
+    protocol,
     run_session,
+    run_sessions,
 )
 from depqkd.cli import main
 
@@ -125,3 +131,86 @@ def test_valid_settings_run_and_invalid_ones_exit_two(values, joined):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@contextmanager
+def recorded_session():
+    """Record every stream built, every block drawn, and the attacker's
+    records of each transmission, while the block runs.
+
+    ``streams`` and ``draws`` hold ``(seed, stream)`` and ``(seed, stream,
+    size)`` per call; ``eve_b`` and ``eve_a`` hold the attacker's basis and
+    outcome per pair of the batch, right after each transmission.
+    """
+    log = {"streams": [], "draws": [], "eve_b": [], "eve_a": []}
+    init, uniforms = SeededGenerator.__init__, SeededGenerator.uniforms
+    transmit_b, transmit_a = protocol.transmit_b, protocol.transmit_a
+
+    def counted_init(g, seed, stream=0):
+        init(g, seed, stream)
+        log["streams"].append((g.seed, g.stream))
+
+    def counted_uniforms(g, n):
+        log["draws"].append((g.seed, g.stream, int(n)))
+        return uniforms(g, n)
+
+    def records(photon, transmit):
+        def wrapper(pairs, *args):
+            transmit(pairs, *args)
+            basis, outcome = (
+                (pairs.eve_b_basis, pairs.eve_b_outcome)
+                if photon == "b"
+                else (pairs.eve_a_basis, pairs.eve_a_outcome)
+            )
+            log[f"eve_{photon}"].append(list(zip(basis.tolist(), outcome.tolist())))
+
+        return wrapper
+
+    SeededGenerator.__init__, SeededGenerator.uniforms = counted_init, counted_uniforms
+    protocol.transmit_b = records("b", transmit_b)
+    protocol.transmit_a = records("a", transmit_a)
+    try:
+        yield log
+    finally:
+        SeededGenerator.__init__, SeededGenerator.uniforms = init, uniforms
+        protocol.transmit_b, protocol.transmit_a = transmit_b, transmit_a
+
+
+def per_session(records, n, sessions):
+    """The records of a session-major batch, split into its sessions."""
+    return {s: records[i * n : (i + 1) * n] for i, s in enumerate(sessions)}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    configs(),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True),
+)
+def test_a_batch_replays_each_session_as_if_run_alone(config, seeds):
+    config = dataclasses.replace(config, n_pairs=config.n_pairs % 25 + 1)
+    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    n = config.n_pairs
+    with recorded_session() as batch:
+        reports = run_sessions(configs)
+    kept = [s for s, report in enumerate(reports) if not report.aborted]
+    eve_b = per_session(batch["eve_b"][0], n, range(len(seeds)))
+    eve_a = per_session(batch["eve_a"][0], n, kept) if kept else {}
+    for s, seed in enumerate(seeds):
+        with recorded_session() as alone:
+            report = run_session(configs[s])
+        # the same report, counts included
+        assert reports[s] == report
+        # the same streams, and the same blocks drawn from each, in order
+        assert [k for k in batch["streams"] if k[0] == seed] == alone["streams"]
+        assert [d for d in batch["draws"] if d[0] == seed] == alone["draws"]
+        # the same attacker records on both transmissions
+        assert eve_b[s] == alone["eve_b"][0]
+        assert eve_a.get(s, []) == (alone["eve_a"][0] if alone["eve_a"] else [])
+
+
+def test_a_batch_takes_sessions_that_differ_only_in_their_seeds():
+    config = ProtocolConfig(n_pairs=10)
+    with pytest.raises(ValueError):
+        run_sessions([config, dataclasses.replace(config, seed=1, n_pairs=11)])
+    with pytest.raises(ValueError):
+        run_sessions([config, dataclasses.replace(config, seed=1)], Transcript())

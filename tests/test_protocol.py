@@ -17,7 +17,6 @@ from depqkd import (
     EveStrategy,
     EveTarget,
     LOCAL_BASIS,
-    IndeterminateCheckError,
     JointState,
     LocalState,
     MessageKind,
@@ -70,20 +69,18 @@ BASES = tuple(PolBasis)
 
 def prepared(n, seed):
     """The pairs of step 1 for ``n`` pairs and a seed, on stream 0."""
-    return step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=n, seed=seed), SeededGenerator(seed, 0)
-    )
+    return step1_prepare_and_encode(n, [SeededGenerator(seed, 0)])
 
 
 def no_decoys():
-    _, decoys = insert_decoys(prepared(1, 0), 0.0, SeededGenerator(0, 1))
+    _, decoys = insert_decoys(prepared(1, 0), 0.0, [SeededGenerator(0, 1)])
     assert len(decoys) == 0
     return decoys
 
 
 def transmit_pairs_b(pairs, channel, g):
     """The first transmission of a sequence of pairs without decoys."""
-    transmit_b(pairs, no_decoys(), np.zeros(len(pairs), dtype=bool), channel, g)
+    transmit_b(pairs, no_decoys(), np.zeros(len(pairs), dtype=bool), channel, [g])
 
 
 def pair_state(pairs, i):
@@ -195,7 +192,7 @@ def test_step1_draws_codewords_uniformly_and_encodes_photon_b():
 def test_insert_decoys_zero_fraction_changes_nothing():
     pairs = prepared(30, 1)
     codewords = pairs.codeword.copy()
-    is_decoy, decoys = insert_decoys(pairs, 0.0, SeededGenerator(1, 1))
+    is_decoy, decoys = insert_decoys(pairs, 0.0, [SeededGenerator(1, 1)])
     assert len(decoys) == 0
     assert is_decoy.tolist() == [False] * 30
     assert np.array_equal(pairs.codeword, codewords)
@@ -204,7 +201,7 @@ def test_insert_decoys_zero_fraction_changes_nothing():
 def test_insert_decoys_count_positions_and_preparations():
     n = 5000
     pairs = prepared(n, 5)
-    is_decoy, decoys = insert_decoys(pairs, 0.2, SeededGenerator(5, 1))
+    is_decoy, decoys = insert_decoys(pairs, 0.2, [SeededGenerator(5, 1)])
     count = len(decoys)
     sigma = np.sqrt(n * 0.2 * 0.8)
     assert abs(count - n * 0.2) < 4 * sigma
@@ -249,7 +246,7 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
     ):
         channel = ChannelConfig(loss, EveConfig(strategy, target))
         g = SeededGenerator(n, 5)
-        delivered, basis, u = _channel(n, channel, Photon.A, g)
+        delivered, basis, u = _channel([n], channel, Photon.A, [g])
         ref = SeededGenerator(n, 5)
         coins = [not ref.coin(loss) for _ in range(n)]
         assert delivered.tolist() == coins
@@ -303,13 +300,10 @@ def test_sample_matches_a_per_key_inverse_cdf():
 
 
 def test_decoy_check_clean_channel_reports_zero_error():
-    pairs = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=500, seed=11, decoy_fraction=0.5),
-        SeededGenerator(11, 0),
-    )
-    _, decoys = insert_decoys(pairs, 0.5, SeededGenerator(11, 1))
+    pairs = step1_prepare_and_encode(500, [SeededGenerator(11, 0)])
+    _, decoys = insert_decoys(pairs, 0.5, [SeededGenerator(11, 1)])
     transcript = Transcript()
-    result = decoy_check(decoys, 0.05, transcript, SeededGenerator(11, 3))
+    [result] = decoy_check(decoys, 0.05, transcript, [SeededGenerator(11, 3)])
     assert result.qber == 0.0
     assert result.proceed
     assert result.errors == result.pol_errors == result.freq_errors == 0
@@ -325,18 +319,15 @@ def test_decoy_check_clean_channel_reports_zero_error():
 
 
 def test_decoy_check_flags_shifted_bins_and_aborts():
-    pairs = step1_prepare_and_encode(
-        ProtocolConfig(n_pairs=200, seed=13, decoy_fraction=0.5),
-        SeededGenerator(13, 0),
-    )
-    _, decoys = insert_decoys(pairs, 0.5, SeededGenerator(13, 1))
+    pairs = step1_prepare_and_encode(200, [SeededGenerator(13, 0)])
+    _, decoys = insert_decoys(pairs, 0.5, [SeededGenerator(13, 1)])
     # swap every photon's frequency bin: the row of the other bin
     for i in range(len(decoys)):
         swapped = decoy_state(decoys, i).vec.reshape(2, 2)[:, ::-1].reshape(4)
         decoys.state[i] ^= 1
         assert np.array_equal(decoy_state(decoys, i).vec, swapped)
     transcript = Transcript()
-    result = decoy_check(decoys, 0.05, transcript, SeededGenerator(13, 3))
+    [result] = decoy_check(decoys, 0.05, transcript, [SeededGenerator(13, 3)])
     assert result.qber == 1.0
     assert result.freq_errors == result.compared
     assert result.pol_errors == 0
@@ -344,17 +335,16 @@ def test_decoy_check_flags_shifted_bins_and_aborts():
     assert transcript.kinds()[-1] is MessageKind.ABORT
 
 
-def test_decoy_check_with_nothing_to_compare_raises():
+def test_decoy_check_with_nothing_to_compare_is_indeterminate():
     transcript = Transcript()
-    with pytest.raises(IndeterminateCheckError):
-        decoy_check(no_decoys(), 0.05, transcript, SeededGenerator(1, 3))
+    assert decoy_check(no_decoys(), 0.05, transcript, [SeededGenerator(1, 3)]) == [None]
     assert MessageKind.ABORT in transcript.kinds()
 
 
 def test_wc_check_clean_channel_reports_zero_error():
     pairs = prepared(800, 17)
     transcript = Transcript()
-    result = wc_check(pairs, 0.5, 0.05, transcript, SeededGenerator(17, 4))
+    [result] = wc_check(pairs, 0.5, 0.05, transcript, [SeededGenerator(17, 4)])
     assert result.qber == 0.0
     assert result.proceed
     assert result.z_errors == result.x_errors == 0
@@ -373,7 +363,7 @@ def test_wc_check_clean_channel_reports_zero_error():
 def test_wc_check_skips_lost_pairs_and_marks_checked():
     pairs = prepared(100, 19)
     pairs.b_delivered[:30] = False
-    wc_check(pairs, 1.0, 0.05, Transcript(), SeededGenerator(19, 4))
+    wc_check(pairs, 1.0, 0.05, Transcript(), [SeededGenerator(19, 4)])
     assert not pairs.checked[:30].any()
     assert pairs.checked[30:].all()
 
@@ -382,7 +372,7 @@ def test_wc_check_error_rates_under_fixed_z_attack():
     pairs = prepared(6000, 23)
     channel = ChannelConfig(eve=EveConfig(EveStrategy.Z, EveTarget.B))
     transmit_pairs_b(pairs, channel, SeededGenerator(23, 2))
-    result = wc_check(pairs, 1.0, 0.05, Transcript(), SeededGenerator(23, 4))
+    [result] = wc_check(pairs, 1.0, 0.05, Transcript(), [SeededGenerator(23, 4)])
     rates = WC_RATES["Z"]
     assert result.z_errors / result.z_compared == pytest.approx(rates["z"], abs=0.01)
     assert result.x_errors / result.x_compared == pytest.approx(rates["x"], abs=0.03)
@@ -394,18 +384,19 @@ def test_wc_check_error_rates_under_random_basis_attack():
     pairs = prepared(6000, 29)
     channel = ChannelConfig(eve=EveConfig(EveStrategy.RANDOM_ZX, EveTarget.B))
     transmit_pairs_b(pairs, channel, SeededGenerator(29, 2))
-    result = wc_check(pairs, 1.0, 0.05, Transcript(), SeededGenerator(29, 4))
+    [result] = wc_check(pairs, 1.0, 0.05, Transcript(), [SeededGenerator(29, 4)])
     rates = WC_RATES["RANDOM"]
     assert result.z_errors / result.z_compared == pytest.approx(rates["z"], abs=0.03)
     assert result.x_errors / result.x_compared == pytest.approx(rates["x"], abs=0.03)
     assert result.qber == pytest.approx(rates["pooled"], abs=0.02)
 
 
-def test_wc_check_with_no_matched_bases_raises():
+def test_wc_check_with_no_matched_bases_is_indeterminate():
     pairs = prepared(3, 31)
     pairs.b_delivered[:] = False
-    with pytest.raises(IndeterminateCheckError):
-        wc_check(pairs, 1.0, 0.05, Transcript(), SeededGenerator(31, 4))
+    transcript = Transcript()
+    assert wc_check(pairs, 1.0, 0.05, transcript, [SeededGenerator(31, 4)]) == [None]
+    assert transcript.kinds()[-1] is MessageKind.ABORT
 
 
 def test_wc_check_surfaces_a_state_the_converters_annihilate():
@@ -416,7 +407,7 @@ def test_wc_check_surfaces_a_state_the_converters_annihilate():
     pairs.state[:] = ALPHABET.intern(JointState(vec))
     transcript = Transcript()
     with pytest.raises(StateError):
-        wc_check(pairs, 1.0, 0.05, transcript, SeededGenerator(43, 4))
+        wc_check(pairs, 1.0, 0.05, transcript, [SeededGenerator(43, 4)])
     # raised after the sampled positions are announced, before any basis
     assert transcript.kinds() == (MessageKind.POSITIONS,)
 
@@ -433,7 +424,7 @@ def test_decode_step_recovers_every_codeword_without_noise():
     pairs = prepared(300, 41)
     step4_encode_a(pairs)
     transcript = Transcript()
-    survivors = step5_decode_and_sift(pairs, transcript, SeededGenerator(41, 6))
+    survivors = step5_decode_and_sift(pairs, transcript, [SeededGenerator(41, 6)])
     assert survivors.tolist() == list(range(300))
     assert np.array_equal(pairs.decoded, pairs.codeword)
     assert transcript.kinds() == (MessageKind.POSITIONS,)

@@ -211,6 +211,17 @@ def test_seeded_generator_reproducible_and_stream_independent():
     assert [d.uniform() for _ in range(20)] != seq_a[:20]
 
 
+def test_seeded_generator_streams_are_plain_philox_keys():
+    # the stream of (seed, stream) is Philox keyed by both, reduced mod 2**64
+    mask = 2**64 - 1
+    for seed in (0, -1, 2**64 - 1, 12345678901234567890):
+        for stream in range(7):
+            key = np.array([seed & mask, stream & mask], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).random(1000)
+            got = SeededGenerator(seed, stream).uniforms(1000)
+            assert np.array_equal(got, expected)
+
+
 def test_seeded_generator_batch_draws_match_scalar_draws():
     a = SeededGenerator(42, 0)
     b = SeededGenerator(42, 0)
