@@ -270,7 +270,12 @@ def _run_trials(
         seeds = [derive_trial_seed(base_config.seed, sweep_index, i) for i in indices]
         configs = [replace(base_config, seed=seed) for seed in seeds]
         start = time.perf_counter()
-        reports = run_sessions(configs)
+        try:
+            reports = run_sessions(configs)
+        except MemoryError:
+            raise ConfigError(
+                f"{base_config.n_pairs} pairs per trial do not fit in memory"
+            ) from None
         elapsed_ms = (time.perf_counter() - start) * 1000.0 / len(configs)
         out.writelines(
             _report_line(subcommand, i, seed, base_config, report, elapsed_ms) + "\n"

@@ -82,6 +82,11 @@ class CheckStrategy(Enum):
         return self in (CheckStrategy.WAVELENGTH_CONVERTER, CheckStrategy.BOTH)
 
 
+# No array of a session holds more than 32 bytes per pair, so a session of
+# at most this many pairs stays within numpy's largest array size.
+_MAX_PAIRS = np.iinfo(np.intp).max // 32
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Everything a session needs; identical configs replay identically."""
@@ -97,6 +102,10 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         if self.n_pairs < 1:
             raise ConfigError(f"n_pairs must be positive, got {self.n_pairs}")
+        if self.n_pairs > _MAX_PAIRS:
+            raise ConfigError(
+                f"n_pairs must be at most {_MAX_PAIRS}, got {self.n_pairs}"
+            )
         if not 0.0 <= self.decoy_fraction < 1.0:
             raise ConfigError(
                 f"decoy_fraction must lie in [0, 1), got {self.decoy_fraction}"
@@ -182,6 +191,16 @@ _PAULIS = tuple(Pauli)
 _BASES = tuple(PolBasis)
 _BASIS_NAMES = np.array([basis.value for basis in _BASES], dtype=object)
 
+# Per-item dtypes.  Every code (codeword, choice, operation, basis, outcome,
+# decoy preparation and local state, decoded codeword, the -1 markers) is
+# below 16; a pair state id is below 4096, so that every sampling key built
+# from one, up to 8 * id + 7, fits _STATE too.  StateAlphabet.intern holds
+# the bound.  Tables are read with ``take``: indexing with a narrow integer
+# array costs numpy an extra cast to intp, two to six times the gather.
+_CODE = np.int8
+_STATE = np.int16
+_MAX_STATE_ID = (np.iinfo(_STATE).max - 7) // 8
+
 
 class DecoyPol(Enum):
     """Polarization preparation of a single-photon check state."""
@@ -200,20 +219,23 @@ class DecoyPol(Enum):
         return self.value[1]
 
 
-_DECOY_BASIS = np.array([_BASES.index(pol.basis) for pol in DecoyPol])
-_DECOY_COMP = np.array([pol.comp for pol in DecoyPol])
+_DECOY_BASIS = np.array([_BASES.index(pol.basis) for pol in DecoyPol], dtype=_CODE)
+_DECOY_COMP = np.array([pol.comp for pol in DecoyPol], dtype=_CODE)
 
-# Operation indices (op_a, op_b) of encoding_choices(codeword)[choice].
+# Operation indices of encoding_choices(codeword)[choice]: row 0 holds op_a
+# and row 1 op_b, in column 2 * codeword + choice.
 _CHOICE_OPS = np.array(
     [
-        [[_PAULIS.index(op) for op in pair] for pair in encoding_choices(codeword)]
+        [_PAULIS.index(op) for op in pair]
         for codeword in range(8)
-    ]
-)
+        for pair in encoding_choices(codeword)
+    ],
+    dtype=_CODE,
+).T.copy()
 
 
 def _unset(n: int) -> np.ndarray:
-    return np.full(n, -1, dtype=np.int64)
+    return np.full(n, -1, dtype=_CODE)
 
 
 def _streams(seeds: Sequence[int], stream: int) -> list[SeededGenerator]:
@@ -329,7 +351,7 @@ def _decoy_batch(sizes, position, freq, pol) -> DecoyBatch:
         position=position,
         freq=freq,
         pol=pol,
-        state=4 * _DECOY_BASIS[pol] + 2 * _DECOY_COMP[pol] + freq,
+        state=4 * _DECOY_BASIS.take(pol) + 2 * _DECOY_COMP.take(pol) + freq,
         delivered=np.ones(n, dtype=bool),
         eve_basis=_unset(n),
         eve_outcome=_unset(n),
@@ -363,6 +385,11 @@ class StateAlphabet:
         key = state.vec.tobytes()
         sid = self._ids.get(key)
         if sid is None:
+            if len(self.states) > _MAX_STATE_ID:
+                raise OverflowError(
+                    f"more than {_MAX_STATE_ID + 1} pair states: a sampling key "
+                    f"built from a state id would overflow {np.dtype(_STATE)}"
+                )
             sid = self._ids[key] = len(self.states)
             self.states.append(state)
         return sid
@@ -419,7 +446,7 @@ ALPHABET = StateAlphabet()
 
 def _randints(u: np.ndarray, n: int) -> np.ndarray:
     """:meth:`SeededGenerator.randint` of each draw."""
-    return np.minimum((u * n).astype(np.int64), n - 1)
+    return np.minimum((u * n).astype(_CODE), n - 1)
 
 
 def _distinct(keys: np.ndarray) -> list[int]:
@@ -427,12 +454,12 @@ def _distinct(keys: np.ndarray) -> list[int]:
 
 
 def _per_key(keys: np.ndarray, fn: Callable[[int], int]) -> np.ndarray:
-    """``fn`` of each entry of a small non-negative integer array, evaluated
-    once per distinct value."""
-    table = np.zeros(int(keys.max()) + 1 if len(keys) else 0, dtype=np.int64)
+    """The state id ``fn`` of each entry of a small non-negative integer
+    array, evaluated once per distinct value."""
+    table = np.zeros(int(keys.max()) + 1 if len(keys) else 0, dtype=_STATE)
     for key in _distinct(keys):
         table[key] = fn(key)
-    return table[keys]
+    return table.take(keys)
 
 
 def _sample(
@@ -446,12 +473,12 @@ def _sample(
     column of the call's table at a time, whatever the number of keys.
     """
     if not len(keys):
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=_CODE)
     present = np.bincount(keys) > 0
     table = np.array([cdf_of(key) for key in np.flatnonzero(present).tolist()])
-    row = (np.cumsum(present) - 1)[keys]
+    row = (np.cumsum(present) - 1).take(keys)
     x = u * table[row, -1]
-    k = np.zeros(len(keys), dtype=np.int64)
+    k = np.zeros(len(keys), dtype=_CODE)
     for column in table[:, :-1].T:
         k += column[row] <= x
     return k
@@ -459,7 +486,7 @@ def _sample(
 
 def _basis_coins(u: np.ndarray) -> np.ndarray:
     """Basis index of each fair coin: H/V on heads (``u < 0.5``)."""
-    return (~(u < 0.5)).astype(np.int64)
+    return (~(u < 0.5)).astype(_CODE)
 
 
 def _channel(
@@ -487,7 +514,7 @@ def _channel(
         return delivered, _basis_coins(u[:, 0]), u[:, 1]
     fixed = PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
     u = _draw(gens, m)[:, 0]
-    return delivered, np.full(len(u), _BASES.index(fixed)), u
+    return delivered, np.full(len(u), _BASES.index(fixed), dtype=_CODE), u
 
 
 def _intercept_pairs(
@@ -514,11 +541,11 @@ def step1_prepare_and_encode(n: int, gens: Sequence[SeededGenerator]) -> PairBat
     size = len(u)
     codeword = _randints(u[:, 0], 8)
     choice = _randints(u[:, 1], 2)
-    op_b = _CHOICE_OPS[codeword, choice, 1]
+    op_a, op_b = _CHOICE_OPS.take(2 * codeword + choice, axis=1)
     return PairBatch(
         codeword=codeword,
         choice=choice,
-        op_a=_CHOICE_OPS[codeword, choice, 0],
+        op_a=op_a,
         op_b=op_b,
         state=_per_key(op_b, ALPHABET.prepared),
         b_delivered=np.ones(size, dtype=bool),
@@ -589,15 +616,20 @@ def transmit_b(
     t = len(gens)
     sizes = [len(pairs) // t + c for c in decoys.sizes]
     delivered, basis, u = _channel(sizes, channel, Photon.B, gens)
-    pairs.b_delivered[:] = delivered[~is_decoy]
-    decoys.delivered[:] = delivered[is_decoy]
+    pair_slots = np.flatnonzero(~is_decoy)
+    pairs.b_delivered[:] = delivered[pair_slots]
+    decoys.delivered[:] = delivered[decoys.position]
     if basis is None:
         return
-    on_decoy = is_decoy[delivered]
+    # The attack-draw row of each delivered slot: the draws come one row
+    # per delivered photon, in slot order.
+    row = np.cumsum(delivered) - 1
     hit = np.flatnonzero(pairs.b_delivered)
-    _intercept_pairs(pairs, hit, Photon.B, basis[~on_decoy], u[~on_decoy])
+    rows = row[pair_slots[hit]]
+    _intercept_pairs(pairs, hit, Photon.B, basis[rows], u[rows])
     hit = np.flatnonzero(decoys.delivered)
-    basis, u = basis[on_decoy], u[on_decoy]
+    rows = row[decoys.position[hit]]
+    basis, u = basis[rows], u[rows]
     keys = 2 * decoys.state[hit] + basis
     k = _sample(keys, u, lambda key: ALPHABET.local_cdf(key >> 1, key & 1))
     decoys.eve_basis[hit], decoys.eve_outcome[hit] = basis, k
@@ -759,10 +791,10 @@ def decoy_check(
         },
     )
     pol = decoys.pol[idx]
-    prepared = _DECOY_BASIS[pol]
+    prepared = _DECOY_BASIS.take(pol)
     matched = basis == prepared
-    pol_bad = matched & (k // 2 != _DECOY_COMP[pol])
-    freq_bad = matched & (k % 2 != decoys.freq[idx])
+    pol_bad = matched & ((k >> 1) != _DECOY_COMP.take(pol))
+    freq_bad = matched & ((k & 1) != decoys.freq[idx])
     bad = pol_bad | freq_bad
     z = prepared == _BASES.index(PolBasis.Z)
     return _verdicts(
@@ -808,14 +840,12 @@ def _expected_correlation(step1_label: DepLabel, basis: PolBasis) -> bool:
     return step1_label.sign > 0
 
 
-# Expected agreement per (photon-b operation, matched basis).
+# Expected agreement of photon-b operation op in matched basis, at 2 * op + basis.
 _EXPECTED_AGREE = np.array(
     [
-        [
-            _expected_correlation(encoding_to_label(EncodingPair(Pauli.I, op)), basis)
-            for basis in _BASES
-        ]
+        _expected_correlation(encoding_to_label(EncodingPair(Pauli.I, op)), basis)
         for op in _PAULIS
+        for basis in _BASES
     ]
 )
 
@@ -875,8 +905,8 @@ def wc_check(
         },
     )
     matched = basis_a == basis_b
-    agree = k // 2 == k % 2
-    bad = matched & (agree != _EXPECTED_AGREE[pairs.op_b[sampled], basis_a])
+    agree = (k >> 1) == (k & 1)
+    bad = matched & (agree != _EXPECTED_AGREE.take(2 * pairs.op_b[sampled] + basis_a))
     z = basis_a == _BASES.index(PolBasis.Z)
     return _verdicts(
         WcCheckResult,
@@ -920,7 +950,7 @@ def transmit_a(
 
 
 # Codeword announced by each device outcome, in device_outcomes() order.
-_DECODED = np.array([decode(outcome)[1] for outcome in device_outcomes()])
+_DECODED = np.array([decode(outcome)[1] for outcome in device_outcomes()], dtype=_CODE)
 
 
 def step5_decode_and_sift(
@@ -935,7 +965,7 @@ def step5_decode_and_sift(
     outcome = _sample(
         pairs.state[survivors], _draw(gens, sizes)[:, 0], ALPHABET.device_cdf
     )
-    pairs.decoded[survivors] = _DECODED[outcome]
+    pairs.decoded[survivors] = _DECODED.take(outcome)
     _post(
         transcript,
         "bob",
@@ -955,8 +985,10 @@ def _received(pairs: PairBatch, decoys: DecoyBatch, is_decoy: np.ndarray) -> tup
 
 def _key_bits(codewords: np.ndarray) -> np.ndarray:
     """Three bits per codeword, most significant first, as ``uint8``."""
-    shifts = np.array([2, 1, 0], dtype=np.uint8)
-    return ((codewords.astype(np.uint8)[:, None] >> shifts) & 1).ravel()
+    bits = np.empty((len(codewords), 3), dtype=np.uint8)
+    for column, shift in enumerate((2, 1, 0)):
+        bits[:, column] = (codewords >> shift) & 1
+    return bits.ravel()
 
 
 def run_sessions(
@@ -988,7 +1020,9 @@ def run_sessions(
         )
     else:  # the b sequences carry the pairs alone
         is_decoy = np.zeros(len(pairs), dtype=bool)
-        decoys = _decoy_batch([0] * count, *np.zeros((3, 0), dtype=np.int64))
+        decoys = _decoy_batch(
+            [0] * count, np.zeros(0, dtype=np.intp), *np.zeros((2, 0), dtype=_CODE)
+        )
     transmit_b(
         pairs, decoys, is_decoy, config.channel, _streams(seeds, _STREAM_CHANNEL_B)
     )

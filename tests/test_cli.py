@@ -327,6 +327,28 @@ def test_invalid_settings_exit_with_code_two(capsys):
     assert code == 2
 
 
+def assert_one_error_line_naming(code, out, err, pairs):
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(pairs) in lines[0]
+
+
+def test_a_pair_count_numpy_cannot_address_exits_two(capsys):
+    # past numpy's largest array size: rejected before anything is allocated
+    code, out, err = run_cli(capsys, "run", "--pairs", str(10**20), "--check", "wc")
+    assert_one_error_line_naming(code, out, err, 10**20)
+
+
+def test_a_pair_count_that_runs_out_of_memory_exits_two(capsys, monkeypatch):
+    def out_of_memory(configs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_sessions", out_of_memory)
+    code, out, err = run_cli(capsys, "run", "--pairs", "123456", "--check", "wc")
+    assert_one_error_line_naming(code, out, err, 123456)
+
+
 @pytest.mark.parametrize(
     "subcommand", [("run",), ("sweep", "--param", "pairs", "--values", "20")]
 )

@@ -31,10 +31,12 @@ from depqkd import (
     encoding_choices,
     encoding_to_label,
     local_outcome,
+    protocol,
     run_session,
 )
 from depqkd.protocol import (
     ALPHABET,
+    StateAlphabet,
     _channel,
     _sample,
     _smallest,
@@ -267,6 +269,92 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
         assert g.uniform() == ref.uniform()
 
 
+def reference_transmit_b(pairs, decoys, is_decoy, channel, seeds):
+    """Reference: slot by slot, each session's loss coins, then for each
+    delivered slot in order the attacker's row, applied to the pair or the
+    check photon in that slot.  Updates the batches in place and returns
+    each session's stream, positioned after its last draw."""
+    n = len(pairs) // len(seeds)
+    eve = channel.eve
+    attacked = eve is not None and eve.target.covers(Photon.B)
+    gens, start, pair, decoy = [], 0, 0, 0
+    for seed, count in zip(seeds, decoys.sizes):
+        g = SeededGenerator(seed, 2)
+        gens.append(g)
+        slots = range(start, start + n + count)
+        start += n + count
+        items = []  # (is a decoy, index in its batch) of each slot
+        for slot in slots:
+            if is_decoy[slot]:
+                items.append((True, decoy))
+                decoy += 1
+            else:
+                items.append((False, pair))
+                pair += 1
+        arrived = [not g.coin(channel.loss_probability) for _ in slots]
+        for (on_decoy, i), ok in zip(items, arrived):
+            (decoys.delivered if on_decoy else pairs.b_delivered)[i] = ok
+        if not attacked:
+            continue
+        for (on_decoy, i), ok in zip(items, arrived):
+            if not ok:
+                continue
+            if eve.strategy is EveStrategy.RANDOM_ZX:
+                basis = BASES.index(PolBasis.Z if g.coin(0.5) else PolBasis.X)
+            else:
+                basis = BASES.index(
+                    PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
+                )
+            u = np.array([g.uniform()])
+            if on_decoy:
+                cdf = ALPHABET.local_cdf(int(decoys.state[i]), basis)
+                k = int(inverse_cdf(cdf, u)[0])
+                decoys.eve_basis[i], decoys.eve_outcome[i] = basis, k
+                decoys.state[i] = 4 * basis + k
+            else:
+                sid = int(pairs.state[i])
+                k = int(inverse_cdf(ALPHABET.partial_cdf(sid, Photon.B, basis), u)[0])
+                pairs.eve_b_basis[i], pairs.eve_b_outcome[i] = basis, k
+                pairs.state[i] = ALPHABET.collapsed(sid, Photon.B, basis, k)
+    return gens
+
+
+def batch_fields(batch):
+    """Every field of a batch, arrays as (dtype, values)."""
+    out = {}
+    for f in dataclasses.fields(batch):
+        value = getattr(batch, f.name)
+        out[f.name] = (
+            (value.dtype, value.tolist()) if isinstance(value, np.ndarray) else value
+        )
+    return out
+
+
+def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
+    cases = itertools.product(
+        EveStrategy, EveTarget, (0.0, 0.3, 1.0), (0.0, 0.4, 0.85), (1, 2, 3)
+    )
+    for case, (strategy, target, loss, fraction, sessions) in enumerate(cases):
+        seeds = [1000 * case + s for s in range(sessions)]
+        n = 1 + case % 40
+        pairs = step1_prepare_and_encode(n, [SeededGenerator(s, 0) for s in seeds])
+        is_decoy, decoys = insert_decoys(
+            pairs, fraction, [SeededGenerator(s, 1) for s in seeds]
+        )
+        ref_pairs, ref_decoys = (
+            type(batch)(**{k: v.copy() for k, v in vars(batch).items()})
+            for batch in (pairs, decoys)
+        )
+        channel = ChannelConfig(loss, EveConfig(strategy, target))
+        gens = [SeededGenerator(s, 2) for s in seeds]
+        transmit_b(pairs, decoys, is_decoy, channel, gens)
+        ref_gens = reference_transmit_b(ref_pairs, ref_decoys, is_decoy, channel, seeds)
+        assert batch_fields(pairs) == batch_fields(ref_pairs)
+        assert batch_fields(decoys) == batch_fields(ref_decoys)
+        # both consumed the same draws of every session's stream, none more
+        assert [g.uniform() for g in gens] == [g.uniform() for g in ref_gens]
+
+
 def reference_sample(keys, u, cdf_of):
     """Reference: one inverse CDF per distinct key over that key's draws."""
     k = np.zeros(len(keys), dtype=np.int64)
@@ -293,10 +381,10 @@ def test_sample_matches_a_per_key_inverse_cdf():
         u = rng.random(n)
         u[rng.random(n) < 0.05] = 0.0
         got = _sample(keys, u, cdf_of)
-        assert got.dtype == np.int64
+        assert got.dtype == np.int8
         assert got.tolist() == reference_sample(keys, u, cdf_of).tolist()
     empty = _sample(np.zeros(0, dtype=np.int64), np.zeros(0), cdf_of)
-    assert empty.dtype == np.int64 and empty.shape == (0,)
+    assert empty.dtype == np.int8 and empty.shape == (0,)
 
 
 def test_decoy_check_clean_channel_reports_zero_error():
@@ -600,6 +688,52 @@ def test_consuming_every_pair_in_the_check_leaves_an_empty_key():
     assert report.counts["key_pairs"] == 0
     assert report.alice_key == b"" and report.bob_key == b""
     assert report.final_qber == 0.0
+
+
+def test_batch_items_are_at_most_two_bytes_wide(monkeypatch):
+    # every per-item array but the decoys' slot positions, after the phase
+    # that last writes it, on a session that runs every phase
+    seen = {}
+
+    def keep(name, phase):
+        def wrapper(batch, *args):
+            result = phase(batch, *args)
+            seen[name] = batch
+            return result
+
+        return wrapper
+
+    monkeypatch.setattr(protocol, "decoy_check", keep("decoys", protocol.decoy_check))
+    monkeypatch.setattr(
+        protocol,
+        "step5_decode_and_sift",
+        keep("pairs", protocol.step5_decode_and_sift),
+    )
+    eve = EveConfig(EveStrategy.RANDOM_ZX, EveTarget.BOTH)
+    [report] = protocol.run_sessions(
+        [
+            ideal_config(
+                qber_threshold=0.9, channel=ChannelConfig(loss_probability=0.1, eve=eve)
+            )
+        ]
+    )
+    assert not report.aborted and len(seen) == 2
+    for batch in seen.values():
+        for f in dataclasses.fields(batch):
+            value = getattr(batch, f.name)
+            if isinstance(value, np.ndarray) and f.name != "position":
+                assert value.itemsize <= 2, f.name
+
+
+def test_state_alphabet_refuses_an_id_that_would_overflow_a_sampling_key():
+    alphabet = StateAlphabet()
+    states = [JointState(np.full(16, 1.0 + i)) for i in range(4100)]
+    ids = [alphabet.intern(state) for state in states[:4096]]
+    assert ids == list(range(4096))  # the largest key, 8 * 4095 + 7, fits int16
+    with pytest.raises(OverflowError):
+        alphabet.intern(states[4096])
+    assert len(alphabet) == 4096
+    assert alphabet.intern(states[17]) == 17  # known states still resolve
 
 
 def test_state_alphabet_stays_small_and_normalized():
