@@ -30,7 +30,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -363,20 +362,187 @@ def _decoy_batch(sizes, position, freq, pol) -> DecoyBatch:
 _PSI_PLUS = dep_basis(DepLabel.PSI_PLUS)
 
 
+def _missing(keys: np.ndarray, entries: np.ndarray) -> list[int]:
+    """The distinct keys whose entry is the -1 of a row not yet filled."""
+    return np.flatnonzero(np.bincount(keys[entries < 0])).tolist()
+
+
+def _grown(table: np.ndarray, rows: int, pad) -> np.ndarray:
+    """``table`` with its last axis extended to ``rows`` entries of ``pad``."""
+    out = np.full((*table.shape[:-1], rows), pad, dtype=table.dtype)
+    out[..., : table.shape[-1]] = table
+    return out
+
+
+class _Transitions:
+    """The state id reached from each sampling key, with -1 for a key not
+    yet met; ``successor(key)`` computes an entry on its first miss."""
+
+    def __init__(self, rows: int, successor: Callable[[int], int]) -> None:
+        self.ids = np.full(rows, -1, dtype=_STATE)
+        self.successor = successor
+
+    def grow(self, rows: int) -> None:
+        self.ids = _grown(self.ids, rows, -1)
+
+    def __call__(self, keys: np.ndarray) -> np.ndarray:
+        ids = self.ids.take(keys)
+        if (ids < 0).any():
+            for key in _missing(keys, ids):
+                sid = self.successor(key)  # may grow self.ids
+                self.ids[key] = sid
+            ids = self.ids.take(keys)
+        return ids
+
+
+class _Cdfs:
+    """The outcome distribution of each sampling key over ``length``
+    outcomes, filled on its first miss from :func:`cumulative` of
+    ``probabilities(key)``.
+
+    A row keeps only the steps of its cdf, the entries above the one
+    before: ``width`` of them (-1 for a row not yet filled), their values
+    in the columns of ``step`` padded with ``+inf``, and in ``inc`` the
+    distance from each step's index to the next one's, the last step
+    counting to ``length - 1``.  ``first`` is the index of the first step,
+    or ``length - 1`` for a row without one.
+    """
+
+    def __init__(
+        self, length: int, rows: int, probabilities: Callable[[int], np.ndarray]
+    ) -> None:
+        self.length = length
+        self.probabilities = probabilities
+        self.width = np.full(rows, -1, dtype=_CODE)
+        self.first = np.zeros(rows, dtype=_CODE)
+        self.step = np.full((length, rows), np.inf)
+        self.inc = np.zeros((length, rows), dtype=_CODE)
+        self.total = np.zeros(rows)
+
+    def grow(self, rows: int) -> None:
+        self.width = _grown(self.width, rows, -1)
+        self.first = _grown(self.first, rows, 0)
+        self.step = _grown(self.step, rows, np.inf)
+        self.inc = _grown(self.inc, rows, 0)
+        self.total = _grown(self.total, rows, 0.0)
+
+    def _fill(self, key: int) -> None:
+        cdf = cumulative(self.probabilities(key))
+        at = [i for i, (c, before) in enumerate(zip(cdf, (0.0, *cdf))) if c > before]
+        last = self.length - 1
+        self.first[key] = at[0] if at else last
+        self.step[: len(at), key] = [cdf[i] for i in at]
+        self.inc[: len(at), key] = [b - a for a, b in zip(at, [*at[1:], last])]
+        self.total[key] = cdf[-1]
+        self.width[key] = len(at)
+
+    def fill(self, keys: np.ndarray) -> np.ndarray:
+        """Fill the rows of ``keys`` not yet filled; returns their widths."""
+        width = self.width.take(keys)
+        if (width < 0).any():
+            for key in _missing(keys, width):
+                self._fill(key)
+            width = self.width.take(keys)
+        return width
+
+    def sample(self, keys: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF index of each draw under the cdf of its key.
+
+        Equals :func:`inverse_cdf` per key, the clamped ``searchsorted``
+        index of ``x = u * total``: every entry before the first step is
+        0, at most ``x``, and every other entry equals the step at or
+        before it, so that index is the first step above ``x``, or
+        ``length - 1`` when none is.  The steps rise strictly, so the
+        increments of the steps at or below ``x`` add up to it.
+        """
+        if not len(keys):
+            return np.zeros(0, dtype=_CODE)
+        width = self.fill(keys)
+        x = u * self.total.take(keys)
+        k = self.first.take(keys)
+        for c in range(width.max()):
+            k += (self.step[c].take(keys) <= x) * self.inc[c].take(keys)
+        return k
+
+
 class StateAlphabet:
     """Every pair state the sessions reach, interned by exact amplitudes,
-    with the outcome tables of each state filled in on first use.
+    with dense tables of what each state leads to.
 
-    Each entry is computed by the scalar function the single-item samplers
-    use, so a lookup gives the very floats a direct call would.  Entries
-    depend only on the amplitudes, so one table serves every session.
-    Bases are indices into ``tuple(PolBasis)`` and operations into
-    ``tuple(Pauli)``; the ``*_cdf`` entries are :func:`cumulative` tables.
+    The tables are indexed by sampling key: ``prepared[op_b]``,
+    ``encoded[4 * id + op_a]``, and per photon ``partial[photon][2 * id +
+    basis]`` and ``collapsed[photon][4 * (2 * id + basis) + k]`` for
+    outcome ``k``; ``device[id]``, ``wc[4 * id + 2 * basis_a + basis_b]``,
+    and for a check photon with :class:`DecoyBatch` state id ``local_id``,
+    ``local[2 * local_id + basis]``.  Bases index ``tuple(PolBasis)`` and
+    operations ``tuple(Pauli)``.  Each entry is filled on first use by the
+    scalar function the single-item samplers use, so a lookup gives the
+    very floats a direct call would.  Entries depend only on the
+    amplitudes, so one table serves every session.
     """
 
     def __init__(self) -> None:
         self.states: list[JointState] = []
         self._ids: dict[bytes, int] = {}
+        self._capacity = 0  # ids the growing tables hold rows for
+        at = self.states.__getitem__
+        self.prepared = _Transitions(
+            len(_PAULIS),
+            lambda op: self.intern(apply_local(_PAULIS[op], Photon.B, _PSI_PLUS)),
+        )
+        self.encoded = _Transitions(
+            0,
+            lambda key: self.intern(
+                apply_local(_PAULIS[key & 3], Photon.A, at(key >> 2))
+            ),
+        )
+        self.collapsed = {
+            photon: _Transitions(
+                0,
+                lambda key, photon=photon: self.intern(
+                    partial_collapse(
+                        at(key >> 3), photon, _BASES[(key >> 2) & 1], key & 3
+                    )
+                ),
+            )
+            for photon in Photon
+        }
+        self.partial = {
+            photon: _Cdfs(
+                4,
+                0,
+                lambda key, photon=photon: partial_probabilities(
+                    at(key >> 1), photon, _BASES[key & 1]
+                ),
+            )
+            for photon in Photon
+        }
+        self.device = _Cdfs(
+            len(device_outcomes()), 0, lambda sid: device_probabilities(at(sid))
+        )
+        # A state the converters annihilate raises StateError on its fill.
+        self.wc = _Cdfs(
+            4,
+            0,
+            lambda key: _wc_probabilities(
+                wavelength_convert_global(at(key >> 2)), (key >> 1) & 1, key & 1
+            ),
+        )
+        self.local = _Cdfs(
+            4,
+            2 * 4 * len(_BASES),
+            lambda key: local_probabilities(
+                LocalState(LOCAL_BASIS[_BASES[key >> 3]][(key >> 1) & 3]),
+                _BASES[key & 1],
+            ),
+        )
+        self._growing = {
+            self.encoded: 4,
+            **{table: 8 for table in self.collapsed.values()},
+            **{table: 2 for table in self.partial.values()},
+            self.device: 1,
+            self.wc: 4,
+        }  # rows per id of each table that grows with the alphabet
 
     def __len__(self) -> int:
         return len(self.states)
@@ -390,54 +556,13 @@ class StateAlphabet:
                     f"more than {_MAX_STATE_ID + 1} pair states: a sampling key "
                     f"built from a state id would overflow {np.dtype(_STATE)}"
                 )
+            if len(self.states) == self._capacity:
+                self._capacity = min(max(2 * self._capacity, 16), _MAX_STATE_ID + 1)
+                for table, per_id in self._growing.items():
+                    table.grow(per_id * self._capacity)
             sid = self._ids[key] = len(self.states)
             self.states.append(state)
         return sid
-
-    # The alphabet lives as long as the process, so caching on the
-    # instance holds nothing longer than it would be held anyway.
-    @cache
-    def prepared(self, op_b: int) -> int:
-        """Id of a fresh PSI+ pair after the photon-b operation."""
-        return self.intern(apply_local(_PAULIS[op_b], Photon.B, _PSI_PLUS))
-
-    @cache
-    def encoded(self, sid: int, op_a: int) -> int:
-        """Id of a pair after the photon-a operation."""
-        return self.intern(apply_local(_PAULIS[op_a], Photon.A, self.states[sid]))
-
-    @cache
-    def partial_cdf(self, sid: int, photon: Photon, basis: int) -> tuple[float, ...]:
-        state = self.states[sid]
-        return cumulative(partial_probabilities(state, photon, _BASES[basis]))
-
-    @cache
-    def collapsed(self, sid: int, photon: Photon, basis: int, k: int) -> int:
-        """Id of a pair after outcome ``k`` on one of its photons."""
-        state = self.states[sid]
-        return self.intern(partial_collapse(state, photon, _BASES[basis], k))
-
-    @cache
-    def device_cdf(self, sid: int) -> tuple[float, ...]:
-        return cumulative(device_probabilities(self.states[sid]))
-
-    @cache
-    def converted(self, sid: int) -> np.ndarray:
-        """Converted polarization amplitudes; raises :class:`StateError`
-        for a state the converters annihilate."""
-        return wavelength_convert_global(self.states[sid])
-
-    @cache
-    def wc_cdf(self, sid: int, basis_a: int, basis_b: int) -> tuple[float, ...]:
-        return cumulative(_wc_probabilities(self.converted(sid), basis_a, basis_b))
-
-    @cache
-    def local_cdf(self, local_id: int, basis: int) -> tuple[float, ...]:
-        """Outcome cdf of a check photon with :class:`DecoyBatch` state id
-        ``local_id``."""
-        row_basis, k = divmod(local_id, 4)
-        photon = LocalState(LOCAL_BASIS[_BASES[row_basis]][k])
-        return cumulative(local_probabilities(photon, _BASES[basis]))
 
 
 #: The state table shared by every session of the process.
@@ -447,41 +572,6 @@ ALPHABET = StateAlphabet()
 def _randints(u: np.ndarray, n: int) -> np.ndarray:
     """:meth:`SeededGenerator.randint` of each draw."""
     return np.minimum((u * n).astype(_CODE), n - 1)
-
-
-def _distinct(keys: np.ndarray) -> list[int]:
-    return np.flatnonzero(np.bincount(keys)).tolist()
-
-
-def _per_key(keys: np.ndarray, fn: Callable[[int], int]) -> np.ndarray:
-    """The state id ``fn`` of each entry of a small non-negative integer
-    array, evaluated once per distinct value."""
-    table = np.zeros(int(keys.max()) + 1 if len(keys) else 0, dtype=_STATE)
-    for key in _distinct(keys):
-        table[key] = fn(key)
-    return table.take(keys)
-
-
-def _sample(
-    keys: np.ndarray, u: np.ndarray, cdf_of: Callable[[int], tuple[float, ...]]
-) -> np.ndarray:
-    """Inverse-CDF index of each draw under the cdf of its item's key.
-
-    Equals :func:`inverse_cdf` per key: a cdf never decreases, so the
-    clamped ``searchsorted`` index of ``x = u * cdf[-1]`` is the count of
-    the first ``L - 1`` entries that are ``<= x``.  The count runs one
-    column of the call's table at a time, whatever the number of keys.
-    """
-    if not len(keys):
-        return np.zeros(0, dtype=_CODE)
-    present = np.bincount(keys) > 0
-    table = np.array([cdf_of(key) for key in np.flatnonzero(present).tolist()])
-    row = (np.cumsum(present) - 1).take(keys)
-    x = u * table[row, -1]
-    k = np.zeros(len(keys), dtype=_CODE)
-    for column in table[:, :-1].T:
-        k += column[row] <= x
-    return k
 
 
 def _basis_coins(u: np.ndarray) -> np.ndarray:
@@ -522,11 +612,8 @@ def _intercept_pairs(
 ) -> None:
     """Measure one photon of each pair ``idx`` and resend the eigenstate."""
     keys = 2 * pairs.state[idx] + basis
-    k = _sample(keys, u, lambda key: ALPHABET.partial_cdf(key >> 1, photon, key & 1))
-    pairs.state[idx] = _per_key(
-        4 * keys + k,
-        lambda key: ALPHABET.collapsed(key >> 3, photon, (key >> 2) & 1, key & 3),
-    )
+    k = ALPHABET.partial[photon].sample(keys, u)
+    pairs.state[idx] = ALPHABET.collapsed[photon](4 * keys + k)
     if photon is Photon.B:
         pairs.eve_b_basis[idx], pairs.eve_b_outcome[idx] = basis, k
     else:
@@ -547,7 +634,7 @@ def step1_prepare_and_encode(n: int, gens: Sequence[SeededGenerator]) -> PairBat
         choice=choice,
         op_a=op_a,
         op_b=op_b,
-        state=_per_key(op_b, ALPHABET.prepared),
+        state=ALPHABET.prepared(op_b),
         b_delivered=np.ones(size, dtype=bool),
         a_delivered=np.ones(size, dtype=bool),
         checked=np.zeros(size, dtype=bool),
@@ -630,8 +717,7 @@ def transmit_b(
     hit = np.flatnonzero(decoys.delivered)
     rows = row[decoys.position[hit]]
     basis, u = basis[rows], u[rows]
-    keys = 2 * decoys.state[hit] + basis
-    k = _sample(keys, u, lambda key: ALPHABET.local_cdf(key >> 1, key & 1))
+    k = ALPHABET.local.sample(2 * decoys.state[hit] + basis, u)
     decoys.eve_basis[hit], decoys.eve_outcome[hit] = basis, k
     decoys.state[hit] = 4 * basis + k
 
@@ -774,11 +860,7 @@ def decoy_check(
     sizes = _tally(decoys.delivered, decoys.sizes)
     u = _draw(gens, sizes, 2)
     basis = _basis_coins(u[:, 0])
-    k = _sample(
-        2 * decoys.state[idx] + basis,
-        u[:, 1],
-        lambda key: ALPHABET.local_cdf(key >> 1, key & 1),
-    )
+    k = ALPHABET.local.sample(2 * decoys.state[idx] + basis, u[:, 1])
     decoys.bob_basis[idx], decoys.bob_outcome[idx] = basis, k
     _post(
         t,
@@ -879,17 +961,12 @@ def wc_check(
     )
     pairs.checked[sampled] = True
     ids = pairs.state[sampled]
-    for sid in _distinct(ids):
-        ALPHABET.converted(sid)  # a state the converters annihilate raises here
+    ALPHABET.wc.fill(4 * ids)  # a state the converters annihilate raises here
     sizes = _tally(sampling, sizes)
     u = _draw(gens, sizes, 3)
     basis_a = _basis_coins(u[:, 0])
     basis_b = _basis_coins(u[:, 1])
-    k = _sample(
-        4 * ids + 2 * basis_a + basis_b,
-        u[:, 2],
-        lambda key: ALPHABET.wc_cdf(key >> 2, (key >> 1) & 1, key & 1),
-    )
+    k = ALPHABET.wc.sample(4 * ids + 2 * basis_a + basis_b, u[:, 2])
     _post(
         t,
         "both",
@@ -928,9 +1005,8 @@ def step4_encode_a(pairs: PairBatch) -> np.ndarray:
     """Apply the photon-a operation, completing each stored codeword;
     returns the indices of those active pairs."""
     active = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
-    pairs.state[active] = _per_key(
-        4 * pairs.state[active] + pairs.op_a[active],
-        lambda key: ALPHABET.encoded(key >> 2, key & 3),
+    pairs.state[active] = ALPHABET.encoded(
+        4 * pairs.state[active] + pairs.op_a[active]
     )
     return active
 
@@ -962,9 +1038,7 @@ def step5_decode_and_sift(
     surviving pairs."""
     survivors = np.flatnonzero(pairs.surviving)
     sizes = _sizes(pairs, survivors, len(gens))
-    outcome = _sample(
-        pairs.state[survivors], _draw(gens, sizes)[:, 0], ALPHABET.device_cdf
-    )
+    outcome = ALPHABET.device.sample(pairs.state[survivors], _draw(gens, sizes)[:, 0])
     pairs.decoded[survivors] = _DECODED.take(outcome)
     _post(
         transcript,

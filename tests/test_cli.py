@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -496,3 +500,27 @@ def test_rejected_settings_leave_an_existing_output_file_untouched(capsys, tmp_p
     )
     assert code == 2
     assert target.read_text() == "earlier results\n"
+
+
+def test_a_run_and_a_sweep_leave_numpy_ma_unimported():
+    # numpy loads numpy.ma on first use of some functions (np.unique among
+    # them), at several milliseconds of start-up; no session needs it
+    script = """
+import sys
+from depqkd.cli import main
+assert main(["run", "--pairs", "100", "--check", "both", "--eve", "ir-random",
+             "--eve-targets", "both", "--threshold", "0.9"]) == 0
+assert main(["sweep", "--param", "loss", "--values", "0,0.2", "--pairs", "100",
+             "--check", "both", "--eve", "ir-z", "--eve-targets", "a"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "False"

@@ -37,9 +37,10 @@ from depqkd import (
 from depqkd.protocol import (
     ALPHABET,
     StateAlphabet,
+    _Cdfs,
     _channel,
-    _sample,
     _smallest,
+    _wc_probabilities,
     decoy_check,
     insert_decoys,
     step1_prepare_and_encode,
@@ -48,7 +49,16 @@ from depqkd.protocol import (
     transmit_b,
     wc_check,
 )
-from depqkd.quantum import cumulative, inverse_cdf
+from depqkd.device import device_probabilities, wavelength_convert_global
+from depqkd.quantum import (
+    apply_local,
+    cumulative,
+    inverse_cdf,
+    local_probabilities,
+    partial_collapse,
+    partial_probabilities,
+)
+from depqkd.states import DepLabel, dep_basis
 
 # Exact per-check error rates of an intercept-resend attack on photon b,
 # frozen from the outcome-tree enumeration in oracles.py.
@@ -67,6 +77,7 @@ EVE_CODEWORD_MI = {"Z": 1.0, "X": 0.0, "RANDOM": 0.5}
 CHI2_7_CRIT = 18.475
 
 BASES = tuple(PolBasis)
+PAULIS = tuple(Pauli)
 
 
 def prepared(n, seed):
@@ -307,15 +318,18 @@ def reference_transmit_b(pairs, decoys, is_decoy, channel, seeds):
                 )
             u = np.array([g.uniform()])
             if on_decoy:
-                cdf = ALPHABET.local_cdf(int(decoys.state[i]), basis)
-                k = int(inverse_cdf(cdf, u)[0])
+                p = local_probabilities(decoy_state(decoys, i), BASES[basis])
+                k = int(inverse_cdf(cumulative(p), u)[0])
                 decoys.eve_basis[i], decoys.eve_outcome[i] = basis, k
                 decoys.state[i] = 4 * basis + k
             else:
-                sid = int(pairs.state[i])
-                k = int(inverse_cdf(ALPHABET.partial_cdf(sid, Photon.B, basis), u)[0])
+                state = pair_state(pairs, i)
+                p = partial_probabilities(state, Photon.B, BASES[basis])
+                k = int(inverse_cdf(cumulative(p), u)[0])
                 pairs.eve_b_basis[i], pairs.eve_b_outcome[i] = basis, k
-                pairs.state[i] = ALPHABET.collapsed(sid, Photon.B, basis, k)
+                pairs.state[i] = ALPHABET.intern(
+                    partial_collapse(state, Photon.B, BASES[basis], k)
+                )
     return gens
 
 
@@ -364,6 +378,12 @@ def reference_sample(keys, u, cdf_of):
     return k
 
 
+def table_of(rows):
+    """A table of outcome cdfs over the probability rows ``rows[key]``."""
+    length = len(next(iter(rows.values())))
+    return _Cdfs(length, max(rows) + 1, rows.__getitem__)
+
+
 def test_sample_matches_a_per_key_inverse_cdf():
     rng = np.random.default_rng(17)
     for trial in range(3000):
@@ -380,11 +400,49 @@ def test_sample_matches_a_per_key_inverse_cdf():
         keys = rng.choice(key_values, size=n)
         u = rng.random(n)
         u[rng.random(n) < 0.05] = 0.0
-        got = _sample(keys, u, cdf_of)
+        got = table_of(dict(zip(key_values.tolist(), p))).sample(keys, u)
         assert got.dtype == np.int8
         assert got.tolist() == reference_sample(keys, u, cdf_of).tolist()
-    empty = _sample(np.zeros(0, dtype=np.int64), np.zeros(0), cdf_of)
+    empty = table_of({0: p[0]}).sample(np.zeros(0, dtype=np.int64), np.zeros(0))
     assert empty.dtype == np.int8 and empty.shape == (0,)
+
+    # draws on the boundaries: u at step / total, its neighbours, and the
+    # largest draw, 1 - 2**-53, on rows whose last outcomes have probability
+    # zero; a subnormal total makes u * total round up to the total, where
+    # the index clamps to the last outcome
+    top = 1 - 2.0**-53
+    rows = [
+        [0.25, 0.0, 0.25, 0.5],
+        [0.5, 0.5, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [1e-320, 0.0, 0.0, 0.0],
+        [0.0, 3e-320, 1e-320, 0.0],
+        *np.abs(rng.normal(size=(20, 4))) ** 2 * (rng.random((20, 4)) < 0.7),
+    ]
+    wide = [row + [0.0] * 12 for row in rows[:6]] + [
+        [0.125] * 8 + [0.0] * 8,
+        *np.abs(rng.normal(size=(20, 16))) ** 2 * (rng.random((20, 16)) < 0.3),
+    ]
+    for table_rows in (rows, wide):
+        rows_of = dict(enumerate(np.asarray(table_rows, dtype=float)))
+        cdf_of = {key: cumulative(p) for key, p in rows_of.items()}.__getitem__
+        keys, u = [], []
+        for key in rows_of:
+            cdf = np.array(cdf_of(key))
+            at = cdf[cdf > 0] / cdf[-1] if cdf[-1] else np.zeros(0)
+            draws = np.concatenate(
+                [at, np.nextafter(at, 0), np.nextafter(at, 1), [0.0, top]]
+            )
+            draws = np.minimum(draws, top)
+            keys += [key] * len(draws)
+            u.append(draws)
+        keys, u = np.array(keys, dtype=np.int16), np.concatenate(u)
+        got = table_of(rows_of).sample(keys, u)
+        assert got.tolist() == reference_sample(keys, u, cdf_of).tolist()
+    # the clamp: u * total reaches the total and the index is the last one
+    clamped = table_of({0: np.array([1e-320, 0.0, 0.0, 0.0])})
+    assert clamped.sample(np.zeros(1, dtype=np.int16), np.array([top])).tolist() == [3]
 
 
 def test_decoy_check_clean_channel_reports_zero_error():
@@ -736,8 +794,8 @@ def test_state_alphabet_refuses_an_id_that_would_overflow_a_sampling_key():
     assert alphabet.intern(states[17]) == 17  # known states still resolve
 
 
-def test_state_alphabet_stays_small_and_normalized():
-    # every pair state a session can reach is one of a small set
+def run_every_setting():
+    """One session of each check x attacker x target, at loss 0.2."""
     for check in CheckStrategy:
         for strategy in (None, *EveStrategy):
             for target in EveTarget if strategy else (EveTarget.B,):
@@ -750,5 +808,73 @@ def test_state_alphabet_stays_small_and_normalized():
                         channel=ChannelConfig(loss_probability=0.2, eve=eve),
                     )
                 )
+
+
+def test_state_alphabet_stays_small_and_normalized():
+    # every pair state a session can reach is one of a small set
+    run_every_setting()
     assert len(ALPHABET) <= 128
     assert all(state.is_normalized() for state in ALPHABET.states)
+
+
+def rebuilt_cdf(table, key):
+    """The cdf of one filled row of a :class:`_Cdfs`, from its steps."""
+    cdf = np.zeros(table.length)
+    at = int(table.first[key])
+    for c in range(table.width[key]):
+        cdf[at:] = table.step[c, key]
+        at += int(table.inc[c, key])
+    assert at == table.length - 1  # the last step counts to the last index
+    return cdf
+
+
+def test_alphabet_tables_match_the_scalar_functions():
+    run_every_setting()
+    states = ALPHABET.states
+    local = [LocalState(LOCAL_BASIS[basis][k]) for basis in BASES for k in range(4)]
+    scalar = {
+        **{
+            ALPHABET.partial[photon]: lambda key, photon=photon: partial_probabilities(
+                states[key >> 1], photon, BASES[key & 1]
+            )
+            for photon in Photon
+        },
+        ALPHABET.device: lambda sid: device_probabilities(states[sid]),
+        ALPHABET.wc: lambda key: _wc_probabilities(
+            wavelength_convert_global(states[key >> 2]), (key >> 1) & 1, key & 1
+        ),
+        ALPHABET.local: lambda key: local_probabilities(
+            local[key >> 1], BASES[key & 1]
+        ),
+    }
+    for table, probabilities in scalar.items():
+        filled = np.flatnonzero(table.width >= 0).tolist()
+        assert filled
+        for key in filled:
+            expected = np.array(cumulative(probabilities(key)))
+            assert rebuilt_cdf(table, key).tobytes() == expected.tobytes()
+            assert table.total[key] == expected[-1]
+            width = table.width[key]
+            assert np.all(np.diff(table.step[:width, key]) > 0)
+            assert np.all(table.step[width:, key] == np.inf)
+            assert not table.inc[width:, key].any()
+    source = dep_basis(DepLabel.PSI_PLUS)
+    successors = {
+        ALPHABET.prepared: lambda op: apply_local(PAULIS[op], Photon.B, source),
+        ALPHABET.encoded: lambda key: apply_local(
+            PAULIS[key & 3], Photon.A, states[key >> 2]
+        ),
+        **{
+            ALPHABET.collapsed[photon]: lambda key, photon=photon: partial_collapse(
+                states[key >> 3], photon, BASES[(key >> 2) & 1], key & 3
+            )
+            for photon in Photon
+        },
+    }
+    known = len(ALPHABET)
+    for table, successor in successors.items():
+        filled = np.flatnonzero(table.ids >= 0).tolist()
+        assert filled
+        for key in filled:
+            assert table.ids[key] == ALPHABET.intern(successor(key))
+    assert len(ALPHABET) == known  # every successor was already interned
