@@ -27,6 +27,7 @@ session's draws do not depend on the sessions beside it.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -51,6 +52,7 @@ from .quantum import (
     SeededGenerator,
     apply_local,
     cumulative,
+    doubles,
     local_probabilities,
     partial_collapse,
     partial_probabilities,
@@ -245,13 +247,34 @@ def _streams(seeds: Sequence[int], stream: int) -> list[SeededGenerator]:
 def _draw(
     gens: Sequence[SeededGenerator], sizes: Sequence[int], width: int = 1
 ) -> np.ndarray:
-    """``sizes[s]`` rows of ``width`` doubles from each ``gens[s]``, in
-    session order; a batch of one makes a single call and no copy."""
+    """``sizes[s]`` rows of ``width`` words from each ``gens[s]``, in
+    session order; a batch of one makes a single call and no copy.
+
+    A word stands for the double ``u`` that :func:`~depqkd.quantum.doubles`
+    makes of it.  :func:`_coins`, :func:`_basis_coins` and :func:`_randints`
+    decide on the word as an integer, with the outcome ``u`` would give;
+    only the draws an inverse cdf reads become doubles.
+    """
     if len(gens) == 1:
-        u = gens[0].uniforms(sizes[0] * width)
+        w = gens[0].words(sizes[0] * width)
     else:
-        u = np.concatenate([g.uniforms(m * width) for g, m in zip(gens, sizes)])
-    return u.reshape(-1, width)
+        w = np.concatenate([g.words(m * width) for g, m in zip(gens, sizes)])
+    return w.reshape(-1, width)
+
+
+def _coins(
+    gens: Sequence[SeededGenerator], sizes: Sequence[int], p: float
+) -> np.ndarray:
+    """A coin ``u < p`` per item, ``sizes[s]`` of them from each ``gens[s]``
+    in session order.  A ``p`` of 0 or 1 decides every coin, so its words
+    are skipped, not drawn."""
+    if 0.0 < p < 1.0:
+        # u < p holds for k = w >> 11 exactly when k < ceil(p * 2**53),
+        # which is at most 2**53 - 1, so the shifted bound fits 64 bits
+        return _draw(gens, sizes)[:, 0] < np.uint64(math.ceil(p * 2**53) << 11)
+    for g, m in zip(gens, sizes):
+        g.skip(m)
+    return np.full(sum(sizes), p >= 1.0)
 
 
 def _tally(mask: np.ndarray, sizes: Sequence[int]) -> list[int]:
@@ -569,14 +592,24 @@ class StateAlphabet:
 ALPHABET = StateAlphabet()
 
 
-def _randints(u: np.ndarray, n: int) -> np.ndarray:
-    """:meth:`SeededGenerator.randint` of each draw."""
-    return np.minimum((u * n).astype(_CODE), n - 1)
+def _randints(w: np.ndarray, n: int) -> np.ndarray:
+    """:meth:`SeededGenerator.randint` ``(n)`` of each word's double, for
+    ``n`` a power of two from 2: ``floor(u * n)`` is the word's top
+    ``log2 n`` bits."""
+    bits = n.bit_length() - 1
+    if n < 2 or n != 1 << bits:
+        raise ValueError(f"_randints needs a power of two from 2, got {n}")
+    return (w >> (64 - bits)).astype(_CODE)
 
 
-def _basis_coins(u: np.ndarray) -> np.ndarray:
-    """Basis index of each fair coin: H/V on heads (``u < 0.5``)."""
-    return (~(u < 0.5)).astype(_CODE)
+_TOP_BIT = np.uint64(1 << 63)
+
+
+def _basis_coins(w: np.ndarray) -> np.ndarray:
+    """Basis index of each fair coin, the word's top bit ``w >> 63``: H/V
+    on heads (``u < 0.5``).  The top bit is tested as ``w >= 2**63``,
+    whose bools are read as their 0/1 bytes with no cast."""
+    return (w >= _TOP_BIT).view(_CODE)
 
 
 def _channel(
@@ -594,16 +627,16 @@ def _channel(
     for an attacked transmission, the attacker's basis and measurement
     draw per delivered photon.
     """
-    delivered = ~(_draw(gens, sizes)[:, 0] < channel.loss_probability)
+    delivered = ~_coins(gens, sizes, channel.loss_probability)
     eve = channel.eve
     if eve is None or not eve.target.covers(photon):
         return delivered, None, None
     m = _tally(delivered, sizes)
     if eve.strategy is EveStrategy.RANDOM_ZX:
-        u = _draw(gens, m, 2)
-        return delivered, _basis_coins(u[:, 0]), u[:, 1]
+        w = _draw(gens, m, 2)
+        return delivered, _basis_coins(w[:, 0]), doubles(w[:, 1])
     fixed = PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
-    u = _draw(gens, m)[:, 0]
+    u = doubles(_draw(gens, m)[:, 0])
     return delivered, np.full(len(u), _BASES.index(fixed), dtype=_CODE), u
 
 
@@ -624,10 +657,10 @@ def step1_prepare_and_encode(n: int, gens: Sequence[SeededGenerator]) -> PairBat
     """Draw a codeword for each of the ``n`` pairs of every session, pick
     one of its two operation pairs, and apply the photon-b operation to a
     fresh PSI+ pair."""
-    u = _draw(gens, [n] * len(gens), 2)
-    size = len(u)
-    codeword = _randints(u[:, 0], 8)
-    choice = _randints(u[:, 1], 2)
+    w = _draw(gens, [n] * len(gens), 2)
+    size = len(w)
+    codeword = _randints(w[:, 0], 8)
+    choice = _randints(w[:, 1], 2)
     op_a, op_b = _CHOICE_OPS.take(2 * codeword + choice, axis=1)
     return PairBatch(
         codeword=codeword,
@@ -669,21 +702,22 @@ def insert_decoys(
     """
     t = len(gens)
     n = len(pairs) // t
-    count = _tally(_draw(gens, [n] * t)[:, 0] < decoy_fraction, [n] * t)
+    count = _tally(_coins(gens, [n] * t, decoy_fraction), [n] * t)
     # The slots of the ``count`` smallest of ``n + count`` uniform keys hold
-    # a session's decoys; a session without decoys draws no keys.
+    # a session's decoys; a session without decoys draws no keys.  A key is
+    # a word's top 53 bits, which order and tie like its double.
     is_decoy = np.concatenate(
         [
-            _smallest(g.uniforms(n + c), c) if c else np.zeros(n, dtype=bool)
+            _smallest(g.words(n + c) >> 11, c) if c else np.zeros(n, dtype=bool)
             for g, c in zip(gens, count)
         ]
     )
-    u = _draw(gens, count, 2)
+    w = _draw(gens, count, 2)
     decoys = _decoy_batch(
         count,
         np.flatnonzero(is_decoy),
-        _randints(u[:, 0], 2),
-        _randints(u[:, 1], 4),
+        _randints(w[:, 0], 2),
+        _randints(w[:, 1], 4),
     )
     return is_decoy, decoys
 
@@ -858,9 +892,9 @@ def decoy_check(
     )
     idx = np.flatnonzero(decoys.delivered)
     sizes = _tally(decoys.delivered, decoys.sizes)
-    u = _draw(gens, sizes, 2)
-    basis = _basis_coins(u[:, 0])
-    k = ALPHABET.local.sample(2 * decoys.state[idx] + basis, u[:, 1])
+    w = _draw(gens, sizes, 2)
+    basis = _basis_coins(w[:, 0])
+    k = ALPHABET.local.sample(2 * decoys.state[idx] + basis, doubles(w[:, 1]))
     decoys.bob_basis[idx], decoys.bob_outcome[idx] = basis, k
     _post(
         t,
@@ -951,7 +985,7 @@ def wc_check(
     t = transcript
     eligible = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
     sizes = _sizes(pairs, eligible, len(gens))
-    sampling = _draw(gens, sizes)[:, 0] < sample_fraction
+    sampling = _coins(gens, sizes, sample_fraction)
     sampled = eligible[sampling]
     _post(
         t,
@@ -963,10 +997,10 @@ def wc_check(
     ids = pairs.state[sampled]
     ALPHABET.wc.fill(4 * ids)  # a state the converters annihilate raises here
     sizes = _tally(sampling, sizes)
-    u = _draw(gens, sizes, 3)
-    basis_a = _basis_coins(u[:, 0])
-    basis_b = _basis_coins(u[:, 1])
-    k = ALPHABET.wc.sample(4 * ids + 2 * basis_a + basis_b, u[:, 2])
+    w = _draw(gens, sizes, 3)
+    basis_a = _basis_coins(w[:, 0])
+    basis_b = _basis_coins(w[:, 1])
+    k = ALPHABET.wc.sample(4 * ids + 2 * basis_a + basis_b, doubles(w[:, 2]))
     _post(
         t,
         "both",
@@ -1038,7 +1072,8 @@ def step5_decode_and_sift(
     surviving pairs."""
     survivors = np.flatnonzero(pairs.surviving)
     sizes = _sizes(pairs, survivors, len(gens))
-    outcome = ALPHABET.device.sample(pairs.state[survivors], _draw(gens, sizes)[:, 0])
+    u = doubles(_draw(gens, sizes)[:, 0])
+    outcome = ALPHABET.device.sample(pairs.state[survivors], u)
     pairs.decoded[survivors] = _DECODED.take(outcome)
     _post(
         transcript,

@@ -231,6 +231,12 @@ def inverse_cdf(cdf, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
 
 
+def doubles(words: np.ndarray) -> np.ndarray:
+    """The double in [0, 1) made of each 64-bit word: its top 53 bits
+    times 2**-53, the formula of numpy's ``Generator.random``."""
+    return (words >> 11) * 2.0**-53
+
+
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
     """Hands Philox its ``[seed, stream]`` key as the seed state: the
     generator of ``Philox(key=...)``, without the ``SeedSequence`` of fresh
@@ -248,29 +254,71 @@ class SeededGenerator:
 
     Built on a counter-based Philox generator, so distinct stream indices
     give statistically independent sequences and the outputs depend only on
-    (seed, stream, call order), never on platform or process state.  All
-    sampling helpers reduce to uniform doubles, keeping the draw sequence
-    stable across library versions.
+    (seed, stream, call order), never on platform or process state.  The
+    stream is a sequence of 64-bit words (:meth:`words`); a double is the
+    top 53 bits of one word, exactly as numpy's ``Generator.random`` makes
+    it, and every sampling helper reduces to doubles.  :meth:`skip` steps
+    past words without generating them, and a stream that is only ever
+    skipped never builds its Philox.
     """
 
-    __slots__ = ("seed", "stream", "_gen")
+    __slots__ = ("seed", "stream", "_bits", "_drawn", "_skipped")
 
     _MASK = (1 << 64) - 1
 
     def __init__(self, seed: int, stream: int = 0) -> None:
         self.seed = int(seed) & self._MASK
         self.stream = int(stream) & self._MASK
-        key = _PhiloxKey(np.array([self.seed, self.stream], dtype=np.uint64))
-        self._gen = np.random.Generator(np.random.Philox(key))
+        self._bits: np.random.Philox | None = None
+        self._drawn = 0  # words the Philox has given out or stepped past
+        self._skipped = 0  # words skipped but not yet stepped past
+
+    def _philox(self) -> np.random.Philox:
+        """The stream's Philox, built on first use and moved past the
+        skipped words.
+
+        Philox makes four words per counter value and ``advance`` moves the
+        counter, emptying its four-word buffer.  So the words left in the
+        current block are drawn and discarded first, then whole blocks are
+        advanced over, then the remainder is drawn and discarded.
+        """
+        bits = self._bits
+        if bits is None:
+            key = _PhiloxKey(np.array([self.seed, self.stream], dtype=np.uint64))
+            bits = self._bits = np.random.Philox(key)
+        skip, self._skipped = self._skipped, 0
+        head = min(-self._drawn % 4, skip)
+        blocks, tail = divmod(skip - head, 4)
+        if head:
+            bits.random_raw(head)
+        if blocks:
+            bits.advance(blocks)
+        if tail:
+            bits.random_raw(tail)
+        self._drawn += skip
+        return bits
+
+    def words(self, n: int) -> np.ndarray:
+        """The next ``n`` words of the stream, as ``uint64``."""
+        bits = self._bits
+        if bits is None or self._skipped:
+            bits = self._philox()
+        self._drawn += n
+        return bits.random_raw(n)
+
+    def skip(self, n: int) -> None:
+        """Step past the next ``n`` words: the next draw starts where it
+        would after drawing and discarding them."""
+        self._skipped += n
 
     def uniform(self) -> float:
         """One double in [0, 1)."""
-        return float(self._gen.random())
+        return float(self.uniforms(1)[0])
 
     def uniforms(self, n: int) -> np.ndarray:
-        """``n`` doubles in [0, 1); consumes the same draws as ``n`` calls
-        of :meth:`uniform`."""
-        return self._gen.random(n)
+        """``n`` doubles in [0, 1), one word each; consumes the same words
+        as ``n`` calls of :meth:`uniform`."""
+        return doubles(self.words(n))
 
     def coin(self, p: float) -> bool:
         """True with probability ``p``."""

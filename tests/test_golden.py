@@ -63,6 +63,16 @@ CASES.update({
         "--decoy-fraction", "0.15", "--threshold", "0.3",
         "--sample-fraction", "0.3", "--seed", "6",
     ),
+    # loss 0 and 1 and a sample fraction of 1 decide every loss and sampling
+    # coin, under an attack on both photons: the attack rows and the
+    # converter draws follow the decided coins on the same streams, at block
+    # sizes that are not multiples of four
+    "decided-coins": (
+        "sweep", "--param", "loss", "--values", "0,1", "--check", "both",
+        "--sample-fraction", "1", "--decoy-fraction", "0.3", "--threshold", "0.6",
+        "--eve", "ir-random", "--eve-targets", "both", "--pairs", "97",
+        "--trials", "3", "--seed", "9",
+    ),
 })
 
 GOLDEN = {
@@ -78,6 +88,14 @@ GOLDEN = {
         "f8d2988e52d434b43063e674f409a714599a2f7d26dd0ed2bca6557efde2f954",
         "caf58c4fb950d14e891ca13b21c4ecff98992afb18130179263eb2aef003723c",
         "f522110ad7e9f79ac370f965d3881351b9efa3cfa209d5d0a52b64613f232b53",
+    ],
+    "decided-coins": [
+        "e90c806a0c8ab12396484935ff57602018e7bf3f71b0036579581a49c58f7d39",
+        "cc190de4879e298802e3658927e8deadaa26e06148fdd239cd5ad6cbd0da7d5d",
+        "fd7a34e113439bcdd298d99b1561eecc7212ca38a4a04d07fd5a3ec371719a0b",
+        "594bc96a3e23a3354c48b808f8bf38468a6efa23b97c2b0c36f5d4738863470b",
+        "499a1311f7ca519a3c95dc253018e076ec8ba4716b1f694db355b116c0203e1d",
+        "cdd7729510c3c88ec4bbfda27d34e6e83c2d6d3eb8d0133511c8060b29c451ac",
     ],
     "eve-sweep/both/a": [
         "00cbf0f2d8da7ca812f240ee2100df92383a39acbb2f5ac202abc005aeb1d34f",

@@ -36,16 +36,22 @@ eves = st.one_of(
 
 
 def configs(eve=eves):
-    """Every valid configuration, with at most 60 pairs."""
+    """Every valid configuration, with at most 60 pairs.  The probabilities
+    that decide their coins outright (loss 0 and 1, decoy fraction 0,
+    sample fraction 1) are drawn often, not left to chance."""
     return st.builds(
         ProtocolConfig,
         n_pairs=st.integers(1, 60),
         seed=st.integers(0, 2**64 - 1),
-        decoy_fraction=st.floats(0.0, 1.0, exclude_max=True),
+        decoy_fraction=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
         check_strategy=st.sampled_from(CheckStrategy),
-        check_sample_fraction=st.floats(0.0, 1.0, exclude_min=True),
+        check_sample_fraction=(
+            st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True)
+        ),
         qber_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        channel=st.builds(ChannelConfig, st.floats(0.0, 1.0), eve),
+        channel=st.builds(
+            ChannelConfig, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), eve
+        ),
     )
 
 
@@ -135,24 +141,32 @@ def test_valid_settings_run_and_invalid_ones_exit_two(values, joined):
 
 @contextmanager
 def recorded_session():
-    """Record every stream built, every block drawn, and the attacker's
-    records of each transmission, while the block runs.
+    """Record every stream built, every block of words drawn or skipped,
+    and the attacker's records of each transmission, while the block runs.
 
     ``streams`` and ``draws`` hold ``(seed, stream)`` and ``(seed, stream,
-    size)`` per call; ``eve_b`` and ``eve_a`` hold the attacker's basis and
-    outcome per pair of the batch, right after each transmission.
+    kind, size)`` per call, ``kind`` being ``"words"`` or ``"skip"``;
+    ``eve_b`` and ``eve_a`` hold the attacker's basis and outcome per pair
+    of the batch, right after each transmission.
     """
     log = {"streams": [], "draws": [], "eve_b": [], "eve_a": []}
-    init, uniforms = SeededGenerator.__init__, SeededGenerator.uniforms
+    init, words, skip = (
+        SeededGenerator.__init__,
+        SeededGenerator.words,
+        SeededGenerator.skip,
+    )
     transmit_b, transmit_a = protocol.transmit_b, protocol.transmit_a
 
     def counted_init(g, seed, stream=0):
         init(g, seed, stream)
         log["streams"].append((g.seed, g.stream))
 
-    def counted_uniforms(g, n):
-        log["draws"].append((g.seed, g.stream, int(n)))
-        return uniforms(g, n)
+    def counted(kind, method):
+        def wrapper(g, n):
+            log["draws"].append((g.seed, g.stream, kind, int(n)))
+            return method(g, n)
+
+        return wrapper
 
     def records(photon, transmit):
         def wrapper(pairs, *args):
@@ -166,13 +180,16 @@ def recorded_session():
 
         return wrapper
 
-    SeededGenerator.__init__, SeededGenerator.uniforms = counted_init, counted_uniforms
+    SeededGenerator.__init__ = counted_init
+    SeededGenerator.words = counted("words", words)
+    SeededGenerator.skip = counted("skip", skip)
     protocol.transmit_b = records("b", transmit_b)
     protocol.transmit_a = records("a", transmit_a)
     try:
         yield log
     finally:
-        SeededGenerator.__init__, SeededGenerator.uniforms = init, uniforms
+        SeededGenerator.__init__ = init
+        SeededGenerator.words, SeededGenerator.skip = words, skip
         protocol.transmit_b, protocol.transmit_a = transmit_b, transmit_a
 
 
@@ -200,7 +217,9 @@ def test_a_batch_replays_each_session_as_if_run_alone(config, seeds):
             report = run_session(configs[s])
         # the same report, counts included
         assert reports[s] == report
-        # the same streams, and the same blocks drawn from each, in order
+        # the same streams, and the same blocks drawn or skipped from each,
+        # in order; every session draws its codewords
+        assert any(kind == "words" for _, _, kind, _ in alone["draws"])
         assert [k for k in batch["streams"] if k[0] == seed] == alone["streams"]
         assert [d for d in batch["draws"] if d[0] == seed] == alone["draws"]
         # the same attacker records on both transmissions

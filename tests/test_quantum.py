@@ -1,5 +1,7 @@
 """Core state, operation, local measurement, and generator behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,8 @@ from depqkd import (
     pol_freq_eigenstate,
     tensor,
 )
-from depqkd.quantum import PAULI_MATRICES
+from depqkd.protocol import _basis_coins, _coins, _randints
+from depqkd.quantum import PAULI_MATRICES, doubles
 from depqkd.states import DepLabel
 
 
@@ -228,6 +231,135 @@ def test_seeded_generator_batch_draws_match_scalar_draws():
     batch = a.uniforms(50)
     scalars = np.array([b.uniform() for _ in range(50)])
     assert np.array_equal(batch, scalars)
+
+
+def philox_words(seed, stream, n):
+    """The first ``n`` words of the plain Philox keyed by ``[seed, stream]``."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(n)
+
+
+def draw_mixed(g, n, turn):
+    """Draw ``n`` words from ``g`` in two parts, each by ``words``,
+    ``uniforms`` or a loop of ``uniform`` as ``turn`` picks; returns them
+    as doubles."""
+    parts = []
+    for j, size in enumerate((n // 2, n - n // 2)):
+        how = (turn + j) % 3
+        if how == 0:
+            parts.append(doubles(g.words(size)))
+        elif how == 1:
+            parts.append(g.uniforms(size))
+        else:
+            parts.append(np.array([g.uniform() for _ in range(size)]))
+    return np.concatenate(parts)
+
+
+def test_skip_steps_past_words_at_any_buffer_position():
+    # Philox makes words four at a time, so a skip must be exact whatever
+    # the position in the current block, before and after it
+    after = 13
+    for before in range(9):
+        for n in range(41):
+            g = SeededGenerator(2024, 3)
+            expected = doubles(philox_words(2024, 3, before + n + after))
+            assert np.array_equal(draw_mixed(g, before, n), expected[:before])
+            # skips add up before a draw applies them
+            g.skip(n // 3)
+            g.skip(n - n // 3)
+            got = draw_mixed(g, after, before + n)
+            assert np.array_equal(got, expected[before + n :]), (before, n)
+
+
+def test_a_stream_that_is_only_skipped_builds_no_philox(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    expected = philox_words(5, 2, 1007)[1003:]
+    monkeypatch.setattr(np.random, "Philox", counted)
+    g = SeededGenerator(5, 2)
+    g.skip(1000)
+    g.skip(3)
+    assert built == []
+    assert np.array_equal(g.words(4), expected)
+    assert built == [1]
+
+
+def test_doubles_are_numpy_generator_random_bit_for_bit():
+    for seed, stream in ((0, 0), (7, 5), (2**64 - 1, 6)):
+        key = np.array([seed, stream], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).random(5000)
+        got = doubles(philox_words(seed, stream, 5000))
+        assert got.tobytes() == expected.tobytes()
+        assert SeededGenerator(seed, stream).uniforms(5000).tobytes() == got.tobytes()
+    edges = np.array([0, 2**11 - 1, 2**11, 2**63, 2**64 - 1], dtype=np.uint64)
+    assert doubles(edges).tolist() == [0.0, 0.0, 2.0**-53, 0.5, 1 - 2.0**-53]
+
+
+class FixedWords:
+    """A stand-in stream that hands out the given words once."""
+
+    def __init__(self, words):
+        self.w = np.asarray(words, dtype=np.uint64)
+
+    def words(self, n):
+        assert n == len(self.w)
+        return self.w
+
+
+def boundary_words(bound):
+    """Words at, just below and just above ``bound``, plus the extremes."""
+    near = [bound + d for d in range(-3000, 3001, 7)] + [bound - 1, bound, bound + 1]
+    return [w for w in near + [0, 1, 2**64 - 1] if 0 <= w < 2**64]
+
+
+@pytest.mark.parametrize("p", [5e-324, 2.0**-53, 0.1, 0.5, 1 - 2.0**-53])
+def test_integer_coins_equal_double_coins(p):
+    g, ref = SeededGenerator(31, 2), SeededGenerator(31, 2)
+    assert np.array_equal(_coins([g], [20000], p), ref.uniforms(20000) < p)
+    w = np.array(boundary_words(math.ceil(p * 2**53) << 11), dtype=np.uint64)
+    assert np.array_equal(_coins([FixedWords(w)], [len(w)], p), doubles(w) < p)
+
+
+def test_decided_coins_skip_their_words():
+    for p, value in ((0.0, False), (1.0, True)):
+        gens = [SeededGenerator(31, 4), SeededGenerator(32, 4)]
+        coins = _coins(gens, [5, 6], p)
+        assert coins.tolist() == [value] * 11
+        for g, size in zip(gens, [5, 6]):
+            ref = SeededGenerator(g.seed, g.stream)
+            ref.words(size)
+            assert np.array_equal(g.words(9), ref.words(9))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_integer_randints_equal_seeded_randint(n):
+    g, ref = SeededGenerator(77, 1), SeededGenerator(77, 1)
+    got = _randints(g.words(3000), n)
+    assert got.tolist() == [ref.randint(n) for _ in range(3000)]
+    bits = n.bit_length() - 1
+    w = np.array(
+        sorted({b for k in range(n + 1) for b in boundary_words(k << (64 - bits))}),
+        dtype=np.uint64,
+    )
+    expected = np.minimum((doubles(w) * n).astype(int), n - 1)
+    assert _randints(w, n).tolist() == expected.tolist()
+
+
+def test_integer_basis_coins_equal_fair_double_coins():
+    w = np.array(boundary_words(2**63), dtype=np.uint64)
+    w = np.concatenate([w, SeededGenerator(3, 3).words(5000)])
+    assert _basis_coins(w).tolist() == (~(doubles(w) < 0.5)).astype(int).tolist()
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1, 3, 5, 6, 12])
+def test_randints_refuse_a_range_that_is_not_a_power_of_two(n):
+    with pytest.raises(ValueError):
+        _randints(np.zeros(3, dtype=np.uint64), n)
 
 
 def test_seeded_generator_helpers():
