@@ -3,9 +3,12 @@
 ``run`` and ``sweep`` emit one JSON object per line and per trial with a
 fixed field set, so output files diff cleanly and identical invocations
 produce identical bytes except for the ``elapsed_ms`` timing field.  The
-trials of one configuration run in batches of up to ``_BATCH_PAIRS`` pairs;
-``elapsed_ms`` is the batch's wall time over its trials, and a batch's
-lines are written together, in trial order, once it ends.
+sessions of a whole sweep, taken in (sweep index, trial index) order, run
+in batches of up to ``_BATCH_PAIRS`` pairs; a batch also ends where the
+pair count, the check or the attacker changes, so the cells of a sweep
+over loss, threshold or either fraction share batches.  ``elapsed_ms`` is
+the batch's wall time over its sessions, which may span several cells,
+and a batch's lines are written together, in that order, once it ends.
 
 Per-trial seeds derive from the master seed as
 ``sha256(master || sweep_index || trial_index)`` over big-endian 64-bit
@@ -58,9 +61,12 @@ _DEFAULTS: dict[str, object] = {
     "trials": 1,
 }
 
-#: Pairs per engine batch: the trials of a configuration run together, as
-#: many as fit; a session larger than this runs alone.
-_BATCH_PAIRS = 8192
+#: Pairs per engine batch: consecutive sessions of a run or sweep that
+#: agree on ProtocolConfig.batch_key run together, as many as fit; a
+#: session larger than this runs alone.  The per-pair cost of a batch of
+#: 1,000-pair sessions levels off between 16 and 32 sessions (README,
+#: "Engine and performance").
+_BATCH_PAIRS = 16384
 
 _CONVERTERS: dict[str, Callable[[str], object]] = {
     "pairs": int,
@@ -257,29 +263,40 @@ def _report_line(
     return json.dumps(line)
 
 
+def _batches(cells: list[ProtocolConfig], trials: int):
+    """Every trial of every sweep cell, in (sweep index, trial index) order,
+    as lists of ``(trial index, cell config, trial config)``, one list per
+    engine batch."""
+    batch: list[tuple[int, ProtocolConfig, ProtocolConfig]] = []
+    for sweep_index, cell in enumerate(cells):
+        for i in range(trials):
+            if batch and (
+                batch[0][1].batch_key != cell.batch_key
+                or (len(batch) + 1) * cell.n_pairs > _BATCH_PAIRS
+            ):
+                yield batch
+                batch = []
+            seed = derive_trial_seed(cell.seed, sweep_index, i)
+            batch.append((i, cell, replace(cell, seed=seed)))
+    yield batch
+
+
 def _run_trials(
-    subcommand: str,
-    base_config: ProtocolConfig,
-    sweep_index: int,
-    trials: int,
-    out: TextIO,
+    subcommand: str, cells: list[ProtocolConfig], trials: int, out: TextIO
 ) -> None:
-    per_batch = max(1, _BATCH_PAIRS // base_config.n_pairs)
-    for first in range(0, trials, per_batch):
-        indices = range(first, min(first + per_batch, trials))
-        seeds = [derive_trial_seed(base_config.seed, sweep_index, i) for i in indices]
-        configs = [replace(base_config, seed=seed) for seed in seeds]
+    for batch in _batches(cells, trials):
+        configs = [config for _, _, config in batch]
         start = time.perf_counter()
         try:
             reports = run_sessions(configs)
         except MemoryError:
             raise ConfigError(
-                f"{base_config.n_pairs} pairs per trial do not fit in memory"
+                f"{configs[0].n_pairs} pairs per trial do not fit in memory"
             ) from None
         elapsed_ms = (time.perf_counter() - start) * 1000.0 / len(configs)
         out.writelines(
-            _report_line(subcommand, i, seed, base_config, report, elapsed_ms) + "\n"
-            for i, seed, report in zip(indices, seeds, reports)
+            _report_line(subcommand, i, config.seed, cell, report, elapsed_ms) + "\n"
+            for (i, cell, config), report in zip(batch, reports)
         )
 
 
@@ -411,8 +428,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             open(args.output, "w", encoding="utf-8") if args.output
             else nullcontext(sys.stdout)
         ) as out:
-            for sweep_index, config in enumerate(configs):
-                _run_trials(args.subcommand, config, sweep_index, trials, out)
+            _run_trials(args.subcommand, configs, trials, out)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,27 +15,30 @@ checks at known rates and, because each codeword is completed only by the
 second operation, its measurement records never determine final key bits.
 
 Sessions run as a batch: :func:`run_sessions` runs several sessions that
-differ only in their seeds together, and :func:`run_session` is the batch
-of one.  :class:`PairBatch` and :class:`DecoyBatch` hold one array entry
-per item, session after session, and pair states are ids into
-:data:`ALPHABET`.  Each phase draws every session's blocks from that
-session's own stream, in the same order and sizes as a session run alone,
-and then works on all items of the batch at once, so no phase loops over
-its items in Python.  Every stream is a counter-based Philox key, so a
-session's draws do not depend on the sessions beside it.
+agree on :attr:`ProtocolConfig.batch_key` (the pair count, the check and
+the attacker) together, and :func:`run_session` is the batch of one.  The
+seed, the loss, both fractions and the threshold are each session's own.
+:class:`PairBatch` and :class:`DecoyBatch` hold one array entry per item,
+session after session, and pair states are ids into :data:`ALPHABET`.
+Each phase draws every session's blocks from that session's own stream,
+in the same order and sizes as a session run alone, and then works on all
+items of the batch at once, so no phase loops over its items in Python.
+Every stream is a counter-based Philox key, so a session's draws do not
+depend on the sessions beside it, whatever their settings.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from itertools import groupby
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, ConfigError, EveStrategy
+from .channel import ChannelConfig, ConfigError, EveConfig, EveStrategy
 from .device import (
     decode,
     device_outcomes,
@@ -120,6 +123,13 @@ class ProtocolConfig:
             raise ConfigError(
                 f"qber_threshold must lie in (0, 1), got {self.qber_threshold}"
             )
+
+    @property
+    def batch_key(self) -> tuple:
+        """What the sessions of one :func:`run_sessions` batch share: the
+        settings that decide which phases run and how large the arrays
+        are."""
+        return self.n_pairs, self.check_strategy, self.channel.eve
 
     def to_dict(self) -> dict:
         """JSON-ready echo of the effective configuration."""
@@ -263,18 +273,25 @@ def _draw(
 
 
 def _coins(
-    gens: Sequence[SeededGenerator], sizes: Sequence[int], p: float
+    gens: Sequence[SeededGenerator], sizes: Sequence[int], p: Sequence[float]
 ) -> np.ndarray:
-    """A coin ``u < p`` per item, ``sizes[s]`` of them from each ``gens[s]``
-    in session order.  A ``p`` of 0 or 1 decides every coin, so its words
-    are skipped, not drawn."""
-    if 0.0 < p < 1.0:
-        # u < p holds for k = w >> 11 exactly when k < ceil(p * 2**53),
-        # which is at most 2**53 - 1, so the shifted bound fits 64 bits
-        return _draw(gens, sizes)[:, 0] < np.uint64(math.ceil(p * 2**53) << 11)
-    for g, m in zip(gens, sizes):
-        g.skip(m)
-    return np.full(sum(sizes), p >= 1.0)
+    """A coin ``u < p[s]`` per item, ``sizes[s]`` of them from each
+    ``gens[s]`` in session order.  Each run of consecutive sessions with an
+    equal ``p`` is drawn as one block, except that a ``p`` of 0 or 1
+    decides every coin of its run, whose words are skipped, not drawn."""
+    blocks = []
+    for q, run in groupby(zip(p, gens, sizes), key=lambda item: item[0]):
+        _, run_gens, run_sizes = zip(*run)
+        if 0.0 < q < 1.0:
+            # u < q holds for k = w >> 11 exactly when k < ceil(q * 2**53),
+            # which is at most 2**53 - 1, so the shifted bound fits 64 bits
+            bound = np.uint64(math.ceil(q * 2**53) << 11)
+            blocks.append(_draw(run_gens, run_sizes)[:, 0] < bound)
+        else:
+            for g, m in zip(run_gens, run_sizes):
+                g.skip(m)
+            blocks.append(np.full(sum(run_sizes), q >= 1.0))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _tally(mask: np.ndarray, sizes: Sequence[int]) -> list[int]:
@@ -614,11 +631,13 @@ def _basis_coins(w: np.ndarray) -> np.ndarray:
 
 def _channel(
     sizes: Sequence[int],
-    channel: ChannelConfig,
+    losses: Sequence[float],
+    eve: Optional[EveConfig],
     photon: Photon,
     gens: Sequence[SeededGenerator],
 ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Send ``sizes[s]`` photons of each session ``s`` through the channel.
+    """Send ``sizes[s]`` photons of each session ``s`` through its channel,
+    of loss probability ``losses[s]``, under the attacker ``eve``.
 
     Each session's stream gives one block of its loss coins, then, when
     the attacker covers this transmission, one block with a row per
@@ -627,8 +646,7 @@ def _channel(
     for an attacked transmission, the attacker's basis and measurement
     draw per delivered photon.
     """
-    delivered = ~_coins(gens, sizes, channel.loss_probability)
-    eve = channel.eve
+    delivered = ~_coins(gens, sizes, losses)
     if eve is None or not eve.target.covers(photon):
         return delivered, None, None
     m = _tally(delivered, sizes)
@@ -689,20 +707,23 @@ def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
 
 
 def insert_decoys(
-    pairs: PairBatch, decoy_fraction: float, gens: Sequence[SeededGenerator]
+    pairs: PairBatch,
+    decoy_fractions: Sequence[float],
+    gens: Sequence[SeededGenerator],
 ) -> tuple[np.ndarray, DecoyBatch]:
     """Mix single-photon check states into each session's b sequence.
 
-    A session's decoy count is binomial with mean ``decoy_fraction * n``;
-    positions are uniform among its mixed slots and preparations are
-    uniform over the eight (frequency bin, polarization) combinations.
+    The decoy count of session ``s`` is binomial with mean
+    ``decoy_fractions[s] * n``; positions are uniform among its mixed
+    slots and preparations are uniform over the eight (frequency bin,
+    polarization) combinations.
     Positions and preparations stay secret until the check.  Returns the
     mask of decoy slots in the batch's mixed sequence, session after
     session, whose other slots carry the pairs in order, and the decoys.
     """
     t = len(gens)
     n = len(pairs) // t
-    count = _tally(_coins(gens, [n] * t, decoy_fraction), [n] * t)
+    count = _tally(_coins(gens, [n] * t, decoy_fractions), [n] * t)
     # The slots of the ``count`` smallest of ``n + count`` uniform keys hold
     # a session's decoys; a session without decoys draws no keys.  A key is
     # a word's top 53 bits, which order and tie like its double.
@@ -726,17 +747,19 @@ def transmit_b(
     pairs: PairBatch,
     decoys: DecoyBatch,
     is_decoy: np.ndarray,
-    channel: ChannelConfig,
+    losses: Sequence[float],
+    eve: Optional[EveConfig],
     gens: Sequence[SeededGenerator],
 ) -> None:
-    """Send the mixed b sequence through the channel, updating both batches.
+    """Send the mixed b sequence through the channel, updating both batches;
+    see :func:`_channel` for ``losses`` and ``eve``.
 
     Loss is decided first; the attacker only touches delivered photons and
     cannot tell pair photons from check photons.
     """
     t = len(gens)
     sizes = [len(pairs) // t + c for c in decoys.sizes]
-    delivered, basis, u = _channel(sizes, channel, Photon.B, gens)
+    delivered, basis, u = _channel(sizes, losses, eve, Photon.B, gens)
     pair_slots = np.flatnonzero(~is_decoy)
     pairs.b_delivered[:] = delivered[pair_slots]
     decoys.delivered[:] = delivered[decoys.position]
@@ -848,22 +871,23 @@ def _verdicts(
     result: type,
     check: str,
     sizes: Sequence[int],
-    qber_threshold: float,
+    thresholds: Sequence[float],
     transcript: Optional[Transcript],
     **masks: np.ndarray,
 ) -> list:
     """Each session's ``result``, built from its count of true entries of
-    each mask over its ``sizes[s]`` items, or ``None`` for a session whose
-    check compared nothing."""
+    each mask over its ``sizes[s]`` items and judged against its
+    ``thresholds[s]``, or ``None`` for a session whose check compared
+    nothing."""
     verdicts, start = [], 0
-    for size in sizes:
+    for size, threshold in zip(sizes, thresholds):
         tally = {
             key: int(np.count_nonzero(mask[start : start + size]))
             for key, mask in masks.items()
         }
         start += size
         verdict = _conclude(
-            check, tally["compared"], tally["errors"], qber_threshold, transcript
+            check, tally["compared"], tally["errors"], threshold, transcript
         )
         verdicts.append(verdict and result(*verdict, **tally))
     return verdicts
@@ -871,7 +895,7 @@ def _verdicts(
 
 def decoy_check(
     decoys: DecoyBatch,
-    qber_threshold: float,
+    thresholds: Sequence[float],
     transcript: Optional[Transcript],
     gens: Sequence[SeededGenerator],
 ) -> list[Optional[DecoyCheckResult]]:
@@ -880,7 +904,8 @@ def decoy_check(
     The receiver measures every delivered decoy in a uniformly random
     basis; comparisons count only where that basis matches the
     preparation.  A polarization flip or a frequency-bin mismatch both
-    count as errors.  Returns each session's result, ``None`` for a
+    count as errors.  Session ``s`` proceeds at an error rate of at most
+    ``thresholds[s]``.  Returns each session's result, ``None`` for a
     session where nothing could be compared.
     """
     t = transcript
@@ -917,7 +942,7 @@ def decoy_check(
         DecoyCheckResult,
         "decoy",
         sizes,
-        qber_threshold,
+        thresholds,
         t,
         compared=matched,
         errors=bad,
@@ -968,24 +993,26 @@ _EXPECTED_AGREE = np.array(
 
 def wc_check(
     pairs: PairBatch,
-    sample_fraction: float,
-    qber_threshold: float,
+    sample_fractions: Sequence[float],
+    thresholds: Sequence[float],
     transcript: Optional[Transcript],
     gens: Sequence[SeededGenerator],
 ) -> list[Optional[WcCheckResult]]:
-    """Convert and measure a random sample of stored pairs.
+    """Convert and measure a random sample of stored pairs, each stored
+    pair of session ``s`` with probability ``sample_fractions[s]``.
 
     Both parties wavelength-convert their photon of each sampled pair and
     measure it in an independently random basis; matched-basis outcomes
     are compared against the correlation the first encoding step dictates.
-    Checked pairs are consumed and never contribute key bits.  Returns
+    Checked pairs are consumed and never contribute key bits.  Session
+    ``s`` proceeds at an error rate of at most ``thresholds[s]``.  Returns
     each session's result, ``None`` for a session where no matched
     comparison happened.
     """
     t = transcript
     eligible = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
     sizes = _sizes(pairs, eligible, len(gens))
-    sampling = _coins(gens, sizes, sample_fraction)
+    sampling = _coins(gens, sizes, sample_fractions)
     sampled = eligible[sampling]
     _post(
         t,
@@ -1023,7 +1050,7 @@ def wc_check(
         WcCheckResult,
         "wc",
         sizes,
-        qber_threshold,
+        thresholds,
         t,
         compared=matched,
         errors=bad,
@@ -1048,12 +1075,14 @@ def step4_encode_a(pairs: PairBatch) -> np.ndarray:
 def transmit_a(
     pairs: PairBatch,
     active: np.ndarray,
-    channel: ChannelConfig,
+    losses: Sequence[float],
+    eve: Optional[EveConfig],
     gens: Sequence[SeededGenerator],
 ) -> None:
-    """Send the photons a of the active pairs through the channel."""
+    """Send the photons a of the active pairs through the channel; see
+    :func:`_channel` for ``losses`` and ``eve``."""
     sizes = _sizes(pairs, active, len(gens))
-    delivered, basis, u = _channel(sizes, channel, Photon.A, gens)
+    delivered, basis, u = _channel(sizes, losses, eve, Photon.A, gens)
     pairs.a_delivered[active] = delivered
     if basis is not None:
         _intercept_pairs(pairs, active[delivered], Photon.A, basis, u)
@@ -1103,7 +1132,9 @@ def _key_bits(codewords: np.ndarray) -> np.ndarray:
 def run_sessions(
     configs: Sequence[ProtocolConfig], transcript: Optional[Transcript] = None
 ) -> list[RunReport]:
-    """Run sessions whose configs differ only in the seed as one batch.
+    """Run sessions that agree on :attr:`ProtocolConfig.batch_key` as one
+    batch; the seed, loss, decoy fraction, sample fraction and threshold
+    may differ from session to session.
 
     Each report is a pure function of its own config: identical configs
     (including the seed) give identical reports, whichever sessions run
@@ -1113,19 +1144,27 @@ def run_sessions(
     which only a batch of one accepts.
     """
     config = configs[0]
-    if any(replace(c, seed=config.seed) != config for c in configs):
-        raise ValueError("the sessions of a batch may differ only in their seeds")
+    if any(c.batch_key != config.batch_key for c in configs):
+        raise ValueError(
+            "the sessions of a batch must agree on n_pairs, check_strategy "
+            "and channel.eve"
+        )
     if transcript is not None and len(configs) > 1:
         raise ValueError("a transcript records a batch of one session")
     t, n, count = transcript, config.n_pairs, len(configs)
+    eve = config.channel.eve
     seeds = [c.seed for c in configs]
+    losses = [c.channel.loss_probability for c in configs]
+    thresholds = [c.qber_threshold for c in configs]
     # Each stream feeds one phase and is built only for the sessions that
     # reach that phase.
     pairs = step1_prepare_and_encode(n, _streams(seeds, _STREAM_ALICE))
     strategy = config.check_strategy
     if strategy.uses_decoy:
         is_decoy, decoys = insert_decoys(
-            pairs, config.decoy_fraction, _streams(seeds, _STREAM_DECOY)
+            pairs,
+            [c.decoy_fraction for c in configs],
+            _streams(seeds, _STREAM_DECOY),
         )
     else:  # the b sequences carry the pairs alone
         is_decoy = np.zeros(len(pairs), dtype=bool)
@@ -1133,7 +1172,7 @@ def run_sessions(
             [0] * count, np.zeros(0, dtype=np.intp), *np.zeros((2, 0), dtype=_CODE)
         )
     transmit_b(
-        pairs, decoys, is_decoy, config.channel, _streams(seeds, _STREAM_CHANNEL_B)
+        pairs, decoys, is_decoy, losses, eve, _streams(seeds, _STREAM_CHANNEL_B)
     )
     _post(
         t,
@@ -1165,23 +1204,24 @@ def run_sessions(
         if not proceed.all():
             live, pairs = live[proceed], pairs.take(np.repeat(proceed, n))
 
+    def at_live(values: Sequence) -> list:
+        return [values[s] for s in live.tolist()]
+
     def live_streams(stream: int) -> list[SeededGenerator]:
-        return _streams([seeds[s] for s in live.tolist()], stream)
+        return _streams(at_live(seeds), stream)
 
     if strategy.uses_decoy:
         conclude(
             "decoy",
-            decoy_check(
-                decoys, config.qber_threshold, t, live_streams(_STREAM_BOB_DECOY)
-            ),
+            decoy_check(decoys, thresholds, t, live_streams(_STREAM_BOB_DECOY)),
         )
     if strategy.uses_wc and len(live):
         conclude(
             "wc",
             wc_check(
                 pairs,
-                config.check_sample_fraction,
-                config.qber_threshold,
+                at_live([c.check_sample_fraction for c in configs]),
+                at_live(thresholds),
                 t,
                 live_streams(_STREAM_WC),
             ),
@@ -1190,7 +1230,9 @@ def run_sessions(
     keys = {}  # the key bits of each session that kept its key
     if len(live):
         active = step4_encode_a(pairs)
-        transmit_a(pairs, active, config.channel, live_streams(_STREAM_CHANNEL_A))
+        transmit_a(
+            pairs, active, at_live(losses), eve, live_streams(_STREAM_CHANNEL_A)
+        )
         survivors = step5_decode_and_sift(pairs, t, live_streams(_STREAM_DEVICE))
         alice_bits = _key_bits(pairs.codeword[survivors])
         bob_bits = _key_bits(pairs.decoded[survivors])

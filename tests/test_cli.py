@@ -18,6 +18,7 @@ from depqkd import (
     Pauli,
     ProtocolConfig,
     run_session,
+    run_sessions,
 )
 from depqkd import cli
 from depqkd.cli import bits_to_hex, derive_trial_seed, main
@@ -195,21 +196,59 @@ def test_run_emits_one_schema_line_per_trial(capsys):
     assert line["elapsed_ms"] >= 0.0
 
 
+def spy_on_batches(monkeypatch):
+    """The sessions of each ``run_sessions`` call the CLI makes."""
+    batches = []
+
+    def spy(configs):
+        batches.append(list(configs))
+        return run_sessions(configs)
+
+    monkeypatch.setattr(cli, "run_sessions", spy)
+    return batches
+
+
 def test_batching_the_trials_changes_no_report_byte(capsys, monkeypatch):
-    args = (
-        "sweep", "--param", "loss", "--values", "0,0.3", "--trials", "5",
-        "--pairs", "30", "--check", "both", "--eve", "ir-random",
-        "--eve-targets", "both", "--threshold", "0.4", "--seed", "11",
+    batches = spy_on_batches(monkeypatch)
+    # the cells of a loss or threshold sweep share batches, those of an
+    # attacker sweep never do
+    for param, values, shared in (
+        ("loss", "0,0.3", True),
+        ("threshold", "0.1,0.4", True),
+        ("eve", "ir-z,ir-x", False),
+    ):
+        args = (
+            "sweep", "--param", param, "--values", values, "--trials", "5",
+            "--pairs", "30", "--check", "both", "--eve", "ir-random",
+            "--eve-targets", "both", "--threshold", "0.4", "--seed", "11",
+        )
+        outputs = []
+        # one trial per batch, two per batch, and as many as may share one
+        budgets = ((1, 10), (60, 5 if shared else 6), (10_000, 1 if shared else 2))
+        for budget, calls in budgets:
+            monkeypatch.setattr(cli, "_BATCH_PAIRS", budget)
+            batches.clear()
+            code, out, _ = run_cli(capsys, *args)
+            assert code == 0
+            assert len(batches) == calls
+            outputs.append([strip_timing(line) for line in out.splitlines()])
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert [line["trial_index"] for line in json_lines(out)] == [0, 1, 2, 3, 4] * 2
+
+
+def test_a_loss_sweep_runs_as_one_batch(capsys, monkeypatch):
+    batches = spy_on_batches(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--param", "loss", "--values", "0,0.1,0.2", "--trials", "4",
+        "--pairs", "1000", "--check", "wc", "--eve", "ir-z", "--eve-targets", "a",
+        "--seed", "3",
     )
-    outputs = []
-    # one trial per batch, two per batch, and every trial of a cell at once
-    for budget in (1, 60, 10_000):
-        monkeypatch.setattr(cli, "_BATCH_PAIRS", budget)
-        code, out, _ = run_cli(capsys, *args)
-        assert code == 0
-        outputs.append([strip_timing(line) for line in out.splitlines()])
-    assert outputs[0] == outputs[1] == outputs[2]
-    assert [line["trial_index"] for line in json_lines(out)] == [0, 1, 2, 3, 4] * 2
+    assert code == 0
+    (batch,) = batches
+    losses = [c.channel.loss_probability for c in batch]
+    assert losses == [0.0] * 4 + [0.1] * 4 + [0.2] * 4
+    # the lines of a batch share its time per session
+    assert len({line["elapsed_ms"] for line in json_lines(out)}) == 1
 
 
 def test_run_is_reproducible_except_for_timing(capsys):

@@ -3,10 +3,11 @@
 
 Together the cases cover every check x attacker x target combination,
 loss with and without an attack on photon b among decoys, both
-indeterminate checks, and sweeps over attacker policy and loss.  A
-refactor that keeps exact replay leaves every digest unchanged.  A change
-that alters report bytes on purpose re-pins the table (print it with
-``PYTHONPATH=src python tests/test_golden.py``) and says why in CHANGES.md.
+indeterminate checks, and sweeps over attacker policy, loss, threshold,
+both fractions and the pair count.  A refactor that keeps exact replay
+leaves every digest unchanged.  A change that alters report bytes on
+purpose re-pins the table (print it with ``PYTHONPATH=src python
+tests/test_golden.py``) and says why in CHANGES.md.
 """
 
 import hashlib
@@ -73,6 +74,41 @@ CASES.update({
         "--eve", "ir-random", "--eve-targets", "both", "--pairs", "97",
         "--trials", "3", "--seed", "9",
     ),
+    # sweeps over the settings a batch may hold per session: some sessions
+    # abort and some keep keys, beside a decided value (decoy fraction 0,
+    # sample fraction 1, loss 0 and 1) among drawn ones
+    "threshold-sweep": (
+        "sweep", "--param", "threshold", "--values", "0.05,0.2,0.35,0.6",
+        "--trials", "3", "--check", "both", "--eve", "ir-random",
+        "--eve-targets", "both", "--pairs", "60", "--decoy-fraction", "0.3",
+        "--sample-fraction", "0.3", "--loss", "0.1", "--seed", "12",
+    ),
+    "decoy-fraction-sweep": (
+        "sweep", "--param", "decoy-fraction", "--values", "0,0.15,0.4",
+        "--trials", "3", "--check", "both", "--eve", "ir-x", "--eve-targets", "both",
+        "--pairs", "50", "--threshold", "0.4", "--sample-fraction", "0.25",
+        "--loss", "0.1", "--seed", "13",
+    ),
+    "sample-fraction-sweep": (
+        "sweep", "--param", "sample-fraction", "--values", "0.1,0.3,1",
+        "--trials", "3", "--check", "both", "--eve", "ir-z", "--eve-targets", "both",
+        "--pairs", "45", "--threshold", "0.45", "--decoy-fraction", "0.2",
+        "--loss", "0.1", "--seed", "14",
+    ),
+    # equal losses in neighbouring cells, and decided ones between them
+    "loss-runs": (
+        "sweep", "--param", "loss", "--values", "0.2,0,1,0.2,0.2", "--trials", "3",
+        "--check", "both", "--eve", "ir-random", "--eve-targets", "a",
+        "--pairs", "40", "--decoy-fraction", "0.2", "--sample-fraction", "0.3",
+        "--threshold", "0.3", "--seed", "16",
+    ),
+    # cells of different pair counts, which never share a batch
+    "pairs-sweep": (
+        "sweep", "--param", "pairs", "--values", "20,35,20", "--trials", "3",
+        "--check", "both", "--eve", "ir-random", "--eve-targets", "a",
+        "--decoy-fraction", "0.2", "--sample-fraction", "0.3", "--loss", "0.1",
+        "--threshold", "0.3", "--seed", "15",
+    ),
 })
 
 GOLDEN = {
@@ -96,6 +132,17 @@ GOLDEN = {
         "594bc96a3e23a3354c48b808f8bf38468a6efa23b97c2b0c36f5d4738863470b",
         "499a1311f7ca519a3c95dc253018e076ec8ba4716b1f694db355b116c0203e1d",
         "cdd7729510c3c88ec4bbfda27d34e6e83c2d6d3eb8d0133511c8060b29c451ac",
+    ],
+    "decoy-fraction-sweep": [
+        "e88266cd8712bfc023382441488a4517ae61e316701f6c8ca5e0bcc600be6c67",
+        "0deb3d32b6a841ff7dee23b2adc535fead2794786a24ea9b51431a28a7f0034f",
+        "9a9b67e71853959a1509d46d3873195db6f87e1e2bc5f5a7149b565a427105ba",
+        "6765a805fbd30f46e2445dbfa4b40231e0903cd8b806fbe3568f9b738de1074d",
+        "ad7dce1f24c072c9e064f6d06f35cf2c65f62eb287cf120e6d9afbd65b7903e7",
+        "45edcee7ab4cebc2afa9b099361dbb40d190474499784eb411380d2755a643b7",
+        "b8348167138702e454df57217b67cf224232859d83738125d79c1157d881c650",
+        "226cae348442ea720c3a3294ffe6ff8454732dd8abf4b56753f39fe35550165d",
+        "eb594b6d09abb73f35c21938b7ce343d64174ab4db1f2a83bd10a8eca7cc2055",
     ],
     "eve-sweep/both/a": [
         "00cbf0f2d8da7ca812f240ee2100df92383a39acbb2f5ac202abc005aeb1d34f",
@@ -163,6 +210,23 @@ GOLDEN = {
         "34a824b8a729e3ad8258102c5b0873681450ae60c302366a764b75d4c3c45fca",
         "7ba3f1bc839bd894a8e46ec5340aa3594bdbc423e67ea0548af78aae31585809",
     ],
+    "loss-runs": [
+        "62495be7d5777f05ca9bc6ede373aa26d8309153d1e8e80f682e3144717d0487",
+        "5b4155f45954dd039d84ba14f169196befb34f789e0eaeebb483afbf3a64e04c",
+        "c5e2a87fcc6511280c700dd94085df7440a069f879e7bfa97055f6ea2fcf7639",
+        "0927019b401bd444e7cadddacaf9473ced987ffd83f0a197c5ebd55fae6dd6f8",
+        "6b04920a856e4c4dc24771b7b3918940374df36fb0b28553b6bdd07c2321f4b8",
+        "44301c8b7f75ac5faa6acaab90e9f6c3e1621de678b4d04574a1c4e66f0f3fff",
+        "eb9a504b56a0640fdcf43d0410ca2ef33aa123dd3a110d2154c023be005ee102",
+        "b0ce1fc17be1ed31f224fc06250a46683c6a714881b13d1b47abebbc57171f01",
+        "0da264ddb81b065f432572165b6f46662c31716308db0898d54c1731982f390d",
+        "bc3df4938c93c6e5f32d4713452723b65deeb0b8ea95e224032acc7a8c35d2c3",
+        "7cc2ed4b8c488688b6763c7798e592928b93fa5e0073967e6a356587a394324e",
+        "8fb56cd391db80c652d75f99237f323acc74be3bad4ca28f6f02173763851049",
+        "547fa0c28361d7a1bb8bcfb96d1d18e0e8e48cbbe2e09761c855302a02d372fb",
+        "ad84942e2702ac443807ce8f0e1cd9e7f6216ebbbeeaefac820d3ad45fac0022",
+        "df223777a74b40bb4d94ef05fa8966f7be506c2d8aa1735888588b027617030b",
+    ],
     "loss-sweep": [
         "00ddeef8a2edce91e154c5a7d654ff86f079c2312a69a5752b978bd2319d59d8",
         "2fde6e1404a50fd21d94ab5d19e3c6e99f69c0c7d56883cb1660ec393d953932",
@@ -171,6 +235,42 @@ GOLDEN = {
     ],
     "no-decoys": [
         "369a4a555295432681e456798eb1521d501fdbdbd30219a03a074961329cac44",
+    ],
+    "pairs-sweep": [
+        "49417145328d1493b826458997040d0c11b9b238f4c5d85142b18a675d461b71",
+        "2e8abf3ebce378ff6c41340ef1e94a5afdabc4bf3746dc1390fb82a897b50910",
+        "21c9ed1c020fb2d760e77f94aa9d2eb3242207ddf3c5758a11a24d73bb2755a7",
+        "e7e633c63fb44cea21b8650346391e64e97328f32fa140bd5eb68f3fbdb71440",
+        "d51c2a5a1c3bbb2242f79ce241ad3b46330123a7734294237cec8d2271016d08",
+        "7ecf10ec67aa86ed5dd8c9d0b5f16ae9e0b327fe249aee866c2f5a5c91654da4",
+        "8dce046c53e2b63578df49bae84f431fcb41be3c46ba7dcee7902a69f08bf580",
+        "425f0e3ad8ab4b9cd2552683ed9f33af26d2606ab54fde29aa0636b9d4ca9b51",
+        "f1575dff3c4c4c4276a558a3f7929c8702a90207ead7b23fa514d1def00963db",
+    ],
+    "sample-fraction-sweep": [
+        "c4d5963c6591ab3712b975443156fadae3b235a8961a37d01ddbd830769496df",
+        "385f23d9886d117396e6803a9cd1334f0a99f7e948f56a6c6a818de243f1ef5a",
+        "6a69282c84e32ec1e7f282053ef018234ddc91614872eb015e9dd721b306f247",
+        "367f2e1f7d202f9abaa91cffdf4b3345ec9943fac0816ad4e12c7d7d31f99c4b",
+        "c2b5c7c12a02629439d62862eae93f4410895791535ef24edb3bd7f1b1ca54ad",
+        "ef4fe0ae09d3d69d20947f983f22dcecd69cce6a1b295cb9c9ef20b71c2a0a9b",
+        "599fded83557a859fa1023c8efd7318de39cb0ec76c693abd31abbcacd25f785",
+        "20f3c8e6d1708e627d11376414cf98931d7f68ae95e346a7ac3547c57bf7f813",
+        "659dbfd411412390bb28d1dd0be3edc4b995f28a8b3af24bb7b1f70bc3674edb",
+    ],
+    "threshold-sweep": [
+        "e0f24161f13a18f95545566b09db1f22c9385c704a2953d8a4e203b9e9fef50b",
+        "bf392a3c36305185641f54abe063a5b468f4b72202f27d00b1acce8946e8a572",
+        "ade3d35819705f2777fc4692d91bbf29870708403ae1adf7d70675d4d1100f12",
+        "6937ab9f25f99316d367e1d5a31f54cd88de6ff77bb2d47ac05ebead54bdf4fe",
+        "798ed71be96a1356561c686a5555829534fd173de08d930346e393d0aee839b0",
+        "ea464d4129e2a6b8fdf05a7dff524a8bcb972a2fe087a71293ea7dee78437a2b",
+        "1d0e876edb4499e42ca078379a6097c5bcd7cbcaa066c5d89084719b7a26d3fc",
+        "69198df6acfcf4c9c83438049e3e8fb8e144ed6efce52678e752b07c5d046038",
+        "5e43ebb91f23dca048bb3bb5facb506e8e907288c5cf7fa481d51b4b39db718d",
+        "cfc594ece0bfa2d4d5862d745f78cb7686ea6634b434f480103aa87b6f7f752c",
+        "ee3f17554856b50d384560f082afb04c956e51a53d2b83e9a39d3dcf49b3fe71",
+        "03c2ad5915564ccb2c34d3c830e97e805d8b230487cb4874d10532b322a76234",
     ],
 }
 

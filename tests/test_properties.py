@@ -198,14 +198,41 @@ def per_session(records, n, sessions):
     return {s: records[i * n : (i + 1) * n] for i, s in enumerate(sessions)}
 
 
+def own_settings():
+    """What a session of a batch holds for itself: its seed, loss, decoy
+    fraction, sample fraction and threshold.  The values that decide coins
+    outright, and one shared value of each, are drawn often, so that a
+    batch holds runs of equal values beside other ones."""
+    return st.tuples(
+        st.integers(0, 2**64 - 1),
+        st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([1.0, 0.5]) | st.floats(0.0, 1.0, exclude_min=True),
+        st.sampled_from([0.05, 0.5])
+        | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     configs(),
-    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6, unique=True),
+    st.lists(own_settings(), min_size=1, max_size=6, unique_by=lambda own: own[0]),
 )
-def test_a_batch_replays_each_session_as_if_run_alone(config, seeds):
+def test_a_batch_replays_each_session_as_if_run_alone(config, sessions):
+    # the sessions share the pair count, the check and the attacker
     config = dataclasses.replace(config, n_pairs=config.n_pairs % 25 + 1)
-    configs = [dataclasses.replace(config, seed=seed) for seed in seeds]
+    configs = [
+        dataclasses.replace(
+            config,
+            seed=seed,
+            decoy_fraction=decoy_fraction,
+            check_sample_fraction=sample_fraction,
+            qber_threshold=threshold,
+            channel=dataclasses.replace(config.channel, loss_probability=loss),
+        )
+        for seed, loss, decoy_fraction, sample_fraction, threshold in sessions
+    ]
+    seeds = [c.seed for c in configs]
     n = config.n_pairs
     with recorded_session() as batch:
         reports = run_sessions(configs)
@@ -227,9 +254,38 @@ def test_a_batch_replays_each_session_as_if_run_alone(config, seeds):
         assert eve_a.get(s, []) == (alone["eve_a"][0] if alone["eve_a"] else [])
 
 
-def test_a_batch_takes_sessions_that_differ_only_in_their_seeds():
+def test_a_batch_takes_sessions_that_share_their_batch_key():
     config = ProtocolConfig(n_pairs=10)
-    with pytest.raises(ValueError):
-        run_sessions([config, dataclasses.replace(config, seed=1, n_pairs=11)])
+
+    def attacked(strategy, target):
+        return dataclasses.replace(
+            config, seed=1, channel=ChannelConfig(0.0, EveConfig(strategy, target))
+        )
+
+    z_on_b = attacked(EveStrategy.Z, EveTarget.B)
+    both = CheckStrategy.BOTH
+    for first, other in (
+        (config, dataclasses.replace(config, seed=1, n_pairs=11)),
+        (config, dataclasses.replace(config, seed=1, check_strategy=both)),
+        (config, z_on_b),
+        (z_on_b, attacked(EveStrategy.X, EveTarget.B)),
+        (z_on_b, attacked(EveStrategy.Z, EveTarget.A)),
+    ):
+        with pytest.raises(ValueError):
+            run_sessions([first, other])
+    # every other setting may differ
+    run_sessions(
+        [
+            config,
+            ProtocolConfig(
+                n_pairs=10,
+                seed=1,
+                decoy_fraction=0.5,
+                check_sample_fraction=0.3,
+                qber_threshold=0.2,
+                channel=ChannelConfig(0.4),
+            ),
+        ]
+    )
     with pytest.raises(ValueError):
         run_sessions([config, dataclasses.replace(config, seed=1)], Transcript())

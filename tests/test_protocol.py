@@ -86,14 +86,21 @@ def prepared(n, seed):
 
 
 def no_decoys():
-    _, decoys = insert_decoys(prepared(1, 0), 0.0, [SeededGenerator(0, 1)])
+    _, decoys = insert_decoys(prepared(1, 0), [0.0], [SeededGenerator(0, 1)])
     assert len(decoys) == 0
     return decoys
 
 
 def transmit_pairs_b(pairs, channel, g):
     """The first transmission of a sequence of pairs without decoys."""
-    transmit_b(pairs, no_decoys(), np.zeros(len(pairs), dtype=bool), channel, [g])
+    transmit_b(
+        pairs,
+        no_decoys(),
+        np.zeros(len(pairs), dtype=bool),
+        [channel.loss_probability],
+        channel.eve,
+        [g],
+    )
 
 
 def pair_state(pairs, i):
@@ -205,7 +212,7 @@ def test_step1_draws_codewords_uniformly_and_encodes_photon_b():
 def test_insert_decoys_zero_fraction_changes_nothing():
     pairs = prepared(30, 1)
     codewords = pairs.codeword.copy()
-    is_decoy, decoys = insert_decoys(pairs, 0.0, [SeededGenerator(1, 1)])
+    is_decoy, decoys = insert_decoys(pairs, [0.0], [SeededGenerator(1, 1)])
     assert len(decoys) == 0
     assert is_decoy.tolist() == [False] * 30
     assert np.array_equal(pairs.codeword, codewords)
@@ -214,7 +221,7 @@ def test_insert_decoys_zero_fraction_changes_nothing():
 def test_insert_decoys_count_positions_and_preparations():
     n = 5000
     pairs = prepared(n, 5)
-    is_decoy, decoys = insert_decoys(pairs, 0.2, [SeededGenerator(5, 1)])
+    is_decoy, decoys = insert_decoys(pairs, [0.2], [SeededGenerator(5, 1)])
     count = len(decoys)
     sigma = np.sqrt(n * 0.2 * 0.8)
     assert abs(count - n * 0.2) < 4 * sigma
@@ -257,9 +264,10 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
     for strategy, target, loss, n in itertools.product(
         EveStrategy, EveTarget, (0.0, 0.3, 0.9, 1.0), (0, 1, 7, 500)
     ):
-        channel = ChannelConfig(loss, EveConfig(strategy, target))
         g = SeededGenerator(n, 5)
-        delivered, basis, u = _channel([n], channel, Photon.A, [g])
+        delivered, basis, u = _channel(
+            [n], [loss], EveConfig(strategy, target), Photon.A, [g]
+        )
         ref = SeededGenerator(n, 5)
         coins = [not ref.coin(loss) for _ in range(n)]
         assert delivered.tolist() == coins
@@ -280,16 +288,15 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
         assert g.uniform() == ref.uniform()
 
 
-def reference_transmit_b(pairs, decoys, is_decoy, channel, seeds):
+def reference_transmit_b(pairs, decoys, is_decoy, losses, eve, seeds):
     """Reference: slot by slot, each session's loss coins, then for each
     delivered slot in order the attacker's row, applied to the pair or the
     check photon in that slot.  Updates the batches in place and returns
     each session's stream, positioned after its last draw."""
     n = len(pairs) // len(seeds)
-    eve = channel.eve
     attacked = eve is not None and eve.target.covers(Photon.B)
     gens, start, pair, decoy = [], 0, 0, 0
-    for seed, count in zip(seeds, decoys.sizes):
+    for seed, loss, count in zip(seeds, losses, decoys.sizes):
         g = SeededGenerator(seed, 2)
         gens.append(g)
         slots = range(start, start + n + count)
@@ -302,7 +309,7 @@ def reference_transmit_b(pairs, decoys, is_decoy, channel, seeds):
             else:
                 items.append((False, pair))
                 pair += 1
-        arrived = [not g.coin(channel.loss_probability) for _ in slots]
+        arrived = [not g.coin(loss) for _ in slots]
         for (on_decoy, i), ok in zip(items, arrived):
             (decoys.delivered if on_decoy else pairs.b_delivered)[i] = ok
         if not attacked:
@@ -345,24 +352,30 @@ def batch_fields(batch):
 
 
 def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
-    cases = itertools.product(
-        EveStrategy, EveTarget, (0.0, 0.3, 1.0), (0.0, 0.4, 0.85), (1, 2, 3)
-    )
-    for case, (strategy, target, loss, fraction, sessions) in enumerate(cases):
+    # each session of a batch has its own loss and decoy fraction: the
+    # first session the case's, the next ones the values after it
+    losses, fractions = (0.0, 0.3, 1.0), (0.0, 0.4, 0.85)
+    cases = itertools.product(EveStrategy, EveTarget, range(3), range(3), (1, 2, 3))
+    for case, (strategy, target, lo, fr, sessions) in enumerate(cases):
         seeds = [1000 * case + s for s in range(sessions)]
+        loss = [losses[(lo + s) % 3] for s in range(sessions)]
         n = 1 + case % 40
         pairs = step1_prepare_and_encode(n, [SeededGenerator(s, 0) for s in seeds])
         is_decoy, decoys = insert_decoys(
-            pairs, fraction, [SeededGenerator(s, 1) for s in seeds]
+            pairs,
+            [fractions[(fr + s) % 3] for s in range(sessions)],
+            [SeededGenerator(s, 1) for s in seeds],
         )
         ref_pairs, ref_decoys = (
             type(batch)(**{k: v.copy() for k, v in vars(batch).items()})
             for batch in (pairs, decoys)
         )
-        channel = ChannelConfig(loss, EveConfig(strategy, target))
+        eve = EveConfig(strategy, target)
         gens = [SeededGenerator(s, 2) for s in seeds]
-        transmit_b(pairs, decoys, is_decoy, channel, gens)
-        ref_gens = reference_transmit_b(ref_pairs, ref_decoys, is_decoy, channel, seeds)
+        transmit_b(pairs, decoys, is_decoy, loss, eve, gens)
+        ref_gens = reference_transmit_b(
+            ref_pairs, ref_decoys, is_decoy, loss, eve, seeds
+        )
         assert batch_fields(pairs) == batch_fields(ref_pairs)
         assert batch_fields(decoys) == batch_fields(ref_decoys)
         # both consumed the same draws of every session's stream, none more
@@ -447,9 +460,9 @@ def test_sample_matches_a_per_key_inverse_cdf():
 
 def test_decoy_check_clean_channel_reports_zero_error():
     pairs = step1_prepare_and_encode(500, [SeededGenerator(11, 0)])
-    _, decoys = insert_decoys(pairs, 0.5, [SeededGenerator(11, 1)])
+    _, decoys = insert_decoys(pairs, [0.5], [SeededGenerator(11, 1)])
     transcript = Transcript()
-    [result] = decoy_check(decoys, 0.05, transcript, [SeededGenerator(11, 3)])
+    [result] = decoy_check(decoys, [0.05], transcript, [SeededGenerator(11, 3)])
     assert result.qber == 0.0
     assert result.proceed
     assert result.errors == result.pol_errors == result.freq_errors == 0
@@ -466,14 +479,14 @@ def test_decoy_check_clean_channel_reports_zero_error():
 
 def test_decoy_check_flags_shifted_bins_and_aborts():
     pairs = step1_prepare_and_encode(200, [SeededGenerator(13, 0)])
-    _, decoys = insert_decoys(pairs, 0.5, [SeededGenerator(13, 1)])
+    _, decoys = insert_decoys(pairs, [0.5], [SeededGenerator(13, 1)])
     # swap every photon's frequency bin: the row of the other bin
     for i in range(len(decoys)):
         swapped = decoy_state(decoys, i).vec.reshape(2, 2)[:, ::-1].reshape(4)
         decoys.state[i] ^= 1
         assert np.array_equal(decoy_state(decoys, i).vec, swapped)
     transcript = Transcript()
-    [result] = decoy_check(decoys, 0.05, transcript, [SeededGenerator(13, 3)])
+    [result] = decoy_check(decoys, [0.05], transcript, [SeededGenerator(13, 3)])
     assert result.qber == 1.0
     assert result.freq_errors == result.compared
     assert result.pol_errors == 0
@@ -483,14 +496,15 @@ def test_decoy_check_flags_shifted_bins_and_aborts():
 
 def test_decoy_check_with_nothing_to_compare_is_indeterminate():
     transcript = Transcript()
-    assert decoy_check(no_decoys(), 0.05, transcript, [SeededGenerator(1, 3)]) == [None]
+    gens = [SeededGenerator(1, 3)]
+    assert decoy_check(no_decoys(), [0.05], transcript, gens) == [None]
     assert MessageKind.ABORT in transcript.kinds()
 
 
 def test_wc_check_clean_channel_reports_zero_error():
     pairs = prepared(800, 17)
     transcript = Transcript()
-    [result] = wc_check(pairs, 0.5, 0.05, transcript, [SeededGenerator(17, 4)])
+    [result] = wc_check(pairs, [0.5], [0.05], transcript, [SeededGenerator(17, 4)])
     assert result.qber == 0.0
     assert result.proceed
     assert result.z_errors == result.x_errors == 0
@@ -509,7 +523,7 @@ def test_wc_check_clean_channel_reports_zero_error():
 def test_wc_check_skips_lost_pairs_and_marks_checked():
     pairs = prepared(100, 19)
     pairs.b_delivered[:30] = False
-    wc_check(pairs, 1.0, 0.05, Transcript(), [SeededGenerator(19, 4)])
+    wc_check(pairs, [1.0], [0.05], Transcript(), [SeededGenerator(19, 4)])
     assert not pairs.checked[:30].any()
     assert pairs.checked[30:].all()
 
@@ -518,7 +532,7 @@ def test_wc_check_error_rates_under_fixed_z_attack():
     pairs = prepared(6000, 23)
     channel = ChannelConfig(eve=EveConfig(EveStrategy.Z, EveTarget.B))
     transmit_pairs_b(pairs, channel, SeededGenerator(23, 2))
-    [result] = wc_check(pairs, 1.0, 0.05, Transcript(), [SeededGenerator(23, 4)])
+    [result] = wc_check(pairs, [1.0], [0.05], Transcript(), [SeededGenerator(23, 4)])
     rates = WC_RATES["Z"]
     assert result.z_errors / result.z_compared == pytest.approx(rates["z"], abs=0.01)
     assert result.x_errors / result.x_compared == pytest.approx(rates["x"], abs=0.03)
@@ -530,7 +544,7 @@ def test_wc_check_error_rates_under_random_basis_attack():
     pairs = prepared(6000, 29)
     channel = ChannelConfig(eve=EveConfig(EveStrategy.RANDOM_ZX, EveTarget.B))
     transmit_pairs_b(pairs, channel, SeededGenerator(29, 2))
-    [result] = wc_check(pairs, 1.0, 0.05, Transcript(), [SeededGenerator(29, 4)])
+    [result] = wc_check(pairs, [1.0], [0.05], Transcript(), [SeededGenerator(29, 4)])
     rates = WC_RATES["RANDOM"]
     assert result.z_errors / result.z_compared == pytest.approx(rates["z"], abs=0.03)
     assert result.x_errors / result.x_compared == pytest.approx(rates["x"], abs=0.03)
@@ -541,7 +555,8 @@ def test_wc_check_with_no_matched_bases_is_indeterminate():
     pairs = prepared(3, 31)
     pairs.b_delivered[:] = False
     transcript = Transcript()
-    assert wc_check(pairs, 1.0, 0.05, transcript, [SeededGenerator(31, 4)]) == [None]
+    gens = [SeededGenerator(31, 4)]
+    assert wc_check(pairs, [1.0], [0.05], transcript, gens) == [None]
     assert transcript.kinds()[-1] is MessageKind.ABORT
 
 
@@ -553,7 +568,7 @@ def test_wc_check_surfaces_a_state_the_converters_annihilate():
     pairs.state[:] = ALPHABET.intern(JointState(vec))
     transcript = Transcript()
     with pytest.raises(StateError):
-        wc_check(pairs, 1.0, 0.05, transcript, [SeededGenerator(43, 4)])
+        wc_check(pairs, [1.0], [0.05], transcript, [SeededGenerator(43, 4)])
     # raised after the sampled positions are announced, before any basis
     assert transcript.kinds() == (MessageKind.POSITIONS,)
 

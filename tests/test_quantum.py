@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from depqkd import (
@@ -271,6 +273,32 @@ def test_skip_steps_past_words_at_any_buffer_position():
             assert np.array_equal(got, expected[before + n :]), (before, n)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 6),
+    st.lists(
+        st.tuples(st.sampled_from(["words", "skip", "uniforms"]), st.integers(0, 70)),
+        max_size=12,
+    ),
+)
+def test_interleaved_draws_and_skips_follow_the_plain_philox(seed, stream, calls):
+    # a skip may start and end anywhere in a four-word Philox block, after
+    # any mix of earlier draws and skips
+    g = SeededGenerator(seed, stream)
+    expected = philox_words(seed, stream, sum(n for _, n in calls) + 5)
+    at = 0
+    for kind, n in calls:
+        if kind == "words":
+            assert np.array_equal(g.words(n), expected[at : at + n])
+        elif kind == "uniforms":
+            assert np.array_equal(g.uniforms(n), doubles(expected[at : at + n]))
+        else:
+            g.skip(n)
+        at += n
+    assert np.array_equal(g.words(5), expected[at:])
+
+
 def test_a_stream_that_is_only_skipped_builds_no_philox(monkeypatch):
     built = []
     philox = np.random.Philox
@@ -320,20 +348,37 @@ def boundary_words(bound):
 @pytest.mark.parametrize("p", [5e-324, 2.0**-53, 0.1, 0.5, 1 - 2.0**-53])
 def test_integer_coins_equal_double_coins(p):
     g, ref = SeededGenerator(31, 2), SeededGenerator(31, 2)
-    assert np.array_equal(_coins([g], [20000], p), ref.uniforms(20000) < p)
+    assert np.array_equal(_coins([g], [20000], [p]), ref.uniforms(20000) < p)
     w = np.array(boundary_words(math.ceil(p * 2**53) << 11), dtype=np.uint64)
-    assert np.array_equal(_coins([FixedWords(w)], [len(w)], p), doubles(w) < p)
+    assert np.array_equal(_coins([FixedWords(w)], [len(w)], [p]), doubles(w) < p)
 
 
 def test_decided_coins_skip_their_words():
     for p, value in ((0.0, False), (1.0, True)):
         gens = [SeededGenerator(31, 4), SeededGenerator(32, 4)]
-        coins = _coins(gens, [5, 6], p)
+        coins = _coins(gens, [5, 6], [p, p])
         assert coins.tolist() == [value] * 11
         for g, size in zip(gens, [5, 6]):
             ref = SeededGenerator(g.seed, g.stream)
             ref.words(size)
             assert np.array_equal(g.words(9), ref.words(9))
+
+
+def test_coins_of_a_batch_equal_each_session_alone():
+    # runs of equal probabilities, decided and drawn, beside one another
+    p = [0.3, 0.3, 0.0, 1.0, 1.0, 0.3, 0.7, 0.0]
+    sizes = [5, 0, 6, 3, 4, 9, 7, 2]
+    gens = [SeededGenerator(40 + s, 2) for s in range(len(p))]
+    coins = _coins(gens, sizes, p)
+    alone = [
+        _coins([SeededGenerator(40 + s, 2)], [m], [q])
+        for s, (m, q) in enumerate(zip(sizes, p))
+    ]
+    assert coins.tolist() == np.concatenate(alone).tolist()
+    for s, g in enumerate(gens):
+        ref = SeededGenerator(40 + s, 2)
+        ref.words(sizes[s])
+        assert np.array_equal(g.words(9), ref.words(9))
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
