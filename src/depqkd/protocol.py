@@ -54,8 +54,6 @@ from .quantum import (
     PolBasis,
     SeededGenerator,
     apply_local,
-    cumulative,
-    doubles,
     local_probabilities,
     partial_collapse,
     partial_probabilities,
@@ -263,7 +261,7 @@ def _draw(
     A word stands for the double ``u`` that :func:`~depqkd.quantum.doubles`
     makes of it.  :func:`_coins`, :func:`_basis_coins` and :func:`_randints`
     decide on the word as an integer, with the outcome ``u`` would give;
-    only the draws an inverse cdf reads become doubles.
+    :meth:`_Outcomes.sample` reads its top 4 bits, ``floor(16 * u)``.
     """
     if len(gens) == 1:
         w = gens[0].words(sizes[0] * width)
@@ -435,73 +433,57 @@ class _Transitions:
         return ids
 
 
-class _Cdfs:
-    """The outcome distribution of each sampling key over ``length``
-    outcomes, filled on its first miss from :func:`cumulative` of
-    ``probabilities(key)``.
+_GRID_BITS = 4  # an outcome is a function of its word's top 4 bits
+_GRID = 1 << _GRID_BITS
 
-    A row keeps only the steps of its cdf, the entries above the one
-    before: ``width`` of them (-1 for a row not yet filled), their values
-    in the columns of ``step`` padded with ``+inf``, and in ``inc`` the
-    distance from each step's index to the next one's, the last step
-    counting to ``length - 1``.  ``first`` is the index of the first step,
-    or ``length - 1`` for a row without one.
+
+class _Outcomes:
+    """The outcome of each sampling key as a function of a draw's word,
+    filled on its first miss from ``probabilities(key)``.
+
+    Every outcome probability of the protocol is a multiple of 1/16, so a
+    row is 16 ``int8`` entries, ``lut[16 * key + j]`` the outcome of a
+    word whose top 4 bits are ``j``: outcome ``i`` fills ``16 * p_i``
+    entries, in outcome order.  A row not yet filled holds -1.
     """
 
-    def __init__(
-        self, length: int, rows: int, probabilities: Callable[[int], np.ndarray]
-    ) -> None:
-        self.length = length
+    def __init__(self, rows: int, probabilities: Callable[[int], np.ndarray]) -> None:
         self.probabilities = probabilities
-        self.width = np.full(rows, -1, dtype=_CODE)
-        self.first = np.zeros(rows, dtype=_CODE)
-        self.step = np.full((length, rows), np.inf)
-        self.inc = np.zeros((length, rows), dtype=_CODE)
-        self.total = np.zeros(rows)
+        self.lut = np.full(_GRID * rows, -1, dtype=_CODE)
 
     def grow(self, rows: int) -> None:
-        self.width = _grown(self.width, rows, -1)
-        self.first = _grown(self.first, rows, 0)
-        self.step = _grown(self.step, rows, np.inf)
-        self.inc = _grown(self.inc, rows, 0)
-        self.total = _grown(self.total, rows, 0.0)
+        self.lut = _grown(self.lut, _GRID * rows, -1)
 
     def _fill(self, key: int) -> None:
-        cdf = cumulative(self.probabilities(key))
-        at = [i for i, (c, before) in enumerate(zip(cdf, (0.0, *cdf))) if c > before]
-        last = self.length - 1
-        self.first[key] = at[0] if at else last
-        self.step[: len(at), key] = [cdf[i] for i in at]
-        self.inc[: len(at), key] = [b - a for a, b in zip(at, [*at[1:], last])]
-        self.total[key] = cdf[-1]
-        self.width[key] = len(at)
+        scaled = _GRID * np.asarray(self.probabilities(key))
+        counts = np.rint(scaled)
+        if not (np.abs(scaled - counts) <= 1e-9).all() or counts.sum() != _GRID:
+            raise ValueError(
+                f"outcome probabilities {(scaled / _GRID).tolist()} of sampling "
+                f"key {key} are not multiples of 1/{_GRID} summing to 1"
+            )
+        row = np.repeat(np.arange(len(counts)), counts.astype(np.intp))
+        self.lut[_GRID * key : _GRID * (key + 1)] = row
 
-    def fill(self, keys: np.ndarray) -> np.ndarray:
-        """Fill the rows of ``keys`` not yet filled; returns their widths."""
-        width = self.width.take(keys)
-        if (width < 0).any():
-            for key in _missing(keys, width):
+    def _at(self, keys: np.ndarray) -> np.ndarray:
+        # 16 * key overflows the int16 of a key from 2048 on
+        return keys.astype(np.intp) << _GRID_BITS
+
+    def fill(self, keys: np.ndarray) -> None:
+        """Fill the rows of ``keys`` not yet filled."""
+        for key in _missing(keys, self.lut.take(self._at(keys))):
+            self._fill(key)
+
+    def sample(self, keys: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The outcome of each word ``w`` under the row of its key,
+        ``lut[16 * key + (w >> 60)]``."""
+        at = self._at(keys)
+        at |= (w >> (64 - _GRID_BITS)).view(np.intp)
+        k = self.lut.take(at)
+        if (k < 0).any():
+            for key in _missing(keys, k):
                 self._fill(key)
-            width = self.width.take(keys)
-        return width
-
-    def sample(self, keys: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF index of each draw under the cdf of its key.
-
-        Equals :func:`inverse_cdf` per key, the clamped ``searchsorted``
-        index of ``x = u * total``: every entry before the first step is
-        0, at most ``x``, and every other entry equals the step at or
-        before it, so that index is the first step above ``x``, or
-        ``length - 1`` when none is.  The steps rise strictly, so the
-        increments of the steps at or below ``x`` add up to it.
-        """
-        if not len(keys):
-            return np.zeros(0, dtype=_CODE)
-        width = self.fill(keys)
-        x = u * self.total.take(keys)
-        k = self.first.take(keys)
-        for c in range(width.max()):
-            k += (self.step[c].take(keys) <= x) * self.inc[c].take(keys)
+            k = self.lut.take(at)
         return k
 
 
@@ -515,10 +497,11 @@ class StateAlphabet:
     outcome ``k``; ``device[id]``, ``wc[4 * id + 2 * basis_a + basis_b]``,
     and for a check photon with :class:`DecoyBatch` state id ``local_id``,
     ``local[2 * local_id + basis]``.  Bases index ``tuple(PolBasis)`` and
-    operations ``tuple(Pauli)``.  Each entry is filled on first use by the
-    scalar function the single-item samplers use, so a lookup gives the
-    very floats a direct call would.  Entries depend only on the
-    amplitudes, so one table serves every session.
+    operations ``tuple(Pauli)``.  Each entry is filled on first use from the
+    scalar function the single-item samplers use: a transition holds the
+    state a direct call reaches, an outcome row that call's probabilities
+    in sixteenths.  Entries depend only on the amplitudes, so one table
+    serves every session.
     """
 
     def __init__(self) -> None:
@@ -548,8 +531,7 @@ class StateAlphabet:
             for photon in Photon
         }
         self.partial = {
-            photon: _Cdfs(
-                4,
+            photon: _Outcomes(
                 0,
                 lambda key, photon=photon: partial_probabilities(
                     at(key >> 1), photon, _BASES[key & 1]
@@ -557,19 +539,15 @@ class StateAlphabet:
             )
             for photon in Photon
         }
-        self.device = _Cdfs(
-            len(device_outcomes()), 0, lambda sid: device_probabilities(at(sid))
-        )
+        self.device = _Outcomes(0, lambda sid: device_probabilities(at(sid)))
         # A state the converters annihilate raises StateError on its fill.
-        self.wc = _Cdfs(
-            4,
+        self.wc = _Outcomes(
             0,
             lambda key: _wc_probabilities(
                 wavelength_convert_global(at(key >> 2)), (key >> 1) & 1, key & 1
             ),
         )
-        self.local = _Cdfs(
-            4,
+        self.local = _Outcomes(
             2 * 4 * len(_BASES),
             lambda key: local_probabilities(
                 LocalState(LOCAL_BASIS[_BASES[key >> 3]][(key >> 1) & 3]),
@@ -644,7 +622,7 @@ def _channel(
     delivered photon in slot order: the attacker's basis coin (random
     policy only) and its measurement draw.  Returns the delivery mask and,
     for an attacked transmission, the attacker's basis and measurement
-    draw per delivered photon.
+    word per delivered photon.
     """
     delivered = ~_coins(gens, sizes, losses)
     if eve is None or not eve.target.covers(photon):
@@ -652,18 +630,18 @@ def _channel(
     m = _tally(delivered, sizes)
     if eve.strategy is EveStrategy.RANDOM_ZX:
         w = _draw(gens, m, 2)
-        return delivered, _basis_coins(w[:, 0]), doubles(w[:, 1])
+        return delivered, _basis_coins(w[:, 0]), w[:, 1]
     fixed = PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
-    u = doubles(_draw(gens, m)[:, 0])
-    return delivered, np.full(len(u), _BASES.index(fixed), dtype=_CODE), u
+    w = _draw(gens, m)[:, 0]
+    return delivered, np.full(len(w), _BASES.index(fixed), dtype=_CODE), w
 
 
 def _intercept_pairs(
-    pairs: PairBatch, idx: np.ndarray, photon: Photon, basis: np.ndarray, u: np.ndarray
+    pairs: PairBatch, idx: np.ndarray, photon: Photon, basis: np.ndarray, w: np.ndarray
 ) -> None:
     """Measure one photon of each pair ``idx`` and resend the eigenstate."""
     keys = 2 * pairs.state[idx] + basis
-    k = ALPHABET.partial[photon].sample(keys, u)
+    k = ALPHABET.partial[photon].sample(keys, w)
     pairs.state[idx] = ALPHABET.collapsed[photon](4 * keys + k)
     if photon is Photon.B:
         pairs.eve_b_basis[idx], pairs.eve_b_outcome[idx] = basis, k
@@ -759,7 +737,7 @@ def transmit_b(
     """
     t = len(gens)
     sizes = [len(pairs) // t + c for c in decoys.sizes]
-    delivered, basis, u = _channel(sizes, losses, eve, Photon.B, gens)
+    delivered, basis, w = _channel(sizes, losses, eve, Photon.B, gens)
     pair_slots = np.flatnonzero(~is_decoy)
     pairs.b_delivered[:] = delivered[pair_slots]
     decoys.delivered[:] = delivered[decoys.position]
@@ -770,11 +748,11 @@ def transmit_b(
     row = np.cumsum(delivered) - 1
     hit = np.flatnonzero(pairs.b_delivered)
     rows = row[pair_slots[hit]]
-    _intercept_pairs(pairs, hit, Photon.B, basis[rows], u[rows])
+    _intercept_pairs(pairs, hit, Photon.B, basis[rows], w[rows])
     hit = np.flatnonzero(decoys.delivered)
     rows = row[decoys.position[hit]]
-    basis, u = basis[rows], u[rows]
-    k = ALPHABET.local.sample(2 * decoys.state[hit] + basis, u)
+    basis = basis[rows]
+    k = ALPHABET.local.sample(2 * decoys.state[hit] + basis, w[rows])
     decoys.eve_basis[hit], decoys.eve_outcome[hit] = basis, k
     decoys.state[hit] = 4 * basis + k
 
@@ -919,7 +897,7 @@ def decoy_check(
     sizes = _tally(decoys.delivered, decoys.sizes)
     w = _draw(gens, sizes, 2)
     basis = _basis_coins(w[:, 0])
-    k = ALPHABET.local.sample(2 * decoys.state[idx] + basis, doubles(w[:, 1]))
+    k = ALPHABET.local.sample(2 * decoys.state[idx] + basis, w[:, 1])
     decoys.bob_basis[idx], decoys.bob_outcome[idx] = basis, k
     _post(
         t,
@@ -1027,7 +1005,7 @@ def wc_check(
     w = _draw(gens, sizes, 3)
     basis_a = _basis_coins(w[:, 0])
     basis_b = _basis_coins(w[:, 1])
-    k = ALPHABET.wc.sample(4 * ids + 2 * basis_a + basis_b, doubles(w[:, 2]))
+    k = ALPHABET.wc.sample(4 * ids + 2 * basis_a + basis_b, w[:, 2])
     _post(
         t,
         "both",
@@ -1082,10 +1060,10 @@ def transmit_a(
     """Send the photons a of the active pairs through the channel; see
     :func:`_channel` for ``losses`` and ``eve``."""
     sizes = _sizes(pairs, active, len(gens))
-    delivered, basis, u = _channel(sizes, losses, eve, Photon.A, gens)
+    delivered, basis, w = _channel(sizes, losses, eve, Photon.A, gens)
     pairs.a_delivered[active] = delivered
     if basis is not None:
-        _intercept_pairs(pairs, active[delivered], Photon.A, basis, u)
+        _intercept_pairs(pairs, active[delivered], Photon.A, basis, w)
 
 
 # Codeword announced by each device outcome, in device_outcomes() order.
@@ -1101,8 +1079,8 @@ def step5_decode_and_sift(
     surviving pairs."""
     survivors = np.flatnonzero(pairs.surviving)
     sizes = _sizes(pairs, survivors, len(gens))
-    u = doubles(_draw(gens, sizes)[:, 0])
-    outcome = ALPHABET.device.sample(pairs.state[survivors], u)
+    w = _draw(gens, sizes)[:, 0]
+    outcome = ALPHABET.device.sample(pairs.state[survivors], w)
     pairs.decoded[survivors] = _DECODED.take(outcome)
     _post(
         transcript,

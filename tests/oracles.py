@@ -177,6 +177,22 @@ def device_projectors() -> list[tuple[tuple[int, int, int, int], np.ndarray]]:
 
 
 # ---------------------------------------------------------------------------
+# sampling on the 1/16 grid
+
+
+def grid_outcome(probabilities, word: int) -> int:
+    """The outcome a 64-bit ``word`` picks from a distribution on the 1/16
+    grid: the integer counts ``round(16 * p)`` laid end to end over the 16
+    values of the word's top 4 bits."""
+    top, edge = word >> 60, 0
+    for outcome, p in enumerate(probabilities):
+        edge += round(16 * float(p))
+        if top < edge:
+            return outcome
+    raise ValueError(f"counts of {list(probabilities)} sum to {edge}, not 16")
+
+
+# ---------------------------------------------------------------------------
 # outcome-tree enumerations
 
 _BASES = {

@@ -37,7 +37,7 @@ from depqkd import (
 from depqkd.protocol import (
     ALPHABET,
     StateAlphabet,
-    _Cdfs,
+    _Outcomes,
     _channel,
     _smallest,
     _wc_probabilities,
@@ -52,8 +52,6 @@ from depqkd.protocol import (
 from depqkd.device import device_probabilities, wavelength_convert_global
 from depqkd.quantum import (
     apply_local,
-    cumulative,
-    inverse_cdf,
     local_probabilities,
     partial_collapse,
     partial_probabilities,
@@ -265,17 +263,18 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
         EveStrategy, EveTarget, (0.0, 0.3, 0.9, 1.0), (0, 1, 7, 500)
     ):
         g = SeededGenerator(n, 5)
-        delivered, basis, u = _channel(
+        delivered, basis, w = _channel(
             [n], [loss], EveConfig(strategy, target), Photon.A, [g]
         )
         ref = SeededGenerator(n, 5)
         coins = [not ref.coin(loss) for _ in range(n)]
         assert delivered.tolist() == coins
         if not target.covers(Photon.A):
-            assert basis is None and u is None
+            assert basis is None and w is None
         else:
-            assert len(basis) == len(u) == sum(coins)
-            for b, draw in zip(basis.tolist(), u.tolist()):
+            assert w.dtype == np.uint64
+            assert len(basis) == len(w) == sum(coins)
+            for b, draw in zip(basis.tolist(), w.tolist()):
                 if strategy is EveStrategy.RANDOM_ZX:
                     expected = PolBasis.Z if ref.coin(0.5) else PolBasis.X
                 elif strategy is EveStrategy.Z:
@@ -283,7 +282,7 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
                 else:
                     expected = PolBasis.X
                 assert BASES[b] is expected
-                assert draw == ref.uniform()
+                assert draw == ref.words(1)[0]
         # both consumed the same draws, none more
         assert g.uniform() == ref.uniform()
 
@@ -323,16 +322,16 @@ def reference_transmit_b(pairs, decoys, is_decoy, losses, eve, seeds):
                 basis = BASES.index(
                     PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
                 )
-            u = np.array([g.uniform()])
+            word = int(g.words(1)[0])
             if on_decoy:
                 p = local_probabilities(decoy_state(decoys, i), BASES[basis])
-                k = int(inverse_cdf(cumulative(p), u)[0])
+                k = oracles.grid_outcome(p, word)
                 decoys.eve_basis[i], decoys.eve_outcome[i] = basis, k
                 decoys.state[i] = 4 * basis + k
             else:
                 state = pair_state(pairs, i)
                 p = partial_probabilities(state, Photon.B, BASES[basis])
-                k = int(inverse_cdf(cumulative(p), u)[0])
+                k = oracles.grid_outcome(p, word)
                 pairs.eve_b_basis[i], pairs.eve_b_outcome[i] = basis, k
                 pairs.state[i] = ALPHABET.intern(
                     partial_collapse(state, Photon.B, BASES[basis], k)
@@ -380,82 +379,6 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
         assert batch_fields(decoys) == batch_fields(ref_decoys)
         # both consumed the same draws of every session's stream, none more
         assert [g.uniform() for g in gens] == [g.uniform() for g in ref_gens]
-
-
-def reference_sample(keys, u, cdf_of):
-    """Reference: one inverse CDF per distinct key over that key's draws."""
-    k = np.zeros(len(keys), dtype=np.int64)
-    for key in np.unique(keys).tolist():
-        sel = keys == key
-        k[sel] = inverse_cdf(cdf_of(key), u[sel])
-    return k
-
-
-def table_of(rows):
-    """A table of outcome cdfs over the probability rows ``rows[key]``."""
-    length = len(next(iter(rows.values())))
-    return _Cdfs(length, max(rows) + 1, rows.__getitem__)
-
-
-def test_sample_matches_a_per_key_inverse_cdf():
-    rng = np.random.default_rng(17)
-    for trial in range(3000):
-        length = (4, 16)[trial % 2]
-        n_keys = int(rng.integers(1, 40))
-        p = np.abs(rng.normal(size=(n_keys, length))) ** 2
-        p[rng.random(p.shape) < 0.3] = 0.0  # zero entries, some rows all zero
-        p *= rng.uniform(0.1, 3.0, size=(n_keys, 1))  # unnormalised rows
-        cdfs = [cumulative(row) for row in p]
-        # keys with gaps, each mapped to a row of the table
-        key_values = np.sort(rng.choice(5 * n_keys, size=n_keys, replace=False))
-        cdf_of = dict(zip(key_values.tolist(), cdfs)).__getitem__
-        n = int(rng.integers(0, 200))
-        keys = rng.choice(key_values, size=n)
-        u = rng.random(n)
-        u[rng.random(n) < 0.05] = 0.0
-        got = table_of(dict(zip(key_values.tolist(), p))).sample(keys, u)
-        assert got.dtype == np.int8
-        assert got.tolist() == reference_sample(keys, u, cdf_of).tolist()
-    empty = table_of({0: p[0]}).sample(np.zeros(0, dtype=np.int64), np.zeros(0))
-    assert empty.dtype == np.int8 and empty.shape == (0,)
-
-    # draws on the boundaries: u at step / total, its neighbours, and the
-    # largest draw, 1 - 2**-53, on rows whose last outcomes have probability
-    # zero; a subnormal total makes u * total round up to the total, where
-    # the index clamps to the last outcome
-    top = 1 - 2.0**-53
-    rows = [
-        [0.25, 0.0, 0.25, 0.5],
-        [0.5, 0.5, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0],
-        [1e-320, 0.0, 0.0, 0.0],
-        [0.0, 3e-320, 1e-320, 0.0],
-        *np.abs(rng.normal(size=(20, 4))) ** 2 * (rng.random((20, 4)) < 0.7),
-    ]
-    wide = [row + [0.0] * 12 for row in rows[:6]] + [
-        [0.125] * 8 + [0.0] * 8,
-        *np.abs(rng.normal(size=(20, 16))) ** 2 * (rng.random((20, 16)) < 0.3),
-    ]
-    for table_rows in (rows, wide):
-        rows_of = dict(enumerate(np.asarray(table_rows, dtype=float)))
-        cdf_of = {key: cumulative(p) for key, p in rows_of.items()}.__getitem__
-        keys, u = [], []
-        for key in rows_of:
-            cdf = np.array(cdf_of(key))
-            at = cdf[cdf > 0] / cdf[-1] if cdf[-1] else np.zeros(0)
-            draws = np.concatenate(
-                [at, np.nextafter(at, 0), np.nextafter(at, 1), [0.0, top]]
-            )
-            draws = np.minimum(draws, top)
-            keys += [key] * len(draws)
-            u.append(draws)
-        keys, u = np.array(keys, dtype=np.int16), np.concatenate(u)
-        got = table_of(rows_of).sample(keys, u)
-        assert got.tolist() == reference_sample(keys, u, cdf_of).tolist()
-    # the clamp: u * total reaches the total and the index is the last one
-    clamped = table_of({0: np.array([1e-320, 0.0, 0.0, 0.0])})
-    assert clamped.sample(np.zeros(1, dtype=np.int16), np.array([top])).tolist() == [3]
 
 
 def test_decoy_check_clean_channel_reports_zero_error():
@@ -809,8 +732,43 @@ def test_state_alphabet_refuses_an_id_that_would_overflow_a_sampling_key():
     assert alphabet.intern(states[17]) == 17  # known states still resolve
 
 
-def run_every_setting():
-    """One session of each check x attacker x target, at loss 0.2."""
+def test_a_lookup_at_the_largest_keys_reads_its_own_row():
+    # 16 * key overflows int16 from key 2048 on.  A wrapped index into the
+    # device table's 16 * 4096 entries lands on the same entry counted from
+    # the end, so of these keys only the converter table's 4096 and
+    # 4 * 3071 + 3 would read another row; the largest keys pin the row ends.
+    alphabet = StateAlphabet()
+    for i in range(4096):
+        alphabet.intern(JointState(np.full(16, 1.0 + i)))
+    checks = {
+        alphabet.device: (2048, 4095),
+        alphabet.wc: (4096, 4 * 3071 + 3, 4 * 4095 + 3),
+    }
+    words = np.arange(16, dtype=np.uint64) << np.uint64(60)
+    for table, keys in checks.items():
+        # key % 17 sixteenths of outcome 0, the rest outcome 1: rows that
+        # differ from each other and from every row not filled (-1)
+        table.probabilities = lambda key: np.array([key % 17, 16 - key % 17]) / 16
+        for key in keys:
+            got = table.sample(np.full(16, key, dtype=np.int16), words)
+            assert got.tolist() == [0] * (key % 17) + [1] * (16 - key % 17), key
+
+
+@pytest.mark.parametrize(
+    "p", [(0.3, 0.7, 0.0, 0.0), (0.25, 0.25, 0.0, 0.0), (0.5 + 1e-7, 0.5 - 1e-7, 0, 0)]
+)
+def test_a_row_off_the_sixteenths_grid_raises_and_stays_unfilled(p):
+    table = _Outcomes(3, lambda key: np.array(p))
+    keys, words = np.full(4, 2, dtype=np.int16), np.zeros(4, dtype=np.uint64)
+    with pytest.raises(ValueError, match="key 2"):
+        table.sample(keys, words)
+    with pytest.raises(ValueError, match="key 2"):
+        table.fill(keys)
+    assert (table.lut == -1).all()
+
+
+def run_every_setting(loss=0.2):
+    """One session of each check x attacker x target, at ``loss``."""
     for check in CheckStrategy:
         for strategy in (None, *EveStrategy):
             for target in EveTarget if strategy else (EveTarget.B,):
@@ -820,7 +778,7 @@ def run_every_setting():
                         n_pairs=300,
                         check_strategy=check,
                         qber_threshold=0.9,
-                        channel=ChannelConfig(loss_probability=0.2, eve=eve),
+                        channel=ChannelConfig(loss_probability=loss, eve=eve),
                     )
                 )
 
@@ -832,22 +790,12 @@ def test_state_alphabet_stays_small_and_normalized():
     assert all(state.is_normalized() for state in ALPHABET.states)
 
 
-def rebuilt_cdf(table, key):
-    """The cdf of one filled row of a :class:`_Cdfs`, from its steps."""
-    cdf = np.zeros(table.length)
-    at = int(table.first[key])
-    for c in range(table.width[key]):
-        cdf[at:] = table.step[c, key]
-        at += int(table.inc[c, key])
-    assert at == table.length - 1  # the last step counts to the last index
-    return cdf
-
-
-def test_alphabet_tables_match_the_scalar_functions():
-    run_every_setting()
+def outcome_tables():
+    """Each outcome table of :data:`ALPHABET` with the scalar function of
+    its rows."""
     states = ALPHABET.states
     local = [LocalState(LOCAL_BASIS[basis][k]) for basis in BASES for k in range(4)]
-    scalar = {
+    return {
         **{
             ALPHABET.partial[photon]: lambda key, photon=photon: partial_probabilities(
                 states[key >> 1], photon, BASES[key & 1]
@@ -862,17 +810,57 @@ def test_alphabet_tables_match_the_scalar_functions():
             local[key >> 1], BASES[key & 1]
         ),
     }
-    for table, probabilities in scalar.items():
-        filled = np.flatnonzero(table.width >= 0).tolist()
-        assert filled
-        for key in filled:
-            expected = np.array(cumulative(probabilities(key)))
-            assert rebuilt_cdf(table, key).tobytes() == expected.tobytes()
-            assert table.total[key] == expected[-1]
-            width = table.width[key]
-            assert np.all(np.diff(table.step[:width, key]) > 0)
-            assert np.all(table.step[width:, key] == np.inf)
-            assert not table.inc[width:, key].any()
+
+
+def filled_rows(table):
+    return np.flatnonzero(table.lut[::16] >= 0).tolist()
+
+
+# 0, 2**64 - 1, and every k * 2**60 with the words on either side of it
+BOUNDARY_WORDS = np.array(
+    sorted(
+        w
+        for k in range(17)
+        for w in (k * 2**60 - 1, k * 2**60, k * 2**60 + 1)
+        if 0 <= w < 2**64
+    ),
+    dtype=np.uint64,
+)
+
+
+def test_sample_reads_each_row_at_the_word_top_4_bits():
+    run_every_setting(loss=0.0)
+    run_every_setting(loss=0.2)
+    assert BOUNDARY_WORDS[0] == 0 and BOUNDARY_WORDS[-1] == 2**64 - 1
+    n = len(BOUNDARY_WORDS)
+    for table, probabilities in outcome_tables().items():
+        rows = filled_rows(table)
+        assert rows
+        for key in rows:
+            got = table.sample(np.full(n, key, dtype=np.int16), BOUNDARY_WORDS)
+            assert got.dtype == np.int8
+            p = probabilities(key)
+            expected = [oracles.grid_outcome(p, w) for w in BOUNDARY_WORDS.tolist()]
+            assert got.tolist() == expected, key
+        empty = table.sample(np.zeros(0, dtype=np.int16), np.zeros(0, dtype=np.uint64))
+        assert empty.dtype == np.int8 and empty.shape == (0,)
+
+
+def test_alphabet_tables_match_the_scalar_functions():
+    run_every_setting()
+    states = ALPHABET.states
+    for table, probabilities in outcome_tables().items():
+        rows = filled_rows(table)
+        assert rows
+        for key in rows:
+            p = probabilities(key)
+            counts = np.rint(16 * p)
+            # every row lies on the 1/16 grid and its counts sum to 16
+            assert np.abs(16 * p - counts).max() <= 1e-9
+            assert counts.sum() == 16
+            expected = [oracles.grid_outcome(p, j << 60) for j in range(16)]
+            row = table.lut[16 * key : 16 * (key + 1)]
+            assert row.tobytes() == np.array(expected, dtype=np.int8).tobytes()
     source = dep_basis(DepLabel.PSI_PLUS)
     successors = {
         ALPHABET.prepared: lambda op: apply_local(PAULIS[op], Photon.B, source),
