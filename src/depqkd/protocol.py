@@ -210,6 +210,20 @@ _CODE = np.int8
 _STATE = np.int16
 _MAX_STATE_ID = (np.iinfo(_STATE).max - 7) // 8
 
+# A large batch allocates and frees about 1 MB of temporaries (word blocks,
+# intp index arrays, cumsum row maps).  By default glibc returns a freed
+# heap top above its trim threshold to the kernel, so every later batch
+# faults the same pages in again.  Freeing one mmapped block larger than the
+# mmap threshold and at most 32 MiB raises that threshold to the block's
+# size and the trim threshold to twice it (mallopt(3), dynamic mmap
+# threshold), so per-batch arrays under 8 MiB come from a heap that stays
+# resident between batches.  The block is never written, so it adds no
+# resident memory.  A 32 MiB block is over the cap and changes nothing; a
+# 4 MiB block works as well.  Under another allocator this is one mmap and
+# one munmap.
+_RESIDENT_HEAP_BYTES = 8 << 20
+np.empty(_RESIDENT_HEAP_BYTES, dtype=np.uint8)
+
 
 class DecoyPol(Enum):
     """Polarization preparation of a single-photon check state."""
@@ -341,9 +355,6 @@ class PairBatch:
 
     def __len__(self) -> int:
         return len(self.codeword)
-
-    def encoding(self, i: int) -> EncodingPair:
-        return EncodingPair(_PAULIS[self.op_a[i]], _PAULIS[self.op_b[i]])
 
     @property
     def surviving(self) -> np.ndarray:
@@ -1119,8 +1130,10 @@ def run_sessions(
     beside them.  A failed or indeterminate security check aborts its
     session with empty keys, and the session's pairs drop out of the batch.
     The public messages are recorded only when a ``transcript`` is passed,
-    which only a batch of one accepts.
+    which only a batch of one accepts.  An empty batch gives no reports.
     """
+    if not configs:
+        return []
     config = configs[0]
     if any(c.batch_key != config.batch_key for c in configs):
         raise ValueError(

@@ -1,7 +1,13 @@
 """Session steps, security checks, and full protocol runs."""
 
+import compileall
 import dataclasses
 import itertools
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,7 +204,7 @@ def test_step1_draws_codewords_uniformly_and_encodes_photon_b():
     first_choice = 0
     for i in range(2000):
         options = encoding_choices(int(pairs.codeword[i]))
-        encoding = pairs.encoding(i)
+        encoding = EncodingPair(PAULIS[pairs.op_a[i]], PAULIS[pairs.op_b[i]])
         assert encoding in options
         assert encoding == options[pairs.choice[i]]
         first_choice += encoding == options[0]
@@ -501,7 +507,8 @@ def test_second_encoding_completes_every_codeword():
     active = step4_encode_a(pairs)
     assert active.tolist() == list(range(200))
     for i in active:
-        assert classify(pair_state(pairs, i)) is encoding_to_label(pairs.encoding(i))
+        encoding = EncodingPair(PAULIS[pairs.op_a[i]], PAULIS[pairs.op_b[i]])
+        assert classify(pair_state(pairs, i)) is encoding_to_label(encoding)
 
 
 def test_decode_step_recovers_every_codeword_without_noise():
@@ -719,6 +726,56 @@ def test_batch_items_are_at_most_two_bytes_wide(monkeypatch):
             value = getattr(batch, f.name)
             if isinstance(value, np.ndarray) and f.name != "position":
                 assert value.itemsize <= 2, f.name
+
+
+def test_an_empty_batch_gives_no_reports():
+    assert protocol.run_sessions([]) == []
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="counts glibc's heap trimming"
+)
+def test_repeated_large_batches_do_not_re_fault_the_heap():
+    # A fresh process, because freeing large arrays in earlier tests may
+    # already have raised this process's trim threshold.  Compiling the
+    # package at import and a multi-threaded OpenBLAS start-up free large
+    # blocks too, which can hide a heap trimmed between batches, so the
+    # child imports bytecode compiled beforehand and pins BLAS threads to 1,
+    # as the benchmark's workers do.
+    script = """
+import resource
+from depqkd import ChannelConfig, CheckStrategy, EveConfig, EveStrategy, ProtocolConfig
+from depqkd.protocol import run_sessions
+shapes = (
+    dict(n_pairs=20_000, check_strategy=CheckStrategy.BOTH),
+    dict(n_pairs=10_000, check_strategy=CheckStrategy.DECOY, decoy_fraction=0.85,
+         channel=ChannelConfig(eve=EveConfig(EveStrategy.RANDOM_ZX))),
+)
+seed = 0
+for shape in shapes:
+    faults = []
+    for call in range(13):
+        seed += 1
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_sessions([ProtocolConfig(seed=seed, **shape)])
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(*faults[3:])  # after 3 warm-up calls
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert compileall.compile_dir(src, quiet=1)
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, **dict.fromkeys(threads, "1"), "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    per_shape = [list(map(int, line.split())) for line in result.stdout.splitlines()]
+    assert len(per_shape) == 2
+    for faults in per_shape:
+        assert len(faults) == 10 and np.median(faults) <= 16, faults
 
 
 def test_state_alphabet_refuses_an_id_that_would_overflow_a_sampling_key():
