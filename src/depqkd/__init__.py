@@ -1,144 +1,37 @@
 """Seed-reproducible simulator of a two-step key distribution protocol on
-photon pairs entangled in both polarization and frequency."""
+photon pairs entangled in both polarization and frequency.
 
-from .channel import (
-    ChannelConfig,
-    ConfigError,
-    EveConfig,
-    EveRecord,
-    EveStrategy,
-    EveTarget,
-    apply_loss,
-    ir_attack_decoy,
-    ir_attack_entangled,
-)
-from .device import (
-    DeviceOutcome,
-    decode,
-    device_measure,
-    device_outcome_distribution,
-    device_outcomes,
-    measure_single,
-    port_of,
-    wavelength_convert_global,
-)
+The package namespace holds what a caller needs to configure and run
+sessions and to read their reports and transcripts; the state algebra, the
+measurement device and the session phases live in the submodules.
+"""
+
+from .channel import ChannelConfig, ConfigError, EveConfig, EveStrategy, EveTarget
 from .protocol import (
     CheckStrategy,
-    DecoyCheckResult,
-    DecoyPol,
     Message,
     MessageKind,
     ProtocolConfig,
     RunReport,
     Transcript,
-    WcCheckResult,
-    decoy_check,
-    insert_decoys,
     run_session,
     run_sessions,
-    step1_prepare_and_encode,
-    wc_check,
-)
-from .quantum import (
-    LOCAL_BASIS,
-    Freq,
-    JointState,
-    LocalState,
-    Pauli,
-    Photon,
-    Pol,
-    PolBasis,
-    SeededGenerator,
-    StateError,
-    apply_local,
-    equal_up_to_global_phase,
-    local_outcome,
-    mode_index,
-    partial_measure,
-    pol_freq_eigenstate,
-    tensor,
-)
-from .states import (
-    DepLabel,
-    EncodingPair,
-    Family,
-    SourceAmplitudes,
-    classify,
-    codeword_bits,
-    codeword_to_encodings,
-    codeword_to_label,
-    dep_basis,
-    encoding_choices,
-    encoding_to_label,
-    label_to_codeword,
-    partner_encoding,
-    source_state,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LOCAL_BASIS",
     "ChannelConfig",
     "CheckStrategy",
     "ConfigError",
-    "DecoyCheckResult",
-    "DecoyPol",
-    "DepLabel",
-    "DeviceOutcome",
-    "EncodingPair",
     "EveConfig",
-    "EveRecord",
     "EveStrategy",
     "EveTarget",
-    "Family",
-    "Freq",
-    "JointState",
-    "LocalState",
     "Message",
     "MessageKind",
-    "Pauli",
-    "Photon",
-    "Pol",
-    "PolBasis",
     "ProtocolConfig",
     "RunReport",
-    "SeededGenerator",
-    "SourceAmplitudes",
-    "StateError",
     "Transcript",
-    "WcCheckResult",
-    "apply_local",
-    "apply_loss",
-    "classify",
-    "codeword_bits",
-    "codeword_to_encodings",
-    "codeword_to_label",
-    "decode",
-    "decoy_check",
-    "dep_basis",
-    "device_measure",
-    "device_outcome_distribution",
-    "device_outcomes",
-    "encoding_choices",
-    "encoding_to_label",
-    "equal_up_to_global_phase",
-    "insert_decoys",
-    "ir_attack_decoy",
-    "ir_attack_entangled",
-    "label_to_codeword",
-    "local_outcome",
-    "measure_single",
-    "mode_index",
-    "partial_measure",
-    "partner_encoding",
-    "pol_freq_eigenstate",
-    "port_of",
     "run_session",
     "run_sessions",
-    "source_state",
-    "step1_prepare_and_encode",
-    "tensor",
-    "wavelength_convert_global",
-    "wc_check",
 ]

@@ -27,8 +27,9 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import replace
+from enum import Enum
 from functools import cache
-from typing import Callable, Optional, TextIO
+from typing import Callable, NamedTuple, Optional, TextIO
 
 import numpy as np
 
@@ -44,23 +45,6 @@ from .states import (
     label_to_codeword,
 )
 
-_EVE_CHOICES = ("none", "ir-z", "ir-x", "ir-random")
-_TARGET_CHOICES = ("b", "a", "both")
-_CHECK_CHOICES = ("decoy", "wc", "both")
-
-_DEFAULTS: dict[str, object] = {
-    "pairs": 1000,
-    "decoy_fraction": 0.1,
-    "check": "decoy",
-    "eve": "none",
-    "eve_targets": "b",
-    "loss": 0.0,
-    "threshold": 0.05,
-    "sample_fraction": 0.1,
-    "seed": 0,
-    "trials": 1,
-}
-
 #: Pairs per engine batch: consecutive sessions of a run or sweep that
 #: agree on ProtocolConfig.batch_key run together, as many as fit; a
 #: session larger than this runs alone.  The per-pair cost of a batch of
@@ -68,18 +52,55 @@ _DEFAULTS: dict[str, object] = {
 #: "Engine and performance").
 _BATCH_PAIRS = 16384
 
-_CONVERTERS: dict[str, Callable[[str], object]] = {
-    "pairs": int,
-    "decoy_fraction": float,
-    "check": str,
-    "eve": str,
-    "eve_targets": str,
-    "loss": float,
-    "threshold": float,
-    "sample_fraction": float,
-    "seed": int,
-    "trials": int,
-}
+
+class _Setting(NamedTuple):
+    """A setting of ``run`` and ``sweep``: its flag, the keyword it fills in
+    :class:`ProtocolConfig`, :class:`ChannelConfig` or :class:`EveConfig`
+    (None for ``trials``, which only the CLI reads), the type its text is
+    read as, its default, its allowed values and its help."""
+
+    flag: str
+    field: Optional[str]
+    type: Callable[[str], object]
+    default: object
+    choices: Optional[tuple[str, ...]]
+    help: str
+
+    @property
+    def key(self) -> str:
+        """The setting's name in config files, errors and the report."""
+        return self.flag.replace("-", "_")
+
+
+def _values(kind: type[Enum]) -> tuple[str, ...]:
+    return tuple(member.value for member in kind)
+
+
+# An ``eve`` of ``none`` stands for ChannelConfig's default, no attacker.
+_SETTINGS = (
+    _Setting("pairs", "n_pairs", int, ProtocolConfig.n_pairs, None,
+             "entangled pairs per trial"),
+    _Setting("decoy-fraction", "decoy_fraction", float, ProtocolConfig.decoy_fraction,
+             None, "mean check photons inserted per pair"),
+    _Setting("check", "check_strategy", str, ProtocolConfig.check_strategy.value,
+             _values(CheckStrategy), "security check strategy"),
+    _Setting("eve", "strategy", str, "none", ("none", *_values(EveStrategy)),
+             "intercept-resend attacker basis policy"),
+    _Setting("eve-targets", "target", str, EveConfig.target.value, _values(EveTarget),
+             "which transmissions the attacker intercepts"),
+    _Setting("loss", "loss_probability", float, ChannelConfig.loss_probability, None,
+             "per-photon loss probability"),
+    _Setting("threshold", "qber_threshold", float, ProtocolConfig.qber_threshold, None,
+             "abort threshold on check error rates"),
+    _Setting("sample-fraction", "check_sample_fraction", float,
+             ProtocolConfig.check_sample_fraction, None,
+             "fraction of stored pairs consumed by the converter check"),
+    _Setting("seed", "seed", int, ProtocolConfig.seed, None, "64-bit master seed"),
+    _Setting("trials", None, int, 1, None, "independent trials per configuration"),
+)
+_KEYS = {setting.key for setting in _SETTINGS}
+#: The settings a sweep can vary, by flag name.
+_SWEEPABLE = {setting.flag: setting for setting in _SETTINGS if setting.field}
 
 
 def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> int:
@@ -100,34 +121,15 @@ def bits_to_hex(bits) -> str:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pairs", type=int, default=None, help="entangled pairs per trial")
-    parser.add_argument(
-        "--decoy-fraction",
-        dest="decoy_fraction",
-        type=float,
-        default=None,
-        help="mean check photons inserted per pair",
-    )
-    parser.add_argument("--check", choices=_CHECK_CHOICES, default=None, help="security check strategy")
-    parser.add_argument("--eve", choices=_EVE_CHOICES, default=None, help="intercept-resend attacker basis policy")
-    parser.add_argument(
-        "--eve-targets",
-        dest="eve_targets",
-        choices=_TARGET_CHOICES,
-        default=None,
-        help="which transmissions the attacker intercepts",
-    )
-    parser.add_argument("--loss", type=float, default=None, help="per-photon loss probability")
-    parser.add_argument("--threshold", type=float, default=None, help="abort threshold on check error rates")
-    parser.add_argument(
-        "--sample-fraction",
-        dest="sample_fraction",
-        type=float,
-        default=None,
-        help="fraction of stored pairs consumed by the converter check",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-    parser.add_argument("--trials", type=int, default=None, help="independent trials per configuration")
+    for setting in _SETTINGS:
+        parser.add_argument(
+            f"--{setting.flag}",
+            dest=setting.key,
+            type=setting.type,
+            choices=setting.choices,
+            default=None,
+            help=setting.help,
+        )
     parser.add_argument("--output", default=None, help="write JSON lines here instead of stdout")
     parser.add_argument("--config", default=None, help="flat key=value config file; flags win")
 
@@ -168,19 +170,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _convert(key: str, raw: str) -> object:
+def _convert(setting: _Setting, raw: str) -> object:
     try:
-        return _CONVERTERS[key](raw)
+        return setting.type(raw)
     except ValueError:
-        kind = _CONVERTERS[key].__name__
-        raise ConfigError(f"{key} must be {kind}, got {raw!r}") from None
+        kind = setting.type.__name__
+        raise ConfigError(f"{setting.key} must be {kind}, got {raw!r}") from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """Raw values by setting name; either key spelling is accepted."""
+    """Raw values by setting name; either key spelling is accepted, a
+    leading byte order mark is skipped, and a key may appear once."""
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -192,8 +196,13 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"{path}:{lineno}: key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         values[key] = value.strip()
     return values
 
@@ -202,40 +211,37 @@ def _effective_settings(args: argparse.Namespace) -> dict[str, object]:
     """Merge flag values, config-file values, and defaults (in that order)."""
     file_values = _read_config_file(args.config) if args.config else {}
     settings: dict[str, object] = {}
-    for key, default in _DEFAULTS.items():
+    for setting in _SETTINGS:
+        key = setting.key
         flag_value = getattr(args, key)
         if flag_value is not None:
             settings[key] = flag_value
         elif key in file_values:
-            settings[key] = _convert(key, file_values[key])
+            settings[key] = _convert(setting, file_values[key])
         else:
-            settings[key] = default
+            settings[key] = setting.default
     if settings["trials"] < 1:
         raise ConfigError(f"trials must be positive, got {settings['trials']}")
     return settings
 
 
 def _config_from_settings(settings: dict[str, object]) -> ProtocolConfig:
-    for key, allowed in (
-        ("check", _CHECK_CHOICES), ("eve", _EVE_CHOICES), ("eve_targets", _TARGET_CHOICES)
-    ):
-        if settings[key] not in allowed:
-            raise ConfigError(f"{key} must be one of {allowed}, got {settings[key]!r}")
+    kwargs: dict[str, object] = {}
+    for setting in _SETTINGS:
+        value = settings[setting.key]
+        if setting.choices and value not in setting.choices:
+            raise ConfigError(
+                f"{setting.key} must be one of {setting.choices}, got {value!r}"
+            )
+        if setting.field:
+            kwargs[setting.field] = value
+    strategy, target = kwargs.pop("strategy"), kwargs.pop("target")
     eve = None
-    if settings["eve"] != "none":
-        eve = EveConfig(
-            strategy=EveStrategy(settings["eve"]),
-            target=EveTarget(settings["eve_targets"]),
-        )
-    return ProtocolConfig(
-        n_pairs=int(settings["pairs"]),
-        seed=int(settings["seed"]),
-        decoy_fraction=float(settings["decoy_fraction"]),
-        check_strategy=CheckStrategy(settings["check"]),
-        check_sample_fraction=float(settings["sample_fraction"]),
-        qber_threshold=float(settings["threshold"]),
-        channel=ChannelConfig(loss_probability=float(settings["loss"]), eve=eve),
-    )
+    if strategy != "none":
+        eve = EveConfig(strategy=EveStrategy(strategy), target=EveTarget(target))
+    channel = ChannelConfig(loss_probability=kwargs.pop("loss_probability"), eve=eve)
+    kwargs["check_strategy"] = CheckStrategy(kwargs["check_strategy"])
+    return ProtocolConfig(**kwargs, channel=channel)
 
 
 def _report_line(
@@ -300,19 +306,6 @@ def _run_trials(
         )
 
 
-_SWEEPABLE = {
-    "pairs",
-    "decoy-fraction",
-    "check",
-    "eve",
-    "eve-targets",
-    "loss",
-    "threshold",
-    "sample-fraction",
-    "seed",
-}
-
-
 def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], int]:
     """Validated configuration of every sweep cell (the one cell of ``run``)
     and the number of trials per cell."""
@@ -320,13 +313,13 @@ def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], in
     cells = [settings]
     if args.subcommand == "sweep":
         param = args.param.strip().lstrip("-")
-        if param not in _SWEEPABLE:
+        swept = _SWEEPABLE.get(param.replace("_", "-"))
+        if swept is None:
             raise ConfigError(f"cannot sweep {param!r}; choose one of {sorted(_SWEEPABLE)}")
         raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
         if not raw_values:
             raise ConfigError("sweep needs at least one value")
-        key = param.replace("-", "_")
-        cells = [{**settings, key: _convert(key, v)} for v in raw_values]
+        cells = [{**settings, swept.key: _convert(swept, v)} for v in raw_values]
     return [_config_from_settings(cell) for cell in cells], int(settings["trials"])
 
 

@@ -340,7 +340,6 @@ class PairBatch:
     """
 
     codeword: np.ndarray
-    choice: np.ndarray  # which of encoding_choices(codeword)
     op_a: np.ndarray
     op_b: np.ndarray
     state: np.ndarray
@@ -599,9 +598,8 @@ ALPHABET = StateAlphabet()
 
 
 def _randints(w: np.ndarray, n: int) -> np.ndarray:
-    """:meth:`SeededGenerator.randint` ``(n)`` of each word's double, for
-    ``n`` a power of two from 2: ``floor(u * n)`` is the word's top
-    ``log2 n`` bits."""
+    """``floor(u * n)`` of each word's double ``u``, for ``n`` a power of
+    two from 2: the word's top ``log2 n`` bits."""
     bits = n.bit_length() - 1
     if n < 2 or n != 1 << bits:
         raise ValueError(f"_randints needs a power of two from 2, got {n}")
@@ -667,11 +665,9 @@ def step1_prepare_and_encode(n: int, gens: Sequence[SeededGenerator]) -> PairBat
     w = _draw(gens, [n] * len(gens), 2)
     size = len(w)
     codeword = _randints(w[:, 0], 8)
-    choice = _randints(w[:, 1], 2)
-    op_a, op_b = _CHOICE_OPS.take(2 * codeword + choice, axis=1)
+    op_a, op_b = _CHOICE_OPS.take(2 * codeword + _randints(w[:, 1], 2), axis=1)
     return PairBatch(
         codeword=codeword,
-        choice=choice,
         op_a=op_a,
         op_b=op_b,
         state=ALPHABET.prepared(op_b),

@@ -22,12 +22,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from enum import Enum, IntEnum
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
-
-#: Tolerance for algebraic identities (norms, unitarity, completeness).
-NORM_TOL = 1e-12
 
 #: Default tolerance for global-phase state comparison.
 PHASE_TOL = 1e-9
@@ -86,10 +82,6 @@ class Pauli(Enum):
     Z = "sigma_z"
     IY = "i_sigma_y"
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return PAULI_MATRICES[self]
-
 
 PAULI_MATRICES: dict[Pauli, np.ndarray] = {
     Pauli.I: np.eye(2, dtype=complex),
@@ -134,18 +126,6 @@ class LocalState:
         vec[mode_index(Pol.V, freq)] = sign / np.sqrt(2.0)
         return cls(vec)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(float(np.real(np.vdot(self.vec, self.vec))) - 1.0) <= tol
-
-    def normalized(self) -> "LocalState":
-        n = self.norm()
-        if n < NORM_TOL:
-            raise StateError("cannot normalize a zero state")
-        return LocalState(self.vec / n)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LocalState({np.array2string(self.vec, precision=4)})"
 
@@ -159,25 +139,9 @@ class JointState:
     def __init__(self, amplitudes) -> None:
         self.vec = _frozen_vector(amplitudes, 16)
 
-    @classmethod
-    def from_product(cls, a: LocalState, b: LocalState) -> "JointState":
-        return cls(np.kron(a.vec, b.vec))
-
     def as_matrix(self) -> np.ndarray:
         """View with photon a indexing rows and photon b indexing columns."""
         return self.vec.reshape(4, 4)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(float(np.real(np.vdot(self.vec, self.vec))) - 1.0) <= tol
-
-    def normalized(self) -> "JointState":
-        n = self.norm()
-        if n < NORM_TOL:
-            raise StateError("cannot normalize a zero state")
-        return JointState(self.vec / n)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [
@@ -186,11 +150,6 @@ class JointState:
             if abs(amp) > 1e-12
         ]
         return "JointState(" + " + ".join(parts) + ")"
-
-
-def tensor(a: LocalState, b: LocalState) -> JointState:
-    """Product state of two single-photon states."""
-    return JointState.from_product(a, b)
 
 
 def apply_local(op: Pauli, photon: Photon, state: JointState) -> JointState:
@@ -223,12 +182,6 @@ def cumulative(probabilities) -> tuple[float, ...]:
     on vectors of 4 or 16 entries.
     """
     return tuple(accumulate(np.asarray(probabilities, dtype=float).tolist()))
-
-
-def inverse_cdf(cdf, u: np.ndarray) -> np.ndarray:
-    """Index of each uniform ``u`` under a :func:`cumulative` table: what
-    :meth:`SeededGenerator.sample_index` returns for that draw."""
-    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
 
 
 def doubles(words: np.ndarray) -> np.ndarray:
@@ -324,25 +277,10 @@ class SeededGenerator:
         """True with probability ``p``."""
         return self.uniform() < p
 
-    def randint(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("randint needs a positive range")
-        return min(int(self.uniform() * n), n - 1)
-
-    def pick(self, seq: Sequence):
-        """Uniformly chosen element of a non-empty sequence."""
-        return seq[self.randint(len(seq))]
-
     def sample_index(self, probabilities) -> int:
         """Index drawn from a probability vector by inverse CDF."""
         cdf = cumulative(probabilities)
         return min(bisect_right(cdf, self.uniform() * cdf[-1]), len(cdf) - 1)
-
-    def sample_indices(self, probabilities, n: int) -> np.ndarray:
-        """``n`` indices drawn from one probability vector; the same indices
-        and draws as ``n`` calls of :meth:`sample_index`."""
-        return inverse_cdf(cumulative(probabilities), self.uniforms(n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeededGenerator(seed={self.seed}, stream={self.stream})"

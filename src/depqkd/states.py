@@ -16,11 +16,11 @@ alone, and both operation pairs share that state's codeword.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .quantum import JointState, Pauli, StateError, equal_up_to_global_phase
+from .quantum import JointState, Pauli
 
 
 class Family(Enum):
@@ -97,35 +97,6 @@ def dep_basis(label: DepLabel) -> JointState:
     return _BASIS[label]
 
 
-class SourceAmplitudes(NamedTuple):
-    """Complex weights of the two emission branches of the pair source.
-
-    ``low`` weights the branch with both photons in their LOW frequency bin
-    (photon a horizontal, photon b vertical); ``high`` weights the branch
-    with both photons in the HIGH bin and the polarizations swapped.
-    """
-
-    low: complex
-    high: complex
-
-
-def source_state(amps: SourceAmplitudes) -> JointState:
-    """Pair state emitted by the source, normalized from branch weights.
-
-    Equal weights give exactly ``dep_basis(DepLabel.PSI_PLUS)``.  Raises
-    :class:`StateError` when both weights vanish.
-    """
-    low, high = complex(amps[0]), complex(amps[1])
-    norm = np.sqrt(abs(low) ** 2 + abs(high) ** 2)
-    if norm == 0.0:
-        raise StateError("source amplitudes cannot both be zero")
-    first, second = _SUPPORT[Family.PSI]
-    vec = np.zeros(16, dtype=complex)
-    vec[first] = low / norm
-    vec[second] = high / norm
-    return JointState(vec)
-
-
 class EncodingPair(NamedTuple):
     """Local operations applied to photon a (second step) and photon b
     (first step) of one pair."""
@@ -196,11 +167,6 @@ def codeword_to_label(codeword: int) -> DepLabel:
     return _LABEL_OF_CODEWORD[codeword]
 
 
-def codeword_bits(codeword: int) -> tuple[int, int, int]:
-    """Bits of a codeword, most significant first."""
-    return (codeword >> 2) & 1, (codeword >> 1) & 1, codeword & 1
-
-
 def encoding_choices(codeword: int) -> tuple[EncodingPair, EncodingPair]:
     """Both operation pairs realizing a codeword, in a fixed order.
 
@@ -209,11 +175,6 @@ def encoding_choices(codeword: int) -> tuple[EncodingPair, EncodingPair]:
     second.
     """
     return _CHOICES[codeword]
-
-
-def codeword_to_encodings(codeword: int) -> frozenset[EncodingPair]:
-    """The two operation pairs realizing a codeword, as a set."""
-    return frozenset(_CHOICES[codeword])
 
 
 def _build_choices() -> dict[int, tuple[EncodingPair, EncodingPair]]:
@@ -226,14 +187,3 @@ def _build_choices() -> dict[int, tuple[EncodingPair, EncodingPair]]:
 
 _CHOICES = _build_choices()
 
-
-def classify(state: JointState, tol: float = 1e-9) -> Optional[DepLabel]:
-    """The pair state a vector equals up to global phase, or None.
-
-    Only exact matches (within ``tol``) classify; superpositions of several
-    pair states return None.
-    """
-    for label, basis_state in _BASIS.items():
-        if equal_up_to_global_phase(state, basis_state, tol):
-            return label
-    return None

@@ -41,6 +41,12 @@ def projector(rows) -> np.ndarray:
     return rows.T @ rows.conj()
 
 
+def is_normalized(vec, tol: float = 1e-12) -> bool:
+    """Whether ``<vec|vec>`` is 1 within ``tol``."""
+    vec = np.asarray(vec, dtype=complex)
+    return abs(float(np.real(np.vdot(vec, vec))) - 1.0) <= tol
+
+
 def born_probability(vec, proj) -> float:
     vec = np.asarray(vec, dtype=complex)
     return float(np.real(vec.conj() @ proj @ vec))
@@ -62,6 +68,17 @@ def pair_state(family: str, sign: int) -> np.ndarray:
     vec[first] = 1.0 / SQ2
     vec[second] = sign / SQ2
     return vec
+
+
+def classify(vec16, tol: float = 1e-9):
+    """The ``(family, sign)`` of the pair state a vector equals up to global
+    phase, or None: only exact matches within ``tol`` classify, so
+    superpositions of several pair states do not."""
+    for family in _SUPPORT:
+        for sign in (+1, -1):
+            if abs(np.vdot(pair_state(family, sign), vec16)) >= 1.0 - tol:
+                return family, sign
+    return None
 
 
 # photon-b operation applied to psi+ -> (family, sign)

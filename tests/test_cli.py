@@ -15,14 +15,13 @@ from depqkd import (
     EveConfig,
     EveStrategy,
     EveTarget,
-    Pauli,
     ProtocolConfig,
     run_session,
     run_sessions,
 )
 from depqkd import cli
 from depqkd.cli import bits_to_hex, derive_trial_seed, main
-from depqkd.quantum import PAULI_MATRICES
+from depqkd.quantum import PAULI_MATRICES, Pauli
 
 SCHEMA = [
     "subcommand",
@@ -133,7 +132,7 @@ def test_verify_tables_passes_and_documents_the_table_reading(capsys):
 
 def test_verify_tables_fails_when_routing_is_broken(capsys, monkeypatch):
     import depqkd.cli as cli_module
-    from depqkd import Photon
+    from depqkd.quantum import Photon
 
     real_port_of = cli_module.port_of
 
@@ -353,6 +352,26 @@ def test_sweep_rejects_unknown_parameters_and_empty_values(capsys):
     assert "error:" in err
 
 
+def test_sweep_takes_either_spelling_of_a_parameter(capsys):
+    reports = []
+    for param in ("decoy-fraction", "decoy_fraction", "--decoy_fraction"):
+        code, out, err = run_cli(
+            capsys, "sweep", f"--param={param}", "--values", "0,0.2",
+            "--pairs", "50", "--seed", "4",
+        )
+        assert (code, err) == (0, "")
+        assert [l["config"]["decoy_fraction"] for l in json_lines(out)] == [0.0, 0.2]
+        reports.append([strip_timing(line) for line in out.splitlines()])
+    assert reports[0] == reports[1] == reports[2]
+    code, _, err = run_cli(capsys, "sweep", "--param", "eve_target", "--values", "a")
+    assert code == 2
+    assert err == (
+        "error: cannot sweep 'eve_target'; choose one of ['check', 'decoy-fraction',"
+        " 'eve', 'eve-targets', 'loss', 'pairs', 'sample-fraction', 'seed',"
+        " 'threshold']\n"
+    )
+
+
 def test_usage_errors_exit_with_code_two(capsys):
     assert run_cli(capsys, "run", "--pairs", "notanint")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
@@ -515,6 +534,33 @@ def test_config_file_values_that_do_not_convert_exit_with_code_two(capsys, tmp_p
     code, _, err = run_cli(capsys, "run", "--config", str(cfg))
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_config_file_keys_given_twice_exit_with_code_two(capsys, tmp_path):
+    # a repeated key, in the same or the other spelling, names both lines
+    cfg = tmp_path / "twice.cfg"
+    for text, lineno, key in (
+        ("pairs = 10\npairs = 20\n", 2, "pairs"),
+        ("decoy-fraction = 0.2\n# note\ndecoy_fraction = 0.3\n", 3, "decoy_fraction"),
+    ):
+        cfg.write_text(text)
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--pairs", "30")
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:{lineno}: key {key!r} repeats line 1\n"
+
+
+def test_config_file_with_a_byte_order_mark_reads_its_first_key(capsys, tmp_path):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(b"pairs = 60\ncheck = both\n")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    reports = []
+    for cfg in (plain, marked):
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), "--seed", "5")
+        assert (code, err) == (0, "")
+        (line,) = json_lines(out)
+        assert line["config"]["pairs"] == 60
+        reports.append(strip_timing(out))
+    assert reports[0] == reports[1]
 
 
 def test_config_file_unknown_keys_exit_with_code_two(capsys, tmp_path):

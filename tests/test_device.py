@@ -4,10 +4,19 @@ import numpy as np
 import pytest
 
 import oracles
-from depqkd import (
-    DepLabel,
+from depqkd.device import (
+    _DEVICE_MATRIX,
+    _FAMILY_BY_PORTS,
     DeviceOutcome,
-    Family,
+    decode,
+    device_measure,
+    device_outcome_distribution,
+    device_outcomes,
+    measure_single,
+    port_of,
+    wavelength_convert_global,
+)
+from depqkd.quantum import (
     Freq,
     JointState,
     LocalState,
@@ -16,18 +25,8 @@ from depqkd import (
     PolBasis,
     SeededGenerator,
     StateError,
-    decode,
-    dep_basis,
-    device_measure,
-    device_outcome_distribution,
-    device_outcomes,
-    label_to_codeword,
-    measure_single,
-    port_of,
-    wavelength_convert_global,
 )
-from depqkd.device import _DEVICE_MATRIX, _FAMILY_BY_PORTS
-from depqkd.states import _SUPPORT
+from depqkd.states import _SUPPORT, DepLabel, Family, dep_basis, label_to_codeword
 
 
 def random_joint(rng):

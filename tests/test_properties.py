@@ -19,13 +19,13 @@ from depqkd import (
     EveStrategy,
     EveTarget,
     ProtocolConfig,
-    SeededGenerator,
     Transcript,
     protocol,
     run_session,
     run_sessions,
 )
 from depqkd.cli import main
+from depqkd.quantum import SeededGenerator
 
 SMALL = settings(max_examples=60, deadline=None, derandomize=True)
 

@@ -1,31 +1,21 @@
 """Pair-state basis, encoding algebra, and codeword map."""
 
 import numpy as np
-import pytest
 
 import oracles
-from depqkd import (
+from depqkd.protocol import _key_bits
+from depqkd.quantum import Pauli, Photon, apply_local, equal_up_to_global_phase
+from depqkd.states import (
+    ENCODING_TABLE,
     DepLabel,
     Family,
-    JointState,
-    Pauli,
-    Photon,
-    SourceAmplitudes,
-    StateError,
-    apply_local,
-    classify,
-    codeword_bits,
-    codeword_to_encodings,
     codeword_to_label,
     dep_basis,
     encoding_choices,
     encoding_to_label,
-    equal_up_to_global_phase,
     label_to_codeword,
     partner_encoding,
-    source_state,
 )
-from depqkd.states import ENCODING_TABLE
 
 FAMILY_NAME = {
     Family.PHI: "phi",
@@ -53,29 +43,6 @@ def test_label_helpers():
     assert str(DepLabel.UPSILON_MINUS) == "Upsilon-"
     assert DepLabel.PSI_PLUS.family is Family.PSI
     assert DepLabel.PSI_MINUS.sign == -1
-
-
-def test_source_state_equal_weights_is_exactly_the_starting_state():
-    out = source_state(SourceAmplitudes(1, 1))
-    assert np.array_equal(out.vec, dep_basis(DepLabel.PSI_PLUS).vec)
-
-
-def test_source_state_normalizes_unbalanced_weights():
-    out = source_state(SourceAmplitudes(3, 4))
-    assert out.vec[2] == pytest.approx(0.6, abs=1e-12)
-    assert out.vec[13] == pytest.approx(0.8, abs=1e-12)
-    assert out.is_normalized(1e-12)
-
-
-def test_source_state_keeps_relative_phase():
-    out = source_state(SourceAmplitudes(1j, 1))
-    assert out.vec[2] == pytest.approx(1j / np.sqrt(2), abs=1e-12)
-    assert out.vec[13] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-
-
-def test_source_state_rejects_zero_weights():
-    with pytest.raises(StateError):
-        source_state(SourceAmplitudes(0, 0))
 
 
 def test_encoding_table_closure_all_sixteen_rows():
@@ -136,10 +103,11 @@ def test_codeword_values_and_bijection():
 
 
 def test_codeword_bits_most_significant_first():
-    assert codeword_bits(0b000) == (0, 0, 0)
-    assert codeword_bits(0b101) == (1, 0, 1)
-    assert codeword_bits(0b110) == (1, 1, 0)
-    assert codeword_bits(0b111) == (1, 1, 1)
+    # a key carries each codeword's three bits, most significant first
+    codewords = np.array([0b000, 0b101, 0b110, 0b111, 0b001], dtype=np.int8)
+    assert _key_bits(codewords).tolist() == [
+        0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 1
+    ]
 
 
 def test_encoding_choices_cover_each_codeword():
@@ -149,7 +117,6 @@ def test_encoding_choices_cover_each_codeword():
         assert second == partner_encoding(first)
         for pair in (first, second):
             assert label_to_codeword(encoding_to_label(pair)) == codeword
-        assert codeword_to_encodings(codeword) == frozenset((first, second))
 
 
 def test_encoding_choices_match_oracle_photon_b_options():
@@ -160,16 +127,17 @@ def test_encoding_choices_match_oracle_photon_b_options():
 
 def test_classify_round_trips_and_ignores_global_phase():
     for label in DepLabel:
-        s = dep_basis(label)
-        assert classify(s) is label
-        assert classify(JointState(-s.vec)) is label
-        assert classify(JointState(np.exp(1.3j) * s.vec)) is label
+        s = dep_basis(label).vec
+        expected = (FAMILY_NAME[label.family], label.sign)
+        assert oracles.classify(s) == expected
+        assert oracles.classify(-s) == expected
+        assert oracles.classify(np.exp(1.3j) * s) == expected
 
 
 def test_classify_rejects_superpositions_and_product_states():
     psi = dep_basis(DepLabel.PSI_PLUS).vec
     phi = dep_basis(DepLabel.PHI_PLUS).vec
-    assert classify(JointState((psi + phi) / np.sqrt(2))) is None
+    assert oracles.classify((psi + phi) / np.sqrt(2)) is None
     product = np.zeros(16, dtype=complex)
     product[0] = 1.0
-    assert classify(JointState(product)) is None
+    assert oracles.classify(product) is None
