@@ -248,15 +248,15 @@ def _report_line(
     subcommand: str,
     trial_index: int,
     trial_seed: int,
-    master_config: ProtocolConfig,
+    config_echo: str,
     report,
     elapsed_ms: float,
 ) -> str:
-    line = {
-        "subcommand": subcommand,
-        "trial_index": trial_index,
-        "seed": trial_seed,
-        "config": master_config.to_dict(),
+    """The bytes ``json.dumps`` gives the report line, with the cell's
+    ``config_echo`` (``json.dumps`` of its ``to_dict()``, encoded once per
+    cell) placed after ``seed``."""
+    head = {"subcommand": subcommand, "trial_index": trial_index, "seed": trial_seed}
+    tail = {
         "decoy_qber": report.decoy_qber,
         "wc_qber": report.wc_qber,
         "final_qber": report.final_qber,
@@ -266,30 +266,31 @@ def _report_line(
         "bob_key_hex": bits_to_hex(report.bob_key),
         "elapsed_ms": elapsed_ms,
     }
-    return json.dumps(line)
+    return f'{json.dumps(head)[:-1]}, "config": {config_echo}, {json.dumps(tail)[1:]}'
 
 
 def _batches(cells: list[ProtocolConfig], trials: int):
     """Every trial of every sweep cell, in (sweep index, trial index) order,
-    as lists of ``(trial index, cell config, trial config)``, one list per
+    as lists of ``(sweep index, trial index, trial config)``, one list per
     engine batch."""
-    batch: list[tuple[int, ProtocolConfig, ProtocolConfig]] = []
+    batch: list[tuple[int, int, ProtocolConfig]] = []
     for sweep_index, cell in enumerate(cells):
         for i in range(trials):
             if batch and (
-                batch[0][1].batch_key != cell.batch_key
+                batch[0][2].batch_key != cell.batch_key
                 or (len(batch) + 1) * cell.n_pairs > _BATCH_PAIRS
             ):
                 yield batch
                 batch = []
             seed = derive_trial_seed(cell.seed, sweep_index, i)
-            batch.append((i, cell, replace(cell, seed=seed)))
+            batch.append((sweep_index, i, replace(cell, seed=seed)))
     yield batch
 
 
 def _run_trials(
     subcommand: str, cells: list[ProtocolConfig], trials: int, out: TextIO
 ) -> None:
+    echoes = [json.dumps(cell.to_dict()) for cell in cells]
     for batch in _batches(cells, trials):
         configs = [config for _, _, config in batch]
         start = time.perf_counter()
@@ -301,8 +302,9 @@ def _run_trials(
             ) from None
         elapsed_ms = (time.perf_counter() - start) * 1000.0 / len(configs)
         out.writelines(
-            _report_line(subcommand, i, config.seed, cell, report, elapsed_ms) + "\n"
-            for (i, cell, config), report in zip(batch, reports)
+            _report_line(subcommand, i, config.seed, echoes[sweep_index], report, elapsed_ms)
+            + "\n"
+            for (sweep_index, i, config), report in zip(batch, reports)
         )
 
 
@@ -312,7 +314,7 @@ def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], in
     settings = _effective_settings(args)
     cells = [settings]
     if args.subcommand == "sweep":
-        param = args.param.strip().lstrip("-")
+        param = args.param.strip()
         swept = _SWEEPABLE.get(param.replace("_", "-"))
         if swept is None:
             raise ConfigError(f"cannot sweep {param!r}; choose one of {sorted(_SWEEPABLE)}")

@@ -262,7 +262,9 @@ def _unset(n: int) -> np.ndarray:
 
 
 def _streams(seeds: Sequence[int], stream: int) -> list[SeededGenerator]:
-    """Stream ``stream`` of each session's seed, in session order."""
+    """Stream ``stream`` of each session's seed, in session order: one
+    handle per session, each a key and a position, all drawing through the
+    one Philox of index ``stream`` (see :class:`SeededGenerator`)."""
     return [SeededGenerator(seed, stream) for seed in seeds]
 
 
@@ -791,6 +793,17 @@ class WcCheckResult:
     checked_count: int
 
 
+#: The report's count key and the result field of every count a check's
+#: result holds: its fields after ``qber`` and ``proceed``.
+_COUNT_KEYS = {
+    check: tuple(
+        ("checked" if f.name == "checked_count" else f"{check}_{f.name}", f.name)
+        for f in fields(result_type)[2:]
+    )
+    for check, result_type in (("decoy", DecoyCheckResult), ("wc", WcCheckResult))
+}
+
+
 @dataclass(frozen=True)
 class RunReport:
     """Outcome of one session."""
@@ -1143,7 +1156,7 @@ def run_sessions(
     seeds = [c.seed for c in configs]
     losses = [c.channel.loss_probability for c in configs]
     thresholds = [c.qber_threshold for c in configs]
-    # Each stream feeds one phase and is built only for the sessions that
+    # Each stream feeds one phase and is made only for the sessions that
     # reach that phase.
     pairs = step1_prepare_and_encode(n, _streams(seeds, _STREAM_ALICE))
     strategy = config.check_strategy
@@ -1183,9 +1196,8 @@ def run_sessions(
         for s, result, kept in zip(live.tolist(), results, proceed.tolist()):
             if result is not None:
                 qbers[s][f"{check}_qber"] = result.qber
-                for f in fields(result)[2:]:  # the counts after qber and proceed
-                    key = "checked" if f.name == "checked_count" else f"{check}_{f.name}"
-                    counts[s][key] = getattr(result, f.name)
+                for key, name in _COUNT_KEYS[check]:
+                    counts[s][key] = getattr(result, name)
             if not kept:
                 counts[s]["lost"] = lost_b[s]
         if not proceed.all():

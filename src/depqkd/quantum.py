@@ -190,18 +190,6 @@ def doubles(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
-class _PhiloxKey(np.random.bit_generator.ISeedSequence):
-    """Hands Philox its ``[seed, stream]`` key as the seed state: the
-    generator of ``Philox(key=...)``, without the ``SeedSequence`` of fresh
-    OS entropy that call builds and discards."""
-
-    def __init__(self, key: np.ndarray) -> None:
-        self.key = key
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.key
-
-
 class SeededGenerator:
     """Deterministic random source keyed by (master seed, stream index).
 
@@ -210,59 +198,66 @@ class SeededGenerator:
     (seed, stream, call order), never on platform or process state.  The
     stream is a sequence of 64-bit words (:meth:`words`); a double is the
     top 53 bits of one word, exactly as numpy's ``Generator.random`` makes
-    it, and every sampling helper reduces to doubles.  :meth:`skip` steps
-    past words without generating them, and a stream that is only ever
-    skipped never builds its Philox.
+    it, and every sampling helper reduces to doubles.
+
+    A handle holds only its key and the position of its next word, so it
+    is cheap to make and :meth:`skip` is one addition.  The words come from
+    one Philox per stream index, built on first use and shared by every
+    handle of that index.  Philox's word ``4 * c + j`` under a key is word
+    ``j`` of the block at counter ``c``, whatever was drawn before, so a
+    handle that finds the shared Philox elsewhere re-keys it through its
+    public ``state``: key ``[seed, stream]``, counter ``position // 4``,
+    buffer empty, and the first ``position % 4`` words of the draw dropped.
+    Handles of one stream index share that generator, so they are not for
+    concurrent threads; run parallel sessions in separate processes.
     """
 
-    __slots__ = ("seed", "stream", "_bits", "_drawn", "_skipped")
+    __slots__ = ("seed", "stream", "position")
 
     _MASK = (1 << 64) - 1
+
+    #: Per stream index, the shared Philox and the ``(seed, position)`` of
+    #: the next word it gives.
+    _shared: dict[int, list] = {}
 
     def __init__(self, seed: int, stream: int = 0) -> None:
         self.seed = int(seed) & self._MASK
         self.stream = int(stream) & self._MASK
-        self._bits: np.random.Philox | None = None
-        self._drawn = 0  # words the Philox has given out or stepped past
-        self._skipped = 0  # words skipped but not yet stepped past
-
-    def _philox(self) -> np.random.Philox:
-        """The stream's Philox, built on first use and moved past the
-        skipped words.
-
-        Philox makes four words per counter value and ``advance`` moves the
-        counter, emptying its four-word buffer.  So the words left in the
-        current block are drawn and discarded first, then whole blocks are
-        advanced over, then the remainder is drawn and discarded.
-        """
-        bits = self._bits
-        if bits is None:
-            key = _PhiloxKey(np.array([self.seed, self.stream], dtype=np.uint64))
-            bits = self._bits = np.random.Philox(key)
-        skip, self._skipped = self._skipped, 0
-        head = min(-self._drawn % 4, skip)
-        blocks, tail = divmod(skip - head, 4)
-        if head:
-            bits.random_raw(head)
-        if blocks:
-            bits.advance(blocks)
-        if tail:
-            bits.random_raw(tail)
-        self._drawn += skip
-        return bits
+        self.position = 0  # words drawn or skipped so far
 
     def words(self, n: int) -> np.ndarray:
         """The next ``n`` words of the stream, as ``uint64``."""
-        bits = self._bits
-        if bits is None or self._skipped:
-            bits = self._philox()
-        self._drawn += n
-        return bits.random_raw(n)
+        shared = self._shared.get(self.stream)
+        if shared is None:
+            # keyed on its first draw, which finds it at no seed
+            shared = self._shared[self.stream] = [np.random.Philox(0), None, None]
+        bits, seed, position = shared
+        start = self.position
+        shared[1] = None  # unknown until the draw completes, should it raise
+        if seed == self.seed and position == start:
+            out = bits.random_raw(n)
+        else:
+            head = start % 4
+            bits.state = {
+                "bit_generator": "Philox",
+                "state": {
+                    "counter": (start // 4, 0, 0, 0),
+                    "key": (self.seed, self.stream),
+                },
+                "buffer": (0, 0, 0, 0),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            out = bits.random_raw(head + n)[head:]
+        self.position = shared[2] = start + n
+        shared[1] = self.seed
+        return out
 
     def skip(self, n: int) -> None:
         """Step past the next ``n`` words: the next draw starts where it
         would after drawing and discarding them."""
-        self._skipped += n
+        self.position += n
 
     def uniform(self) -> float:
         """One double in [0, 1)."""

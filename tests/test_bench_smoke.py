@@ -1,5 +1,6 @@
-"""The benchmark's output checks accept the reports of every workload, and
-its tracer finds every per-layer metric it declares.
+"""The benchmark's output checks accept the reports of every workload, its
+tracer finds every per-layer metric it declares, and a traced run ends with
+a complete result line.
 
 Each workload of ``perfbench/`` runs through the CLI at two master seeds,
 and its report must pass the benchmark's own per-session and pooled
@@ -8,6 +9,8 @@ checks, so a change that breaks them shows here before a benchmark run.
 
 import importlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from depqkd import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = str(ROOT / "perfbench")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+PER_LAYER = [metric["name"] for metric in BENCHMARK["per_layer"]]
 
 
 def import_perfbench(name):
@@ -47,9 +52,8 @@ def test_the_tracer_reports_every_declared_per_layer_metric(tmp_path):
     # module defines, and a traced benchmark run with a metric absent still
     # exits 0.  The worker derives cli.main.self_ms from the two spans below
     # and adds trace.overhead itself.
-    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     derived = {"cli.main.self_ms", "trace.overhead"}
-    expected = [m["name"] for m in declared if m["name"] not in derived]
+    expected = [name for name in PER_LAYER if name not in derived]
     expected += ["cli.main.ms", "protocol.run_session.ms"]
     tracer = import_perfbench("tracer").Tracer()
     try:
@@ -60,3 +64,25 @@ def test_the_tracer_reports_every_declared_per_layer_metric(tmp_path):
         tracer.uninstall()
     metrics = tracer.metrics()
     assert [name for name in expected if name not in metrics] == []
+
+
+def test_a_traced_benchmark_run_ends_with_a_complete_result_line():
+    # The benchmark's own command in its own process: its last line is the
+    # result that is read, so it must be strict JSON, correct, and carry
+    # every declared per-layer metric.
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    argv = ["perfbench/run.py", "--workload", "clean-key", "--trace", "1"]
+    result = subprocess.run(
+        [sys.executable, *argv, "--seconds", "0.2"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    last = json.loads(result.stdout.splitlines()[-1], parse_constant=reject)
+    assert last["correct"] is True
+    assert [name for name in PER_LAYER if name not in last["metrics"]] == []

@@ -736,6 +736,35 @@ def test_batch_items_are_at_most_two_bytes_wide(monkeypatch):
                 assert value.itemsize <= 2, f.name
 
 
+def test_a_loss_sweep_batch_builds_one_philox_per_stream_index(monkeypatch):
+    # twelve 1000-pair sessions attacked on photon a, three losses: each
+    # stream index builds its Philox once and re-keys it from session to
+    # session, and a second batch builds none
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    monkeypatch.setattr(SeededGenerator, "_shared", {})
+    eve = EveConfig(EveStrategy.Z, EveTarget.A)
+    configs = [
+        ProtocolConfig(
+            seed=seed,
+            check_strategy=CheckStrategy.WAVELENGTH_CONVERTER,
+            channel=ChannelConfig(loss_probability=loss, eve=eve),
+        )
+        for seed, loss in enumerate(np.repeat([0.0, 0.1, 0.2], 4).tolist())
+    ]
+    first = protocol.run_sessions(configs)
+    assert 0 < len(built) == len(SeededGenerator._shared) <= 7
+    built.clear()
+    assert protocol.run_sessions(configs) == first
+    assert built == []
+
+
 def test_an_empty_batch_gives_no_reports():
     assert protocol.run_sessions([]) == []
 

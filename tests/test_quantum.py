@@ -250,31 +250,43 @@ def test_skip_steps_past_words_at_any_buffer_position():
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
-    st.integers(0, 2**64 - 1),
+    st.lists(st.one_of(st.just(0), st.integers(0, 2**64 - 1)), min_size=1, max_size=4),
     st.integers(0, 6),
     st.lists(
-        st.tuples(st.sampled_from(["words", "skip", "uniforms"]), st.integers(0, 70)),
-        max_size=12,
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from(["words", "skip", "uniforms"]),
+            st.integers(0, 70),
+        ),
+        max_size=16,
     ),
 )
-def test_interleaved_draws_and_skips_follow_the_plain_philox(seed, stream, calls):
+def test_interleaved_draws_and_skips_follow_the_plain_philox(seeds, stream, calls):
     # a skip may start and end anywhere in a four-word Philox block, after
-    # any mix of earlier draws and skips
-    g = SeededGenerator(seed, stream)
-    expected = philox_words(seed, stream, sum(n for _, n in calls) + 5)
-    at = 0
-    for kind, n in calls:
+    # any mix of earlier draws and skips; up to four handles of one stream
+    # index, some of them with one seed, take turns with the Philox they
+    # share, and each still follows its own plain Philox
+    gens = [SeededGenerator(seed, stream) for seed in seeds]
+    total = sum(n for _, _, n in calls) + 5
+    expected = [philox_words(seed, stream, total) for seed in seeds]
+    at = [0] * len(gens)
+    for h, kind, n in calls:
+        h %= len(gens)
+        g, words = gens[h], expected[h][at[h] : at[h] + n]
         if kind == "words":
-            assert np.array_equal(g.words(n), expected[at : at + n])
+            assert np.array_equal(g.words(n), words)
         elif kind == "uniforms":
-            assert np.array_equal(g.uniforms(n), doubles(expected[at : at + n]))
+            assert np.array_equal(g.uniforms(n), doubles(words))
         else:
             g.skip(n)
-        at += n
-    assert np.array_equal(g.words(5), expected[at:])
+        at[h] += n
+    for g, words, a in zip(gens, expected, at):
+        assert np.array_equal(g.words(5), words[a : a + 5])
 
 
 def test_a_stream_that_is_only_skipped_builds_no_philox(monkeypatch):
+    # a handle that only skips neither builds nor re-keys the Philox of its
+    # stream index, and then draws the plain Philox's words
     built = []
     philox = np.random.Philox
 
@@ -282,14 +294,21 @@ def test_a_stream_that_is_only_skipped_builds_no_philox(monkeypatch):
         built.append(1)
         return philox(*args, **kwargs)
 
+    def shared_state():
+        bits, seed, position = SeededGenerator._shared[2]
+        return bits, seed, position, repr(bits.state)
+
     expected = philox_words(5, 2, 1007)[1003:]
     monkeypatch.setattr(np.random, "Philox", counted)
+    SeededGenerator(6, 2).words(3)  # stream index 2 has its Philox, at another key
+    before = shared_state()
+    built.clear()
     g = SeededGenerator(5, 2)
     g.skip(1000)
     g.skip(3)
-    assert built == []
+    assert built == [] and shared_state() == before
     assert np.array_equal(g.words(4), expected)
-    assert built == [1]
+    assert built == []
 
 
 def test_doubles_are_numpy_generator_random_bit_for_bit():
