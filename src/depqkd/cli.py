@@ -244,6 +244,12 @@ def _config_from_settings(settings: dict[str, object]) -> ProtocolConfig:
     return ProtocolConfig(**kwargs, channel=channel)
 
 
+def _json_float(x: Optional[float]) -> str:
+    """``json.dumps`` of an error rate or a time: ``null`` or the float's
+    ``float.__repr__``, also for a ``float`` subclass such as ``np.float64``."""
+    return "null" if x is None else float.__repr__(x)
+
+
 def _report_line(
     subcommand: str,
     trial_index: int,
@@ -255,18 +261,18 @@ def _report_line(
     """The bytes ``json.dumps`` gives the report line, with the cell's
     ``config_echo`` (``json.dumps`` of its ``to_dict()``, encoded once per
     cell) placed after ``seed``."""
-    head = {"subcommand": subcommand, "trial_index": trial_index, "seed": trial_seed}
-    tail = {
-        "decoy_qber": report.decoy_qber,
-        "wc_qber": report.wc_qber,
-        "final_qber": report.final_qber,
-        "aborted": report.aborted,
-        "key_len": len(report.alice_key),
-        "alice_key_hex": bits_to_hex(report.alice_key),
-        "bob_key_hex": bits_to_hex(report.bob_key),
-        "elapsed_ms": elapsed_ms,
-    }
-    return f'{json.dumps(head)[:-1]}, "config": {config_echo}, {json.dumps(tail)[1:]}'
+    return (
+        f'{{"subcommand": "{subcommand}", "trial_index": {trial_index:d}, '
+        f'"seed": {trial_seed:d}, "config": {config_echo}, '
+        f'"decoy_qber": {_json_float(report.decoy_qber)}, '
+        f'"wc_qber": {_json_float(report.wc_qber)}, '
+        f'"final_qber": {_json_float(report.final_qber)}, '
+        f'"aborted": {"true" if report.aborted else "false"}, '
+        f'"key_len": {len(report.alice_key):d}, '
+        f'"alice_key_hex": "{bits_to_hex(report.alice_key)}", '
+        f'"bob_key_hex": "{bits_to_hex(report.bob_key)}", '
+        f'"elapsed_ms": {_json_float(elapsed_ms)}}}'
+    )
 
 
 def _batches(cells: list[ProtocolConfig], trials: int):

@@ -30,11 +30,11 @@ depend on the sessions beside it, whatever their settings.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import groupby
-from typing import Callable, Optional, Sequence
+from operator import attrgetter
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -211,9 +211,9 @@ _STATE = np.int16
 _MAX_STATE_ID = (np.iinfo(_STATE).max - 7) // 8
 
 # A large batch allocates and frees about 1 MB of temporaries (word blocks,
-# intp index arrays, cumsum row maps).  By default glibc returns a freed
-# heap top above its trim threshold to the kernel, so every later batch
-# faults the same pages in again.  Freeing one mmapped block larger than the
+# intp index arrays).  By default glibc returns a freed heap top above its
+# trim threshold to the kernel, so every later batch faults the same pages
+# in again.  Freeing one mmapped block larger than the
 # mmap threshold and at most 32 MiB raises that threshold to the block's
 # size and the trim threshold to twice it (mallopt(3), dynamic mmap
 # threshold), so per-batch arrays under 8 MiB come from a heap that stays
@@ -320,11 +320,11 @@ def _tally(mask: np.ndarray, sizes: Sequence[int]) -> list[int]:
 
 def _sizes(pairs: PairBatch, idx: np.ndarray, count: int) -> list[int]:
     """How many of the sorted pair indices ``idx`` belong to each of the
-    ``count`` sessions of ``pairs``."""
-    n = len(pairs) // count
-    inner = (bisect_left(idx, start) for start in range(n, len(pairs), n))
-    bounds = [0, *inner, len(idx)]
-    return [b - a for a, b in zip(bounds, bounds[1:])]
+    ``count`` sessions of ``pairs``: the differences between the positions
+    where each session's first pair index, and the batch's end, would sort
+    into ``idx``."""
+    bounds = idx.searchsorted(np.arange(0, len(pairs) + 1, len(pairs) // count))
+    return (bounds[1:] - bounds[:-1]).tolist()
 
 
 @dataclass
@@ -747,21 +747,21 @@ def transmit_b(
     t = len(gens)
     sizes = [len(pairs) // t + c for c in decoys.sizes]
     delivered, basis, w = _channel(sizes, losses, eve, Photon.B, gens)
-    pair_slots = np.flatnonzero(~is_decoy)
-    pairs.b_delivered[:] = delivered[pair_slots]
-    decoys.delivered[:] = delivered[decoys.position]
+    pairs.b_delivered[:] = delivered.take(np.flatnonzero(~is_decoy))
+    decoys.delivered[:] = delivered.take(decoys.position)
     if basis is None:
         return
-    # The attack-draw row of each delivered slot: the draws come one row
-    # per delivered photon, in slot order.
-    row = np.cumsum(delivered) - 1
+    # The attack draws come one row per delivered photon, in slot order, so
+    # the delivered pairs and the delivered check photons, each in slot
+    # order, take the rows of the delivered slots of their kind.
+    kind = is_decoy.take(np.flatnonzero(delivered))
+    rows = np.flatnonzero(~kind)
     hit = np.flatnonzero(pairs.b_delivered)
-    rows = row[pair_slots[hit]]
-    _intercept_pairs(pairs, hit, Photon.B, basis[rows], w[rows])
+    _intercept_pairs(pairs, hit, Photon.B, basis.take(rows), w.take(rows))
+    rows = np.flatnonzero(kind)
     hit = np.flatnonzero(decoys.delivered)
-    rows = row[decoys.position[hit]]
-    basis = basis[rows]
-    k = ALPHABET.local.sample(2 * decoys.state[hit] + basis, w[rows])
+    basis = basis.take(rows)
+    k = ALPHABET.local.sample(2 * decoys.state.take(hit) + basis, w.take(rows))
     decoys.eve_basis[hit], decoys.eve_outcome[hit] = basis, k
     decoys.state[hit] = 4 * basis + k
 
@@ -793,12 +793,15 @@ class WcCheckResult:
     checked_count: int
 
 
-#: The report's count key and the result field of every count a check's
-#: result holds: its fields after ``qber`` and ``proceed``.
+#: The report's count keys of every count a check's result holds, its fields
+#: after ``qber`` and ``proceed``, and a getter of those fields.
 _COUNT_KEYS = {
-    check: tuple(
-        ("checked" if f.name == "checked_count" else f"{check}_{f.name}", f.name)
-        for f in fields(result_type)[2:]
+    check: (
+        tuple(
+            "checked" if f.name == "checked_count" else f"{check}_{f.name}"
+            for f in fields(result_type)[2:]
+        ),
+        attrgetter(*(f.name for f in fields(result_type)[2:])),
     )
     for check, result_type in (("decoy", DecoyCheckResult), ("wc", WcCheckResult))
 }
@@ -866,29 +869,22 @@ def _conclude(
 
 
 def _verdicts(
-    result: type,
     check: str,
     sizes: Sequence[int],
     thresholds: Sequence[float],
     transcript: Optional[Transcript],
-    **masks: np.ndarray,
-) -> list:
-    """Each session's ``result``, built from its count of true entries of
-    each mask over its ``sizes[s]`` items and judged against its
-    ``thresholds[s]``, or ``None`` for a session whose check compared
-    nothing."""
-    verdicts, start = [], 0
+    *masks: np.ndarray,
+) -> Iterator[tuple[int, Optional[tuple[float, bool]], list[int]]]:
+    """Per session, in order: its ``sizes[s]``, its verdict from
+    :func:`_conclude` against ``thresholds[s]``, and its count of true
+    entries of each mask over its ``sizes[s]`` items.  The first two masks
+    mark the compared items and the errors."""
+    start = 0
     for size, threshold in zip(sizes, thresholds):
-        tally = {
-            key: int(np.count_nonzero(mask[start : start + size]))
-            for key, mask in masks.items()
-        }
-        start += size
-        verdict = _conclude(
-            check, tally["compared"], tally["errors"], threshold, transcript
-        )
-        verdicts.append(verdict and result(*verdict, **tally))
-    return verdicts
+        end = start + size
+        tally = [int(np.count_nonzero(mask[start:end])) for mask in masks]
+        start = end
+        yield size, _conclude(check, tally[0], tally[1], threshold, transcript), tally
 
 
 def decoy_check(
@@ -936,21 +932,14 @@ def decoy_check(
     freq_bad = matched & ((k & 1) != decoys.freq[idx])
     bad = pol_bad | freq_bad
     z = prepared == _BASES.index(PolBasis.Z)
-    return _verdicts(
-        DecoyCheckResult,
-        "decoy",
-        sizes,
-        thresholds,
-        t,
-        compared=matched,
-        errors=bad,
-        pol_errors=pol_bad,
-        freq_errors=freq_bad,
-        z_prepared_compared=matched & z,
-        z_prepared_errors=bad & z,
-        x_prepared_compared=matched & ~z,
-        x_prepared_errors=bad & ~z,
-    )
+    # the X-prepared counts are the rest of each session's comparisons
+    return [
+        verdict and DecoyCheckResult(*verdict, c, e, pol, freq, zc, ze, c - zc, e - ze)
+        for _, verdict, (c, e, pol, freq, zc, ze) in _verdicts(
+            "decoy", sizes, thresholds, t,
+            matched, bad, pol_bad, freq_bad, matched & z, bad & z,
+        )
+    ]
 
 
 _Z_ROWS = np.eye(2, dtype=complex)
@@ -1011,7 +1000,7 @@ def wc_check(
     eligible = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
     sizes = _sizes(pairs, eligible, len(gens))
     sampling = _coins(gens, sizes, sample_fractions)
-    sampled = eligible[sampling]
+    sampled = eligible.take(np.flatnonzero(sampling))
     _post(
         t,
         "bob",
@@ -1044,20 +1033,14 @@ def wc_check(
     agree = (k >> 1) == (k & 1)
     bad = matched & (agree != _EXPECTED_AGREE.take(2 * pairs.op_b[sampled] + basis_a))
     z = basis_a == _BASES.index(PolBasis.Z)
-    return _verdicts(
-        WcCheckResult,
-        "wc",
-        sizes,
-        thresholds,
-        t,
-        compared=matched,
-        errors=bad,
-        z_compared=matched & z,
-        z_errors=bad & z,
-        x_compared=matched & ~z,
-        x_errors=bad & ~z,
-        checked_count=np.ones(len(sampled), dtype=bool),
-    )
+    # the X-basis counts are the rest of each session's comparisons, and
+    # every sampled pair is checked
+    return [
+        verdict and WcCheckResult(*verdict, c, e, zc, ze, c - zc, e - ze, size)
+        for size, verdict, (c, e, zc, ze) in _verdicts(
+            "wc", sizes, thresholds, t, matched, bad, matched & z, bad & z
+        )
+    ]
 
 
 def step4_encode_a(pairs: PairBatch) -> np.ndarray:
@@ -1083,7 +1066,9 @@ def transmit_a(
     delivered, basis, w = _channel(sizes, losses, eve, Photon.A, gens)
     pairs.a_delivered[active] = delivered
     if basis is not None:
-        _intercept_pairs(pairs, active[delivered], Photon.A, basis, w)
+        _intercept_pairs(
+            pairs, active.take(np.flatnonzero(delivered)), Photon.A, basis, w
+        )
 
 
 # Codeword announced by each device outcome, in device_outcomes() order.
@@ -1193,11 +1178,11 @@ def run_sessions(
         """Record each live session's check, and drop the aborted ones."""
         nonlocal live, pairs
         proceed = np.array([r is not None and r.proceed for r in results], dtype=bool)
+        keys, counts_of = _COUNT_KEYS[check]
         for s, result, kept in zip(live.tolist(), results, proceed.tolist()):
             if result is not None:
                 qbers[s][f"{check}_qber"] = result.qber
-                for key, name in _COUNT_KEYS[check]:
-                    counts[s][key] = getattr(result, name)
+                counts[s].update(zip(keys, counts_of(result)))
             if not kept:
                 counts[s]["lost"] = lost_b[s]
         if not proceed.all():
@@ -1226,36 +1211,39 @@ def run_sessions(
             ),
         )
 
-    keys = {}  # the key bits of each session that kept its key
+    # the key bytes and bit mismatches of each session that kept its key
+    keys: dict[int, tuple[bytes, bytes, int]] = {}
     if len(live):
         active = step4_encode_a(pairs)
         transmit_a(
             pairs, active, at_live(losses), eve, live_streams(_STREAM_CHANNEL_A)
         )
         survivors = step5_decode_and_sift(pairs, t, live_streams(_STREAM_DEVICE))
-        alice_bits = _key_bits(pairs.codeword[survivors])
-        bob_bits = _key_bits(pairs.decoded[survivors])
+        alice_bits = _key_bits(pairs.codeword.take(survivors))
+        bob_bits = _key_bits(pairs.decoded.take(survivors))
+        kept = _sizes(pairs, survivors, len(live))
+        alice_bytes, bob_bytes = alice_bits.tobytes(), bob_bits.tobytes()
         lost = ~(pairs.b_delivered & pairs.a_delivered) & ~pairs.checked
         end = 0
-        for s, kept, lost_s in zip(
+        for s, kept_s, lost_s, mismatches in zip(
             live.tolist(),
-            _sizes(pairs, survivors, len(live)),
+            kept,
             _tally(lost, [n] * len(live)),
+            _tally(alice_bits != bob_bits, [3 * k for k in kept]),
         ):
-            start, end = end, end + 3 * kept
-            keys[s] = alice_bits[start:end], bob_bits[start:end]
-            counts[s].update(lost=lost_s, key_pairs=kept)
+            start, end = end, end + 3 * kept_s
+            keys[s] = alice_bytes[start:end], bob_bytes[start:end], mismatches
+            counts[s].update(lost=lost_s, key_pairs=kept_s)
     reports = []
     for s, config in enumerate(configs):
-        alice, bob = keys.get(s, (np.zeros(0, dtype=np.uint8),) * 2)
-        mismatches = int(np.count_nonzero(alice != bob))
+        alice, bob, mismatches = keys.get(s, (b"", b"", 0))
         reports.append(
             RunReport(
                 **qbers[s],
                 aborted=s not in keys,
-                alice_key=alice.tobytes(),
-                bob_key=bob.tobytes(),
-                final_qber=mismatches / len(alice) if len(alice) else 0.0,
+                alice_key=alice,
+                bob_key=bob,
+                final_qber=mismatches / len(alice) if alice else 0.0,
                 counts=counts[s],
                 config=config,
                 seed=config.seed,

@@ -190,6 +190,19 @@ def doubles(words: np.ndarray) -> np.ndarray:
     return (words >> 11) * 2.0**-53
 
 
+#: The Philox state :meth:`SeededGenerator.words` re-keys to: its counter
+#: and key are overwritten before each use, and the setter copies them out,
+#: so one dict serves every re-key.
+_PHILOX_STATE = {
+    "bit_generator": "Philox",
+    "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+    "buffer": (0, 0, 0, 0),
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
+
+
 class SeededGenerator:
     """Deterministic random source keyed by (master seed, stream index).
 
@@ -238,17 +251,10 @@ class SeededGenerator:
             out = bits.random_raw(n)
         else:
             head = start % 4
-            bits.state = {
-                "bit_generator": "Philox",
-                "state": {
-                    "counter": (start // 4, 0, 0, 0),
-                    "key": (self.seed, self.stream),
-                },
-                "buffer": (0, 0, 0, 0),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            state = _PHILOX_STATE["state"]
+            state["counter"] = (start // 4, 0, 0, 0)
+            state["key"] = (self.seed, self.stream)
+            bits.state = _PHILOX_STATE
             out = bits.random_raw(head + n)[head:]
         self.position = shared[2] = start + n
         shared[1] = self.seed

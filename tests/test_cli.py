@@ -195,6 +195,88 @@ def test_run_emits_one_schema_line_per_trial(capsys):
     assert line["elapsed_ms"] >= 0.0
 
 
+def json_report_line(subcommand, trial_index, seed, config, report, elapsed_ms):
+    """The report line as ``json.dumps`` gives it, from one ordered dict."""
+    return json.dumps(
+        {
+            "subcommand": subcommand,
+            "trial_index": trial_index,
+            "seed": seed,
+            "config": config,
+            "decoy_qber": report.decoy_qber,
+            "wc_qber": report.wc_qber,
+            "final_qber": report.final_qber,
+            "aborted": report.aborted,
+            "key_len": len(report.alice_key),
+            "alice_key_hex": bits_to_hex(report.alice_key),
+            "bob_key_hex": bits_to_hex(report.bob_key),
+            "elapsed_ms": elapsed_ms,
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("run", "--trials", "6", "--check", "both", "--eve", "ir-random",
+         "--decoy-fraction", "0.3", "--threshold", "0.3"),
+        ("sweep", "--param", "eve", "--values", "none,ir-random", "--trials", "4",
+         "--decoy-fraction", "0.5"),
+    ],
+)
+def test_report_lines_are_the_bytes_json_dumps_gives(capsys, args):
+    code, out, _ = run_cli(
+        capsys, *args, "--pairs", "37", "--seed", str(2**63 + 7)
+    )
+    assert code == 0
+    lines = out.splitlines()
+    for line in lines:
+        assert json.dumps(json.loads(line)) == line
+    reports = json_lines(out)
+    # null and float rates, aborted sessions with empty keys, keys that end
+    # inside a byte, and seeds from 2**63 on
+    assert any(r["wc_qber"] is None for r in reports)
+    assert any(isinstance(r["decoy_qber"], float) for r in reports)
+    assert any(r["aborted"] and r["key_len"] == 0 for r in reports)
+    assert any(r["key_len"] % 8 for r in reports)
+    assert any(r["seed"] >= 2**63 for r in reports)
+    assert all(r["config"]["seed"] == 2**63 + 7 for r in reports)
+
+
+class FakeReport:
+    """The fields of a report that its line reads."""
+
+    def __init__(self, decoy_qber, wc_qber, final_qber, aborted, alice_key, bob_key):
+        self.decoy_qber, self.wc_qber, self.final_qber = decoy_qber, wc_qber, final_qber
+        self.aborted, self.alice_key, self.bob_key = aborted, alice_key, bob_key
+
+
+@pytest.mark.parametrize(
+    "subcommand, trial_index, seed, report, elapsed_ms",
+    [
+        ("run", 0, 0, FakeReport(None, None, 0.0, True, b"", b""), 0.0),
+        ("sweep", 17, 2**63,
+         FakeReport(1e-05, None, 0.0, False, b"\1" * 5, b"\0" * 5), 1e-05),
+        ("run", 3, 2**64 - 1,
+         FakeReport(0.0, 1 / 3, 5e-324, False, b"\1\0\1", b"\1\1\1"), 1e16),
+        # under numpy 2 the repr of a numpy float is "np.float64(0.1)", which
+        # json does not print
+        ("sweep", 2, 5, FakeReport(np.float64(0.1), np.float64(0.05), np.float64(0.0),
+                                   False, b"\0" * 9, b"\0" * 9), np.float64(0.123)),
+    ],
+)
+def test_report_line_matches_json_dumps_of_the_ordered_fields(
+    subcommand, trial_index, seed, report, elapsed_ms
+):
+    config = ProtocolConfig(seed=seed, check_sample_fraction=1e-05).to_dict()
+    line = cli._report_line(
+        subcommand, trial_index, seed, json.dumps(config), report, elapsed_ms
+    )
+    assert line == json_report_line(
+        subcommand, trial_index, seed, config, report, elapsed_ms
+    )
+
+
 def spy_on_batches(monkeypatch):
     """The sessions of each ``run_sessions`` call the CLI makes."""
     batches = []

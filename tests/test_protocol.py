@@ -32,6 +32,7 @@ from depqkd.protocol import (
     StateAlphabet,
     _Outcomes,
     _channel,
+    _sizes,
     _smallest,
     _wc_probabilities,
     decoy_check,
@@ -763,6 +764,28 @@ def test_a_loss_sweep_batch_builds_one_philox_per_stream_index(monkeypatch):
     built.clear()
     assert protocol.run_sessions(configs) == first
     assert built == []
+
+
+def test_session_bounds_count_each_session_s_sorted_indices():
+    # _sizes needs only the batch's length, so a range stands in for it
+    rng = np.random.default_rng(2024)
+    cases = [
+        (1, 1, []),  # a batch of one with nothing selected
+        (1, 5, [0, 2, 4]),
+        (3, 4, []),  # an empty idx
+        (3, 4, [4, 5, 6, 7]),  # empty first and last sessions
+        (4, 1, [0, 3]),
+    ]
+    for _ in range(200):
+        count, n = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+        chosen = rng.random(count * n) < rng.choice([0.0, 0.1, 0.5, 1.0])
+        if rng.random() < 0.5:  # leave whole sessions out
+            chosen &= np.repeat(rng.random(count) < 0.5, n)
+        cases.append((count, n, np.flatnonzero(chosen).tolist()))
+    for count, n, idx in cases:
+        expected = [sum(s * n <= i < (s + 1) * n for i in idx) for s in range(count)]
+        got = _sizes(range(count * n), np.array(idx, dtype=np.intp), count)
+        assert got == expected, (count, n, idx)
 
 
 def test_an_empty_batch_gives_no_reports():
