@@ -6,7 +6,7 @@ sessions and to read their reports and transcripts; the state algebra, the
 measurement device and the session phases live in the submodules.
 """
 
-from .channel import ChannelConfig, ConfigError, EveConfig, EveStrategy, EveTarget
+from .channel import ConfigError, EveStrategy, EveTarget
 from .protocol import (
     CheckStrategy,
     Message,
@@ -21,10 +21,8 @@ from .protocol import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelConfig",
     "CheckStrategy",
     "ConfigError",
-    "EveConfig",
     "EveStrategy",
     "EveTarget",
     "Message",

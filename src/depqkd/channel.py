@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .device import measure_single
 from .quantum import (
@@ -53,26 +52,6 @@ class EveTarget(Enum):
 
 
 @dataclass(frozen=True)
-class EveConfig:
-    strategy: EveStrategy
-    target: EveTarget = EveTarget.B
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Loss probability per transmitted photon, plus an optional attacker."""
-
-    loss_probability: float = 0.0
-    eve: Optional[EveConfig] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ConfigError(
-                f"loss probability must lie in [0, 1], got {self.loss_probability}"
-            )
-
-
-@dataclass(frozen=True)
 class EveRecord:
     """What the eavesdropper learned from one intercepted photon."""
 
@@ -84,7 +63,8 @@ class EveRecord:
 def apply_loss(loss_probability: float, g: SeededGenerator) -> bool:
     """Decide whether a photon survives the channel; True means delivered.
 
-    ``loss_probability`` is taken as validated by :class:`ChannelConfig`.
+    ``loss_probability`` is taken as validated by
+    :class:`~depqkd.protocol.ProtocolConfig`.
     """
     return not g.coin(loss_probability)
 

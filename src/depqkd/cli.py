@@ -10,6 +10,12 @@ over loss, threshold or either fraction share batches.  ``elapsed_ms`` is
 the batch's wall time over its sessions, which may span several cells,
 and a batch's lines are written together, in that order, once it ends.
 
+Every setting but ``trials`` is a field of
+:class:`~depqkd.protocol.ProtocolConfig`, which gives its name (the flag,
+the config-file key and the key of the report's ``config`` echo), its
+default, its help and, through the field's enum type, its choices.  The
+flags come in field order, which is the order of the echo.
+
 Per-trial seeds derive from the master seed as
 ``sha256(master || sweep_index || trial_index)`` over big-endian 64-bit
 words, truncated to the first 8 digest bytes (big-endian).  ``run`` uses
@@ -26,16 +32,16 @@ import re
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import replace
-from enum import Enum
+from dataclasses import Field, fields, replace
+from enum import EnumMeta
 from functools import cache
-from typing import Callable, NamedTuple, Optional, TextIO
+from typing import Callable, NamedTuple, Optional, TextIO, get_args, get_type_hints
 
 import numpy as np
 
-from .channel import ChannelConfig, ConfigError, EveConfig, EveStrategy, EveTarget
+from .channel import ConfigError
 from .device import decode, device_outcome_distribution, port_of
-from .protocol import CheckStrategy, ProtocolConfig, run_sessions
+from .protocol import ProtocolConfig, run_sessions
 from .quantum import Freq, Photon, Pol, apply_local, equal_up_to_global_phase
 from .states import (
     DepLabel,
@@ -54,53 +60,45 @@ _BATCH_PAIRS = 16384
 
 
 class _Setting(NamedTuple):
-    """A setting of ``run`` and ``sweep``: its flag, the keyword it fills in
-    :class:`ProtocolConfig`, :class:`ChannelConfig` or :class:`EveConfig`
-    (None for ``trials``, which only the CLI reads), the type its text is
-    read as, its default, its allowed values and its help."""
+    """A setting of ``run`` and ``sweep``: its name in config files, errors
+    and the report, the type its text is read as, its default, the value
+    each allowed text stands for (None for a number) and its help."""
 
-    flag: str
-    field: Optional[str]
+    key: str
     type: Callable[[str], object]
     default: object
-    choices: Optional[tuple[str, ...]]
+    choices: Optional[dict[str, object]]
     help: str
 
     @property
-    def key(self) -> str:
-        """The setting's name in config files, errors and the report."""
-        return self.flag.replace("-", "_")
+    def flag(self) -> str:
+        return self.key.replace("_", "-")
 
 
-def _values(kind: type[Enum]) -> tuple[str, ...]:
-    return tuple(member.value for member in kind)
+_HINTS = get_type_hints(ProtocolConfig)
 
 
-# An ``eve`` of ``none`` stands for ChannelConfig's default, no attacker.
+def _setting(f: Field) -> _Setting:
+    """The setting of a field of ProtocolConfig.  An enum field takes the
+    value of one of its members, and an optional field also ``none``."""
+    kind = _HINTS[f.name]
+    args = get_args(kind) or (kind,)  # Optional[E] is Union[E, None]
+    choices: dict[str, object] = {"none": None} if type(None) in args else {}
+    for arg in args:
+        if isinstance(arg, EnumMeta):
+            choices.update((member.value, member) for member in arg)
+    return _Setting(
+        f.name, str if choices else kind, f.default, choices or None, f.metadata["help"]
+    )
+
+
+#: The settings a sweep can vary, by flag name: the fields of ProtocolConfig.
+_SWEEPABLE = {setting.flag: setting for setting in map(_setting, fields(ProtocolConfig))}
 _SETTINGS = (
-    _Setting("pairs", "n_pairs", int, ProtocolConfig.n_pairs, None,
-             "entangled pairs per trial"),
-    _Setting("decoy-fraction", "decoy_fraction", float, ProtocolConfig.decoy_fraction,
-             None, "mean check photons inserted per pair"),
-    _Setting("check", "check_strategy", str, ProtocolConfig.check_strategy.value,
-             _values(CheckStrategy), "security check strategy"),
-    _Setting("eve", "strategy", str, "none", ("none", *_values(EveStrategy)),
-             "intercept-resend attacker basis policy"),
-    _Setting("eve-targets", "target", str, EveConfig.target.value, _values(EveTarget),
-             "which transmissions the attacker intercepts"),
-    _Setting("loss", "loss_probability", float, ChannelConfig.loss_probability, None,
-             "per-photon loss probability"),
-    _Setting("threshold", "qber_threshold", float, ProtocolConfig.qber_threshold, None,
-             "abort threshold on check error rates"),
-    _Setting("sample-fraction", "check_sample_fraction", float,
-             ProtocolConfig.check_sample_fraction, None,
-             "fraction of stored pairs consumed by the converter check"),
-    _Setting("seed", "seed", int, ProtocolConfig.seed, None, "64-bit master seed"),
-    _Setting("trials", None, int, 1, None, "independent trials per configuration"),
+    *_SWEEPABLE.values(),
+    _Setting("trials", int, 1, None, "independent trials per configuration"),
 )
 _KEYS = {setting.key for setting in _SETTINGS}
-#: The settings a sweep can vary, by flag name.
-_SWEEPABLE = {setting.flag: setting for setting in _SETTINGS if setting.field}
 
 
 def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> int:
@@ -171,6 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _convert(setting: _Setting, raw: str) -> object:
+    """The value a setting's text stands for."""
+    if setting.choices is not None:
+        if raw not in setting.choices:
+            raise ConfigError(
+                f"{setting.key} must be one of {tuple(setting.choices)}, got {raw!r}"
+            )
+        return setting.choices[raw]
     try:
         return setting.type(raw)
     except ValueError:
@@ -214,8 +219,8 @@ def _effective_settings(args: argparse.Namespace) -> dict[str, object]:
     for setting in _SETTINGS:
         key = setting.key
         flag_value = getattr(args, key)
-        if flag_value is not None:
-            settings[key] = flag_value
+        if flag_value is not None:  # argparse has read it and checked its choice
+            settings[key] = setting.choices[flag_value] if setting.choices else flag_value
         elif key in file_values:
             settings[key] = _convert(setting, file_values[key])
         else:
@@ -223,25 +228,6 @@ def _effective_settings(args: argparse.Namespace) -> dict[str, object]:
     if settings["trials"] < 1:
         raise ConfigError(f"trials must be positive, got {settings['trials']}")
     return settings
-
-
-def _config_from_settings(settings: dict[str, object]) -> ProtocolConfig:
-    kwargs: dict[str, object] = {}
-    for setting in _SETTINGS:
-        value = settings[setting.key]
-        if setting.choices and value not in setting.choices:
-            raise ConfigError(
-                f"{setting.key} must be one of {setting.choices}, got {value!r}"
-            )
-        if setting.field:
-            kwargs[setting.field] = value
-    strategy, target = kwargs.pop("strategy"), kwargs.pop("target")
-    eve = None
-    if strategy != "none":
-        eve = EveConfig(strategy=EveStrategy(strategy), target=EveTarget(target))
-    channel = ChannelConfig(loss_probability=kwargs.pop("loss_probability"), eve=eve)
-    kwargs["check_strategy"] = CheckStrategy(kwargs["check_strategy"])
-    return ProtocolConfig(**kwargs, channel=channel)
 
 
 def _json_float(x: Optional[float]) -> str:
@@ -284,7 +270,7 @@ def _batches(cells: list[ProtocolConfig], trials: int):
         for i in range(trials):
             if batch and (
                 batch[0][2].batch_key != cell.batch_key
-                or (len(batch) + 1) * cell.n_pairs > _BATCH_PAIRS
+                or (len(batch) + 1) * cell.pairs > _BATCH_PAIRS
             ):
                 yield batch
                 batch = []
@@ -304,7 +290,7 @@ def _run_trials(
             reports = run_sessions(configs)
         except MemoryError:
             raise ConfigError(
-                f"{configs[0].n_pairs} pairs per trial do not fit in memory"
+                f"{configs[0].pairs} pairs per trial do not fit in memory"
             ) from None
         elapsed_ms = (time.perf_counter() - start) * 1000.0 / len(configs)
         out.writelines(
@@ -318,6 +304,7 @@ def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], in
     """Validated configuration of every sweep cell (the one cell of ``run``)
     and the number of trials per cell."""
     settings = _effective_settings(args)
+    trials = settings.pop("trials")
     cells = [settings]
     if args.subcommand == "sweep":
         param = args.param.strip()
@@ -328,7 +315,7 @@ def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], in
         if not raw_values:
             raise ConfigError("sweep needs at least one value")
         cells = [{**settings, swept.key: _convert(swept, v)} for v in raw_values]
-    return [_config_from_settings(cell) for cell in cells], int(settings["trials"])
+    return [ProtocolConfig(**cell) for cell in cells], trials
 
 
 def run_table_verification() -> list[tuple[str, bool, str]]:

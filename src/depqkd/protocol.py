@@ -14,10 +14,13 @@ An intercept-resend attacker on the first transmission disturbs both
 checks at known rates and, because each codeword is completed only by the
 second operation, its measurement records never determine final key bits.
 
-Sessions run as a batch: :func:`run_sessions` runs several sessions that
-agree on :attr:`ProtocolConfig.batch_key` (the pair count, the check and
-the attacker) together, and :func:`run_session` is the batch of one.  The
-seed, the loss, both fractions and the threshold are each session's own.
+A session's settings are one flat :class:`ProtocolConfig`, whose fields
+are also the command line's settings and the keys of a report's
+``config`` echo.  Sessions run as a batch: :func:`run_sessions` runs
+several sessions that agree on :attr:`ProtocolConfig.batch_key` (the pair
+count, the check, the attacker and its targets) together, and
+:func:`run_session` is the batch of one.  The seed, the loss, both
+fractions and the threshold are each session's own.
 :class:`PairBatch` and :class:`DecoyBatch` hold one array entry per item,
 session after session, and pair states are ids into :data:`ALPHABET`.
 Each phase draws every session's blocks from that session's own stream,
@@ -38,7 +41,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .channel import ChannelConfig, ConfigError, EveConfig, EveStrategy
+from .channel import ConfigError, EveStrategy, EveTarget
 from .device import (
     decode,
     device_outcomes,
@@ -89,60 +92,82 @@ class CheckStrategy(Enum):
 _MAX_PAIRS = np.iinfo(np.intp).max // 32
 
 
+def _setting(default: object, help: str, *, batch: bool = False):
+    """A field of :class:`ProtocolConfig`: its default, its help, and
+    whether the sessions of one batch must share it."""
+    return field(default=default, metadata={"help": help, "batch": batch})
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Everything a session needs; identical configs replay identically."""
+    """Every setting of a session; identical configs replay identically.
 
-    n_pairs: int = 1000
-    seed: int = 0
-    decoy_fraction: float = 0.1
-    check_strategy: CheckStrategy = CheckStrategy.DECOY
-    check_sample_fraction: float = 0.1
-    qber_threshold: float = 0.05
-    channel: ChannelConfig = field(default_factory=ChannelConfig)
+    The fields are the settings of the command line and of its config
+    files, by the same names and in the order of a report's ``config``
+    echo.  Each field's metadata holds its help, and the enum types hold
+    the choices.  An ``eve`` of ``None`` is no attacker, and its
+    ``eve_targets`` is then always ``EveTarget.B``.
+    """
+
+    pairs: int = _setting(1000, "entangled pairs per trial", batch=True)
+    seed: int = _setting(0, "64-bit master seed")
+    decoy_fraction: float = _setting(0.1, "mean check photons inserted per pair")
+    check: CheckStrategy = _setting(
+        CheckStrategy.DECOY, "security check strategy", batch=True
+    )
+    sample_fraction: float = _setting(
+        0.1, "fraction of stored pairs consumed by the converter check"
+    )
+    threshold: float = _setting(0.05, "abort threshold on check error rates")
+    loss: float = _setting(0.0, "per-photon loss probability")
+    eve: Optional[EveStrategy] = _setting(
+        None, "intercept-resend attacker basis policy", batch=True
+    )
+    eve_targets: EveTarget = _setting(
+        EveTarget.B, "which transmissions the attacker intercepts", batch=True
+    )
 
     def __post_init__(self) -> None:
-        if self.n_pairs < 1:
-            raise ConfigError(f"n_pairs must be positive, got {self.n_pairs}")
-        if self.n_pairs > _MAX_PAIRS:
-            raise ConfigError(
-                f"n_pairs must be at most {_MAX_PAIRS}, got {self.n_pairs}"
-            )
+        if self.pairs < 1:
+            raise ConfigError(f"n_pairs must be positive, got {self.pairs}")
+        if self.pairs > _MAX_PAIRS:
+            raise ConfigError(f"n_pairs must be at most {_MAX_PAIRS}, got {self.pairs}")
         if not 0.0 <= self.decoy_fraction < 1.0:
             raise ConfigError(
                 f"decoy_fraction must lie in [0, 1), got {self.decoy_fraction}"
             )
-        if not 0.0 < self.check_sample_fraction <= 1.0:
+        if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError(
-                "check_sample_fraction must lie in (0, 1], got "
-                f"{self.check_sample_fraction}"
+                f"check_sample_fraction must lie in (0, 1], got {self.sample_fraction}"
             )
-        if not 0.0 < self.qber_threshold < 1.0:
-            raise ConfigError(
-                f"qber_threshold must lie in (0, 1), got {self.qber_threshold}"
-            )
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"qber_threshold must lie in (0, 1), got {self.threshold}")
+        if not 0.0 <= self.loss <= 1.0:
+            raise ConfigError(f"loss probability must lie in [0, 1], got {self.loss}")
+        if self.eve is None:  # one value, so that such sessions share batches
+            object.__setattr__(self, "eve_targets", EveTarget.B)
 
     @property
     def batch_key(self) -> tuple:
         """What the sessions of one :func:`run_sessions` batch share: the
         settings that decide which phases run and how large the arrays
         are."""
-        return self.n_pairs, self.check_strategy, self.channel.eve
+        return _batch_key(self)
 
     def to_dict(self) -> dict:
-        """JSON-ready echo of the effective configuration."""
-        eve = self.channel.eve
-        return {
-            "pairs": self.n_pairs,
-            "seed": self.seed,
-            "decoy_fraction": self.decoy_fraction,
-            "check": self.check_strategy.value,
-            "sample_fraction": self.check_sample_fraction,
-            "threshold": self.qber_threshold,
-            "loss": self.channel.loss_probability,
-            "eve": eve.strategy.value if eve else "none",
-            "eve_targets": eve.target.value if eve else "b",
-        }
+        """JSON-ready echo of the effective configuration: every field by
+        name, an enum by its value and no attacker as ``"none"``."""
+        return {f.name: _echo(getattr(self, f.name)) for f in fields(self)}
+
+
+def _echo(value: object) -> object:
+    if value is None:
+        return "none"
+    return value.value if isinstance(value, Enum) else value
+
+
+_BATCH_FIELDS = tuple(f.name for f in fields(ProtocolConfig) if f.metadata["batch"])
+_batch_key = attrgetter(*_BATCH_FIELDS)
 
 
 class MessageKind(Enum):
@@ -621,28 +646,27 @@ def _basis_coins(w: np.ndarray) -> np.ndarray:
 def _channel(
     sizes: Sequence[int],
     losses: Sequence[float],
-    eve: Optional[EveConfig],
-    photon: Photon,
+    eve: Optional[EveStrategy],
     gens: Sequence[SeededGenerator],
 ) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Send ``sizes[s]`` photons of each session ``s`` through its channel,
-    of loss probability ``losses[s]``, under the attacker ``eve``.
+    of loss probability ``losses[s]``, under the attacker policy ``eve``
+    (``None`` when no attacker intercepts this transmission).
 
-    Each session's stream gives one block of its loss coins, then, when
-    the attacker covers this transmission, one block with a row per
-    delivered photon in slot order: the attacker's basis coin (random
-    policy only) and its measurement draw.  Returns the delivery mask and,
-    for an attacked transmission, the attacker's basis and measurement
-    word per delivered photon.
+    Each session's stream gives one block of its loss coins, then, under
+    an attacker, one block with a row per delivered photon in slot order:
+    the attacker's basis coin (random policy only) and its measurement
+    draw.  Returns the delivery mask and, for an attacked transmission,
+    the attacker's basis and measurement word per delivered photon.
     """
     delivered = ~_coins(gens, sizes, losses)
-    if eve is None or not eve.target.covers(photon):
+    if eve is None:
         return delivered, None, None
     m = _tally(delivered, sizes)
-    if eve.strategy is EveStrategy.RANDOM_ZX:
+    if eve is EveStrategy.RANDOM_ZX:
         w = _draw(gens, m, 2)
         return delivered, _basis_coins(w[:, 0]), w[:, 1]
-    fixed = PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
+    fixed = PolBasis.Z if eve is EveStrategy.Z else PolBasis.X
     w = _draw(gens, m)[:, 0]
     return delivered, np.full(len(w), _BASES.index(fixed), dtype=_CODE), w
 
@@ -735,7 +759,7 @@ def transmit_b(
     decoys: DecoyBatch,
     is_decoy: np.ndarray,
     losses: Sequence[float],
-    eve: Optional[EveConfig],
+    eve: Optional[EveStrategy],
     gens: Sequence[SeededGenerator],
 ) -> None:
     """Send the mixed b sequence through the channel, updating both batches;
@@ -746,7 +770,7 @@ def transmit_b(
     """
     t = len(gens)
     sizes = [len(pairs) // t + c for c in decoys.sizes]
-    delivered, basis, w = _channel(sizes, losses, eve, Photon.B, gens)
+    delivered, basis, w = _channel(sizes, losses, eve, gens)
     pairs.b_delivered[:] = delivered.take(np.flatnonzero(~is_decoy))
     decoys.delivered[:] = delivered.take(decoys.position)
     if basis is None:
@@ -819,7 +843,6 @@ class RunReport:
     final_qber: float
     counts: dict[str, int]
     config: ProtocolConfig
-    seed: int
 
 
 def _post(
@@ -1057,13 +1080,13 @@ def transmit_a(
     pairs: PairBatch,
     active: np.ndarray,
     losses: Sequence[float],
-    eve: Optional[EveConfig],
+    eve: Optional[EveStrategy],
     gens: Sequence[SeededGenerator],
 ) -> None:
     """Send the photons a of the active pairs through the channel; see
     :func:`_channel` for ``losses`` and ``eve``."""
     sizes = _sizes(pairs, active, len(gens))
-    delivered, basis, w = _channel(sizes, losses, eve, Photon.A, gens)
+    delivered, basis, w = _channel(sizes, losses, eve, gens)
     pairs.a_delivered[active] = delivered
     if basis is not None:
         _intercept_pairs(
@@ -1131,20 +1154,23 @@ def run_sessions(
     config = configs[0]
     if any(c.batch_key != config.batch_key for c in configs):
         raise ValueError(
-            "the sessions of a batch must agree on n_pairs, check_strategy "
-            "and channel.eve"
+            f"the sessions of a batch must agree on {', '.join(_BATCH_FIELDS)}"
         )
     if transcript is not None and len(configs) > 1:
         raise ValueError("a transcript records a batch of one session")
-    t, n, count = transcript, config.n_pairs, len(configs)
-    eve = config.channel.eve
+    t, n, count = transcript, config.pairs, len(configs)
+    # the attacker policy on each transmission, None where it intercepts none
+    eve_b, eve_a = (
+        config.eve if config.eve_targets.covers(photon) else None
+        for photon in (Photon.B, Photon.A)
+    )
     seeds = [c.seed for c in configs]
-    losses = [c.channel.loss_probability for c in configs]
-    thresholds = [c.qber_threshold for c in configs]
+    losses = [c.loss for c in configs]
+    thresholds = [c.threshold for c in configs]
     # Each stream feeds one phase and is made only for the sessions that
     # reach that phase.
     pairs = step1_prepare_and_encode(n, _streams(seeds, _STREAM_ALICE))
-    strategy = config.check_strategy
+    strategy = config.check
     if strategy.uses_decoy:
         is_decoy, decoys = insert_decoys(
             pairs,
@@ -1157,7 +1183,7 @@ def run_sessions(
             [0] * count, np.zeros(0, dtype=np.intp), *np.zeros((2, 0), dtype=_CODE)
         )
     transmit_b(
-        pairs, decoys, is_decoy, losses, eve, _streams(seeds, _STREAM_CHANNEL_B)
+        pairs, decoys, is_decoy, losses, eve_b, _streams(seeds, _STREAM_CHANNEL_B)
     )
     _post(
         t,
@@ -1166,26 +1192,30 @@ def run_sessions(
         lambda: {"received_b": _received(pairs, decoys, is_decoy)},
     )
 
+    decoys_lost = (
+        _tally(~decoys.delivered, decoys.sizes) if strategy.uses_decoy else [0] * count
+    )
     counts = [
         dict(pairs=n, decoys=d, decoys_lost=lost, checked=0, lost=0, key_pairs=0)
-        for d, lost in zip(decoys.sizes, _tally(~decoys.delivered, decoys.sizes))
+        for d, lost in zip(decoys.sizes, decoys_lost)
     ]
     qbers = [{"decoy_qber": None, "wc_qber": None} for _ in configs]
-    lost_b = _tally(~pairs.b_delivered, [n] * count)
     live = np.arange(count)  # the sessions still in the batch, in order
 
     def conclude(check: str, results: list) -> None:
-        """Record each live session's check, and drop the aborted ones."""
+        """Record each live session's check, and drop the aborted ones,
+        counting the b photons each of them lost."""
         nonlocal live, pairs
         proceed = np.array([r is not None and r.proceed for r in results], dtype=bool)
         keys, counts_of = _COUNT_KEYS[check]
-        for s, result, kept in zip(live.tolist(), results, proceed.tolist()):
+        for s, result in zip(live.tolist(), results):
             if result is not None:
                 qbers[s][f"{check}_qber"] = result.qber
                 counts[s].update(zip(keys, counts_of(result)))
-            if not kept:
-                counts[s]["lost"] = lost_b[s]
         if not proceed.all():
+            for j in np.flatnonzero(~proceed).tolist():
+                delivered = pairs.b_delivered[j * n : (j + 1) * n]
+                counts[int(live[j])]["lost"] = n - int(np.count_nonzero(delivered))
             live, pairs = live[proceed], pairs.take(np.repeat(proceed, n))
 
     def at_live(values: Sequence) -> list:
@@ -1204,7 +1234,7 @@ def run_sessions(
             "wc",
             wc_check(
                 pairs,
-                at_live([c.check_sample_fraction for c in configs]),
+                at_live([c.sample_fraction for c in configs]),
                 at_live(thresholds),
                 t,
                 live_streams(_STREAM_WC),
@@ -1216,7 +1246,7 @@ def run_sessions(
     if len(live):
         active = step4_encode_a(pairs)
         transmit_a(
-            pairs, active, at_live(losses), eve, live_streams(_STREAM_CHANNEL_A)
+            pairs, active, at_live(losses), eve_a, live_streams(_STREAM_CHANNEL_A)
         )
         survivors = step5_decode_and_sift(pairs, t, live_streams(_STREAM_DEVICE))
         alice_bits = _key_bits(pairs.codeword.take(survivors))
@@ -1246,7 +1276,6 @@ def run_sessions(
                 final_qber=mismatches / len(alice) if alice else 0.0,
                 counts=counts[s],
                 config=config,
-                seed=config.seed,
             )
         )
     return reports

@@ -14,14 +14,7 @@ import numpy as np
 import pytest
 
 import oracles
-from depqkd import (
-    ChannelConfig,
-    CheckStrategy,
-    EveConfig,
-    EveStrategy,
-    ProtocolConfig,
-    run_session,
-)
+from depqkd import CheckStrategy, EveStrategy, ProtocolConfig, run_session
 from depqkd.channel import ir_attack_entangled
 from depqkd.cli import main
 from depqkd.device import decode, device_outcomes, device_probabilities
@@ -101,12 +94,12 @@ def test_criterion_2_deterministic_discrimination_of_all_eight_states():
 def test_criterion_3_ideal_session_yields_identical_keys():
     with criterion(3, "clean 10000-pair session: zero error, equal keys", 10.0):
         config = ProtocolConfig(
-            n_pairs=10_000,
+            pairs=10_000,
             seed=606,
             decoy_fraction=0.1,
-            check_strategy=CheckStrategy.BOTH,
-            check_sample_fraction=0.1,
-            qber_threshold=0.05,
+            check=CheckStrategy.BOTH,
+            sample_fraction=0.1,
+            threshold=0.05,
         )
         report = run_session(config)
         assert not report.aborted
@@ -121,12 +114,12 @@ def test_criterion_3_ideal_session_yields_identical_keys():
 def test_criterion_4_random_basis_attack_hits_the_decoy_check():
     with criterion(4, "decoy error rate 0.25 +/- 0.01 under a random-basis attack", 30.0):
         config = ProtocolConfig(
-            n_pairs=120_000,
+            pairs=120_000,
             seed=404,
             decoy_fraction=0.85,
-            check_strategy=CheckStrategy.DECOY,
-            qber_threshold=0.05,
-            channel=ChannelConfig(eve=EveConfig(EveStrategy.RANDOM_ZX)),
+            check=CheckStrategy.DECOY,
+            threshold=0.05,
+            eve=EveStrategy.RANDOM_ZX,
         )
         report = run_session(config)
         assert report.counts["decoys"] >= 100_000
@@ -140,12 +133,12 @@ def test_criterion_5_fixed_basis_attack_hits_the_converted_pair_check():
         5, "converted-pair rates under an H/V attack: 0 matched-Z, 0.5 matched-X", 30.0
     ):
         config = ProtocolConfig(
-            n_pairs=60_000,
+            pairs=60_000,
             seed=505,
-            check_strategy=CheckStrategy.WAVELENGTH_CONVERTER,
-            check_sample_fraction=0.5,
-            qber_threshold=0.05,
-            channel=ChannelConfig(eve=EveConfig(EveStrategy.Z)),
+            check=CheckStrategy.WAVELENGTH_CONVERTER,
+            sample_fraction=0.5,
+            threshold=0.05,
+            eve=EveStrategy.Z,
         )
         report = run_session(config)
         counts = report.counts

@@ -5,9 +5,7 @@ import pytest
 
 import oracles
 from depqkd.channel import (
-    ChannelConfig,
     ConfigError,
-    EveConfig,
     EveRecord,
     EveStrategy,
     EveTarget,
@@ -16,6 +14,7 @@ from depqkd.channel import (
     ir_attack_entangled,
 )
 from depqkd.device import measure_single
+from depqkd.protocol import ProtocolConfig
 from depqkd.quantum import (
     Freq,
     JointState,
@@ -54,12 +53,13 @@ def test_apply_loss_rate():
 
 
 def test_channel_config_validation():
+    # the channel's settings are the loss and attacker fields of the config
     with pytest.raises(ConfigError):
-        ChannelConfig(loss_probability=1.5)
+        ProtocolConfig(loss=1.5)
     with pytest.raises(ConfigError):
-        ChannelConfig(loss_probability=-0.01)
-    cfg = ChannelConfig()
-    assert cfg.loss_probability == 0.0
+        ProtocolConfig(loss=-0.01)
+    cfg = ProtocolConfig()
+    assert cfg.loss == 0.0
     assert cfg.eve is None
 
 
@@ -70,7 +70,7 @@ def test_eve_target_coverage():
     assert not EveTarget.A.covers(Photon.B)
     assert EveTarget.BOTH.covers(Photon.A)
     assert EveTarget.BOTH.covers(Photon.B)
-    assert EveConfig(EveStrategy.Z).target is EveTarget.B
+    assert ProtocolConfig(eve=EveStrategy.Z).eve_targets is EveTarget.B
 
 
 def test_z_attack_on_entangled_pair_yields_the_two_product_states():

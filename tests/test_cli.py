@@ -1,24 +1,19 @@
 """Command line behavior: verification, runs, sweeps, config handling."""
 
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from depqkd import (
-    ChannelConfig,
-    EveConfig,
-    EveStrategy,
-    EveTarget,
-    ProtocolConfig,
-    run_session,
-    run_sessions,
-)
+from depqkd import EveStrategy, EveTarget, ProtocolConfig, run_session, run_sessions
 from depqkd import cli
 from depqkd.cli import bits_to_hex, derive_trial_seed, main
 from depqkd.quantum import PAULI_MATRICES, Pauli
@@ -83,10 +78,7 @@ def test_bits_to_hex_matches_the_bitwise_loop(length):
 def test_report_keys_are_bytes_of_bits_and_hex_like_the_loop():
     # an attack on the second transmission leaves the two keys different
     config = ProtocolConfig(
-        n_pairs=400,
-        seed=8,
-        qber_threshold=0.3,
-        channel=ChannelConfig(eve=EveConfig(EveStrategy.Z, EveTarget.A)),
+        pairs=400, seed=8, threshold=0.3, eve=EveStrategy.Z, eve_targets=EveTarget.A
     )
     report = run_session(config)
     assert not report.aborted and report.alice_key != report.bob_key
@@ -96,11 +88,7 @@ def test_report_keys_are_bytes_of_bits_and_hex_like_the_loop():
         assert len(key) == 3 * report.counts["key_pairs"]
         assert bits_to_hex(key) == loop_bits_to_hex(tuple(key))
     aborted = run_session(
-        ProtocolConfig(
-            n_pairs=200,
-            decoy_fraction=0.5,
-            channel=ChannelConfig(eve=EveConfig(EveStrategy.RANDOM_ZX)),
-        )
+        ProtocolConfig(pairs=200, decoy_fraction=0.5, eve=EveStrategy.RANDOM_ZX)
     )
     assert aborted.aborted and aborted.alice_key == b"" == aborted.bob_key
     assert bits_to_hex(aborted.alice_key) == ""
@@ -268,7 +256,7 @@ class FakeReport:
 def test_report_line_matches_json_dumps_of_the_ordered_fields(
     subcommand, trial_index, seed, report, elapsed_ms
 ):
-    config = ProtocolConfig(seed=seed, check_sample_fraction=1e-05).to_dict()
+    config = ProtocolConfig(seed=seed, sample_fraction=1e-05).to_dict()
     line = cli._report_line(
         subcommand, trial_index, seed, json.dumps(config), report, elapsed_ms
     )
@@ -326,7 +314,7 @@ def test_a_loss_sweep_runs_as_one_batch(capsys, monkeypatch):
     )
     assert code == 0
     (batch,) = batches
-    losses = [c.channel.loss_probability for c in batch]
+    losses = [c.loss for c in batch]
     assert losses == [0.0] * 4 + [0.1] * 4 + [0.2] * 4
     # the lines of a batch share its time per session
     assert len({line["elapsed_ms"] for line in json_lines(out)}) == 1
@@ -480,6 +468,29 @@ def test_invalid_settings_exit_with_code_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, config_text, message",
+    [
+        (("--pairs", "0"), None, "n_pairs must be positive, got 0"),
+        (("--decoy-fraction", "1"), None, "decoy_fraction must lie in [0, 1), got 1.0"),
+        (("--sample-fraction", "0"), None,
+         "check_sample_fraction must lie in (0, 1], got 0.0"),
+        (("--threshold", "1"), None, "qber_threshold must lie in (0, 1), got 1.0"),
+        (("--loss", "1.5"), None, "loss probability must lie in [0, 1], got 1.5"),
+        (("--trials", "0"), None, "trials must be positive, got 0"),
+        ((), "check = x\n", "check must be one of ('decoy', 'wc', 'both'), got 'x'"),
+    ],
+)
+def test_each_validation_prints_its_exact_error_line(
+    capsys, tmp_path, argv, config_text, message
+):
+    if config_text is not None:
+        cfg = tmp_path / "session.cfg"
+        cfg.write_text(config_text)
+        argv = (*argv, "--config", str(cfg))
+    assert run_cli(capsys, "run", *argv) == (2, "", f"error: {message}\n")
+
+
 def assert_one_error_line_naming(code, out, err, pairs):
     assert code == 2 and out == ""
     lines = err.splitlines()
@@ -547,6 +558,35 @@ def test_help_prints_usage_and_exits_zero(capsys):
     assert err == ""
 
 
+def readme_flag_table():
+    """(flag, default) of each row of the flag table in README §CLI
+    reference, a default without its backticks."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI reference\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(--[\w-]+)` \| ([^|]*) \|", section, re.M)
+    return [(flag, default.strip().strip("`")) for flag, default in rows]
+
+
+def test_the_readme_flag_table_lists_the_run_flags_and_their_defaults():
+    parser = cli.build_parser()
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = subparsers.choices["run"]._actions
+    flags = [action.option_strings[-1] for action in actions if action.dest != "help"]
+    # one flag per field of the config, in field order, then the CLI's own
+    assert flags == [
+        *(f"--{f.name.replace('_', '-')}" for f in fields(ProtocolConfig)),
+        "--trials", "--output", "--config",
+    ]
+    rows = readme_flag_table()
+    assert [flag for flag, _ in rows] == flags
+    settings = {f"--{setting.flag}": setting for setting in cli._SETTINGS}
+    for flag, default in rows:
+        if flag in settings:  # --output and --config are no settings
+            setting = settings[flag]
+            texts = {value: text for text, value in (setting.choices or {}).items()}
+            assert default == str(texts.get(setting.default, setting.default)), flag
+
+
 def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path):
     cfg = tmp_path / "session.cfg"
     cfg.write_text(
@@ -572,6 +612,28 @@ def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path):
     assert line["config"]["pairs"] == 90
     assert line["config"]["eve"] == "none"
     assert line["config"]["decoy_fraction"] == 0.3
+
+
+def test_every_config_echo_reads_back_as_a_config_file(capsys, tmp_path):
+    # the echo's keys are the config file's keys, so an echo written out as a
+    # file gives the same echo again; without an attacker it names the
+    # targets "b" whatever was asked
+    code, out, _ = run_cli(
+        capsys, "sweep", "--param", "eve", "--values", "none,ir-z,ir-random",
+        "--eve-targets", "a", "--check", "both", "--loss", "0.1",
+        "--sample-fraction", "1e-05", "--threshold", "0.5", "--decoy-fraction", "0",
+        "--pairs", "20", "--seed", str(2**64 - 1),
+    )
+    assert code == 0
+    echoes = [line["config"] for line in json_lines(out)]
+    assert [echo["eve_targets"] for echo in echoes] == ["b", "a", "a"]
+    cfg = tmp_path / "echo.cfg"
+    for echo in echoes:
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in echo.items()))
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert (code, err) == (0, "")
+        (line,) = json_lines(out)
+        assert list(line["config"].items()) == list(echo.items())
 
 
 def test_config_file_problems_exit_with_code_two(capsys, tmp_path):

@@ -13,9 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depqkd import (
-    ChannelConfig,
     CheckStrategy,
-    EveConfig,
     EveStrategy,
     EveTarget,
     ProtocolConfig,
@@ -29,29 +27,23 @@ from depqkd.quantum import SeededGenerator
 
 SMALL = settings(max_examples=60, deadline=None, derandomize=True)
 
-eves = st.one_of(
-    st.none(),
-    st.builds(EveConfig, st.sampled_from(EveStrategy), st.sampled_from(EveTarget)),
-)
-
-
-def configs(eve=eves):
+def configs(eve=st.none() | st.sampled_from(EveStrategy)):
     """Every valid configuration, with at most 60 pairs.  The probabilities
     that decide their coins outright (loss 0 and 1, decoy fraction 0,
     sample fraction 1) are drawn often, not left to chance."""
     return st.builds(
         ProtocolConfig,
-        n_pairs=st.integers(1, 60),
+        pairs=st.integers(1, 60),
         seed=st.integers(0, 2**64 - 1),
         decoy_fraction=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
-        check_strategy=st.sampled_from(CheckStrategy),
-        check_sample_fraction=(
+        check=st.sampled_from(CheckStrategy),
+        sample_fraction=(
             st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True)
         ),
-        qber_threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        channel=st.builds(
-            ChannelConfig, st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), eve
-        ),
+        threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        loss=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        eve=eve,
+        eve_targets=st.sampled_from(EveTarget),
     )
 
 
@@ -68,7 +60,7 @@ def test_any_valid_config_runs_and_reports_consistently(config):
     else:
         # every pair is consumed by the check, lost, or kept
         kept = counts["key_pairs"]
-        assert kept + counts["checked"] + counts["lost"] == config.n_pairs
+        assert kept + counts["checked"] + counts["lost"] == config.pairs
 
 
 @SMALL
@@ -220,20 +212,20 @@ def own_settings():
 )
 def test_a_batch_replays_each_session_as_if_run_alone(config, sessions):
     # the sessions share the pair count, the check and the attacker
-    config = dataclasses.replace(config, n_pairs=config.n_pairs % 25 + 1)
+    config = dataclasses.replace(config, pairs=config.pairs % 25 + 1)
     configs = [
         dataclasses.replace(
             config,
             seed=seed,
             decoy_fraction=decoy_fraction,
-            check_sample_fraction=sample_fraction,
-            qber_threshold=threshold,
-            channel=dataclasses.replace(config.channel, loss_probability=loss),
+            sample_fraction=sample_fraction,
+            threshold=threshold,
+            loss=loss,
         )
         for seed, loss, decoy_fraction, sample_fraction, threshold in sessions
     ]
     seeds = [c.seed for c in configs]
-    n = config.n_pairs
+    n = config.pairs
     with recorded_session() as batch:
         reports = run_sessions(configs)
     kept = [s for s, report in enumerate(reports) if not report.aborted]
@@ -255,18 +247,16 @@ def test_a_batch_replays_each_session_as_if_run_alone(config, sessions):
 
 
 def test_a_batch_takes_sessions_that_share_their_batch_key():
-    config = ProtocolConfig(n_pairs=10)
+    config = ProtocolConfig(pairs=10)
 
     def attacked(strategy, target):
-        return dataclasses.replace(
-            config, seed=1, channel=ChannelConfig(0.0, EveConfig(strategy, target))
-        )
+        return dataclasses.replace(config, seed=1, eve=strategy, eve_targets=target)
 
     z_on_b = attacked(EveStrategy.Z, EveTarget.B)
     both = CheckStrategy.BOTH
     for first, other in (
-        (config, dataclasses.replace(config, seed=1, n_pairs=11)),
-        (config, dataclasses.replace(config, seed=1, check_strategy=both)),
+        (config, dataclasses.replace(config, seed=1, pairs=11)),
+        (config, dataclasses.replace(config, seed=1, check=both)),
         (config, z_on_b),
         (z_on_b, attacked(EveStrategy.X, EveTarget.B)),
         (z_on_b, attacked(EveStrategy.Z, EveTarget.A)),
@@ -278,14 +268,16 @@ def test_a_batch_takes_sessions_that_share_their_batch_key():
         [
             config,
             ProtocolConfig(
-                n_pairs=10,
+                pairs=10,
                 seed=1,
                 decoy_fraction=0.5,
-                check_sample_fraction=0.3,
-                qber_threshold=0.2,
-                channel=ChannelConfig(0.4),
+                sample_fraction=0.3,
+                threshold=0.2,
+                loss=0.4,
             ),
         ]
     )
+    # without an attacker the targets are moot, so they do not split a batch
+    run_sessions([config, dataclasses.replace(config, seed=1, eve_targets=EveTarget.A)])
     with pytest.raises(ValueError):
         run_sessions([config, dataclasses.replace(config, seed=1)], Transcript())

@@ -14,10 +14,8 @@ import pytest
 
 import oracles
 from depqkd import (
-    ChannelConfig,
     CheckStrategy,
     ConfigError,
-    EveConfig,
     EveStrategy,
     EveTarget,
     MessageKind,
@@ -98,16 +96,10 @@ def no_decoys():
     return decoys
 
 
-def transmit_pairs_b(pairs, channel, g):
-    """The first transmission of a sequence of pairs without decoys."""
-    transmit_b(
-        pairs,
-        no_decoys(),
-        np.zeros(len(pairs), dtype=bool),
-        [channel.loss_probability],
-        channel.eve,
-        [g],
-    )
+def transmit_pairs_b(pairs, eve, g):
+    """The first transmission of a sequence of pairs without decoys, without
+    loss, under the attacker policy ``eve``."""
+    transmit_b(pairs, no_decoys(), np.zeros(len(pairs), dtype=bool), [0.0], eve, [g])
 
 
 def pair_state(pairs, i):
@@ -126,12 +118,12 @@ def decoy_state(decoys, i):
 
 def ideal_config(**overrides):
     base = dict(
-        n_pairs=400,
+        pairs=400,
         seed=7,
         decoy_fraction=0.2,
-        check_strategy=CheckStrategy.BOTH,
-        check_sample_fraction=0.2,
-        qber_threshold=0.05,
+        check=CheckStrategy.BOTH,
+        sample_fraction=0.2,
+        threshold=0.05,
     )
     base.update(overrides)
     return ProtocolConfig(**base)
@@ -154,34 +146,33 @@ def test_frozen_rates_match_the_enumeration_oracle():
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        ProtocolConfig(n_pairs=0)
+        ProtocolConfig(pairs=0)
     with pytest.raises(ConfigError):
         ProtocolConfig(decoy_fraction=1.0)
     with pytest.raises(ConfigError):
         ProtocolConfig(decoy_fraction=-0.1)
     with pytest.raises(ConfigError):
-        ProtocolConfig(check_sample_fraction=0.0)
+        ProtocolConfig(sample_fraction=0.0)
     with pytest.raises(ConfigError):
-        ProtocolConfig(check_sample_fraction=1.5)
+        ProtocolConfig(sample_fraction=1.5)
     with pytest.raises(ConfigError):
-        ProtocolConfig(qber_threshold=0.0)
+        ProtocolConfig(threshold=0.0)
     with pytest.raises(ConfigError):
-        ProtocolConfig(qber_threshold=1.0)
-    ProtocolConfig(decoy_fraction=0.0, check_sample_fraction=1.0)
+        ProtocolConfig(threshold=1.0)
+    ProtocolConfig(decoy_fraction=0.0, sample_fraction=1.0)
 
 
 def test_config_dict_echo():
     config = ProtocolConfig(
-        n_pairs=50,
+        pairs=50,
         seed=9,
         decoy_fraction=0.3,
-        check_strategy=CheckStrategy.WAVELENGTH_CONVERTER,
-        check_sample_fraction=0.4,
-        qber_threshold=0.02,
-        channel=ChannelConfig(
-            loss_probability=0.1,
-            eve=EveConfig(EveStrategy.RANDOM_ZX, EveTarget.BOTH),
-        ),
+        check=CheckStrategy.WAVELENGTH_CONVERTER,
+        sample_fraction=0.4,
+        threshold=0.02,
+        loss=0.1,
+        eve=EveStrategy.RANDOM_ZX,
+        eve_targets=EveTarget.BOTH,
     )
     assert config.to_dict() == {
         "pairs": 50,
@@ -195,6 +186,8 @@ def test_config_dict_echo():
         "eve_targets": "both",
     }
     assert ProtocolConfig().to_dict()["eve"] == "none"
+    # without an attacker the targets echo "b", whatever was asked
+    assert ProtocolConfig(eve_targets=EveTarget.A).to_dict()["eve_targets"] == "b"
 
 
 def test_check_strategy_flags():
@@ -277,9 +270,8 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
         EveStrategy, EveTarget, (0.0, 0.3, 0.9, 1.0), (0, 1, 7, 500)
     ):
         g = SeededGenerator(n, 5)
-        delivered, basis, w = _channel(
-            [n], [loss], EveConfig(strategy, target), Photon.A, [g]
-        )
+        eve = strategy if target.covers(Photon.A) else None
+        delivered, basis, w = _channel([n], [loss], eve, [g])
         ref = SeededGenerator(n, 5)
         coins = [not ref.coin(loss) for _ in range(n)]
         assert delivered.tolist() == coins
@@ -307,7 +299,6 @@ def reference_transmit_b(pairs, decoys, is_decoy, losses, eve, seeds):
     check photon in that slot.  Updates the batches in place and returns
     each session's stream, positioned after its last draw."""
     n = len(pairs) // len(seeds)
-    attacked = eve is not None and eve.target.covers(Photon.B)
     gens, start, pair, decoy = [], 0, 0, 0
     for seed, loss, count in zip(seeds, losses, decoys.sizes):
         g = SeededGenerator(seed, 2)
@@ -325,17 +316,15 @@ def reference_transmit_b(pairs, decoys, is_decoy, losses, eve, seeds):
         arrived = [not g.coin(loss) for _ in slots]
         for (on_decoy, i), ok in zip(items, arrived):
             (decoys.delivered if on_decoy else pairs.b_delivered)[i] = ok
-        if not attacked:
+        if eve is None:
             continue
         for (on_decoy, i), ok in zip(items, arrived):
             if not ok:
                 continue
-            if eve.strategy is EveStrategy.RANDOM_ZX:
+            if eve is EveStrategy.RANDOM_ZX:
                 basis = BASES.index(PolBasis.Z if g.coin(0.5) else PolBasis.X)
             else:
-                basis = BASES.index(
-                    PolBasis.Z if eve.strategy is EveStrategy.Z else PolBasis.X
-                )
+                basis = BASES.index(PolBasis.Z if eve is EveStrategy.Z else PolBasis.X)
             word = int(g.words(1)[0])
             if on_decoy:
                 p = local_probabilities(decoy_state(decoys, i), BASES[basis])
@@ -383,7 +372,7 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
             type(batch)(**{k: v.copy() for k, v in vars(batch).items()})
             for batch in (pairs, decoys)
         )
-        eve = EveConfig(strategy, target)
+        eve = strategy if target.covers(Photon.B) else None
         gens = [SeededGenerator(s, 2) for s in seeds]
         transmit_b(pairs, decoys, is_decoy, loss, eve, gens)
         ref_gens = reference_transmit_b(
@@ -467,8 +456,7 @@ def test_wc_check_skips_lost_pairs_and_marks_checked():
 
 def test_wc_check_error_rates_under_fixed_z_attack():
     pairs = prepared(6000, 23)
-    channel = ChannelConfig(eve=EveConfig(EveStrategy.Z, EveTarget.B))
-    transmit_pairs_b(pairs, channel, SeededGenerator(23, 2))
+    transmit_pairs_b(pairs, EveStrategy.Z, SeededGenerator(23, 2))
     [result] = wc_check(pairs, [1.0], [0.05], Transcript(), [SeededGenerator(23, 4)])
     rates = WC_RATES["Z"]
     assert result.z_errors / result.z_compared == pytest.approx(rates["z"], abs=0.01)
@@ -479,8 +467,7 @@ def test_wc_check_error_rates_under_fixed_z_attack():
 
 def test_wc_check_error_rates_under_random_basis_attack():
     pairs = prepared(6000, 29)
-    channel = ChannelConfig(eve=EveConfig(EveStrategy.RANDOM_ZX, EveTarget.B))
-    transmit_pairs_b(pairs, channel, SeededGenerator(29, 2))
+    transmit_pairs_b(pairs, EveStrategy.RANDOM_ZX, SeededGenerator(29, 2))
     [result] = wc_check(pairs, [1.0], [0.05], Transcript(), [SeededGenerator(29, 4)])
     rates = WC_RATES["RANDOM"]
     assert result.z_errors / result.z_compared == pytest.approx(rates["z"], abs=0.03)
@@ -541,7 +528,7 @@ def test_ideal_session_end_to_end():
     assert report.counts["key_pairs"] == 400 - report.counts["checked"]
     assert report.counts["lost"] == 0
     assert report.counts["decoys_lost"] == 0
-    assert report.seed == 7
+    assert report.config.seed == 7
 
 
 def test_session_replays_byte_for_byte_and_tracks_seed():
@@ -566,11 +553,11 @@ def test_session_transcript_shape():
 
 def test_session_aborts_on_random_basis_attack_via_decoys():
     config = ideal_config(
-        n_pairs=4000,
+        pairs=4000,
         seed=43,
         decoy_fraction=0.25,
-        check_strategy=CheckStrategy.DECOY,
-        channel=ChannelConfig(eve=EveConfig(EveStrategy.RANDOM_ZX)),
+        check=CheckStrategy.DECOY,
+        eve=EveStrategy.RANDOM_ZX,
     )
     transcript = Transcript()
     report = run_session(config, transcript)
@@ -584,11 +571,11 @@ def test_session_aborts_on_random_basis_attack_via_decoys():
 
 def test_session_aborts_on_fixed_z_attack_via_converted_pairs():
     config = ideal_config(
-        n_pairs=3000,
+        pairs=3000,
         seed=47,
-        check_strategy=CheckStrategy.WAVELENGTH_CONVERTER,
-        check_sample_fraction=0.5,
-        channel=ChannelConfig(eve=EveConfig(EveStrategy.Z)),
+        check=CheckStrategy.WAVELENGTH_CONVERTER,
+        sample_fraction=0.5,
+        eve=EveStrategy.Z,
     )
     report = run_session(config)
     assert report.aborted
@@ -601,12 +588,13 @@ def test_attack_on_second_transmission_corrupts_only_the_sign_bit():
     # second one slips through; it randomizes the sign bit of each codeword
     # (one of three key bits) and leaves the family bits intact
     config = ideal_config(
-        n_pairs=6000,
+        pairs=6000,
         seed=53,
-        check_strategy=CheckStrategy.DECOY,
+        check=CheckStrategy.DECOY,
         decoy_fraction=0.1,
-        qber_threshold=0.3,
-        channel=ChannelConfig(eve=EveConfig(EveStrategy.Z, EveTarget.A)),
+        threshold=0.3,
+        eve=EveStrategy.Z,
+        eve_targets=EveTarget.A,
     )
     report = run_session(config)
     assert not report.aborted
@@ -628,8 +616,7 @@ def test_attacker_record_gains_exactly_the_known_information():
         ((EveStrategy.Z, 1.0), (EveStrategy.X, 0.0), (EveStrategy.RANDOM_ZX, 0.5))
     ):
         pairs = prepared(5000, 59 + stream)
-        channel = ChannelConfig(eve=EveConfig(strategy, EveTarget.B))
-        transmit_pairs_b(pairs, channel, SeededGenerator(59 + stream, 2))
+        transmit_pairs_b(pairs, strategy, SeededGenerator(59 + stream, 2))
         joint = {}
         for basis, k, codeword in zip(
             pairs.eve_b_basis.tolist(),
@@ -647,10 +634,10 @@ def test_attacker_record_gains_exactly_the_known_information():
 
 def test_session_with_loss_still_agrees_on_the_key():
     config = ideal_config(
-        n_pairs=2000,
+        pairs=2000,
         seed=61,
-        qber_threshold=0.2,
-        channel=ChannelConfig(loss_probability=0.25),
+        threshold=0.2,
+        loss=0.25,
     )
     report = run_session(config)
     assert not report.aborted
@@ -665,7 +652,7 @@ def test_session_with_loss_still_agrees_on_the_key():
 
 def test_session_aborts_when_no_decoys_could_be_compared():
     config = ideal_config(
-        n_pairs=50, seed=67, decoy_fraction=0.0, check_strategy=CheckStrategy.DECOY
+        pairs=50, seed=67, decoy_fraction=0.0, check=CheckStrategy.DECOY
     )
     report = run_session(config)
     assert report.aborted
@@ -676,22 +663,44 @@ def test_session_aborts_when_no_decoys_could_be_compared():
 def test_session_aborts_when_every_photon_is_lost():
     for strategy in (CheckStrategy.DECOY, CheckStrategy.WAVELENGTH_CONVERTER):
         config = ideal_config(
-            n_pairs=50,
+            pairs=50,
             seed=71,
-            check_strategy=strategy,
-            channel=ChannelConfig(loss_probability=1.0),
+            check=strategy,
+            loss=1.0,
         )
         report = run_session(config)
         assert report.aborted
         assert report.alice_key == b""
+        assert report.counts["lost"] == 50
+
+
+def test_an_aborted_session_counts_the_b_photons_it_lost():
+    # without decoys, the loss coins of the first transmission are the first
+    # draws of each session's channel-b stream (2); in this batch the first
+    # session keeps its key and the second aborts at the converter check
+    configs = [
+        ideal_config(
+            pairs=200,
+            seed=seed,
+            check=CheckStrategy.WAVELENGTH_CONVERTER,
+            threshold=threshold,
+            loss=0.3,
+            eve=EveStrategy.Z,
+        )
+        for seed, threshold in ((79, 0.9), (83, 0.05))
+    ]
+    kept, aborted = protocol.run_sessions(configs)
+    assert not kept.aborted and aborted.aborted
+    ref = SeededGenerator(83, 2)
+    assert aborted.counts["lost"] == sum(ref.coin(0.3) for _ in range(200))
 
 
 def test_consuming_every_pair_in_the_check_leaves_an_empty_key():
     config = ideal_config(
-        n_pairs=120,
+        pairs=120,
         seed=73,
-        check_strategy=CheckStrategy.WAVELENGTH_CONVERTER,
-        check_sample_fraction=1.0,
+        check=CheckStrategy.WAVELENGTH_CONVERTER,
+        sample_fraction=1.0,
     )
     report = run_session(config)
     assert not report.aborted
@@ -721,11 +730,13 @@ def test_batch_items_are_at_most_two_bytes_wide(monkeypatch):
         "step5_decode_and_sift",
         keep("pairs", protocol.step5_decode_and_sift),
     )
-    eve = EveConfig(EveStrategy.RANDOM_ZX, EveTarget.BOTH)
     [report] = protocol.run_sessions(
         [
             ideal_config(
-                qber_threshold=0.9, channel=ChannelConfig(loss_probability=0.1, eve=eve)
+                threshold=0.9,
+                loss=0.1,
+                eve=EveStrategy.RANDOM_ZX,
+                eve_targets=EveTarget.BOTH,
             )
         ]
     )
@@ -750,12 +761,13 @@ def test_a_loss_sweep_batch_builds_one_philox_per_stream_index(monkeypatch):
 
     monkeypatch.setattr(np.random, "Philox", counted)
     monkeypatch.setattr(SeededGenerator, "_shared", {})
-    eve = EveConfig(EveStrategy.Z, EveTarget.A)
     configs = [
         ProtocolConfig(
             seed=seed,
-            check_strategy=CheckStrategy.WAVELENGTH_CONVERTER,
-            channel=ChannelConfig(loss_probability=loss, eve=eve),
+            check=CheckStrategy.WAVELENGTH_CONVERTER,
+            loss=loss,
+            eve=EveStrategy.Z,
+            eve_targets=EveTarget.A,
         )
         for seed, loss in enumerate(np.repeat([0.0, 0.1, 0.2], 4).tolist())
     ]
@@ -804,12 +816,12 @@ def test_repeated_large_batches_do_not_re_fault_the_heap():
     # as the benchmark's workers do.
     script = """
 import resource
-from depqkd import ChannelConfig, CheckStrategy, EveConfig, EveStrategy, ProtocolConfig
+from depqkd import CheckStrategy, EveStrategy, ProtocolConfig
 from depqkd.protocol import run_sessions
 shapes = (
-    dict(n_pairs=20_000, check_strategy=CheckStrategy.BOTH),
-    dict(n_pairs=10_000, check_strategy=CheckStrategy.DECOY, decoy_fraction=0.85,
-         channel=ChannelConfig(eve=EveConfig(EveStrategy.RANDOM_ZX))),
+    dict(pairs=20_000, check=CheckStrategy.BOTH),
+    dict(pairs=10_000, check=CheckStrategy.DECOY, decoy_fraction=0.85,
+         eve=EveStrategy.RANDOM_ZX),
 )
 seed = 0
 for shape in shapes:
@@ -889,13 +901,14 @@ def run_every_setting(loss=0.2):
     for check in CheckStrategy:
         for strategy in (None, *EveStrategy):
             for target in EveTarget if strategy else (EveTarget.B,):
-                eve = EveConfig(strategy, target) if strategy else None
                 run_session(
                     ideal_config(
-                        n_pairs=300,
-                        check_strategy=check,
-                        qber_threshold=0.9,
-                        channel=ChannelConfig(loss_probability=loss, eve=eve),
+                        pairs=300,
+                        check=check,
+                        threshold=0.9,
+                        loss=loss,
+                        eve=strategy,
+                        eve_targets=target,
                     )
                 )
 
