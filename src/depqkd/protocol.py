@@ -42,24 +42,16 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .channel import ConfigError, EveStrategy, EveTarget
-from .device import (
-    decode,
-    device_outcomes,
-    device_probabilities,
-    wavelength_convert_global,
-)
+from .device import _DEVICE_BRAS, decode, device_outcomes
 from .quantum import (
     LOCAL_BASIS,
+    PAULI_MATRICES,
     JointState,
-    LocalState,
     Pauli,
     Photon,
     PolBasis,
     SeededGenerator,
-    apply_local,
-    local_probabilities,
-    partial_collapse,
-    partial_probabilities,
+    StateError,
 )
 from .states import (
     DepLabel,
@@ -136,6 +128,8 @@ class ProtocolConfig:
             raise ConfigError(
                 f"decoy_fraction must lie in [0, 1), got {self.decoy_fraction}"
             )
+        if not isinstance(self.check, CheckStrategy):
+            raise ConfigError(f"check must be a CheckStrategy, got {self.check!r}")
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ConfigError(
                 f"check_sample_fraction must lie in (0, 1], got {self.sample_fraction}"
@@ -144,6 +138,10 @@ class ProtocolConfig:
             raise ConfigError(f"qber_threshold must lie in (0, 1), got {self.threshold}")
         if not 0.0 <= self.loss <= 1.0:
             raise ConfigError(f"loss probability must lie in [0, 1], got {self.loss}")
+        if self.eve is not None and not isinstance(self.eve, EveStrategy):
+            raise ConfigError(f"eve must be an EveStrategy or None, got {self.eve!r}")
+        if not isinstance(targets := self.eve_targets, EveTarget):
+            raise ConfigError(f"eve_targets must be an EveTarget, got {targets!r}")
         if self.eve is None:  # one value, so that such sessions share batches
             object.__setattr__(self, "eve_targets", EveTarget.B)
 
@@ -227,13 +225,12 @@ _BASIS_NAMES = np.array([basis.value for basis in _BASES], dtype=object)
 
 # Per-item dtypes.  Every code (codeword, choice, operation, basis, outcome,
 # decoy preparation and local state, decoded codeword, the -1 markers) is
-# below 16; a pair state id is below 4096, so that every sampling key built
-# from one, up to 8 * id + 7, fits _STATE too.  StateAlphabet.intern holds
-# the bound.  Tables are read with ``take``: indexing with a narrow integer
-# array costs numpy an extra cast to intp, two to six times the gather.
+# below 16.  A pair state id is one of the 40 of ALPHABET, and every
+# sampling key built from one, up to 8 * id + 7 = 319, fits _STATE too.
+# Tables are read with ``take``: indexing with a narrow integer array costs
+# numpy an extra cast to intp, two to six times the gather.
 _CODE = np.int8
 _STATE = np.int16
-_MAX_STATE_ID = (np.iinfo(_STATE).max - 7) // 8
 
 # A large batch allocates and frees about 1 MB of temporaries (word blocks,
 # intp index arrays).  By default glibc returns a freed heap top above its
@@ -302,7 +299,7 @@ def _draw(
     A word stands for the double ``u`` that :func:`~depqkd.quantum.doubles`
     makes of it.  :func:`_coins`, :func:`_basis_coins` and :func:`_randints`
     decide on the word as an integer, with the outcome ``u`` would give;
-    :meth:`_Outcomes.sample` reads its top 4 bits, ``floor(16 * u)``.
+    :func:`_sample` reads its top 4 bits, ``floor(16 * u)``.
     """
     if len(gens) == 1:
         w = gens[0].words(sizes[0] * width)
@@ -434,193 +431,150 @@ def _decoy_batch(sizes, position, freq, pol) -> DecoyBatch:
     )
 
 
-_PSI_PLUS = dep_basis(DepLabel.PSI_PLUS)
-
-
-def _missing(keys: np.ndarray, entries: np.ndarray) -> list[int]:
-    """The distinct keys whose entry is the -1 of a row not yet filled."""
-    return np.flatnonzero(np.bincount(keys[entries < 0])).tolist()
-
-
-def _grown(table: np.ndarray, rows: int, pad) -> np.ndarray:
-    """``table`` with its last axis extended to ``rows`` entries of ``pad``."""
-    out = np.full((*table.shape[:-1], rows), pad, dtype=table.dtype)
-    out[..., : table.shape[-1]] = table
-    return out
-
-
-class _Transitions:
-    """The state id reached from each sampling key, with -1 for a key not
-    yet met; ``successor(key)`` computes an entry on its first miss."""
-
-    def __init__(self, rows: int, successor: Callable[[int], int]) -> None:
-        self.ids = np.full(rows, -1, dtype=_STATE)
-        self.successor = successor
-
-    def grow(self, rows: int) -> None:
-        self.ids = _grown(self.ids, rows, -1)
-
-    def __call__(self, keys: np.ndarray) -> np.ndarray:
-        ids = self.ids.take(keys)
-        if (ids < 0).any():
-            for key in _missing(keys, ids):
-                sid = self.successor(key)  # may grow self.ids
-                self.ids[key] = sid
-            ids = self.ids.take(keys)
-        return ids
-
+# Every transition of a pair state as an operator on its amplitudes, 12 per
+# photon, photon a first: each operation of _PAULIS, then the projector on
+# row k of LOCAL_BASIS[basis] at 4 + 4 * basis + k.  Applied one 16x16
+# product each: as one wide product OpenBLAS splits them over its threads,
+# which took 30 ms at import on 2 cores and slowed the session after it.
+_PHOTON_OPERATORS = [np.kron(PAULI_MATRICES[op], np.eye(2)) for op in _PAULIS] + [
+    np.outer(row, row.conj()) for basis in _BASES for row in LOCAL_BASIS[basis]
+]
+_TRANSITIONS = np.array(
+    [np.kron(u, np.eye(4)) for u in _PHOTON_OPERATORS]
+    + [np.kron(np.eye(4), u) for u in _PHOTON_OPERATORS]
+)
+# Both photons' frequency bins erased: (pol_a, pol_b) from the 16 modes.
+_ERASE = np.kron(np.kron(np.eye(2), np.ones(2)), np.kron(np.eye(2), np.ones(2)))
+# Bras of a converted photon, [basis][comp], and of both measured in bases
+# (basis_a, basis_b), row 4 * (2 * basis_a + basis_b) + 2 * comp_a + comp_b.
+_QUBIT_BRAS = np.array([np.eye(2), [[1, 1], [1, -1]] / np.sqrt(2.0)])
+_CONVERTED_BRAS = np.einsum("xai,ybj->xyabij", _QUBIT_BRAS, _QUBIT_BRAS).reshape(16, 4)
 
 _GRID_BITS = 4  # an outcome is a function of its word's top 4 bits
 _GRID = 1 << _GRID_BITS
+_DECIMALS = 9  # states are looked up by their amplitudes rounded to 1e-9
 
 
-class _Outcomes:
-    """The outcome of each sampling key as a function of a draw's word,
-    filled on its first miss from ``probabilities(key)``.
+def _canonical(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``vecs`` times the global phase that makes its first
+    nonzero amplitude real and positive, and that row rounded to 1e-9,
+    whose bytes are its lookup key (adding 0.0 turns -0.0 into 0.0)."""
+    lead = vecs[np.arange(len(vecs)), (np.abs(vecs) > 10.0**-_DECIMALS).argmax(axis=1)]
+    vecs = vecs * (np.abs(lead) / lead)[:, None]
+    return vecs, np.round(vecs, _DECIMALS) + 0.0
 
-    Every outcome probability of the protocol is a multiple of 1/16, so a
-    row is 16 ``int8`` entries, ``lut[16 * key + j]`` the outcome of a
-    word whose top 4 bits are ``j``: outcome ``i`` fills ``16 * p_i``
-    entries, in outcome order.  A row not yet filled holds -1.
-    """
 
-    def __init__(self, rows: int, probabilities: Callable[[int], np.ndarray]) -> None:
-        self.probabilities = probabilities
-        self.lut = np.full(_GRID * rows, -1, dtype=_CODE)
+def _lut(name: str, p: np.ndarray) -> np.ndarray:
+    """The sampling table of outcome probabilities ``p[row]``: per row 16
+    ``int8`` entries, outcome ``i`` filling ``16 * p_i`` of them in order.
+    ``ValueError`` names the table and the row of a row off that grid."""
+    scaled = _GRID * p
+    counts = np.rint(scaled)
+    off = (np.abs(scaled - counts) > 1e-9).any(axis=1) | (counts.sum(axis=1) != _GRID)
+    if off.any():
+        row = int(np.argmax(off))
+        raise ValueError(
+            f"outcome probabilities {p[row].tolist()} of {name} row {row} "
+            f"are not multiples of 1/{_GRID} summing to 1"
+        )
+    outcomes = np.tile(np.arange(p.shape[1], dtype=_CODE), len(p))
+    return np.repeat(outcomes, counts.astype(np.intp).ravel())
 
-    def grow(self, rows: int) -> None:
-        self.lut = _grown(self.lut, _GRID * rows, -1)
 
-    def _fill(self, key: int) -> None:
-        scaled = _GRID * np.asarray(self.probabilities(key))
-        counts = np.rint(scaled)
-        if not (np.abs(scaled - counts) <= 1e-9).all() or counts.sum() != _GRID:
-            raise ValueError(
-                f"outcome probabilities {(scaled / _GRID).tolist()} of sampling "
-                f"key {key} are not multiples of 1/{_GRID} summing to 1"
-            )
-        row = np.repeat(np.arange(len(counts)), counts.astype(np.intp))
-        self.lut[_GRID * key : _GRID * (key + 1)] = row
-
-    def _at(self, keys: np.ndarray) -> np.ndarray:
-        # 16 * key overflows the int16 of a key from 2048 on
-        return keys.astype(np.intp) << _GRID_BITS
-
-    def fill(self, keys: np.ndarray) -> None:
-        """Fill the rows of ``keys`` not yet filled."""
-        for key in _missing(keys, self.lut.take(self._at(keys))):
-            self._fill(key)
-
-    def sample(self, keys: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """The outcome of each word ``w`` under the row of its key,
-        ``lut[16 * key + (w >> 60)]``."""
-        at = self._at(keys)
-        at |= (w >> (64 - _GRID_BITS)).view(np.intp)
-        k = self.lut.take(at)
-        if (k < 0).any():
-            for key in _missing(keys, k):
-                self._fill(key)
-            k = self.lut.take(at)
-        return k
+def _sample(lut: np.ndarray, keys: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The outcome of each word ``w`` under the row of its key,
+    ``lut[16 * key + (w >> 60)]``."""
+    at = keys.astype(np.intp) << _GRID_BITS
+    at |= (w >> (64 - _GRID_BITS)).view(np.intp)
+    return lut.take(at)
 
 
 class StateAlphabet:
-    """Every pair state the sessions reach, interned by exact amplitudes,
-    with dense tables of what each state leads to.
+    """Every pair state reachable from ``source`` up to global phase, with
+    dense tables of what each state leads to.
 
-    The tables are indexed by sampling key: ``prepared[op_b]``,
-    ``encoded[4 * id + op_a]``, and per photon ``partial[photon][2 * id +
-    basis]`` and ``collapsed[photon][4 * (2 * id + basis) + k]`` for
-    outcome ``k``; ``device[id]``, ``wc[4 * id + 2 * basis_a + basis_b]``,
-    and for a check photon with :class:`DecoyBatch` state id ``local_id``,
-    ``local[2 * local_id + basis]``.  Bases index ``tuple(PolBasis)`` and
-    operations ``tuple(Pauli)``.  Each entry is filled on first use from the
-    scalar function the single-item samplers use: a transition holds the
-    state a direct call reaches, an outcome row that call's probabilities
-    in sixteenths.  Entries depend only on the amplitudes, so one table
-    serves every session.
+    The states are ``source`` (id 0) closed under every transition of the
+    protocol: an operation of :class:`Pauli` on either photon, and every
+    outcome of either photon measured in either basis.  From PSI+ that is
+    40 states.  A state is stored with its first nonzero amplitude real and
+    positive, and looked up by its amplitudes rounded to 1e-9.  Ids follow
+    a breadth-first walk from ``source``, whatever sessions run.
+
+    The tables are indexed by sampling key: ``prepared[op_b]`` (from
+    ``source``), ``encoded[4 * id + op_a]``, and per photon
+    ``partial[photon][2 * id + basis]`` and ``collapsed[photon][4 * (2 *
+    id + basis) + k]`` for outcome ``k``; ``device[id]``, ``wc[4 * id + 2
+    * basis_a + basis_b]``, and for a check photon with :class:`DecoyBatch`
+    state id ``local_id``, ``local[2 * local_id + basis]``.  Bases index
+    ``tuple(PolBasis)`` and operations ``tuple(Pauli)``.  A transition
+    holds the id of the state reached, or -1 for an outcome of probability
+    0, which its row gives no entries; an outcome row (:func:`_lut`) holds
+    the probabilities in sixteenths.  Each table is built once, by array
+    products over stacked states, and a row off the 1/16 grid or a state
+    the converters annihilate raises.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, source: JointState = dep_basis(DepLabel.PSI_PLUS)) -> None:
         self.states: list[JointState] = []
         self._ids: dict[bytes, int] = {}
-        self._capacity = 0  # ids the growing tables hold rows for
-        at = self.states.__getitem__
-        self.prepared = _Transitions(
-            len(_PAULIS),
-            lambda op: self.intern(apply_local(_PAULIS[op], Photon.B, _PSI_PLUS)),
-        )
-        self.encoded = _Transitions(
-            0,
-            lambda key: self.intern(
-                apply_local(_PAULIS[key & 3], Photon.A, at(key >> 2))
-            ),
-        )
-        self.collapsed = {
-            photon: _Transitions(
-                0,
-                lambda key, photon=photon: self.intern(
-                    partial_collapse(
-                        at(key >> 3), photon, _BASES[(key >> 2) & 1], key & 3
-                    )
-                ),
-            )
-            for photon in Photon
-        }
-        self.partial = {
-            photon: _Outcomes(
-                0,
-                lambda key, photon=photon: partial_probabilities(
-                    at(key >> 1), photon, _BASES[key & 1]
-                ),
-            )
-            for photon in Photon
-        }
-        self.device = _Outcomes(0, lambda sid: device_probabilities(at(sid)))
-        # A state the converters annihilate raises StateError on its fill.
-        self.wc = _Outcomes(
-            0,
-            lambda key: _wc_probabilities(
-                wavelength_convert_global(at(key >> 2)), (key >> 1) & 1, key & 1
-            ),
-        )
-        self.local = _Outcomes(
-            2 * 4 * len(_BASES),
-            lambda key: local_probabilities(
-                LocalState(LOCAL_BASIS[_BASES[key >> 3]][(key >> 1) & 3]),
-                _BASES[key & 1],
-            ),
-        )
-        self._growing = {
-            self.encoded: 4,
-            **{table: 8 for table in self.collapsed.values()},
-            **{table: 2 for table in self.partial.values()},
-            self.device: 1,
-            self.wc: 4,
-        }  # rows per id of each table that grows with the alphabet
+        self._ids_of(source.vec[None])
+        ids, p = [], []  # per state, each transition's id and probability
+        done = 0
+        while done < len(self.states):  # one pass per breadth-first level
+            vecs = np.array([state.vec for state in self.states[done:]])
+            done = len(self.states)
+            reached = (_TRANSITIONS @ vecs.T).transpose(2, 0, 1)
+            p.append((np.abs(reached) ** 2).sum(axis=-1))
+            # an outcome is reached exactly when its row gives it entries
+            seen = np.rint(_GRID * p[-1]) > 0
+            ids.append(np.full(seen.shape, -1, dtype=_STATE))
+            ids[-1][seen] = self._ids_of(reached[seen] / np.sqrt(p[-1][seen])[:, None])
+        ids = np.concatenate(ids).reshape(-1, len(Photon), 12)
+        p = np.concatenate(p).reshape(ids.shape)
+        self.prepared = ids[0, 1, :4]
+        self.encoded = ids[:, 0, :4].ravel()
+        self.collapsed, self.partial = {}, {}
+        for i, photon in enumerate(Photon):
+            self.collapsed[photon] = ids[:, i, 4:].ravel()
+            rows = p[:, i, 4:].reshape(-1, 4)
+            self.partial[photon] = _lut(f"partial[{photon.value}]", rows)
+        vecs = np.array([state.vec for state in self.states])
+        self.device = _lut("device", np.abs(vecs @ _DEVICE_BRAS.T) ** 2)
+        converted = vecs @ _ERASE.T
+        norm2 = (np.abs(converted) ** 2).sum(axis=1, keepdims=True)
+        if (norm2 < 1e-24).any():
+            raise StateError("wavelength conversion annihilated the state")
+        amp = converted @ _CONVERTED_BRAS.T
+        self.wc = _lut("wc", (np.abs(amp) ** 2 / norm2).reshape(-1, 4))
+        local = np.concatenate([LOCAL_BASIS[basis] for basis in _BASES])
+        self.local = _lut("local", np.abs(local @ local.conj().T).reshape(-1, 4) ** 2)
 
     def __len__(self) -> int:
         return len(self.states)
 
-    def intern(self, state: JointState) -> int:
-        key = state.vec.tobytes()
-        sid = self._ids.get(key)
+    def _ids_of(self, vecs: np.ndarray) -> np.ndarray:
+        """The id of each state of ``vecs``, adding the new ones in order."""
+        vecs, rounded = _canonical(vecs)
+        keys, size = rounded.tobytes(), rounded.itemsize * 16
+        ids = []
+        for i in range(len(vecs)):
+            key = keys[i * size : (i + 1) * size]
+            sid = self._ids.get(key)
+            if sid is None:
+                sid = self._ids[key] = len(self.states)
+                self.states.append(JointState(vecs[i]))
+            ids.append(sid)
+        return np.array(ids, dtype=_STATE)
+
+    def index(self, state: JointState) -> int:
+        """The id of ``state`` up to global phase; ``ValueError`` outside."""
+        sid = self._ids.get(_canonical(state.vec[None])[1].tobytes())
         if sid is None:
-            if len(self.states) > _MAX_STATE_ID:
-                raise OverflowError(
-                    f"more than {_MAX_STATE_ID + 1} pair states: a sampling key "
-                    f"built from a state id would overflow {np.dtype(_STATE)}"
-                )
-            if len(self.states) == self._capacity:
-                self._capacity = min(max(2 * self._capacity, 16), _MAX_STATE_ID + 1)
-                for table, per_id in self._growing.items():
-                    table.grow(per_id * self._capacity)
-            sid = self._ids[key] = len(self.states)
-            self.states.append(state)
+            raise ValueError("the state is not in the alphabet")
         return sid
 
 
-#: The state table shared by every session of the process.
+#: The states every session reaches, and their tables, built at import.
 ALPHABET = StateAlphabet()
 
 
@@ -676,8 +630,8 @@ def _intercept_pairs(
 ) -> None:
     """Measure one photon of each pair ``idx`` and resend the eigenstate."""
     keys = 2 * pairs.state[idx] + basis
-    k = ALPHABET.partial[photon].sample(keys, w)
-    pairs.state[idx] = ALPHABET.collapsed[photon](4 * keys + k)
+    k = _sample(ALPHABET.partial[photon], keys, w)
+    pairs.state[idx] = ALPHABET.collapsed[photon].take(4 * keys + k)
     if photon is Photon.B:
         pairs.eve_b_basis[idx], pairs.eve_b_outcome[idx] = basis, k
     else:
@@ -696,7 +650,7 @@ def step1_prepare_and_encode(n: int, gens: Sequence[SeededGenerator]) -> PairBat
         codeword=codeword,
         op_a=op_a,
         op_b=op_b,
-        state=ALPHABET.prepared(op_b),
+        state=ALPHABET.prepared.take(op_b),
         b_delivered=np.ones(size, dtype=bool),
         a_delivered=np.ones(size, dtype=bool),
         checked=np.zeros(size, dtype=bool),
@@ -785,7 +739,7 @@ def transmit_b(
     rows = np.flatnonzero(kind)
     hit = np.flatnonzero(decoys.delivered)
     basis = basis.take(rows)
-    k = ALPHABET.local.sample(2 * decoys.state.take(hit) + basis, w.take(rows))
+    k = _sample(ALPHABET.local, 2 * decoys.state.take(hit) + basis, w.take(rows))
     decoys.eve_basis[hit], decoys.eve_outcome[hit] = basis, k
     decoys.state[hit] = 4 * basis + k
 
@@ -936,7 +890,7 @@ def decoy_check(
     sizes = _tally(decoys.delivered, decoys.sizes)
     w = _draw(gens, sizes, 2)
     basis = _basis_coins(w[:, 0])
-    k = ALPHABET.local.sample(2 * decoys.state[idx] + basis, w[:, 1])
+    k = _sample(ALPHABET.local, 2 * decoys.state[idx] + basis, w[:, 1])
     decoys.bob_basis[idx], decoys.bob_outcome[idx] = basis, k
     _post(
         t,
@@ -963,20 +917,6 @@ def decoy_check(
             matched, bad, pol_bad, freq_bad, matched & z, bad & z,
         )
     ]
-
-
-_Z_ROWS = np.eye(2, dtype=complex)
-_X_ROWS = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-# Bras of the converted-qubit bases, indexed like _BASES.
-_BASIS_BRAS = (_Z_ROWS.conj(), _X_ROWS.conj())
-
-
-def _wc_probabilities(converted: np.ndarray, basis_a: int, basis_b: int) -> np.ndarray:
-    """Outcome probabilities ``2 * comp_a + comp_b`` of both converted
-    photons measured in the bases ``tuple(PolBasis)[basis_a]`` and
-    ``[basis_b]``."""
-    amp = _BASIS_BRAS[basis_a] @ converted.reshape(2, 2) @ _BASIS_BRAS[basis_b].T
-    return np.abs(amp.reshape(4)) ** 2
 
 
 def _expected_correlation(step1_label: DepLabel, basis: PolBasis) -> bool:
@@ -1031,13 +971,12 @@ def wc_check(
         lambda: {"wc_positions": tuple(sampled.tolist())},
     )
     pairs.checked[sampled] = True
-    ids = pairs.state[sampled]
-    ALPHABET.wc.fill(4 * ids)  # a state the converters annihilate raises here
     sizes = _tally(sampling, sizes)
     w = _draw(gens, sizes, 3)
     basis_a = _basis_coins(w[:, 0])
     basis_b = _basis_coins(w[:, 1])
-    k = ALPHABET.wc.sample(4 * ids + 2 * basis_a + basis_b, w[:, 2])
+    keys = 4 * pairs.state[sampled] + 2 * basis_a + basis_b
+    k = _sample(ALPHABET.wc, keys, w[:, 2])
     _post(
         t,
         "both",
@@ -1070,7 +1009,7 @@ def step4_encode_a(pairs: PairBatch) -> np.ndarray:
     """Apply the photon-a operation, completing each stored codeword;
     returns the indices of those active pairs."""
     active = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
-    pairs.state[active] = ALPHABET.encoded(
+    pairs.state[active] = ALPHABET.encoded.take(
         4 * pairs.state[active] + pairs.op_a[active]
     )
     return active
@@ -1108,7 +1047,7 @@ def step5_decode_and_sift(
     survivors = np.flatnonzero(pairs.surviving)
     sizes = _sizes(pairs, survivors, len(gens))
     w = _draw(gens, sizes)[:, 0]
-    outcome = ALPHABET.device.sample(pairs.state[survivors], w)
+    outcome = _sample(ALPHABET.device, pairs.state[survivors], w)
     pairs.decoded[survivors] = _DECODED.take(outcome)
     _post(
         transcript,

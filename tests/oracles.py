@@ -138,6 +138,41 @@ def collapse_a(vec16, local_vec) -> tuple[float, np.ndarray]:
     return p, (un / np.sqrt(p) if p > 1e-15 else un)
 
 
+# the closed set of pair states
+
+_PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "IY": np.array([[0, 1], [-1, 0]], dtype=complex),
+}
+
+
+def closure(vec16, tol: float = 1e-9) -> list[np.ndarray]:
+    """Every state reachable from ``vec16``, one vector per global-phase
+    class: a Pauli on either photon's polarization, as a dense 16x16
+    operator, and every outcome of nonzero probability of a local
+    measurement on either photon in either basis."""
+    operators = []
+    for u in _PAULI_MATRICES.values():
+        local = np.kron(u, np.eye(2))  # polarization major, frequency minor
+        operators.append(np.kron(local, np.eye(4)))  # on photon a
+        operators.append(np.kron(np.eye(4), local))  # on photon b
+    found = [np.asarray(vec16, dtype=complex)]
+    for vec in found:  # grows while it is walked
+        successors = [op @ vec for op in operators]
+        for basis in ("Z", "X"):
+            for _label, u in local_basis_vectors(basis):
+                for collapse in (collapse_a, collapse_b):
+                    p, post = collapse(vec, u)
+                    if p > tol:
+                        successors.append(post)
+        for succ in successors:
+            if all(abs(np.vdot(f, succ)) < 1.0 - tol for f in found):
+                found.append(succ)
+    return found
+
+
 # ---------------------------------------------------------------------------
 # wavelength conversion and two-qubit measurements
 

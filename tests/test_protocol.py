@@ -28,11 +28,10 @@ from depqkd.protocol import (
     ALPHABET,
     DecoyPol,
     StateAlphabet,
-    _Outcomes,
     _channel,
+    _sample,
     _sizes,
     _smallest,
-    _wc_probabilities,
     decoy_check,
     insert_decoys,
     step1_prepare_and_encode,
@@ -160,6 +159,39 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ProtocolConfig(threshold=1.0)
     ProtocolConfig(decoy_fraction=0.0, sample_fraction=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("check", "both", "check must be a CheckStrategy, got 'both'"),
+        ("check", None, "check must be a CheckStrategy, got None"),
+        ("eve", "ir-z", "eve must be an EveStrategy or None, got 'ir-z'"),
+        ("eve", EveTarget.A, "eve must be an EveStrategy or None, got <EveTarget.A"),
+        ("eve_targets", "b", "eve_targets must be an EveTarget, got 'b'"),
+        ("eve_targets", None, "eve_targets must be an EveTarget, got None"),
+    ],
+)
+def test_config_refuses_a_choice_outside_its_enum(field, value, message):
+    with pytest.raises(ConfigError) as info:
+        ProtocolConfig(**{field: value})
+    assert str(info.value).startswith(message) and "\n" not in str(info.value)
+
+
+def test_config_reports_the_first_bad_field_in_field_order():
+    # each bad field in field order, with the start of its error
+    bad = [
+        ("decoy_fraction", 1.0, "decoy_fraction "),
+        ("check", "both", "check "),
+        ("sample_fraction", 0.0, "check_sample_fraction "),
+        ("loss", 2.0, "loss "),
+        ("eve", "ir-z", "eve "),
+        ("eve_targets", "a", "eve_targets "),
+    ]
+    for i, (_, _, start) in enumerate(bad):
+        with pytest.raises(ConfigError) as info:
+            ProtocolConfig(**{name: value for name, value, _ in bad[i:]})
+        assert str(info.value).startswith(start)
 
 
 def test_config_dict_echo():
@@ -336,7 +368,7 @@ def reference_transmit_b(pairs, decoys, is_decoy, losses, eve, seeds):
                 p = partial_probabilities(state, Photon.B, BASES[basis])
                 k = oracles.grid_outcome(p, word)
                 pairs.eve_b_basis[i], pairs.eve_b_outcome[i] = basis, k
-                pairs.state[i] = ALPHABET.intern(
+                pairs.state[i] = ALPHABET.index(
                     partial_collapse(state, Photon.B, BASES[basis], k)
                 )
     return gens
@@ -482,19 +514,6 @@ def test_wc_check_with_no_matched_bases_is_indeterminate():
     gens = [SeededGenerator(31, 4)]
     assert wc_check(pairs, [1.0], [0.05], transcript, gens) == [None]
     assert transcript.kinds()[-1] is MessageKind.ABORT
-
-
-def test_wc_check_surfaces_a_state_the_converters_annihilate():
-    # (H,LOW)(H,LOW) - (H,HIGH)(H,LOW): conversion cancels every amplitude
-    vec = np.zeros(16, dtype=complex)
-    vec[0], vec[4] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-    pairs = prepared(5, 43)
-    pairs.state[:] = ALPHABET.intern(JointState(vec))
-    transcript = Transcript()
-    with pytest.raises(StateError):
-        wc_check(pairs, [1.0], [0.05], transcript, [SeededGenerator(43, 4)])
-    # raised after the sampled positions are announced, before any basis
-    assert transcript.kinds() == (MessageKind.POSITIONS,)
 
 
 def test_second_encoding_completes_every_codeword():
@@ -850,100 +869,136 @@ for shape in shapes:
         assert len(faults) == 10 and np.median(faults) <= 16, faults
 
 
-def test_state_alphabet_refuses_an_id_that_would_overflow_a_sampling_key():
-    alphabet = StateAlphabet()
-    states = [JointState(np.full(16, 1.0 + i)) for i in range(4100)]
-    ids = [alphabet.intern(state) for state in states[:4096]]
-    assert ids == list(range(4096))  # the largest key, 8 * 4095 + 7, fits int16
-    with pytest.raises(OverflowError):
-        alphabet.intern(states[4096])
-    assert len(alphabet) == 4096
-    assert alphabet.intern(states[17]) == 17  # known states still resolve
-
-
-def test_a_lookup_at_the_largest_keys_reads_its_own_row():
-    # 16 * key overflows int16 from key 2048 on.  A wrapped index into the
-    # device table's 16 * 4096 entries lands on the same entry counted from
-    # the end, so of these keys only the converter table's 4096 and
-    # 4 * 3071 + 3 would read another row; the largest keys pin the row ends.
-    alphabet = StateAlphabet()
-    for i in range(4096):
-        alphabet.intern(JointState(np.full(16, 1.0 + i)))
-    checks = {
-        alphabet.device: (2048, 4095),
-        alphabet.wc: (4096, 4 * 3071 + 3, 4 * 4095 + 3),
+def alphabet_tables(alphabet):
+    """Every table of an alphabet by name."""
+    return {
+        "prepared": alphabet.prepared,
+        "encoded": alphabet.encoded,
+        **{f"collapsed[{p.value}]": alphabet.collapsed[p] for p in Photon},
+        **{f"partial[{p.value}]": alphabet.partial[p] for p in Photon},
+        "device": alphabet.device,
+        "wc": alphabet.wc,
+        "local": alphabet.local,
     }
-    words = np.arange(16, dtype=np.uint64) << np.uint64(60)
-    for table, keys in checks.items():
-        # key % 17 sixteenths of outcome 0, the rest outcome 1: rows that
-        # differ from each other and from every row not filled (-1)
-        table.probabilities = lambda key: np.array([key % 17, 16 - key % 17]) / 16
-        for key in keys:
-            got = table.sample(np.full(16, key, dtype=np.int16), words)
-            assert got.tolist() == [0] * (key % 17) + [1] * (16 - key % 17), key
-
-
-@pytest.mark.parametrize(
-    "p", [(0.3, 0.7, 0.0, 0.0), (0.25, 0.25, 0.0, 0.0), (0.5 + 1e-7, 0.5 - 1e-7, 0, 0)]
-)
-def test_a_row_off_the_sixteenths_grid_raises_and_stays_unfilled(p):
-    table = _Outcomes(3, lambda key: np.array(p))
-    keys, words = np.full(4, 2, dtype=np.int16), np.zeros(4, dtype=np.uint64)
-    with pytest.raises(ValueError, match="key 2"):
-        table.sample(keys, words)
-    with pytest.raises(ValueError, match="key 2"):
-        table.fill(keys)
-    assert (table.lut == -1).all()
-
-
-def run_every_setting(loss=0.2):
-    """One session of each check x attacker x target, at ``loss``."""
-    for check in CheckStrategy:
-        for strategy in (None, *EveStrategy):
-            for target in EveTarget if strategy else (EveTarget.B,):
-                run_session(
-                    ideal_config(
-                        pairs=300,
-                        check=check,
-                        threshold=0.9,
-                        loss=loss,
-                        eve=strategy,
-                        eve_targets=target,
-                    )
-                )
 
 
 def test_state_alphabet_stays_small_and_normalized():
-    # every pair state a session can reach is one of a small set
-    run_every_setting()
-    assert len(ALPHABET) <= 128
-    assert all(oracles.is_normalized(state.vec) for state in ALPHABET.states)
+    # the closed alphabet, as the import built it: no session has run first
+    assert len(ALPHABET) == 40
+    for state in ALPHABET.states:
+        assert oracles.is_normalized(state.vec)
+        lead = state.vec[np.flatnonzero(np.abs(state.vec) > 1e-9)[0]]
+        assert lead.imag == 0 and lead.real > 0
+    vecs = np.array([state.vec for state in ALPHABET.states])
+    overlaps = np.abs(vecs.conj() @ vecs.T)
+    # no two ids hold the same state up to global phase
+    assert (overlaps[~np.eye(40, dtype=bool)] < 1 - 1e-9).all()
+
+
+def test_a_fresh_alphabet_equals_the_shared_one_id_for_id():
+    fresh = StateAlphabet()
+    assert [s.vec.tobytes() for s in fresh.states] == [
+        s.vec.tobytes() for s in ALPHABET.states
+    ]
+    shared = alphabet_tables(ALPHABET)
+    for name, table in alphabet_tables(fresh).items():
+        assert table.dtype == shared[name].dtype, name
+        assert table.tobytes() == shared[name].tobytes(), name
+
+
+def test_the_alphabet_is_the_oracle_closure_of_psi_plus():
+    closure = np.array(oracles.closure(oracles.pair_state("psi", +1)))
+    assert len(closure) == 40
+    vecs = np.array([state.vec for state in ALPHABET.states])
+    # one match per state and per closure vector: the same set up to phase
+    same = np.abs(vecs.conj() @ closure.T) >= 1 - 1e-9
+    assert (same.sum(axis=0) == 1).all() and (same.sum(axis=1) == 1).all()
+
+
+def test_index_finds_a_state_up_to_global_phase_and_refuses_any_other():
+    for sid, state in enumerate(ALPHABET.states):
+        assert ALPHABET.index(JointState(np.exp(0.7j) * state.vec)) == sid
+        assert ALPHABET.index(JointState(-state.vec)) == sid
+    with pytest.raises(ValueError):
+        ALPHABET.index(JointState(np.full(16, 0.25)))
+
+
+def test_the_alphabet_is_the_same_under_any_hash_seed():
+    script = """
+import hashlib
+from depqkd.protocol import ALPHABET
+h = hashlib.sha256()
+for state in ALPHABET.states:
+    h.update(state.vec.tobytes())
+for table in (
+    ALPHABET.prepared, ALPHABET.encoded, *ALPHABET.collapsed.values(),
+    *ALPHABET.partial.values(), ALPHABET.device, ALPHABET.wc, ALPHABET.local,
+):
+    h.update(table.dtype.str.encode() + table.tobytes())
+print(len(ALPHABET), h.hexdigest())
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        ).stdout
+        for hash_seed in ("1", "2")
+    ]
+    assert outputs[0].startswith("40 ") and outputs[0] == outputs[1]
+
+
+# Sources whose first row, photon a measured in H/V, lies off the 1/16 grid:
+# p of (H, LOW) and (H, HIGH) of 0.3 and 0.7, 0.25 and 0.25 (a source of
+# norm 1/2) and 0.5 +- 1e-7.  The build raises, so no table is filled.
+@pytest.mark.parametrize("p", [(0.3, 0.7), (0.25, 0.25), (0.5 + 1e-7, 0.5 - 1e-7)])
+def test_a_row_off_the_sixteenths_grid_raises_and_stays_unfilled(p):
+    vec = np.zeros(16, dtype=complex)
+    vec[0], vec[5] = np.sqrt(p)  # |(H,LOW)(H,LOW)> and |(H,HIGH)(H,HIGH)>
+    with pytest.raises(ValueError, match=r"of partial\[a\] row 0 are not multiples"):
+        StateAlphabet(JointState(vec))
+
+
+def test_wc_check_surfaces_a_state_the_converters_annihilate():
+    # (H,LOW)(H,LOW) - (H,HIGH)(H,LOW): conversion cancels every amplitude
+    vec = np.zeros(16, dtype=complex)
+    vec[0], vec[4] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+    with pytest.raises(StateError, match="annihilated"):
+        StateAlphabet(JointState(vec))
 
 
 def outcome_tables():
     """Each outcome table of :data:`ALPHABET` with the scalar function of
-    its rows."""
+    its rows, as ``(table, function)`` by name."""
     states = ALPHABET.states
     local = [LocalState(LOCAL_BASIS[basis][k]) for basis in BASES for k in range(4)]
-    return {
+
+    def wc(key):
+        converted = wavelength_convert_global(states[key >> 2])
+        a, b = BASES[(key >> 1) & 1].value, BASES[key & 1].value
+        return [
+            oracles.two_qubit_prob(converted, a, ca, b, cb)
+            for ca in (0, 1)
+            for cb in (0, 1)
+        ]
+
+    functions = {
         **{
-            ALPHABET.partial[photon]: lambda key, photon=photon: partial_probabilities(
+            f"partial[{photon.value}]": lambda key, photon=photon: partial_probabilities(
                 states[key >> 1], photon, BASES[key & 1]
             )
             for photon in Photon
         },
-        ALPHABET.device: lambda sid: device_probabilities(states[sid]),
-        ALPHABET.wc: lambda key: _wc_probabilities(
-            wavelength_convert_global(states[key >> 2]), (key >> 1) & 1, key & 1
-        ),
-        ALPHABET.local: lambda key: local_probabilities(
-            local[key >> 1], BASES[key & 1]
-        ),
+        "device": lambda sid: device_probabilities(states[sid]),
+        "wc": wc,
+        "local": lambda key: local_probabilities(local[key >> 1], BASES[key & 1]),
     }
-
-
-def filled_rows(table):
-    return np.flatnonzero(table.lut[::16] >= 0).tolist()
+    tables = alphabet_tables(ALPHABET)
+    return {name: (tables[name], function) for name, function in functions.items()}
 
 
 # 0, 2**64 - 1, and every k * 2**60 with the words on either side of it
@@ -959,55 +1014,54 @@ BOUNDARY_WORDS = np.array(
 
 
 def test_sample_reads_each_row_at_the_word_top_4_bits():
-    run_every_setting(loss=0.0)
-    run_every_setting(loss=0.2)
     assert BOUNDARY_WORDS[0] == 0 and BOUNDARY_WORDS[-1] == 2**64 - 1
     n = len(BOUNDARY_WORDS)
-    for table, probabilities in outcome_tables().items():
-        rows = filled_rows(table)
-        assert rows
-        for key in rows:
-            got = table.sample(np.full(n, key, dtype=np.int16), BOUNDARY_WORDS)
+    for table, probabilities in outcome_tables().values():
+        for key in range(len(table) // 16):
+            got = _sample(table, np.full(n, key, dtype=np.int16), BOUNDARY_WORDS)
             assert got.dtype == np.int8
             p = probabilities(key)
             expected = [oracles.grid_outcome(p, w) for w in BOUNDARY_WORDS.tolist()]
             assert got.tolist() == expected, key
-        empty = table.sample(np.zeros(0, dtype=np.int16), np.zeros(0, dtype=np.uint64))
+        empty = _sample(table, np.zeros(0, dtype=np.int16), np.zeros(0, dtype=np.uint64))
         assert empty.dtype == np.int8 and empty.shape == (0,)
 
 
 def test_alphabet_tables_match_the_scalar_functions():
-    run_every_setting()
     states = ALPHABET.states
-    for table, probabilities in outcome_tables().items():
-        rows = filled_rows(table)
-        assert rows
-        for key in rows:
+    assert len(ALPHABET.local) == 16 * 2 * 8
+    for table, probabilities in outcome_tables().values():
+        assert table.dtype == np.int8
+        for key in range(len(table) // 16):
             p = probabilities(key)
-            counts = np.rint(16 * p)
+            counts = np.rint(16 * np.asarray(p))
             # every row lies on the 1/16 grid and its counts sum to 16
-            assert np.abs(16 * p - counts).max() <= 1e-9
+            assert np.abs(16 * np.asarray(p) - counts).max() <= 1e-9
             assert counts.sum() == 16
             expected = [oracles.grid_outcome(p, j << 60) for j in range(16)]
-            row = table.lut[16 * key : 16 * (key + 1)]
+            row = table[16 * key : 16 * (key + 1)]
             assert row.tobytes() == np.array(expected, dtype=np.int8).tobytes()
     source = dep_basis(DepLabel.PSI_PLUS)
     successors = {
-        ALPHABET.prepared: lambda op: apply_local(PAULIS[op], Photon.B, source),
-        ALPHABET.encoded: lambda key: apply_local(
-            PAULIS[key & 3], Photon.A, states[key >> 2]
-        ),
+        "prepared": lambda op: apply_local(PAULIS[op], Photon.B, source),
+        "encoded": lambda key: apply_local(PAULIS[key & 3], Photon.A, states[key >> 2]),
         **{
-            ALPHABET.collapsed[photon]: lambda key, photon=photon: partial_collapse(
+            f"collapsed[{photon.value}]": lambda key, photon=photon: partial_collapse(
                 states[key >> 3], photon, BASES[(key >> 2) & 1], key & 3
             )
             for photon in Photon
         },
     }
-    known = len(ALPHABET)
-    for table, successor in successors.items():
-        filled = np.flatnonzero(table.ids >= 0).tolist()
-        assert filled
-        for key in filled:
-            assert table.ids[key] == ALPHABET.intern(successor(key))
-    assert len(ALPHABET) == known  # every successor was already interned
+    tables = alphabet_tables(ALPHABET)
+    assert len(tables["prepared"]) == 4 and len(tables["encoded"]) == 4 * 40
+    for photon in Photon:
+        table = tables[f"collapsed[{photon.value}]"]
+        assert len(table) == 8 * 40
+        # a -1 marks exactly the outcomes the matching partial row never gives
+        partial = ALPHABET.partial[photon].reshape(-1, 16)
+        for key, sid in enumerate(table.tolist()):
+            assert (sid == -1) == (key & 3 not in partial[key >> 2]), key
+    for name, successor in successors.items():
+        for key, sid in enumerate(tables[name].tolist()):
+            if sid != -1:
+                assert sid == ALPHABET.index(successor(key)), (name, key)
