@@ -45,10 +45,9 @@ class EveTarget(Enum):
     A = "a"
     BOTH = "both"
 
-    def covers(self, photon: Photon) -> bool:
-        if self is EveTarget.BOTH:
-            return True
-        return (self is EveTarget.B) == (photon is Photon.B)
+    def __init__(self, value: str) -> None:
+        #: the photons whose transmissions are intercepted
+        self.photons = tuple(p for p in Photon if value in (p.value, "both"))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,10 @@
 fixed field set, so output files diff cleanly and identical invocations
 produce identical bytes except for the ``elapsed_ms`` timing field.  The
 sessions of a whole sweep, taken in (sweep index, trial index) order, run
-in batches of up to ``_BATCH_PAIRS`` pairs; a batch also ends where the
-pair count, the check or the attacker changes, so the cells of a sweep
-over loss, threshold or either fraction share batches.  ``elapsed_ms`` is
-the batch's wall time over its sessions, which may span several cells,
-and a batch's lines are written together, in that order, once it ends.
+in batches of up to ``_BATCH_PAIRS`` pairs, whatever setting the sweep
+varies.  ``elapsed_ms`` is the batch's wall time shared in proportion to
+its sessions' pairs, which may span several cells, and a batch's lines
+are written together, in that order, once it ends.
 
 Every setting but ``trials`` is a field of
 :class:`~depqkd.protocol.ProtocolConfig`, which gives its name (the flag,
@@ -51,11 +50,10 @@ from .states import (
     label_to_codeword,
 )
 
-#: Pairs per engine batch: consecutive sessions of a run or sweep that
-#: agree on ProtocolConfig.batch_key run together, as many as fit; a
-#: session larger than this runs alone.  The per-pair cost of a batch of
-#: 1,000-pair sessions levels off between 16 and 32 sessions (README,
-#: "Engine and performance").
+#: Pairs per engine batch: consecutive sessions of a run or sweep run
+#: together while their summed pairs fit; a session larger than this runs
+#: alone.  The per-pair cost of a batch of 1,000-pair sessions levels off
+#: between 16 and 32 sessions (README, "Engine and performance").
 _BATCH_PAIRS = 16384
 
 
@@ -266,16 +264,15 @@ def _batches(cells: list[ProtocolConfig], trials: int):
     as lists of ``(sweep index, trial index, trial config)``, one list per
     engine batch."""
     batch: list[tuple[int, int, ProtocolConfig]] = []
+    pairs = 0
     for sweep_index, cell in enumerate(cells):
         for i in range(trials):
-            if batch and (
-                batch[0][2].batch_key != cell.batch_key
-                or (len(batch) + 1) * cell.pairs > _BATCH_PAIRS
-            ):
+            if batch and pairs + cell.pairs > _BATCH_PAIRS:
                 yield batch
-                batch = []
+                batch, pairs = [], 0
             seed = derive_trial_seed(cell.seed, sweep_index, i)
             batch.append((sweep_index, i, replace(cell, seed=seed)))
+            pairs += cell.pairs
     yield batch
 
 
@@ -292,10 +289,12 @@ def _run_trials(
             raise ConfigError(
                 f"{configs[0].pairs} pairs per trial do not fit in memory"
             ) from None
-        elapsed_ms = (time.perf_counter() - start) * 1000.0 / len(configs)
+        # shared in proportion to pairs: k equal sessions get exactly 1/k each
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        pairs = sum(config.pairs for config in configs)
         out.writelines(
-            _report_line(subcommand, i, config.seed, echoes[sweep_index], report, elapsed_ms)
-            + "\n"
+            _report_line(subcommand, i, config.seed, echoes[sweep_index], report,
+                         elapsed_ms / (pairs / config.pairs)) + "\n"
             for (sweep_index, i, config), report in zip(batch, reports)
         )
 

@@ -16,18 +16,15 @@ second operation, its measurement records never determine final key bits.
 
 A session's settings are one flat :class:`ProtocolConfig`, whose fields
 are also the command line's settings and the keys of a report's
-``config`` echo.  Sessions run as a batch: :func:`run_sessions` runs
-several sessions that agree on :attr:`ProtocolConfig.batch_key` (the pair
-count, the check, the attacker and its targets) together, and
-:func:`run_session` is the batch of one.  The seed, the loss, both
-fractions and the threshold are each session's own.
-:class:`PairBatch` and :class:`DecoyBatch` hold one array entry per item,
-session after session, and pair states are ids into :data:`ALPHABET`.
-Each phase draws every session's blocks from that session's own stream,
-in the same order and sizes as a session run alone, and then works on all
-items of the batch at once, so no phase loops over its items in Python.
-Every stream is a counter-based Philox key, so a session's draws do not
-depend on the sessions beside it, whatever their settings.
+``config`` echo.  :func:`run_sessions` runs any sessions as one batch,
+each with all of its own settings, and :func:`run_session` is the batch
+of one.  :class:`PairBatch` and :class:`DecoyBatch` hold one array entry
+per item, session after session, and pair states are ids into
+:data:`ALPHABET`.  Each phase draws the blocks of every session that runs
+it from that session's own stream, in the same order and sizes as the
+session run alone, and then works on all items of the batch at once, so
+no phase loops over its items in Python.  Every stream is a counter-based
+Philox key, so a session's draws do not depend on the sessions beside it.
 """
 
 from __future__ import annotations
@@ -35,9 +32,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import groupby
-from operator import attrgetter
-from typing import Callable, Iterator, Optional, Sequence
+from itertools import accumulate, groupby, repeat
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -70,13 +67,9 @@ class CheckStrategy(Enum):
     WAVELENGTH_CONVERTER = "wc"
     BOTH = "both"
 
-    @property
-    def uses_decoy(self) -> bool:
-        return self in (CheckStrategy.DECOY, CheckStrategy.BOTH)
-
-    @property
-    def uses_wc(self) -> bool:
-        return self in (CheckStrategy.WAVELENGTH_CONVERTER, CheckStrategy.BOTH)
+    def __init__(self, value: str) -> None:  # attributes, read once per session
+        self.uses_decoy = value != "wc"
+        self.uses_wc = value != "decoy"
 
 
 # No array of a session holds more than 32 bytes per pair, so a session of
@@ -84,10 +77,9 @@ class CheckStrategy(Enum):
 _MAX_PAIRS = np.iinfo(np.intp).max // 32
 
 
-def _setting(default: object, help: str, *, batch: bool = False):
-    """A field of :class:`ProtocolConfig`: its default, its help, and
-    whether the sessions of one batch must share it."""
-    return field(default=default, metadata={"help": help, "batch": batch})
+def _setting(default: object, help: str):
+    """A field of :class:`ProtocolConfig`: its default and its help."""
+    return field(default=default, metadata={"help": help})
 
 
 @dataclass(frozen=True)
@@ -98,59 +90,60 @@ class ProtocolConfig:
     files, by the same names and in the order of a report's ``config``
     echo.  Each field's metadata holds its help, and the enum types hold
     the choices.  An ``eve`` of ``None`` is no attacker, and its
-    ``eve_targets`` is then always ``EveTarget.B``.
+    ``eve_targets`` is then always ``EveTarget.B``.  A bad field raises
+    :class:`ConfigError`, the first one in field order; a bool is not a
+    number here.
     """
 
-    pairs: int = _setting(1000, "entangled pairs per trial", batch=True)
+    pairs: int = _setting(1000, "entangled pairs per trial")
     seed: int = _setting(0, "64-bit master seed")
     decoy_fraction: float = _setting(0.1, "mean check photons inserted per pair")
-    check: CheckStrategy = _setting(
-        CheckStrategy.DECOY, "security check strategy", batch=True
-    )
+    check: CheckStrategy = _setting(CheckStrategy.DECOY, "security check strategy")
     sample_fraction: float = _setting(
         0.1, "fraction of stored pairs consumed by the converter check"
     )
     threshold: float = _setting(0.05, "abort threshold on check error rates")
     loss: float = _setting(0.0, "per-photon loss probability")
     eve: Optional[EveStrategy] = _setting(
-        None, "intercept-resend attacker basis policy", batch=True
+        None, "intercept-resend attacker basis policy"
     )
     eve_targets: EveTarget = _setting(
-        EveTarget.B, "which transmissions the attacker intercepts", batch=True
+        EveTarget.B, "which transmissions the attacker intercepts"
     )
 
     def __post_init__(self) -> None:
-        if self.pairs < 1:
-            raise ConfigError(f"n_pairs must be positive, got {self.pairs}")
-        if self.pairs > _MAX_PAIRS:
-            raise ConfigError(f"n_pairs must be at most {_MAX_PAIRS}, got {self.pairs}")
-        if not 0.0 <= self.decoy_fraction < 1.0:
-            raise ConfigError(
-                f"decoy_fraction must lie in [0, 1), got {self.decoy_fraction}"
-            )
+        if type(n := self.pairs) is not int:
+            raise ConfigError(f"pairs must be an int, got {n!r}")
+        if n < 1:
+            raise ConfigError(f"n_pairs must be positive, got {n}")
+        if n > _MAX_PAIRS:
+            raise ConfigError(f"n_pairs must be at most {_MAX_PAIRS}, got {n}")
+        if type(seed := self.seed) is not int or not 0 <= seed < 1 << 64:
+            raise ConfigError(f"seed must be an int in [0, 2**64), got {seed!r}")
+        if not (isinstance(x := self.decoy_fraction, float) or type(x) is int):
+            raise ConfigError(f"decoy_fraction must be a real number, got {x!r}")
+        if not 0.0 <= x < 1.0:
+            raise ConfigError(f"decoy_fraction must lie in [0, 1), got {x}")
         if not isinstance(self.check, CheckStrategy):
             raise ConfigError(f"check must be a CheckStrategy, got {self.check!r}")
-        if not 0.0 < self.sample_fraction <= 1.0:
-            raise ConfigError(
-                f"check_sample_fraction must lie in (0, 1], got {self.sample_fraction}"
-            )
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"qber_threshold must lie in (0, 1), got {self.threshold}")
-        if not 0.0 <= self.loss <= 1.0:
-            raise ConfigError(f"loss probability must lie in [0, 1], got {self.loss}")
+        if not (isinstance(x := self.sample_fraction, float) or type(x) is int):
+            raise ConfigError(f"sample_fraction must be a real number, got {x!r}")
+        if not 0.0 < x <= 1.0:
+            raise ConfigError(f"check_sample_fraction must lie in (0, 1], got {x}")
+        if not (isinstance(x := self.threshold, float) or type(x) is int):
+            raise ConfigError(f"threshold must be a real number, got {x!r}")
+        if not 0.0 < x < 1.0:
+            raise ConfigError(f"qber_threshold must lie in (0, 1), got {x}")
+        if not (isinstance(x := self.loss, float) or type(x) is int):
+            raise ConfigError(f"loss must be a real number, got {x!r}")
+        if not 0.0 <= x <= 1.0:
+            raise ConfigError(f"loss probability must lie in [0, 1], got {x}")
         if self.eve is not None and not isinstance(self.eve, EveStrategy):
             raise ConfigError(f"eve must be an EveStrategy or None, got {self.eve!r}")
         if not isinstance(targets := self.eve_targets, EveTarget):
             raise ConfigError(f"eve_targets must be an EveTarget, got {targets!r}")
-        if self.eve is None:  # one value, so that such sessions share batches
+        if self.eve is None:  # one value, so that the echo does not depend on it
             object.__setattr__(self, "eve_targets", EveTarget.B)
-
-    @property
-    def batch_key(self) -> tuple:
-        """What the sessions of one :func:`run_sessions` batch share: the
-        settings that decide which phases run and how large the arrays
-        are."""
-        return _batch_key(self)
 
     def to_dict(self) -> dict:
         """JSON-ready echo of the effective configuration: every field by
@@ -162,10 +155,6 @@ def _echo(value: object) -> object:
     if value is None:
         return "none"
     return value.value if isinstance(value, Enum) else value
-
-
-_BATCH_FIELDS = tuple(f.name for f in fields(ProtocolConfig) if f.metadata["batch"])
-_batch_key = attrgetter(*_BATCH_FIELDS)
 
 
 class MessageKind(Enum):
@@ -283,42 +272,52 @@ def _unset(n: int) -> np.ndarray:
     return np.full(n, -1, dtype=_CODE)
 
 
-def _streams(seeds: Sequence[int], stream: int) -> list[SeededGenerator]:
+def _streams(
+    seeds: Sequence[int], stream: int, runs: Iterable[bool] = repeat(True)
+) -> list[Optional[SeededGenerator]]:
     """Stream ``stream`` of each session's seed, in session order: one
     handle per session, each a key and a position, all drawing through the
-    one Philox of index ``stream`` (see :class:`SeededGenerator`)."""
-    return [SeededGenerator(seed, stream) for seed in seeds]
+    one Philox of index ``stream`` (see :class:`SeededGenerator`), and
+    ``None`` for a session that does not run the phase (``runs[s]`` false)."""
+    return [SeededGenerator(s, stream) if r else None for s, r in zip(seeds, runs)]
+
+
+def _joined(blocks: list[np.ndarray]) -> np.ndarray:
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _draw(
-    gens: Sequence[SeededGenerator], sizes: Sequence[int], width: int = 1
+    gens: Sequence[Optional[SeededGenerator]], sizes: Sequence[int], width: int = 1
 ) -> np.ndarray:
     """``sizes[s]`` rows of ``width`` words from each ``gens[s]``, in
-    session order; a batch of one makes a single call and no copy.
+    session order; a session without a handle has no rows and draws
+    nothing, and a batch of one makes a single call and no copy.
 
     A word stands for the double ``u`` that :func:`~depqkd.quantum.doubles`
     makes of it.  :func:`_coins`, :func:`_basis_coins` and :func:`_randints`
     decide on the word as an integer, with the outcome ``u`` would give;
     :func:`_sample` reads its top 4 bits, ``floor(16 * u)``.
     """
-    if len(gens) == 1:
-        w = gens[0].words(sizes[0] * width)
-    else:
-        w = np.concatenate([g.words(m * width) for g, m in zip(gens, sizes)])
+    w = _joined([g.words(m * width) for g, m in zip(gens, sizes) if g is not None])
     return w.reshape(-1, width)
 
 
 def _coins(
-    gens: Sequence[SeededGenerator], sizes: Sequence[int], p: Sequence[float]
+    gens: Sequence[Optional[SeededGenerator]],
+    sizes: Sequence[int],
+    p: Sequence[float],
 ) -> np.ndarray:
     """A coin ``u < p[s]`` per item, ``sizes[s]`` of them from each
     ``gens[s]`` in session order.  Each run of consecutive sessions with an
     equal ``p`` is drawn as one block, except that a ``p`` of 0 or 1
-    decides every coin of its run, whose words are skipped, not drawn."""
+    decides every coin of its run, whose words are skipped, not drawn.  A
+    session without a handle gets false coins and draws and skips nothing."""
     blocks = []
-    for q, run in groupby(zip(p, gens, sizes), key=lambda item: item[0]):
+    for q, run in groupby(zip(p, gens, sizes), key=lambda item: item[1] and item[0]):
         _, run_gens, run_sizes = zip(*run)
-        if 0.0 < q < 1.0:
+        if q is None:
+            blocks.append(np.zeros(sum(run_sizes), dtype=bool))
+        elif 0.0 < q < 1.0:
             # u < q holds for k = w >> 11 exactly when k < ceil(q * 2**53),
             # which is at most 2**53 - 1, so the shifted bound fits 64 bits
             bound = np.uint64(math.ceil(q * 2**53) << 11)
@@ -327,7 +326,7 @@ def _coins(
             for g, m in zip(run_gens, run_sizes):
                 g.skip(m)
             blocks.append(np.full(sum(run_sizes), q >= 1.0))
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return _joined(blocks)
 
 
 def _tally(mask: np.ndarray, sizes: Sequence[int]) -> list[int]:
@@ -340,20 +339,20 @@ def _tally(mask: np.ndarray, sizes: Sequence[int]) -> list[int]:
     return counts
 
 
-def _sizes(pairs: PairBatch, idx: np.ndarray, count: int) -> list[int]:
-    """How many of the sorted pair indices ``idx`` belong to each of the
-    ``count`` sessions of ``pairs``: the differences between the positions
-    where each session's first pair index, and the batch's end, would sort
-    into ``idx``."""
-    bounds = idx.searchsorted(np.arange(0, len(pairs) + 1, len(pairs) // count))
+def _sizes(offsets: np.ndarray, idx: np.ndarray) -> list[int]:
+    """How many of the sorted item indices ``idx`` belong to each session,
+    for sessions whose first items are ``offsets[:-1]`` and whose batch
+    ends at ``offsets[-1]``: the differences between the positions where
+    those offsets would sort into ``idx``."""
+    bounds = idx.searchsorted(offsets)
     return (bounds[1:] - bounds[:-1]).tolist()
 
 
 @dataclass
 class PairBatch:
     """Every pair of a batch of sessions as parallel arrays, one entry per
-    pair.  Every session has the same number ``n`` of pairs, so pair ``i``
-    belongs to session ``i // n``.
+    pair, session after session.  Session ``s`` has ``sizes[s]`` pairs,
+    from index ``offsets[s]`` up to ``offsets[s + 1]``.
 
     ``state`` holds ids into :data:`ALPHABET`; ``op_a``/``op_b`` index
     ``tuple(Pauli)``.  For each photon the attacker intercepted, ``eve_*_basis``
@@ -363,6 +362,7 @@ class PairBatch:
     decoded.
     """
 
+    sizes: list[int]
     codeword: np.ndarray
     op_a: np.ndarray
     op_b: np.ndarray
@@ -376,17 +376,17 @@ class PairBatch:
     eve_a_outcome: np.ndarray
     decoded: np.ndarray
 
+    def __post_init__(self) -> None:
+        self.offsets = np.array([0, *accumulate(self.sizes)])
+
     def __len__(self) -> int:
         return len(self.codeword)
 
-    @property
-    def surviving(self) -> np.ndarray:
-        """Contributes key bits: both photons arrived, not consumed by a check."""
-        return self.b_delivered & self.a_delivered & ~self.checked
-
-    def take(self, mask: np.ndarray) -> PairBatch:
-        """The pairs where ``mask`` holds."""
-        return PairBatch(*(getattr(self, f.name)[mask] for f in fields(self)))
+    def keep(self, sessions: np.ndarray) -> PairBatch:
+        """The sessions where the bool array ``sessions`` holds."""
+        at = np.repeat(sessions, self.sizes)
+        sizes = [n for n, kept in zip(self.sizes, sessions) if kept]
+        return PairBatch(sizes, *(getattr(self, f.name)[at] for f in fields(self)[1:]))
 
 
 @dataclass
@@ -600,29 +600,39 @@ def _basis_coins(w: np.ndarray) -> np.ndarray:
 def _channel(
     sizes: Sequence[int],
     losses: Sequence[float],
-    eve: Optional[EveStrategy],
+    eves: Sequence[Optional[EveStrategy]],
     gens: Sequence[SeededGenerator],
-) -> tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Send ``sizes[s]`` photons of each session ``s`` through its channel,
-    of loss probability ``losses[s]``, under the attacker policy ``eve``
-    (``None`` when no attacker intercepts this transmission).
+    of loss probability ``losses[s]``, under the attacker policy
+    ``eves[s]`` (``None`` where no attacker intercepts it).
 
     Each session's stream gives one block of its loss coins, then, under
     an attacker, one block with a row per delivered photon in slot order:
     the attacker's basis coin (random policy only) and its measurement
-    draw.  Returns the delivery mask and, for an attacked transmission,
-    the attacker's basis and measurement word per delivered photon.
+    draw.  Each run of consecutive sessions under one policy is drawn
+    together.  Returns the delivery mask, the mask of the photons the
+    attacker measured (the delivered ones of attacked sessions), and its
+    basis and measurement word per such photon, or ``None`` for both when
+    no session is attacked.
     """
     delivered = ~_coins(gens, sizes, losses)
-    if eve is None:
-        return delivered, None, None
-    m = _tally(delivered, sizes)
-    if eve is EveStrategy.RANDOM_ZX:
-        w = _draw(gens, m, 2)
-        return delivered, _basis_coins(w[:, 0]), w[:, 1]
-    fixed = PolBasis.Z if eve is EveStrategy.Z else PolBasis.X
-    w = _draw(gens, m)[:, 0]
-    return delivered, np.full(len(w), _BASES.index(fixed), dtype=_CODE), w
+    attacked = [eve is not None for eve in eves]
+    if not any(attacked):
+        return delivered, delivered, None, None
+    seen = delivered if all(attacked) else delivered & np.repeat(attacked, sizes)
+    bases, words = [], []
+    for eve, run in groupby(zip(eves, gens, _tally(delivered, sizes)), itemgetter(0)):
+        _, run_gens, m = zip(*run)
+        if eve is EveStrategy.RANDOM_ZX:
+            w = _draw(run_gens, m, 2)
+            bases.append(_basis_coins(w[:, 0]))
+            words.append(w[:, 1])
+        elif eve is not None:
+            fixed = PolBasis.Z if eve is EveStrategy.Z else PolBasis.X
+            words.append(_draw(run_gens, m)[:, 0])
+            bases.append(np.full(len(words[-1]), _BASES.index(fixed), dtype=_CODE))
+    return delivered, seen, _joined(bases), _joined(words)
 
 
 def _intercept_pairs(
@@ -638,15 +648,18 @@ def _intercept_pairs(
         pairs.eve_a_basis[idx], pairs.eve_a_outcome[idx] = basis, k
 
 
-def step1_prepare_and_encode(n: int, gens: Sequence[SeededGenerator]) -> PairBatch:
-    """Draw a codeword for each of the ``n`` pairs of every session, pick
-    one of its two operation pairs, and apply the photon-b operation to a
-    fresh PSI+ pair."""
-    w = _draw(gens, [n] * len(gens), 2)
+def step1_prepare_and_encode(
+    sizes: Sequence[int], gens: Sequence[SeededGenerator]
+) -> PairBatch:
+    """Draw a codeword for each of the ``sizes[s]`` pairs of every session
+    ``s``, pick one of its two operation pairs, and apply the photon-b
+    operation to a fresh PSI+ pair."""
+    w = _draw(gens, sizes, 2)
     size = len(w)
     codeword = _randints(w[:, 0], 8)
     op_a, op_b = _CHOICE_OPS.take(2 * codeword + _randints(w[:, 1], 2), axis=1)
     return PairBatch(
+        sizes=list(sizes),
         codeword=codeword,
         op_a=op_a,
         op_b=op_b,
@@ -674,28 +687,27 @@ def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
 def insert_decoys(
     pairs: PairBatch,
     decoy_fractions: Sequence[float],
-    gens: Sequence[SeededGenerator],
+    gens: Sequence[Optional[SeededGenerator]],
 ) -> tuple[np.ndarray, DecoyBatch]:
     """Mix single-photon check states into each session's b sequence.
 
     The decoy count of session ``s`` is binomial with mean
-    ``decoy_fractions[s] * n``; positions are uniform among its mixed
-    slots and preparations are uniform over the eight (frequency bin,
-    polarization) combinations.
+    ``decoy_fractions[s]`` times its pairs; a session without a handle
+    gets none.  Positions are uniform among its mixed slots and
+    preparations are uniform over the eight (frequency bin, polarization)
+    combinations.
     Positions and preparations stay secret until the check.  Returns the
     mask of decoy slots in the batch's mixed sequence, session after
     session, whose other slots carry the pairs in order, and the decoys.
     """
-    t = len(gens)
-    n = len(pairs) // t
-    count = _tally(_coins(gens, [n] * t, decoy_fractions), [n] * t)
+    count = _tally(_coins(gens, pairs.sizes, decoy_fractions), pairs.sizes)
     # The slots of the ``count`` smallest of ``n + count`` uniform keys hold
     # a session's decoys; a session without decoys draws no keys.  A key is
     # a word's top 53 bits, which order and tie like its double.
     is_decoy = np.concatenate(
         [
             _smallest(g.words(n + c) >> 11, c) if c else np.zeros(n, dtype=bool)
-            for g, c in zip(gens, count)
+            for g, n, c in zip(gens, pairs.sizes, count)
         ]
     )
     w = _draw(gens, count, 2)
@@ -713,31 +725,34 @@ def transmit_b(
     decoys: DecoyBatch,
     is_decoy: np.ndarray,
     losses: Sequence[float],
-    eve: Optional[EveStrategy],
+    eves: Sequence[Optional[EveStrategy]],
     gens: Sequence[SeededGenerator],
 ) -> None:
     """Send the mixed b sequence through the channel, updating both batches;
-    see :func:`_channel` for ``losses`` and ``eve``.
+    see :func:`_channel` for ``losses`` and ``eves``.
 
     Loss is decided first; the attacker only touches delivered photons and
     cannot tell pair photons from check photons.
     """
-    t = len(gens)
-    sizes = [len(pairs) // t + c for c in decoys.sizes]
-    delivered, basis, w = _channel(sizes, losses, eve, gens)
-    pairs.b_delivered[:] = delivered.take(np.flatnonzero(~is_decoy))
+    sizes = [n + c for n, c in zip(pairs.sizes, decoys.sizes)]
+    delivered, seen, basis, w = _channel(sizes, losses, eves, gens)
+    pair_slots = np.flatnonzero(~is_decoy)
+    pairs.b_delivered[:] = delivered.take(pair_slots)
     decoys.delivered[:] = delivered.take(decoys.position)
     if basis is None:
         return
-    # The attack draws come one row per delivered photon, in slot order, so
-    # the delivered pairs and the delivered check photons, each in slot
-    # order, take the rows of the delivered slots of their kind.
-    kind = is_decoy.take(np.flatnonzero(delivered))
+    # The attack draws come one row per measured photon, in slot order, so
+    # the measured pairs and the measured check photons, each in slot
+    # order, take the rows of the measured slots of their kind.  When every
+    # session is attacked, every delivered photon is measured.
+    seen_pairs = pairs.b_delivered if seen is delivered else seen.take(pair_slots)
+    seen_decoys = decoys.delivered if seen is delivered else seen.take(decoys.position)
+    kind = is_decoy.take(np.flatnonzero(seen))
     rows = np.flatnonzero(~kind)
-    hit = np.flatnonzero(pairs.b_delivered)
+    hit = np.flatnonzero(seen_pairs)
     _intercept_pairs(pairs, hit, Photon.B, basis.take(rows), w.take(rows))
     rows = np.flatnonzero(kind)
-    hit = np.flatnonzero(decoys.delivered)
+    hit = np.flatnonzero(seen_decoys)
     basis = basis.take(rows)
     k = _sample(ALPHABET.local, 2 * decoys.state.take(hit) + basis, w.take(rows))
     decoys.eve_basis[hit], decoys.eve_outcome[hit] = basis, k
@@ -868,7 +883,7 @@ def decoy_check(
     decoys: DecoyBatch,
     thresholds: Sequence[float],
     transcript: Optional[Transcript],
-    gens: Sequence[SeededGenerator],
+    gens: Sequence[Optional[SeededGenerator]],
 ) -> list[Optional[DecoyCheckResult]]:
     """Compare delivered check photons measured in matched bases.
 
@@ -877,7 +892,7 @@ def decoy_check(
     preparation.  A polarization flip or a frequency-bin mismatch both
     count as errors.  Session ``s`` proceeds at an error rate of at most
     ``thresholds[s]``.  Returns each session's result, ``None`` for a
-    session where nothing could be compared.
+    session where nothing could be compared, as for one without a handle.
     """
     t = transcript
     _post(
@@ -946,7 +961,7 @@ def wc_check(
     sample_fractions: Sequence[float],
     thresholds: Sequence[float],
     transcript: Optional[Transcript],
-    gens: Sequence[SeededGenerator],
+    gens: Sequence[Optional[SeededGenerator]],
 ) -> list[Optional[WcCheckResult]]:
     """Convert and measure a random sample of stored pairs, each stored
     pair of session ``s`` with probability ``sample_fractions[s]``.
@@ -957,11 +972,11 @@ def wc_check(
     Checked pairs are consumed and never contribute key bits.  Session
     ``s`` proceeds at an error rate of at most ``thresholds[s]``.  Returns
     each session's result, ``None`` for a session where no matched
-    comparison happened.
+    comparison happened, as for one without a handle, which samples none.
     """
     t = transcript
     eligible = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
-    sizes = _sizes(pairs, eligible, len(gens))
+    sizes = _sizes(pairs.offsets, eligible)
     sampling = _coins(gens, sizes, sample_fractions)
     sampled = eligible.take(np.flatnonzero(sampling))
     _post(
@@ -1019,18 +1034,16 @@ def transmit_a(
     pairs: PairBatch,
     active: np.ndarray,
     losses: Sequence[float],
-    eve: Optional[EveStrategy],
+    eves: Sequence[Optional[EveStrategy]],
     gens: Sequence[SeededGenerator],
 ) -> None:
     """Send the photons a of the active pairs through the channel; see
-    :func:`_channel` for ``losses`` and ``eve``."""
-    sizes = _sizes(pairs, active, len(gens))
-    delivered, basis, w = _channel(sizes, losses, eve, gens)
+    :func:`_channel` for ``losses`` and ``eves``."""
+    sizes = _sizes(pairs.offsets, active)
+    delivered, seen, basis, w = _channel(sizes, losses, eves, gens)
     pairs.a_delivered[active] = delivered
     if basis is not None:
-        _intercept_pairs(
-            pairs, active.take(np.flatnonzero(delivered)), Photon.A, basis, w
-        )
+        _intercept_pairs(pairs, active.take(np.flatnonzero(seen)), Photon.A, basis, w)
 
 
 # Codeword announced by each device outcome, in device_outcomes() order.
@@ -1044,8 +1057,9 @@ def step5_decode_and_sift(
 ) -> np.ndarray:
     """Jointly measure every reunited pair; returns the indices of these
     surviving pairs."""
-    survivors = np.flatnonzero(pairs.surviving)
-    sizes = _sizes(pairs, survivors, len(gens))
+    # the pairs that give key bits: both photons arrived, none checked
+    survivors = np.flatnonzero(pairs.b_delivered & pairs.a_delivered & ~pairs.checked)
+    sizes = _sizes(pairs.offsets, survivors)
     w = _draw(gens, sizes)[:, 0]
     outcome = _sample(ALPHABET.device, pairs.state[survivors], w)
     pairs.decoded[survivors] = _DECODED.take(outcome)
@@ -1077,9 +1091,7 @@ def _key_bits(codewords: np.ndarray) -> np.ndarray:
 def run_sessions(
     configs: Sequence[ProtocolConfig], transcript: Optional[Transcript] = None
 ) -> list[RunReport]:
-    """Run sessions that agree on :attr:`ProtocolConfig.batch_key` as one
-    batch; the seed, loss, decoy fraction, sample fraction and threshold
-    may differ from session to session.
+    """Run any sessions as one batch, each with all of its own settings.
 
     Each report is a pure function of its own config: identical configs
     (including the seed) give identical reports, whichever sessions run
@@ -1090,31 +1102,29 @@ def run_sessions(
     """
     if not configs:
         return []
-    config = configs[0]
-    if any(c.batch_key != config.batch_key for c in configs):
-        raise ValueError(
-            f"the sessions of a batch must agree on {', '.join(_BATCH_FIELDS)}"
-        )
     if transcript is not None and len(configs) > 1:
         raise ValueError("a transcript records a batch of one session")
-    t, n, count = transcript, config.pairs, len(configs)
-    # the attacker policy on each transmission, None where it intercepts none
-    eve_b, eve_a = (
-        config.eve if config.eve_targets.covers(photon) else None
-        for photon in (Photon.B, Photon.A)
-    )
+    t, count = transcript, len(configs)
     seeds = [c.seed for c in configs]
     losses = [c.loss for c in configs]
     thresholds = [c.threshold for c in configs]
+    uses_decoy = [c.check.uses_decoy for c in configs]
+    uses_wc = [c.check.uses_wc for c in configs]
+    # each session's attacker on each transmission, None where it intercepts none
+    eve_b, eve_a = (
+        [c.eve if photon in c.eve_targets.photons else None for c in configs]
+        for photon in (Photon.B, Photon.A)
+    )
     # Each stream feeds one phase and is made only for the sessions that
-    # reach that phase.
-    pairs = step1_prepare_and_encode(n, _streams(seeds, _STREAM_ALICE))
-    strategy = config.check
-    if strategy.uses_decoy:
+    # reach and run that phase.
+    pairs = step1_prepare_and_encode(
+        [c.pairs for c in configs], _streams(seeds, _STREAM_ALICE)
+    )
+    if any(uses_decoy):
         is_decoy, decoys = insert_decoys(
             pairs,
             [c.decoy_fraction for c in configs],
-            _streams(seeds, _STREAM_DECOY),
+            _streams(seeds, _STREAM_DECOY, uses_decoy),
         )
     else:  # the b sequences carry the pairs alone
         is_decoy = np.zeros(len(pairs), dtype=bool)
@@ -1132,72 +1142,62 @@ def run_sessions(
     )
 
     decoys_lost = (
-        _tally(~decoys.delivered, decoys.sizes) if strategy.uses_decoy else [0] * count
+        _tally(~decoys.delivered, decoys.sizes) if any(uses_decoy) else [0] * count
     )
     counts = [
-        dict(pairs=n, decoys=d, decoys_lost=lost, checked=0, lost=0, key_pairs=0)
-        for d, lost in zip(decoys.sizes, decoys_lost)
+        dict(pairs=c.pairs, decoys=d, decoys_lost=lost, checked=0, lost=0, key_pairs=0)
+        for c, d, lost in zip(configs, decoys.sizes, decoys_lost)
     ]
     qbers = [{"decoy_qber": None, "wc_qber": None} for _ in configs]
-    live = np.arange(count)  # the sessions still in the batch, in order
+    live = list(range(count))  # the sessions still in the batch, in order
 
-    def conclude(check: str, results: list) -> None:
-        """Record each live session's check, and drop the aborted ones,
-        counting the b photons each of them lost."""
+    def conclude(check: str, gens: list, results: list) -> None:
+        """Record the check of each live session that ran it (has a handle
+        in ``gens``), and drop the sessions it aborted, counting the b
+        photons each of them lost."""
         nonlocal live, pairs
-        proceed = np.array([r is not None and r.proceed for r in results], dtype=bool)
+        proceed = [g is None or bool(r and r.proceed) for g, r in zip(gens, results)]
         keys, counts_of = _COUNT_KEYS[check]
-        for s, result in zip(live.tolist(), results):
-            if result is not None:
+        for s, g, result in zip(live, gens, results):
+            if g is not None and result is not None:
                 qbers[s][f"{check}_qber"] = result.qber
                 counts[s].update(zip(keys, counts_of(result)))
-        if not proceed.all():
-            for j in np.flatnonzero(~proceed).tolist():
-                delivered = pairs.b_delivered[j * n : (j + 1) * n]
-                counts[int(live[j])]["lost"] = n - int(np.count_nonzero(delivered))
-            live, pairs = live[proceed], pairs.take(np.repeat(proceed, n))
+        if not all(proceed):
+            for j in (j for j, ok in enumerate(proceed) if not ok):
+                sent = pairs.b_delivered[pairs.offsets[j] : pairs.offsets[j + 1]]
+                counts[live[j]]["lost"] = len(sent) - int(np.count_nonzero(sent))
+            live = [s for s, ok in zip(live, proceed) if ok]
+            pairs = pairs.keep(np.array(proceed))
 
     def at_live(values: Sequence) -> list:
-        return [values[s] for s in live.tolist()]
+        return [values[s] for s in live]
 
-    def live_streams(stream: int) -> list[SeededGenerator]:
-        return _streams(at_live(seeds), stream)
-
-    if strategy.uses_decoy:
-        conclude(
-            "decoy",
-            decoy_check(decoys, thresholds, t, live_streams(_STREAM_BOB_DECOY)),
-        )
-    if strategy.uses_wc and len(live):
-        conclude(
-            "wc",
-            wc_check(
-                pairs,
-                at_live([c.sample_fraction for c in configs]),
-                at_live(thresholds),
-                t,
-                live_streams(_STREAM_WC),
-            ),
-        )
+    if any(uses_decoy):
+        gens = _streams(seeds, _STREAM_BOB_DECOY, uses_decoy)
+        conclude("decoy", gens, decoy_check(decoys, thresholds, t, gens))
+    if any(at_live(uses_wc)):
+        gens = _streams(at_live(seeds), _STREAM_WC, at_live(uses_wc))
+        fractions = at_live([c.sample_fraction for c in configs])
+        conclude("wc", gens, wc_check(pairs, fractions, at_live(thresholds), t, gens))
 
     # the key bytes and bit mismatches of each session that kept its key
     keys: dict[int, tuple[bytes, bytes, int]] = {}
-    if len(live):
+    if live:
         active = step4_encode_a(pairs)
-        transmit_a(
-            pairs, active, at_live(losses), eve_a, live_streams(_STREAM_CHANNEL_A)
-        )
-        survivors = step5_decode_and_sift(pairs, t, live_streams(_STREAM_DEVICE))
+        gens = _streams(at_live(seeds), _STREAM_CHANNEL_A)
+        transmit_a(pairs, active, at_live(losses), at_live(eve_a), gens)
+        gens = _streams(at_live(seeds), _STREAM_DEVICE)
+        survivors = step5_decode_and_sift(pairs, t, gens)
         alice_bits = _key_bits(pairs.codeword.take(survivors))
         bob_bits = _key_bits(pairs.decoded.take(survivors))
-        kept = _sizes(pairs, survivors, len(live))
+        kept = _sizes(pairs.offsets, survivors)
         alice_bytes, bob_bytes = alice_bits.tobytes(), bob_bits.tobytes()
         lost = ~(pairs.b_delivered & pairs.a_delivered) & ~pairs.checked
         end = 0
         for s, kept_s, lost_s, mismatches in zip(
-            live.tolist(),
+            live,
             kept,
-            _tally(lost, [n] * len(live)),
+            _tally(lost, pairs.sizes),
             _tally(alice_bits != bob_bits, [3 * k for k in kept]),
         ):
             start, end = end, end + 3 * kept_s

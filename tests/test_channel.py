@@ -64,12 +64,9 @@ def test_channel_config_validation():
 
 
 def test_eve_target_coverage():
-    assert EveTarget.B.covers(Photon.B)
-    assert not EveTarget.B.covers(Photon.A)
-    assert EveTarget.A.covers(Photon.A)
-    assert not EveTarget.A.covers(Photon.B)
-    assert EveTarget.BOTH.covers(Photon.A)
-    assert EveTarget.BOTH.covers(Photon.B)
+    assert EveTarget.B.photons == (Photon.B,)
+    assert EveTarget.A.photons == (Photon.A,)
+    assert EveTarget.BOTH.photons == (Photon.A, Photon.B)
     assert ProtocolConfig(eve=EveStrategy.Z).eve_targets is EveTarget.B
 
 

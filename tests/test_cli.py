@@ -279,12 +279,18 @@ def spy_on_batches(monkeypatch):
 
 def test_batching_the_trials_changes_no_report_byte(capsys, monkeypatch):
     batches = spy_on_batches(monkeypatch)
-    # the cells of a loss or threshold sweep share batches, those of an
-    # attacker sweep never do
-    for param, values, shared in (
-        ("loss", "0,0.3", True),
-        ("threshold", "0.1,0.4", True),
-        ("eve", "ir-z,ir-x", False),
+    # the cells of a sweep share batches whatever it varies; a batch ends
+    # only where its summed pairs would pass the budget
+    same = ((1, 10), (60, 5), (10_000, 1))  # one, two and ten trials per batch
+    for param, values, budgets in (
+        ("loss", "0,0.3", same),
+        ("threshold", "0.1,0.4", same),
+        ("eve", "ir-z,ir-x", same),
+        ("check", "decoy,wc", same),
+        # five 10-pair trials, then five 50-pair ones: a budget of 60 cuts
+        # after the small ones, 100 holds them and one large trial, and
+        # then two large trials per batch
+        ("pairs", "10,50", ((1, 10), (60, 6), (100, 3), (10_000, 1))),
     ):
         args = (
             "sweep", "--param", param, "--values", values, "--trials", "5",
@@ -292,16 +298,14 @@ def test_batching_the_trials_changes_no_report_byte(capsys, monkeypatch):
             "--eve-targets", "both", "--threshold", "0.4", "--seed", "11",
         )
         outputs = []
-        # one trial per batch, two per batch, and as many as may share one
-        budgets = ((1, 10), (60, 5 if shared else 6), (10_000, 1 if shared else 2))
         for budget, calls in budgets:
             monkeypatch.setattr(cli, "_BATCH_PAIRS", budget)
             batches.clear()
             code, out, _ = run_cli(capsys, *args)
             assert code == 0
-            assert len(batches) == calls
+            assert len(batches) == calls, (param, budget)
             outputs.append([strip_timing(line) for line in out.splitlines()])
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert all(output == outputs[0] for output in outputs)
         assert [line["trial_index"] for line in json_lines(out)] == [0, 1, 2, 3, 4] * 2
 
 
@@ -318,6 +322,18 @@ def test_a_loss_sweep_runs_as_one_batch(capsys, monkeypatch):
     assert losses == [0.0] * 4 + [0.1] * 4 + [0.2] * 4
     # the lines of a batch share its time per session
     assert len({line["elapsed_ms"] for line in json_lines(out)}) == 1
+
+
+def test_a_pairs_sweep_shares_its_batch_time_by_pairs(capsys, monkeypatch):
+    batches = spy_on_batches(monkeypatch)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--param", "pairs", "--values", "100,300", "--seed", "3"
+    )
+    assert code == 0
+    (batch,) = batches
+    assert [c.pairs for c in batch] == [100, 300]
+    small, large = (line["elapsed_ms"] for line in json_lines(out))
+    assert small > 0.0 and large == pytest.approx(3 * small, rel=1e-12)
 
 
 def test_run_is_reproducible_except_for_timing(capsys):
@@ -478,6 +494,8 @@ def test_invalid_settings_exit_with_code_two(capsys):
         (("--threshold", "1"), None, "qber_threshold must lie in (0, 1), got 1.0"),
         (("--loss", "1.5"), None, "loss probability must lie in [0, 1], got 1.5"),
         (("--trials", "0"), None, "trials must be positive, got 0"),
+        (("--seed", "-1"), None, "seed must be an int in [0, 2**64), got -1"),
+        (("--seed", str(2**64)), None, f"seed must be an int in [0, 2**64), got {2**64}"),
         ((), "check = x\n", "check must be one of ('decoy', 'wc', 'both'), got 'x'"),
     ],
 )

@@ -86,7 +86,7 @@ PAULIS = tuple(Pauli)
 
 def prepared(n, seed):
     """The pairs of step 1 for ``n`` pairs and a seed, on stream 0."""
-    return step1_prepare_and_encode(n, [SeededGenerator(seed, 0)])
+    return step1_prepare_and_encode([n], [SeededGenerator(seed, 0)])
 
 
 def no_decoys():
@@ -98,7 +98,7 @@ def no_decoys():
 def transmit_pairs_b(pairs, eve, g):
     """The first transmission of a sequence of pairs without decoys, without
     loss, under the attacker policy ``eve``."""
-    transmit_b(pairs, no_decoys(), np.zeros(len(pairs), dtype=bool), [0.0], eve, [g])
+    transmit_b(pairs, no_decoys(), np.zeros(len(pairs), dtype=bool), [0.0], [eve], [g])
 
 
 def pair_state(pairs, i):
@@ -178,12 +178,50 @@ def test_config_refuses_a_choice_outside_its_enum(field, value, message):
     assert str(info.value).startswith(message) and "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("pairs", 10.5, "pairs must be an int, got 10.5"),
+        ("pairs", True, "pairs must be an int, got True"),
+        ("pairs", "10", "pairs must be an int, got '10'"),
+        ("pairs", np.int64(10), "pairs must be an int, got "),
+        ("seed", -1, "seed must be an int in [0, 2**64), got -1"),
+        ("seed", 2**64, f"seed must be an int in [0, 2**64), got {2**64}"),
+        ("seed", True, "seed must be an int in [0, 2**64), got True"),
+        ("seed", 1.0, "seed must be an int in [0, 2**64), got 1.0"),
+        ("decoy_fraction", "0.1", "decoy_fraction must be a real number, got '0.1'"),
+        ("sample_fraction", None, "sample_fraction must be a real number, got None"),
+        ("threshold", 1j, "threshold must be a real number, got 1j"),
+        ("loss", "0.1", "loss must be a real number, got '0.1'"),
+        ("loss", False, "loss must be a real number, got False"),
+    ],
+)
+def test_config_refuses_a_number_of_the_wrong_type(field, value, message):
+    with pytest.raises(ConfigError) as info:
+        ProtocolConfig(**{field: value})
+    assert str(info.value).startswith(message) and "\n" not in str(info.value)
+
+
+def test_config_takes_any_int_or_float_number():
+    # the edges of each range, as ints, floats and numpy floats
+    config = ProtocolConfig(
+        pairs=1, seed=2**64 - 1, decoy_fraction=0, sample_fraction=1,
+        threshold=np.float64(0.5), loss=1,
+    )
+    assert (config.pairs, config.seed, config.loss) == (1, 2**64 - 1, 1)
+    assert ProtocolConfig(seed=0, loss=np.float64(0.25)).loss == 0.25
+
+
 def test_config_reports_the_first_bad_field_in_field_order():
-    # each bad field in field order, with the start of its error
+    # each bad field in field order, with the start of its error: a wrong
+    # type or a value out of range
     bad = [
+        ("pairs", 2.0, "pairs "),
+        ("seed", -1, "seed "),
         ("decoy_fraction", 1.0, "decoy_fraction "),
         ("check", "both", "check "),
         ("sample_fraction", 0.0, "check_sample_fraction "),
+        ("threshold", "0.1", "threshold "),
         ("loss", 2.0, "loss "),
         ("eve", "ir-z", "eve "),
         ("eve_targets", "a", "eve_targets "),
@@ -302,12 +340,12 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
         EveStrategy, EveTarget, (0.0, 0.3, 0.9, 1.0), (0, 1, 7, 500)
     ):
         g = SeededGenerator(n, 5)
-        eve = strategy if target.covers(Photon.A) else None
-        delivered, basis, w = _channel([n], [loss], eve, [g])
+        eve = strategy if Photon.A in target.photons else None
+        delivered, seen, basis, w = _channel([n], [loss], [eve], [g])
         ref = SeededGenerator(n, 5)
         coins = [not ref.coin(loss) for _ in range(n)]
-        assert delivered.tolist() == coins
-        if not target.covers(Photon.A):
+        assert delivered.tolist() == seen.tolist() == coins
+        if Photon.A not in target.photons:
             assert basis is None and w is None
         else:
             assert w.dtype == np.uint64
@@ -325,14 +363,16 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
         assert g.uniform() == ref.uniform()
 
 
-def reference_transmit_b(pairs, decoys, is_decoy, losses, eve, seeds):
-    """Reference: slot by slot, each session's loss coins, then for each
-    delivered slot in order the attacker's row, applied to the pair or the
-    check photon in that slot.  Updates the batches in place and returns
-    each session's stream, positioned after its last draw."""
-    n = len(pairs) // len(seeds)
+def reference_transmit_b(pairs, decoys, is_decoy, losses, eves, seeds):
+    """Reference: slot by slot, each session's loss coins, then under its
+    attacker, for each delivered slot in order the attacker's row, applied
+    to the pair or the check photon in that slot.  Updates the batches in
+    place and returns each session's stream, positioned after its last
+    draw."""
     gens, start, pair, decoy = [], 0, 0, 0
-    for seed, loss, count in zip(seeds, losses, decoys.sizes):
+    for seed, n, loss, eve, count in zip(
+        seeds, pairs.sizes, losses, eves, decoys.sizes
+    ):
         g = SeededGenerator(seed, 2)
         gens.append(g)
         slots = range(start, start + n + count)
@@ -386,29 +426,32 @@ def batch_fields(batch):
 
 
 def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
-    # each session of a batch has its own loss and decoy fraction: the
-    # first session the case's, the next ones the values after it
+    # each session of a batch has its own pair count, loss, decoy fraction
+    # and attacker: the first session the case's, the next ones the values
+    # after it
     losses, fractions = (0.0, 0.3, 1.0), (0.0, 0.4, 0.85)
+    policies = (None, *EveStrategy)
     cases = itertools.product(EveStrategy, EveTarget, range(3), range(3), (1, 2, 3))
     for case, (strategy, target, lo, fr, sessions) in enumerate(cases):
         seeds = [1000 * case + s for s in range(sessions)]
         loss = [losses[(lo + s) % 3] for s in range(sessions)]
-        n = 1 + case % 40
-        pairs = step1_prepare_and_encode(n, [SeededGenerator(s, 0) for s in seeds])
+        sizes = [1 + (case + 17 * s) % 40 for s in range(sessions)]
+        first = policies.index(strategy if Photon.B in target.photons else None)
+        eves = [policies[(first + s) % 4] for s in range(sessions)]
+        pairs = step1_prepare_and_encode(sizes, [SeededGenerator(s, 0) for s in seeds])
         is_decoy, decoys = insert_decoys(
             pairs,
             [fractions[(fr + s) % 3] for s in range(sessions)],
             [SeededGenerator(s, 1) for s in seeds],
         )
         ref_pairs, ref_decoys = (
-            type(batch)(**{k: v.copy() for k, v in vars(batch).items()})
+            type(batch)(**{f.name: getattr(batch, f.name).copy() for f in dataclasses.fields(batch)})
             for batch in (pairs, decoys)
         )
-        eve = strategy if target.covers(Photon.B) else None
         gens = [SeededGenerator(s, 2) for s in seeds]
-        transmit_b(pairs, decoys, is_decoy, loss, eve, gens)
+        transmit_b(pairs, decoys, is_decoy, loss, eves, gens)
         ref_gens = reference_transmit_b(
-            ref_pairs, ref_decoys, is_decoy, loss, eve, seeds
+            ref_pairs, ref_decoys, is_decoy, loss, eves, seeds
         )
         assert batch_fields(pairs) == batch_fields(ref_pairs)
         assert batch_fields(decoys) == batch_fields(ref_decoys)
@@ -417,7 +460,7 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
 
 
 def test_decoy_check_clean_channel_reports_zero_error():
-    pairs = step1_prepare_and_encode(500, [SeededGenerator(11, 0)])
+    pairs = step1_prepare_and_encode([500], [SeededGenerator(11, 0)])
     _, decoys = insert_decoys(pairs, [0.5], [SeededGenerator(11, 1)])
     transcript = Transcript()
     [result] = decoy_check(decoys, [0.05], transcript, [SeededGenerator(11, 3)])
@@ -436,7 +479,7 @@ def test_decoy_check_clean_channel_reports_zero_error():
 
 
 def test_decoy_check_flags_shifted_bins_and_aborts():
-    pairs = step1_prepare_and_encode(200, [SeededGenerator(13, 0)])
+    pairs = step1_prepare_and_encode([200], [SeededGenerator(13, 0)])
     _, decoys = insert_decoys(pairs, [0.5], [SeededGenerator(13, 1)])
     # swap every photon's frequency bin: the row of the other bin
     for i in range(len(decoys)):
@@ -798,25 +841,29 @@ def test_a_loss_sweep_batch_builds_one_philox_per_stream_index(monkeypatch):
 
 
 def test_session_bounds_count_each_session_s_sorted_indices():
-    # _sizes needs only the batch's length, so a range stands in for it
     rng = np.random.default_rng(2024)
     cases = [
-        (1, 1, []),  # a batch of one with nothing selected
-        (1, 5, [0, 2, 4]),
-        (3, 4, []),  # an empty idx
-        (3, 4, [4, 5, 6, 7]),  # empty first and last sessions
-        (4, 1, [0, 3]),
+        ([1], []),  # a batch of one with nothing selected
+        ([5], [0, 2, 4]),
+        ([4, 4, 4], []),  # an empty idx
+        ([4, 4, 4], [4, 5, 6, 7]),  # empty first and last sessions
+        ([1, 1, 1, 1], [0, 3]),
+        ([2, 7, 1], [1, 2, 8, 9]),  # sessions of their own sizes
     ]
     for _ in range(200):
-        count, n = int(rng.integers(1, 9)), int(rng.integers(1, 40))
-        chosen = rng.random(count * n) < rng.choice([0.0, 0.1, 0.5, 1.0])
+        sizes = rng.integers(1, 40, int(rng.integers(1, 9))).tolist()
+        chosen = rng.random(sum(sizes)) < rng.choice([0.0, 0.1, 0.5, 1.0])
         if rng.random() < 0.5:  # leave whole sessions out
-            chosen &= np.repeat(rng.random(count) < 0.5, n)
-        cases.append((count, n, np.flatnonzero(chosen).tolist()))
-    for count, n, idx in cases:
-        expected = [sum(s * n <= i < (s + 1) * n for i in idx) for s in range(count)]
-        got = _sizes(range(count * n), np.array(idx, dtype=np.intp), count)
-        assert got == expected, (count, n, idx)
+            chosen &= np.repeat(rng.random(len(sizes)) < 0.5, sizes)
+        cases.append((sizes, np.flatnonzero(chosen).tolist()))
+    for sizes, idx in cases:
+        starts = np.cumsum([0, *sizes]).tolist()
+        expected = [
+            sum(start <= i < end for i in idx)
+            for start, end in zip(starts, starts[1:])
+        ]
+        got = _sizes(np.cumsum([0, *sizes]), np.array(idx, dtype=np.intp))
+        assert got == expected, (sizes, idx)
 
 
 def test_an_empty_batch_gives_no_reports():
