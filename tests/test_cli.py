@@ -494,9 +494,9 @@ def test_invalid_settings_exit_with_code_two(capsys):
         (("--threshold", "1"), None, "qber_threshold must lie in (0, 1), got 1.0"),
         (("--loss", "1.5"), None, "loss probability must lie in [0, 1], got 1.5"),
         (("--trials", "0"), None, "trials must be positive, got 0"),
+        ((), "check = x\n", "check must be one of ('decoy', 'wc', 'both'), got 'x'"),
         (("--seed", "-1"), None, "seed must be an int in [0, 2**64), got -1"),
         (("--seed", str(2**64)), None, f"seed must be an int in [0, 2**64), got {2**64}"),
-        ((), "check = x\n", "check must be one of ('decoy', 'wc', 'both'), got 'x'"),
     ],
 )
 def test_each_validation_prints_its_exact_error_line(
