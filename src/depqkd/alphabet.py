@@ -1,0 +1,207 @@
+"""The closed alphabet of pair states and every table the session phases
+sample, all built once, at import.
+
+:data:`ALPHABET` holds the 40 pair states a session can reach (PSI+ closed
+under the encoding operations and the local measurements) and, by sampling
+key, the state each transition reaches and the outcomes of each
+measurement.  :data:`_CHOICE_OPS`, :data:`_EXPECTED_AGREE` and
+:data:`_DECODED` map codewords, operations and device outcomes to the
+phases' codes.  ``depqkd verify-tables`` checks these same tables.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .device import _DEVICE_BRAS, _converted, decode, device_outcomes
+from .quantum import LOCAL_BASIS, _LOCAL_OPERATORS, JointState, Pauli, Photon, PolBasis
+from .states import (
+    DepLabel,
+    EncodingPair,
+    Family,
+    dep_basis,
+    encoding_choices,
+    encoding_to_label,
+)
+
+# Arrays hold operations as indices into _PAULIS and bases as indices into
+# _BASES (0 = H/V, 1 = diagonal).
+_PAULIS = tuple(Pauli)
+_BASES = tuple(PolBasis)
+
+# Per-item dtypes.  Every code (codeword, choice, operation, basis, outcome,
+# decoy preparation and local state, decoded codeword, the -1 markers) is
+# below 16.  A pair state id is one of the 40 of ALPHABET, and every
+# sampling key built from one, up to 8 * id + 7 = 319, fits _STATE too.
+# Tables are read with ``take``: indexing with a narrow integer array costs
+# numpy an extra cast to intp, two to six times the gather.
+_CODE = np.int8
+_STATE = np.int16
+
+# Operation indices of encoding_choices(codeword)[choice]: row 0 holds op_a
+# and row 1 op_b, in column 2 * codeword + choice.
+_CHOICE_OPS = np.array(
+    [
+        [_PAULIS.index(op) for op in pair]
+        for codeword in range(8)
+        for pair in encoding_choices(codeword)
+    ],
+    dtype=_CODE,
+).T.copy()
+
+
+# Whether the matched-basis outcomes of a checked pair should agree, for
+# photon-b operation op and basis, at 2 * op + basis.  After conversion the
+# PHI family is correlated and the PSI family anticorrelated in H/V, while
+# the sign alone fixes the diagonal-basis relation: plus states agree, minus
+# states disagree.
+_EXPECTED_AGREE = np.array(
+    [
+        label.family is Family.PHI if basis is PolBasis.Z else label.sign > 0
+        for label in (encoding_to_label(EncodingPair(Pauli.I, op)) for op in _PAULIS)
+        for basis in _BASES
+    ]
+)
+
+# Codeword announced by each device outcome, in device_outcomes() order.
+_DECODED = np.array([decode(outcome)[1] for outcome in device_outcomes()], dtype=_CODE)
+
+# Every transition of a pair state as an operator on its amplitudes, 12 per
+# photon, photon a first: each operation of _PAULIS, then the projector on
+# row k of LOCAL_BASIS[basis] at 4 + 4 * basis + k.  Applied one 16x16
+# product each: as one wide product OpenBLAS splits them over its threads,
+# which took 30 ms at import on 2 cores and slowed the session after it.
+_PHOTON_OPERATORS = [_LOCAL_OPERATORS[op] for op in _PAULIS] + [
+    np.outer(row, row.conj()) for basis in _BASES for row in LOCAL_BASIS[basis]
+]
+_TRANSITIONS = np.array(
+    [np.kron(u, np.eye(4)) for u in _PHOTON_OPERATORS]
+    + [np.kron(np.eye(4), u) for u in _PHOTON_OPERATORS]
+)
+# Bras of a converted photon, [basis][comp], and of both measured in bases
+# (basis_a, basis_b), row 4 * (2 * basis_a + basis_b) + 2 * comp_a + comp_b.
+_QUBIT_BRAS = np.array([np.eye(2), [[1, 1], [1, -1]] / np.sqrt(2.0)])
+_CONVERTED_BRAS = np.einsum("xai,ybj->xyabij", _QUBIT_BRAS, _QUBIT_BRAS).reshape(16, 4)
+
+_GRID_BITS = 4  # an outcome is a function of its word's top 4 bits
+_GRID = 1 << _GRID_BITS
+_DECIMALS = 9  # states are looked up by their amplitudes rounded to 1e-9
+
+
+def _canonical(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``vecs`` times the global phase that makes its first
+    nonzero amplitude real and positive, and that row rounded to 1e-9,
+    whose bytes are its lookup key (adding 0.0 turns -0.0 into 0.0)."""
+    lead = vecs[np.arange(len(vecs)), (np.abs(vecs) > 10.0**-_DECIMALS).argmax(axis=1)]
+    vecs = vecs * (np.abs(lead) / lead)[:, None]
+    return vecs, np.round(vecs, _DECIMALS) + 0.0
+
+
+def _lut(name: str, p: np.ndarray) -> np.ndarray:
+    """The sampling table of outcome probabilities ``p[row]``: per row 16
+    ``int8`` entries, outcome ``i`` filling ``16 * p_i`` of them in order.
+    ``ValueError`` names the table and the row of a row off that grid."""
+    scaled = _GRID * p
+    counts = np.rint(scaled)
+    off = (np.abs(scaled - counts) > 1e-9).any(axis=1) | (counts.sum(axis=1) != _GRID)
+    if off.any():
+        row = int(np.argmax(off))
+        raise ValueError(
+            f"outcome probabilities {p[row].tolist()} of {name} row {row} "
+            f"are not multiples of 1/{_GRID} summing to 1"
+        )
+    outcomes = np.tile(np.arange(p.shape[1], dtype=_CODE), len(p))
+    return np.repeat(outcomes, counts.astype(np.intp).ravel())
+
+
+def _sample(lut: np.ndarray, keys: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The outcome of each word ``w`` under the row of its key,
+    ``lut[16 * key + (w >> 60)]``."""
+    at = keys.astype(np.intp) << _GRID_BITS
+    at |= (w >> (64 - _GRID_BITS)).view(np.intp)
+    return lut.take(at)
+
+
+class StateAlphabet:
+    """Every pair state reachable from ``source`` up to global phase, with
+    dense tables of what each state leads to.
+
+    The states are ``source`` (id 0) closed under every transition of the
+    protocol: an operation of :class:`Pauli` on either photon, and every
+    outcome of either photon measured in either basis.  From PSI+ that is
+    40 states.  A state is stored with its first nonzero amplitude real and
+    positive, and looked up by its amplitudes rounded to 1e-9.  Ids follow
+    a breadth-first walk from ``source``, whatever sessions run.
+
+    The tables are indexed by sampling key: ``prepared[op_b]`` (from
+    ``source``), ``encoded[4 * id + op_a]``, and per photon
+    ``partial[photon][2 * id + basis]`` and ``collapsed[photon][4 * (2 *
+    id + basis) + k]`` for outcome ``k``; ``device[id]``, ``wc[4 * id + 2
+    * basis_a + basis_b]``, and for a check photon with
+    :class:`~depqkd.protocol.DecoyBatch` state id ``local_id``, ``local[2 *
+    local_id + basis]``.  Bases index ``tuple(PolBasis)`` and operations
+    ``tuple(Pauli)``.  A transition holds the id of the state reached, or
+    -1 for an outcome of probability 0, which its row gives no entries; an
+    outcome row (:func:`_lut`) holds the probabilities in sixteenths.  Each
+    table is built once, by array products over stacked states, and a row
+    off the 1/16 grid or a state the converters annihilate raises.
+    """
+
+    def __init__(self, source: JointState = dep_basis(DepLabel.PSI_PLUS)) -> None:
+        self.states: list[JointState] = []
+        self._ids: dict[bytes, int] = {}
+        self._ids_of(source.vec[None])
+        ids, p = [], []  # per state, each transition's id and probability
+        done = 0
+        while done < len(self.states):  # one pass per breadth-first level
+            vecs = np.array([state.vec for state in self.states[done:]])
+            done = len(self.states)
+            reached = (_TRANSITIONS @ vecs.T).transpose(2, 0, 1)
+            p.append((np.abs(reached) ** 2).sum(axis=-1))
+            # an outcome is reached exactly when its row gives it entries
+            seen = np.rint(_GRID * p[-1]) > 0
+            ids.append(np.full(seen.shape, -1, dtype=_STATE))
+            ids[-1][seen] = self._ids_of(reached[seen] / np.sqrt(p[-1][seen])[:, None])
+        ids = np.concatenate(ids).reshape(-1, len(Photon), 12)
+        p = np.concatenate(p).reshape(ids.shape)
+        self.prepared = ids[0, 1, :4]
+        self.encoded = ids[:, 0, :4].ravel()
+        self.collapsed, self.partial = {}, {}
+        for i, photon in enumerate(Photon):
+            self.collapsed[photon] = ids[:, i, 4:].ravel()
+            rows = p[:, i, 4:].reshape(-1, 4)
+            self.partial[photon] = _lut(f"partial[{photon.value}]", rows)
+        vecs = np.array([state.vec for state in self.states])
+        self.device = _lut("device", np.abs(vecs @ _DEVICE_BRAS.T) ** 2)
+        amp = _converted(vecs) @ _CONVERTED_BRAS.T
+        self.wc = _lut("wc", (np.abs(amp) ** 2).reshape(-1, 4))
+        local = np.concatenate([LOCAL_BASIS[basis] for basis in _BASES])
+        self.local = _lut("local", np.abs(local @ local.conj().T).reshape(-1, 4) ** 2)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def _ids_of(self, vecs: np.ndarray) -> np.ndarray:
+        """The id of each state of ``vecs``, adding the new ones in order."""
+        vecs, rounded = _canonical(vecs)
+        keys, size = rounded.tobytes(), rounded.itemsize * 16
+        ids = []
+        for i in range(len(vecs)):
+            key = keys[i * size : (i + 1) * size]
+            sid = self._ids.get(key)
+            if sid is None:
+                sid = self._ids[key] = len(self.states)
+                self.states.append(JointState(vecs[i]))
+            ids.append(sid)
+        return np.array(ids, dtype=_STATE)
+
+    def index(self, state: JointState) -> int:
+        """The id of ``state`` up to global phase; ``ValueError`` outside."""
+        sid = self._ids.get(_canonical(state.vec[None])[1].tobytes())
+        if sid is None:
+            raise ValueError("the state is not in the alphabet")
+        return sid
+
+
+#: The states every session reaches, and their tables, built at import.
+ALPHABET = StateAlphabet()

@@ -38,10 +38,10 @@ from typing import Callable, NamedTuple, Optional, TextIO, get_args, get_type_hi
 
 import numpy as np
 
+from .alphabet import _DECODED, _PAULIS, ALPHABET
 from .channel import ConfigError
-from .device import decode, device_outcome_distribution, port_of
+from .device import _FAMILY_BY_PORTS, _PORT_MODES, _PORTS_A, _PORTS_B, device_outcomes
 from .protocol import ProtocolConfig, run_sessions
-from .quantum import Freq, Photon, Pol, apply_local, equal_up_to_global_phase
 from .states import (
     DepLabel,
     ENCODING_TABLE,
@@ -318,17 +318,19 @@ def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], in
 
 
 def run_table_verification() -> list[tuple[str, bool, str]]:
-    """All verification rows as (name, passed, detail)."""
+    """All verification rows as (name, passed, detail), read from the tables
+    that sessions sample: the transitions and device rows of
+    :data:`~depqkd.alphabet.ALPHABET`, the device's port routing and the
+    codeword of each device outcome."""
     rows: list[tuple[str, bool, str]] = []
-    psi_plus = dep_basis(DepLabel.PSI_PLUS)
+    sid = {label: ALPHABET.index(dep_basis(label)) for label in DepLabel}
 
     for pair, label in ENCODING_TABLE.items():
-        produced = apply_local(
-            pair.op_b, Photon.B, apply_local(pair.op_a, Photon.A, psi_plus)
-        )
-        ok = equal_up_to_global_phase(produced, dep_basis(label), 1e-12)
+        produced = ALPHABET.encoded[
+            4 * ALPHABET.prepared[_PAULIS.index(pair.op_b)] + _PAULIS.index(pair.op_a)
+        ]
         name = f"encoding {pair.op_a.value} (x) {pair.op_b.value} -> {label}"
-        rows.append((name, ok, "closure up to global phase"))
+        rows.append((name, bool(produced == sid[label]), "closure up to global phase"))
 
     codewords = {label: label_to_codeword(label) for label in DepLabel}
     bijective = sorted(codewords.values()) == list(range(8)) and all(
@@ -336,44 +338,29 @@ def run_table_verification() -> list[tuple[str, bool, str]]:
     )
     rows.append(("codeword map bijective", bijective, "8 states <-> 8 codewords"))
 
-    expected_ports = {
-        DepLabel.PHI_PLUS: (1, 2),
-        DepLabel.PHI_MINUS: (1, 2),
-        DepLabel.PSI_PLUS: (1, 4),
-        DepLabel.PSI_MINUS: (1, 4),
-        DepLabel.GAMMA_PLUS: (3, 2),
-        DepLabel.GAMMA_MINUS: (3, 2),
-        DepLabel.UPSILON_PLUS: (3, 4),
-        DepLabel.UPSILON_MINUS: (3, 4),
+    # each photon's port by local mode; a mode no port collects has none
+    port_a, port_b = (
+        {mode: port for port in ports for mode in _PORT_MODES[port]}
+        for ports in (_PORTS_A, _PORTS_B)
+    )
+    # the device outcomes that each state's sampling row gives
+    hits = {
+        label: set(ALPHABET.device[16 * i : 16 * i + 16].tolist())
+        for label, i in sid.items()
     }
-    for label, ports in expected_ports.items():
-        state = dep_basis(label)
-        seen_ports = set()
-        routed = set()
-        for idx, amp in enumerate(state.vec):
-            if abs(amp) < 1e-12:
-                continue
-            mode_a, mode_b = divmod(idx, 4)
-            routed.add(
-                (
-                    port_of(Photon.A, Pol(mode_a // 2), Freq(mode_a % 2)),
-                    port_of(Photon.B, Pol(mode_b // 2), Freq(mode_b % 2)),
-                )
-            )
-        for outcome, prob in device_outcome_distribution(state):
-            if prob > 1e-12:
-                seen_ports.add((outcome.port_a, outcome.port_b))
-        ok = routed == {ports} and seen_ports == {ports}
+    outcomes = device_outcomes()
+    # the ports that the decoder reads as each family
+    family_ports = {family: ports for ports, family in _FAMILY_BY_PORTS.items()}
+    for label in DepLabel:
+        ports = family_ports[label.family]
+        support = np.flatnonzero(np.abs(dep_basis(label).vec) > 1e-12).tolist()
+        routed = {(port_a.get(j // 4), port_b.get(j % 4)) for j in support}
+        seen = {(outcomes[o].port_a, outcomes[o].port_b) for o in hits[label]}
+        ok = routed == {ports} and seen == {ports}
         rows.append((f"ports {label} -> {ports}", ok, "routing and coincidences"))
 
     for label in DepLabel:
-        state = dep_basis(label)
-        decoded = {
-            decode(outcome)[0]
-            for outcome, prob in device_outcome_distribution(state)
-            if prob > 1e-12
-        }
-        ok = decoded == {label}
+        ok = {int(_DECODED[o]) for o in hits[label]} == {codewords[label]}
         rows.append(
             (f"discrimination {label}", ok, "all coincidences decode to the state")
         )

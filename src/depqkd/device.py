@@ -27,7 +27,6 @@ from .quantum import (
     Freq,
     JointState,
     LocalState,
-    Photon,
     Pol,
     PolBasis,
     SeededGenerator,
@@ -37,19 +36,6 @@ from .quantum import (
     mode_index,
 )
 from .states import DepLabel, Family, label_to_codeword
-
-
-def port_of(photon: Photon, pol: Pol, freq: Freq) -> int:
-    """Detector port a (polarization, frequency bin) mode is routed to.
-
-    Photon a lands on port 1 or 3, photon b on port 2 or 4.  A port bundles
-    the two modes whose polarization and bin indices agree (ports 1 and 2)
-    or differ (ports 3 and 4).
-    """
-    mismatch = int(pol) ^ int(freq)
-    if photon is Photon.A:
-        return 1 if mismatch == 0 else 3
-    return 2 if mismatch == 0 else 4
 
 
 # Local mode indices collected by each port, as (H-like mode, V-like mode).
@@ -66,6 +52,19 @@ _PORTS_A = (1, 3)
 _PORTS_B = (2, 4)
 
 
+# Both photons' frequency bins erased: (pol_a, pol_b) from the 16 modes.
+_ERASE = np.kron(np.kron(np.eye(2), np.ones(2)), np.kron(np.eye(2), np.ones(2)))
+
+
+def _converted(vecs: np.ndarray) -> np.ndarray:
+    """:func:`wavelength_convert_global` of a vector or of each stacked row."""
+    flat = vecs @ _ERASE.T
+    norm = np.linalg.norm(flat, axis=-1, keepdims=True)
+    if (norm < 1e-12).any():
+        raise StateError("wavelength conversion annihilated the state")
+    return flat / norm
+
+
 def wavelength_convert_global(state: JointState) -> np.ndarray:
     """Erase both photons' frequency bins, combining amplitudes coherently.
 
@@ -74,12 +73,7 @@ def wavelength_convert_global(state: JointState) -> np.ndarray:
     amplitudes (HH, HV, VH, VV); a state whose polarization amplitudes
     cancel entirely cannot be converted and raises :class:`StateError`.
     """
-    cube = state.vec.reshape(2, 2, 2, 2)  # (pol_a, freq_a, pol_b, freq_b)
-    flat = cube.sum(axis=(1, 3)).reshape(4)
-    norm = np.linalg.norm(flat)
-    if norm < 1e-12:
-        raise StateError("wavelength conversion annihilated the state")
-    return flat / norm
+    return _converted(state.vec)
 
 
 class DeviceOutcome(NamedTuple):
@@ -126,16 +120,6 @@ def device_probabilities(state: JointState) -> np.ndarray:
     """Probabilities of the 16 device outcomes, in :func:`device_outcomes`
     order."""
     return np.abs(_DEVICE_BRAS @ state.vec) ** 2
-
-
-def device_outcome_distribution(
-    state: JointState,
-) -> list[tuple[DeviceOutcome, float]]:
-    """Analytic outcome probabilities of the device on a pair state."""
-    return [
-        (outcome, float(p))
-        for outcome, p in zip(_DEVICE_OUTCOMES, device_probabilities(state))
-    ]
 
 
 def device_measure(state: JointState, g: SeededGenerator) -> DeviceOutcome:

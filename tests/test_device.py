@@ -7,24 +7,24 @@ import oracles
 from depqkd.device import (
     _DEVICE_MATRIX,
     _FAMILY_BY_PORTS,
+    _PORT_MODES,
     DeviceOutcome,
     decode,
     device_measure,
-    device_outcome_distribution,
     device_outcomes,
+    device_probabilities,
     measure_single,
-    port_of,
     wavelength_convert_global,
 )
 from depqkd.quantum import (
     Freq,
     JointState,
     LocalState,
-    Photon,
     Pol,
     PolBasis,
     SeededGenerator,
     StateError,
+    mode_index,
 )
 from depqkd.states import _SUPPORT, DepLabel, Family, dep_basis, label_to_codeword
 
@@ -34,27 +34,32 @@ def random_joint(rng):
     return JointState(vec / np.linalg.norm(vec))
 
 
+# Each photon's two ports, photon a's first: a port collects the two modes
+# whose polarization and bin indices agree (ports 1 and 2) or differ (3, 4).
+PORTS = ((1, 3), (2, 4))
+
+
 def test_port_routing_full_table():
-    assert port_of(Photon.A, Pol.H, Freq.LOW) == 1
-    assert port_of(Photon.A, Pol.V, Freq.HIGH) == 1
-    assert port_of(Photon.A, Pol.H, Freq.HIGH) == 3
-    assert port_of(Photon.A, Pol.V, Freq.LOW) == 3
-    assert port_of(Photon.B, Pol.H, Freq.LOW) == 2
-    assert port_of(Photon.B, Pol.V, Freq.HIGH) == 2
-    assert port_of(Photon.B, Pol.H, Freq.HIGH) == 4
-    assert port_of(Photon.B, Pol.V, Freq.LOW) == 4
+    # a port lists its (H-like mode, V-like mode)
+    assert sorted(_PORT_MODES) == [1, 2, 3, 4]
+    for ports in PORTS:
+        for pol in Pol:
+            for freq in Freq:
+                port = ports[int(pol) ^ int(freq)]
+                assert _PORT_MODES[port][int(pol)] == mode_index(pol, freq)
 
 
 def test_pair_supports_route_to_the_decoding_port_pair():
     # both product terms of a pair state land on one (port_a, port_b) pair,
     # and that pair is the one the decoder attributes to the family
+    port_a, port_b = (
+        {mode: port for port in ports for mode in _PORT_MODES[port]} for ports in PORTS
+    )
     for label in DepLabel:
         ports_seen = set()
         for joint_index in _SUPPORT[label.family]:
             mode_a, mode_b = divmod(joint_index, 4)
-            pa = port_of(Photon.A, Pol(mode_a // 2), Freq(mode_a % 2))
-            pb = port_of(Photon.B, Pol(mode_b // 2), Freq(mode_b % 2))
-            ports_seen.add((pa, pb))
+            ports_seen.add((port_a[mode_a], port_b[mode_b]))
         assert len(ports_seen) == 1
         assert _FAMILY_BY_PORTS[ports_seen.pop()] is label.family
 
@@ -113,14 +118,14 @@ def test_device_distribution_matches_dense_projector_oracle():
         reference[outcome] = proj
     for _ in range(20):
         s = random_joint(rng)
-        for outcome, prob in device_outcome_distribution(s):
+        for outcome, prob in zip(device_outcomes(), device_probabilities(s)):
             expected = oracles.born_probability(s.vec, reference[tuple(outcome)])
             assert prob == pytest.approx(expected, abs=1e-12)
 
 
 def test_device_discriminates_all_eight_states_deterministically():
     for label in DepLabel:
-        dist = device_outcome_distribution(dep_basis(label))
+        dist = zip(device_outcomes(), device_probabilities(dep_basis(label)))
         support = [(o, p) for o, p in dist if p > 1e-12]
         assert len(support) == 2
         for outcome, prob in support:
@@ -136,7 +141,7 @@ def test_sign_rule_table_recomputed_from_amplitudes():
         plus = dep_basis(DepLabel.of(family, +1))
         supported = [
             outcome
-            for outcome, p in device_outcome_distribution(plus)
+            for outcome, p in zip(device_outcomes(), device_probabilities(plus))
             if p > 1e-12
         ]
         parallel = {o.x_a == o.x_b for o in supported}
@@ -144,7 +149,7 @@ def test_sign_rule_table_recomputed_from_amplitudes():
         minus = dep_basis(DepLabel.of(family, -1))
         supported = [
             outcome
-            for outcome, p in device_outcome_distribution(minus)
+            for outcome, p in zip(device_outcomes(), device_probabilities(minus))
             if p > 1e-12
         ]
         parallel = {o.x_a == o.x_b for o in supported}

@@ -24,12 +24,9 @@ from depqkd import (
     protocol,
     run_session,
 )
+from depqkd.alphabet import ALPHABET, StateAlphabet, _sample
 from depqkd.protocol import (
-    ALPHABET,
-    DecoyPol,
-    StateAlphabet,
     _channel,
-    _sample,
     _sizes,
     _smallest,
     decoy_check,
@@ -311,13 +308,12 @@ def test_insert_decoys_count_positions_and_preparations():
         combos[int(freq) * 4 + int(pol)] += 1
     chi2 = float(np.sum((combos - count / 8) ** 2 / (count / 8)))
     assert chi2 < CHI2_7_CRIT
-    pols = tuple(DecoyPol)
     for i in range(count):
-        expected = pols[decoys.pol[i]]
+        pol = int(decoys.pol[i])  # basis pol >> 1, eigenstate pol & 1
         state = decoy_state(decoys, i)
         assert oracles.is_normalized(state.vec)
-        if expected.basis is PolBasis.Z:
-            idx = 2 * expected.comp + int(decoys.freq[i])
+        if BASES[pol >> 1] is PolBasis.Z:
+            idx = 2 * (pol & 1) + int(decoys.freq[i])
             assert abs(state.vec[idx]) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -973,7 +969,7 @@ def test_index_finds_a_state_up_to_global_phase_and_refuses_any_other():
 def test_the_alphabet_is_the_same_under_any_hash_seed():
     script = """
 import hashlib
-from depqkd.protocol import ALPHABET
+from depqkd.alphabet import ALPHABET
 h = hashlib.sha256()
 for state in ALPHABET.states:
     h.update(state.vec.tobytes())
