@@ -178,9 +178,6 @@ class StateAlphabet:
         local = np.concatenate([LOCAL_BASIS[basis] for basis in _BASES])
         self.local = _lut("local", np.abs(local @ local.conj().T).reshape(-1, 4) ** 2)
 
-    def __len__(self) -> int:
-        return len(self.states)
-
     def _ids_of(self, vecs: np.ndarray) -> np.ndarray:
         """The id of each state of ``vecs``, adding the new ones in order."""
         vecs, rounded = _canonical(vecs)

@@ -26,7 +26,10 @@ every session that runs it from that session's own stream, in the same
 order and sizes as the session run alone, and then works on all items of
 the batch at once, so no phase loops over its items in Python.  Every
 stream is a counter-based Philox key, so a session's draws do not depend
-on the sessions beside it.
+on the sessions beside it.  A session that a check aborts stays in the
+batch, but gets no stream for the later phases, so none of them draws
+for it or touches its pairs.  The checks return per-session tallies, and
+:func:`run_sessions` judges each session against its own threshold.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate, groupby, repeat
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -239,15 +242,16 @@ def _draw(
 ) -> np.ndarray:
     """``sizes[s]`` rows of ``width`` words from each ``gens[s]``, in
     session order; a session without a handle has no rows and draws
-    nothing, and a batch of one makes a single call and no copy.
+    nothing, so a run of such sessions gives an empty block, and a batch
+    of one makes a single call and no copy.
 
     A word stands for the double ``u`` that :func:`~depqkd.quantum.doubles`
     makes of it.  :func:`_coins`, :func:`_basis_coins` and :func:`_randints`
     decide on the word as an integer, with the outcome ``u`` would give;
     :func:`_sample` reads its top 4 bits, ``floor(16 * u)``.
     """
-    w = _joined([g.words(m * width) for g, m in zip(gens, sizes) if g is not None])
-    return w.reshape(-1, width)
+    blocks = [g.words(m * width) for g, m in zip(gens, sizes) if g is not None]
+    return _joined(blocks or [np.zeros(0, dtype=np.uint64)]).reshape(-1, width)
 
 
 def _coins(
@@ -331,12 +335,6 @@ class PairBatch:
     def __len__(self) -> int:
         return len(self.codeword)
 
-    def keep(self, sessions: np.ndarray) -> PairBatch:
-        """The sessions where the bool array ``sessions`` holds."""
-        at = np.repeat(sessions, self.sizes)
-        sizes = [n for n, kept in zip(self.sizes, sessions) if kept]
-        return PairBatch(sizes, *(getattr(self, f.name)[at] for f in fields(self)[1:]))
-
 
 @dataclass
 class DecoyBatch:
@@ -348,8 +346,6 @@ class DecoyBatch:
     is the local id ``4 * basis + k`` of row ``k`` of the
     ``tuple(PolBasis)[basis]`` :data:`~depqkd.quantum.LOCAL_BASIS` table,
     ``2 * pol + freq`` as prepared; the attacker resends such a row too.
-    Bases and outcomes of the attacker and the receiver use the same
-    encoding as :class:`PairBatch`, with ``-1`` for none.
     """
 
     sizes: list[int]  # decoys of each session
@@ -358,28 +354,16 @@ class DecoyBatch:
     pol: np.ndarray
     state: np.ndarray
     delivered: np.ndarray
-    eve_basis: np.ndarray
-    eve_outcome: np.ndarray
-    bob_basis: np.ndarray
-    bob_outcome: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.position)
 
 
 def _decoy_batch(sizes, position, freq, pol) -> DecoyBatch:
-    n = len(position)
     return DecoyBatch(
         sizes=sizes,
         position=position,
         freq=freq,
         pol=pol,
         state=2 * pol + freq,
-        delivered=np.ones(n, dtype=bool),
-        eve_basis=_unset(n),
-        eve_outcome=_unset(n),
-        bob_basis=_unset(n),
-        bob_outcome=_unset(n),
+        delivered=np.ones(len(position), dtype=bool),
     )
 
 
@@ -406,7 +390,7 @@ def _channel(
     sizes: Sequence[int],
     losses: Sequence[float],
     eves: Sequence[Optional[EveStrategy]],
-    gens: Sequence[SeededGenerator],
+    gens: Sequence[Optional[SeededGenerator]],
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Send ``sizes[s]`` photons of each session ``s`` through its channel,
     of loss probability ``losses[s]``, under the attacker policy
@@ -419,7 +403,8 @@ def _channel(
     together.  Returns the delivery mask, the mask of the photons the
     attacker measured (the delivered ones of attacked sessions), and its
     basis and measurement word per such photon, or ``None`` for both when
-    no session is attacked.
+    no session is attacked.  A session without a handle sends no photons
+    and draws nothing.
     """
     delivered = ~_coins(gens, sizes, losses)
     attacked = [eve is not None for eve in eves]
@@ -560,48 +545,32 @@ def transmit_b(
     hit = np.flatnonzero(seen_decoys)
     basis = basis.take(rows)
     k = _sample(ALPHABET.local, 2 * decoys.state.take(hit) + basis, w.take(rows))
-    decoys.eve_basis[hit], decoys.eve_outcome[hit] = basis, k
     decoys.state[hit] = 4 * basis + k
 
 
-@dataclass(frozen=True)
-class DecoyCheckResult:
-    qber: float
-    proceed: bool
-    compared: int
-    errors: int
-    pol_errors: int
-    freq_errors: int
-    z_prepared_compared: int
-    z_prepared_errors: int
-    x_prepared_compared: int
-    x_prepared_errors: int
-
-
-@dataclass(frozen=True)
-class WcCheckResult:
-    qber: float
-    proceed: bool
-    compared: int
-    errors: int
-    z_compared: int
-    z_errors: int
-    x_compared: int
-    x_errors: int
-    checked_count: int
-
-
-#: The report's count keys of every count a check's result holds, its fields
-#: after ``qber`` and ``proceed``, and a getter of those fields.
+#: The report's count keys of each check's per-session tallies, in the
+#: order of the columns the check returns: the compared items and the
+#: errors first.
 _COUNT_KEYS = {
-    check: (
-        tuple(
-            "checked" if f.name == "checked_count" else f"{check}_{f.name}"
-            for f in fields(result_type)[2:]
-        ),
-        attrgetter(*(f.name for f in fields(result_type)[2:])),
-    )
-    for check, result_type in (("decoy", DecoyCheckResult), ("wc", WcCheckResult))
+    "decoy": (
+        "decoy_compared",
+        "decoy_errors",
+        "decoy_pol_errors",
+        "decoy_freq_errors",
+        "decoy_z_prepared_compared",
+        "decoy_z_prepared_errors",
+        "decoy_x_prepared_compared",
+        "decoy_x_prepared_errors",
+    ),
+    "wc": (
+        "wc_compared",
+        "wc_errors",
+        "wc_z_compared",
+        "wc_z_errors",
+        "wc_x_compared",
+        "wc_x_errors",
+        "checked",
+    ),
 }
 
 
@@ -635,69 +604,24 @@ def _post(
 _INDETERMINATE = {"decoy": "no matched decoys", "wc": "no matched pair comparisons"}
 
 
-def _conclude(
-    check: str,
-    compared: int,
-    errors: int,
-    qber_threshold: float,
-    transcript: Optional[Transcript],
-) -> Optional[tuple[float, bool]]:
-    """Error rate and verdict of a check, announced; ``None`` when nothing
-    was compared, which leaves the check indeterminate."""
-    if compared == 0:
-        reason = _INDETERMINATE[check]
-        _post(transcript, "alice", MessageKind.ABORT, lambda: {"reason": reason})
-        return None
-    qber = errors / compared
-    proceed = qber <= qber_threshold
-    _post(
-        transcript,
-        "alice",
-        MessageKind.OUTCOME_COMPARISON,
-        lambda: {"check": check, "compared": compared, "errors": errors, "qber": qber},
-    )
-    _post(
-        transcript,
-        "alice",
-        MessageKind.PROCEED if proceed else MessageKind.ABORT,
-        lambda: {"check": check, "qber": qber},
-    )
-    return qber, proceed
-
-
-def _verdicts(
-    check: str,
-    sizes: Sequence[int],
-    thresholds: Sequence[float],
-    transcript: Optional[Transcript],
-    *masks: np.ndarray,
-) -> Iterator[tuple[int, Optional[tuple[float, bool]], list[int]]]:
-    """Per session, in order: its ``sizes[s]``, its verdict from
-    :func:`_conclude` against ``thresholds[s]``, and its count of true
-    entries of each mask over its ``sizes[s]`` items.  The first two masks
-    mark the compared items and the errors."""
-    start = 0
-    for size, threshold in zip(sizes, thresholds):
-        end = start + size
-        tally = [int(np.count_nonzero(mask[start:end])) for mask in masks]
-        start = end
-        yield size, _conclude(check, tally[0], tally[1], threshold, transcript), tally
+def _tallies(sizes: Sequence[int], *masks: np.ndarray) -> list[tuple[int, ...]]:
+    """Per session, its count of true entries of each mask over its
+    ``sizes[s]`` items, one column per mask."""
+    return list(zip(*(_tally(mask, sizes) for mask in masks)))
 
 
 def decoy_check(
     decoys: DecoyBatch,
-    thresholds: Sequence[float],
     transcript: Optional[Transcript],
     gens: Sequence[Optional[SeededGenerator]],
-) -> list[Optional[DecoyCheckResult]]:
+) -> list[tuple[int, ...]]:
     """Compare delivered check photons measured in matched bases.
 
     The receiver measures every delivered decoy in a uniformly random
     basis; comparisons count only where that basis matches the
     preparation.  A polarization flip or a frequency-bin mismatch both
-    count as errors.  Session ``s`` proceeds at an error rate of at most
-    ``thresholds[s]``.  Returns each session's result, ``None`` for a
-    session where nothing could be compared, as for one without a handle.
+    count as errors.  Returns each session's tallies in the column order
+    of ``_COUNT_KEYS["decoy"]``, all 0 for a session without a handle.
     """
     t = transcript
     _post(
@@ -711,7 +635,6 @@ def decoy_check(
     w = _draw(gens, sizes, 2)
     basis = _basis_coins(w[:, 0])
     k = _sample(ALPHABET.local, 2 * decoys.state[idx] + basis, w[:, 1])
-    decoys.bob_basis[idx], decoys.bob_outcome[idx] = basis, k
     _post(
         t,
         "bob",
@@ -731,10 +654,9 @@ def decoy_check(
     z = prepared == _BASES.index(PolBasis.Z)
     # the X-prepared counts are the rest of each session's comparisons
     return [
-        verdict and DecoyCheckResult(*verdict, c, e, pol, freq, zc, ze, c - zc, e - ze)
-        for _, verdict, (c, e, pol, freq, zc, ze) in _verdicts(
-            "decoy", sizes, thresholds, t,
-            matched, bad, pol_bad, freq_bad, matched & z, bad & z,
+        (c, e, pol_e, freq_e, zc, ze, c - zc, e - ze)
+        for c, e, pol_e, freq_e, zc, ze in _tallies(
+            sizes, matched, bad, pol_bad, freq_bad, matched & z, bad & z
         )
     ]
 
@@ -742,20 +664,18 @@ def decoy_check(
 def wc_check(
     pairs: PairBatch,
     sample_fractions: Sequence[float],
-    thresholds: Sequence[float],
     transcript: Optional[Transcript],
     gens: Sequence[Optional[SeededGenerator]],
-) -> list[Optional[WcCheckResult]]:
+) -> list[tuple[int, ...]]:
     """Convert and measure a random sample of stored pairs, each stored
     pair of session ``s`` with probability ``sample_fractions[s]``.
 
     Both parties wavelength-convert their photon of each sampled pair and
     measure it in an independently random basis; matched-basis outcomes
     are compared against the correlation the first encoding step dictates.
-    Checked pairs are consumed and never contribute key bits.  Session
-    ``s`` proceeds at an error rate of at most ``thresholds[s]``.  Returns
-    each session's result, ``None`` for a session where no matched
-    comparison happened, as for one without a handle, which samples none.
+    Checked pairs are consumed and never contribute key bits.  Returns
+    each session's tallies in the column order of ``_COUNT_KEYS["wc"]``,
+    all 0 for a session without a handle, which samples none.
     """
     t = transcript
     eligible = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
@@ -795,18 +715,21 @@ def wc_check(
     z = basis_a == _BASES.index(PolBasis.Z)
     # the X-basis counts are the rest of each session's comparisons, and
     # every sampled pair is checked
+    tallies = _tallies(sizes, matched, bad, matched & z, bad & z)
     return [
-        verdict and WcCheckResult(*verdict, c, e, zc, ze, c - zc, e - ze, size)
-        for size, verdict, (c, e, zc, ze) in _verdicts(
-            "wc", sizes, thresholds, t, matched, bad, matched & z, bad & z
-        )
+        (c, e, zc, ze, c - zc, e - ze, n)
+        for (c, e, zc, ze), n in zip(tallies, sizes)
     ]
 
 
-def step4_encode_a(pairs: PairBatch) -> np.ndarray:
-    """Apply the photon-a operation, completing each stored codeword;
-    returns the indices of those active pairs."""
-    active = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
+def step4_encode_a(pairs: PairBatch, live: Sequence[bool]) -> np.ndarray:
+    """Apply the photon-a operation to the stored pairs of each session
+    ``s`` where ``live[s]`` holds, completing their codewords; returns the
+    indices of those active pairs."""
+    stored = pairs.b_delivered & ~pairs.checked
+    if not all(live):
+        stored &= np.repeat(live, pairs.sizes)
+    active = np.flatnonzero(stored)
     pairs.state[active] = ALPHABET.encoded.take(
         4 * pairs.state[active] + pairs.op_a[active]
     )
@@ -818,7 +741,7 @@ def transmit_a(
     active: np.ndarray,
     losses: Sequence[float],
     eves: Sequence[Optional[EveStrategy]],
-    gens: Sequence[SeededGenerator],
+    gens: Sequence[Optional[SeededGenerator]],
 ) -> None:
     """Send the photons a of the active pairs through the channel; see
     :func:`_channel` for ``losses`` and ``eves``."""
@@ -831,13 +754,13 @@ def transmit_a(
 
 def step5_decode_and_sift(
     pairs: PairBatch,
+    active: np.ndarray,
     transcript: Optional[Transcript],
-    gens: Sequence[SeededGenerator],
+    gens: Sequence[Optional[SeededGenerator]],
 ) -> np.ndarray:
-    """Jointly measure every reunited pair; returns the indices of these
-    surviving pairs."""
-    # the pairs that give key bits: both photons arrived, none checked
-    survivors = np.flatnonzero(pairs.b_delivered & pairs.a_delivered & ~pairs.checked)
+    """Jointly measure every reunited pair of the ``active`` ones, those
+    whose photon a arrived too; returns the indices of these survivors."""
+    survivors = active.take(np.flatnonzero(pairs.a_delivered.take(active)))
     sizes = _sizes(pairs.offsets, survivors)
     w = _draw(gens, sizes)[:, 0]
     outcome = _sample(ALPHABET.device, pairs.state[survivors], w)
@@ -875,7 +798,8 @@ def run_sessions(
     Each report is a pure function of its own config: identical configs
     (including the seed) give identical reports, whichever sessions run
     beside them.  A failed or indeterminate security check aborts its
-    session with empty keys, and the session's pairs drop out of the batch.
+    session with empty keys; its pairs stay in the batch, and no later
+    phase draws for them.
     The public messages are recorded only when a ``transcript`` is passed,
     which only a batch of one accepts.  An empty batch gives no reports.
     """
@@ -928,70 +852,78 @@ def run_sessions(
         for c, d, lost in zip(configs, decoys.sizes, decoys_lost)
     ]
     qbers = [{"decoy_qber": None, "wc_qber": None} for _ in configs]
-    live = list(range(count))  # the sessions still in the batch, in order
+    live = [True] * count  # the sessions no check has aborted
 
-    def conclude(check: str, gens: list, results: list) -> None:
-        """Record the check of each live session that ran it (has a handle
-        in ``gens``), and drop the sessions it aborted, counting the b
-        photons each of them lost."""
-        nonlocal live, pairs
-        proceed = [g is None or bool(r and r.proceed) for g, r in zip(gens, results)]
-        keys, counts_of = _COUNT_KEYS[check]
-        for s, g, result in zip(live, gens, results):
-            if g is not None and result is not None:
-                qbers[s][f"{check}_qber"] = result.qber
-                counts[s].update(zip(keys, counts_of(result)))
-        if not all(proceed):
-            for j in (j for j, ok in enumerate(proceed) if not ok):
-                sent = pairs.b_delivered[pairs.offsets[j] : pairs.offsets[j + 1]]
-                counts[live[j]]["lost"] = len(sent) - int(np.count_nonzero(sent))
-            live = [s for s, ok in zip(live, proceed) if ok]
-            pairs = pairs.keep(np.array(proceed))
-
-    def at_live(values: Sequence) -> list:
-        return [values[s] for s in live]
+    def judge(check: str, gens: list, tallies: list) -> None:
+        """Record the tallies of each session that ran ``check`` (has a
+        handle in ``gens``) and announce its verdict: it aborts when it
+        compared nothing or its error rate passes its threshold."""
+        for s, (g, tally) in enumerate(zip(gens, tallies)):
+            if g is None:
+                continue
+            counts[s].update(zip(_COUNT_KEYS[check], tally))
+            compared, errors = tally[:2]
+            if compared == 0:
+                live[s] = False
+                reason = _INDETERMINATE[check]
+                _post(t, "alice", MessageKind.ABORT, lambda: {"reason": reason})
+                continue
+            qber = qbers[s][f"{check}_qber"] = errors / compared
+            live[s] = qber <= thresholds[s]
+            _post(
+                t,
+                "alice",
+                MessageKind.OUTCOME_COMPARISON,
+                lambda: dict(check=check, compared=compared, errors=errors, qber=qber),
+            )
+            _post(
+                t,
+                "alice",
+                MessageKind.PROCEED if live[s] else MessageKind.ABORT,
+                lambda: {"check": check, "qber": qber},
+            )
 
     if any(uses_decoy):
         gens = _streams(seeds, _STREAM_BOB_DECOY, uses_decoy)
-        conclude("decoy", gens, decoy_check(decoys, thresholds, t, gens))
-    if any(at_live(uses_wc)):
-        gens = _streams(at_live(seeds), _STREAM_WC, at_live(uses_wc))
-        fractions = at_live([c.sample_fraction for c in configs])
-        conclude("wc", gens, wc_check(pairs, fractions, at_live(thresholds), t, gens))
+        judge("decoy", gens, decoy_check(decoys, t, gens))
+    runs_wc = [uses and ok for uses, ok in zip(uses_wc, live)]
+    if any(runs_wc):
+        gens = _streams(seeds, _STREAM_WC, runs_wc)
+        fractions = [c.sample_fraction for c in configs]
+        judge("wc", gens, wc_check(pairs, fractions, t, gens))
 
-    # the key bytes and bit mismatches of each session that kept its key
-    keys: dict[int, tuple[bytes, bytes, int]] = {}
-    if live:
-        active = step4_encode_a(pairs)
-        gens = _streams(at_live(seeds), _STREAM_CHANNEL_A)
-        transmit_a(pairs, active, at_live(losses), at_live(eve_a), gens)
-        gens = _streams(at_live(seeds), _STREAM_DEVICE)
-        survivors = step5_decode_and_sift(pairs, t, gens)
-        alice_bits = _key_bits(pairs.codeword.take(survivors))
-        bob_bits = _key_bits(pairs.decoded.take(survivors))
-        kept = _sizes(pairs.offsets, survivors)
-        alice_bytes, bob_bytes = alice_bits.tobytes(), bob_bits.tobytes()
-        lost = ~(pairs.b_delivered & pairs.a_delivered) & ~pairs.checked
-        end = 0
-        for s, kept_s, lost_s, mismatches in zip(
-            live,
+    survivors = np.zeros(0, dtype=np.intp)
+    if any(live):
+        active = step4_encode_a(pairs, live)
+        gens = _streams(seeds, _STREAM_CHANNEL_A, live)
+        transmit_a(pairs, active, losses, eve_a, gens)
+        gens = _streams(seeds, _STREAM_DEVICE, live)
+        survivors = step5_decode_and_sift(pairs, active, t, gens)
+    kept = _sizes(pairs.offsets, survivors)
+    alice_bits = _key_bits(pairs.codeword.take(survivors))
+    bob_bits = _key_bits(pairs.decoded.take(survivors))
+    alice_bytes, bob_bytes = alice_bits.tobytes(), bob_bits.tobytes()
+    # a pair neither checked nor kept lost a photon; an aborted session
+    # never sent its photons a
+    lost = ~(pairs.b_delivered & pairs.a_delivered) & ~pairs.checked
+    reports, end = [], 0
+    for s, (config, kept_s, lost_s, mismatches) in enumerate(
+        zip(
+            configs,
             kept,
             _tally(lost, pairs.sizes),
             _tally(alice_bits != bob_bits, [3 * k for k in kept]),
-        ):
-            start, end = end, end + 3 * kept_s
-            keys[s] = alice_bytes[start:end], bob_bytes[start:end], mismatches
-            counts[s].update(lost=lost_s, key_pairs=kept_s)
-    reports = []
-    for s, config in enumerate(configs):
-        alice, bob, mismatches = keys.get(s, (b"", b"", 0))
+        )
+    ):
+        start, end = end, end + 3 * kept_s
+        counts[s].update(lost=lost_s, key_pairs=kept_s)
         reports.append(
             RunReport(
                 **qbers[s],
-                aborted=s not in keys,
-                alice_key=alice,
-                bob_key=bob,
-                final_qber=mismatches / len(alice) if alice else 0.0,
+                aborted=not live[s],
+                alice_key=alice_bytes[start:end],
+                bob_key=bob_bytes[start:end],
+                final_qber=mismatches / (end - start) if kept_s else 0.0,
                 counts=counts[s],
                 config=config,
             )

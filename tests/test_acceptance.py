@@ -18,13 +18,7 @@ from depqkd import CheckStrategy, EveStrategy, ProtocolConfig, run_session
 from depqkd.alphabet import ALPHABET
 from depqkd.cli import main
 from depqkd.device import decode, device_outcomes, device_probabilities
-from depqkd.quantum import (
-    JointState,
-    Photon,
-    SeededGenerator,
-    apply_local,
-    equal_up_to_global_phase,
-)
+from depqkd.quantum import JointState, Pauli, Photon, SeededGenerator
 from depqkd.states import (
     ENCODING_TABLE,
     DepLabel,
@@ -48,13 +42,15 @@ def criterion(number: int, title: str, budget_s: float):
 
 
 def test_criterion_1_encoding_table_closure():
+    # the states sessions sample: photon b's operation prepares a state of
+    # the alphabet, and photon a's operation encodes it
+    paulis = tuple(Pauli)
     with criterion(1, "all 16 operation pairs reproduce their tabulated state", 1.0):
-        start = dep_basis(DepLabel.PSI_PLUS)
         for pair, label in ENCODING_TABLE.items():
-            produced = apply_local(
-                pair.op_a, Photon.A, apply_local(pair.op_b, Photon.B, start)
-            )
-            assert equal_up_to_global_phase(produced, dep_basis(label), 1e-12), pair
+            prepared = ALPHABET.prepared[paulis.index(pair.op_b)]
+            sid = ALPHABET.encoded[4 * prepared + paulis.index(pair.op_a)]
+            produced = oracles.classify(ALPHABET.states[sid].vec)
+            assert produced == (label.family.value.lower(), label.sign), pair
 
 
 def sample_counts(state, shots, g):

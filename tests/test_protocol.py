@@ -2,6 +2,7 @@
 
 import compileall
 import dataclasses
+import hashlib
 import itertools
 import os
 import platform
@@ -88,7 +89,7 @@ def prepared(n, seed):
 
 def no_decoys():
     _, decoys = insert_decoys(prepared(1, 0), [0.0], [SeededGenerator(0, 1)])
-    assert len(decoys) == 0
+    assert len(decoys.position) == 0
     return decoys
 
 
@@ -285,7 +286,7 @@ def test_insert_decoys_zero_fraction_changes_nothing():
     pairs = prepared(30, 1)
     codewords = pairs.codeword.copy()
     is_decoy, decoys = insert_decoys(pairs, [0.0], [SeededGenerator(1, 1)])
-    assert len(decoys) == 0
+    assert len(decoys.position) == 0
     assert is_decoy.tolist() == [False] * 30
     assert np.array_equal(pairs.codeword, codewords)
 
@@ -294,7 +295,7 @@ def test_insert_decoys_count_positions_and_preparations():
     n = 5000
     pairs = prepared(n, 5)
     is_decoy, decoys = insert_decoys(pairs, [0.2], [SeededGenerator(5, 1)])
-    count = len(decoys)
+    count = len(decoys.position)
     sigma = np.sqrt(n * 0.2 * 0.8)
     assert abs(count - n * 0.2) < 4 * sigma
     assert len(is_decoy) == n + count
@@ -397,7 +398,6 @@ def reference_transmit_b(pairs, decoys, is_decoy, losses, eves, seeds):
             if on_decoy:
                 p = local_probabilities(decoy_state(decoys, i), BASES[basis])
                 k = oracles.grid_outcome(p, word)
-                decoys.eve_basis[i], decoys.eve_outcome[i] = basis, k
                 decoys.state[i] = 4 * basis + k
             else:
                 state = pair_state(pairs, i)
@@ -455,22 +455,31 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
         assert [g.uniform() for g in gens] == [g.uniform() for g in ref_gens]
 
 
+def tallies_of(check, tallies):
+    """The one session's tallies of a check, by their report count keys."""
+    [tally] = tallies
+    return dict(zip(protocol._COUNT_KEYS[check], tally))
+
+
 def test_decoy_check_clean_channel_reports_zero_error():
     pairs = step1_prepare_and_encode([500], [SeededGenerator(11, 0)])
     _, decoys = insert_decoys(pairs, [0.5], [SeededGenerator(11, 1)])
     transcript = Transcript()
-    [result] = decoy_check(decoys, [0.05], transcript, [SeededGenerator(11, 3)])
-    assert result.qber == 0.0
-    assert result.proceed
-    assert result.errors == result.pol_errors == result.freq_errors == 0
-    assert result.compared > 0
-    assert result.z_prepared_compared + result.x_prepared_compared == result.compared
-    assert result.compared / len(decoys) == pytest.approx(0.5, abs=0.1)
+    gens = [SeededGenerator(11, 3)]
+    tally = tallies_of("decoy", decoy_check(decoys, transcript, gens))
+    assert tally["decoy_errors"] == 0
+    assert tally["decoy_pol_errors"] == tally["decoy_freq_errors"] == 0
+    assert tally["decoy_compared"] > 0
+    assert (
+        tally["decoy_z_prepared_compared"] + tally["decoy_x_prepared_compared"]
+        == tally["decoy_compared"]
+    )
+    compared = tally["decoy_compared"] / len(decoys.position)
+    assert compared == pytest.approx(0.5, abs=0.1)
+    # the verdict is announced by the session, after the check
     assert transcript.kinds() == (
         MessageKind.POSITIONS,
         MessageKind.BASIS_DECLARATION,
-        MessageKind.OUTCOME_COMPARISON,
-        MessageKind.PROCEED,
     )
 
 
@@ -478,49 +487,46 @@ def test_decoy_check_flags_shifted_bins_and_aborts():
     pairs = step1_prepare_and_encode([200], [SeededGenerator(13, 0)])
     _, decoys = insert_decoys(pairs, [0.5], [SeededGenerator(13, 1)])
     # swap every photon's frequency bin: the row of the other bin
-    for i in range(len(decoys)):
+    for i in range(len(decoys.position)):
         swapped = decoy_state(decoys, i).vec.reshape(2, 2)[:, ::-1].reshape(4)
         decoys.state[i] ^= 1
         assert np.array_equal(decoy_state(decoys, i).vec, swapped)
-    transcript = Transcript()
-    [result] = decoy_check(decoys, [0.05], transcript, [SeededGenerator(13, 3)])
-    assert result.qber == 1.0
-    assert result.freq_errors == result.compared
-    assert result.pol_errors == 0
-    assert not result.proceed
-    assert transcript.kinds()[-1] is MessageKind.ABORT
+    gens = [SeededGenerator(13, 3)]
+    tally = tallies_of("decoy", decoy_check(decoys, Transcript(), gens))
+    # an error rate of 1, above any threshold
+    assert tally["decoy_compared"] > 0
+    assert tally["decoy_errors"] == tally["decoy_compared"]
+    assert tally["decoy_freq_errors"] == tally["decoy_compared"]
+    assert tally["decoy_pol_errors"] == 0
 
 
 def test_decoy_check_with_nothing_to_compare_is_indeterminate():
-    transcript = Transcript()
     gens = [SeededGenerator(1, 3)]
-    assert decoy_check(no_decoys(), [0.05], transcript, gens) == [None]
-    assert MessageKind.ABORT in transcript.kinds()
+    assert decoy_check(no_decoys(), Transcript(), gens) == [(0,) * 8]
 
 
 def test_wc_check_clean_channel_reports_zero_error():
     pairs = prepared(800, 17)
     transcript = Transcript()
-    [result] = wc_check(pairs, [0.5], [0.05], transcript, [SeededGenerator(17, 4)])
-    assert result.qber == 0.0
-    assert result.proceed
-    assert result.z_errors == result.x_errors == 0
-    assert result.z_compared + result.x_compared == result.compared
-    assert result.checked_count == np.count_nonzero(pairs.checked)
-    assert result.checked_count / 800 == pytest.approx(0.5, abs=0.07)
-    assert result.compared / result.checked_count == pytest.approx(0.5, abs=0.07)
+    tally = tallies_of(
+        "wc", wc_check(pairs, [0.5], transcript, [SeededGenerator(17, 4)])
+    )
+    assert tally["wc_errors"] == tally["wc_z_errors"] == tally["wc_x_errors"] == 0
+    assert tally["wc_z_compared"] + tally["wc_x_compared"] == tally["wc_compared"]
+    assert tally["checked"] == np.count_nonzero(pairs.checked)
+    assert tally["checked"] / 800 == pytest.approx(0.5, abs=0.07)
+    assert tally["wc_compared"] / tally["checked"] == pytest.approx(0.5, abs=0.07)
+    # the verdict is announced by the session, after the check
     assert transcript.kinds() == (
         MessageKind.POSITIONS,
         MessageKind.BASIS_DECLARATION,
-        MessageKind.OUTCOME_COMPARISON,
-        MessageKind.PROCEED,
     )
 
 
 def test_wc_check_skips_lost_pairs_and_marks_checked():
     pairs = prepared(100, 19)
     pairs.b_delivered[:30] = False
-    wc_check(pairs, [1.0], [0.05], Transcript(), [SeededGenerator(19, 4)])
+    wc_check(pairs, [1.0], Transcript(), [SeededGenerator(19, 4)])
     assert not pairs.checked[:30].any()
     assert pairs.checked[30:].all()
 
@@ -528,37 +534,50 @@ def test_wc_check_skips_lost_pairs_and_marks_checked():
 def test_wc_check_error_rates_under_fixed_z_attack():
     pairs = prepared(6000, 23)
     transmit_pairs_b(pairs, EveStrategy.Z, SeededGenerator(23, 2))
-    [result] = wc_check(pairs, [1.0], [0.05], Transcript(), [SeededGenerator(23, 4)])
+    tally = tallies_of(
+        "wc", wc_check(pairs, [1.0], Transcript(), [SeededGenerator(23, 4)])
+    )
     rates = WC_RATES["Z"]
-    assert result.z_errors / result.z_compared == pytest.approx(rates["z"], abs=0.01)
-    assert result.x_errors / result.x_compared == pytest.approx(rates["x"], abs=0.03)
-    assert result.qber == pytest.approx(rates["pooled"], abs=0.02)
-    assert not result.proceed
+    z_rate = tally["wc_z_errors"] / tally["wc_z_compared"]
+    x_rate = tally["wc_x_errors"] / tally["wc_x_compared"]
+    assert z_rate == pytest.approx(rates["z"], abs=0.01)
+    assert x_rate == pytest.approx(rates["x"], abs=0.03)
+    qber = tally["wc_errors"] / tally["wc_compared"]
+    assert qber == pytest.approx(rates["pooled"], abs=0.02)
 
 
 def test_wc_check_error_rates_under_random_basis_attack():
     pairs = prepared(6000, 29)
     transmit_pairs_b(pairs, EveStrategy.RANDOM_ZX, SeededGenerator(29, 2))
-    [result] = wc_check(pairs, [1.0], [0.05], Transcript(), [SeededGenerator(29, 4)])
+    tally = tallies_of(
+        "wc", wc_check(pairs, [1.0], Transcript(), [SeededGenerator(29, 4)])
+    )
     rates = WC_RATES["RANDOM"]
-    assert result.z_errors / result.z_compared == pytest.approx(rates["z"], abs=0.03)
-    assert result.x_errors / result.x_compared == pytest.approx(rates["x"], abs=0.03)
-    assert result.qber == pytest.approx(rates["pooled"], abs=0.02)
+    z_rate = tally["wc_z_errors"] / tally["wc_z_compared"]
+    x_rate = tally["wc_x_errors"] / tally["wc_x_compared"]
+    assert z_rate == pytest.approx(rates["z"], abs=0.03)
+    assert x_rate == pytest.approx(rates["x"], abs=0.03)
+    qber = tally["wc_errors"] / tally["wc_compared"]
+    assert qber == pytest.approx(rates["pooled"], abs=0.02)
 
 
 def test_wc_check_with_no_matched_bases_is_indeterminate():
     pairs = prepared(3, 31)
     pairs.b_delivered[:] = False
-    transcript = Transcript()
     gens = [SeededGenerator(31, 4)]
-    assert wc_check(pairs, [1.0], [0.05], transcript, gens) == [None]
-    assert transcript.kinds()[-1] is MessageKind.ABORT
+    assert wc_check(pairs, [1.0], Transcript(), gens) == [(0,) * 7]
 
 
 def test_second_encoding_completes_every_codeword():
-    pairs = prepared(200, 37)
-    active = step4_encode_a(pairs)
+    # the second session of the batch was aborted: its pairs stay as the
+    # first encoding left them
+    pairs = step1_prepare_and_encode(
+        [200, 50], [SeededGenerator(37, 0), SeededGenerator(38, 0)]
+    )
+    first = pairs.state.copy()
+    active = step4_encode_a(pairs, [True, False])
     assert active.tolist() == list(range(200))
+    assert np.array_equal(pairs.state[200:], first[200:])
     for i in active:
         encoding = EncodingPair(PAULIS[pairs.op_a[i]], PAULIS[pairs.op_b[i]])
         produced = oracles.classify(pair_state(pairs, i).vec)
@@ -567,9 +586,10 @@ def test_second_encoding_completes_every_codeword():
 
 def test_decode_step_recovers_every_codeword_without_noise():
     pairs = prepared(300, 41)
-    step4_encode_a(pairs)
+    active = step4_encode_a(pairs, [True])
     transcript = Transcript()
-    survivors = step5_decode_and_sift(pairs, transcript, [SeededGenerator(41, 6)])
+    gens = [SeededGenerator(41, 6)]
+    survivors = step5_decode_and_sift(pairs, active, transcript, gens)
     assert survivors.tolist() == list(range(300))
     assert np.array_equal(pairs.decoded, pairs.codeword)
     assert transcript.kinds() == (MessageKind.POSITIONS,)
@@ -607,6 +627,55 @@ def test_session_transcript_shape():
     assert kinds[-1] is MessageKind.POSITIONS  # decoded positions announcement
     senders = {m.sender for m in transcript}
     assert senders == {"alice", "bob", "both"}
+
+
+# The sha256 of the sender, kind and payload of every message, in order,
+# of one session that ends in each way a session can: a kept key, an abort
+# and an indeterminate result of either check, and a kept key under loss.
+TRANSCRIPT_CASES = {
+    "kept-both": (
+        ideal_config(pairs=60),
+        "d07f46f3fdc33fb3da5de0fb9ff906d068508cfe67a8b5fe64945773f96accc4",
+    ),
+    "decoy-abort": (
+        ideal_config(pairs=60, eve=EveStrategy.RANDOM_ZX),
+        "ab7dc36bc9f9a1e2dbdddcab42c3513f3fb5f5d3fa139c86c7a4e8de8628c095",
+    ),
+    "wc-abort": (
+        ideal_config(
+            pairs=60, check=CheckStrategy.WAVELENGTH_CONVERTER, eve=EveStrategy.Z
+        ),
+        "8beaf750c6e2bb2f79fd4316583deff7d685b925fe8e43f2e687c70d0e1936b8",
+    ),
+    "decoy-indeterminate": (
+        ideal_config(pairs=60, decoy_fraction=0.0),
+        "f84a96d5af7f28c4f610ba456a727cbe166b4d4e8b19f06b2aed55ab74f95b7b",
+    ),
+    "wc-indeterminate": (
+        ProtocolConfig(
+            pairs=2,
+            seed=1,
+            check=CheckStrategy.WAVELENGTH_CONVERTER,
+            sample_fraction=1.0,
+        ),
+        "430caee48364ba6bfa99dfbb53c11c1319c0548c8e5a3c52e05cec181e21090b",
+    ),
+    "lossy-kept": (
+        ideal_config(pairs=60, loss=0.25, threshold=0.2),
+        "42d8c0ec8b5f64d30565ba3cce158a625ac57444b8bec3589846ac92932783e5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TRANSCRIPT_CASES)
+def test_session_transcripts_keep_their_pinned_messages(name):
+    config, digest = TRANSCRIPT_CASES[name]
+    transcript = Transcript()
+    run_session(config, transcript)
+    h = hashlib.sha256()
+    for m in transcript:
+        h.update(repr((m.sender, m.kind.value, m.payload)).encode())
+    assert h.hexdigest() == digest
 
 
 def test_session_aborts_on_random_basis_attack_via_decoys():
@@ -769,6 +838,62 @@ def test_consuming_every_pair_in_the_check_leaves_an_empty_key():
     assert report.final_qber == 0.0
 
 
+def test_an_indeterminate_check_keeps_its_tallies():
+    # both pairs are sampled, and neither's bases happen to match
+    config = ProtocolConfig(
+        pairs=2, seed=1, check=CheckStrategy.WAVELENGTH_CONVERTER, sample_fraction=1.0
+    )
+    report = run_session(config)
+    assert report.aborted and report.wc_qber is None
+    assert report.counts["checked"] == 2
+    assert report.counts["wc_compared"] == report.counts["wc_errors"] == 0
+    report = run_session(ideal_config(decoy_fraction=0.0))
+    assert report.aborted and report.decoy_qber is None
+    assert report.counts["decoy_compared"] == report.counts["decoys"] == 0
+
+
+BASE_COUNT_KEYS = ("pairs", "decoys", "decoys_lost", "checked", "lost", "key_pairs")
+DECOY_COUNT_KEYS = (
+    "decoy_compared",
+    "decoy_errors",
+    "decoy_pol_errors",
+    "decoy_freq_errors",
+    "decoy_z_prepared_compared",
+    "decoy_z_prepared_errors",
+    "decoy_x_prepared_compared",
+    "decoy_x_prepared_errors",
+)
+WC_COUNT_KEYS = (
+    "wc_compared",
+    "wc_errors",
+    "wc_z_compared",
+    "wc_z_errors",
+    "wc_x_compared",
+    "wc_x_errors",
+)
+
+
+@pytest.mark.parametrize(
+    "overrides, keys",
+    [
+        (dict(check=CheckStrategy.DECOY), BASE_COUNT_KEYS + DECOY_COUNT_KEYS),
+        (
+            dict(check=CheckStrategy.WAVELENGTH_CONVERTER),
+            BASE_COUNT_KEYS + WC_COUNT_KEYS,
+        ),
+        ({}, BASE_COUNT_KEYS + DECOY_COUNT_KEYS + WC_COUNT_KEYS),
+        # aborted at the decoy check, so the converter check never ran
+        (dict(eve=EveStrategy.RANDOM_ZX), BASE_COUNT_KEYS + DECOY_COUNT_KEYS),
+    ],
+    ids=["decoy", "wc", "both", "both-aborted-at-decoy"],
+)
+def test_report_counts_keep_their_documented_keys_in_order(overrides, keys):
+    report = run_session(ideal_config(**overrides))
+    assert report.aborted == ("eve" in overrides)
+    assert tuple(report.counts) == keys
+    assert len(keys) in (12, 14, 20)
+
+
 def test_batch_items_are_at_most_two_bytes_wide(monkeypatch):
     # every per-item array but the decoys' slot positions, after the phase
     # that last writes it, on a session that runs every phase
@@ -927,7 +1052,7 @@ def alphabet_tables(alphabet):
 
 def test_state_alphabet_stays_small_and_normalized():
     # the closed alphabet, as the import built it: no session has run first
-    assert len(ALPHABET) == 40
+    assert len(ALPHABET.states) == 40
     for state in ALPHABET.states:
         assert oracles.is_normalized(state.vec)
         lead = state.vec[np.flatnonzero(np.abs(state.vec) > 1e-9)[0]]
@@ -978,7 +1103,7 @@ for table in (
     *ALPHABET.partial.values(), ALPHABET.device, ALPHABET.wc, ALPHABET.local,
 ):
     h.update(table.dtype.str.encode() + table.tobytes())
-print(len(ALPHABET), h.hexdigest())
+print(len(ALPHABET.states), h.hexdigest())
 """
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = [
