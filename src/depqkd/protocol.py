@@ -30,6 +30,16 @@ on the sessions beside it.  A session that a check aborts stays in the
 batch, but gets no stream for the later phases, so none of them draws
 for it or touches its pairs.  The checks return per-session tallies, and
 :func:`run_sessions` judges each session against its own threshold.
+
+:func:`run_sessions` runs the phases in the order of what they read, not
+in the protocol's.  The decoy check reads only the check photons, and
+they need only each session's pair count, so decoy insertion, the first
+transmission and the decoy check run before any pair is prepared.  Only
+the sessions the decoy check lets through then prepare and encode their
+pairs and have the attacker's measurement of their photons b applied; the
+pairs of a session it aborts keep the code ``-1``, never prepared.  Each
+phase draws from its own stream, so every report, every transcript and
+every draw of the other streams is the one protocol order gives.
 """
 
 from __future__ import annotations
@@ -49,6 +59,7 @@ from .alphabet import (
     _CODE,
     _DECODED,
     _EXPECTED_AGREE,
+    _STATE,
     ALPHABET,
     _sample,
 )
@@ -111,9 +122,9 @@ class ProtocolConfig:
         if type(n := self.pairs) is not int:
             raise ConfigError(f"pairs must be an int, got {n!r}")
         if n < 1:
-            raise ConfigError(f"n_pairs must be positive, got {n}")
+            raise ConfigError(f"pairs must be positive, got {n}")
         if n > _MAX_PAIRS:
-            raise ConfigError(f"n_pairs must be at most {_MAX_PAIRS}, got {n}")
+            raise ConfigError(f"pairs must be at most {_MAX_PAIRS}, got {n}")
         if type(seed := self.seed) is not int or not 0 <= seed < 1 << 64:
             raise ConfigError(f"seed must be an int in [0, 2**64), got {seed!r}")
         if not (isinstance(x := self.decoy_fraction, float) or type(x) is int):
@@ -125,15 +136,15 @@ class ProtocolConfig:
         if not (isinstance(x := self.sample_fraction, float) or type(x) is int):
             raise ConfigError(f"sample_fraction must be a real number, got {x!r}")
         if not 0.0 < x <= 1.0:
-            raise ConfigError(f"check_sample_fraction must lie in (0, 1], got {x}")
+            raise ConfigError(f"sample_fraction must lie in (0, 1], got {x}")
         if not (isinstance(x := self.threshold, float) or type(x) is int):
             raise ConfigError(f"threshold must be a real number, got {x!r}")
         if not 0.0 < x < 1.0:
-            raise ConfigError(f"qber_threshold must lie in (0, 1), got {x}")
+            raise ConfigError(f"threshold must lie in (0, 1), got {x}")
         if not (isinstance(x := self.loss, float) or type(x) is int):
             raise ConfigError(f"loss must be a real number, got {x!r}")
         if not 0.0 <= x <= 1.0:
-            raise ConfigError(f"loss probability must lie in [0, 1], got {x}")
+            raise ConfigError(f"loss must lie in [0, 1], got {x}")
         if self.eve is not None and not isinstance(self.eve, EveStrategy):
             raise ConfigError(f"eve must be an EveStrategy or None, got {self.eve!r}")
         if not isinstance(targets := self.eve_targets, EveTarget):
@@ -304,33 +315,50 @@ def _sizes(offsets: np.ndarray, idx: np.ndarray) -> list[int]:
 class PairBatch:
     """Every pair of a batch of sessions as parallel arrays, one entry per
     pair, session after session.  Session ``s`` has ``sizes[s]`` pairs,
-    from index ``offsets[s]`` up to ``offsets[s + 1]``.
+    from index ``offsets[s]`` up to ``offsets[s + 1]``.  ``PairBatch(sizes)``
+    allocates every array once, for pairs not yet prepared, sent or
+    measured: every photon delivered and none checked.
 
     ``state`` holds ids into :data:`~depqkd.alphabet.ALPHABET`; ``op_a`` and
     ``op_b`` index ``tuple(Pauli)``.  For each photon the attacker
     intercepted, ``eve_*_basis`` indexes ``tuple(PolBasis)`` and
     ``eve_*_outcome`` is the row ``k`` of that
-    :data:`~depqkd.quantum.LOCAL_BASIS` table it observed.  ``-1`` marks an
+    :data:`~depqkd.quantum.LOCAL_BASIS` table it observed.  ``-1`` marks a
+    pair that was never prepared (its codeword, operations and state), an
     attacker record that does not exist and a pair the receiver never
     decoded.
     """
 
     sizes: list[int]
-    codeword: np.ndarray
-    op_a: np.ndarray
-    op_b: np.ndarray
-    state: np.ndarray
-    b_delivered: np.ndarray
-    a_delivered: np.ndarray
-    checked: np.ndarray
-    eve_b_basis: np.ndarray
-    eve_b_outcome: np.ndarray
-    eve_a_basis: np.ndarray
-    eve_a_outcome: np.ndarray
-    decoded: np.ndarray
+    codeword: np.ndarray = field(init=False)
+    op_a: np.ndarray = field(init=False)
+    op_b: np.ndarray = field(init=False)
+    state: np.ndarray = field(init=False)
+    b_delivered: np.ndarray = field(init=False)
+    a_delivered: np.ndarray = field(init=False)
+    checked: np.ndarray = field(init=False)
+    eve_b_basis: np.ndarray = field(init=False)
+    eve_b_outcome: np.ndarray = field(init=False)
+    eve_a_basis: np.ndarray = field(init=False)
+    eve_a_outcome: np.ndarray = field(init=False)
+    decoded: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.offsets = np.array([0, *accumulate(self.sizes)])
+        size = int(self.offsets[-1])
+        self.codeword, self.op_a, self.op_b = _unset(size), _unset(size), _unset(size)
+        self.state = np.full(size, -1, dtype=_STATE)
+        self.b_delivered = np.ones(size, dtype=bool)
+        self.a_delivered = np.ones(size, dtype=bool)
+        self.checked = np.zeros(size, dtype=bool)
+        self.eve_b_basis, self.eve_b_outcome = _unset(size), _unset(size)
+        self.eve_a_basis, self.eve_a_outcome = _unset(size), _unset(size)
+        self.decoded = _unset(size)
+
+    def of(self, sessions: Sequence[bool]) -> slice | np.ndarray:
+        """The pairs of the sessions ``s`` where ``sessions[s]`` holds: a
+        mask over the batch, or every pair as a full slice."""
+        return slice(None) if all(sessions) else np.repeat(sessions, self.sizes)
 
     def __len__(self) -> int:
         return len(self.codeword)
@@ -439,30 +467,18 @@ def _intercept_pairs(
 
 
 def step1_prepare_and_encode(
-    sizes: Sequence[int], gens: Sequence[SeededGenerator]
-) -> PairBatch:
-    """Draw a codeword for each of the ``sizes[s]`` pairs of every session
-    ``s``, pick one of its two operation pairs, and apply the photon-b
-    operation to a fresh PSI+ pair."""
-    w = _draw(gens, sizes, 2)
-    size = len(w)
+    pairs: PairBatch, gens: Sequence[Optional[SeededGenerator]]
+) -> None:
+    """Draw a codeword for each pair of every session with a handle in
+    ``gens``, pick one of its two operation pairs, and apply the photon-b
+    operation to a fresh PSI+ pair.  The pairs of a session without a
+    handle stay unprepared and draw nothing."""
+    w = _draw(gens, pairs.sizes, 2)
+    rows = pairs.of([g is not None for g in gens])
     codeword = _randints(w[:, 0], 8)
     op_a, op_b = _CHOICE_OPS.take(2 * codeword + _randints(w[:, 1], 2), axis=1)
-    return PairBatch(
-        sizes=list(sizes),
-        codeword=codeword,
-        op_a=op_a,
-        op_b=op_b,
-        state=ALPHABET.prepared.take(op_b),
-        b_delivered=np.ones(size, dtype=bool),
-        a_delivered=np.ones(size, dtype=bool),
-        checked=np.zeros(size, dtype=bool),
-        eve_b_basis=_unset(size),
-        eve_b_outcome=_unset(size),
-        eve_a_basis=_unset(size),
-        eve_a_outcome=_unset(size),
-        decoded=_unset(size),
-    )
+    pairs.codeword[rows], pairs.op_a[rows], pairs.op_b[rows] = codeword, op_a, op_b
+    pairs.state[rows] = ALPHABET.prepared.take(op_b)
 
 
 def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
@@ -517,12 +533,17 @@ def transmit_b(
     losses: Sequence[float],
     eves: Sequence[Optional[EveStrategy]],
     gens: Sequence[SeededGenerator],
-) -> None:
-    """Send the mixed b sequence through the channel, updating both batches;
-    see :func:`_channel` for ``losses`` and ``eves``.
+) -> Optional[tuple[np.ndarray, ...]]:
+    """Send the mixed b sequence through the channel, updating both
+    batches' deliveries; see :func:`_channel` for ``losses`` and ``eves``.
 
     Loss is decided first; the attacker only touches delivered photons and
-    cannot tell pair photons from check photons.
+    cannot tell pair photons from check photons.  It measures the check
+    photons here.  The pairs need not be prepared yet, so their part of the
+    attack is returned for :func:`_intercept_b` to apply later: the mask of
+    the pairs whose photon b the attacker measured, the mask of its rows
+    that are theirs, and its basis and measurement word per row; or
+    ``None`` when no session is attacked.
     """
     sizes = [n + c for n, c in zip(pairs.sizes, decoys.sizes)]
     delivered, seen, basis, w = _channel(sizes, losses, eves, gens)
@@ -530,7 +551,7 @@ def transmit_b(
     pairs.b_delivered[:] = delivered.take(pair_slots)
     decoys.delivered[:] = delivered.take(decoys.position)
     if basis is None:
-        return
+        return None
     # The attack draws come one row per measured photon, in slot order, so
     # the measured pairs and the measured check photons, each in slot
     # order, take the rows of the measured slots of their kind.  When every
@@ -538,14 +559,27 @@ def transmit_b(
     seen_pairs = pairs.b_delivered if seen is delivered else seen.take(pair_slots)
     seen_decoys = decoys.delivered if seen is delivered else seen.take(decoys.position)
     kind = is_decoy.take(np.flatnonzero(seen))
-    rows = np.flatnonzero(~kind)
-    hit = np.flatnonzero(seen_pairs)
-    _intercept_pairs(pairs, hit, Photon.B, basis.take(rows), w.take(rows))
     rows = np.flatnonzero(kind)
     hit = np.flatnonzero(seen_decoys)
-    basis = basis.take(rows)
-    k = _sample(ALPHABET.local, 2 * decoys.state.take(hit) + basis, w.take(rows))
-    decoys.state[hit] = 4 * basis + k
+    decoy_basis = basis.take(rows)
+    k = _sample(ALPHABET.local, 2 * decoys.state.take(hit) + decoy_basis, w.take(rows))
+    decoys.state[hit] = 4 * decoy_basis + k
+    return seen_pairs, ~kind, basis, w
+
+
+def _intercept_b(pairs: PairBatch, attack: tuple, sessions: Sequence[bool]) -> None:
+    """Apply the attack on the photons b that :func:`transmit_b` returned
+    to the pairs of each session ``s`` where ``sessions[s]`` holds."""
+    seen, on_pair, basis, w = attack
+    if not all(sessions):
+        # the attacker's rows of the pairs follow the pairs' order
+        kept, live_rows = pairs.of(sessions), np.zeros_like(on_pair)
+        live_rows[on_pair] = kept[seen]
+        seen, on_pair = seen & kept, live_rows
+    rows = np.flatnonzero(on_pair)
+    _intercept_pairs(
+        pairs, np.flatnonzero(seen), Photon.B, basis.take(rows), w.take(rows)
+    )
 
 
 #: The report's count keys of each check's per-session tallies, in the
@@ -728,7 +762,7 @@ def step4_encode_a(pairs: PairBatch, live: Sequence[bool]) -> np.ndarray:
     indices of those active pairs."""
     stored = pairs.b_delivered & ~pairs.checked
     if not all(live):
-        stored &= np.repeat(live, pairs.sizes)
+        stored &= pairs.of(live)
     active = np.flatnonzero(stored)
     pairs.state[active] = ALPHABET.encoded.take(
         4 * pairs.state[active] + pairs.op_a[active]
@@ -799,7 +833,9 @@ def run_sessions(
     (including the seed) give identical reports, whichever sessions run
     beside them.  A failed or indeterminate security check aborts its
     session with empty keys; its pairs stay in the batch, and no later
-    phase draws for them.
+    phase draws for them.  The phases run in the order of what they read:
+    the decoy check comes before step 1, so a session it aborts never
+    prepares its pairs and draws nothing from the sender's stream.
     The public messages are recorded only when a ``transcript`` is passed,
     which only a batch of one accepts.  An empty batch gives no reports.
     """
@@ -819,10 +855,9 @@ def run_sessions(
         for photon in (Photon.B, Photon.A)
     )
     # Each stream feeds one phase and is made only for the sessions that
-    # reach and run that phase.
-    pairs = step1_prepare_and_encode(
-        [c.pairs for c in configs], _streams(seeds, _STREAM_ALICE)
-    )
+    # reach and run that phase.  The pairs are prepared only after the
+    # decoy check, for the sessions it lets through.
+    pairs = PairBatch([c.pairs for c in configs])
     if any(uses_decoy):
         is_decoy, decoys = insert_decoys(
             pairs,
@@ -834,7 +869,7 @@ def run_sessions(
         decoys = _decoy_batch(
             [0] * count, np.zeros(0, dtype=np.intp), *np.zeros((2, 0), dtype=_CODE)
         )
-    transmit_b(
+    attack_b = transmit_b(
         pairs, decoys, is_decoy, losses, eve_b, _streams(seeds, _STREAM_CHANNEL_B)
     )
     _post(
@@ -886,6 +921,10 @@ def run_sessions(
     if any(uses_decoy):
         gens = _streams(seeds, _STREAM_BOB_DECOY, uses_decoy)
         judge("decoy", gens, decoy_check(decoys, t, gens))
+    if any(live):
+        step1_prepare_and_encode(pairs, _streams(seeds, _STREAM_ALICE, live))
+        if attack_b is not None:
+            _intercept_b(pairs, attack_b, live)
     runs_wc = [uses and ok for uses, ok in zip(uses_wc, live)]
     if any(runs_wc):
         gens = _streams(seeds, _STREAM_WC, runs_wc)

@@ -516,12 +516,11 @@ def test_invalid_settings_exit_with_code_two(capsys):
 @pytest.mark.parametrize(
     "argv, config_text, message",
     [
-        (("--pairs", "0"), None, "n_pairs must be positive, got 0"),
+        (("--pairs", "0"), None, "pairs must be positive, got 0"),
         (("--decoy-fraction", "1"), None, "decoy_fraction must lie in [0, 1), got 1.0"),
-        (("--sample-fraction", "0"), None,
-         "check_sample_fraction must lie in (0, 1], got 0.0"),
-        (("--threshold", "1"), None, "qber_threshold must lie in (0, 1), got 1.0"),
-        (("--loss", "1.5"), None, "loss probability must lie in [0, 1], got 1.5"),
+        (("--sample-fraction", "0"), None, "sample_fraction must lie in (0, 1], got 0.0"),
+        (("--threshold", "1"), None, "threshold must lie in (0, 1), got 1.0"),
+        (("--loss", "1.5"), None, "loss must lie in [0, 1], got 1.5"),
         (("--trials", "0"), None, "trials must be positive, got 0"),
         ((), "check = x\n", "check must be one of ('decoy', 'wc', 'both'), got 'x'"),
         (("--seed", "-1"), None, "seed must be an int in [0, 2**64), got -1"),
@@ -581,9 +580,9 @@ def test_negative_exponent_values_reach_the_range_check(capsys, subcommand, flag
     [
         (
             ("sweep", "--param", "loss", "--values", "-0.1,0.2"),
-            "error: loss probability must lie in [0, 1], got -0.1",
+            "error: loss must lie in [0, 1], got -0.1",
         ),
-        (("run", "--loss", "-inf"), "error: loss probability must lie in [0, 1], got -inf"),
+        (("run", "--loss", "-inf"), "error: loss must lie in [0, 1], got -inf"),
         (("run", "--pairs", "notanint"), "error: argument --pairs: invalid int value"),
         (("run", "--eve", "ir-everything"), "error: argument --eve: invalid choice"),
         (("run", "--loss"), "error: argument --loss: expected one argument"),

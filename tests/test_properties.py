@@ -1,10 +1,13 @@
-"""Property tests over generated configurations (hypothesis).
+"""Property tests over generated configurations (hypothesis), and the
+pinned replay of one mixed batch.
 
 Sessions are kept to a few dozen pairs, so each property runs in well
 under a second.  Examples are derandomized: every run checks the same ones.
 """
 
+import hashlib
 import io
+from collections import Counter
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
@@ -138,7 +141,7 @@ def recorded_session():
     ``streams`` and ``draws`` hold ``(seed, stream)`` and ``(seed, stream,
     kind, size)`` per call, ``kind`` being ``"words"`` or ``"skip"``;
     ``eve_b`` and ``eve_a`` hold the attacker's basis and outcome per pair
-    of the batch, right after each transmission.
+    of the batch as the batch ends, ``(-1, -1)`` where it measured none.
     """
     log = {"streams": [], "draws": [], "eve_b": [], "eve_a": []}
     init, words, skip = (
@@ -146,7 +149,8 @@ def recorded_session():
         SeededGenerator.words,
         SeededGenerator.skip,
     )
-    transmit_b, transmit_a = protocol.transmit_b, protocol.transmit_a
+    transmit_b = protocol.transmit_b
+    batches = []
 
     def counted_init(g, seed, stream=0):
         init(g, seed, stream)
@@ -159,29 +163,26 @@ def recorded_session():
 
         return wrapper
 
-    def records(photon, transmit):
-        def wrapper(pairs, *args):
-            transmit(pairs, *args)
-            basis, outcome = (
-                (pairs.eve_b_basis, pairs.eve_b_outcome)
-                if photon == "b"
-                else (pairs.eve_a_basis, pairs.eve_a_outcome)
-            )
-            log[f"eve_{photon}"].append(list(zip(basis.tolist(), outcome.tolist())))
-
-        return wrapper
+    def kept_batch(pairs, *args):
+        batches.append(pairs)
+        return transmit_b(pairs, *args)
 
     SeededGenerator.__init__ = counted_init
     SeededGenerator.words = counted("words", words)
     SeededGenerator.skip = counted("skip", skip)
-    protocol.transmit_b = records("b", transmit_b)
-    protocol.transmit_a = records("a", transmit_a)
+    protocol.transmit_b = kept_batch
     try:
         yield log
     finally:
         SeededGenerator.__init__ = init
         SeededGenerator.words, SeededGenerator.skip = words, skip
-        protocol.transmit_b, protocol.transmit_a = transmit_b, transmit_a
+        protocol.transmit_b = transmit_b
+    # every session sends its photons b, so every batch passes transmit_b
+    [pairs] = batches
+    for photon in "ba":
+        basis = getattr(pairs, f"eve_{photon}_basis").tolist()
+        outcome = getattr(pairs, f"eve_{photon}_outcome").tolist()
+        log[f"eve_{photon}"] = list(zip(basis, outcome))
 
 
 def per_session(records, sizes):
@@ -225,29 +226,106 @@ def test_a_batch_replays_each_session_as_if_run_alone(configs):
     seeds = [c.seed for c in configs]
     with recorded_session() as batch:
         reports = run_sessions(configs)
-    kept = [s for s, report in enumerate(reports) if not report.aborted]
     sizes = [c.pairs for c in configs]
-    eve_b = per_session(batch["eve_b"][0], sizes)
-    # an aborted session stays in the batch but sends no photon a
-    eve_a = per_session(batch["eve_a"][0], sizes) if kept else []
+    eve_b = per_session(batch["eve_b"], sizes)
+    eve_a = per_session(batch["eve_a"], sizes)
     for s, seed in enumerate(seeds):
         with recorded_session() as alone:
             report = run_session(configs[s])
         # the same report, counts included
         assert reports[s] == report
         # the same streams, and the same blocks drawn or skipped from each,
-        # in order; every session draws its codewords
-        assert any(kind == "words" for _, _, kind, _ in alone["draws"])
+        # in order; a session draws its codewords exactly when the decoy
+        # check lets it through
         assert [k for k in batch["streams"] if k[0] == seed] == alone["streams"]
         assert [d for d in batch["draws"] if d[0] == seed] == alone["draws"]
-        # the same attacker records on both transmissions
-        assert eve_b[s] == alone["eve_b"][0]
-        if s in kept:
-            assert eve_a[s] == alone["eve_a"][0]
-        else:
-            assert alone["eve_a"] == []
-            assert not kept or set(eve_a[s]) <= {(-1, -1)}
+        never_prepared = decoy_aborted(report)
+        codewords = [] if never_prepared else [(seed, 0, "words", 2 * sizes[s])]
+        assert [d for d in alone["draws"] if d[1] == 0] == codewords
+        # the same attacker records on both transmissions; an aborted
+        # session stays in the batch but sends no photon a, and the
+        # attacker measures no photon b of a pair that was never prepared
+        assert eve_b[s] == alone["eve_b"]
+        assert eve_a[s] == alone["eve_a"]
+        if report.aborted:
+            assert set(eve_a[s]) <= {(-1, -1)}
+        if never_prepared:
+            assert set(eve_b[s]) <= {(-1, -1)}
     # only a batch of one records a transcript
     if len(configs) > 1:
         with pytest.raises(ValueError):
             run_sessions(configs, Transcript())
+
+
+# One batch that ends a session in each way a check can: a decoy abort
+# under a random-basis attack on photon b among 0.85 decoys, an
+# indeterminate decoy check (no decoys), a decoy abort of a lossy session
+# attacked on both photons, a converter abort under an X attack on photon
+# b, and a lossy session kept under an attack on photon a.
+MIXED_BATCH = (
+    ProtocolConfig(
+        pairs=60, seed=101, decoy_fraction=0.85, check=CheckStrategy.DECOY,
+        eve=EveStrategy.RANDOM_ZX,
+    ),
+    ProtocolConfig(pairs=40, seed=102, decoy_fraction=0.0, check=CheckStrategy.DECOY),
+    ProtocolConfig(
+        pairs=50, seed=103, decoy_fraction=0.3, check=CheckStrategy.BOTH, loss=0.2,
+        eve=EveStrategy.RANDOM_ZX, eve_targets=EveTarget.BOTH,
+    ),
+    ProtocolConfig(
+        pairs=70, seed=104, check=CheckStrategy.WAVELENGTH_CONVERTER,
+        sample_fraction=0.5, eve=EveStrategy.X,
+    ),
+    ProtocolConfig(
+        pairs=45, seed=105, decoy_fraction=0.2, check=CheckStrategy.BOTH,
+        sample_fraction=0.3, loss=0.2, eve=EveStrategy.Z, eve_targets=EveTarget.A,
+    ),
+)
+MIXED_REPORTS = "e942cba2834912bba160b08fbd874b0e47eb0be11631b35a281c1300ea3e90ef"
+MIXED_TRANSCRIPTS = "813ea6fe4a5080a401f913ec0489af8d6f6ab7d9378a985653ab6cb50cb744d5"
+# sha256 of the sorted (seed, stream, kind, total) draw ledger of the batch,
+# without stream 0 of the sessions the decoy check aborts
+MIXED_LEDGER = "ba134a15dea1d2e23715147a9811963c73fc3cdd4cc6d9b11551410f413ead37"
+
+
+def decoy_aborted(report):
+    """Whether the decoy check ended the session: it ran, and the session
+    aborted before any converter check."""
+    counts = report.counts
+    return report.aborted and "decoy_compared" in counts and "wc_compared" not in counts
+
+
+def digest(items):
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+def test_a_mixed_batch_keeps_its_pinned_reports_and_transcripts():
+    reports = run_sessions(MIXED_BATCH)
+    assert [decoy_aborted(r) for r in reports] == [True, True, True, False, False]
+    assert [r.aborted for r in reports] == [True, True, True, True, False]
+    alone, transcripts = [], []
+    for config in MIXED_BATCH:
+        transcript = Transcript()
+        alone.append(run_session(config, transcript))
+        transcripts.append(
+            [(m.sender, m.kind.value, m.payload) for m in transcript]
+        )
+    assert digest(reports) == digest(alone) == MIXED_REPORTS
+    assert digest(transcripts) == MIXED_TRANSCRIPTS
+
+
+def test_only_sessions_past_the_decoy_check_prepare_their_pairs():
+    with recorded_session() as log:
+        reports = run_sessions(MIXED_BATCH)
+    totals = Counter()
+    for seed, stream, kind, n in log["draws"]:
+        totals[seed, stream, kind] += n
+    skipped = {c.seed for c, r in zip(MIXED_BATCH, reports) if decoy_aborted(r)}
+    ledger = sorted(
+        (*key, n) for key, n in totals.items() if not (key[0] in skipped and key[1] == 0)
+    )
+    assert digest(ledger) == MIXED_LEDGER
+    # a session the decoy check aborts draws no codewords, while the
+    # converter check reads the prepared states of the pairs it samples
+    assert not [key for key in totals if key[0] in skipped and key[1] == 0]
+    assert totals[104, 0, "words"] == 2 * 70

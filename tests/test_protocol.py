@@ -1,6 +1,7 @@
 """Session steps, security checks, and full protocol runs."""
 
 import compileall
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -27,7 +28,9 @@ from depqkd import (
 )
 from depqkd.alphabet import ALPHABET, StateAlphabet, _sample
 from depqkd.protocol import (
+    PairBatch,
     _channel,
+    _intercept_b,
     _sizes,
     _smallest,
     decoy_check,
@@ -82,21 +85,34 @@ BASES = tuple(PolBasis)
 PAULIS = tuple(Pauli)
 
 
+def prepared_batch(sizes, seeds):
+    """The pairs of step 1 for sessions of ``sizes[s]`` pairs and seed
+    ``seeds[s]``, each on its stream 0."""
+    pairs = PairBatch(list(sizes))
+    step1_prepare_and_encode(pairs, [SeededGenerator(seed, 0) for seed in seeds])
+    return pairs
+
+
 def prepared(n, seed):
     """The pairs of step 1 for ``n`` pairs and a seed, on stream 0."""
-    return step1_prepare_and_encode([n], [SeededGenerator(seed, 0)])
+    return prepared_batch([n], [seed])
 
 
 def no_decoys():
-    _, decoys = insert_decoys(prepared(1, 0), [0.0], [SeededGenerator(0, 1)])
+    _, decoys = insert_decoys(PairBatch([1]), [0.0], [SeededGenerator(0, 1)])
     assert len(decoys.position) == 0
     return decoys
 
 
 def transmit_pairs_b(pairs, eve, g):
     """The first transmission of a sequence of pairs without decoys, without
-    loss, under the attacker policy ``eve``."""
-    transmit_b(pairs, no_decoys(), np.zeros(len(pairs), dtype=bool), [0.0], [eve], [g])
+    loss, under the attacker policy ``eve``, with the attacker's
+    measurement of the photons b applied."""
+    attack = transmit_b(
+        pairs, no_decoys(), np.zeros(len(pairs), dtype=bool), [0.0], [eve], [g]
+    )
+    if attack is not None:
+        _intercept_b(pairs, attack, [True])
 
 
 def pair_state(pairs, i):
@@ -218,7 +234,7 @@ def test_config_reports_the_first_bad_field_in_field_order():
         ("seed", -1, "seed "),
         ("decoy_fraction", 1.0, "decoy_fraction "),
         ("check", "both", "check "),
-        ("sample_fraction", 0.0, "check_sample_fraction "),
+        ("sample_fraction", 0.0, "sample_fraction must lie "),
         ("threshold", "0.1", "threshold "),
         ("loss", 2.0, "loss "),
         ("eve", "ir-z", "eve "),
@@ -280,6 +296,24 @@ def test_step1_draws_codewords_uniformly_and_encodes_photon_b():
         step1 = encoding_to_label(EncodingPair(Pauli.I, encoding.op_b))
         assert produced == family_sign(step1)
     assert first_choice / 2000 == pytest.approx(0.5, abs=0.04)
+
+
+def test_step1_prepares_only_the_sessions_with_a_handle():
+    # the middle session has no handle: its pairs keep -1 in every code,
+    # and the others are prepared as if each ran alone
+    pairs = PairBatch([30, 20, 25])
+    gens = [SeededGenerator(3, 0), None, SeededGenerator(5, 0)]
+    step1_prepare_and_encode(pairs, gens)
+    codes = ("codeword", "op_a", "op_b", "state")
+    for name in codes:
+        assert set(getattr(pairs, name)[30:50].tolist()) == {-1}, name
+    for (start, end), seed in (((0, 30), 3), ((50, 75), 5)):
+        alone = prepared(end - start, seed)
+        for name in codes:
+            assert np.array_equal(getattr(pairs, name)[start:end], getattr(alone, name))
+    # each stream drew two words per pair of its own session, none more
+    for g, n in ((gens[0], 30), (gens[2], 25)):
+        assert g.words(1)[0] == SeededGenerator(g.seed, 0).words(2 * n + 1)[-1]
 
 
 def test_insert_decoys_zero_fraction_changes_nothing():
@@ -361,11 +395,11 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
 
 
 def reference_transmit_b(pairs, decoys, is_decoy, losses, eves, seeds):
-    """Reference: slot by slot, each session's loss coins, then under its
-    attacker, for each delivered slot in order the attacker's row, applied
-    to the pair or the check photon in that slot.  Updates the batches in
-    place and returns each session's stream, positioned after its last
-    draw."""
+    """Reference in protocol order, on prepared pairs: slot by slot, each
+    session's loss coins, then under its attacker, for each delivered slot
+    in order the attacker's row, applied at once to the pair or the check
+    photon in that slot.  Updates the batches in place and returns each
+    session's stream, positioned after its last draw."""
     gens, start, pair, decoy = [], 0, 0, 0
     for seed, n, loss, eve, count in zip(
         seeds, pairs.sizes, losses, eves, decoys.sizes
@@ -434,18 +468,22 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
         sizes = [1 + (case + 17 * s) % 40 for s in range(sessions)]
         first = policies.index(strategy if Photon.B in target.photons else None)
         eves = [policies[(first + s) % 4] for s in range(sessions)]
-        pairs = step1_prepare_and_encode(sizes, [SeededGenerator(s, 0) for s in seeds])
+        # the pairs go out unprepared, as a session sends them, and are
+        # prepared and measured by the attacker afterwards
+        pairs = PairBatch(sizes)
         is_decoy, decoys = insert_decoys(
             pairs,
             [fractions[(fr + s) % 3] for s in range(sessions)],
             [SeededGenerator(s, 1) for s in seeds],
         )
-        ref_pairs, ref_decoys = (
-            type(batch)(**{f.name: getattr(batch, f.name).copy() for f in dataclasses.fields(batch)})
-            for batch in (pairs, decoys)
-        )
+        ref_pairs, ref_decoys = prepared_batch(sizes, seeds), copy.deepcopy(decoys)
         gens = [SeededGenerator(s, 2) for s in seeds]
-        transmit_b(pairs, decoys, is_decoy, loss, eves, gens)
+        attack = transmit_b(pairs, decoys, is_decoy, loss, eves, gens)
+        assert set(pairs.state.tolist()) == set(pairs.eve_b_basis.tolist()) == {-1}
+        assert (attack is None) == all(eve is None for eve in eves)
+        step1_prepare_and_encode(pairs, [SeededGenerator(s, 0) for s in seeds])
+        if attack is not None:
+            _intercept_b(pairs, attack, [True] * sessions)
         ref_gens = reference_transmit_b(
             ref_pairs, ref_decoys, is_decoy, loss, eves, seeds
         )
@@ -455,6 +493,40 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
         assert [g.uniform() for g in gens] == [g.uniform() for g in ref_gens]
 
 
+def test_the_attack_on_photon_b_reaches_only_the_sessions_given():
+    # three attacked sessions among decoys, under loss: the middle one's
+    # pairs keep their prepared states and get no attacker records, and
+    # the others are measured as when every session is
+    sizes, seeds = [40, 30, 50], [7, 8, 9]
+    pairs = PairBatch(sizes)
+    is_decoy, decoys = insert_decoys(
+        pairs, [0.5] * 3, [SeededGenerator(s, 1) for s in seeds]
+    )
+    attack = transmit_b(
+        pairs,
+        decoys,
+        is_decoy,
+        [0.2] * 3,
+        [EveStrategy.RANDOM_ZX] * 3,
+        [SeededGenerator(s, 2) for s in seeds],
+    )
+    step1_prepare_and_encode(pairs, [SeededGenerator(s, 0) for s in seeds])
+    every = copy.deepcopy(pairs)
+    _intercept_b(every, attack, [True] * 3)
+    prepared_state = pairs.state.copy()
+    _intercept_b(pairs, attack, [True, False, True])
+    for name in ("state", "eve_b_basis", "eve_b_outcome"):
+        got, whole = getattr(pairs, name), getattr(every, name)
+        assert np.array_equal(got[:40], whole[:40]), name
+        assert np.array_equal(got[70:], whole[70:]), name
+    assert np.array_equal(pairs.state[40:70], prepared_state[40:70])
+    assert set(pairs.eve_b_basis[40:70].tolist()) == {-1}
+    assert set(pairs.eve_b_outcome[40:70].tolist()) == {-1}
+    # the attacker measured some pairs of the middle session in the batch
+    # where every session is live
+    assert (every.eve_b_basis[40:70] >= 0).any()
+
+
 def tallies_of(check, tallies):
     """The one session's tallies of a check, by their report count keys."""
     [tally] = tallies
@@ -462,8 +534,7 @@ def tallies_of(check, tallies):
 
 
 def test_decoy_check_clean_channel_reports_zero_error():
-    pairs = step1_prepare_and_encode([500], [SeededGenerator(11, 0)])
-    _, decoys = insert_decoys(pairs, [0.5], [SeededGenerator(11, 1)])
+    _, decoys = insert_decoys(PairBatch([500]), [0.5], [SeededGenerator(11, 1)])
     transcript = Transcript()
     gens = [SeededGenerator(11, 3)]
     tally = tallies_of("decoy", decoy_check(decoys, transcript, gens))
@@ -484,8 +555,7 @@ def test_decoy_check_clean_channel_reports_zero_error():
 
 
 def test_decoy_check_flags_shifted_bins_and_aborts():
-    pairs = step1_prepare_and_encode([200], [SeededGenerator(13, 0)])
-    _, decoys = insert_decoys(pairs, [0.5], [SeededGenerator(13, 1)])
+    _, decoys = insert_decoys(PairBatch([200]), [0.5], [SeededGenerator(13, 1)])
     # swap every photon's frequency bin: the row of the other bin
     for i in range(len(decoys.position)):
         swapped = decoy_state(decoys, i).vec.reshape(2, 2)[:, ::-1].reshape(4)
@@ -571,9 +641,7 @@ def test_wc_check_with_no_matched_bases_is_indeterminate():
 def test_second_encoding_completes_every_codeword():
     # the second session of the batch was aborted: its pairs stay as the
     # first encoding left them
-    pairs = step1_prepare_and_encode(
-        [200, 50], [SeededGenerator(37, 0), SeededGenerator(38, 0)]
-    )
+    pairs = prepared_batch([200, 50], [37, 38])
     first = pairs.state.copy()
     active = step4_encode_a(pairs, [True, False])
     assert active.tolist() == list(range(200))
