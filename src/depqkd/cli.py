@@ -223,8 +223,12 @@ def _effective_settings(args: argparse.Namespace) -> dict[str, object]:
             settings[key] = _convert(setting, file_values[key])
         else:
             settings[key] = setting.default
-    if settings["trials"] < 1:
-        raise ConfigError(f"trials must be positive, got {settings['trials']}")
+    trials = settings["trials"]
+    if trials < 1:
+        raise ConfigError(f"trials must be positive, got {trials}")
+    # derive_trial_seed works mod 2**64: trial 2**64 would replay trial 0
+    if trials >= 1 << 64:
+        raise ConfigError(f"trials must be less than 2**64, got {trials}")
     return settings
 
 

@@ -238,8 +238,8 @@ def _streams(
     seeds: Sequence[int], stream: int, runs: Iterable[bool] = repeat(True)
 ) -> list[Optional[SeededGenerator]]:
     """Stream ``stream`` of each session's seed, in session order: one
-    handle per session, each a key and a position, all drawing through the
-    one Philox of index ``stream`` (see :class:`SeededGenerator`), and
+    handle per session, each a key and a position, drawing through the
+    Philox of the calling thread (see :class:`SeededGenerator`), and
     ``None`` for a session that does not run the phase (``runs[s]`` false)."""
     return [SeededGenerator(s, stream) if r else None for s, r in zip(seeds, runs)]
 

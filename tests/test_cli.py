@@ -537,6 +537,31 @@ def test_each_validation_prints_its_exact_error_line(
     assert run_cli(capsys, "run", *argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "subcommand", [("run",), ("sweep", "--param", "loss", "--values", "0,0.1")]
+)
+def test_a_trial_count_of_2_64_or_more_exits_two_before_any_session(
+    capsys, monkeypatch, tmp_path, subcommand
+):
+    # derive_trial_seed reduces each index mod 2**64, so trial 2**64 would
+    # replay the seed of trial 0; such a count is refused, not run
+    batches = []
+    monkeypatch.setattr(cli, "run_sessions", batches.append)
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text(f"trials = {2**64}\n")
+    for argv, trials in (
+        (("--trials", str(2**64)), 2**64),
+        (("--trials", str(2**70)), 2**70),
+        (("--config", str(cfg)), 2**64),
+    ):
+        message = f"error: trials must be less than 2**64, got {trials}\n"
+        assert run_cli(capsys, *subcommand, *argv) == (2, "", message)
+    assert batches == []
+    # the largest count still passes validation
+    args = cli.build_parser().parse_args(["run", "--trials", str(2**64 - 1)])
+    assert cli._session_configs(args)[1] == 2**64 - 1
+
+
 def assert_one_error_line_naming(code, out, err, pairs):
     assert code == 2 and out == ""
     lines = err.splitlines()

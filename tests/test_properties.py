@@ -8,6 +8,7 @@ under a second.  Examples are derandomized: every run checks the same ones.
 import hashlib
 import io
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
@@ -329,3 +330,28 @@ def test_only_sessions_past_the_decoy_check_prepare_their_pairs():
     # converter check reads the prepared states of the pairs it samples
     assert not [key for key in totals if key[0] in skipped and key[1] == 0]
     assert totals[104, 0, "words"] == 2 * 70
+
+
+def test_sessions_run_in_four_threads_replay_their_serial_reports():
+    # a draw keeps no state that another reads, so sessions that run side
+    # by side in threads, each several times, report what they do alone;
+    # an exception in a thread is raised again by its result
+    configs = [
+        ProtocolConfig(
+            pairs=2000,
+            seed=seed,
+            check=CheckStrategy.BOTH,
+            loss=0.1,
+            eve=(None, EveStrategy.Z, EveStrategy.RANDOM_ZX)[seed % 3],
+            eve_targets=EveTarget.A,
+        )
+        for seed in range(12)
+    ]
+    serial = [run_session(config) for config in configs]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        threaded = list(pool.map(run_session, configs * 3))
+    mismatched = [
+        config.seed for config, report in zip(configs * 3, threaded)
+        if report != serial[config.seed]
+    ]
+    assert mismatched == []

@@ -9,6 +9,7 @@ import os
 import platform
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -999,10 +1000,11 @@ def test_batch_items_are_at_most_two_bytes_wide(monkeypatch):
                 assert value.itemsize <= 2, f.name
 
 
-def test_a_loss_sweep_batch_builds_one_philox_per_stream_index(monkeypatch):
-    # twelve 1000-pair sessions attacked on photon a, three losses: each
-    # stream index builds its Philox once and re-keys it from session to
-    # session, and a second batch builds none
+def test_a_loss_sweep_batch_builds_one_philox_in_its_thread(monkeypatch):
+    # twelve 1000-pair sessions attacked on photon a, three losses: every
+    # stream of every session draws through the one Philox of the thread,
+    # built on its first draw and re-keyed for each, and a second batch
+    # builds none
     built = []
     philox = np.random.Philox
 
@@ -1011,7 +1013,6 @@ def test_a_loss_sweep_batch_builds_one_philox_per_stream_index(monkeypatch):
         return philox(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "Philox", counted)
-    monkeypatch.setattr(SeededGenerator, "_shared", {})
     configs = [
         ProtocolConfig(
             seed=seed,
@@ -1022,10 +1023,11 @@ def test_a_loss_sweep_batch_builds_one_philox_per_stream_index(monkeypatch):
         )
         for seed, loss in enumerate(np.repeat([0.0, 0.1, 0.2], 4).tolist())
     ]
-    first = protocol.run_sessions(configs)
-    assert 0 < len(built) == len(SeededGenerator._shared) <= 7
-    built.clear()
-    assert protocol.run_sessions(configs) == first
+    with ThreadPoolExecutor(max_workers=1) as thread:  # a thread with no Philox yet
+        first = thread.submit(protocol.run_sessions, configs).result()
+        assert built == [1]
+        built.clear()
+        assert thread.submit(protocol.run_sessions, configs).result() == first
     assert built == []
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from depqkd import quantum
 from depqkd.protocol import _basis_coins, _coins, _randints
 from depqkd.quantum import (
     LOCAL_BASIS,
@@ -264,8 +265,8 @@ def test_skip_steps_past_words_at_any_buffer_position():
 def test_interleaved_draws_and_skips_follow_the_plain_philox(seeds, stream, calls):
     # a skip may start and end anywhere in a four-word Philox block, after
     # any mix of earlier draws and skips; up to four handles of one stream
-    # index, some of them with one seed, take turns with the Philox they
-    # share, and each still follows its own plain Philox
+    # index, some of them with one seed, take turns with the Philox of
+    # their thread, and each still follows its own plain Philox
     gens = [SeededGenerator(seed, stream) for seed in seeds]
     total = sum(n for _, _, n in calls) + 5
     expected = [philox_words(seed, stream, total) for seed in seeds]
@@ -286,7 +287,7 @@ def test_interleaved_draws_and_skips_follow_the_plain_philox(seeds, stream, call
 
 def test_a_stream_that_is_only_skipped_builds_no_philox(monkeypatch):
     # a handle that only skips neither builds nor re-keys the Philox of its
-    # stream index, and then draws the plain Philox's words
+    # thread, and then draws the plain Philox's words
     built = []
     philox = np.random.Philox
 
@@ -294,19 +295,19 @@ def test_a_stream_that_is_only_skipped_builds_no_philox(monkeypatch):
         built.append(1)
         return philox(*args, **kwargs)
 
-    def shared_state():
-        bits, seed, position = SeededGenerator._shared[2]
-        return bits, seed, position, repr(bits.state)
+    def thread_state():
+        bits, _ = quantum._per_thread.philox
+        return bits, repr(bits.state)
 
     expected = philox_words(5, 2, 1007)[1003:]
     monkeypatch.setattr(np.random, "Philox", counted)
-    SeededGenerator(6, 2).words(3)  # stream index 2 has its Philox, at another key
-    before = shared_state()
+    SeededGenerator(6, 2).words(3)  # the thread has its Philox, at another key
+    before = thread_state()
     built.clear()
     g = SeededGenerator(5, 2)
     g.skip(1000)
     g.skip(3)
-    assert built == [] and shared_state() == before
+    assert built == [] and thread_state() == before
     assert np.array_equal(g.words(4), expected)
     assert built == []
 

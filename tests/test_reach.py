@@ -4,7 +4,8 @@ A fresh process traces every call from before ``import depqkd`` through
 ``verify-tables``, small runs of the benchmark's three workload shapes, an
 attacker sweep on both photons, a config-file run, two rejected command
 lines and one session that keeps a transcript.  It lists each function
-and method defined in ``protocol.py`` or ``alphabet.py`` that never ran.
+and method defined in ``protocol.py``, ``alphabet.py``, ``cli.py`` or
+``states.py`` that never ran.
 Code that nothing reaches is either dead or untested; this test names it.
 """
 
@@ -28,7 +29,7 @@ def profile(frame, event, arg):
 sys.setprofile(profile)
 import depqkd
 from depqkd import CheckStrategy, ProtocolConfig, Transcript, run_session
-from depqkd import alphabet, protocol
+from depqkd import alphabet, cli, protocol, states
 from depqkd.cli import main
 
 runs = [
@@ -54,7 +55,7 @@ sys.setprofile(None)
 # read by callers of the library only
 unused = {"messages", "kinds", "__len__", "__iter__"}
 missed = []
-for module in (protocol, alphabet):
+for module in (protocol, alphabet, cli, states):
     for name, value in vars(module).items():
         members = [(name, value)]
         if isinstance(value, type):
