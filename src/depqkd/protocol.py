@@ -29,7 +29,10 @@ stream is a counter-based Philox key, so a session's draws do not depend
 on the sessions beside it.  A session that a check aborts stays in the
 batch, but gets no stream for the later phases, so none of them draws
 for it or touches its pairs.  The checks return per-session tallies, and
-:func:`run_sessions` judges each session against its own threshold.
+:func:`run_sessions` judges each session against its own threshold.  No
+phase writes the public channel's messages: the checks keep the bases
+they drew on the batches, and :func:`_record` reads a session's
+transcript off its finished batch of one and its report.
 
 :func:`run_sessions` runs the phases in the order of what they read, not
 in the protocol's.  The decoy check reads only the check photons, and
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate, groupby, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -326,7 +329,9 @@ class PairBatch:
     :data:`~depqkd.quantum.LOCAL_BASIS` table it observed.  ``-1`` marks a
     pair that was never prepared (its codeword, operations and state), an
     attacker record that does not exist and a pair the receiver never
-    decoded.
+    decoded.  ``wc_basis_a`` and ``wc_basis_b`` are set by :func:`wc_check`:
+    each party's basis, indexing ``tuple(PolBasis)``, for each checked pair
+    in index order, and empty before.
     """
 
     sizes: list[int]
@@ -342,6 +347,8 @@ class PairBatch:
     eve_a_basis: np.ndarray = field(init=False)
     eve_a_outcome: np.ndarray = field(init=False)
     decoded: np.ndarray = field(init=False)
+    wc_basis_a: np.ndarray = field(init=False)
+    wc_basis_b: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.offsets = np.array([0, *accumulate(self.sizes)])
@@ -354,14 +361,12 @@ class PairBatch:
         self.eve_b_basis, self.eve_b_outcome = _unset(size), _unset(size)
         self.eve_a_basis, self.eve_a_outcome = _unset(size), _unset(size)
         self.decoded = _unset(size)
+        self.wc_basis_a = self.wc_basis_b = _unset(0)
 
     def of(self, sessions: Sequence[bool]) -> slice | np.ndarray:
         """The pairs of the sessions ``s`` where ``sessions[s]`` holds: a
         mask over the batch, or every pair as a full slice."""
         return slice(None) if all(sessions) else np.repeat(sessions, self.sizes)
-
-    def __len__(self) -> int:
-        return len(self.codeword)
 
 
 @dataclass
@@ -374,25 +379,23 @@ class DecoyBatch:
     is the local id ``4 * basis + k`` of row ``k`` of the
     ``tuple(PolBasis)[basis]`` :data:`~depqkd.quantum.LOCAL_BASIS` table,
     ``2 * pol + freq`` as prepared; the attacker resends such a row too.
+    Every photon starts delivered.  ``bob_basis`` is set by
+    :func:`decoy_check`: the receiver's basis, indexing ``tuple(PolBasis)``,
+    for each delivered photon in slot order, and empty before.
     """
 
     sizes: list[int]  # decoys of each session
     position: np.ndarray  # slot in the batch's mixed transmission sequence
     freq: np.ndarray
     pol: np.ndarray
-    state: np.ndarray
-    delivered: np.ndarray
+    state: np.ndarray = field(init=False)
+    delivered: np.ndarray = field(init=False)
+    bob_basis: np.ndarray = field(init=False)
 
-
-def _decoy_batch(sizes, position, freq, pol) -> DecoyBatch:
-    return DecoyBatch(
-        sizes=sizes,
-        position=position,
-        freq=freq,
-        pol=pol,
-        state=2 * pol + freq,
-        delivered=np.ones(len(position), dtype=bool),
-    )
+    def __post_init__(self) -> None:
+        self.state = 2 * self.pol + self.freq
+        self.delivered = np.ones(len(self.position), dtype=bool)
+        self.bob_basis = _unset(0)
 
 
 def _randints(w: np.ndarray, n: int) -> np.ndarray:
@@ -517,11 +520,8 @@ def insert_decoys(
         ]
     )
     w = _draw(gens, count, 2)
-    decoys = _decoy_batch(
-        count,
-        np.flatnonzero(is_decoy),
-        _randints(w[:, 0], 2),
-        _randints(w[:, 1], 4),
+    decoys = DecoyBatch(
+        count, np.flatnonzero(is_decoy), _randints(w[:, 0], 2), _randints(w[:, 1], 4)
     )
     return is_decoy, decoys
 
@@ -622,18 +622,6 @@ class RunReport:
     config: ProtocolConfig
 
 
-def _post(
-    transcript: Optional[Transcript],
-    sender: str,
-    kind: MessageKind,
-    payload: Callable[[], object],
-) -> None:
-    """Append a message when a transcript is kept; ``payload`` builds its
-    body only then."""
-    if transcript is not None:
-        transcript.append(sender, kind, payload())
-
-
 # Announced abort reason of a check that compared nothing.
 _INDETERMINATE = {"decoy": "no matched decoys", "wc": "no matched pair comparisons"}
 
@@ -645,40 +633,22 @@ def _tallies(sizes: Sequence[int], *masks: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def decoy_check(
-    decoys: DecoyBatch,
-    transcript: Optional[Transcript],
-    gens: Sequence[Optional[SeededGenerator]],
+    decoys: DecoyBatch, gens: Sequence[Optional[SeededGenerator]]
 ) -> list[tuple[int, ...]]:
     """Compare delivered check photons measured in matched bases.
 
     The receiver measures every delivered decoy in a uniformly random
     basis; comparisons count only where that basis matches the
     preparation.  A polarization flip or a frequency-bin mismatch both
-    count as errors.  Returns each session's tallies in the column order
-    of ``_COUNT_KEYS["decoy"]``, all 0 for a session without a handle.
+    count as errors.  The receiver's bases are kept as
+    ``decoys.bob_basis``.  Returns each session's tallies in the column
+    order of ``_COUNT_KEYS["decoy"]``, all 0 for a session without a handle.
     """
-    t = transcript
-    _post(
-        t,
-        "alice",
-        MessageKind.POSITIONS,
-        lambda: {"decoy_positions": tuple(decoys.position.tolist())},
-    )
     idx = np.flatnonzero(decoys.delivered)
     sizes = _tally(decoys.delivered, decoys.sizes)
     w = _draw(gens, sizes, 2)
-    basis = _basis_coins(w[:, 0])
+    basis = decoys.bob_basis = _basis_coins(w[:, 0])
     k = _sample(ALPHABET.local, 2 * decoys.state[idx] + basis, w[:, 1])
-    _post(
-        t,
-        "bob",
-        MessageKind.BASIS_DECLARATION,
-        lambda: {
-            "decoy_bases": tuple(
-                zip(decoys.position[idx].tolist(), _BASIS_NAMES[basis].tolist())
-            )
-        },
-    )
     pol = decoys.pol[idx]
     prepared = pol >> 1
     matched = basis == prepared
@@ -698,7 +668,6 @@ def decoy_check(
 def wc_check(
     pairs: PairBatch,
     sample_fractions: Sequence[float],
-    transcript: Optional[Transcript],
     gens: Sequence[Optional[SeededGenerator]],
 ) -> list[tuple[int, ...]]:
     """Convert and measure a random sample of stored pairs, each stored
@@ -707,42 +676,24 @@ def wc_check(
     Both parties wavelength-convert their photon of each sampled pair and
     measure it in an independently random basis; matched-basis outcomes
     are compared against the correlation the first encoding step dictates.
-    Checked pairs are consumed and never contribute key bits.  Returns
-    each session's tallies in the column order of ``_COUNT_KEYS["wc"]``,
-    all 0 for a session without a handle, which samples none.
+    Checked pairs are consumed and never contribute key bits.  Both
+    parties' bases are kept as ``pairs.wc_basis_a`` and
+    ``pairs.wc_basis_b``, one entry per checked pair in index order.
+    Returns each session's tallies in the column order of
+    ``_COUNT_KEYS["wc"]``, all 0 for a session without a handle, which
+    samples none.
     """
-    t = transcript
     eligible = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
     sizes = _sizes(pairs.offsets, eligible)
     sampling = _coins(gens, sizes, sample_fractions)
     sampled = eligible.take(np.flatnonzero(sampling))
-    _post(
-        t,
-        "bob",
-        MessageKind.POSITIONS,
-        lambda: {"wc_positions": tuple(sampled.tolist())},
-    )
     pairs.checked[sampled] = True
     sizes = _tally(sampling, sizes)
     w = _draw(gens, sizes, 3)
-    basis_a = _basis_coins(w[:, 0])
-    basis_b = _basis_coins(w[:, 1])
+    basis_a = pairs.wc_basis_a = _basis_coins(w[:, 0])
+    basis_b = pairs.wc_basis_b = _basis_coins(w[:, 1])
     keys = 4 * pairs.state[sampled] + 2 * basis_a + basis_b
     k = _sample(ALPHABET.wc, keys, w[:, 2])
-    _post(
-        t,
-        "both",
-        MessageKind.BASIS_DECLARATION,
-        lambda: {
-            "wc_bases": tuple(
-                zip(
-                    sampled.tolist(),
-                    _BASIS_NAMES[basis_a].tolist(),
-                    _BASIS_NAMES[basis_b].tolist(),
-                )
-            )
-        },
-    )
     matched = basis_a == basis_b
     agree = (k >> 1) == (k & 1)
     bad = matched & (agree != _EXPECTED_AGREE.take(2 * pairs.op_b[sampled] + basis_a))
@@ -787,33 +738,68 @@ def transmit_a(
 
 
 def step5_decode_and_sift(
-    pairs: PairBatch,
-    active: np.ndarray,
-    transcript: Optional[Transcript],
-    gens: Sequence[Optional[SeededGenerator]],
+    pairs: PairBatch, active: np.ndarray, gens: Sequence[Optional[SeededGenerator]]
 ) -> np.ndarray:
     """Jointly measure every reunited pair of the ``active`` ones, those
-    whose photon a arrived too; returns the indices of these survivors."""
+    whose photon a arrived too, into ``pairs.decoded``; returns the indices
+    of these survivors."""
     survivors = active.take(np.flatnonzero(pairs.a_delivered.take(active)))
     sizes = _sizes(pairs.offsets, survivors)
     w = _draw(gens, sizes)[:, 0]
     outcome = _sample(ALPHABET.device, pairs.state[survivors], w)
     pairs.decoded[survivors] = _DECODED.take(outcome)
-    _post(
-        transcript,
-        "bob",
-        MessageKind.POSITIONS,
-        lambda: {"decoded_positions": tuple(survivors.tolist())},
-    )
     return survivors
 
 
-def _received(pairs: PairBatch, decoys: DecoyBatch, is_decoy: np.ndarray) -> tuple:
-    """Slots of the mixed b sequence that arrived."""
+def _record(
+    t: Transcript,
+    pairs: PairBatch,
+    decoys: DecoyBatch,
+    is_decoy: np.ndarray,
+    report: RunReport,
+) -> None:
+    """Append the public messages of a finished batch of one, in protocol
+    order: the received slots; for each check that ran, its positions and
+    bases, then an abort when it compared nothing, else its outcome
+    comparison and verdict; and the decoded positions of a session that
+    kept its key.  A check passed when a later check ran or the session
+    kept its key, as :func:`run_sessions` judged it."""
     received = np.empty(len(is_decoy), dtype=bool)
     received[~is_decoy] = pairs.b_delivered
     received[is_decoy] = decoys.delivered
-    return tuple(np.flatnonzero(received).tolist())
+    slots = tuple(np.flatnonzero(received).tolist())
+    t.append("bob", MessageKind.POSITIONS, {"received_b": slots})
+    counts = report.counts
+    for check in ("decoy", "wc"):
+        if f"{check}_compared" not in counts:  # the check did not run
+            continue
+        if check == "decoy":
+            positions = {"decoy_positions": tuple(decoys.position.tolist())}
+            seen = decoys.position[decoys.delivered].tolist()
+            names = _BASIS_NAMES[decoys.bob_basis].tolist()
+            t.append("alice", MessageKind.POSITIONS, positions)
+            bases = {"decoy_bases": tuple(zip(seen, names))}
+            t.append("bob", MessageKind.BASIS_DECLARATION, bases)
+        else:
+            checked = tuple(np.flatnonzero(pairs.checked).tolist())
+            t.append("bob", MessageKind.POSITIONS, {"wc_positions": checked})
+            names_a = _BASIS_NAMES[pairs.wc_basis_a].tolist()
+            names_b = _BASIS_NAMES[pairs.wc_basis_b].tolist()
+            bases = {"wc_bases": tuple(zip(checked, names_a, names_b))}
+            t.append("both", MessageKind.BASIS_DECLARATION, bases)
+        compared, errors = (counts[key] for key in _COUNT_KEYS[check][:2])
+        if compared == 0:
+            t.append("alice", MessageKind.ABORT, {"reason": _INDETERMINATE[check]})
+            continue
+        qber = getattr(report, f"{check}_qber")
+        comparison = dict(check=check, compared=compared, errors=errors, qber=qber)
+        t.append("alice", MessageKind.OUTCOME_COMPARISON, comparison)
+        passed = not report.aborted or (check == "decoy" and "wc_compared" in counts)
+        verdict = MessageKind.PROCEED if passed else MessageKind.ABORT
+        t.append("alice", verdict, {"check": check, "qber": qber})
+    if not report.aborted:
+        decoded = tuple(np.flatnonzero(pairs.decoded >= 0).tolist())
+        t.append("bob", MessageKind.POSITIONS, {"decoded_positions": decoded})
 
 
 def _key_bits(codewords: np.ndarray) -> np.ndarray:
@@ -836,14 +822,14 @@ def run_sessions(
     phase draws for them.  The phases run in the order of what they read:
     the decoy check comes before step 1, so a session it aborts never
     prepares its pairs and draws nothing from the sender's stream.
-    The public messages are recorded only when a ``transcript`` is passed,
-    which only a batch of one accepts.  An empty batch gives no reports.
+    A ``transcript``, which only a batch of one accepts, gets the public
+    messages, read off the finished batch and report by :func:`_record`.
+    An empty batch gives no reports.
     """
     if not configs:
         return []
     if transcript is not None and len(configs) > 1:
         raise ValueError("a transcript records a batch of one session")
-    t, count = transcript, len(configs)
     seeds = [c.seed for c in configs]
     losses = [c.loss for c in configs]
     thresholds = [c.threshold for c in configs]
@@ -858,69 +844,40 @@ def run_sessions(
     # reach and run that phase.  The pairs are prepared only after the
     # decoy check, for the sessions it lets through.
     pairs = PairBatch([c.pairs for c in configs])
-    if any(uses_decoy):
-        is_decoy, decoys = insert_decoys(
-            pairs,
-            [c.decoy_fraction for c in configs],
-            _streams(seeds, _STREAM_DECOY, uses_decoy),
-        )
-    else:  # the b sequences carry the pairs alone
-        is_decoy = np.zeros(len(pairs), dtype=bool)
-        decoys = _decoy_batch(
-            [0] * count, np.zeros(0, dtype=np.intp), *np.zeros((2, 0), dtype=_CODE)
-        )
+    is_decoy, decoys = insert_decoys(
+        pairs,
+        [c.decoy_fraction for c in configs],
+        _streams(seeds, _STREAM_DECOY, uses_decoy),
+    )
     attack_b = transmit_b(
         pairs, decoys, is_decoy, losses, eve_b, _streams(seeds, _STREAM_CHANNEL_B)
     )
-    _post(
-        t,
-        "bob",
-        MessageKind.POSITIONS,
-        lambda: {"received_b": _received(pairs, decoys, is_decoy)},
-    )
 
-    decoys_lost = (
-        _tally(~decoys.delivered, decoys.sizes) if any(uses_decoy) else [0] * count
-    )
+    decoys_lost = _tally(~decoys.delivered, decoys.sizes)
     counts = [
         dict(pairs=c.pairs, decoys=d, decoys_lost=lost, checked=0, lost=0, key_pairs=0)
         for c, d, lost in zip(configs, decoys.sizes, decoys_lost)
     ]
     qbers = [{"decoy_qber": None, "wc_qber": None} for _ in configs]
-    live = [True] * count  # the sessions no check has aborted
+    live = [True] * len(configs)  # the sessions no check has aborted
 
     def judge(check: str, gens: list, tallies: list) -> None:
         """Record the tallies of each session that ran ``check`` (has a
-        handle in ``gens``) and announce its verdict: it aborts when it
+        handle in ``gens``) and decide its verdict: it aborts when it
         compared nothing or its error rate passes its threshold."""
         for s, (g, tally) in enumerate(zip(gens, tallies)):
             if g is None:
                 continue
             counts[s].update(zip(_COUNT_KEYS[check], tally))
             compared, errors = tally[:2]
-            if compared == 0:
-                live[s] = False
-                reason = _INDETERMINATE[check]
-                _post(t, "alice", MessageKind.ABORT, lambda: {"reason": reason})
-                continue
-            qber = qbers[s][f"{check}_qber"] = errors / compared
-            live[s] = qber <= thresholds[s]
-            _post(
-                t,
-                "alice",
-                MessageKind.OUTCOME_COMPARISON,
-                lambda: dict(check=check, compared=compared, errors=errors, qber=qber),
-            )
-            _post(
-                t,
-                "alice",
-                MessageKind.PROCEED if live[s] else MessageKind.ABORT,
-                lambda: {"check": check, "qber": qber},
-            )
+            live[s] = compared > 0
+            if live[s]:
+                qber = qbers[s][f"{check}_qber"] = errors / compared
+                live[s] = qber <= thresholds[s]
 
     if any(uses_decoy):
         gens = _streams(seeds, _STREAM_BOB_DECOY, uses_decoy)
-        judge("decoy", gens, decoy_check(decoys, t, gens))
+        judge("decoy", gens, decoy_check(decoys, gens))
     if any(live):
         step1_prepare_and_encode(pairs, _streams(seeds, _STREAM_ALICE, live))
         if attack_b is not None:
@@ -929,7 +886,7 @@ def run_sessions(
     if any(runs_wc):
         gens = _streams(seeds, _STREAM_WC, runs_wc)
         fractions = [c.sample_fraction for c in configs]
-        judge("wc", gens, wc_check(pairs, fractions, t, gens))
+        judge("wc", gens, wc_check(pairs, fractions, gens))
 
     survivors = np.zeros(0, dtype=np.intp)
     if any(live):
@@ -937,7 +894,7 @@ def run_sessions(
         gens = _streams(seeds, _STREAM_CHANNEL_A, live)
         transmit_a(pairs, active, losses, eve_a, gens)
         gens = _streams(seeds, _STREAM_DEVICE, live)
-        survivors = step5_decode_and_sift(pairs, active, t, gens)
+        survivors = step5_decode_and_sift(pairs, active, gens)
     kept = _sizes(pairs.offsets, survivors)
     alice_bits = _key_bits(pairs.codeword.take(survivors))
     bob_bits = _key_bits(pairs.decoded.take(survivors))
@@ -967,6 +924,8 @@ def run_sessions(
                 config=config,
             )
         )
+    if transcript is not None:
+        _record(transcript, pairs, decoys, is_decoy, reports[0])
     return reports
 
 
