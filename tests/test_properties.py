@@ -137,14 +137,17 @@ def test_valid_settings_run_and_invalid_ones_exit_two(values, joined):
 @contextmanager
 def recorded_session():
     """Record every stream built, every block of words drawn or skipped,
-    and the attacker's records of each transmission, while the block runs.
+    and the single-photon records of the batch, while the block runs.
 
     ``streams`` and ``draws`` hold ``(seed, stream)`` and ``(seed, stream,
-    kind, size)`` per call, ``kind`` being ``"words"`` or ``"skip"``;
-    ``eve_b`` and ``eve_a`` hold the attacker's basis and outcome per pair
-    of the batch as the batch ends, ``(-1, -1)`` where it measured none.
+    kind, size)`` per call, ``kind`` being ``"words"`` or ``"skip"``.
+    Every record is a local id ``4 * basis + k``, the row ``k`` of a
+    :data:`~depqkd.quantum.LOCAL_BASIS` table: ``eve_b`` and ``eve_a`` hold
+    what the attacker observed of each pair of the batch as the batch ends,
+    ``-1`` where it measured none, and ``prepared`` each check photon's
+    preparation.
     """
-    log = {"streams": [], "draws": [], "eve_b": [], "eve_a": []}
+    log = {"streams": [], "draws": [], "eve_b": [], "eve_a": [], "prepared": []}
     init, words, skip = (
         SeededGenerator.__init__,
         SeededGenerator.words,
@@ -164,9 +167,9 @@ def recorded_session():
 
         return wrapper
 
-    def kept_batch(pairs, *args):
-        batches.append(pairs)
-        return transmit_b(pairs, *args)
+    def kept_batch(pairs, decoys, *args):
+        batches.append((pairs, decoys))
+        return transmit_b(pairs, decoys, *args)
 
     SeededGenerator.__init__ = counted_init
     SeededGenerator.words = counted("words", words)
@@ -179,11 +182,12 @@ def recorded_session():
         SeededGenerator.words, SeededGenerator.skip = words, skip
         protocol.transmit_b = transmit_b
     # every session sends its photons b, so every batch passes transmit_b
-    [pairs] = batches
+    [(pairs, decoys)] = batches
     for photon in "ba":
         basis = getattr(pairs, f"eve_{photon}_basis").tolist()
         outcome = getattr(pairs, f"eve_{photon}_outcome").tolist()
-        log[f"eve_{photon}"] = list(zip(basis, outcome))
+        log[f"eve_{photon}"] = [4 * b + k if b >= 0 else -1 for b, k in zip(basis, outcome)]
+    log["prepared"] = (2 * decoys.pol + decoys.freq).tolist()
 
 
 def per_session(records, sizes):
@@ -230,6 +234,7 @@ def test_a_batch_replays_each_session_as_if_run_alone(configs):
     sizes = [c.pairs for c in configs]
     eve_b = per_session(batch["eve_b"], sizes)
     eve_a = per_session(batch["eve_a"], sizes)
+    prepared = per_session(batch["prepared"], [r.counts["decoys"] for r in reports])
     for s, seed in enumerate(seeds):
         with recorded_session() as alone:
             report = run_session(configs[s])
@@ -249,9 +254,11 @@ def test_a_batch_replays_each_session_as_if_run_alone(configs):
         assert eve_b[s] == alone["eve_b"]
         assert eve_a[s] == alone["eve_a"]
         if report.aborted:
-            assert set(eve_a[s]) <= {(-1, -1)}
+            assert set(eve_a[s]) <= {-1}
         if never_prepared:
-            assert set(eve_b[s]) <= {(-1, -1)}
+            assert set(eve_b[s]) <= {-1}
+        # the same check photons, prepared alike
+        assert prepared[s] == alone["prepared"]
     # only a batch of one records a transcript
     if len(configs) > 1:
         with pytest.raises(ValueError):
@@ -287,6 +294,10 @@ MIXED_TRANSCRIPTS = "813ea6fe4a5080a401f913ec0489af8d6f6ab7d9378a985653ab6cb50cb
 # sha256 of the sorted (seed, stream, kind, total) draw ledger of the batch,
 # without stream 0 of the sessions the decoy check aborts
 MIXED_LEDGER = "ba134a15dea1d2e23715147a9811963c73fc3cdd4cc6d9b11551410f413ead37"
+# sha256 of the batch's single-photon records, each a local id: what the
+# attacker observed of each pair's photon b and photon a, and each check
+# photon's preparation
+MIXED_RECORDS = "da02f35788aac1d61cf4fc699b4710f6b43dab749d68df4350dee2e713ad3d19"
 
 
 def decoy_aborted(report):
@@ -330,6 +341,13 @@ def test_only_sessions_past_the_decoy_check_prepare_their_pairs():
     # converter check reads the prepared states of the pairs it samples
     assert not [key for key in totals if key[0] in skipped and key[1] == 0]
     assert totals[104, 0, "words"] == 2 * 70
+
+
+def test_a_mixed_batch_keeps_its_pinned_single_photon_records():
+    with recorded_session() as log:
+        run_sessions(MIXED_BATCH)
+    records = [log["eve_b"], log["eve_a"], log["prepared"]]
+    assert digest(records) == MIXED_RECORDS
 
 
 def test_sessions_run_in_four_threads_replay_their_serial_reports():

@@ -751,7 +751,8 @@ def test_session_transcripts_keep_their_pinned_messages(name):
 def test_a_grid_of_sessions_keeps_its_pinned_transcripts():
     # every check, attacker, target, a lossless and a lossy channel and two
     # seeds at 40 pairs, repeated configs dropped (no attacker forces
-    # target b): 120 sessions, 7 message sequences, one digest
+    # target b): 120 sessions, 7 message sequences, one digest of the
+    # messages and one of the reports' counts
     configs = {}
     grid = itertools.product(
         CheckStrategy, (None, *EveStrategy), EveTarget, (0.0, 0.3), (1, 2)
@@ -762,15 +763,20 @@ def test_a_grid_of_sessions_keeps_its_pinned_transcripts():
         )
         configs.setdefault(config, None)
     assert len(configs) == 120
-    h, shapes = hashlib.sha256(), set()
+    h, shapes, counts = hashlib.sha256(), set(), hashlib.sha256()
     for config in configs:
         transcript = Transcript()
-        run_session(config, transcript)
+        report = run_session(config, transcript)
         hash_messages(h, transcript)
         shapes.add(tuple((m.sender, m.kind) for m in transcript))
+        counts.update(repr(report.counts).encode())
     assert len(shapes) == 7
     assert h.hexdigest() == (
         "b36210209faff359f90648d7897ffd5d73923dbdf896ff656f5556f66a54e774"
+    )
+    # every tally, the decoy check's polarization, bin and basis splits too
+    assert counts.hexdigest() == (
+        "389e9f77e3d830482f28d1099256964062b9415debb05353846dbb02bb21059a"
     )
 
 
