@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .device import _DEVICE_BRAS, _converted, decode, device_outcomes
+from .device import _DEVICE_BRAS, DEVICE_OUTCOMES, _converted, decode
 from .quantum import LOCAL_BASIS, _LOCAL_OPERATORS, JointState, Pauli, Photon, PolBasis
 from .states import (
+    ENCODING_TABLE,
     DepLabel,
     EncodingPair,
     Family,
     dep_basis,
     encoding_choices,
-    encoding_to_label,
 )
 
 # Arrays hold operations as indices into _PAULIS and bases as indices into
@@ -58,13 +58,13 @@ _CHOICE_OPS = np.array(
 _EXPECTED_AGREE = np.array(
     [
         label.family is Family.PHI if basis is PolBasis.Z else label.sign > 0
-        for label in (encoding_to_label(EncodingPair(Pauli.I, op)) for op in _PAULIS)
+        for label in (ENCODING_TABLE[EncodingPair(Pauli.I, op)] for op in _PAULIS)
         for basis in _BASES
     ]
 )
 
-# Codeword announced by each device outcome, in device_outcomes() order.
-_DECODED = np.array([decode(outcome)[1] for outcome in device_outcomes()], dtype=_CODE)
+# Codeword announced by each device outcome, in DEVICE_OUTCOMES order.
+_DECODED = np.array([decode(outcome)[1] for outcome in DEVICE_OUTCOMES], dtype=_CODE)
 
 # Every transition of a pair state as an operator on its amplitudes, 12 per
 # photon, photon a first: each operation of _PAULIS, then the projector on

@@ -37,6 +37,10 @@ class EveStrategy(Enum):
     X = "ir-x"
     RANDOM_ZX = "ir-random"
 
+    def __init__(self, value: str) -> None:
+        #: the basis of every measurement, or None for a fair coin per photon
+        self.basis = None if value == "ir-random" else PolBasis(value[-1].upper())
+
 
 class EveTarget(Enum):
     """Which transmissions the eavesdropper intercepts."""
@@ -69,11 +73,9 @@ def apply_loss(loss_probability: float, g: SeededGenerator) -> bool:
 
 
 def _choose_basis(strategy: EveStrategy, g: SeededGenerator) -> PolBasis:
-    if strategy is EveStrategy.Z:
-        return PolBasis.Z
-    if strategy is EveStrategy.X:
-        return PolBasis.X
-    return PolBasis.Z if g.coin(0.5) else PolBasis.X
+    if strategy.basis is None:
+        return PolBasis.Z if g.coin(0.5) else PolBasis.X
+    return strategy.basis
 
 
 def ir_attack_entangled(

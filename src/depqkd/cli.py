@@ -40,7 +40,7 @@ import numpy as np
 
 from .alphabet import _DECODED, _PAULIS, ALPHABET
 from .channel import ConfigError
-from .device import _FAMILY_BY_PORTS, _PORT_MODES, _PORTS_A, _PORTS_B, device_outcomes
+from .device import DEVICE_OUTCOMES, _FAMILY_BY_PORTS, _PORT_MODES, _PORTS_A, _PORTS_B
 from .protocol import ProtocolConfig, run_sessions
 from .states import (
     DepLabel,
@@ -352,14 +352,13 @@ def run_table_verification() -> list[tuple[str, bool, str]]:
         label: set(ALPHABET.device[16 * i : 16 * i + 16].tolist())
         for label, i in sid.items()
     }
-    outcomes = device_outcomes()
     # the ports that the decoder reads as each family
     family_ports = {family: ports for ports, family in _FAMILY_BY_PORTS.items()}
     for label in DepLabel:
         ports = family_ports[label.family]
         support = np.flatnonzero(np.abs(dep_basis(label).vec) > 1e-12).tolist()
         routed = {(port_a.get(j // 4), port_b.get(j % 4)) for j in support}
-        seen = {(outcomes[o].port_a, outcomes[o].port_b) for o in hits[label]}
+        seen = {DEVICE_OUTCOMES[o][:2] for o in hits[label]}  # (port_a, port_b)
         ok = routed == {ports} and seen == {ports}
         rows.append((f"ports {label} -> {ports}", ok, "routing and coincidences"))
 

@@ -112,12 +112,13 @@ def _build_device_basis() -> tuple[tuple[DeviceOutcome, ...], np.ndarray]:
     return tuple(outcomes), matrix
 
 
-_DEVICE_OUTCOMES, _DEVICE_MATRIX = _build_device_basis()
+#: The 16 outcomes, in the order of :func:`device_probabilities`.
+DEVICE_OUTCOMES, _DEVICE_MATRIX = _build_device_basis()
 _DEVICE_BRAS = _DEVICE_MATRIX.conj()
 
 
 def device_probabilities(state: JointState) -> np.ndarray:
-    """Probabilities of the 16 device outcomes, in :func:`device_outcomes`
+    """Probabilities of the 16 device outcomes, in :data:`DEVICE_OUTCOMES`
     order."""
     return np.abs(_DEVICE_BRAS @ state.vec) ** 2
 
@@ -128,11 +129,7 @@ def device_measure(state: JointState, g: SeededGenerator) -> DeviceOutcome:
     The pair collapses onto the outcome's row of the device matrix, so the
     outcome alone describes it.
     """
-    return _DEVICE_OUTCOMES[g.sample_index(device_probabilities(state))]
-
-
-def device_outcomes() -> tuple[DeviceOutcome, ...]:
-    return _DEVICE_OUTCOMES
+    return DEVICE_OUTCOMES[g.sample_index(device_probabilities(state))]
 
 
 _FAMILY_BY_PORTS: dict[tuple[int, int], Family] = {

@@ -130,24 +130,12 @@ class ProtocolConfig:
             raise ConfigError(f"pairs must be at most {_MAX_PAIRS}, got {n}")
         if type(seed := self.seed) is not int or not 0 <= seed < 1 << 64:
             raise ConfigError(f"seed must be an int in [0, 2**64), got {seed!r}")
-        if not (isinstance(x := self.decoy_fraction, float) or type(x) is int):
-            raise ConfigError(f"decoy_fraction must be a real number, got {x!r}")
-        if not 0.0 <= x < 1.0:
-            raise ConfigError(f"decoy_fraction must lie in [0, 1), got {x}")
+        _check_unit("decoy_fraction", self.decoy_fraction, "[0, 1)")
         if not isinstance(self.check, CheckStrategy):
             raise ConfigError(f"check must be a CheckStrategy, got {self.check!r}")
-        if not (isinstance(x := self.sample_fraction, float) or type(x) is int):
-            raise ConfigError(f"sample_fraction must be a real number, got {x!r}")
-        if not 0.0 < x <= 1.0:
-            raise ConfigError(f"sample_fraction must lie in (0, 1], got {x}")
-        if not (isinstance(x := self.threshold, float) or type(x) is int):
-            raise ConfigError(f"threshold must be a real number, got {x!r}")
-        if not 0.0 < x < 1.0:
-            raise ConfigError(f"threshold must lie in (0, 1), got {x}")
-        if not (isinstance(x := self.loss, float) or type(x) is int):
-            raise ConfigError(f"loss must be a real number, got {x!r}")
-        if not 0.0 <= x <= 1.0:
-            raise ConfigError(f"loss must lie in [0, 1], got {x}")
+        _check_unit("sample_fraction", self.sample_fraction, "(0, 1]")
+        _check_unit("threshold", self.threshold, "(0, 1)")
+        _check_unit("loss", self.loss, "[0, 1]")
         if self.eve is not None and not isinstance(self.eve, EveStrategy):
             raise ConfigError(f"eve must be an EveStrategy or None, got {self.eve!r}")
         if not isinstance(targets := self.eve_targets, EveTarget):
@@ -159,6 +147,17 @@ class ProtocolConfig:
         """JSON-ready echo of the effective configuration: every field by
         name, an enum by its value and no attacker as ``"none"``."""
         return {f.name: _echo(getattr(self, f.name)) for f in fields(self)}
+
+
+def _check_unit(name: str, x: object, interval: str) -> None:
+    """Refuse ``x`` unless it is an int or float in ``interval``, a part of
+    [0, 1] that holds an end where its bracket is square; NaN holds none."""
+    if not (isinstance(x, float) or type(x) is int):
+        raise ConfigError(f"{name} must be a real number, got {x!r}")
+    above = 0.0 <= x if interval[0] == "[" else 0.0 < x
+    below = x <= 1.0 if interval[-1] == "]" else x < 1.0
+    if not (above and below):
+        raise ConfigError(f"{name} must lie in {interval}, got {x}")
 
 
 def _echo(value: object) -> object:
@@ -323,15 +322,15 @@ class PairBatch:
     measured: every photon delivered and none checked.
 
     ``state`` holds ids into :data:`~depqkd.alphabet.ALPHABET`; ``op_a`` and
-    ``op_b`` index ``tuple(Pauli)``.  For each photon the attacker
-    intercepted, ``eve_*_basis`` indexes ``tuple(PolBasis)`` and
-    ``eve_*_outcome`` is the row ``k`` of that
-    :data:`~depqkd.quantum.LOCAL_BASIS` table it observed.  ``-1`` marks a
-    pair that was never prepared (its codeword, operations and state), an
-    attacker record that does not exist and a pair the receiver never
-    decoded.  ``wc_basis_a`` and ``wc_basis_b`` are set by :func:`wc_check`:
-    each party's basis, indexing ``tuple(PolBasis)``, for each checked pair
-    in index order, and empty before.
+    ``op_b`` index ``tuple(Pauli)``.  ``eve_b`` and ``eve_a`` hold what the
+    attacker observed of each pair's photon b and photon a, as the local
+    id ``4 * basis + k`` of row ``k`` of the ``tuple(PolBasis)[basis]``
+    :data:`~depqkd.quantum.LOCAL_BASIS` table.  ``-1`` marks a pair that
+    was never prepared (its codeword, operations and state), a photon the
+    attacker did not measure and a pair the receiver never decoded.
+    ``wc_basis_a`` and ``wc_basis_b`` are set by :func:`wc_check`: each
+    party's basis, indexing ``tuple(PolBasis)``, for each checked pair in
+    index order, and empty before.
     """
 
     sizes: list[int]
@@ -342,10 +341,8 @@ class PairBatch:
     b_delivered: np.ndarray = field(init=False)
     a_delivered: np.ndarray = field(init=False)
     checked: np.ndarray = field(init=False)
-    eve_b_basis: np.ndarray = field(init=False)
-    eve_b_outcome: np.ndarray = field(init=False)
-    eve_a_basis: np.ndarray = field(init=False)
-    eve_a_outcome: np.ndarray = field(init=False)
+    eve_b: np.ndarray = field(init=False)
+    eve_a: np.ndarray = field(init=False)
     decoded: np.ndarray = field(init=False)
     wc_basis_a: np.ndarray = field(init=False)
     wc_basis_b: np.ndarray = field(init=False)
@@ -358,8 +355,7 @@ class PairBatch:
         self.b_delivered = np.ones(size, dtype=bool)
         self.a_delivered = np.ones(size, dtype=bool)
         self.checked = np.zeros(size, dtype=bool)
-        self.eve_b_basis, self.eve_b_outcome = _unset(size), _unset(size)
-        self.eve_a_basis, self.eve_a_outcome = _unset(size), _unset(size)
+        self.eve_b, self.eve_a = _unset(size), _unset(size)
         self.decoded = _unset(size)
         self.wc_basis_a = self.wc_basis_b = _unset(0)
 
@@ -373,27 +369,26 @@ class PairBatch:
 class DecoyBatch:
     """Every check photon of a batch as parallel arrays, in slot order.
 
-    ``pol`` is ``2 * basis + comp`` of the prepared polarization: basis
-    ``pol >> 1`` indexes ``tuple(PolBasis)`` and ``comp`` ``pol & 1`` is 0
-    for H or +45 degrees and 1 for V or -45 degrees.  A photon's ``state``
-    is the local id ``4 * basis + k`` of row ``k`` of the
-    ``tuple(PolBasis)[basis]`` :data:`~depqkd.quantum.LOCAL_BASIS` table,
-    ``2 * pol + freq`` as prepared; the attacker resends such a row too.
-    Every photon starts delivered.  ``bob_basis`` is set by
+    ``prepared`` and ``state`` hold local ids ``4 * basis + k``: row ``k``
+    of the ``tuple(PolBasis)[basis]`` :data:`~depqkd.quantum.LOCAL_BASIS`
+    table, whose polarization ``k >> 1`` is 0 for H or +45 degrees and 1
+    for V or -45 degrees and whose frequency bin is ``k & 1``.
+    ``prepared`` is each photon's preparation; ``state`` starts as a copy
+    of it and becomes the row the attacker resends.  Every photon starts
+    delivered.  ``bob_basis`` is set by
     :func:`decoy_check`: the receiver's basis, indexing ``tuple(PolBasis)``,
     for each delivered photon in slot order, and empty before.
     """
 
     sizes: list[int]  # decoys of each session
     position: np.ndarray  # slot in the batch's mixed transmission sequence
-    freq: np.ndarray
-    pol: np.ndarray
+    prepared: np.ndarray
     state: np.ndarray = field(init=False)
     delivered: np.ndarray = field(init=False)
     bob_basis: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        self.state = 2 * self.pol + self.freq
+        self.state = self.prepared.copy()
         self.delivered = np.ones(len(self.position), dtype=bool)
         self.bob_basis = _unset(0)
 
@@ -401,10 +396,7 @@ class DecoyBatch:
 def _randints(w: np.ndarray, n: int) -> np.ndarray:
     """``floor(u * n)`` of each word's double ``u``, for ``n`` a power of
     two from 2: the word's top ``log2 n`` bits."""
-    bits = n.bit_length() - 1
-    if n < 2 or n != 1 << bits:
-        raise ValueError(f"_randints needs a power of two from 2, got {n}")
-    return (w >> (64 - bits)).astype(_CODE)
+    return (w >> (65 - n.bit_length())).astype(_CODE)
 
 
 _TOP_BIT = np.uint64(1 << 63)
@@ -429,13 +421,13 @@ def _channel(
 
     Each session's stream gives one block of its loss coins, then, under
     an attacker, one block with a row per delivered photon in slot order:
-    the attacker's basis coin (random policy only) and its measurement
-    draw.  Each run of consecutive sessions under one policy is drawn
-    together.  Returns the delivery mask, the mask of the photons the
-    attacker measured (the delivered ones of attacked sessions), and its
-    basis and measurement word per such photon, or ``None`` for both when
-    no session is attacked.  A session without a handle sends no photons
-    and draws nothing.
+    the attacker's basis coin (only under a policy without a fixed
+    ``basis``) and its measurement draw.  Each run of consecutive sessions
+    under one policy is drawn together.  Returns the delivery mask, the
+    mask of the photons the attacker measured (the delivered ones of
+    attacked sessions), and its basis and measurement word per such
+    photon, or ``None`` for both when no session is attacked.  A session
+    without a handle sends no photons and draws nothing.
     """
     delivered = ~_coins(gens, sizes, losses)
     attacked = [eve is not None for eve in eves]
@@ -445,28 +437,27 @@ def _channel(
     bases, words = [], []
     for eve, run in groupby(zip(eves, gens, _tally(delivered, sizes)), itemgetter(0)):
         _, run_gens, m = zip(*run)
-        if eve is EveStrategy.RANDOM_ZX:
+        if eve is None:
+            continue
+        if eve.basis is None:
             w = _draw(run_gens, m, 2)
             bases.append(_basis_coins(w[:, 0]))
             words.append(w[:, 1])
-        elif eve is not None:
-            fixed = PolBasis.Z if eve is EveStrategy.Z else PolBasis.X
+        else:
             words.append(_draw(run_gens, m)[:, 0])
-            bases.append(np.full(len(words[-1]), _BASES.index(fixed), dtype=_CODE))
+            bases.append(np.full(len(words[-1]), _BASES.index(eve.basis), _CODE))
     return delivered, seen, _joined(bases), _joined(words)
 
 
 def _intercept_pairs(
     pairs: PairBatch, idx: np.ndarray, photon: Photon, basis: np.ndarray, w: np.ndarray
 ) -> None:
-    """Measure one photon of each pair ``idx`` and resend the eigenstate."""
+    """Measure one photon of each pair ``idx``, resend the eigenstate and
+    record the outcome's local id in ``pairs.eve_b`` or ``pairs.eve_a``."""
     keys = 2 * pairs.state[idx] + basis
     k = _sample(ALPHABET.partial[photon], keys, w)
     pairs.state[idx] = ALPHABET.collapsed[photon].take(4 * keys + k)
-    if photon is Photon.B:
-        pairs.eve_b_basis[idx], pairs.eve_b_outcome[idx] = basis, k
-    else:
-        pairs.eve_a_basis[idx], pairs.eve_a_outcome[idx] = basis, k
+    getattr(pairs, f"eve_{photon.value}")[idx] = 4 * basis + k
 
 
 def step1_prepare_and_encode(
@@ -519,11 +510,9 @@ def insert_decoys(
             for g, n, c in zip(gens, pairs.sizes, count)
         ]
     )
-    w = _draw(gens, count, 2)
-    decoys = DecoyBatch(
-        count, np.flatnonzero(is_decoy), _randints(w[:, 0], 2), _randints(w[:, 1], 4)
-    )
-    return is_decoy, decoys
+    w = _draw(gens, count, 2)  # each photon's bin, then its polarization
+    prepared = 2 * _randints(w[:, 1], 4) + _randints(w[:, 0], 2)
+    return is_decoy, DecoyBatch(count, np.flatnonzero(is_decoy), prepared)
 
 
 def transmit_b(
@@ -639,23 +628,25 @@ def decoy_check(
 
     The receiver measures every delivered decoy in a uniformly random
     basis; comparisons count only where that basis matches the
-    preparation.  A polarization flip or a frequency-bin mismatch both
-    count as errors.  The receiver's bases are kept as
-    ``decoys.bob_basis``.  Returns each session's tallies in the column
-    order of ``_COUNT_KEYS["decoy"]``, all 0 for a session without a handle.
+    preparation's, ``decoys.prepared >> 2``.  A polarization flip or a
+    frequency-bin mismatch both count as errors.  The receiver's bases are
+    kept as ``decoys.bob_basis``.  Returns each session's tallies in the
+    column order of ``_COUNT_KEYS["decoy"]``, all 0 for a session without
+    a handle.
     """
     idx = np.flatnonzero(decoys.delivered)
     sizes = _tally(decoys.delivered, decoys.sizes)
     w = _draw(gens, sizes, 2)
     basis = decoys.bob_basis = _basis_coins(w[:, 0])
     k = _sample(ALPHABET.local, 2 * decoys.state[idx] + basis, w[:, 1])
-    pol = decoys.pol[idx]
-    prepared = pol >> 1
-    matched = basis == prepared
-    pol_bad = matched & ((k >> 1) != (pol & 1))
-    freq_bad = matched & ((k & 1) != decoys.freq[idx])
+    prepared = decoys.prepared[idx]
+    prepared_basis = prepared >> 2
+    matched = basis == prepared_basis
+    flips = k ^ (prepared & 3)  # bit 1 the polarization, bit 0 the bin
+    pol_bad = matched & (flips > 1)
+    freq_bad = matched & ((flips & 1) == 1)
     bad = pol_bad | freq_bad
-    z = prepared == _BASES.index(PolBasis.Z)
+    z = prepared_basis == _BASES.index(PolBasis.Z)
     # the X-prepared counts are the rest of each session's comparisons
     return [
         (c, e, pol_e, freq_e, zc, ze, c - zc, e - ze)

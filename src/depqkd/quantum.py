@@ -26,10 +26,6 @@ from itertools import accumulate
 
 import numpy as np
 
-#: Default tolerance for global-phase state comparison.
-PHASE_TOL = 1e-9
-
-
 class StateError(ValueError):
     """Raised for malformed or unusable state amplitudes."""
 
@@ -166,14 +162,6 @@ def apply_local(op: Pauli, photon: Photon, state: JointState) -> JointState:
     else:
         out = m @ u.T
     return JointState(out.reshape(16))
-
-
-def equal_up_to_global_phase(s1, s2, tol: float = PHASE_TOL) -> bool:
-    """True when two normalized states differ only by a global phase.
-
-    Decided by ``|<s1|s2>| >= 1 - tol``.
-    """
-    return bool(abs(np.vdot(s1.vec, s2.vec)) >= 1.0 - tol)
 
 
 def cumulative(probabilities) -> tuple[float, ...]:

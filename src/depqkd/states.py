@@ -153,11 +153,6 @@ def partner_encoding(pair: EncodingPair) -> EncodingPair:
     return EncodingPair(_TIMES_Z[pair.op_a], _TIMES_Z[pair.op_b])
 
 
-def encoding_to_label(pair: EncodingPair) -> DepLabel:
-    """State produced by applying an operation pair to PSI+."""
-    return ENCODING_TABLE[pair]
-
-
 def label_to_codeword(label: DepLabel) -> int:
     """Three-bit codeword carried by a pair state."""
     return _CODEWORD[label]

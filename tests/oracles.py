@@ -47,6 +47,12 @@ def is_normalized(vec, tol: float = 1e-12) -> bool:
     return abs(float(np.real(np.vdot(vec, vec))) - 1.0) <= tol
 
 
+def equal_up_to_global_phase(s1, s2, tol: float = 1e-9) -> bool:
+    """Whether two normalized states (objects with a ``vec``) differ only
+    by a global phase: ``|<s1|s2>| >= 1 - tol``."""
+    return bool(abs(np.vdot(s1.vec, s2.vec)) >= 1.0 - tol)
+
+
 def born_probability(vec, proj) -> float:
     vec = np.asarray(vec, dtype=complex)
     return float(np.real(vec.conj() @ proj @ vec))

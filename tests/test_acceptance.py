@@ -17,7 +17,7 @@ import oracles
 from depqkd import CheckStrategy, EveStrategy, ProtocolConfig, run_session
 from depqkd.alphabet import ALPHABET
 from depqkd.cli import main
-from depqkd.device import decode, device_outcomes, device_probabilities
+from depqkd.device import DEVICE_OUTCOMES, decode, device_probabilities
 from depqkd.quantum import JointState, Pauli, Photon, SeededGenerator
 from depqkd.states import (
     ENCODING_TABLE,
@@ -72,7 +72,6 @@ PORT_PAIR = {
 def test_criterion_2_deterministic_discrimination_of_all_eight_states():
     with criterion(2, "10000 shots per state decode without a single mismatch", 5.0):
         shots = 10_000
-        outcomes = device_outcomes()
         for stream, label in enumerate(DepLabel):
             counts = sample_counts(
                 dep_basis(label), shots, SeededGenerator(1000, stream)
@@ -81,7 +80,7 @@ def test_criterion_2_deterministic_discrimination_of_all_eight_states():
             hit = np.flatnonzero(counts)
             assert len(hit) == 2  # the two diagonal-analyzer branches
             for k in hit:
-                outcome = outcomes[k]
+                outcome = DEVICE_OUTCOMES[k]
                 assert (outcome.port_a, outcome.port_b) == PORT_PAIR[label.family]
                 assert decode(outcome) == (label, label_to_codeword(label))
                 assert counts[k] / shots == pytest.approx(0.5, abs=0.02)

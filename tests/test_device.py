@@ -8,10 +8,10 @@ from depqkd.device import (
     _DEVICE_MATRIX,
     _FAMILY_BY_PORTS,
     _PORT_MODES,
+    DEVICE_OUTCOMES,
     DeviceOutcome,
     decode,
     device_measure,
-    device_outcomes,
     device_probabilities,
     measure_single,
     wavelength_convert_global,
@@ -102,9 +102,9 @@ def test_device_measurement_is_complete_and_orthonormal():
     assert np.allclose(gram, np.eye(16), atol=1e-12)
     total = sum(oracles.projector(row) for row in _DEVICE_MATRIX)
     assert np.allclose(total, np.eye(16), atol=1e-12)
-    assert len(device_outcomes()) == 16
-    assert len(set(device_outcomes())) == 16
-    for outcome in device_outcomes():
+    assert len(DEVICE_OUTCOMES) == 16
+    assert len(set(DEVICE_OUTCOMES)) == 16
+    for outcome in DEVICE_OUTCOMES:
         assert outcome.port_a in (1, 3)
         assert outcome.port_b in (2, 4)
         assert outcome.x_a in (+1, -1)
@@ -118,14 +118,14 @@ def test_device_distribution_matches_dense_projector_oracle():
         reference[outcome] = proj
     for _ in range(20):
         s = random_joint(rng)
-        for outcome, prob in zip(device_outcomes(), device_probabilities(s)):
+        for outcome, prob in zip(DEVICE_OUTCOMES, device_probabilities(s)):
             expected = oracles.born_probability(s.vec, reference[tuple(outcome)])
             assert prob == pytest.approx(expected, abs=1e-12)
 
 
 def test_device_discriminates_all_eight_states_deterministically():
     for label in DepLabel:
-        dist = zip(device_outcomes(), device_probabilities(dep_basis(label)))
+        dist = zip(DEVICE_OUTCOMES, device_probabilities(dep_basis(label)))
         support = [(o, p) for o, p in dist if p > 1e-12]
         assert len(support) == 2
         for outcome, prob in support:
@@ -141,7 +141,7 @@ def test_sign_rule_table_recomputed_from_amplitudes():
         plus = dep_basis(DepLabel.of(family, +1))
         supported = [
             outcome
-            for outcome, p in zip(device_outcomes(), device_probabilities(plus))
+            for outcome, p in zip(DEVICE_OUTCOMES, device_probabilities(plus))
             if p > 1e-12
         ]
         parallel = {o.x_a == o.x_b for o in supported}
@@ -149,7 +149,7 @@ def test_sign_rule_table_recomputed_from_amplitudes():
         minus = dep_basis(DepLabel.of(family, -1))
         supported = [
             outcome
-            for outcome, p in zip(device_outcomes(), device_probabilities(minus))
+            for outcome, p in zip(DEVICE_OUTCOMES, device_probabilities(minus))
             if p > 1e-12
         ]
         parallel = {o.x_a == o.x_b for o in supported}
@@ -169,7 +169,7 @@ def test_device_measure_collapses_onto_the_outcome_vector():
     # overlap the measured state
     g = SeededGenerator(12, 0)
     state = dep_basis(DepLabel.GAMMA_MINUS)
-    rows = dict(zip(device_outcomes(), _DEVICE_MATRIX))
+    rows = dict(zip(DEVICE_OUTCOMES, _DEVICE_MATRIX))
     for _ in range(50):
         outcome = device_measure(state, g)
         assert decode(outcome) == (DepLabel.GAMMA_MINUS, 7)

@@ -183,11 +183,8 @@ def recorded_session():
         protocol.transmit_b = transmit_b
     # every session sends its photons b, so every batch passes transmit_b
     [(pairs, decoys)] = batches
-    for photon in "ba":
-        basis = getattr(pairs, f"eve_{photon}_basis").tolist()
-        outcome = getattr(pairs, f"eve_{photon}_outcome").tolist()
-        log[f"eve_{photon}"] = [4 * b + k if b >= 0 else -1 for b, k in zip(basis, outcome)]
-    log["prepared"] = (2 * decoys.pol + decoys.freq).tolist()
+    log["eve_b"], log["eve_a"] = pairs.eve_b.tolist(), pairs.eve_a.tolist()
+    log["prepared"] = decoys.prepared.tolist()
 
 
 def per_session(records, sizes):

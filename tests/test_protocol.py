@@ -59,11 +59,11 @@ from depqkd.quantum import (
     partial_probabilities,
 )
 from depqkd.states import (
+    ENCODING_TABLE,
     DepLabel,
     EncodingPair,
     dep_basis,
     encoding_choices,
-    encoding_to_label,
 )
 
 # Exact per-check error rates of an intercept-resend attack on photon b,
@@ -217,6 +217,22 @@ def test_config_refuses_a_number_of_the_wrong_type(field, value, message):
     assert str(info.value).startswith(message) and "\n" not in str(info.value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "field, interval",
+    [
+        ("decoy_fraction", "[0, 1)"),
+        ("sample_fraction", "(0, 1]"),
+        ("threshold", "(0, 1)"),
+        ("loss", "[0, 1]"),
+    ],
+)
+def test_config_refuses_nan_and_infinities_in_every_range(field, interval, value):
+    with pytest.raises(ConfigError) as info:
+        ProtocolConfig(**{field: value})
+    assert str(info.value) == f"{field} must lie in {interval}, got {value}"
+
+
 def test_config_takes_any_int_or_float_number():
     # the edges of each range, as ints, floats and numpy floats
     config = ProtocolConfig(
@@ -294,7 +310,7 @@ def test_step1_draws_codewords_uniformly_and_encodes_photon_b():
         assert encoding in options
         first_choice += encoding == options[0]
         produced = oracles.classify(pair_state(pairs, i).vec)
-        step1 = encoding_to_label(EncodingPair(Pauli.I, encoding.op_b))
+        step1 = ENCODING_TABLE[EncodingPair(Pauli.I, encoding.op_b)]
         assert produced == family_sign(step1)
     assert first_choice / 2000 == pytest.approx(0.5, abs=0.04)
 
@@ -338,19 +354,18 @@ def test_insert_decoys_count_positions_and_preparations():
     assert np.count_nonzero(~is_decoy) == len(pairs.codeword)
     # each decoy knows its slot in the mixed sequence
     assert np.array_equal(decoys.position, np.flatnonzero(is_decoy))
-    # preparations are uniform over the eight (bin, polarization) choices
-    combos = np.zeros(8)
-    for freq, pol in zip(decoys.freq, decoys.pol):
-        combos[int(freq) * 4 + int(pol)] += 1
+    # preparations are uniform over the eight (bin, polarization) choices,
+    # and each photon starts in the state it was prepared in
+    combos = np.bincount(decoys.prepared, minlength=8)
     chi2 = float(np.sum((combos - count / 8) ** 2 / (count / 8)))
     assert chi2 < CHI2_7_CRIT
+    assert np.array_equal(decoys.state, decoys.prepared)
     for i in range(count):
-        pol = int(decoys.pol[i])  # basis pol >> 1, eigenstate pol & 1
+        basis, k = divmod(int(decoys.prepared[i]), 4)
         state = decoy_state(decoys, i)
         assert oracles.is_normalized(state.vec)
-        if BASES[pol >> 1] is PolBasis.Z:
-            idx = 2 * (pol & 1) + int(decoys.freq[i])
-            assert abs(state.vec[idx]) == pytest.approx(1.0, abs=1e-12)
+        if BASES[basis] is PolBasis.Z:  # row k is mode k = 2 * pol + freq
+            assert abs(state.vec[k]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_decoy_slots_are_the_head_of_a_stable_argsort():
@@ -438,7 +453,7 @@ def reference_transmit_b(pairs, decoys, is_decoy, losses, eves, seeds):
                 state = pair_state(pairs, i)
                 p = partial_probabilities(state, Photon.B, BASES[basis])
                 k = oracles.grid_outcome(p, word)
-                pairs.eve_b_basis[i], pairs.eve_b_outcome[i] = basis, k
+                pairs.eve_b[i] = 4 * basis + k
                 pairs.state[i] = ALPHABET.index(
                     partial_collapse(state, Photon.B, BASES[basis], k)
                 )
@@ -480,7 +495,7 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
         ref_pairs, ref_decoys = prepared_batch(sizes, seeds), copy.deepcopy(decoys)
         gens = [SeededGenerator(s, 2) for s in seeds]
         attack = transmit_b(pairs, decoys, is_decoy, loss, eves, gens)
-        assert set(pairs.state.tolist()) == set(pairs.eve_b_basis.tolist()) == {-1}
+        assert set(pairs.state.tolist()) == set(pairs.eve_b.tolist()) == {-1}
         assert (attack is None) == all(eve is None for eve in eves)
         step1_prepare_and_encode(pairs, [SeededGenerator(s, 0) for s in seeds])
         if attack is not None:
@@ -516,16 +531,15 @@ def test_the_attack_on_photon_b_reaches_only_the_sessions_given():
     _intercept_b(every, attack, [True] * 3)
     prepared_state = pairs.state.copy()
     _intercept_b(pairs, attack, [True, False, True])
-    for name in ("state", "eve_b_basis", "eve_b_outcome"):
+    for name in ("state", "eve_b"):
         got, whole = getattr(pairs, name), getattr(every, name)
         assert np.array_equal(got[:40], whole[:40]), name
         assert np.array_equal(got[70:], whole[70:]), name
     assert np.array_equal(pairs.state[40:70], prepared_state[40:70])
-    assert set(pairs.eve_b_basis[40:70].tolist()) == {-1}
-    assert set(pairs.eve_b_outcome[40:70].tolist()) == {-1}
+    assert set(pairs.eve_b[40:70].tolist()) == {-1}
     # the attacker measured some pairs of the middle session in the batch
     # where every session is live
-    assert (every.eve_b_basis[40:70] >= 0).any()
+    assert (every.eve_b[40:70] >= 0).any()
 
 
 def tallies_of(check, tallies):
@@ -637,7 +651,7 @@ def test_second_encoding_completes_every_codeword():
     for i in active:
         encoding = EncodingPair(PAULIS[pairs.op_a[i]], PAULIS[pairs.op_b[i]])
         produced = oracles.classify(pair_state(pairs, i).vec)
-        assert produced == family_sign(encoding_to_label(encoding))
+        assert produced == family_sign(ENCODING_TABLE[encoding])
 
 
 def test_decode_step_recovers_every_codeword_without_noise():
@@ -847,11 +861,8 @@ def test_attacker_record_gains_exactly_the_known_information():
         pairs = prepared(5000, 59 + stream)
         transmit_pairs_b(pairs, strategy, SeededGenerator(59 + stream, 2))
         joint = {}
-        for basis, k, codeword in zip(
-            pairs.eve_b_basis.tolist(),
-            pairs.eve_b_outcome.tolist(),
-            pairs.codeword.tolist(),
-        ):
+        for record, codeword in zip(pairs.eve_b.tolist(), pairs.codeword.tolist()):
+            basis, k = divmod(record, 4)
             comp, freq = local_outcome(k)
             key = ((BASES[basis].value, comp, int(freq)), codeword)
             joint[key] = joint.get(key, 0.0) + 1.0 / len(pairs.codeword)

@@ -1,0 +1,29 @@
+"""Every module of the package parses as the oldest Python that
+``pyproject.toml`` declares, though the suite may run on a newer one."""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = (ROOT / "pyproject.toml").read_text()
+FLOOR = tuple(
+    int(part)
+    for part in re.search(r'requires-python = ">=(\d+)\.(\d+)"', PYPROJECT).groups()
+)
+MODULES = sorted((ROOT / "src").rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_module_parses_as_the_declared_oldest_python(path):
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=FLOOR)
+
+
+def test_parsing_as_an_older_python_refuses_newer_syntax():
+    # except* came in 3.11
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(source, feature_version=(3, 11))
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))

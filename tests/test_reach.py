@@ -1,12 +1,16 @@
-"""Every function of the session engine runs in some use of the program.
+"""Every function of the package runs in some use of the program.
 
 A fresh process traces every call from before ``import depqkd`` through
 ``verify-tables``, small runs of the benchmark's three workload shapes, an
 attacker sweep on both photons, a config-file run, two rejected command
-lines and one session that keeps a transcript.  It lists each function
-and method defined in ``protocol.py``, ``alphabet.py``, ``cli.py`` or
-``states.py`` that never ran.
-Code that nothing reaches is either dead or untested; this test names it.
+lines and one session that keeps a transcript.  It then calls, once and on
+a small input, each function of ``quantum.py``, ``channel.py`` or
+``device.py`` that the benchmark's per-layer metrics name, since the
+benchmark times those whether or not a session calls them.  It lists each
+function and method defined in any module of the package that never ran,
+except ``__repr__`` and the transcript's readers, which only callers of
+the library use.  Code that nothing reaches is either dead or untested;
+this test names it.
 """
 
 import json
@@ -17,6 +21,7 @@ from pathlib import Path
 
 SCRIPT = """
 import contextlib, io, json, sys
+from pathlib import Path
 
 seen = set()
 
@@ -29,7 +34,7 @@ def profile(frame, event, arg):
 sys.setprofile(profile)
 import depqkd
 from depqkd import CheckStrategy, ProtocolConfig, Transcript, run_session
-from depqkd import alphabet, cli, protocol, states
+from depqkd import alphabet, channel, cli, device, protocol, quantum, states
 from depqkd.cli import main
 
 runs = [
@@ -50,36 +55,65 @@ out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     codes = [main(argv) for argv in runs]
     run_session(ProtocolConfig(pairs=50, check=CheckStrategy.BOTH), Transcript())
+
+# one small call of each function of these layers the benchmark names
+g = quantum.SeededGenerator(1, 0)
+pair = states.dep_basis(states.DepLabel.PSI_PLUS)
+photon = quantum.pol_freq_eigenstate(quantum.PolBasis.X, 0, quantum.Freq.LOW)
+A, B, Z, X = quantum.Photon.A, quantum.Photon.B, quantum.PolBasis.Z, quantum.PolBasis.X
+calls = {
+    "quantum.apply_local": lambda: quantum.apply_local(quantum.Pauli.X, B, pair),
+    "quantum.partial_measure": lambda: quantum.partial_measure(pair, B, Z, g),
+    "channel.ir_attack_entangled": lambda: channel.ir_attack_entangled(
+        pair, A, channel.EveStrategy.RANDOM_ZX, g
+    ),
+    "channel.ir_attack_decoy": lambda: channel.ir_attack_decoy(
+        photon, channel.EveStrategy.Z, g
+    ),
+    "channel.apply_loss": lambda: channel.apply_loss(0.5, g),
+    "device.device_measure": lambda: device.device_measure(pair, g),
+    "device.measure_single": lambda: device.measure_single(photon, X, g),
+    "device.wavelength_convert_global": lambda: device.wavelength_convert_global(pair),
+}
+layers = {"quantum": quantum, "channel": channel, "device": device}
+traced = {}
+for metric in json.loads(Path(sys.argv[2]).read_text())["per_layer"]:
+    layer, name = metric["name"].split(".")[:2]
+    if callable(getattr(layers.get(layer), name, None)):
+        traced[f"{layer}.{name}"] = None
+for name in traced:
+    calls[name]()
 sys.setprofile(None)
 
 # read by callers of the library only
 unused = {"messages", "kinds", "__len__", "__iter__"}
 missed = []
-for module in (protocol, alphabet, cli, states):
+for module in (protocol, alphabet, cli, states, quantum, channel, device):
     for name, value in vars(module).items():
         members = [(name, value)]
         if isinstance(value, type):
             members = [
                 (f"{name}.{attr}", member)
                 for attr, member in vars(value).items()
-                if not (name == "Transcript" and attr in unused)
+                if attr != "__repr__"
+                and not (name == "Transcript" and attr in unused)
             ]
         for qualname, member in members:
             code = getattr(member, "__code__", None)
             # generated dataclass methods are compiled from a string
             if code and code.co_filename == module.__file__ and code not in seen:
                 missed.append(f"{module.__name__}.{qualname}")
-print(json.dumps({"codes": codes, "missed": missed}))
+print(json.dumps({"codes": codes, "traced": list(traced), "missed": missed}))
 """
 
 
 def test_every_engine_function_runs_in_some_use_of_the_program(tmp_path):
     config = tmp_path / "session.cfg"
     config.write_text("pairs = 50\ncheck = wc\n")
-    src = Path(__file__).resolve().parents[1] / "src"
+    root = Path(__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(config)],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        [sys.executable, "-c", SCRIPT, str(config), str(root / "BENCHMARK.json")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
         text=True,
         timeout=120,
@@ -87,4 +121,6 @@ def test_every_engine_function_runs_in_some_use_of_the_program(tmp_path):
     )
     out = json.loads(result.stdout)
     assert out["codes"] == [0, 0, 0, 0, 0, 0, 2, 2]
+    # the benchmark times some function of these layers by name
+    assert out["traced"]
     assert out["missed"] == []

@@ -4,7 +4,7 @@ import numpy as np
 
 import oracles
 from depqkd.protocol import _key_bits
-from depqkd.quantum import Pauli, Photon, apply_local, equal_up_to_global_phase
+from depqkd.quantum import Pauli, Photon, apply_local
 from depqkd.states import (
     ENCODING_TABLE,
     DepLabel,
@@ -12,7 +12,6 @@ from depqkd.states import (
     codeword_to_label,
     dep_basis,
     encoding_choices,
-    encoding_to_label,
     label_to_codeword,
     partner_encoding,
 )
@@ -49,7 +48,7 @@ def test_encoding_table_closure_all_sixteen_rows():
     start = dep_basis(DepLabel.PSI_PLUS)
     for pair, label in ENCODING_TABLE.items():
         produced = apply_local(pair.op_a, Photon.A, apply_local(pair.op_b, Photon.B, start))
-        assert equal_up_to_global_phase(produced, dep_basis(label), 1e-12), pair
+        assert oracles.equal_up_to_global_phase(produced, dep_basis(label), 1e-12), pair
 
 
 def test_order_of_the_two_local_operations_does_not_matter():
@@ -116,7 +115,7 @@ def test_encoding_choices_cover_each_codeword():
         assert first.op_a in (Pauli.I, Pauli.X)
         assert second == partner_encoding(first)
         for pair in (first, second):
-            assert label_to_codeword(encoding_to_label(pair)) == codeword
+            assert label_to_codeword(ENCODING_TABLE[pair]) == codeword
 
 
 def test_encoding_choices_match_oracle_photon_b_options():
