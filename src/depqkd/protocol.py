@@ -150,8 +150,8 @@ class ProtocolConfig:
 
 
 def _check_unit(name: str, x: object, interval: str) -> None:
-    """Refuse ``x`` unless it is an int or float in ``interval``, a part of
-    [0, 1] that holds an end where its bracket is square; NaN holds none."""
+    """Refuse ``x`` unless it is an int or float in ``interval``, a range
+    within [0, 1] whose square brackets include their ends; NaN is in none."""
     if not (isinstance(x, float) or type(x) is int):
         raise ConfigError(f"{name} must be a real number, got {x!r}")
     above = 0.0 <= x if interval[0] == "[" else 0.0 < x
