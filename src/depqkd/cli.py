@@ -28,10 +28,11 @@ import argparse
 import hashlib
 import json
 import re
+import struct
 import sys
 import time
 from contextlib import nullcontext
-from dataclasses import Field, fields, replace
+from dataclasses import Field, fields
 from enum import EnumMeta
 from functools import cache
 from typing import Callable, NamedTuple, Optional, TextIO, get_args, get_type_hints
@@ -91,7 +92,9 @@ def _setting(f: Field) -> _Setting:
 
 
 #: The settings a sweep can vary, by flag name: the fields of ProtocolConfig.
-_SWEEPABLE = {setting.flag: setting for setting in map(_setting, fields(ProtocolConfig))}
+_SWEEPABLE = {
+    setting.flag: setting for setting in map(_setting, fields(ProtocolConfig))
+}
 _SETTINGS = (
     *_SWEEPABLE.values(),
     _Setting("trials", int, 1, None, "independent trials per configuration"),
@@ -99,11 +102,15 @@ _SETTINGS = (
 _KEYS = {setting.key for setting in _SETTINGS}
 
 
+# The three big-endian 64-bit words a trial seed is derived from.
+_SEED_WORDS = struct.Struct(">QQQ")
+_WORD_MASK = (1 << 64) - 1
+
+
 def derive_trial_seed(master_seed: int, sweep_index: int, trial_index: int) -> int:
     """Deterministic per-trial seed; see the module docstring for the rule."""
-    payload = b"".join(
-        (v & ((1 << 64) - 1)).to_bytes(8, "big")
-        for v in (master_seed, sweep_index, trial_index)
+    payload = _SEED_WORDS.pack(
+        master_seed & _WORD_MASK, sweep_index & _WORD_MASK, trial_index & _WORD_MASK
     )
     return int.from_bytes(hashlib.sha256(payload).digest()[:8], "big")
 
@@ -126,8 +133,12 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
             default=None,
             help=setting.help,
         )
-    parser.add_argument("--output", default=None, help="write JSON lines here instead of stdout")
-    parser.add_argument("--config", default=None, help="flat key=value config file; flags win")
+    parser.add_argument(
+        "--output", default=None, help="write JSON lines here instead of stdout"
+    )
+    parser.add_argument(
+        "--config", default=None, help="flat key=value config file; flags win"
+    )
 
 
 # A value that starts like a negative number: "-3e-05", "-inf", or a sweep
@@ -148,22 +159,58 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="depqkd",
-        description="Simulate two-step key distribution over doubly entangled photon pairs.",
+        description=(
+            "Simulate two-step key distribution over doubly entangled photon pairs."
+        ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     sub.add_parser(
         "verify-tables",
-        help="check the encoding table, codeword map, port routing, and state discrimination",
+        help=(
+            "check the encoding table, codeword map, port routing,"
+            " and state discrimination"
+        ),
     )
     run_p = sub.add_parser("run", help="run one configuration for one or more trials")
     _add_run_flags(run_p)
-    sweep_p = sub.add_parser("sweep", help="run trials across a list of parameter values")
+    sweep_p = sub.add_parser(
+        "sweep", help="run trials across a list of parameter values"
+    )
     _add_run_flags(sweep_p)
     for p in (run_p, sweep_p):
         p._negative_number_matcher = _NEGATIVE_VALUE
-    sweep_p.add_argument("--param", required=True, help="parameter to sweep (a run flag name)")
-    sweep_p.add_argument("--values", required=True, help="comma-separated values for the swept parameter")
+    sweep_p.add_argument(
+        "--param", required=True, help="parameter to sweep (a run flag name)"
+    )
+    sweep_p.add_argument(
+        "--values",
+        required=True,
+        help="comma-separated values for the swept parameter",
+    )
     return parser
+
+
+@cache
+def _subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
+    """The parser of each subcommand, from the one :func:`build_parser`
+    builds."""
+    (action,) = (a for a in build_parser()._actions if a.dest == "subcommand")
+    return action.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a subcommand's flags read
+    by that subcommand's parser alone.
+
+    The top-level parser would scan every flag once before handing them
+    all to the subcommand's parser, which reads them again, and it sees
+    nothing in them but the subcommand's name.  Any other argv, ``--help``
+    or an unknown subcommand among them, goes to the top-level parser.
+    """
+    parser = _subcommand_parsers().get(argv[0]) if argv else None
+    if parser is None:
+        return build_parser().parse_args(argv)
+    return parser.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
 
 
 def _convert(setting: _Setting, raw: str) -> object:
@@ -218,7 +265,8 @@ def _effective_settings(args: argparse.Namespace) -> dict[str, object]:
         key = setting.key
         flag_value = getattr(args, key)
         if flag_value is not None:  # argparse has read it and checked its choice
-            settings[key] = setting.choices[flag_value] if setting.choices else flag_value
+            choices = setting.choices
+            settings[key] = choices[flag_value] if choices else flag_value
         elif key in file_values:
             settings[key] = _convert(setting, file_values[key])
         else:
@@ -270,12 +318,14 @@ def _batches(cells: list[ProtocolConfig], trials: int):
     batch: list[tuple[int, int, ProtocolConfig]] = []
     pairs = 0
     for sweep_index, cell in enumerate(cells):
+        # the cell's settings but its seed, each trial's config validated anew
+        settings = {key: value for key, value in vars(cell).items() if key != "seed"}
         for i in range(trials):
             if batch and pairs + cell.pairs > _BATCH_PAIRS:
                 yield batch
                 batch, pairs = [], 0
             seed = derive_trial_seed(cell.seed, sweep_index, i)
-            batch.append((sweep_index, i, replace(cell, seed=seed)))
+            batch.append((sweep_index, i, ProtocolConfig(**settings, seed=seed)))
             pairs += cell.pairs
     yield batch
 
@@ -297,8 +347,15 @@ def _run_trials(
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         pairs = sum(config.pairs for config in configs)
         out.writelines(
-            _report_line(subcommand, i, config.seed, echoes[sweep_index], report,
-                         elapsed_ms / (pairs / config.pairs)) + "\n"
+            _report_line(
+                subcommand,
+                i,
+                config.seed,
+                echoes[sweep_index],
+                report,
+                elapsed_ms / (pairs / config.pairs),
+            )
+            + "\n"
             for (sweep_index, i, config), report in zip(batch, reports)
         )
 
@@ -313,7 +370,9 @@ def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], in
         param = args.param.strip()
         swept = _SWEEPABLE.get(param.replace("_", "-"))
         if swept is None:
-            raise ConfigError(f"cannot sweep {param!r}; choose one of {sorted(_SWEEPABLE)}")
+            raise ConfigError(
+                f"cannot sweep {param!r}; choose one of {sorted(_SWEEPABLE)}"
+            )
         raw_values = [v.strip() for v in args.values.split(",") if v.strip()]
         if not raw_values:
             raise ConfigError("sweep needs at least one value")
@@ -389,7 +448,7 @@ def cmd_verify_tables(out: TextIO) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:  # --help
         return int(exc.code) if exc.code is not None else 0
     except ConfigError as exc:

@@ -21,14 +21,17 @@ each with all of its own settings, and :func:`run_session` is the batch
 of one.  :class:`PairBatch` and :class:`DecoyBatch` hold one array entry
 per item, session after session.  Pair states are ids into
 :data:`depqkd.alphabet.ALPHABET`, and every transition and outcome a phase
-draws is a lookup in that module's tables.  Each phase draws the blocks of
-every session that runs it from that session's own stream, in the same
-order and sizes as the session run alone, and then works on all items of
-the batch at once, so no phase loops over its items in Python.  Every
-stream is a counter-based Philox key, so a session's draws do not depend
-on the sessions beside it.  A session that a check aborts stays in the
-batch, but gets no stream for the later phases, so none of them draws
-for it or touches its pairs.  The checks return per-session tallies, and
+draws is a lookup in that module's tables.  Each phase takes one
+:class:`~depqkd.quantum.BatchStream` for its stream index, which holds
+every session's seed and position, and draws the blocks of every session
+that runs it from that session's own stream, in the same order and sizes
+as the session run alone; it then works on all items of the batch at
+once, so no phase loops over its items in Python.  Every stream is a
+counter-based Philox key, so a session's draws do not depend on the
+sessions beside it.  A session that a check aborts stays in the batch,
+but has no stream in the later phases' objects, so none of them draws
+for it or touches its pairs.  A batch without check photons skips their
+slot routing.  The checks return per-session tallies, and
 :func:`run_sessions` judges each session against its own threshold.  No
 phase writes the public channel's messages: the checks keep the bases
 they drew on the batches, and :func:`_record` reads a session's
@@ -50,9 +53,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,7 +70,7 @@ from .alphabet import (
     _sample,
 )
 from .channel import ConfigError, EveStrategy, EveTarget
-from .quantum import Photon, PolBasis, SeededGenerator
+from .quantum import BatchStream, Photon, PolBasis
 
 
 class CheckStrategy(Enum):
@@ -236,67 +239,69 @@ def _unset(n: int) -> np.ndarray:
     return np.full(n, -1, dtype=_CODE)
 
 
-def _streams(
-    seeds: Sequence[int], stream: int, runs: Iterable[bool] = repeat(True)
-) -> list[Optional[SeededGenerator]]:
-    """Stream ``stream`` of each session's seed, in session order: one
-    handle per session, each a key and a position, drawing through the
-    Philox of the calling thread (see :class:`SeededGenerator`), and
-    ``None`` for a session that does not run the phase (``runs[s]`` false)."""
-    return [SeededGenerator(s, stream) if r else None for s, r in zip(seeds, runs)]
-
-
 def _joined(blocks: list[np.ndarray]) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _draw(
-    gens: Sequence[Optional[SeededGenerator]], sizes: Sequence[int], width: int = 1
+    streams: BatchStream,
+    sizes: Sequence[int],
+    width: int = 1,
+    sessions: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """``sizes[s]`` rows of ``width`` words from each ``gens[s]``, in
-    session order; a session without a handle has no rows and draws
-    nothing, so a run of such sessions gives an empty block, and a batch
-    of one makes a single call and no copy.
+    """``sizes[i]`` rows of ``width`` words from the stream of each session
+    ``sessions[i]`` (by default ``i``) in ``streams``, in that order, drawn
+    by one :meth:`~depqkd.quantum.BatchStream.words` call; a session
+    without the stream has no rows and draws nothing, so a run of such
+    sessions gives an empty block, and a lone block is not copied.
 
     A word stands for the double ``u`` that :func:`~depqkd.quantum.doubles`
     makes of it.  :func:`_coins`, :func:`_basis_coins` and :func:`_randints`
     decide on the word as an integer, with the outcome ``u`` would give;
     :func:`_sample` reads its top 4 bits, ``floor(16 * u)``.
     """
-    blocks = [g.words(m * width) for g, m in zip(gens, sizes) if g is not None]
-    return _joined(blocks or [np.zeros(0, dtype=np.uint64)]).reshape(-1, width)
+    if sessions is None:
+        sessions = range(len(sizes))
+    return streams.words(sessions, [m * width for m in sizes]).reshape(-1, width)
 
 
 def _coins(
-    gens: Sequence[Optional[SeededGenerator]],
-    sizes: Sequence[int],
-    p: Sequence[float],
+    streams: BatchStream, sizes: Sequence[int], p: Sequence[float]
 ) -> np.ndarray:
-    """A coin ``u < p[s]`` per item, ``sizes[s]`` of them from each
-    ``gens[s]`` in session order.  Each run of consecutive sessions with an
-    equal ``p`` is drawn as one block, except that a ``p`` of 0 or 1
-    decides every coin of its run, whose words are skipped, not drawn.  A
-    session without a handle gets false coins and draws and skips nothing."""
+    """A coin ``u < p[s]`` per item, ``sizes[s]`` of them from the stream
+    of each session ``s`` in ``streams``, in session order.  Each run of
+    consecutive sessions with an equal ``p`` is drawn as one block, except
+    that a ``p`` of 0 or 1 decides every coin of its run, whose words are
+    skipped, not drawn.  A session without the stream gets false coins and
+    draws and skips nothing; its run is keyed ``None``, which no
+    probability equals (``False`` would equal a ``p`` of 0)."""
+    positions = streams.positions
     blocks = []
-    for q, run in groupby(zip(p, gens, sizes), key=lambda item: item[1] and item[0]):
-        _, run_gens, run_sizes = zip(*run)
+    for q, run in groupby(
+        zip(range(len(sizes)), sizes, p),
+        key=lambda item: None if positions[item[0]] is None else item[2],
+    ):
+        sessions, run_sizes, _ = zip(*run)
         if q is None:
             blocks.append(np.zeros(sum(run_sizes), dtype=bool))
         elif 0.0 < q < 1.0:
             # u < q holds for k = w >> 11 exactly when k < ceil(q * 2**53),
             # which is at most 2**53 - 1, so the shifted bound fits 64 bits
             bound = np.uint64(math.ceil(q * 2**53) << 11)
-            blocks.append(_draw(run_gens, run_sizes)[:, 0] < bound)
+            blocks.append(streams.words(sessions, run_sizes) < bound)
         else:
-            for g, m in zip(run_gens, run_sizes):
-                g.skip(m)
+            streams.skip(sessions, run_sizes)
             blocks.append(np.full(sum(run_sizes), q >= 1.0))
     return _joined(blocks)
 
 
 def _tally(mask: np.ndarray, sizes: Sequence[int]) -> list[int]:
     """True entries of ``mask`` in each session, for a ``mask`` holding
-    ``sizes[s]`` entries of each session ``s`` in session order."""
+    ``sizes[s]`` entries of each session ``s`` in session order.  A mask
+    without a true entry, such as the decoy coins or the lost check photons
+    of a batch that has none, is counted once, not session by session."""
+    if not np.count_nonzero(mask):
+        return [0] * len(sizes)
     counts, start = [], 0
     for size in sizes:
         counts.append(int(np.count_nonzero(mask[start : start + size])))
@@ -377,11 +382,12 @@ class DecoyBatch:
     of it and becomes the row the attacker resends.  Every photon starts
     delivered.  ``bob_basis`` is set by
     :func:`decoy_check`: the receiver's basis, indexing ``tuple(PolBasis)``,
-    for each delivered photon in slot order, and empty before.
+    for each delivered photon in slot order, and empty before.  The slots
+    of the photons are the true entries of the mask :func:`insert_decoys`
+    returns with the batch.
     """
 
     sizes: list[int]  # decoys of each session
-    position: np.ndarray  # slot in the batch's mixed transmission sequence
     prepared: np.ndarray
     state: np.ndarray = field(init=False)
     delivered: np.ndarray = field(init=False)
@@ -389,7 +395,7 @@ class DecoyBatch:
 
     def __post_init__(self) -> None:
         self.state = self.prepared.copy()
-        self.delivered = np.ones(len(self.position), dtype=bool)
+        self.delivered = np.ones(len(self.prepared), dtype=bool)
         self.bob_basis = _unset(0)
 
 
@@ -413,7 +419,7 @@ def _channel(
     sizes: Sequence[int],
     losses: Sequence[float],
     eves: Sequence[Optional[EveStrategy]],
-    gens: Sequence[Optional[SeededGenerator]],
+    streams: BatchStream,
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Send ``sizes[s]`` photons of each session ``s`` through its channel,
     of loss probability ``losses[s]``, under the attacker policy
@@ -427,24 +433,25 @@ def _channel(
     mask of the photons the attacker measured (the delivered ones of
     attacked sessions), and its basis and measurement word per such
     photon, or ``None`` for both when no session is attacked.  A session
-    without a handle sends no photons and draws nothing.
+    without the stream sends no photons and draws nothing.
     """
-    delivered = ~_coins(gens, sizes, losses)
+    delivered = ~_coins(streams, sizes, losses)
     attacked = [eve is not None for eve in eves]
     if not any(attacked):
         return delivered, delivered, None, None
     seen = delivered if all(attacked) else delivered & np.repeat(attacked, sizes)
     bases, words = [], []
-    for eve, run in groupby(zip(eves, gens, _tally(delivered, sizes)), itemgetter(0)):
-        _, run_gens, m = zip(*run)
+    runs = zip(eves, range(len(sizes)), _tally(delivered, sizes))
+    for eve, run in groupby(runs, itemgetter(0)):
+        _, sessions, m = zip(*run)
         if eve is None:
             continue
         if eve.basis is None:
-            w = _draw(run_gens, m, 2)
+            w = _draw(streams, m, 2, sessions)
             bases.append(_basis_coins(w[:, 0]))
             words.append(w[:, 1])
         else:
-            words.append(_draw(run_gens, m)[:, 0])
+            words.append(streams.words(sessions, m))
             bases.append(np.full(len(words[-1]), _BASES.index(eve.basis), _CODE))
     return delivered, seen, _joined(bases), _joined(words)
 
@@ -460,15 +467,13 @@ def _intercept_pairs(
     getattr(pairs, f"eve_{photon.value}")[idx] = 4 * basis + k
 
 
-def step1_prepare_and_encode(
-    pairs: PairBatch, gens: Sequence[Optional[SeededGenerator]]
-) -> None:
-    """Draw a codeword for each pair of every session with a handle in
-    ``gens``, pick one of its two operation pairs, and apply the photon-b
-    operation to a fresh PSI+ pair.  The pairs of a session without a
-    handle stay unprepared and draw nothing."""
-    w = _draw(gens, pairs.sizes, 2)
-    rows = pairs.of([g is not None for g in gens])
+def step1_prepare_and_encode(pairs: PairBatch, streams: BatchStream) -> None:
+    """Draw a codeword for each pair of every session with a stream in
+    ``streams``, pick one of its two operation pairs, and apply the
+    photon-b operation to a fresh PSI+ pair.  The pairs of a session
+    without the stream stay unprepared and draw nothing."""
+    w = _draw(streams, pairs.sizes, 2)
+    rows = pairs.of([p is not None for p in streams.positions])
     codeword = _randints(w[:, 0], 8)
     op_a, op_b = _CHOICE_OPS.take(2 * codeword + _randints(w[:, 1], 2), axis=1)
     pairs.codeword[rows], pairs.op_a[rows], pairs.op_b[rows] = codeword, op_a, op_b
@@ -485,14 +490,12 @@ def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
 
 
 def insert_decoys(
-    pairs: PairBatch,
-    decoy_fractions: Sequence[float],
-    gens: Sequence[Optional[SeededGenerator]],
+    pairs: PairBatch, decoy_fractions: Sequence[float], streams: BatchStream
 ) -> tuple[np.ndarray, DecoyBatch]:
     """Mix single-photon check states into each session's b sequence.
 
     The decoy count of session ``s`` is binomial with mean
-    ``decoy_fractions[s]`` times its pairs; a session without a handle
+    ``decoy_fractions[s]`` times its pairs; a session without the stream
     gets none.  Positions are uniform among its mixed slots and
     preparations are uniform over the eight (frequency bin, polarization)
     combinations.
@@ -500,19 +503,22 @@ def insert_decoys(
     mask of decoy slots in the batch's mixed sequence, session after
     session, whose other slots carry the pairs in order, and the decoys.
     """
-    count = _tally(_coins(gens, pairs.sizes, decoy_fractions), pairs.sizes)
+    sizes = pairs.sizes
+    count = _tally(_coins(streams, sizes, decoy_fractions), sizes)
+    slots = [n + c for n, c in zip(sizes, count)]
+    is_decoy = np.zeros(sum(slots), dtype=bool)
     # The slots of the ``count`` smallest of ``n + count`` uniform keys hold
-    # a session's decoys; a session without decoys draws no keys.  A key is
-    # a word's top 53 bits, which order and tie like its double.
-    is_decoy = np.concatenate(
-        [
-            _smallest(g.words(n + c) >> 11, c) if c else np.zeros(n, dtype=bool)
-            for g, n, c in zip(gens, pairs.sizes, count)
-        ]
-    )
-    w = _draw(gens, count, 2)  # each photon's bin, then its polarization
+    # a session's decoys; a session without decoys draws no keys and its
+    # slots stay pairs.  A key is a word's top 53 bits, which order and tie
+    # like its double.  Each session's keys are freed before the next
+    # session's are drawn.
+    for s, end in enumerate(accumulate(slots)):
+        if count[s]:
+            keys = streams.words((s,), (slots[s],)) >> 11
+            is_decoy[end - slots[s] : end] = _smallest(keys, count[s])
+    w = _draw(streams, count, 2)  # each photon's bin, then its polarization
     prepared = 2 * _randints(w[:, 1], 4) + _randints(w[:, 0], 2)
-    return is_decoy, DecoyBatch(count, np.flatnonzero(is_decoy), prepared)
+    return is_decoy, DecoyBatch(count, prepared)
 
 
 def transmit_b(
@@ -521,7 +527,7 @@ def transmit_b(
     is_decoy: np.ndarray,
     losses: Sequence[float],
     eves: Sequence[Optional[EveStrategy]],
-    gens: Sequence[SeededGenerator],
+    streams: BatchStream,
 ) -> Optional[tuple[np.ndarray, ...]]:
     """Send the mixed b sequence through the channel, updating both
     batches' deliveries; see :func:`_channel` for ``losses`` and ``eves``.
@@ -535,10 +541,14 @@ def transmit_b(
     ``None`` when no session is attacked.
     """
     sizes = [n + c for n, c in zip(pairs.sizes, decoys.sizes)]
-    delivered, seen, basis, w = _channel(sizes, losses, eves, gens)
-    pair_slots = np.flatnonzero(~is_decoy)
+    delivered, seen, basis, w = _channel(sizes, losses, eves, streams)
+    if not len(decoys.prepared):  # every slot carries a pair, in order
+        pairs.b_delivered[:] = delivered
+        return None if basis is None else (seen, np.ones(len(w), dtype=bool), basis, w)
+    # index gathers: a boolean-mask gather over scattered slots is slower
+    pair_slots, decoy_slots = np.flatnonzero(~is_decoy), np.flatnonzero(is_decoy)
     pairs.b_delivered[:] = delivered.take(pair_slots)
-    decoys.delivered[:] = delivered.take(decoys.position)
+    decoys.delivered[:] = delivered.take(decoy_slots)
     if basis is None:
         return None
     # The attack draws come one row per measured photon, in slot order, so
@@ -546,7 +556,7 @@ def transmit_b(
     # order, take the rows of the measured slots of their kind.  When every
     # session is attacked, every delivered photon is measured.
     seen_pairs = pairs.b_delivered if seen is delivered else seen.take(pair_slots)
-    seen_decoys = decoys.delivered if seen is delivered else seen.take(decoys.position)
+    seen_decoys = decoys.delivered if seen is delivered else seen.take(decoy_slots)
     kind = is_decoy.take(np.flatnonzero(seen))
     rows = np.flatnonzero(kind)
     hit = np.flatnonzero(seen_decoys)
@@ -621,9 +631,7 @@ def _tallies(sizes: Sequence[int], *masks: np.ndarray) -> list[tuple[int, ...]]:
     return list(zip(*(_tally(mask, sizes) for mask in masks)))
 
 
-def decoy_check(
-    decoys: DecoyBatch, gens: Sequence[Optional[SeededGenerator]]
-) -> list[tuple[int, ...]]:
+def decoy_check(decoys: DecoyBatch, streams: BatchStream) -> list[tuple[int, ...]]:
     """Compare delivered check photons measured in matched bases.
 
     The receiver measures every delivered decoy in a uniformly random
@@ -632,11 +640,11 @@ def decoy_check(
     frequency-bin mismatch both count as errors.  The receiver's bases are
     kept as ``decoys.bob_basis``.  Returns each session's tallies in the
     column order of ``_COUNT_KEYS["decoy"]``, all 0 for a session without
-    a handle.
+    the stream.
     """
     idx = np.flatnonzero(decoys.delivered)
     sizes = _tally(decoys.delivered, decoys.sizes)
-    w = _draw(gens, sizes, 2)
+    w = _draw(streams, sizes, 2)
     basis = decoys.bob_basis = _basis_coins(w[:, 0])
     k = _sample(ALPHABET.local, 2 * decoys.state[idx] + basis, w[:, 1])
     prepared = decoys.prepared[idx]
@@ -657,9 +665,7 @@ def decoy_check(
 
 
 def wc_check(
-    pairs: PairBatch,
-    sample_fractions: Sequence[float],
-    gens: Sequence[Optional[SeededGenerator]],
+    pairs: PairBatch, sample_fractions: Sequence[float], streams: BatchStream
 ) -> list[tuple[int, ...]]:
     """Convert and measure a random sample of stored pairs, each stored
     pair of session ``s`` with probability ``sample_fractions[s]``.
@@ -671,16 +677,16 @@ def wc_check(
     parties' bases are kept as ``pairs.wc_basis_a`` and
     ``pairs.wc_basis_b``, one entry per checked pair in index order.
     Returns each session's tallies in the column order of
-    ``_COUNT_KEYS["wc"]``, all 0 for a session without a handle, which
+    ``_COUNT_KEYS["wc"]``, all 0 for a session without the stream, which
     samples none.
     """
     eligible = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
     sizes = _sizes(pairs.offsets, eligible)
-    sampling = _coins(gens, sizes, sample_fractions)
+    sampling = _coins(streams, sizes, sample_fractions)
     sampled = eligible.take(np.flatnonzero(sampling))
     pairs.checked[sampled] = True
     sizes = _tally(sampling, sizes)
-    w = _draw(gens, sizes, 3)
+    w = _draw(streams, sizes, 3)
     basis_a = pairs.wc_basis_a = _basis_coins(w[:, 0])
     basis_b = pairs.wc_basis_b = _basis_coins(w[:, 1])
     keys = 4 * pairs.state[sampled] + 2 * basis_a + basis_b
@@ -717,26 +723,26 @@ def transmit_a(
     active: np.ndarray,
     losses: Sequence[float],
     eves: Sequence[Optional[EveStrategy]],
-    gens: Sequence[Optional[SeededGenerator]],
+    streams: BatchStream,
 ) -> None:
     """Send the photons a of the active pairs through the channel; see
     :func:`_channel` for ``losses`` and ``eves``."""
     sizes = _sizes(pairs.offsets, active)
-    delivered, seen, basis, w = _channel(sizes, losses, eves, gens)
+    delivered, seen, basis, w = _channel(sizes, losses, eves, streams)
     pairs.a_delivered[active] = delivered
     if basis is not None:
         _intercept_pairs(pairs, active.take(np.flatnonzero(seen)), Photon.A, basis, w)
 
 
 def step5_decode_and_sift(
-    pairs: PairBatch, active: np.ndarray, gens: Sequence[Optional[SeededGenerator]]
+    pairs: PairBatch, active: np.ndarray, streams: BatchStream
 ) -> np.ndarray:
     """Jointly measure every reunited pair of the ``active`` ones, those
     whose photon a arrived too, into ``pairs.decoded``; returns the indices
     of these survivors."""
     survivors = active.take(np.flatnonzero(pairs.a_delivered.take(active)))
     sizes = _sizes(pairs.offsets, survivors)
-    w = _draw(gens, sizes)[:, 0]
+    w = _draw(streams, sizes)[:, 0]
     outcome = _sample(ALPHABET.device, pairs.state[survivors], w)
     pairs.decoded[survivors] = _DECODED.take(outcome)
     return survivors
@@ -765,8 +771,9 @@ def _record(
         if f"{check}_compared" not in counts:  # the check did not run
             continue
         if check == "decoy":
-            positions = {"decoy_positions": tuple(decoys.position.tolist())}
-            seen = decoys.position[decoys.delivered].tolist()
+            slots = np.flatnonzero(is_decoy)
+            positions = {"decoy_positions": tuple(slots.tolist())}
+            seen = slots[decoys.delivered].tolist()
             names = _BASIS_NAMES[decoys.bob_basis].tolist()
             t.append("alice", MessageKind.POSITIONS, positions)
             bases = {"decoy_bases": tuple(zip(seen, names))}
@@ -838,10 +845,10 @@ def run_sessions(
     is_decoy, decoys = insert_decoys(
         pairs,
         [c.decoy_fraction for c in configs],
-        _streams(seeds, _STREAM_DECOY, uses_decoy),
+        BatchStream(seeds, _STREAM_DECOY, uses_decoy),
     )
     attack_b = transmit_b(
-        pairs, decoys, is_decoy, losses, eve_b, _streams(seeds, _STREAM_CHANNEL_B)
+        pairs, decoys, is_decoy, losses, eve_b, BatchStream(seeds, _STREAM_CHANNEL_B)
     )
 
     decoys_lost = _tally(~decoys.delivered, decoys.sizes)
@@ -852,12 +859,12 @@ def run_sessions(
     qbers = [{"decoy_qber": None, "wc_qber": None} for _ in configs]
     live = [True] * len(configs)  # the sessions no check has aborted
 
-    def judge(check: str, gens: list, tallies: list) -> None:
-        """Record the tallies of each session that ran ``check`` (has a
-        handle in ``gens``) and decide its verdict: it aborts when it
-        compared nothing or its error rate passes its threshold."""
-        for s, (g, tally) in enumerate(zip(gens, tallies)):
-            if g is None:
+    def judge(check: str, ran: list[bool], tallies: list) -> None:
+        """Record the tallies of each session that ran ``check``
+        (``ran[s]``) and decide its verdict: it aborts when it compared
+        nothing or its error rate passes its threshold."""
+        for s, (ran_s, tally) in enumerate(zip(ran, tallies)):
+            if not ran_s:
                 continue
             counts[s].update(zip(_COUNT_KEYS[check], tally))
             compared, errors = tally[:2]
@@ -867,25 +874,25 @@ def run_sessions(
                 live[s] = qber <= thresholds[s]
 
     if any(uses_decoy):
-        gens = _streams(seeds, _STREAM_BOB_DECOY, uses_decoy)
-        judge("decoy", gens, decoy_check(decoys, gens))
+        streams = BatchStream(seeds, _STREAM_BOB_DECOY, uses_decoy)
+        judge("decoy", uses_decoy, decoy_check(decoys, streams))
     if any(live):
-        step1_prepare_and_encode(pairs, _streams(seeds, _STREAM_ALICE, live))
+        step1_prepare_and_encode(pairs, BatchStream(seeds, _STREAM_ALICE, live))
         if attack_b is not None:
             _intercept_b(pairs, attack_b, live)
     runs_wc = [uses and ok for uses, ok in zip(uses_wc, live)]
     if any(runs_wc):
-        gens = _streams(seeds, _STREAM_WC, runs_wc)
+        streams = BatchStream(seeds, _STREAM_WC, runs_wc)
         fractions = [c.sample_fraction for c in configs]
-        judge("wc", gens, wc_check(pairs, fractions, gens))
+        judge("wc", runs_wc, wc_check(pairs, fractions, streams))
 
     survivors = np.zeros(0, dtype=np.intp)
     if any(live):
         active = step4_encode_a(pairs, live)
-        gens = _streams(seeds, _STREAM_CHANNEL_A, live)
-        transmit_a(pairs, active, losses, eve_a, gens)
-        gens = _streams(seeds, _STREAM_DEVICE, live)
-        survivors = step5_decode_and_sift(pairs, active, gens)
+        streams = BatchStream(seeds, _STREAM_CHANNEL_A, live)
+        transmit_a(pairs, active, losses, eve_a, streams)
+        streams = BatchStream(seeds, _STREAM_DEVICE, live)
+        survivors = step5_decode_and_sift(pairs, active, streams)
     kept = _sizes(pairs.offsets, survivors)
     alice_bits = _key_bits(pairs.codeword.take(survivors))
     bob_bits = _key_bits(pairs.decoded.take(survivors))

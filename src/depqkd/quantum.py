@@ -12,9 +12,11 @@ Conventions, fixed package-wide:
   the bit flip (``Z @ X``), so IY|H> = -|V> and IY|V> = |H>.
 
 State objects are immutable after construction.  Randomness enters only
-through :class:`SeededGenerator`, an explicitly seeded, stream-indexed
-counter-based generator, so every simulation is reproducible from its
-(seed, stream, call order) triple alone.
+through explicitly seeded, stream-indexed counter-based streams: a
+:class:`SeededGenerator` for one stream, or a :class:`BatchStream` for
+one stream index of every session of a batch.  Both draw the same words,
+so every simulation is reproducible from its (seed, stream, call order)
+triple alone.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from enum import Enum, IntEnum
-from itertools import accumulate
+from itertools import accumulate, repeat
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -180,7 +183,7 @@ def doubles(words: np.ndarray) -> np.ndarray:
 
 
 class _ThreadPhilox(threading.local):
-    """Per thread, the Philox :meth:`SeededGenerator.words` draws through
+    """Per thread, the Philox every draw goes through (:func:`_rekeyed_words`)
     and the state it re-keys it to.  A re-key overwrites the state's
     counter and key, and the setter copies them out, so one dict serves
     every re-key.  One attribute holds both, as each thread-local lookup
@@ -199,6 +202,30 @@ class _ThreadPhilox(threading.local):
 
 _per_thread = _ThreadPhilox()
 
+_SEED_MASK = (1 << 64) - 1
+
+
+def _rekeyed_words(
+    philox: tuple, seed: int, stream: int, start: int, n: int
+) -> np.ndarray:
+    """Words ``start`` to ``start + n`` of the stream keyed ``[seed,
+    stream]``, drawn through ``philox``, a thread's pair of
+    :data:`_per_thread`.
+
+    Philox's word ``4 * c + j`` under a key is word ``j`` of the block at
+    counter ``c``, whatever was drawn before, so the draw re-keys the
+    Philox through its public ``state``: key ``[seed, stream]``, counter
+    ``start // 4``, buffer empty; it then drops the first ``start % 4``
+    words.  It leaves no state that a later draw reads.
+    """
+    bits, state = philox
+    head = start % 4
+    counter_and_key = state["state"]
+    counter_and_key["counter"] = (start // 4, 0, 0, 0)
+    counter_and_key["key"] = (seed, stream)
+    bits.state = state
+    return bits.random_raw(head + n)[head:]
+
 
 class SeededGenerator:
     """Deterministic random source keyed by (master seed, stream index).
@@ -211,41 +238,24 @@ class SeededGenerator:
     it, and every sampling helper reduces to doubles.
 
     A handle holds only its key and the position of its next word, so it
-    is cheap to make and :meth:`skip` is one addition.  Philox's word
-    ``4 * c + j`` under a key is word ``j`` of the block at counter ``c``,
-    whatever was drawn before, so each draw re-keys its thread's one Philox
-    through its public ``state``: key ``[seed, stream]``, counter
-    ``position // 4``, buffer empty, and the first ``position % 4`` words
-    of the draw dropped.  No draw leaves state that another reads, so
-    handles in different threads draw what they would alone.
+    is cheap to make.  Each draw re-keys its thread's one Philox
+    (:func:`_rekeyed_words`), so handles in different threads draw what
+    they would alone.  Sessions draw through :class:`BatchStream`, which
+    gives the same words; the handle serves the single-item samplers.
     """
 
     __slots__ = ("seed", "stream", "position")
 
-    _MASK = (1 << 64) - 1
-
     def __init__(self, seed: int, stream: int = 0) -> None:
-        self.seed = int(seed) & self._MASK
-        self.stream = int(stream) & self._MASK
-        self.position = 0  # words drawn or skipped so far
+        self.seed = int(seed) & _SEED_MASK
+        self.stream = int(stream) & _SEED_MASK
+        self.position = 0  # words drawn so far
 
     def words(self, n: int) -> np.ndarray:
         """The next ``n`` words of the stream, as ``uint64``."""
-        bits, state = _per_thread.philox
         start = self.position
-        head = start % 4
-        counter_and_key = state["state"]
-        counter_and_key["counter"] = (start // 4, 0, 0, 0)
-        counter_and_key["key"] = (self.seed, self.stream)
-        bits.state = state
-        out = bits.random_raw(head + n)[head:]
         self.position = start + n
-        return out
-
-    def skip(self, n: int) -> None:
-        """Step past the next ``n`` words: the next draw starts where it
-        would after drawing and discarding them."""
-        self.position += n
+        return _rekeyed_words(_per_thread.philox, self.seed, self.stream, start, n)
 
     def uniform(self) -> float:
         """One double in [0, 1)."""
@@ -267,6 +277,55 @@ class SeededGenerator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SeededGenerator(seed={self.seed}, stream={self.stream})"
+
+
+class BatchStream:
+    """One stream index of every session of a batch, as one object.
+
+    Session ``s`` has the stream keyed ``[seeds[s], stream]`` exactly when
+    ``runs[s]`` holds; ``positions[s]`` is then the position of its next
+    word, and otherwise ``None``.  A draw takes a run of sessions' blocks
+    in one call and re-keys the thread's Philox once per block, as
+    :meth:`SeededGenerator.words` does, so each block holds the words that
+    the session's own :class:`SeededGenerator` would give.  A skip only
+    advances positions, and a session without the stream draws and skips
+    nothing.
+    """
+
+    __slots__ = ("seeds", "stream", "positions")
+
+    def __init__(
+        self, seeds: Sequence[int], stream: int, runs: Iterable[bool] = repeat(True)
+    ) -> None:
+        self.seeds = [seed & _SEED_MASK for seed in seeds]
+        self.stream = stream & _SEED_MASK
+        self.positions: list[Optional[int]] = [
+            0 if r else None for _, r in zip(seeds, runs)
+        ]
+
+    def words(self, sessions: Iterable[int], sizes: Iterable[int]) -> np.ndarray:
+        """The next ``sizes[i]`` words of each session ``sessions[i]`` that
+        has the stream, session after session, as one ``uint64`` array; a
+        lone block comes back without a copy."""
+        philox = _per_thread.philox
+        seeds, stream, positions = self.seeds, self.stream, self.positions
+        blocks = []
+        for s, n in zip(sessions, sizes):
+            start = positions[s]
+            if start is not None and n:
+                blocks.append(_rekeyed_words(philox, seeds[s], stream, start, n))
+                positions[s] = start + n
+        if len(blocks) == 1:
+            return blocks[0]
+        return np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.uint64)
+
+    def skip(self, sessions: Iterable[int], sizes: Iterable[int]) -> None:
+        """Step each session ``sessions[i]`` that has the stream past its
+        next ``sizes[i]`` words."""
+        positions = self.positions
+        for s, n in zip(sessions, sizes):
+            if positions[s] is not None:
+                positions[s] += n
 
 
 def pol_freq_eigenstate(basis: PolBasis, comp: int, freq: Freq) -> LocalState:

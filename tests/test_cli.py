@@ -2,18 +2,27 @@
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from depqkd import EveStrategy, EveTarget, ProtocolConfig, run_session, run_sessions
+from depqkd import (
+    ConfigError,
+    EveStrategy,
+    EveTarget,
+    ProtocolConfig,
+    run_session,
+    run_sessions,
+)
 from depqkd import cli
 from depqkd.cli import bits_to_hex, derive_trial_seed, main
 
@@ -33,7 +42,27 @@ SCHEMA = [
 ]
 
 
+def parse_outcome(parse, argv):
+    """The Namespace ``parse(argv)`` returns, or the exception it raises
+    (a rejected command line, or the exit after ``--help``) with what it
+    printed."""
+    out = io.StringIO()
+    try:
+        with redirect_stdout(out):
+            return parse(list(argv))
+    except (ConfigError, SystemExit) as exc:
+        return type(exc), exc.args, out.getvalue()
+
+
+def assert_parsed_as_by_the_top_level_parser(argv):
+    # main hands a subcommand's flags to that subcommand's parser alone:
+    # the same Namespace, or the same error or help, as the whole parser
+    expected = parse_outcome(cli.build_parser().parse_args, argv)
+    assert parse_outcome(cli._parse_args, argv) == expected, argv
+
+
 def run_cli(capsys, *argv):
+    assert_parsed_as_by_the_top_level_parser(argv)
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -612,6 +641,11 @@ def test_negative_exponent_values_reach_the_range_check(capsys, subcommand, flag
         (("run", "--eve", "ir-everything"), "error: argument --eve: invalid choice"),
         (("run", "--loss"), "error: argument --loss: expected one argument"),
         (("nonsense",), "error: argument subcommand: invalid choice"),
+        (("run", "--no-such-flag"), "error: unrecognized arguments: --no-such-flag"),
+        (
+            ("sweep", "--values", "1"),
+            "error: the following arguments are required: --param",
+        ),
     ],
 )
 def test_bad_command_lines_print_one_error_line_without_usage(capsys, argv, message):
@@ -627,6 +661,26 @@ def test_help_prints_usage_and_exits_zero(capsys):
     assert code == 0
     assert out.startswith("usage: depqkd run") and "--loss LOSS" in out
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [("--help",), ("run", "--help"), ("sweep", "--help"), ("-h",)]
+)
+def test_every_help_prints_the_bytes_of_the_top_level_parser(capsys, argv):
+    expected = parse_outcome(cli.build_parser().parse_args, argv)
+    assert expected[:2] == (SystemExit, (0,))
+    assert expected[2].startswith("usage: depqkd")
+    assert run_cli(capsys, *argv) == (0, expected[2], "")
+
+
+def test_abbreviated_flags_keep_working(capsys):
+    code, out, _ = run_cli(capsys, "run", "--pair", "4", "--check=wc", "--sam", "1")
+    [line] = json_lines(out)
+    assert code == 0
+    assert line["config"]["pairs"] == 4 and line["config"]["sample_fraction"] == 1.0
+    code, out, err = run_cli(capsys, "run", "--s", "4")  # --seed or --sample-fraction
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ambiguous option: --s could match"), err
 
 
 def readme_flag_table():

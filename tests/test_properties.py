@@ -26,7 +26,7 @@ from depqkd import (
     run_sessions,
 )
 from depqkd.cli import main
-from depqkd.quantum import SeededGenerator
+from depqkd.quantum import BatchStream
 
 SMALL = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -139,31 +139,37 @@ def recorded_session():
     """Record every stream built, every block of words drawn or skipped,
     and the single-photon records of the batch, while the block runs.
 
-    ``streams`` and ``draws`` hold ``(seed, stream)`` and ``(seed, stream,
-    kind, size)`` per call, ``kind`` being ``"words"`` or ``"skip"``.
-    Every record is a local id ``4 * basis + k``, the row ``k`` of a
+    ``streams`` holds ``(seed, stream)`` per session that a
+    :class:`~depqkd.quantum.BatchStream` gives the stream, and ``draws``
+    ``(seed, stream, kind, size)`` per session block that one of its calls
+    draws or skips, ``kind`` being ``"words"`` or ``"skip"``.  Every record is a local id ``4 * basis + k``, the row ``k`` of a
     :data:`~depqkd.quantum.LOCAL_BASIS` table: ``eve_b`` and ``eve_a`` hold
     what the attacker observed of each pair of the batch as the batch ends,
     ``-1`` where it measured none, and ``prepared`` each check photon's
     preparation.
     """
     log = {"streams": [], "draws": [], "eve_b": [], "eve_a": [], "prepared": []}
-    init, words, skip = (
-        SeededGenerator.__init__,
-        SeededGenerator.words,
-        SeededGenerator.skip,
-    )
+    init, words, skip = BatchStream.__init__, BatchStream.words, BatchStream.skip
     transmit_b = protocol.transmit_b
     batches = []
 
-    def counted_init(g, seed, stream=0):
-        init(g, seed, stream)
-        log["streams"].append((g.seed, g.stream))
+    def counted_init(streams, *args):
+        init(streams, *args)
+        log["streams"].extend(
+            (seed, streams.stream)
+            for seed, position in zip(streams.seeds, streams.positions)
+            if position is not None
+        )
 
     def counted(kind, method):
-        def wrapper(g, n):
-            log["draws"].append((g.seed, g.stream, kind, int(n)))
-            return method(g, n)
+        def wrapper(streams, sessions, sizes):
+            sessions, sizes = list(sessions), list(sizes)
+            log["draws"].extend(
+                (streams.seeds[s], streams.stream, kind, int(n))
+                for s, n in zip(sessions, sizes)
+                if streams.positions[s] is not None
+            )
+            return method(streams, sessions, sizes)
 
         return wrapper
 
@@ -171,15 +177,15 @@ def recorded_session():
         batches.append((pairs, decoys))
         return transmit_b(pairs, decoys, *args)
 
-    SeededGenerator.__init__ = counted_init
-    SeededGenerator.words = counted("words", words)
-    SeededGenerator.skip = counted("skip", skip)
+    BatchStream.__init__ = counted_init
+    BatchStream.words = counted("words", words)
+    BatchStream.skip = counted("skip", skip)
     protocol.transmit_b = kept_batch
     try:
         yield log
     finally:
-        SeededGenerator.__init__ = init
-        SeededGenerator.words, SeededGenerator.skip = words, skip
+        BatchStream.__init__ = init
+        BatchStream.words, BatchStream.skip = words, skip
         protocol.transmit_b = transmit_b
     # every session sends its photons b, so every batch passes transmit_b
     [(pairs, decoys)] = batches

@@ -49,6 +49,7 @@ from depqkd.quantum import (
     LocalState,
     Pauli,
     Photon,
+    BatchStream,
     PolBasis,
     SeededGenerator,
     StateError,
@@ -90,7 +91,7 @@ def prepared_batch(sizes, seeds):
     """The pairs of step 1 for sessions of ``sizes[s]`` pairs and seed
     ``seeds[s]``, each on its stream 0."""
     pairs = PairBatch(list(sizes))
-    step1_prepare_and_encode(pairs, [SeededGenerator(seed, 0) for seed in seeds])
+    step1_prepare_and_encode(pairs, BatchStream(seeds, 0))
     return pairs
 
 
@@ -100,17 +101,22 @@ def prepared(n, seed):
 
 
 def no_decoys():
-    _, decoys = insert_decoys(PairBatch([1]), [0.0], [SeededGenerator(0, 1)])
-    assert len(decoys.position) == 0
+    _, decoys = insert_decoys(PairBatch([1]), [0.0], BatchStream([0], 1))
+    assert decoys.sizes == [0] and len(decoys.prepared) == 0
     return decoys
 
 
-def transmit_pairs_b(pairs, eve, g):
+def transmit_pairs_b(pairs, eve, seed):
     """The first transmission of a sequence of pairs without decoys, without
-    loss, under the attacker policy ``eve``, with the attacker's
-    measurement of the photons b applied."""
+    loss, under the attacker policy ``eve``, from stream 2 of ``seed``,
+    with the attacker's measurement of the photons b applied."""
     attack = transmit_b(
-        pairs, no_decoys(), np.zeros(len(pairs.codeword), dtype=bool), [0.0], [eve], [g]
+        pairs,
+        no_decoys(),
+        np.zeros(len(pairs.codeword), dtype=bool),
+        [0.0],
+        [eve],
+        BatchStream([seed], 2),
     )
     if attack is not None:
         _intercept_b(pairs, attack, [True])
@@ -315,12 +321,12 @@ def test_step1_draws_codewords_uniformly_and_encodes_photon_b():
     assert first_choice / 2000 == pytest.approx(0.5, abs=0.04)
 
 
-def test_step1_prepares_only_the_sessions_with_a_handle():
-    # the middle session has no handle: its pairs keep -1 in every code,
+def test_step1_prepares_only_the_sessions_with_a_stream():
+    # the middle session has no stream: its pairs keep -1 in every code,
     # and the others are prepared as if each ran alone
     pairs = PairBatch([30, 20, 25])
-    gens = [SeededGenerator(3, 0), None, SeededGenerator(5, 0)]
-    step1_prepare_and_encode(pairs, gens)
+    streams = BatchStream([3, 4, 5], 0, [True, False, True])
+    step1_prepare_and_encode(pairs, streams)
     codes = ("codeword", "op_a", "op_b", "state")
     for name in codes:
         assert set(getattr(pairs, name)[30:50].tolist()) == {-1}, name
@@ -329,15 +335,14 @@ def test_step1_prepares_only_the_sessions_with_a_handle():
         for name in codes:
             assert np.array_equal(getattr(pairs, name)[start:end], getattr(alone, name))
     # each stream drew two words per pair of its own session, none more
-    for g, n in ((gens[0], 30), (gens[2], 25)):
-        assert g.words(1)[0] == SeededGenerator(g.seed, 0).words(2 * n + 1)[-1]
+    assert streams.positions == [2 * 30, None, 2 * 25]
 
 
 def test_insert_decoys_zero_fraction_changes_nothing():
     pairs = prepared(30, 1)
     codewords = pairs.codeword.copy()
-    is_decoy, decoys = insert_decoys(pairs, [0.0], [SeededGenerator(1, 1)])
-    assert len(decoys.position) == 0
+    is_decoy, decoys = insert_decoys(pairs, [0.0], BatchStream([1], 1))
+    assert decoys.sizes == [0]
     assert is_decoy.tolist() == [False] * 30
     assert np.array_equal(pairs.codeword, codewords)
 
@@ -345,15 +350,17 @@ def test_insert_decoys_zero_fraction_changes_nothing():
 def test_insert_decoys_count_positions_and_preparations():
     n = 5000
     pairs = prepared(n, 5)
-    is_decoy, decoys = insert_decoys(pairs, [0.2], [SeededGenerator(5, 1)])
-    count = len(decoys.position)
+    is_decoy, decoys = insert_decoys(pairs, [0.2], BatchStream([5], 1))
+    [count] = decoys.sizes
     sigma = np.sqrt(n * 0.2 * 0.8)
     assert abs(count - n * 0.2) < 4 * sigma
     assert len(is_decoy) == n + count
-    # the pairs fill the remaining slots, in order
+    # the pairs fill the remaining slots, in order, and each check photon
+    # has one entry per array, in slot order
     assert np.count_nonzero(~is_decoy) == len(pairs.codeword)
-    # each decoy knows its slot in the mixed sequence
-    assert np.array_equal(decoys.position, np.flatnonzero(is_decoy))
+    assert np.count_nonzero(is_decoy) == count
+    for name in ("prepared", "state", "delivered"):
+        assert len(getattr(decoys, name)) == count, name
     # preparations are uniform over the eight (bin, polarization) choices,
     # and each photon starts in the state it was prepared in
     combos = np.bincount(decoys.prepared, minlength=8)
@@ -386,9 +393,9 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
     for strategy, target, loss, n in itertools.product(
         EveStrategy, EveTarget, (0.0, 0.3, 0.9, 1.0), (0, 1, 7, 500)
     ):
-        g = SeededGenerator(n, 5)
+        streams = BatchStream([n], 5)
         eve = strategy if Photon.A in target.photons else None
-        delivered, seen, basis, w = _channel([n], [loss], [eve], [g])
+        delivered, seen, basis, w = _channel([n], [loss], [eve], streams)
         ref = SeededGenerator(n, 5)
         coins = [not ref.coin(loss) for _ in range(n)]
         assert delivered.tolist() == seen.tolist() == coins
@@ -407,7 +414,7 @@ def test_channel_draws_loss_coins_then_a_row_per_delivered_photon():
                 assert BASES[b] is expected
                 assert draw == ref.words(1)[0]
         # both consumed the same draws, none more
-        assert g.uniform() == ref.uniform()
+        assert streams.positions == [ref.position]
 
 
 def reference_transmit_b(pairs, decoys, is_decoy, losses, eves, seeds):
@@ -490,14 +497,14 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
         is_decoy, decoys = insert_decoys(
             pairs,
             [fractions[(fr + s) % 3] for s in range(sessions)],
-            [SeededGenerator(s, 1) for s in seeds],
+            BatchStream(seeds, 1),
         )
         ref_pairs, ref_decoys = prepared_batch(sizes, seeds), copy.deepcopy(decoys)
-        gens = [SeededGenerator(s, 2) for s in seeds]
-        attack = transmit_b(pairs, decoys, is_decoy, loss, eves, gens)
+        streams = BatchStream(seeds, 2)
+        attack = transmit_b(pairs, decoys, is_decoy, loss, eves, streams)
         assert set(pairs.state.tolist()) == set(pairs.eve_b.tolist()) == {-1}
         assert (attack is None) == all(eve is None for eve in eves)
-        step1_prepare_and_encode(pairs, [SeededGenerator(s, 0) for s in seeds])
+        step1_prepare_and_encode(pairs, BatchStream(seeds, 0))
         if attack is not None:
             _intercept_b(pairs, attack, [True] * sessions)
         ref_gens = reference_transmit_b(
@@ -506,7 +513,7 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
         assert batch_fields(pairs) == batch_fields(ref_pairs)
         assert batch_fields(decoys) == batch_fields(ref_decoys)
         # both consumed the same draws of every session's stream, none more
-        assert [g.uniform() for g in gens] == [g.uniform() for g in ref_gens]
+        assert streams.positions == [g.position for g in ref_gens]
 
 
 def test_the_attack_on_photon_b_reaches_only_the_sessions_given():
@@ -515,18 +522,16 @@ def test_the_attack_on_photon_b_reaches_only_the_sessions_given():
     # the others are measured as when every session is
     sizes, seeds = [40, 30, 50], [7, 8, 9]
     pairs = PairBatch(sizes)
-    is_decoy, decoys = insert_decoys(
-        pairs, [0.5] * 3, [SeededGenerator(s, 1) for s in seeds]
-    )
+    is_decoy, decoys = insert_decoys(pairs, [0.5] * 3, BatchStream(seeds, 1))
     attack = transmit_b(
         pairs,
         decoys,
         is_decoy,
         [0.2] * 3,
         [EveStrategy.RANDOM_ZX] * 3,
-        [SeededGenerator(s, 2) for s in seeds],
+        BatchStream(seeds, 2),
     )
-    step1_prepare_and_encode(pairs, [SeededGenerator(s, 0) for s in seeds])
+    step1_prepare_and_encode(pairs, BatchStream(seeds, 0))
     every = copy.deepcopy(pairs)
     _intercept_b(every, attack, [True] * 3)
     prepared_state = pairs.state.copy()
@@ -549,10 +554,9 @@ def tallies_of(check, tallies):
 
 
 def test_decoy_check_clean_channel_reports_zero_error():
-    _, decoys = insert_decoys(PairBatch([500]), [0.5], [SeededGenerator(11, 1)])
+    _, decoys = insert_decoys(PairBatch([500]), [0.5], BatchStream([11], 1))
     decoys.delivered[::7] = False
-    gens = [SeededGenerator(11, 3)]
-    tally = tallies_of("decoy", decoy_check(decoys, gens))
+    tally = tallies_of("decoy", decoy_check(decoys, BatchStream([11], 3)))
     assert tally["decoy_errors"] == 0
     assert tally["decoy_pol_errors"] == tally["decoy_freq_errors"] == 0
     assert tally["decoy_compared"] > 0
@@ -563,18 +567,17 @@ def test_decoy_check_clean_channel_reports_zero_error():
     delivered = np.count_nonzero(decoys.delivered)
     assert tally["decoy_compared"] / delivered == pytest.approx(0.5, abs=0.1)
     # the receiver's basis of each delivered check photon stays on the batch
-    assert len(decoys.bob_basis) == delivered < len(decoys.position)
+    assert len(decoys.bob_basis) == delivered < decoys.sizes[0]
 
 
 def test_decoy_check_flags_shifted_bins_and_aborts():
-    _, decoys = insert_decoys(PairBatch([200]), [0.5], [SeededGenerator(13, 1)])
+    _, decoys = insert_decoys(PairBatch([200]), [0.5], BatchStream([13], 1))
     # swap every photon's frequency bin: the row of the other bin
-    for i in range(len(decoys.position)):
+    for i in range(decoys.sizes[0]):
         swapped = decoy_state(decoys, i).vec.reshape(2, 2)[:, ::-1].reshape(4)
         decoys.state[i] ^= 1
         assert np.array_equal(decoy_state(decoys, i).vec, swapped)
-    gens = [SeededGenerator(13, 3)]
-    tally = tallies_of("decoy", decoy_check(decoys, gens))
+    tally = tallies_of("decoy", decoy_check(decoys, BatchStream([13], 3)))
     # an error rate of 1, above any threshold
     assert tally["decoy_compared"] > 0
     assert tally["decoy_errors"] == tally["decoy_compared"]
@@ -583,13 +586,12 @@ def test_decoy_check_flags_shifted_bins_and_aborts():
 
 
 def test_decoy_check_with_nothing_to_compare_is_indeterminate():
-    gens = [SeededGenerator(1, 3)]
-    assert decoy_check(no_decoys(), gens) == [(0,) * 8]
+    assert decoy_check(no_decoys(), BatchStream([1], 3)) == [(0,) * 8]
 
 
 def test_wc_check_clean_channel_reports_zero_error():
     pairs = prepared(800, 17)
-    tally = tallies_of("wc", wc_check(pairs, [0.5], [SeededGenerator(17, 4)]))
+    tally = tallies_of("wc", wc_check(pairs, [0.5], BatchStream([17], 4)))
     assert tally["wc_errors"] == tally["wc_z_errors"] == tally["wc_x_errors"] == 0
     assert tally["wc_z_compared"] + tally["wc_x_compared"] == tally["wc_compared"]
     assert tally["checked"] == np.count_nonzero(pairs.checked)
@@ -602,15 +604,15 @@ def test_wc_check_clean_channel_reports_zero_error():
 def test_wc_check_skips_lost_pairs_and_marks_checked():
     pairs = prepared(100, 19)
     pairs.b_delivered[:30] = False
-    wc_check(pairs, [1.0], [SeededGenerator(19, 4)])
+    wc_check(pairs, [1.0], BatchStream([19], 4))
     assert not pairs.checked[:30].any()
     assert pairs.checked[30:].all()
 
 
 def test_wc_check_error_rates_under_fixed_z_attack():
     pairs = prepared(6000, 23)
-    transmit_pairs_b(pairs, EveStrategy.Z, SeededGenerator(23, 2))
-    tally = tallies_of("wc", wc_check(pairs, [1.0], [SeededGenerator(23, 4)]))
+    transmit_pairs_b(pairs, EveStrategy.Z, 23)
+    tally = tallies_of("wc", wc_check(pairs, [1.0], BatchStream([23], 4)))
     rates = WC_RATES["Z"]
     z_rate = tally["wc_z_errors"] / tally["wc_z_compared"]
     x_rate = tally["wc_x_errors"] / tally["wc_x_compared"]
@@ -622,8 +624,8 @@ def test_wc_check_error_rates_under_fixed_z_attack():
 
 def test_wc_check_error_rates_under_random_basis_attack():
     pairs = prepared(6000, 29)
-    transmit_pairs_b(pairs, EveStrategy.RANDOM_ZX, SeededGenerator(29, 2))
-    tally = tallies_of("wc", wc_check(pairs, [1.0], [SeededGenerator(29, 4)]))
+    transmit_pairs_b(pairs, EveStrategy.RANDOM_ZX, 29)
+    tally = tallies_of("wc", wc_check(pairs, [1.0], BatchStream([29], 4)))
     rates = WC_RATES["RANDOM"]
     z_rate = tally["wc_z_errors"] / tally["wc_z_compared"]
     x_rate = tally["wc_x_errors"] / tally["wc_x_compared"]
@@ -636,8 +638,7 @@ def test_wc_check_error_rates_under_random_basis_attack():
 def test_wc_check_with_no_matched_bases_is_indeterminate():
     pairs = prepared(3, 31)
     pairs.b_delivered[:] = False
-    gens = [SeededGenerator(31, 4)]
-    assert wc_check(pairs, [1.0], gens) == [(0,) * 7]
+    assert wc_check(pairs, [1.0], BatchStream([31], 4)) == [(0,) * 7]
 
 
 def test_second_encoding_completes_every_codeword():
@@ -657,8 +658,7 @@ def test_second_encoding_completes_every_codeword():
 def test_decode_step_recovers_every_codeword_without_noise():
     pairs = prepared(300, 41)
     active = step4_encode_a(pairs, [True])
-    gens = [SeededGenerator(41, 6)]
-    survivors = step5_decode_and_sift(pairs, active, gens)
+    survivors = step5_decode_and_sift(pairs, active, BatchStream([41], 6))
     assert survivors.tolist() == list(range(300))
     assert np.array_equal(pairs.decoded, pairs.codeword)
 
@@ -859,7 +859,7 @@ def test_attacker_record_gains_exactly_the_known_information():
         ((EveStrategy.Z, 1.0), (EveStrategy.X, 0.0), (EveStrategy.RANDOM_ZX, 0.5))
     ):
         pairs = prepared(5000, 59 + stream)
-        transmit_pairs_b(pairs, strategy, SeededGenerator(59 + stream, 2))
+        transmit_pairs_b(pairs, strategy, 59 + stream)
         joint = {}
         for record, codeword in zip(pairs.eve_b.tolist(), pairs.codeword.tolist()):
             basis, k = divmod(record, 4)

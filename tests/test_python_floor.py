@@ -1,5 +1,6 @@
 """Every module of the package parses as the oldest Python that
-``pyproject.toml`` declares, though the suite may run on a newer one."""
+``pyproject.toml`` declares, though the suite may run on a newer one, and
+keeps its lines within the package's width."""
 
 import ast
 import re
@@ -14,11 +15,19 @@ FLOOR = tuple(
     for part in re.search(r'requires-python = ">=(\d+)\.(\d+)"', PYPROJECT).groups()
 )
 MODULES = sorted((ROOT / "src").rglob("*.py"))
+MAX_LINE = 88  # characters
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_module_parses_as_the_declared_oldest_python(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=FLOOR)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_every_line_of_the_package_fits_the_width(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    long = [n for n, line in enumerate(lines, start=1) if len(line) > MAX_LINE]
+    assert long == [], f"{path.name}: lines over {MAX_LINE} characters: {long}"
 
 
 def test_parsing_as_an_older_python_refuses_newer_syntax():

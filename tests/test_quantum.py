@@ -13,6 +13,7 @@ from depqkd.protocol import _basis_coins, _coins, _randints
 from depqkd.quantum import (
     LOCAL_BASIS,
     PAULI_MATRICES,
+    BatchStream,
     Freq,
     JointState,
     LocalState,
@@ -217,35 +218,19 @@ def philox_words(seed, stream, n):
     return np.random.Philox(key=key).random_raw(n)
 
 
-def draw_mixed(g, n, turn):
-    """Draw ``n`` words from ``g`` in two parts, each by ``words``,
-    ``uniforms`` or a loop of ``uniform`` as ``turn`` picks; returns them
-    as doubles."""
-    parts = []
-    for j, size in enumerate((n // 2, n - n // 2)):
-        how = (turn + j) % 3
-        if how == 0:
-            parts.append(doubles(g.words(size)))
-        elif how == 1:
-            parts.append(g.uniforms(size))
-        else:
-            parts.append(np.array([g.uniform() for _ in range(size)]))
-    return np.concatenate(parts)
-
-
 def test_skip_steps_past_words_at_any_buffer_position():
     # Philox makes words four at a time, so a skip must be exact whatever
     # the position in the current block, before and after it
     after = 13
     for before in range(9):
         for n in range(41):
-            g = SeededGenerator(2024, 3)
-            expected = doubles(philox_words(2024, 3, before + n + after))
-            assert np.array_equal(draw_mixed(g, before, n), expected[:before])
+            streams = BatchStream([2024], 3)
+            expected = philox_words(2024, 3, before + n + after)
+            assert np.array_equal(streams.words([0], [before]), expected[:before])
             # skips add up before a draw applies them
-            g.skip(n // 3)
-            g.skip(n - n // 3)
-            got = draw_mixed(g, after, before + n)
+            streams.skip([0], [n // 3])
+            streams.skip([0], [n - n // 3])
+            got = streams.words([0], [after])
             assert np.array_equal(got, expected[before + n :]), (before, n)
 
 
@@ -266,7 +251,9 @@ def test_interleaved_draws_and_skips_follow_the_plain_philox(seeds, stream, call
     # a skip may start and end anywhere in a four-word Philox block, after
     # any mix of earlier draws and skips; up to four handles of one stream
     # index, some of them with one seed, take turns with the Philox of
-    # their thread, and each still follows its own plain Philox
+    # their thread, and each still follows its own plain Philox.  A
+    # handle's only state is the position of its next word, so a skip of
+    # n words adds n to it.
     gens = [SeededGenerator(seed, stream) for seed in seeds]
     total = sum(n for _, _, n in calls) + 5
     expected = [philox_words(seed, stream, total) for seed in seeds]
@@ -279,14 +266,63 @@ def test_interleaved_draws_and_skips_follow_the_plain_philox(seeds, stream, call
         elif kind == "uniforms":
             assert np.array_equal(g.uniforms(n), doubles(words))
         else:
-            g.skip(n)
+            g.position += n
         at[h] += n
     for g, words, a in zip(gens, expected, at):
         assert np.array_equal(g.words(5), words[a : a + 5])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2**64 - 1), st.booleans()), min_size=1, max_size=5
+    ),
+    st.integers(0, 6),
+    st.lists(
+        st.tuples(
+            st.sampled_from(["words", "skip"]),
+            st.integers(1, 3),
+            st.lists(st.integers(0, 4), min_size=1, max_size=5),
+            st.lists(st.integers(0, 23), min_size=1, max_size=5),
+        ),
+        max_size=12,
+    ),
+)
+def test_a_batch_stream_draws_each_session_like_its_plain_philox(
+    sessions, stream, calls
+):
+    # each call draws or skips rows of 1 to 3 words for some of the
+    # sessions, so a skip may leave a position anywhere in a four-word
+    # Philox block; a session without the stream draws and skips nothing,
+    # and each other session follows the plain Philox keyed [seed, stream]
+    seeds = [seed for seed, _ in sessions]
+    has = [h for _, h in sessions]
+    streams = BatchStream(seeds, stream, has)
+    total = sum(width * sum(rows) for _, width, _, rows in calls) + 5
+    expected = [philox_words(seed, stream, total) for seed in seeds]
+    at = [0] * len(seeds)
+    for kind, width, picks, rows in calls:
+        picked = [s % len(seeds) for s in picks]
+        sizes = [width * m for m in rows]
+        want = []
+        for s, n in zip(picked, sizes):
+            if has[s]:
+                want.append(expected[s][at[s] : at[s] + n])
+                at[s] += n
+        if kind == "words":
+            got = streams.words(picked, sizes)
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, np.concatenate([np.zeros(0, np.uint64), *want]))
+        else:
+            streams.skip(picked, sizes)
+        assert streams.positions == [a if h else None for a, h in zip(at, has)]
+    for s, seed in enumerate(seeds):
+        got = streams.words([s], [5])
+        assert np.array_equal(got, expected[s][at[s] : at[s] + 5] if has[s] else [])
+
+
 def test_a_stream_that_is_only_skipped_builds_no_philox(monkeypatch):
-    # a handle that only skips neither builds nor re-keys the Philox of its
+    # a stream that only skips neither builds nor re-keys the Philox of its
     # thread, and then draws the plain Philox's words
     built = []
     philox = np.random.Philox
@@ -304,11 +340,11 @@ def test_a_stream_that_is_only_skipped_builds_no_philox(monkeypatch):
     SeededGenerator(6, 2).words(3)  # the thread has its Philox, at another key
     before = thread_state()
     built.clear()
-    g = SeededGenerator(5, 2)
-    g.skip(1000)
-    g.skip(3)
+    streams = BatchStream([5], 2)
+    streams.skip([0], [1000])
+    streams.skip([0], [3])
     assert built == [] and thread_state() == before
-    assert np.array_equal(g.words(4), expected)
+    assert np.array_equal(streams.words([0], [4]), expected)
     assert built == []
 
 
@@ -323,14 +359,18 @@ def test_doubles_are_numpy_generator_random_bit_for_bit():
     assert doubles(edges).tolist() == [0.0, 0.0, 2.0**-53, 0.5, 1 - 2.0**-53]
 
 
-class FixedWords:
-    """A stand-in stream that hands out the given words once."""
+class FixedWords(BatchStream):
+    """A stand-in stream of one session that hands out the given words
+    once."""
+
+    __slots__ = ("w",)
 
     def __init__(self, words):
+        super().__init__([0], 0)
         self.w = np.asarray(words, dtype=np.uint64)
 
-    def words(self, n):
-        assert n == len(self.w)
+    def words(self, sessions, sizes):
+        assert (list(sessions), list(sizes)) == ([0], [len(self.w)])
         return self.w
 
 
@@ -342,38 +382,40 @@ def boundary_words(bound):
 
 @pytest.mark.parametrize("p", [5e-324, 2.0**-53, 0.1, 0.5, 1 - 2.0**-53])
 def test_integer_coins_equal_double_coins(p):
-    g, ref = SeededGenerator(31, 2), SeededGenerator(31, 2)
-    assert np.array_equal(_coins([g], [20000], [p]), ref.uniforms(20000) < p)
+    ref = SeededGenerator(31, 2)
+    assert np.array_equal(
+        _coins(BatchStream([31], 2), [20000], [p]), ref.uniforms(20000) < p
+    )
     w = np.array(boundary_words(math.ceil(p * 2**53) << 11), dtype=np.uint64)
-    assert np.array_equal(_coins([FixedWords(w)], [len(w)], [p]), doubles(w) < p)
+    assert np.array_equal(_coins(FixedWords(w), [len(w)], [p]), doubles(w) < p)
 
 
 def test_decided_coins_skip_their_words():
     for p, value in ((0.0, False), (1.0, True)):
-        gens = [SeededGenerator(31, 4), SeededGenerator(32, 4)]
-        coins = _coins(gens, [5, 6], [p, p])
+        streams = BatchStream([31, 32], 4)
+        coins = _coins(streams, [5, 6], [p, p])
         assert coins.tolist() == [value] * 11
-        for g, size in zip(gens, [5, 6]):
-            ref = SeededGenerator(g.seed, g.stream)
-            ref.words(size)
-            assert np.array_equal(g.words(9), ref.words(9))
+        assert streams.positions == [5, 6]
+        for s, seed in enumerate(streams.seeds):
+            expected = philox_words(seed, 4, streams.positions[s] + 9)[-9:]
+            assert np.array_equal(streams.words([s], [9]), expected)
 
 
 def test_coins_of_a_batch_equal_each_session_alone():
-    # runs of equal probabilities, decided and drawn, beside one another
-    p = [0.3, 0.3, 0.0, 1.0, 1.0, 0.3, 0.7, 0.0]
-    sizes = [5, 0, 6, 3, 4, 9, 7, 2]
-    gens = [SeededGenerator(40 + s, 2) for s in range(len(p))]
-    coins = _coins(gens, sizes, p)
+    # runs of equal probabilities, decided and drawn, beside one another,
+    # and sessions without the stream, one of them between runs of p = 0
+    p = [0.3, 0.3, 0.0, 1.0, 1.0, 0.3, 0.7, 0.0, 0.0, 0.0, 0.3]
+    sizes = [5, 0, 6, 3, 4, 9, 7, 2, 4, 3, 8]
+    has = [True] * 8 + [False, True, False]
+    seeds = [40 + s for s in range(len(p))]
+    streams = BatchStream(seeds, 2, has)
+    coins = _coins(streams, sizes, p)
     alone = [
-        _coins([SeededGenerator(40 + s, 2)], [m], [q])
-        for s, (m, q) in enumerate(zip(sizes, p))
+        _coins(BatchStream([seed], 2), [m], [q]) if h else np.zeros(m, dtype=bool)
+        for seed, m, q, h in zip(seeds, sizes, p, has)
     ]
     assert coins.tolist() == np.concatenate(alone).tolist()
-    for s, g in enumerate(gens):
-        ref = SeededGenerator(40 + s, 2)
-        ref.words(sizes[s])
-        assert np.array_equal(g.words(9), ref.words(9))
+    assert streams.positions == [m if h else None for m, h in zip(sizes, has)]
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
