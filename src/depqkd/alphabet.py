@@ -14,7 +14,15 @@ from __future__ import annotations
 import numpy as np
 
 from .device import _DEVICE_BRAS, DEVICE_OUTCOMES, _converted, decode
-from .quantum import LOCAL_BASIS, _LOCAL_OPERATORS, JointState, Pauli, Photon, PolBasis
+from .quantum import (
+    _LOCAL_OPERATORS,
+    _POL_BASES,
+    LOCAL_BASIS,
+    Pauli,
+    Photon,
+    PolBasis,
+    _read_only,
+)
 from .states import (
     ENCODING_TABLE,
     DepLabel,
@@ -80,7 +88,7 @@ _TRANSITIONS = np.array(
 )
 # Bras of a converted photon, [basis][comp], and of both measured in bases
 # (basis_a, basis_b), row 4 * (2 * basis_a + basis_b) + 2 * comp_a + comp_b.
-_QUBIT_BRAS = np.array([np.eye(2), [[1, 1], [1, -1]] / np.sqrt(2.0)])
+_QUBIT_BRAS = np.array([_POL_BASES[basis] for basis in _BASES])
 _CONVERTED_BRAS = np.einsum("xai,ybj->xyabij", _QUBIT_BRAS, _QUBIT_BRAS).reshape(16, 4)
 
 _GRID_BITS = 4  # an outcome is a function of its word's top 4 bits
@@ -129,8 +137,9 @@ class StateAlphabet:
     The states are ``source`` (id 0) closed under every transition of the
     protocol: an operation of :class:`Pauli` on either photon, and every
     outcome of either photon measured in either basis.  From PSI+ that is
-    40 states.  A state is stored with its first nonzero amplitude real and
-    positive, and looked up by its amplitudes rounded to 1e-9.  Ids follow
+    40 states.  State ``id`` is row ``id`` of the read-only array
+    ``states``, stored with its first nonzero amplitude real and positive,
+    and looked up by its amplitudes rounded to 1e-9.  Ids follow
     a breadth-first walk from ``source``, whatever sessions run.
 
     The tables are indexed by sampling key: ``prepared[op_b]`` (from
@@ -147,21 +156,22 @@ class StateAlphabet:
     off the 1/16 grid or a state the converters annihilate raises.
     """
 
-    def __init__(self, source: JointState = dep_basis(DepLabel.PSI_PLUS)) -> None:
-        self.states: list[JointState] = []
+    def __init__(self, source: np.ndarray = dep_basis(DepLabel.PSI_PLUS)) -> None:
+        found: list[np.ndarray] = []  # the states by id
         self._ids: dict[bytes, int] = {}
-        self._ids_of(source.vec[None])
+        self._ids_of(source[None], found)
         ids, p = [], []  # per state, each transition's id and probability
         done = 0
-        while done < len(self.states):  # one pass per breadth-first level
-            vecs = np.array([state.vec for state in self.states[done:]])
-            done = len(self.states)
+        while done < len(found):  # one pass per breadth-first level
+            vecs = np.array(found[done:])
+            done = len(found)
             reached = (_TRANSITIONS @ vecs.T).transpose(2, 0, 1)
             p.append((np.abs(reached) ** 2).sum(axis=-1))
             # an outcome is reached exactly when its row gives it entries
             seen = np.rint(_GRID * p[-1]) > 0
             ids.append(np.full(seen.shape, -1, dtype=_STATE))
-            ids[-1][seen] = self._ids_of(reached[seen] / np.sqrt(p[-1][seen])[:, None])
+            states = reached[seen] / np.sqrt(p[-1][seen])[:, None]
+            ids[-1][seen] = self._ids_of(states, found)
         ids = np.concatenate(ids).reshape(-1, len(Photon), 12)
         p = np.concatenate(p).reshape(ids.shape)
         self.prepared = ids[0, 1, :4]
@@ -171,15 +181,16 @@ class StateAlphabet:
             self.collapsed[photon] = ids[:, i, 4:].ravel()
             rows = p[:, i, 4:].reshape(-1, 4)
             self.partial[photon] = _lut(f"partial[{photon.value}]", rows)
-        vecs = np.array([state.vec for state in self.states])
+        self.states = vecs = _read_only(found)
         self.device = _lut("device", np.abs(vecs @ _DEVICE_BRAS.T) ** 2)
         amp = _converted(vecs) @ _CONVERTED_BRAS.T
         self.wc = _lut("wc", (np.abs(amp) ** 2).reshape(-1, 4))
         local = np.concatenate([LOCAL_BASIS[basis] for basis in _BASES])
         self.local = _lut("local", np.abs(local @ local.conj().T).reshape(-1, 4) ** 2)
 
-    def _ids_of(self, vecs: np.ndarray) -> np.ndarray:
-        """The id of each state of ``vecs``, adding the new ones in order."""
+    def _ids_of(self, vecs: np.ndarray, found: list[np.ndarray]) -> np.ndarray:
+        """The id of each state of ``vecs``, adding the new ones to ``found``
+        in order."""
         vecs, rounded = _canonical(vecs)
         keys, size = rounded.tobytes(), rounded.itemsize * 16
         ids = []
@@ -187,14 +198,14 @@ class StateAlphabet:
             key = keys[i * size : (i + 1) * size]
             sid = self._ids.get(key)
             if sid is None:
-                sid = self._ids[key] = len(self.states)
-                self.states.append(JointState(vecs[i]))
+                sid = self._ids[key] = len(found)
+                found.append(vecs[i])
             ids.append(sid)
         return np.array(ids, dtype=_STATE)
 
-    def index(self, state: JointState) -> int:
+    def index(self, state: np.ndarray) -> int:
         """The id of ``state`` up to global phase; ``ValueError`` outside."""
-        sid = self._ids.get(_canonical(state.vec[None])[1].tobytes())
+        sid = self._ids.get(_canonical(state[None])[1].tobytes())
         if sid is None:
             raise ValueError("the state is not in the alphabet")
         return sid

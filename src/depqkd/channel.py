@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .device import measure_single
 from .quantum import (
     Freq,
-    JointState,
-    LocalState,
     Photon,
     PolBasis,
     SeededGenerator,
@@ -79,8 +79,8 @@ def _choose_basis(strategy: EveStrategy, g: SeededGenerator) -> PolBasis:
 
 
 def ir_attack_entangled(
-    state: JointState, photon: Photon, strategy: EveStrategy, g: SeededGenerator
-) -> tuple[JointState, EveRecord]:
+    state: np.ndarray, photon: Photon, strategy: EveStrategy, g: SeededGenerator
+) -> tuple[np.ndarray, EveRecord]:
     """Intercept one photon of a pair, measure it, resend the eigenstate.
 
     Whatever the input, the output is a product of the resent eigenstate
@@ -93,8 +93,8 @@ def ir_attack_entangled(
 
 
 def ir_attack_decoy(
-    state: LocalState, strategy: EveStrategy, g: SeededGenerator
-) -> tuple[LocalState, EveRecord]:
+    state: np.ndarray, strategy: EveStrategy, g: SeededGenerator
+) -> tuple[np.ndarray, EveRecord]:
     """Intercept-resend on a lone photon; returns the resent state."""
     basis = _choose_basis(strategy, g)
     comp, freq = measure_single(state, basis, g)

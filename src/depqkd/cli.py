@@ -415,7 +415,7 @@ def run_table_verification() -> list[tuple[str, bool, str]]:
     family_ports = {family: ports for ports, family in _FAMILY_BY_PORTS.items()}
     for label in DepLabel:
         ports = family_ports[label.family]
-        support = np.flatnonzero(np.abs(dep_basis(label).vec) > 1e-12).tolist()
+        support = np.flatnonzero(np.abs(dep_basis(label)) > 1e-12).tolist()
         routed = {(port_a.get(j // 4), port_b.get(j % 4)) for j in support}
         seen = {DEVICE_OUTCOMES[o][:2] for o in hits[label]}  # (port_a, port_b)
         ok = routed == {ports} and seen == {ports}

@@ -24,13 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .quantum import (
+    _POL_BASES,
     Freq,
-    JointState,
-    LocalState,
     Pol,
     PolBasis,
     SeededGenerator,
     StateError,
+    _read_only,
     local_outcome,
     local_probabilities,
     mode_index,
@@ -65,7 +65,7 @@ def _converted(vecs: np.ndarray) -> np.ndarray:
     return flat / norm
 
 
-def wavelength_convert_global(state: JointState) -> np.ndarray:
+def wavelength_convert_global(state: np.ndarray) -> np.ndarray:
     """Erase both photons' frequency bins, combining amplitudes coherently.
 
     Models ideal wavelength converters applied to both photons outside the
@@ -73,7 +73,7 @@ def wavelength_convert_global(state: JointState) -> np.ndarray:
     amplitudes (HH, HV, VH, VV); a state whose polarization amplitudes
     cancel entirely cannot be converted and raises :class:`StateError`.
     """
-    return _converted(state.vec)
+    return _converted(state)
 
 
 class DeviceOutcome(NamedTuple):
@@ -86,10 +86,9 @@ class DeviceOutcome(NamedTuple):
 
 
 def _port_diagonal_vector(port: int, sign: int) -> np.ndarray:
-    h_mode, v_mode = _PORT_MODES[port]
+    # the diagonal state of the port's (H-like, V-like) modes
     vec = np.zeros(4, dtype=complex)
-    vec[h_mode] = 1.0 / np.sqrt(2.0)
-    vec[v_mode] = sign / np.sqrt(2.0)
+    vec[list(_PORT_MODES[port])] = _POL_BASES[PolBasis.X][0 if sign > 0 else 1]
     return vec
 
 
@@ -107,9 +106,7 @@ def _build_device_basis() -> tuple[tuple[DeviceOutcome, ...], np.ndarray]:
                             _port_diagonal_vector(port_b, x_b),
                         )
                     )
-    matrix = np.array(rows)
-    matrix.setflags(write=False)
-    return tuple(outcomes), matrix
+    return tuple(outcomes), _read_only(rows)
 
 
 #: The 16 outcomes, in the order of :func:`device_probabilities`.
@@ -117,13 +114,13 @@ DEVICE_OUTCOMES, _DEVICE_MATRIX = _build_device_basis()
 _DEVICE_BRAS = _DEVICE_MATRIX.conj()
 
 
-def device_probabilities(state: JointState) -> np.ndarray:
+def device_probabilities(state: np.ndarray) -> np.ndarray:
     """Probabilities of the 16 device outcomes, in :data:`DEVICE_OUTCOMES`
     order."""
-    return np.abs(_DEVICE_BRAS @ state.vec) ** 2
+    return np.abs(_DEVICE_BRAS @ state) ** 2
 
 
-def device_measure(state: JointState, g: SeededGenerator) -> DeviceOutcome:
+def device_measure(state: np.ndarray, g: SeededGenerator) -> DeviceOutcome:
     """Sample one detector coincidence.
 
     The pair collapses onto the outcome's row of the device matrix, so the
@@ -153,7 +150,7 @@ def decode(outcome: DeviceOutcome) -> tuple[DepLabel, int]:
 
 
 def measure_single(
-    state: LocalState, basis: PolBasis, g: SeededGenerator
+    state: np.ndarray, basis: PolBasis, g: SeededGenerator
 ) -> tuple[int, Freq]:
     """Measure a lone photon: frequency bin via the demultiplexer plus a
     polarization measurement in the chosen basis.

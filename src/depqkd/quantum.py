@@ -5,18 +5,18 @@ Conventions, fixed package-wide:
 
 * Each photon occupies four modes indexed ``2 * pol + freq`` with
   polarization H = 0, V = 1 and frequency bins LOW = 0, HIGH = 1.
-* A pair state holds 16 amplitudes with joint index
-  ``4 * mode_a + mode_b`` (photon a major, photon b minor).
+* A state is a read-only ``complex128`` array: 4 amplitudes for a photon,
+  16 for a pair with joint index ``4 * mode_a + mode_b`` (photon a major,
+  photon b minor), so ``state.reshape(4, 4)`` has photon a on its rows.
 * Encoding operations act on the polarization qubit only and leave the
   frequency bin untouched.  ``IY`` is the product of the phase flip and
   the bit flip (``Z @ X``), so IY|H> = -|V> and IY|V> = |H>.
 
-State objects are immutable after construction.  Randomness enters only
-through explicitly seeded, stream-indexed counter-based streams: a
-:class:`SeededGenerator` for one stream, or a :class:`BatchStream` for
-one stream index of every session of a batch.  Both draw the same words,
-so every simulation is reproducible from its (seed, stream, call order)
-triple alone.
+Randomness enters only through explicitly seeded, stream-indexed
+counter-based streams: a :class:`SeededGenerator` for one stream, or a
+:class:`BatchStream` for one stream index of every session of a batch.
+Both draw the same words, so every simulation is reproducible from its
+(seed, stream, call order) triple alone.
 """
 
 from __future__ import annotations
@@ -97,74 +97,27 @@ _LOCAL_OPERATORS: dict[Pauli, np.ndarray] = {
 }
 
 
-def _frozen_vector(values, dim: int) -> np.ndarray:
-    vec = np.array(values, dtype=complex).reshape(dim)
+def _read_only(amplitudes) -> np.ndarray:
+    """A new read-only ``complex128`` array of ``amplitudes``, the form of
+    every state and basis table the package hands out."""
+    vec = np.array(amplitudes, dtype=complex)
     vec.setflags(write=False)
     return vec
 
 
-class LocalState:
-    """Single-photon state over the four (polarization, frequency) modes."""
-
-    __slots__ = ("vec",)
-    dim = 4
-
-    def __init__(self, amplitudes) -> None:
-        self.vec = _frozen_vector(amplitudes, 4)
-
-    @classmethod
-    def mode(cls, pol: Pol, freq: Freq) -> "LocalState":
-        vec = np.zeros(4, dtype=complex)
-        vec[mode_index(pol, freq)] = 1.0
-        return cls(vec)
-
-    @classmethod
-    def diagonal(cls, sign: int, freq: Freq) -> "LocalState":
-        """(|H> + sign |V>) / sqrt(2) within one frequency bin."""
-        vec = np.zeros(4, dtype=complex)
-        vec[mode_index(Pol.H, freq)] = 1.0 / np.sqrt(2.0)
-        vec[mode_index(Pol.V, freq)] = sign / np.sqrt(2.0)
-        return cls(vec)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LocalState({np.array2string(self.vec, precision=4)})"
-
-
-class JointState:
-    """Two-photon state over the 16 joint modes (photon a major)."""
-
-    __slots__ = ("vec",)
-    dim = 16
-
-    def __init__(self, amplitudes) -> None:
-        self.vec = _frozen_vector(amplitudes, 16)
-
-    def as_matrix(self) -> np.ndarray:
-        """View with photon a indexing rows and photon b indexing columns."""
-        return self.vec.reshape(4, 4)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = [
-            f"{amp:.4g}|{i // 4},{i % 4}>"
-            for i, amp in enumerate(self.vec)
-            if abs(amp) > 1e-12
-        ]
-        return "JointState(" + " + ".join(parts) + ")"
-
-
-def apply_local(op: Pauli, photon: Photon, state: JointState) -> JointState:
+def apply_local(op: Pauli, photon: Photon, state: np.ndarray) -> np.ndarray:
     """Apply a polarization operation to one photon of a pair.
 
     The operation touches the polarization qubit only; frequency amplitudes
     ride along unchanged.  Norm is preserved.
     """
     u = _LOCAL_OPERATORS[op]
-    m = state.as_matrix()
+    m = state.reshape(4, 4)
     if photon is Photon.A:
         out = u @ m
     else:
         out = m @ u.T
-    return JointState(out.reshape(16))
+    return _read_only(out.reshape(16))
 
 
 def cumulative(probabilities) -> tuple[float, ...]:
@@ -275,9 +228,6 @@ class SeededGenerator:
         cdf = cumulative(probabilities)
         return min(bisect_right(cdf, self.uniform() * cdf[-1]), len(cdf) - 1)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SeededGenerator(seed={self.seed}, stream={self.stream})"
-
 
 class BatchStream:
     """One stream index of every session of a batch, as one object.
@@ -328,35 +278,25 @@ class BatchStream:
                 positions[s] += n
 
 
-def pol_freq_eigenstate(basis: PolBasis, comp: int, freq: Freq) -> LocalState:
-    """Eigenstate of a polarization measurement within one frequency bin.
-
-    ``comp`` 0 means H (Z basis) or the +45 degree state (X basis);
-    ``comp`` 1 means V or the -45 degree state.
-    """
-    if basis is PolBasis.Z:
-        return LocalState.mode(Pol(comp), freq)
-    return LocalState.diagonal(+1 if comp == 0 else -1, freq)
-
-
 def local_outcome(k: int) -> tuple[int, Freq]:
     """The ``(comp, freq)`` outcome of row ``k`` of a :data:`LOCAL_BASIS` table."""
     return k // 2, Freq(k % 2)
 
 
-def _local_basis(basis: PolBasis) -> np.ndarray:
-    rows = np.array(
-        [pol_freq_eigenstate(basis, *local_outcome(k)).vec for k in range(4)]
-    )
-    rows.setflags(write=False)
-    return rows
-
+# Each polarization basis as a qubit table: row ``comp`` is H or the +45
+# degree state for ``comp`` 0, V or the -45 degree state for ``comp`` 1.
+_POL_BASES: dict[PolBasis, np.ndarray] = {
+    PolBasis.Z: np.eye(2),
+    PolBasis.X: np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+}
 
 #: The two single-photon measurements, resolving polarization in H/V or
 #: diagonal and always the frequency bin: row ``k`` is the eigenstate of
-#: outcome :func:`local_outcome` ``(k)``.
+#: outcome :func:`local_outcome` ``(k)``.  Adding 0.0 turns the -0.0 of
+#: the products into 0.0.
 LOCAL_BASIS: dict[PolBasis, np.ndarray] = {
-    basis: _local_basis(basis) for basis in PolBasis
+    basis: _read_only(np.kron(u, np.eye(2, dtype=complex)) + 0.0)
+    for basis, u in _POL_BASES.items()
 }
 
 # The conjugated rows (bras) of each table, built once.
@@ -365,21 +305,31 @@ _LOCAL_BRAS: dict[PolBasis, np.ndarray] = {
 }
 
 
-def local_probabilities(state: LocalState, basis: PolBasis) -> np.ndarray:
+def pol_freq_eigenstate(basis: PolBasis, comp: int, freq: Freq) -> np.ndarray:
+    """Eigenstate of a polarization measurement within one frequency bin,
+    row ``2 * comp + freq`` of :data:`LOCAL_BASIS`.
+
+    ``comp`` 0 means H (Z basis) or the +45 degree state (X basis);
+    ``comp`` 1 means V or the -45 degree state.
+    """
+    return LOCAL_BASIS[basis][2 * comp + freq]
+
+
+def local_probabilities(state: np.ndarray, basis: PolBasis) -> np.ndarray:
     """Probabilities of the :data:`LOCAL_BASIS` outcomes on a lone photon."""
-    return np.abs(_LOCAL_BRAS[basis] @ state.vec) ** 2
+    return np.abs(_LOCAL_BRAS[basis] @ state) ** 2
 
 
 def _partial_amplitudes(
-    state: JointState, photon: Photon, basis: PolBasis
+    state: np.ndarray, photon: Photon, basis: PolBasis
 ) -> np.ndarray:
     # row k: the other photon's unnormalized state given outcome k
-    m = state.as_matrix()
+    m = state.reshape(4, 4)
     return _LOCAL_BRAS[basis] @ (m if photon is Photon.A else m.T)
 
 
 def partial_probabilities(
-    state: JointState, photon: Photon, basis: PolBasis
+    state: np.ndarray, photon: Photon, basis: PolBasis
 ) -> np.ndarray:
     """Probabilities of the :data:`LOCAL_BASIS` outcomes on one photon of a
     pair."""
@@ -387,19 +337,19 @@ def partial_probabilities(
 
 
 def partial_collapse(
-    state: JointState, photon: Photon, basis: PolBasis, k: int
-) -> JointState:
+    state: np.ndarray, photon: Photon, basis: PolBasis, k: int
+) -> np.ndarray:
     """The pair after outcome ``k`` on one photon: the product of the
     observed eigenstate and the conditional state of the other photon."""
     row = LOCAL_BASIS[basis][k]
     other = _partial_amplitudes(state, photon, basis)[k]
     post = np.outer(row, other) if photon is Photon.A else np.outer(other, row)
-    return JointState(post.reshape(16) / np.linalg.norm(post))
+    return _read_only(post.reshape(16) / np.linalg.norm(post))
 
 
 def partial_measure(
-    state: JointState, photon: Photon, basis: PolBasis, g: SeededGenerator
-) -> tuple[tuple[int, Freq], JointState]:
+    state: np.ndarray, photon: Photon, basis: PolBasis, g: SeededGenerator
+) -> tuple[tuple[int, Freq], np.ndarray]:
     """Measure one photon of a pair in a :data:`LOCAL_BASIS` basis.
 
     Returns the sampled ``(comp, freq)`` outcome and the collapsed joint

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quantum import JointState, Pauli
+from .quantum import Pauli, _read_only
 
 
 class Family(Enum):
@@ -78,21 +78,21 @@ _SUPPORT: dict[Family, tuple[int, int]] = {
 }
 
 
-def _build_basis() -> dict[DepLabel, JointState]:
+def _build_basis() -> dict[DepLabel, np.ndarray]:
     basis = {}
     for label in DepLabel:
         vec = np.zeros(16, dtype=complex)
         first, second = _SUPPORT[label.family]
         vec[first] = 1.0 / np.sqrt(2.0)
         vec[second] = label.sign / np.sqrt(2.0)
-        basis[label] = JointState(vec)
+        basis[label] = _read_only(vec)
     return basis
 
 
 _BASIS = _build_basis()
 
 
-def dep_basis(label: DepLabel) -> JointState:
+def dep_basis(label: DepLabel) -> np.ndarray:
     """Normalized state vector of one of the eight pair states."""
     return _BASIS[label]
 

@@ -48,9 +48,9 @@ def is_normalized(vec, tol: float = 1e-12) -> bool:
 
 
 def equal_up_to_global_phase(s1, s2, tol: float = 1e-9) -> bool:
-    """Whether two normalized states (objects with a ``vec``) differ only
-    by a global phase: ``|<s1|s2>| >= 1 - tol``."""
-    return bool(abs(np.vdot(s1.vec, s2.vec)) >= 1.0 - tol)
+    """Whether two normalized state vectors differ only by a global phase:
+    ``|<s1|s2>| >= 1 - tol``."""
+    return bool(abs(np.vdot(s1, s2)) >= 1.0 - tol)
 
 
 def born_probability(vec, proj) -> float:

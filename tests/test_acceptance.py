@@ -18,7 +18,7 @@ from depqkd import CheckStrategy, EveStrategy, ProtocolConfig, run_session
 from depqkd.alphabet import ALPHABET
 from depqkd.cli import main
 from depqkd.device import DEVICE_OUTCOMES, decode, device_probabilities
-from depqkd.quantum import JointState, Pauli, Photon, SeededGenerator
+from depqkd.quantum import Pauli, Photon, SeededGenerator
 from depqkd.states import (
     ENCODING_TABLE,
     DepLabel,
@@ -49,7 +49,7 @@ def test_criterion_1_encoding_table_closure():
         for pair, label in ENCODING_TABLE.items():
             prepared = ALPHABET.prepared[paulis.index(pair.op_b)]
             sid = ALPHABET.encoded[4 * prepared + paulis.index(pair.op_a)]
-            produced = oracles.classify(ALPHABET.states[sid].vec)
+            produced = oracles.classify(ALPHABET.states[sid])
             assert produced == (label.family.value.lower(), label.sign), pair
 
 
@@ -157,7 +157,7 @@ def test_criterion_6_attacks_always_leave_product_states():
             assert len(reached) == 32
             for sid in reached:
                 for tag in ("a", "b"):
-                    rho = oracles.reduced_density_matrix(ALPHABET.states[sid].vec, tag)
+                    rho = oracles.reduced_density_matrix(ALPHABET.states[sid], tag)
                     assert oracles.purity(rho) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -170,9 +170,9 @@ def test_criterion_7_device_sampling_matches_the_projector_oracle():
         shots = 100_000
         for stream in range(20):
             vec = rng.normal(size=16) + 1j * rng.normal(size=16)
-            state = JointState(vec / np.linalg.norm(vec))
+            state = vec / np.linalg.norm(vec)
             expected = np.array(
-                [oracles.born_probability(state.vec, proj) for _, proj in projectors]
+                [oracles.born_probability(state, proj) for _, proj in projectors]
             )
             counts = sample_counts(state, shots, SeededGenerator(3000, stream))
             observed = counts / shots

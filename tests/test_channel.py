@@ -17,8 +17,6 @@ from depqkd.device import measure_single
 from depqkd.protocol import ProtocolConfig
 from depqkd.quantum import (
     Freq,
-    JointState,
-    LocalState,
     Photon,
     Pol,
     PolBasis,
@@ -26,10 +24,6 @@ from depqkd.quantum import (
     pol_freq_eigenstate,
 )
 from depqkd.states import DepLabel, dep_basis
-
-def product(a: LocalState, b: LocalState) -> JointState:
-    """The pair with photon a in ``a`` and photon b in ``b``."""
-    return JointState(np.kron(a.vec, b.vec))
 
 
 ORACLE_NAME = {
@@ -73,11 +67,11 @@ def test_eve_target_coverage():
 def test_z_attack_on_entangled_pair_yields_the_two_product_states():
     g = SeededGenerator(3, 0)
     expected = {
-        (1, Freq.LOW): product(
-            LocalState.mode(Pol.H, Freq.LOW), LocalState.mode(Pol.V, Freq.LOW)
+        (1, Freq.LOW): np.kron(
+            oracles.local_z_vector(Pol.H, Freq.LOW), oracles.local_z_vector(Pol.V, Freq.LOW)
         ),
-        (0, Freq.HIGH): product(
-            LocalState.mode(Pol.V, Freq.HIGH), LocalState.mode(Pol.H, Freq.HIGH)
+        (0, Freq.HIGH): np.kron(
+            oracles.local_z_vector(Pol.V, Freq.HIGH), oracles.local_z_vector(Pol.H, Freq.HIGH)
         ),
     }
     seen = {}
@@ -89,7 +83,7 @@ def test_z_attack_on_entangled_pair_yields_the_two_product_states():
         assert record.basis is PolBasis.Z
         key = (record.comp, record.freq)
         assert key in expected
-        assert np.allclose(out.vec, expected[key].vec, atol=1e-12)
+        assert np.allclose(out, expected[key], atol=1e-12)
         seen[key] = seen.get(key, 0) + 1
     assert seen[(1, Freq.LOW)] / n == pytest.approx(0.5, abs=0.04)
 
@@ -103,23 +97,23 @@ def test_x_attack_on_entangled_pair_resends_diagonal_states():
         assert record.basis is PolBasis.X
         resent = pol_freq_eigenstate(PolBasis.X, record.comp, record.freq)
         remote = (
-            LocalState.mode(Pol.H, Freq.LOW)
+            oracles.local_z_vector(Pol.H, Freq.LOW)
             if record.freq is Freq.LOW
-            else LocalState.mode(Pol.V, Freq.HIGH)
+            else oracles.local_z_vector(Pol.V, Freq.HIGH)
         )
         assert np.allclose(
-            np.abs(out.vec), np.abs(product(remote, resent).vec), atol=1e-12
+            np.abs(out), np.abs(np.kron(remote, resent)), atol=1e-12
         )
 
 
 def test_attack_on_a_mirrors_attack_on_b():
     g = SeededGenerator(5, 0)
     expected = {
-        (0, Freq.LOW): product(
-            LocalState.mode(Pol.H, Freq.LOW), LocalState.mode(Pol.V, Freq.LOW)
+        (0, Freq.LOW): np.kron(
+            oracles.local_z_vector(Pol.H, Freq.LOW), oracles.local_z_vector(Pol.V, Freq.LOW)
         ),
-        (1, Freq.HIGH): product(
-            LocalState.mode(Pol.V, Freq.HIGH), LocalState.mode(Pol.H, Freq.HIGH)
+        (1, Freq.HIGH): np.kron(
+            oracles.local_z_vector(Pol.V, Freq.HIGH), oracles.local_z_vector(Pol.H, Freq.HIGH)
         ),
     }
     for _ in range(500):
@@ -128,19 +122,19 @@ def test_attack_on_a_mirrors_attack_on_b():
         )
         key = (record.comp, record.freq)
         assert key in expected
-        assert np.allclose(out.vec, expected[key].vec, atol=1e-12)
+        assert np.allclose(out, expected[key], atol=1e-12)
 
 
 def test_attack_passes_matched_eigenstates_through_unchanged():
     g = SeededGenerator(6, 0)
-    probe = product(
-        LocalState.mode(Pol.H, Freq.LOW),
+    probe = np.kron(
+        oracles.local_z_vector(Pol.H, Freq.LOW),
         pol_freq_eigenstate(PolBasis.X, 0, Freq.HIGH),
     )
     for _ in range(20):
         out, record = ir_attack_entangled(probe, Photon.B, EveStrategy.X, g)
         assert record == EveRecord(PolBasis.X, 0, Freq.HIGH)
-        assert np.allclose(np.abs(out.vec), np.abs(probe.vec), atol=1e-12)
+        assert np.allclose(np.abs(out), np.abs(probe), atol=1e-12)
 
 
 def test_attack_always_disentangles_purity_of_both_photons():
@@ -151,9 +145,9 @@ def test_attack_always_disentangles_purity_of_both_photons():
                 out, record = ir_attack_entangled(
                     dep_basis(label), photon, strategy, g
                 )
-                assert oracles.is_normalized(out.vec)
+                assert oracles.is_normalized(out)
                 for tag in ("a", "b"):
-                    rho = oracles.reduced_density_matrix(out.vec, tag)
+                    rho = oracles.reduced_density_matrix(out, tag)
                     assert oracles.purity(rho) == pytest.approx(1.0, abs=1e-9)
                 if strategy is EveStrategy.Z:
                     assert record.basis is PolBasis.Z
@@ -174,11 +168,11 @@ def test_random_strategy_alternates_bases():
 
 def test_decoy_attack_in_matched_basis_is_transparent():
     g = SeededGenerator(9, 0)
-    probe = LocalState.mode(Pol.H, Freq.LOW)
+    probe = oracles.local_z_vector(Pol.H, Freq.LOW)
     for _ in range(20):
         resent, record = ir_attack_decoy(probe, EveStrategy.Z, g)
         assert record == EveRecord(PolBasis.Z, 0, Freq.LOW)
-        assert np.allclose(resent.vec, probe.vec, atol=1e-12)
+        assert np.allclose(resent, probe, atol=1e-12)
 
 
 def test_decoy_attack_in_mismatched_basis_randomizes_polarization():
@@ -190,7 +184,7 @@ def test_decoy_attack_in_mismatched_basis_randomizes_polarization():
         assert record.basis is PolBasis.Z
         assert record.freq is Freq.HIGH
         expected = pol_freq_eigenstate(PolBasis.Z, record.comp, record.freq)
-        assert np.allclose(resent.vec, expected.vec, atol=1e-12)
+        assert np.allclose(resent, expected, atol=1e-12)
         comps.append(record.comp)
     assert sum(comps) / len(comps) == pytest.approx(0.5, abs=0.04)
 
@@ -228,7 +222,7 @@ def test_attacks_replay_identically_for_equal_seeds():
             state, record = ir_attack_entangled(
                 dep_basis(DepLabel.UPSILON_MINUS), Photon.B, EveStrategy.RANDOM_ZX, g
             )
-            out.append((record, tuple(np.round(state.vec, 12))))
+            out.append((record, tuple(np.round(state, 12))))
         return out
 
     assert trace(123) == trace(123)

@@ -18,8 +18,6 @@ from depqkd.device import (
 )
 from depqkd.quantum import (
     Freq,
-    JointState,
-    LocalState,
     Pol,
     PolBasis,
     SeededGenerator,
@@ -31,7 +29,7 @@ from depqkd.states import _SUPPORT, DepLabel, Family, dep_basis, label_to_codewo
 
 def random_joint(rng):
     vec = rng.normal(size=16) + 1j * rng.normal(size=16)
-    return JointState(vec / np.linalg.norm(vec))
+    return vec / np.linalg.norm(vec)
 
 
 # Each photon's two ports, photon a's first: a port collects the two modes
@@ -80,7 +78,7 @@ def test_wavelength_convert_global_matches_frequency_erasure_oracle():
     rng = np.random.default_rng(31)
     for _ in range(25):
         s = random_joint(rng)
-        expected = oracles.erase_frequency(s.vec)
+        expected = oracles.erase_frequency(s)
         norm = np.linalg.norm(expected)
         if norm < 1e-6:
             continue
@@ -94,7 +92,7 @@ def test_wavelength_convert_global_rejects_cancelling_amplitudes():
     vec[0] = 1 / np.sqrt(2)  # a (H, LOW),  b (H, LOW)
     vec[4] = -1 / np.sqrt(2)  # a (H, HIGH), b (H, LOW)
     with pytest.raises(StateError):
-        wavelength_convert_global(JointState(vec))
+        wavelength_convert_global(vec)
 
 
 def test_device_measurement_is_complete_and_orthonormal():
@@ -119,7 +117,7 @@ def test_device_distribution_matches_dense_projector_oracle():
     for _ in range(20):
         s = random_joint(rng)
         for outcome, prob in zip(DEVICE_OUTCOMES, device_probabilities(s)):
-            expected = oracles.born_probability(s.vec, reference[tuple(outcome)])
+            expected = oracles.born_probability(s, reference[tuple(outcome)])
             assert prob == pytest.approx(expected, abs=1e-12)
 
 
@@ -173,7 +171,7 @@ def test_device_measure_collapses_onto_the_outcome_vector():
     for _ in range(50):
         outcome = device_measure(state, g)
         assert decode(outcome) == (DepLabel.GAMMA_MINUS, 7)
-        overlap = abs(np.vdot(rows[outcome], state.vec)) ** 2
+        overlap = abs(np.vdot(rows[outcome], state)) ** 2
         assert overlap == pytest.approx(0.5, abs=1e-12)
 
 
@@ -181,15 +179,15 @@ def test_measure_single_deterministic_cases():
     g = SeededGenerator(9, 0)
     for freq in (Freq.LOW, Freq.HIGH):
         comp, seen_freq = measure_single(
-            LocalState.mode(Pol.V, freq), PolBasis.Z, g
+            oracles.local_z_vector(Pol.V, freq), PolBasis.Z, g
         )
         assert (comp, seen_freq) == (1, freq)
         comp, seen_freq = measure_single(
-            LocalState.diagonal(+1, freq), PolBasis.X, g
+            oracles.local_x_vector(0, freq), PolBasis.X, g
         )
         assert (comp, seen_freq) == (0, freq)
         comp, seen_freq = measure_single(
-            LocalState.diagonal(-1, freq), PolBasis.X, g
+            oracles.local_x_vector(1, freq), PolBasis.X, g
         )
         assert (comp, seen_freq) == (1, freq)
 
@@ -198,7 +196,7 @@ def test_measure_single_mismatched_basis_is_unbiased():
     g = SeededGenerator(10, 0)
     n = 4000
     comps = [
-        measure_single(LocalState.mode(Pol.H, Freq.HIGH), PolBasis.X, g)
+        measure_single(oracles.local_z_vector(Pol.H, Freq.HIGH), PolBasis.X, g)
         for _ in range(n)
     ]
     assert {freq for _, freq in comps} == {Freq.HIGH}

@@ -45,8 +45,6 @@ from depqkd.protocol import (
 from depqkd.device import device_probabilities, wavelength_convert_global
 from depqkd.quantum import (
     LOCAL_BASIS,
-    JointState,
-    LocalState,
     Pauli,
     Photon,
     BatchStream,
@@ -133,7 +131,7 @@ def family_sign(label):
 
 def decoy_state(decoys, i):
     basis, k = divmod(int(decoys.state[i]), 4)
-    return LocalState(LOCAL_BASIS[BASES[basis]][k])
+    return LOCAL_BASIS[BASES[basis]][k]
 
 
 def ideal_config(**overrides):
@@ -315,7 +313,7 @@ def test_step1_draws_codewords_uniformly_and_encodes_photon_b():
         encoding = EncodingPair(PAULIS[pairs.op_a[i]], PAULIS[pairs.op_b[i]])
         assert encoding in options
         first_choice += encoding == options[0]
-        produced = oracles.classify(pair_state(pairs, i).vec)
+        produced = oracles.classify(pair_state(pairs, i))
         step1 = ENCODING_TABLE[EncodingPair(Pauli.I, encoding.op_b)]
         assert produced == family_sign(step1)
     assert first_choice / 2000 == pytest.approx(0.5, abs=0.04)
@@ -370,9 +368,9 @@ def test_insert_decoys_count_positions_and_preparations():
     for i in range(count):
         basis, k = divmod(int(decoys.prepared[i]), 4)
         state = decoy_state(decoys, i)
-        assert oracles.is_normalized(state.vec)
+        assert oracles.is_normalized(state)
         if BASES[basis] is PolBasis.Z:  # row k is mode k = 2 * pol + freq
-            assert abs(state.vec[k]) == pytest.approx(1.0, abs=1e-12)
+            assert abs(state[k]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_decoy_slots_are_the_head_of_a_stable_argsort():
@@ -574,9 +572,9 @@ def test_decoy_check_flags_shifted_bins_and_aborts():
     _, decoys = insert_decoys(PairBatch([200]), [0.5], BatchStream([13], 1))
     # swap every photon's frequency bin: the row of the other bin
     for i in range(decoys.sizes[0]):
-        swapped = decoy_state(decoys, i).vec.reshape(2, 2)[:, ::-1].reshape(4)
+        swapped = decoy_state(decoys, i).reshape(2, 2)[:, ::-1].reshape(4)
         decoys.state[i] ^= 1
-        assert np.array_equal(decoy_state(decoys, i).vec, swapped)
+        assert np.array_equal(decoy_state(decoys, i), swapped)
     tally = tallies_of("decoy", decoy_check(decoys, BatchStream([13], 3)))
     # an error rate of 1, above any threshold
     assert tally["decoy_compared"] > 0
@@ -651,7 +649,7 @@ def test_second_encoding_completes_every_codeword():
     assert np.array_equal(pairs.state[200:], first[200:])
     for i in active:
         encoding = EncodingPair(PAULIS[pairs.op_a[i]], PAULIS[pairs.op_b[i]])
-        produced = oracles.classify(pair_state(pairs, i).vec)
+        produced = oracles.classify(pair_state(pairs, i))
         assert produced == family_sign(ENCODING_TABLE[encoding])
 
 
@@ -1168,10 +1166,10 @@ def test_state_alphabet_stays_small_and_normalized():
     # the closed alphabet, as the import built it: no session has run first
     assert len(ALPHABET.states) == 40
     for state in ALPHABET.states:
-        assert oracles.is_normalized(state.vec)
-        lead = state.vec[np.flatnonzero(np.abs(state.vec) > 1e-9)[0]]
+        assert oracles.is_normalized(state)
+        lead = state[np.flatnonzero(np.abs(state) > 1e-9)[0]]
         assert lead.imag == 0 and lead.real > 0
-    vecs = np.array([state.vec for state in ALPHABET.states])
+    vecs = np.array([state for state in ALPHABET.states])
     overlaps = np.abs(vecs.conj() @ vecs.T)
     # no two ids hold the same state up to global phase
     assert (overlaps[~np.eye(40, dtype=bool)] < 1 - 1e-9).all()
@@ -1179,8 +1177,8 @@ def test_state_alphabet_stays_small_and_normalized():
 
 def test_a_fresh_alphabet_equals_the_shared_one_id_for_id():
     fresh = StateAlphabet()
-    assert [s.vec.tobytes() for s in fresh.states] == [
-        s.vec.tobytes() for s in ALPHABET.states
+    assert [s.tobytes() for s in fresh.states] == [
+        s.tobytes() for s in ALPHABET.states
     ]
     shared = alphabet_tables(ALPHABET)
     for name, table in alphabet_tables(fresh).items():
@@ -1191,7 +1189,7 @@ def test_a_fresh_alphabet_equals_the_shared_one_id_for_id():
 def test_the_alphabet_is_the_oracle_closure_of_psi_plus():
     closure = np.array(oracles.closure(oracles.pair_state("psi", +1)))
     assert len(closure) == 40
-    vecs = np.array([state.vec for state in ALPHABET.states])
+    vecs = np.array([state for state in ALPHABET.states])
     # one match per state and per closure vector: the same set up to phase
     same = np.abs(vecs.conj() @ closure.T) >= 1 - 1e-9
     assert (same.sum(axis=0) == 1).all() and (same.sum(axis=1) == 1).all()
@@ -1199,10 +1197,10 @@ def test_the_alphabet_is_the_oracle_closure_of_psi_plus():
 
 def test_index_finds_a_state_up_to_global_phase_and_refuses_any_other():
     for sid, state in enumerate(ALPHABET.states):
-        assert ALPHABET.index(JointState(np.exp(0.7j) * state.vec)) == sid
-        assert ALPHABET.index(JointState(-state.vec)) == sid
+        assert ALPHABET.index(np.exp(0.7j) * state) == sid
+        assert ALPHABET.index(-state) == sid
     with pytest.raises(ValueError):
-        ALPHABET.index(JointState(np.full(16, 0.25)))
+        ALPHABET.index(np.full(16, 0.25))
 
 
 def test_the_alphabet_is_the_same_under_any_hash_seed():
@@ -1211,7 +1209,7 @@ import hashlib
 from depqkd.alphabet import ALPHABET
 h = hashlib.sha256()
 for state in ALPHABET.states:
-    h.update(state.vec.tobytes())
+    h.update(state.tobytes())
 for table in (
     ALPHABET.prepared, ALPHABET.encoded, *ALPHABET.collapsed.values(),
     *ALPHABET.partial.values(), ALPHABET.device, ALPHABET.wc, ALPHABET.local,
@@ -1234,6 +1232,21 @@ print(len(ALPHABET.states), h.hexdigest())
     assert outputs[0].startswith("40 ") and outputs[0] == outputs[1]
 
 
+# sha256 of every alphabet state and table (dtype and bytes), both local
+# measurement tables and the eight pair states, in that order.
+TABLES_DIGEST = "e61b831e57451aa6b1ef0f8dac374aff1bd3fe941fce1a0f84d72432ec4e42bb"
+
+
+def test_the_states_and_tables_keep_their_bytes():
+    h = hashlib.sha256()
+    h.update(b"".join(state.tobytes() for state in ALPHABET.states))
+    for table in alphabet_tables(ALPHABET).values():
+        h.update(table.dtype.str.encode() + table.tobytes())
+    h.update(LOCAL_BASIS[PolBasis.Z].tobytes() + LOCAL_BASIS[PolBasis.X].tobytes())
+    h.update(b"".join(dep_basis(label).tobytes() for label in DepLabel))
+    assert h.hexdigest() == TABLES_DIGEST
+
+
 # Sources whose first row, photon a measured in H/V, lies off the 1/16 grid:
 # p of (H, LOW) and (H, HIGH) of 0.3 and 0.7, 0.25 and 0.25 (a source of
 # norm 1/2) and 0.5 +- 1e-7.  The build raises, so no table is filled.
@@ -1242,7 +1255,7 @@ def test_a_row_off_the_sixteenths_grid_raises_and_stays_unfilled(p):
     vec = np.zeros(16, dtype=complex)
     vec[0], vec[5] = np.sqrt(p)  # |(H,LOW)(H,LOW)> and |(H,HIGH)(H,HIGH)>
     with pytest.raises(ValueError, match=r"of partial\[a\] row 0 are not multiples"):
-        StateAlphabet(JointState(vec))
+        StateAlphabet(vec)
 
 
 def test_wc_check_surfaces_a_state_the_converters_annihilate():
@@ -1250,14 +1263,14 @@ def test_wc_check_surfaces_a_state_the_converters_annihilate():
     vec = np.zeros(16, dtype=complex)
     vec[0], vec[4] = 1 / np.sqrt(2), -1 / np.sqrt(2)
     with pytest.raises(StateError, match="annihilated"):
-        StateAlphabet(JointState(vec))
+        StateAlphabet(vec)
 
 
 def outcome_tables():
     """Each outcome table of :data:`ALPHABET` with the scalar function of
     its rows, as ``(table, function)`` by name."""
     states = ALPHABET.states
-    local = [LocalState(LOCAL_BASIS[basis][k]) for basis in BASES for k in range(4)]
+    local = np.concatenate([LOCAL_BASIS[basis] for basis in BASES])
 
     def wc(key):
         converted = wavelength_convert_global(states[key >> 2])

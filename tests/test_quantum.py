@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 
 import oracles
 from depqkd import quantum
+from depqkd.alphabet import ALPHABET
+from depqkd.channel import EveStrategy, ir_attack_decoy, ir_attack_entangled
+from depqkd.device import (
+    device_probabilities,
+    measure_single,
+    wavelength_convert_global,
+)
 from depqkd.protocol import _basis_coins, _coins, _randints
 from depqkd.quantum import (
     LOCAL_BASIS,
     PAULI_MATRICES,
     BatchStream,
     Freq,
-    JointState,
-    LocalState,
     Pauli,
     Photon,
     Pol,
@@ -25,8 +30,11 @@ from depqkd.quantum import (
     apply_local,
     doubles,
     local_outcome,
+    local_probabilities,
     mode_index,
+    partial_collapse,
     partial_measure,
+    partial_probabilities,
     pol_freq_eigenstate,
 )
 from depqkd.states import DepLabel, dep_basis
@@ -58,14 +66,48 @@ def test_pauli_matrices_unitary_and_sign_convention():
 
 
 def test_state_vectors_are_read_only():
-    s = dep_basis(DepLabel.PSI_PLUS)
-    with pytest.raises(ValueError):
-        s.vec[0] = 1.0
+    # every state the package hands out: 16 amplitudes for a pair, 4 for a
+    # photon, in a read-only complex128 array
+    g = SeededGenerator(1, 0)
+    pair = dep_basis(DepLabel.PSI_PLUS)
+    photon = pol_freq_eigenstate(PolBasis.X, 1, Freq.HIGH)
+    pairs = [
+        *(dep_basis(label) for label in DepLabel),
+        apply_local(Pauli.X, Photon.B, pair),
+        partial_collapse(pair, Photon.A, PolBasis.X, 0),
+        partial_measure(pair, Photon.B, PolBasis.Z, g)[1],
+        ir_attack_entangled(pair, Photon.A, EveStrategy.RANDOM_ZX, g)[0],
+        *ALPHABET.states,
+    ]
+    photons = [
+        *(pol_freq_eigenstate(b, c, f) for b in PolBasis for c in (0, 1) for f in Freq),
+        *(row for basis in PolBasis for row in LOCAL_BASIS[basis]),
+        ir_attack_decoy(photon, EveStrategy.Z, g)[0],
+    ]
+    assert ALPHABET.states.shape == (40, 16)
+    assert not ALPHABET.states.flags.writeable
+    for size, states in ((16, pairs), (4, photons)):
+        for s in states:
+            assert type(s) is np.ndarray and s.dtype == np.complex128
+            assert s.shape == (size,)
+            with pytest.raises(ValueError):
+                s[0] = 1.0
+    # a state of the wrong length raises instead of giving a value
+    for call in (
+        lambda: apply_local(Pauli.X, Photon.A, photon),
+        lambda: partial_probabilities(photon, Photon.B, PolBasis.Z),
+        lambda: device_probabilities(photon),
+        lambda: wavelength_convert_global(photon),
+        lambda: local_probabilities(pair, PolBasis.X),
+        lambda: measure_single(pair, PolBasis.Z, g),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_apply_local_identity_is_exact():
     s = dep_basis(DepLabel.GAMMA_MINUS)
-    assert np.array_equal(apply_local(Pauli.I, Photon.A, s).vec, s.vec)
+    assert np.array_equal(apply_local(Pauli.I, Photon.A, s), s)
 
 
 def test_apply_local_bit_flip_on_a_maps_psi_plus_to_upsilon_plus():
@@ -77,31 +119,31 @@ def test_apply_local_bit_flip_on_a_maps_psi_plus_to_upsilon_plus():
 def test_apply_local_phase_flip_on_b_flips_v_mode_sign():
     vec = np.zeros(16)
     vec[2] = 1.0  # photon b in a V mode
-    out = apply_local(Pauli.Z, Photon.B, JointState(vec))
-    assert np.allclose(out.vec, -vec, atol=1e-12)
+    out = apply_local(Pauli.Z, Photon.B, vec)
+    assert np.allclose(out, -vec, atol=1e-12)
 
 
 def test_apply_local_preserves_norm_and_frequency_support():
     rng = np.random.default_rng(5)
     for _ in range(1000):
-        s = JointState(random_state(rng, 16))
+        s = random_state(rng, 16)
         op = (Pauli.I, Pauli.X, Pauli.Z, Pauli.IY)[rng.integers(4)]
         photon = Photon.A if rng.integers(2) else Photon.B
         out = apply_local(op, photon, s)
-        assert oracles.is_normalized(out.vec)
+        assert oracles.is_normalized(out)
     # frequency marginals of photon b are untouched by photon-b operations
-    s = JointState(random_state(rng, 16))
+    s = random_state(rng, 16)
     for op in Pauli:
         out = apply_local(op, Photon.B, s)
-        before = np.abs(s.vec.reshape(2, 2, 2, 2)) ** 2
-        after = np.abs(out.vec.reshape(2, 2, 2, 2)) ** 2
+        before = np.abs(s.reshape(2, 2, 2, 2)) ** 2
+        after = np.abs(out.reshape(2, 2, 2, 2)) ** 2
         assert np.allclose(before.sum(axis=(0, 1, 2)), after.sum(axis=(0, 1, 2)), atol=1e-12)
 
 
 def test_equal_up_to_global_phase():
     s = dep_basis(DepLabel.PSI_PLUS)
-    assert oracles.equal_up_to_global_phase(s, JointState(-s.vec), 1e-12)
-    assert oracles.equal_up_to_global_phase(s, JointState(np.exp(0.7j) * s.vec), 1e-12)
+    assert oracles.equal_up_to_global_phase(s, -s, 1e-12)
+    assert oracles.equal_up_to_global_phase(s, np.exp(0.7j) * s, 1e-12)
     assert not oracles.equal_up_to_global_phase(s, dep_basis(DepLabel.PSI_MINUS), 1e-9)
 
 
@@ -130,17 +172,18 @@ def test_partial_measure_on_psi_plus_photon_b():
         seen[(comp, freq)] = seen.get((comp, freq), 0) + 1
         if (comp, freq) == (1, Freq.LOW):
             expected = np.kron(
-                LocalState.mode(Pol.H, Freq.LOW).vec, LocalState.mode(Pol.V, Freq.LOW).vec
+                oracles.local_z_vector(Pol.H, Freq.LOW),
+                oracles.local_z_vector(Pol.V, Freq.LOW),
             )
-            assert oracles.equal_up_to_global_phase(post, JointState(expected), 1e-12)
+            assert oracles.equal_up_to_global_phase(post, expected, 1e-12)
     assert set(seen) == {(1, Freq.LOW), (0, Freq.HIGH)}
     assert seen[(1, Freq.LOW)] / n == pytest.approx(0.5, abs=0.05)
 
 
 def test_partial_measure_product_state_leaves_remote_untouched():
-    a = LocalState(np.array([0.6, 0, 0.8j, 0]))
-    b = LocalState.mode(Pol.V, Freq.HIGH)
-    joint = JointState(np.kron(a.vec, b.vec))
+    a = np.array([0.6, 0, 0.8j, 0])
+    b = oracles.local_z_vector(Pol.V, Freq.HIGH)
+    joint = np.kron(a, b)
     g = SeededGenerator(6, 0)
     (comp, freq), post = partial_measure(joint, Photon.B, PolBasis.Z, g)
     assert (comp, freq) == (1, Freq.HIGH)
@@ -153,7 +196,7 @@ def test_partial_measure_distribution_matches_density_matrix_oracle():
     for label in DepLabel:
         s = dep_basis(label)
         for photon, tag in ((Photon.A, "a"), (Photon.B, "b")):
-            rho = oracles.reduced_density_matrix(s.vec, tag)
+            rho = oracles.reduced_density_matrix(s, tag)
             for basis in (PolBasis.Z, PolBasis.X):
                 oracle_vectors = oracles.local_basis_vectors(basis.value)
                 for row, (_, vec) in zip(LOCAL_BASIS[basis], oracle_vectors):
@@ -163,7 +206,7 @@ def test_partial_measure_distribution_matches_density_matrix_oracle():
                         lifted = np.kron(local, eye)
                     else:
                         lifted = np.kron(eye, local)
-                    package = oracles.born_probability(s.vec, lifted)
+                    package = oracles.born_probability(s, lifted)
                     expected = float(
                         np.real(np.trace(oracles.projector(vec) @ rho))
                     )
@@ -173,7 +216,7 @@ def test_partial_measure_distribution_matches_density_matrix_oracle():
 def test_pol_freq_eigenstates_are_orthonormal_per_basis():
     for basis in PolBasis:
         vecs = [
-            pol_freq_eigenstate(basis, comp, freq).vec
+            pol_freq_eigenstate(basis, comp, freq)
             for comp in (0, 1)
             for freq in (Freq.LOW, Freq.HIGH)
         ]

@@ -8,9 +8,9 @@ a small input, each function of ``quantum.py``, ``channel.py`` or
 ``device.py`` that the benchmark's per-layer metrics name, since the
 benchmark times those whether or not a session calls them.  It lists each
 function and method defined in any module of the package that never ran,
-except ``__repr__`` and the transcript's readers, which only callers of
-the library use.  Code that nothing reaches is either dead or untested;
-this test names it.
+except the transcript's readers, which only callers of the library use;
+no debugging aid such as a ``__repr__`` is exempt.  Code that nothing
+reaches is either dead or untested; this test names it.
 """
 
 import json
@@ -95,8 +95,7 @@ for module in (protocol, alphabet, cli, states, quantum, channel, device):
             members = [
                 (f"{name}.{attr}", member)
                 for attr, member in vars(value).items()
-                if attr != "__repr__"
-                and not (name == "Transcript" and attr in unused)
+                if not (name == "Transcript" and attr in unused)
             ]
         for qualname, member in members:
             code = getattr(member, "__code__", None)

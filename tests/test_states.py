@@ -27,11 +27,11 @@ FAMILY_NAME = {
 def test_basis_amplitudes_match_independent_construction():
     for label in DepLabel:
         expected = oracles.pair_state(FAMILY_NAME[label.family], label.sign)
-        assert np.allclose(dep_basis(label).vec, expected, atol=1e-15)
+        assert np.allclose(dep_basis(label), expected, atol=1e-15)
 
 
 def test_basis_states_are_orthonormal():
-    vecs = [dep_basis(label).vec for label in DepLabel]
+    vecs = [dep_basis(label) for label in DepLabel]
     gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
     assert np.allclose(gram, np.eye(8), atol=1e-12)
 
@@ -56,15 +56,15 @@ def test_order_of_the_two_local_operations_does_not_matter():
     for pair in ENCODING_TABLE:
         ab = apply_local(pair.op_a, Photon.A, apply_local(pair.op_b, Photon.B, start))
         ba = apply_local(pair.op_b, Photon.B, apply_local(pair.op_a, Photon.A, start))
-        assert np.allclose(ab.vec, ba.vec, atol=1e-15)
+        assert np.allclose(ab, ba, atol=1e-15)
 
 
 def test_partner_pairs_differ_by_global_sign_only():
     start = dep_basis(DepLabel.PSI_PLUS)
     for pair in ENCODING_TABLE:
         partner = partner_encoding(pair)
-        v1 = apply_local(pair.op_a, Photon.A, apply_local(pair.op_b, Photon.B, start)).vec
-        v2 = apply_local(partner.op_a, Photon.A, apply_local(partner.op_b, Photon.B, start)).vec
+        v1 = apply_local(pair.op_a, Photon.A, apply_local(pair.op_b, Photon.B, start))
+        v2 = apply_local(partner.op_a, Photon.A, apply_local(partner.op_b, Photon.B, start))
         assert np.allclose(v1, v2, atol=1e-15) or np.allclose(v1, -v2, atol=1e-15)
 
 
@@ -126,7 +126,7 @@ def test_encoding_choices_match_oracle_photon_b_options():
 
 def test_classify_round_trips_and_ignores_global_phase():
     for label in DepLabel:
-        s = dep_basis(label).vec
+        s = dep_basis(label)
         expected = (FAMILY_NAME[label.family], label.sign)
         assert oracles.classify(s) == expected
         assert oracles.classify(-s) == expected
@@ -134,8 +134,8 @@ def test_classify_round_trips_and_ignores_global_phase():
 
 
 def test_classify_rejects_superpositions_and_product_states():
-    psi = dep_basis(DepLabel.PSI_PLUS).vec
-    phi = dep_basis(DepLabel.PHI_PLUS).vec
+    psi = dep_basis(DepLabel.PSI_PLUS)
+    phi = dep_basis(DepLabel.PHI_PLUS)
     assert oracles.classify((psi + phi) / np.sqrt(2)) is None
     product = np.zeros(16, dtype=complex)
     product[0] = 1.0
