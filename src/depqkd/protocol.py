@@ -31,7 +31,13 @@ counter-based Philox key, so a session's draws do not depend on the
 sessions beside it.  A session that a check aborts stays in the batch,
 but has no stream in the later phases' objects, so none of them draws
 for it or touches its pairs.  A batch without check photons skips their
-slot routing.  The checks return per-session tallies, and
+slot routing, and a transmission that loses nothing routes nothing: an
+index list that holds every entry of its mask is the full slice
+:data:`_EVERY` (:func:`_indices`), so a lossless batch reads its pairs
+and check photons through views instead of gathers and scatters.
+:func:`transmit_a` returns the pairs whose photon a arrived, which
+:func:`step5_decode_and_sift` measures as given.  The checks return
+per-session tallies, and
 :func:`run_sessions` judges each session against its own threshold.  No
 phase writes the public channel's messages: the checks keep the bases
 they drew on the batches, and :func:`_record` reads a session's
@@ -309,6 +315,18 @@ def _tally(mask: np.ndarray, sizes: Sequence[int]) -> list[int]:
     return counts
 
 
+#: Every entry of a batch's array, as an index that reads a view.
+_EVERY = slice(None)
+
+
+def _indices(mask: np.ndarray) -> slice | np.ndarray:
+    """The indices of the true entries of ``mask``: :data:`_EVERY` when
+    every entry holds, an empty mask included, else ``np.flatnonzero(mask)``.
+    The full slice reads a view, not a copy, and indexes with ``[]``, since
+    ``take`` needs an index array."""
+    return _EVERY if np.count_nonzero(mask) == len(mask) else np.flatnonzero(mask)
+
+
 def _sizes(offsets: np.ndarray, idx: np.ndarray) -> list[int]:
     """How many of the sorted item indices ``idx`` belong to each session,
     for sessions whose first items are ``offsets[:-1]`` and whose batch
@@ -367,7 +385,7 @@ class PairBatch:
     def of(self, sessions: Sequence[bool]) -> slice | np.ndarray:
         """The pairs of the sessions ``s`` where ``sessions[s]`` holds: a
         mask over the batch, or every pair as a full slice."""
-        return slice(None) if all(sessions) else np.repeat(sessions, self.sizes)
+        return _EVERY if all(sessions) else np.repeat(sessions, self.sizes)
 
 
 @dataclass
@@ -542,26 +560,37 @@ def transmit_b(
     """
     sizes = [n + c for n, c in zip(pairs.sizes, decoys.sizes)]
     delivered, seen, basis, w = _channel(sizes, losses, eves, streams)
+    # both batches start delivered, so a channel that lost nothing routes
+    # no delivery flag
+    arrived = _indices(delivered)
     if not len(decoys.prepared):  # every slot carries a pair, in order
-        pairs.b_delivered[:] = delivered
+        if arrived is not _EVERY:
+            pairs.b_delivered[:] = delivered
         return None if basis is None else (seen, np.ones(len(w), dtype=bool), basis, w)
-    # index gathers: a boolean-mask gather over scattered slots is slower
-    pair_slots, decoy_slots = np.flatnonzero(~is_decoy), np.flatnonzero(is_decoy)
-    pairs.b_delivered[:] = delivered.take(pair_slots)
-    decoys.delivered[:] = delivered.take(decoy_slots)
+    # With every session attacked, or none, the measured slots are the
+    # delivered ones (``seen is delivered``); otherwise some slot of an
+    # unattacked session is not measured, and ``seen`` is routed too.
+    if arrived is not _EVERY or seen is not delivered:
+        # index gathers: a boolean-mask gather over scattered slots is slower
+        pair_slots, decoy_slots = np.flatnonzero(~is_decoy), np.flatnonzero(is_decoy)
+    if arrived is not _EVERY:
+        pairs.b_delivered[:] = delivered.take(pair_slots)
+        decoys.delivered[:] = delivered.take(decoy_slots)
     if basis is None:
         return None
     # The attack draws come one row per measured photon, in slot order, so
     # the measured pairs and the measured check photons, each in slot
-    # order, take the rows of the measured slots of their kind.  When every
-    # session is attacked, every delivered photon is measured.
-    seen_pairs = pairs.b_delivered if seen is delivered else seen.take(pair_slots)
-    seen_decoys = decoys.delivered if seen is delivered else seen.take(decoy_slots)
-    kind = is_decoy.take(np.flatnonzero(seen))
+    # order, take the rows of the measured slots of their kind.
+    if seen is delivered:
+        seen_pairs, seen_decoys, measured = pairs.b_delivered, decoys.delivered, arrived
+    else:
+        seen_pairs, seen_decoys = seen.take(pair_slots), seen.take(decoy_slots)
+        measured = np.flatnonzero(seen)
+    kind = is_decoy[measured]
     rows = np.flatnonzero(kind)
-    hit = np.flatnonzero(seen_decoys)
+    hit = _EVERY if measured is _EVERY else np.flatnonzero(seen_decoys)
     decoy_basis = basis.take(rows)
-    k = _sample(ALPHABET.local, 2 * decoys.state.take(hit) + decoy_basis, w.take(rows))
+    k = _sample(ALPHABET.local, 2 * decoys.state[hit] + decoy_basis, w.take(rows))
     decoys.state[hit] = 4 * decoy_basis + k
     return seen_pairs, ~kind, basis, w
 
@@ -642,8 +671,8 @@ def decoy_check(decoys: DecoyBatch, streams: BatchStream) -> list[tuple[int, ...
     column order of ``_COUNT_KEYS["decoy"]``, all 0 for a session without
     the stream.
     """
-    idx = np.flatnonzero(decoys.delivered)
-    sizes = _tally(decoys.delivered, decoys.sizes)
+    idx = _indices(decoys.delivered)
+    sizes = decoys.sizes if idx is _EVERY else _tally(decoys.delivered, decoys.sizes)
     w = _draw(streams, sizes, 2)
     basis = decoys.bob_basis = _basis_coins(w[:, 0])
     k = _sample(ALPHABET.local, 2 * decoys.state[idx] + basis, w[:, 1])
@@ -680,10 +709,13 @@ def wc_check(
     ``_COUNT_KEYS["wc"]``, all 0 for a session without the stream, which
     samples none.
     """
-    eligible = np.flatnonzero(pairs.b_delivered & ~pairs.checked)
-    sizes = _sizes(pairs.offsets, eligible)
+    eligible = _indices(pairs.b_delivered & ~pairs.checked)
+    every = eligible is _EVERY
+    sizes = pairs.sizes if every else _sizes(pairs.offsets, eligible)
     sampling = _coins(streams, sizes, sample_fractions)
-    sampled = eligible.take(np.flatnonzero(sampling))
+    sampled = np.flatnonzero(sampling)
+    if not every:
+        sampled = eligible.take(sampled)
     pairs.checked[sampled] = True
     sizes = _tally(sampling, sizes)
     w = _draw(streams, sizes, 3)
@@ -724,28 +756,36 @@ def transmit_a(
     losses: Sequence[float],
     eves: Sequence[Optional[EveStrategy]],
     streams: BatchStream,
-) -> None:
-    """Send the photons a of the active pairs through the channel; see
-    :func:`_channel` for ``losses`` and ``eves``."""
+) -> np.ndarray:
+    """Send the photons a of the ``active`` pairs through the channel; see
+    :func:`_channel` for ``losses`` and ``eves``.  Returns the indices of
+    the pairs whose photon a arrived: ``active`` itself when the channel
+    lost none, which leaves ``pairs.a_delivered`` as it started, all true;
+    else ``active.take(np.flatnonzero(delivered))``."""
     sizes = _sizes(pairs.offsets, active)
     delivered, seen, basis, w = _channel(sizes, losses, eves, streams)
-    pairs.a_delivered[active] = delivered
+    arrived = _indices(delivered)
+    arrivals = active
+    if arrived is not _EVERY:
+        pairs.a_delivered[active] = delivered
+        arrivals = active.take(arrived)
     if basis is not None:
-        _intercept_pairs(pairs, active.take(np.flatnonzero(seen)), Photon.A, basis, w)
+        # with every session attacked, every arrival is measured
+        measured = arrivals if seen is delivered else active.take(np.flatnonzero(seen))
+        _intercept_pairs(pairs, measured, Photon.A, basis, w)
+    return arrivals
 
 
 def step5_decode_and_sift(
-    pairs: PairBatch, active: np.ndarray, streams: BatchStream
-) -> np.ndarray:
-    """Jointly measure every reunited pair of the ``active`` ones, those
-    whose photon a arrived too, into ``pairs.decoded``; returns the indices
-    of these survivors."""
-    survivors = active.take(np.flatnonzero(pairs.a_delivered.take(active)))
-    sizes = _sizes(pairs.offsets, survivors)
+    pairs: PairBatch, arrivals: np.ndarray, streams: BatchStream
+) -> None:
+    """Jointly measure the reunited pairs ``arrivals`` into
+    ``pairs.decoded``, as given: the pairs whose photon a
+    :func:`transmit_a` delivered."""
+    sizes = _sizes(pairs.offsets, arrivals)
     w = _draw(streams, sizes)[:, 0]
-    outcome = _sample(ALPHABET.device, pairs.state[survivors], w)
-    pairs.decoded[survivors] = _DECODED.take(outcome)
-    return survivors
+    outcome = _sample(ALPHABET.device, pairs.state[arrivals], w)
+    pairs.decoded[arrivals] = _DECODED.take(outcome)
 
 
 def _record(
@@ -890,9 +930,9 @@ def run_sessions(
     if any(live):
         active = step4_encode_a(pairs, live)
         streams = BatchStream(seeds, _STREAM_CHANNEL_A, live)
-        transmit_a(pairs, active, losses, eve_a, streams)
+        survivors = transmit_a(pairs, active, losses, eve_a, streams)
         streams = BatchStream(seeds, _STREAM_DEVICE, live)
-        survivors = step5_decode_and_sift(pairs, active, streams)
+        step5_decode_and_sift(pairs, survivors, streams)
     kept = _sizes(pairs.offsets, survivors)
     alice_bits = _key_bits(pairs.codeword.take(survivors))
     bob_bits = _key_bits(pairs.decoded.take(survivors))

@@ -310,8 +310,11 @@ def pol_freq_eigenstate(basis: PolBasis, comp: int, freq: Freq) -> np.ndarray:
     row ``2 * comp + freq`` of :data:`LOCAL_BASIS`.
 
     ``comp`` 0 means H (Z basis) or the +45 degree state (X basis);
-    ``comp`` 1 means V or the -45 degree state.
+    ``comp`` 1 means V or the -45 degree state; any other value raises
+    ``ValueError``.
     """
+    if comp not in (0, 1):
+        raise ValueError(f"comp must be 0 or 1, got {comp!r}")
     return LOCAL_BASIS[basis][2 * comp + freq]
 
 

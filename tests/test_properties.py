@@ -268,6 +268,49 @@ def test_a_batch_replays_each_session_as_if_run_alone(configs):
             run_sessions(configs, Transcript())
 
 
+def delivery_settings(loss):
+    """One session of a batch that mixes lossless and lossy channels, of
+    the given ``loss``: with check photons or without (no decoy fraction,
+    or no decoy check), and no attacker, one on photon b or one on photon
+    a.  A loose threshold often lets an attacked session reach its second
+    transmission."""
+    return st.builds(
+        ProtocolConfig,
+        pairs=st.integers(1, 30),
+        seed=st.integers(0, 2**64 - 1),
+        decoy_fraction=st.sampled_from([0.0, 0.3, 0.85]),
+        check=st.sampled_from(CheckStrategy),
+        threshold=st.sampled_from([0.05, 0.9]),
+        loss=loss,
+        eve=st.none() | st.sampled_from(EveStrategy),
+        eve_targets=st.sampled_from([EveTarget.B, EveTarget.A]),
+    )
+
+
+# a small loss often loses nothing in a session of a few pairs
+LOSSY = st.sampled_from([0.01, 0.2]) | st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def lossless_beside_lossy(draw):
+    """A batch in some order of a lossless session, a lossy one and up to
+    three more of either kind."""
+    sessions = [draw(delivery_settings(st.just(0.0))), draw(delivery_settings(LOSSY))]
+    more = delivery_settings(st.just(0.0) | LOSSY)
+    sessions += draw(st.lists(more, max_size=3))
+    return draw(st.permutations(sessions))
+
+
+@SMALL
+@given(lossless_beside_lossy())
+def test_lossless_and_lossy_sessions_report_in_a_batch_as_alone(configs):
+    # a transmission that loses nothing of the whole batch indexes every
+    # item by the full slice, and one that loses any routes its index
+    # lists: a lossless session run alone takes the first path, and
+    # usually the second in its batch
+    assert run_sessions(configs) == [run_session(c) for c in configs]
+
+
 # One batch that ends a session in each way a check can: a decoy abort
 # under a random-basis attack on photon b among 0.85 decoys, an
 # indeterminate decoy check (no decoys), a decoy abort of a lossy session

@@ -39,6 +39,7 @@ from depqkd.protocol import (
     step1_prepare_and_encode,
     step4_encode_a,
     step5_decode_and_sift,
+    transmit_a,
     transmit_b,
     wc_check,
 )
@@ -654,11 +655,42 @@ def test_second_encoding_completes_every_codeword():
 
 
 def test_decode_step_recovers_every_codeword_without_noise():
+    # no photon a was sent, so the active pairs are measured as the arrivals
     pairs = prepared(300, 41)
     active = step4_encode_a(pairs, [True])
-    survivors = step5_decode_and_sift(pairs, active, BatchStream([41], 6))
-    assert survivors.tolist() == list(range(300))
+    assert active.tolist() == list(range(300))
+    step5_decode_and_sift(pairs, active, BatchStream([41], 6))
     assert np.array_equal(pairs.decoded, pairs.codeword)
+
+
+def test_an_index_list_of_every_entry_is_the_full_slice():
+    # every entry true, an empty mask included, and nothing else
+    for mask in ([], [True], [True] * 5):
+        assert protocol._indices(np.array(mask, dtype=bool)) is protocol._EVERY
+    for mask in ([False], [True, False, True], [False] * 3):
+        idx = protocol._indices(np.array(mask, dtype=bool))
+        assert idx.tolist() == np.flatnonzero(mask).tolist()
+    assert PairBatch([2, 3]).of([True, True]) is protocol._EVERY
+
+
+def test_transmit_a_returns_the_active_pairs_themselves_when_none_is_lost():
+    # the rule reads the delivery mask, not the loss: a session of loss
+    # 1e-9 loses nothing here and takes the same path as one of loss 0
+    seeds = [5, 6]
+    for losses in ([0.0, 0.0], [1e-9, 0.0]):
+        pairs = prepared_batch([30, 20], seeds)
+        active = step4_encode_a(pairs, [True, True])
+        streams = BatchStream(seeds, 5)
+        arrivals = transmit_a(pairs, active, losses, [EveStrategy.Z, None], streams)
+        assert arrivals is active
+        assert pairs.a_delivered.all()
+        assert (pairs.eve_a[:30] >= 0).all() and (pairs.eve_a[30:] == -1).all()
+    # under loss, the arrivals are the active pairs whose photon a arrived
+    pairs = prepared_batch([30, 20], seeds)
+    active = step4_encode_a(pairs, [True, True])
+    arrivals = transmit_a(pairs, active, [0.5, 0.5], [None, None], BatchStream(seeds, 5))
+    assert 0 < len(arrivals) < len(active)
+    assert arrivals.tolist() == np.flatnonzero(pairs.a_delivered).tolist()
 
 
 def test_ideal_session_end_to_end():

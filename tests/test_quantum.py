@@ -224,6 +224,14 @@ def test_pol_freq_eigenstates_are_orthonormal_per_basis():
         assert np.allclose(gram, np.eye(4), atol=1e-12)
 
 
+def test_pol_freq_eigenstate_refuses_a_component_outside_0_and_1():
+    # -1 would read the V row and 2 past the table's end
+    for basis in PolBasis:
+        for comp in (-1, 2):
+            with pytest.raises(ValueError, match=f"got {comp}"):
+                pol_freq_eigenstate(basis, comp, Freq.LOW)
+
+
 def test_seeded_generator_reproducible_and_stream_independent():
     a = SeededGenerator(987654321, 3)
     b = SeededGenerator(987654321, 3)
