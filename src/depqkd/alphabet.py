@@ -4,9 +4,11 @@ sample, all built once, at import.
 :data:`ALPHABET` holds the 40 pair states a session can reach (PSI+ closed
 under the encoding operations and the local measurements) and, by sampling
 key, the state each transition reaches and the outcomes of each
-measurement.  :data:`_CHOICE_OPS`, :data:`_EXPECTED_AGREE` and
-:data:`_DECODED` map codewords, operations and device outcomes to the
-phases' codes.  ``depqkd verify-tables`` checks these same tables.
+measurement, and per state the codeword its joint measurement announces
+whatever the outcome, if any.  :data:`_CHOICE_OPS`,
+:data:`_EXPECTED_AGREE` and :data:`_DECODED` map codewords, operations
+and device outcomes to the phases' codes.  ``depqkd verify-tables``
+checks these same tables.
 """
 
 from __future__ import annotations
@@ -154,6 +156,11 @@ class StateAlphabet:
     outcome row (:func:`_lut`) holds the probabilities in sixteenths.  Each
     table is built once, by array products over stacked states, and a row
     off the 1/16 grid or a state the converters annihilate raises.
+
+    ``decided[id]`` is the codeword the joint measurement announces for
+    state ``id`` whatever its outcome, when every entry of ``device[id]``
+    decodes to that one codeword, and -1 otherwise.  From PSI+ exactly the
+    eight basis states are decided, and no state an intercept leaves.
     """
 
     def __init__(self, source: np.ndarray = dep_basis(DepLabel.PSI_PLUS)) -> None:
@@ -183,6 +190,10 @@ class StateAlphabet:
             self.partial[photon] = _lut(f"partial[{photon.value}]", rows)
         self.states = vecs = _read_only(found)
         self.device = _lut("device", np.abs(vecs @ _DEVICE_BRAS.T) ** 2)
+        codes = _DECODED.take(self.device).reshape(-1, _GRID)
+        same = (codes == codes[:, :1]).all(axis=1)
+        self.decided = np.where(same, codes[:, 0], -1).astype(_CODE)
+        self.decided.setflags(write=False)
         amp = _converted(vecs) @ _CONVERTED_BRAS.T
         self.wc = _lut("wc", (np.abs(amp) ** 2).reshape(-1, 4))
         local = np.concatenate([LOCAL_BASIS[basis] for basis in _BASES])

@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple, Optional, TextIO, get_args, get_type_hi
 
 import numpy as np
 
-from .alphabet import _DECODED, _PAULIS, ALPHABET
+from .alphabet import _PAULIS, ALPHABET
 from .channel import ConfigError
 from .device import DEVICE_OUTCOMES, _FAMILY_BY_PORTS, _PORT_MODES, _PORTS_A, _PORTS_B
 from .protocol import ProtocolConfig, run_sessions
@@ -382,9 +382,9 @@ def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], in
 
 def run_table_verification() -> list[tuple[str, bool, str]]:
     """All verification rows as (name, passed, detail), read from the tables
-    that sessions sample: the transitions and device rows of
-    :data:`~depqkd.alphabet.ALPHABET`, the device's port routing and the
-    codeword of each device outcome."""
+    that sessions sample: the transitions, device rows and decided
+    codewords of :data:`~depqkd.alphabet.ALPHABET` and the device's port
+    routing."""
     rows: list[tuple[str, bool, str]] = []
     sid = {label: ALPHABET.index(dep_basis(label)) for label in DepLabel}
 
@@ -421,8 +421,10 @@ def run_table_verification() -> list[tuple[str, bool, str]]:
         ok = routed == {ports} and seen == {ports}
         rows.append((f"ports {label} -> {ports}", ok, "routing and coincidences"))
 
+    # a state is discriminated when its every coincidence decodes to its
+    # codeword, which is the codeword the alphabet says it decides
     for label in DepLabel:
-        ok = {int(_DECODED[o]) for o in hits[label]} == {codewords[label]}
+        ok = bool(ALPHABET.decided[sid[label]] == codewords[label])
         rows.append(
             (f"discrimination {label}", ok, "all coincidences decode to the state")
         )

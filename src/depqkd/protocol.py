@@ -36,12 +36,15 @@ index list that holds every entry of its mask is the full slice
 :data:`_EVERY` (:func:`_indices`), so a lossless batch reads its pairs
 and check photons through views instead of gathers and scatters.
 :func:`transmit_a` returns the pairs whose photon a arrived, which
-:func:`step5_decode_and_sift` measures as given.  The checks return
-per-session tallies, and
-:func:`run_sessions` judges each session against its own threshold.  No
-phase writes the public channel's messages: the checks keep the bases
-they drew on the batches, and :func:`_record` reads a session's
-transcript off its finished batch of one and its report.
+:func:`step5_decode_and_sift` measures as given.  A joint measurement
+whose codeword the state decides draws no word: a session whose every
+arrival is in a state the device tells apart with certainty, as every
+pair no attacker touched is, skips its block of device words and reads
+its codewords off ``ALPHABET.decided``.  The checks return per-session
+tallies, and :func:`run_sessions` judges each session against its own
+threshold.  No phase writes the public channel's messages: the checks
+keep the bases they drew on the batches, and :func:`_record` reads a
+session's transcript off its finished batch of one and its report.
 
 :func:`run_sessions` runs the phases in the order of what they read, not
 in the protocol's.  The decoy check reads only the check photons, and
@@ -781,11 +784,43 @@ def step5_decode_and_sift(
 ) -> None:
     """Jointly measure the reunited pairs ``arrivals`` into
     ``pairs.decoded``, as given: the pairs whose photon a
-    :func:`transmit_a` delivered."""
+    :func:`transmit_a` delivered.
+
+    A session whose every arrival is in a state that decides its codeword
+    (``ALPHABET.decided``), one with no arrivals included, skips its block
+    of one word per arrival and reads its codewords off that table.  Any
+    other session draws its block and samples every arrival's device row.
+    The verdict reads each session's first arrival, and the rest only when
+    that one is decided, so that an attacked session costs one lookup.
+    Each run of consecutive sessions with an equal
+    verdict is drawn or skipped as one block."""
     sizes = _sizes(pairs.offsets, arrivals)
-    w = _draw(streams, sizes)[:, 0]
-    outcome = _sample(ALPHABET.device, pairs.state[arrivals], w)
-    pairs.decoded[arrivals] = _DECODED.take(outcome)
+    state = pairs.state[arrivals]
+    decided = ALPHABET.decided
+    verdicts, start = [], 0  # per session: its codewords, or None to draw
+    for end in accumulate(sizes):
+        codes = None
+        if start == end or decided.item(state.item(start)) >= 0:
+            codes = decided.take(state[start:end])
+            if start < end and codes.min() < 0:
+                codes = None
+        verdicts.append(codes)
+        start = end
+    drawn = [codes is None for codes in verdicts]
+    blocks, start = [], 0
+    for draws, run in groupby(range(len(sizes)), drawn.__getitem__):
+        sessions = tuple(run)
+        span = slice(sessions[0], sessions[-1] + 1)
+        run_sizes = sizes[span]
+        end = start + sum(run_sizes)
+        if draws:
+            w = streams.words(sessions, run_sizes)
+            blocks.append(_DECODED.take(_sample(ALPHABET.device, state[start:end], w)))
+        else:
+            streams.skip(sessions, run_sizes)
+            blocks += verdicts[span]
+        start = end
+    pairs.decoded[arrivals] = _joined(blocks)
 
 
 def _record(

@@ -396,6 +396,68 @@ def test_a_mixed_batch_keeps_its_pinned_single_photon_records():
     assert digest(records) == MIXED_RECORDS
 
 
+def device_blocks(configs):
+    """The reports of a batch, each session's blocks of the joint
+    measurement's stream 6 as ``(kind, size)``, and the whole record."""
+    with recorded_session() as log:
+        reports = run_sessions(configs)
+    blocks = [
+        [(kind, n) for seed, stream, kind, n in log["draws"] if (seed, stream) == key]
+        for key in ((c.seed, 6) for c in configs)
+    ]
+    return reports, blocks, log
+
+
+# Sessions that reach the joint measurement: two unattacked ones, one
+# attacked on photon a, one whose converter check consumes every pair and
+# a lossy one that loses every pair (a loss of 1 would leave its checks
+# nothing to compare).
+WC = CheckStrategy.WAVELENGTH_CONVERTER
+CLEAN = ProtocolConfig(
+    pairs=40, seed=201, decoy_fraction=0.5, check=CheckStrategy.BOTH,
+    sample_fraction=0.5,
+)
+OTHER_CLEAN = ProtocolConfig(pairs=25, seed=204, check=WC, sample_fraction=0.5)
+ATTACKED_A = ProtocolConfig(
+    pairs=40, seed=202, check=CheckStrategy.DECOY, eve=EveStrategy.Z,
+    eve_targets=EveTarget.A,
+)
+ALL_CHECKED = ProtocolConfig(pairs=20, seed=203, check=WC, sample_fraction=1.0)
+ALL_LOST = ProtocolConfig(
+    pairs=4, seed=2, check=CheckStrategy.DECOY, decoy_fraction=0.9, threshold=0.5,
+    loss=0.5,
+)
+
+
+@pytest.mark.parametrize(
+    "config, kind",
+    [
+        (CLEAN, "skip"),
+        (ATTACKED_A, "words"),
+        (ALL_CHECKED, "skip"),
+        (ALL_LOST, "skip"),
+    ],
+)
+def test_the_joint_measurement_skips_the_blocks_the_states_decide(config, kind):
+    # one word per arrival, skipped when every arrival's state decides its
+    # codeword, as none does after an intercept; no arrival draws no word
+    [report], [blocks], _ = device_blocks([config])
+    assert not report.aborted
+    assert blocks == [(kind, report.counts["key_pairs"])]
+    if config in (ALL_CHECKED, ALL_LOST):
+        assert report.counts["key_pairs"] == 0
+
+
+def test_an_attacked_session_between_clean_ones_replays_as_if_run_alone():
+    configs = [CLEAN, ATTACKED_A, OTHER_CLEAN]
+    reports, blocks, batch = device_blocks(configs)
+    assert [[kind for kind, _ in b] for b in blocks] == [["skip"], ["words"], ["skip"]]
+    for config, report in zip(configs, reports):
+        [alone], _, log = device_blocks([config])
+        assert report == alone
+        assert [d for d in batch["draws"] if d[0] == config.seed] == log["draws"]
+
+
 def test_sessions_run_in_four_threads_replay_their_serial_reports():
     # a draw keeps no state that another reads, so sessions that run side
     # by side in threads, each several times, report what they do alone;

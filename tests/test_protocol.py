@@ -27,7 +27,7 @@ from depqkd import (
     protocol,
     run_session,
 )
-from depqkd.alphabet import ALPHABET, StateAlphabet, _sample
+from depqkd.alphabet import _DECODED, ALPHABET, StateAlphabet, _sample
 from depqkd.protocol import (
     PairBatch,
     _channel,
@@ -43,7 +43,12 @@ from depqkd.protocol import (
     transmit_b,
     wc_check,
 )
-from depqkd.device import device_probabilities, wavelength_convert_global
+from depqkd.device import (
+    DEVICE_OUTCOMES,
+    decode,
+    device_probabilities,
+    wavelength_convert_global,
+)
 from depqkd.quantum import (
     LOCAL_BASIS,
     Pauli,
@@ -64,6 +69,7 @@ from depqkd.states import (
     EncodingPair,
     dep_basis,
     encoding_choices,
+    label_to_codeword,
 )
 
 # Exact per-check error rates of an intercept-resend attack on photon b,
@@ -661,6 +667,52 @@ def test_decode_step_recovers_every_codeword_without_noise():
     assert active.tolist() == list(range(300))
     step5_decode_and_sift(pairs, active, BatchStream([41], 6))
     assert np.array_equal(pairs.decoded, pairs.codeword)
+
+
+class LoggedStream(BatchStream):
+    """A stream object that logs each session block it draws or skips as
+    ``(kind, session, size)``, ``kind`` being ``"words"`` or ``"skip"``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def words(self, sessions, sizes):
+        sessions, sizes = list(sessions), list(sizes)
+        self.log += [("words", s, n) for s, n in zip(sessions, sizes)]
+        return super().words(sessions, sizes)
+
+    def skip(self, sessions, sizes):
+        sessions, sizes = list(sessions), list(sizes)
+        self.log += [("skip", s, n) for s, n in zip(sessions, sizes)]
+        super().skip(sessions, sizes)
+
+
+def test_decode_step_skips_only_the_sessions_their_states_decide():
+    # by state id: a session decided throughout, one whose first arrival is
+    # decided but a later one is not, one with no arrivals and another
+    # decided one; no attacker of the protocol leaves the second one's mix
+    basis_ids = [0, 1, 2, 3, 10, 11, 18, 19]
+    undecided = int(ALPHABET.collapsed[Photon.A][0])
+    assert ALPHABET.decided[undecided] == -1
+    states = [basis_ids[:4], [18, 19, undecided, 0, 11], [], basis_ids[4:7]]
+    pairs = PairBatch([len(s) for s in states])
+    pairs.state[:] = np.concatenate(states)
+    arrivals = np.arange(len(pairs.state))
+    seeds = [51, 52, 53, 54]
+    streams = LoggedStream(seeds, 6)
+    step5_decode_and_sift(pairs, arrivals, streams)
+    # the mixed session draws its whole block, the others skip theirs
+    assert streams.log == [
+        ("skip", 0, 4), ("words", 1, 5), ("skip", 2, 0), ("skip", 3, 3)
+    ]
+    assert streams.positions == [4, 5, 0, 3]
+    # every pair decodes as when every session draws its block
+    words = np.concatenate(
+        [SeededGenerator(seed, 6).words(len(s)) for seed, s in zip(seeds, states)]
+    )
+    drawn = _DECODED.take(_sample(ALPHABET.device, pairs.state, words))
+    assert pairs.decoded.tolist() == drawn.tolist()
 
 
 def test_an_index_list_of_every_entry_is_the_full_slice():
@@ -1277,6 +1329,39 @@ def test_the_states_and_tables_keep_their_bytes():
     h.update(LOCAL_BASIS[PolBasis.Z].tobytes() + LOCAL_BASIS[PolBasis.X].tobytes())
     h.update(b"".join(dep_basis(label).tobytes() for label in DepLabel))
     assert h.hexdigest() == TABLES_DIGEST
+
+
+# The codeword each alphabet state decides, by id, -1 where it decides none.
+DECIDED = [0, 4, 1, 5, -1, -1, -1, -1, -1, -1, 2, 3] + [-1] * 6 + [6, 7] + [-1] * 20
+
+
+def test_the_decided_codewords_keep_their_values():
+    assert ALPHABET.decided.dtype == np.int8
+    assert ALPHABET.decided.tolist() == DECIDED
+    assert not ALPHABET.decided.flags.writeable
+    assert StateAlphabet().decided.tobytes() == ALPHABET.decided.tobytes()
+
+
+def test_exactly_the_eight_basis_states_decide_their_codewords():
+    decided = {int(sid): int(ALPHABET.decided[sid]) for sid in range(40)}
+    expected = {
+        ALPHABET.index(dep_basis(label)): label_to_codeword(label) for label in DepLabel
+    }
+    assert {sid: cw for sid, cw in decided.items() if cw >= 0} == expected
+    # a state decides a codeword exactly when every outcome the scalar
+    # device gives it decodes to that codeword
+    for sid, state in enumerate(ALPHABET.states):
+        p = device_probabilities(state)
+        codes = {decode(DEVICE_OUTCOMES[o])[1] for o in np.flatnonzero(p > 1e-9)}
+        assert decided[sid] == (codes.pop() if len(codes) == 1 else -1), sid
+
+
+def test_no_state_an_intercept_leaves_decides_its_codeword():
+    # so every pair the attacker measured draws its joint measurement
+    for photon in Photon:
+        reached = ALPHABET.collapsed[photon]
+        reached = reached[reached >= 0]
+        assert len(reached) and (ALPHABET.decided.take(reached) == -1).all()
 
 
 # Sources whose first row, photon a measured in H/V, lies off the 1/16 grid:
