@@ -6,9 +6,11 @@ sessions and to read their reports and transcripts; the state algebra, the
 measurement device and the session phases live in the submodules.
 """
 
-from .channel import ConfigError, EveStrategy, EveTarget
 from .protocol import (
     CheckStrategy,
+    ConfigError,
+    EveStrategy,
+    EveTarget,
     Message,
     MessageKind,
     ProtocolConfig,

@@ -1,5 +1,13 @@
-"""Transmission channel: optional photon loss and an intercept-resend
-eavesdropper.
+"""The scalar reference of the transmission channel, one photon at a time:
+photon loss and the intercept-resend eavesdropper.
+
+No session calls these functions: the phases of :mod:`depqkd.protocol`
+draw losses and attacks for a whole batch through the tables of
+:mod:`depqkd.alphabet`.  The benchmark's tracer times them by name, and
+tests check them on single states.  The attacker's settings
+(:class:`~depqkd.protocol.EveStrategy`, :class:`~depqkd.protocol.EveTarget`)
+live beside the config in :mod:`depqkd.protocol`, so neither ``import
+depqkd`` nor the command line loads this module.
 
 The eavesdropper measures each intercepted photon in a fixed or randomly
 alternating basis (H/V or diagonal, always resolving the frequency bin)
@@ -11,11 +19,11 @@ correlations are destroyed even though every photon still arrives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .device import measure_single
+from .protocol import EveStrategy
 from .quantum import (
     Freq,
     Photon,
@@ -24,34 +32,6 @@ from .quantum import (
     partial_measure,
     pol_freq_eigenstate,
 )
-
-
-class ConfigError(ValueError):
-    """Raised for out-of-range or contradictory configuration values."""
-
-
-class EveStrategy(Enum):
-    """Basis policy of the intercept-resend eavesdropper."""
-
-    Z = "ir-z"
-    X = "ir-x"
-    RANDOM_ZX = "ir-random"
-
-    def __init__(self, value: str) -> None:
-        #: the basis of every measurement, or None for a fair coin per photon
-        self.basis = None if value == "ir-random" else PolBasis(value[-1].upper())
-
-
-class EveTarget(Enum):
-    """Which transmissions the eavesdropper intercepts."""
-
-    B = "b"
-    A = "a"
-    BOTH = "both"
-
-    def __init__(self, value: str) -> None:
-        #: the photons whose transmissions are intercepted
-        self.photons = tuple(p for p in Photon if value in (p.value, "both"))
 
 
 @dataclass(frozen=True)

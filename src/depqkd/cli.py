@@ -1,5 +1,8 @@
 """Command line front end: table verification, single runs, and sweeps.
 
+``verify-tables`` prints the rows of :func:`depqkd.alphabet.table_checks`,
+which are built beside the tables they check.
+
 ``run`` and ``sweep`` emit one JSON object per line and per trial with a
 fixed field set, so output files diff cleanly and identical invocations
 produce identical bytes except for the ``elapsed_ms`` timing field.  The
@@ -39,17 +42,8 @@ from typing import Callable, NamedTuple, Optional, TextIO, get_args, get_type_hi
 
 import numpy as np
 
-from .alphabet import _PAULIS, ALPHABET
-from .channel import ConfigError
-from .device import DEVICE_OUTCOMES, _FAMILY_BY_PORTS, _PORT_MODES, _PORTS_A, _PORTS_B
-from .protocol import ProtocolConfig, run_sessions
-from .states import (
-    DepLabel,
-    ENCODING_TABLE,
-    codeword_to_label,
-    dep_basis,
-    label_to_codeword,
-)
+from .alphabet import table_checks
+from .protocol import ConfigError, ProtocolConfig, run_sessions
 
 #: Pairs per engine batch: consecutive sessions of a run or sweep run
 #: together while their summed pairs fit; a session larger than this runs
@@ -380,60 +374,8 @@ def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], in
     return [ProtocolConfig(**cell) for cell in cells], trials
 
 
-def run_table_verification() -> list[tuple[str, bool, str]]:
-    """All verification rows as (name, passed, detail), read from the tables
-    that sessions sample: the transitions, device rows and decided
-    codewords of :data:`~depqkd.alphabet.ALPHABET` and the device's port
-    routing."""
-    rows: list[tuple[str, bool, str]] = []
-    sid = {label: ALPHABET.index(dep_basis(label)) for label in DepLabel}
-
-    for pair, label in ENCODING_TABLE.items():
-        produced = ALPHABET.encoded[
-            4 * ALPHABET.prepared[_PAULIS.index(pair.op_b)] + _PAULIS.index(pair.op_a)
-        ]
-        name = f"encoding {pair.op_a.value} (x) {pair.op_b.value} -> {label}"
-        rows.append((name, bool(produced == sid[label]), "closure up to global phase"))
-
-    codewords = {label: label_to_codeword(label) for label in DepLabel}
-    bijective = sorted(codewords.values()) == list(range(8)) and all(
-        codeword_to_label(cw) is label for label, cw in codewords.items()
-    )
-    rows.append(("codeword map bijective", bijective, "8 states <-> 8 codewords"))
-
-    # each photon's port by local mode; a mode no port collects has none
-    port_a, port_b = (
-        {mode: port for port in ports for mode in _PORT_MODES[port]}
-        for ports in (_PORTS_A, _PORTS_B)
-    )
-    # the device outcomes that each state's sampling row gives
-    hits = {
-        label: set(ALPHABET.device[16 * i : 16 * i + 16].tolist())
-        for label, i in sid.items()
-    }
-    # the ports that the decoder reads as each family
-    family_ports = {family: ports for ports, family in _FAMILY_BY_PORTS.items()}
-    for label in DepLabel:
-        ports = family_ports[label.family]
-        support = np.flatnonzero(np.abs(dep_basis(label)) > 1e-12).tolist()
-        routed = {(port_a.get(j // 4), port_b.get(j % 4)) for j in support}
-        seen = {DEVICE_OUTCOMES[o][:2] for o in hits[label]}  # (port_a, port_b)
-        ok = routed == {ports} and seen == {ports}
-        rows.append((f"ports {label} -> {ports}", ok, "routing and coincidences"))
-
-    # a state is discriminated when its every coincidence decodes to its
-    # codeword, which is the codeword the alphabet says it decides
-    for label in DepLabel:
-        ok = bool(ALPHABET.decided[sid[label]] == codewords[label])
-        rows.append(
-            (f"discrimination {label}", ok, "all coincidences decode to the state")
-        )
-
-    return rows
-
-
 def cmd_verify_tables(out: TextIO) -> int:
-    rows = run_table_verification()
+    rows = table_checks()
     failures = 0
     for name, ok, detail in rows:
         status = "PASS" if ok else "FAIL"

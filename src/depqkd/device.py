@@ -15,6 +15,8 @@ On the eight entangled pair states the port pair identifies the family and
 the two diagonal signs identify the sign, so the device distinguishes all
 eight deterministically.  On arbitrary inputs (for example photons resent
 by an eavesdropper) the same 16 outcomes remain a complete measurement.
+The port routing and the device's rows are public: :mod:`depqkd.alphabet`
+builds its tables from them and checks the routing for ``verify-tables``.
 """
 
 from __future__ import annotations
@@ -24,16 +26,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .quantum import (
-    _POL_BASES,
+    POL_BASES,
     Freq,
     Pol,
     PolBasis,
     SeededGenerator,
     StateError,
-    _read_only,
     local_outcome,
     local_probabilities,
     mode_index,
+    read_only,
 )
 from .states import DepLabel, Family, label_to_codeword
 
@@ -41,39 +43,35 @@ from .states import DepLabel, Family, label_to_codeword
 # Local mode indices collected by each port, as (H-like mode, V-like mode).
 # The port's wavelength converter maps the first onto |H> and the second
 # onto |V> of a bare polarization qubit.
-_PORT_MODES: dict[int, tuple[int, int]] = {
+PORT_MODES: dict[int, tuple[int, int]] = {
     1: (mode_index(Pol.H, Freq.LOW), mode_index(Pol.V, Freq.HIGH)),
     3: (mode_index(Pol.H, Freq.HIGH), mode_index(Pol.V, Freq.LOW)),
     2: (mode_index(Pol.H, Freq.LOW), mode_index(Pol.V, Freq.HIGH)),
     4: (mode_index(Pol.H, Freq.HIGH), mode_index(Pol.V, Freq.LOW)),
 }
 
-_PORTS_A = (1, 3)
-_PORTS_B = (2, 4)
+PORTS_A = (1, 3)
+PORTS_B = (2, 4)
 
 
 # Both photons' frequency bins erased: (pol_a, pol_b) from the 16 modes.
 _ERASE = np.kron(np.kron(np.eye(2), np.ones(2)), np.kron(np.eye(2), np.ones(2)))
 
 
-def _converted(vecs: np.ndarray) -> np.ndarray:
-    """:func:`wavelength_convert_global` of a vector or of each stacked row."""
-    flat = vecs @ _ERASE.T
-    norm = np.linalg.norm(flat, axis=-1, keepdims=True)
-    if (norm < 1e-12).any():
-        raise StateError("wavelength conversion annihilated the state")
-    return flat / norm
-
-
 def wavelength_convert_global(state: np.ndarray) -> np.ndarray:
-    """Erase both photons' frequency bins, combining amplitudes coherently.
+    """Erase both photons' frequency bins, combining amplitudes coherently,
+    of a pair state or of each row of a stack of them.
 
     Models ideal wavelength converters applied to both photons outside the
     measurement chain.  Returns the renormalized two-qubit polarization
     amplitudes (HH, HV, VH, VV); a state whose polarization amplitudes
     cancel entirely cannot be converted and raises :class:`StateError`.
     """
-    return _converted(state)
+    flat = state @ _ERASE.T
+    norm = np.linalg.norm(flat, axis=-1, keepdims=True)
+    if (norm < 1e-12).any():
+        raise StateError("wavelength conversion annihilated the state")
+    return flat / norm
 
 
 class DeviceOutcome(NamedTuple):
@@ -88,15 +86,15 @@ class DeviceOutcome(NamedTuple):
 def _port_diagonal_vector(port: int, sign: int) -> np.ndarray:
     # the diagonal state of the port's (H-like, V-like) modes
     vec = np.zeros(4, dtype=complex)
-    vec[list(_PORT_MODES[port])] = _POL_BASES[PolBasis.X][0 if sign > 0 else 1]
+    vec[list(PORT_MODES[port])] = POL_BASES[PolBasis.X][0 if sign > 0 else 1]
     return vec
 
 
 def _build_device_basis() -> tuple[tuple[DeviceOutcome, ...], np.ndarray]:
     outcomes = []
     rows = []
-    for port_a in _PORTS_A:
-        for port_b in _PORTS_B:
+    for port_a in PORTS_A:
+        for port_b in PORTS_B:
             for x_a in (+1, -1):
                 for x_b in (+1, -1):
                     outcomes.append(DeviceOutcome(port_a, port_b, x_a, x_b))
@@ -106,18 +104,18 @@ def _build_device_basis() -> tuple[tuple[DeviceOutcome, ...], np.ndarray]:
                             _port_diagonal_vector(port_b, x_b),
                         )
                     )
-    return tuple(outcomes), _read_only(rows)
+    return tuple(outcomes), read_only(rows)
 
 
 #: The 16 outcomes, in the order of :func:`device_probabilities`.
 DEVICE_OUTCOMES, _DEVICE_MATRIX = _build_device_basis()
-_DEVICE_BRAS = _DEVICE_MATRIX.conj()
+DEVICE_BRAS = _DEVICE_MATRIX.conj()
 
 
 def device_probabilities(state: np.ndarray) -> np.ndarray:
     """Probabilities of the 16 device outcomes, in :data:`DEVICE_OUTCOMES`
     order."""
-    return np.abs(_DEVICE_BRAS @ state) ** 2
+    return np.abs(DEVICE_BRAS @ state) ** 2
 
 
 def device_measure(state: np.ndarray, g: SeededGenerator) -> DeviceOutcome:
@@ -129,7 +127,7 @@ def device_measure(state: np.ndarray, g: SeededGenerator) -> DeviceOutcome:
     return DEVICE_OUTCOMES[g.sample_index(device_probabilities(state))]
 
 
-_FAMILY_BY_PORTS: dict[tuple[int, int], Family] = {
+FAMILY_BY_PORTS: dict[tuple[int, int], Family] = {
     (1, 2): Family.PHI,
     (1, 4): Family.PSI,
     (3, 2): Family.GAMMA,
@@ -144,7 +142,7 @@ def decode(outcome: DeviceOutcome) -> tuple[DepLabel, int]:
     the plus state produces parallel analyzer signs and the minus state
     opposite signs (the tests recompute this from the amplitudes).
     """
-    family = _FAMILY_BY_PORTS[(outcome.port_a, outcome.port_b)]
+    family = FAMILY_BY_PORTS[(outcome.port_a, outcome.port_b)]
     label = DepLabel.of(family, +1 if outcome.x_a == outcome.x_b else -1)
     return label, label_to_codeword(label)
 

@@ -16,12 +16,14 @@ second operation, its measurement records never determine final key bits.
 
 A session's settings are one flat :class:`ProtocolConfig`, whose fields
 are also the command line's settings and the keys of a report's
-``config`` echo.  :func:`run_sessions` runs any sessions as one batch,
-each with all of its own settings, and :func:`run_session` is the batch
-of one.  :class:`PairBatch` and :class:`DecoyBatch` hold one array entry
-per item, session after session.  Pair states are ids into
-:data:`depqkd.alphabet.ALPHABET`, and every transition and outcome a phase
-draws is a lookup in that module's tables.  Each phase takes one
+``config`` echo; the attacker's settings (:class:`EveStrategy`,
+:class:`EveTarget`) and :class:`ConfigError` are defined beside it.
+:func:`run_sessions` runs any sessions as one batch, each with all of its
+own settings, and :func:`run_session` is the batch of one.
+:class:`PairBatch` and :class:`DecoyBatch` hold one array entry per item,
+session after session.  Pair states are ids into
+:data:`depqkd.alphabet.ALPHABET`, and every transition, outcome and code
+a phase reads is a lookup in that module's tables.  Each phase takes one
 :class:`~depqkd.quantum.BatchStream` for its stream index, which holds
 every session's seed and position, and draws the blocks of every session
 that runs it from that session's own stream, in the same order and sizes
@@ -68,18 +70,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .alphabet import (
-    _BASES,
-    _CHOICE_OPS,
-    _CODE,
-    _DECODED,
-    _EXPECTED_AGREE,
-    _STATE,
-    ALPHABET,
-    _sample,
-)
-from .channel import ConfigError, EveStrategy, EveTarget
+from .alphabet import ALPHABET, BASES, CODE, STATE, sample
 from .quantum import BatchStream, Photon, PolBasis
+
+
+class ConfigError(ValueError):
+    """Raised for out-of-range or contradictory configuration values."""
 
 
 class CheckStrategy(Enum):
@@ -92,6 +88,30 @@ class CheckStrategy(Enum):
     def __init__(self, value: str) -> None:  # attributes, read once per session
         self.uses_decoy = value != "wc"
         self.uses_wc = value != "decoy"
+
+
+class EveStrategy(Enum):
+    """Basis policy of the intercept-resend eavesdropper."""
+
+    Z = "ir-z"
+    X = "ir-x"
+    RANDOM_ZX = "ir-random"
+
+    def __init__(self, value: str) -> None:
+        #: the basis of every measurement, or None for a fair coin per photon
+        self.basis = None if value == "ir-random" else PolBasis(value[-1].upper())
+
+
+class EveTarget(Enum):
+    """Which transmissions the eavesdropper intercepts."""
+
+    B = "b"
+    A = "a"
+    BOTH = "both"
+
+    def __init__(self, value: str) -> None:
+        #: the photons whose transmissions are intercepted
+        self.photons = tuple(p for p in Photon if value in (p.value, "both"))
 
 
 # No array of a session holds more than 32 bytes per pair, so a session of
@@ -227,7 +247,7 @@ _STREAM_WC = 4
 _STREAM_CHANNEL_A = 5
 _STREAM_DEVICE = 6
 
-_BASIS_NAMES = np.array([basis.value for basis in _BASES], dtype=object)
+_BASIS_NAMES = np.array([basis.value for basis in BASES], dtype=object)
 
 # A large batch allocates and frees about 1 MB of temporaries (word blocks,
 # intp index arrays).  By default glibc returns a freed heap top above its
@@ -245,7 +265,7 @@ np.empty(_RESIDENT_HEAP_BYTES, dtype=np.uint8)
 
 
 def _unset(n: int) -> np.ndarray:
-    return np.full(n, -1, dtype=_CODE)
+    return np.full(n, -1, dtype=CODE)
 
 
 def _joined(blocks: list[np.ndarray]) -> np.ndarray:
@@ -255,7 +275,7 @@ def _joined(blocks: list[np.ndarray]) -> np.ndarray:
 def _draw(
     streams: BatchStream,
     sizes: Sequence[int],
-    width: int = 1,
+    width: int,
     sessions: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """``sizes[i]`` rows of ``width`` words from the stream of each session
@@ -267,7 +287,7 @@ def _draw(
     A word stands for the double ``u`` that :func:`~depqkd.quantum.doubles`
     makes of it.  :func:`_coins`, :func:`_basis_coins` and :func:`_randints`
     decide on the word as an integer, with the outcome ``u`` would give;
-    :func:`_sample` reads its top 4 bits, ``floor(16 * u)``.
+    :func:`~depqkd.alphabet.sample` reads its top 4 bits, ``floor(16 * u)``.
     """
     if sessions is None:
         sessions = range(len(sizes))
@@ -377,7 +397,7 @@ class PairBatch:
         self.offsets = np.array([0, *accumulate(self.sizes)])
         size = int(self.offsets[-1])
         self.codeword, self.op_a, self.op_b = _unset(size), _unset(size), _unset(size)
-        self.state = np.full(size, -1, dtype=_STATE)
+        self.state = np.full(size, -1, dtype=STATE)
         self.b_delivered = np.ones(size, dtype=bool)
         self.a_delivered = np.ones(size, dtype=bool)
         self.checked = np.zeros(size, dtype=bool)
@@ -423,7 +443,7 @@ class DecoyBatch:
 def _randints(w: np.ndarray, n: int) -> np.ndarray:
     """``floor(u * n)`` of each word's double ``u``, for ``n`` a power of
     two from 2: the word's top ``log2 n`` bits."""
-    return (w >> (65 - n.bit_length())).astype(_CODE)
+    return (w >> (65 - n.bit_length())).astype(CODE)
 
 
 _TOP_BIT = np.uint64(1 << 63)
@@ -433,7 +453,7 @@ def _basis_coins(w: np.ndarray) -> np.ndarray:
     """Basis index of each fair coin, the word's top bit ``w >> 63``: H/V
     on heads (``u < 0.5``).  The top bit is tested as ``w >= 2**63``,
     whose bools are read as their 0/1 bytes with no cast."""
-    return (w >= _TOP_BIT).view(_CODE)
+    return (w >= _TOP_BIT).view(CODE)
 
 
 def _channel(
@@ -473,7 +493,7 @@ def _channel(
             words.append(w[:, 1])
         else:
             words.append(streams.words(sessions, m))
-            bases.append(np.full(len(words[-1]), _BASES.index(eve.basis), _CODE))
+            bases.append(np.full(len(words[-1]), BASES.index(eve.basis), CODE))
     return delivered, seen, _joined(bases), _joined(words)
 
 
@@ -483,7 +503,7 @@ def _intercept_pairs(
     """Measure one photon of each pair ``idx``, resend the eigenstate and
     record the outcome's local id in ``pairs.eve_b`` or ``pairs.eve_a``."""
     keys = 2 * pairs.state[idx] + basis
-    k = _sample(ALPHABET.partial[photon], keys, w)
+    k = sample(ALPHABET.partial[photon], keys, w)
     pairs.state[idx] = ALPHABET.collapsed[photon].take(4 * keys + k)
     getattr(pairs, f"eve_{photon.value}")[idx] = 4 * basis + k
 
@@ -496,7 +516,7 @@ def step1_prepare_and_encode(pairs: PairBatch, streams: BatchStream) -> None:
     w = _draw(streams, pairs.sizes, 2)
     rows = pairs.of([p is not None for p in streams.positions])
     codeword = _randints(w[:, 0], 8)
-    op_a, op_b = _CHOICE_OPS.take(2 * codeword + _randints(w[:, 1], 2), axis=1)
+    op_a, op_b = ALPHABET.choice_ops.take(2 * codeword + _randints(w[:, 1], 2), axis=1)
     pairs.codeword[rows], pairs.op_a[rows], pairs.op_b[rows] = codeword, op_a, op_b
     pairs.state[rows] = ALPHABET.prepared.take(op_b)
 
@@ -593,7 +613,7 @@ def transmit_b(
     rows = np.flatnonzero(kind)
     hit = _EVERY if measured is _EVERY else np.flatnonzero(seen_decoys)
     decoy_basis = basis.take(rows)
-    k = _sample(ALPHABET.local, 2 * decoys.state[hit] + decoy_basis, w.take(rows))
+    k = sample(ALPHABET.local, 2 * decoys.state[hit] + decoy_basis, w.take(rows))
     decoys.state[hit] = 4 * decoy_basis + k
     return seen_pairs, ~kind, basis, w
 
@@ -678,7 +698,7 @@ def decoy_check(decoys: DecoyBatch, streams: BatchStream) -> list[tuple[int, ...
     sizes = decoys.sizes if idx is _EVERY else _tally(decoys.delivered, decoys.sizes)
     w = _draw(streams, sizes, 2)
     basis = decoys.bob_basis = _basis_coins(w[:, 0])
-    k = _sample(ALPHABET.local, 2 * decoys.state[idx] + basis, w[:, 1])
+    k = sample(ALPHABET.local, 2 * decoys.state[idx] + basis, w[:, 1])
     prepared = decoys.prepared[idx]
     prepared_basis = prepared >> 2
     matched = basis == prepared_basis
@@ -686,7 +706,7 @@ def decoy_check(decoys: DecoyBatch, streams: BatchStream) -> list[tuple[int, ...
     pol_bad = matched & (flips > 1)
     freq_bad = matched & ((flips & 1) == 1)
     bad = pol_bad | freq_bad
-    z = prepared_basis == _BASES.index(PolBasis.Z)
+    z = prepared_basis == BASES.index(PolBasis.Z)
     # the X-prepared counts are the rest of each session's comparisons
     return [
         (c, e, pol_e, freq_e, zc, ze, c - zc, e - ze)
@@ -725,11 +745,12 @@ def wc_check(
     basis_a = pairs.wc_basis_a = _basis_coins(w[:, 0])
     basis_b = pairs.wc_basis_b = _basis_coins(w[:, 1])
     keys = 4 * pairs.state[sampled] + 2 * basis_a + basis_b
-    k = _sample(ALPHABET.wc, keys, w[:, 2])
+    k = sample(ALPHABET.wc, keys, w[:, 2])
     matched = basis_a == basis_b
     agree = (k >> 1) == (k & 1)
-    bad = matched & (agree != _EXPECTED_AGREE.take(2 * pairs.op_b[sampled] + basis_a))
-    z = basis_a == _BASES.index(PolBasis.Z)
+    expected = ALPHABET.expected_agree.take(2 * pairs.op_b[sampled] + basis_a)
+    bad = matched & (agree != expected)
+    z = basis_a == BASES.index(PolBasis.Z)
     # the X-basis counts are the rest of each session's comparisons, and
     # every sampled pair is checked
     tallies = _tallies(sizes, matched, bad, matched & z, bad & z)
@@ -815,7 +836,8 @@ def step5_decode_and_sift(
         end = start + sum(run_sizes)
         if draws:
             w = streams.words(sessions, run_sizes)
-            blocks.append(_DECODED.take(_sample(ALPHABET.device, state[start:end], w)))
+            outcomes = sample(ALPHABET.device, state[start:end], w)
+            blocks.append(ALPHABET.decoded.take(outcomes))
         else:
             streams.skip(sessions, run_sizes)
             blocks += verdicts[span]

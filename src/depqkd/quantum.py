@@ -92,12 +92,12 @@ PAULI_MATRICES: dict[Pauli, np.ndarray] = {
 }
 
 # Each operation lifted to a photon's four (polarization, frequency) modes.
-_LOCAL_OPERATORS: dict[Pauli, np.ndarray] = {
+LOCAL_OPERATORS: dict[Pauli, np.ndarray] = {
     op: np.kron(u, np.eye(2, dtype=complex)) for op, u in PAULI_MATRICES.items()
 }
 
 
-def _read_only(amplitudes) -> np.ndarray:
+def read_only(amplitudes) -> np.ndarray:
     """A new read-only ``complex128`` array of ``amplitudes``, the form of
     every state and basis table the package hands out."""
     vec = np.array(amplitudes, dtype=complex)
@@ -111,13 +111,13 @@ def apply_local(op: Pauli, photon: Photon, state: np.ndarray) -> np.ndarray:
     The operation touches the polarization qubit only; frequency amplitudes
     ride along unchanged.  Norm is preserved.
     """
-    u = _LOCAL_OPERATORS[op]
+    u = LOCAL_OPERATORS[op]
     m = state.reshape(4, 4)
     if photon is Photon.A:
         out = u @ m
     else:
         out = m @ u.T
-    return _read_only(out.reshape(16))
+    return read_only(out.reshape(16))
 
 
 def cumulative(probabilities) -> tuple[float, ...]:
@@ -285,7 +285,7 @@ def local_outcome(k: int) -> tuple[int, Freq]:
 
 # Each polarization basis as a qubit table: row ``comp`` is H or the +45
 # degree state for ``comp`` 0, V or the -45 degree state for ``comp`` 1.
-_POL_BASES: dict[PolBasis, np.ndarray] = {
+POL_BASES: dict[PolBasis, np.ndarray] = {
     PolBasis.Z: np.eye(2),
     PolBasis.X: np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
 }
@@ -295,8 +295,8 @@ _POL_BASES: dict[PolBasis, np.ndarray] = {
 #: outcome :func:`local_outcome` ``(k)``.  Adding 0.0 turns the -0.0 of
 #: the products into 0.0.
 LOCAL_BASIS: dict[PolBasis, np.ndarray] = {
-    basis: _read_only(np.kron(u, np.eye(2, dtype=complex)) + 0.0)
-    for basis, u in _POL_BASES.items()
+    basis: read_only(np.kron(u, np.eye(2, dtype=complex)) + 0.0)
+    for basis, u in POL_BASES.items()
 }
 
 # The conjugated rows (bras) of each table, built once.
@@ -347,7 +347,7 @@ def partial_collapse(
     row = LOCAL_BASIS[basis][k]
     other = _partial_amplitudes(state, photon, basis)[k]
     post = np.outer(row, other) if photon is Photon.A else np.outer(other, row)
-    return _read_only(post.reshape(16) / np.linalg.norm(post))
+    return read_only(post.reshape(16) / np.linalg.norm(post))
 
 
 def partial_measure(

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quantum import Pauli, _read_only
+from .quantum import Pauli, read_only
 
 
 class Family(Enum):
@@ -85,7 +85,7 @@ def _build_basis() -> dict[DepLabel, np.ndarray]:
         first, second = _SUPPORT[label.family]
         vec[first] = 1.0 / np.sqrt(2.0)
         vec[second] = label.sign / np.sqrt(2.0)
-        basis[label] = _read_only(vec)
+        basis[label] = read_only(vec)
     return basis
 
 

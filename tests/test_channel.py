@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 import oracles
-from depqkd.channel import (
-    ConfigError,
-    EveRecord,
-    EveStrategy,
-    EveTarget,
-    apply_loss,
-    ir_attack_decoy,
-    ir_attack_entangled,
-)
+from depqkd import ConfigError, EveStrategy, EveTarget
+from depqkd.channel import EveRecord, apply_loss, ir_attack_decoy, ir_attack_entangled
 from depqkd.device import measure_single
 from depqkd.protocol import ProtocolConfig
 from depqkd.quantum import (

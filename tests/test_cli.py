@@ -195,10 +195,10 @@ def test_verify_tables_prints_exactly_its_pinned_bytes(capsys):
 
 
 def test_verify_tables_fails_when_routing_is_broken(capsys, monkeypatch):
-    from depqkd.device import _PORT_MODES
+    from depqkd.device import PORT_MODES
 
     # port 3 collects port 1's modes, so both a ports collapse onto one
-    monkeypatch.setitem(_PORT_MODES, 3, _PORT_MODES[1])
+    monkeypatch.setitem(PORT_MODES, 3, PORT_MODES[1])
     code, out, _ = run_cli(capsys, "verify-tables")
     assert code == 1
     failing = [l for l in out.splitlines() if l.startswith("FAIL")]
@@ -876,6 +876,31 @@ assert main(["run", "--pairs", "100", "--check", "both", "--eve", "ir-random",
 assert main(["sweep", "--param", "loss", "--values", "0,0.2", "--pairs", "100",
              "--check", "both", "--eve", "ir-z", "--eve-targets", "a"]) == 0
 print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_the_package_and_its_commands_leave_the_channel_module_unloaded():
+    # channel.py is the scalar reference that only tests and the benchmark's
+    # tracer call; the attacker's settings live in protocol.py
+    script = """
+import sys
+import depqkd
+from depqkd import cli
+assert cli.main(["run", "--pairs", "20"]) == 0
+assert cli.main(["sweep", "--param", "loss", "--values", "0,0.2",
+                 "--pairs", "20"]) == 0
+assert cli.main(["verify-tables"]) == 0
+print("depqkd.channel" in sys.modules)
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     result = subprocess.run(

@@ -6,9 +6,9 @@ import pytest
 import oracles
 from depqkd.device import (
     _DEVICE_MATRIX,
-    _FAMILY_BY_PORTS,
-    _PORT_MODES,
     DEVICE_OUTCOMES,
+    FAMILY_BY_PORTS,
+    PORT_MODES,
     DeviceOutcome,
     decode,
     device_measure,
@@ -39,19 +39,19 @@ PORTS = ((1, 3), (2, 4))
 
 def test_port_routing_full_table():
     # a port lists its (H-like mode, V-like mode)
-    assert sorted(_PORT_MODES) == [1, 2, 3, 4]
+    assert sorted(PORT_MODES) == [1, 2, 3, 4]
     for ports in PORTS:
         for pol in Pol:
             for freq in Freq:
                 port = ports[int(pol) ^ int(freq)]
-                assert _PORT_MODES[port][int(pol)] == mode_index(pol, freq)
+                assert PORT_MODES[port][int(pol)] == mode_index(pol, freq)
 
 
 def test_pair_supports_route_to_the_decoding_port_pair():
     # both product terms of a pair state land on one (port_a, port_b) pair,
     # and that pair is the one the decoder attributes to the family
     port_a, port_b = (
-        {mode: port for port in ports for mode in _PORT_MODES[port]} for ports in PORTS
+        {mode: port for port in ports for mode in PORT_MODES[port]} for ports in PORTS
     )
     for label in DepLabel:
         ports_seen = set()
@@ -59,7 +59,7 @@ def test_pair_supports_route_to_the_decoding_port_pair():
             mode_a, mode_b = divmod(joint_index, 4)
             ports_seen.add((port_a[mode_a], port_b[mode_b]))
         assert len(ports_seen) == 1
-        assert _FAMILY_BY_PORTS[ports_seen.pop()] is label.family
+        assert FAMILY_BY_PORTS[ports_seen.pop()] is label.family
 
 
 def test_wavelength_convert_global_on_pair_states():

@@ -27,7 +27,7 @@ from depqkd import (
     protocol,
     run_session,
 )
-from depqkd.alphabet import _DECODED, ALPHABET, StateAlphabet, _sample
+from depqkd.alphabet import ALPHABET, StateAlphabet, _lut, sample
 from depqkd.protocol import (
     PairBatch,
     _channel,
@@ -711,7 +711,7 @@ def test_decode_step_skips_only_the_sessions_their_states_decide():
     words = np.concatenate(
         [SeededGenerator(seed, 6).words(len(s)) for seed, s in zip(seeds, states)]
     )
-    drawn = _DECODED.take(_sample(ALPHABET.device, pairs.state, words))
+    drawn = ALPHABET.decoded.take(sample(ALPHABET.device, pairs.state, words))
     assert pairs.decoded.tolist() == drawn.tolist()
 
 
@@ -1364,23 +1364,26 @@ def test_no_state_an_intercept_leaves_decides_its_codeword():
         assert len(reached) and (ALPHABET.decided.take(reached) == -1).all()
 
 
-# Sources whose first row, photon a measured in H/V, lies off the 1/16 grid:
-# p of (H, LOW) and (H, HIGH) of 0.3 and 0.7, 0.25 and 0.25 (a source of
-# norm 1/2) and 0.5 +- 1e-7.  The build raises, so no table is filled.
+# States whose row of photon a measured in H/V lies off the 1/16 grid:
+# p of (H, LOW) and (H, HIGH) of 0.3 and 0.7, 0.25 and 0.25 (a state of
+# norm 1/2) and 0.5 +- 1e-7.  Every outcome table of the build is made by
+# _lut, which raises on such a row, so no table is filled.
 @pytest.mark.parametrize("p", [(0.3, 0.7), (0.25, 0.25), (0.5 + 1e-7, 0.5 - 1e-7)])
 def test_a_row_off_the_sixteenths_grid_raises_and_stays_unfilled(p):
     vec = np.zeros(16, dtype=complex)
     vec[0], vec[5] = np.sqrt(p)  # |(H,LOW)(H,LOW)> and |(H,HIGH)(H,HIGH)>
+    rows = partial_probabilities(vec, Photon.A, PolBasis.Z)[None]
     with pytest.raises(ValueError, match=r"of partial\[a\] row 0 are not multiples"):
-        StateAlphabet(vec)
+        _lut("partial[a]", rows)
 
 
 def test_wc_check_surfaces_a_state_the_converters_annihilate():
-    # (H,LOW)(H,LOW) - (H,HIGH)(H,LOW): conversion cancels every amplitude
+    # (H,LOW)(H,LOW) - (H,HIGH)(H,LOW): conversion cancels every amplitude;
+    # the build converts every state of the alphabet in one such stack
     vec = np.zeros(16, dtype=complex)
     vec[0], vec[4] = 1 / np.sqrt(2), -1 / np.sqrt(2)
     with pytest.raises(StateError, match="annihilated"):
-        StateAlphabet(vec)
+        wavelength_convert_global(np.array([ALPHABET.states[0], vec]))
 
 
 def outcome_tables():
@@ -1430,12 +1433,12 @@ def test_sample_reads_each_row_at_the_word_top_4_bits():
     n = len(BOUNDARY_WORDS)
     for table, probabilities in outcome_tables().values():
         for key in range(len(table) // 16):
-            got = _sample(table, np.full(n, key, dtype=np.int16), BOUNDARY_WORDS)
+            got = sample(table, np.full(n, key, dtype=np.int16), BOUNDARY_WORDS)
             assert got.dtype == np.int8
             p = probabilities(key)
             expected = [oracles.grid_outcome(p, w) for w in BOUNDARY_WORDS.tolist()]
             assert got.tolist() == expected, key
-        empty = _sample(table, np.zeros(0, dtype=np.int16), np.zeros(0, dtype=np.uint64))
+        empty = sample(table, np.zeros(0, dtype=np.int16), np.zeros(0, dtype=np.uint64))
         assert empty.dtype == np.int8 and empty.shape == (0,)
 
 

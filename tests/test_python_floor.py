@@ -1,6 +1,7 @@
 """Every module of the package parses as the oldest Python that
-``pyproject.toml`` declares, though the suite may run on a newer one, and
-keeps its lines within the package's width."""
+``pyproject.toml`` declares, though the suite may run on a newer one,
+keeps its lines within the package's width, and reads the other modules
+through their public names only."""
 
 import ast
 import re
@@ -28,6 +29,20 @@ def test_every_line_of_the_package_fits_the_width(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     long = [n for n, line in enumerate(lines, start=1) if len(line) > MAX_LINE]
     assert long == [], f"{path.name}: lines over {MAX_LINE} characters: {long}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    # a name another module needs is that module's public name
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    private = [
+        f"{node.lineno}: from {'.' * node.level}{node.module or ''} import {a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+    assert private == [], f"{path.name}: private names imported: {private}"
 
 
 def test_parsing_as_an_older_python_refuses_newer_syntax():

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from depqkd import quantum
+from depqkd import EveStrategy, quantum
 from depqkd.alphabet import ALPHABET
-from depqkd.channel import EveStrategy, ir_attack_decoy, ir_attack_entangled
+from depqkd.channel import ir_attack_decoy, ir_attack_entangled
 from depqkd.device import (
     device_probabilities,
     measure_single,
