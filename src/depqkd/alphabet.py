@@ -61,17 +61,21 @@ CODE = np.int8
 STATE = np.int16
 
 # Every transition of a pair state as an operator on its amplitudes, 12 per
-# photon, photon a first: each operation of _PAULIS, then the projector on
-# row k of LOCAL_BASIS[basis] at 4 + 4 * basis + k.  Applied one 16x16
-# product each: as one wide product OpenBLAS splits them over its threads,
-# which took 30 ms at import on 2 cores and slowed the session after it.
-_PHOTON_OPERATORS = [LOCAL_OPERATORS[op] for op in _PAULIS] + [
-    np.outer(row, row.conj()) for basis in BASES for row in LOCAL_BASIS[basis]
-]
-_TRANSITIONS = np.array(
-    [np.kron(u, np.eye(4)) for u in _PHOTON_OPERATORS]
-    + [np.kron(np.eye(4), u) for u in _PHOTON_OPERATORS]
+# photon, photon a first (u (x) 1, then 1 (x) u): each operation of _PAULIS,
+# then the projector on row k of LOCAL_BASIS[basis] at 4 + 4 * basis + k.
+# Applied one 16x16 product each: as one wide product OpenBLAS splits them
+# over its threads, which took 30 ms at import on 2 cores and slowed the
+# session after it.
+_PHOTON_OPERATORS = np.array(
+    [LOCAL_OPERATORS[op] for op in _PAULIS]
+    + [np.outer(row, row.conj()) for basis in BASES for row in LOCAL_BASIS[basis]]
 )
+_TRANSITIONS = np.concatenate(
+    [
+        np.einsum("nij,kl->nikjl", _PHOTON_OPERATORS, np.eye(4)),
+        np.einsum("ij,nkl->nikjl", np.eye(4), _PHOTON_OPERATORS),
+    ]
+).reshape(-1, 16, 16)
 # Bras of a converted photon, [basis][comp], and of both measured in bases
 # (basis_a, basis_b), row 4 * (2 * basis_a + basis_b) + 2 * comp_a + comp_b.
 _QUBIT_BRAS = np.array([POL_BASES[basis] for basis in BASES])
@@ -148,7 +152,8 @@ class StateAlphabet:
     ``decided[id]`` is the codeword the joint measurement announces for
     state ``id`` whatever its outcome, when every entry of ``device[id]``
     decodes to that one codeword, and -1 otherwise.  Exactly the eight
-    basis states are decided, and no state an intercept leaves.
+    basis states are decided, and no state an intercept leaves.  Every
+    table is read-only, since every session of the process reads it.
     """
 
     def __init__(self) -> None:
@@ -198,11 +203,14 @@ class StateAlphabet:
         codes = self.decoded.take(self.device).reshape(-1, _GRID)
         same = (codes == codes[:, :1]).all(axis=1)
         self.decided = np.where(same, codes[:, 0], -1).astype(CODE)
-        self.decided.setflags(write=False)
         amp = wavelength_convert_global(vecs) @ _CONVERTED_BRAS.T
         self.wc = _lut("wc", (np.abs(amp) ** 2).reshape(-1, 4))
         local = np.concatenate([LOCAL_BASIS[basis] for basis in BASES])
         self.local = _lut("local", np.abs(local @ local.conj().T).reshape(-1, 4) ** 2)
+        tables = [self.prepared, self.encoded, self.choice_ops, self.expected_agree]
+        tables += [*self.collapsed.values(), *self.partial.values(), self.device]
+        for table in (*tables, self.decoded, self.decided, self.wc, self.local):
+            table.setflags(write=False)
 
     def _ids_of(self, vecs: np.ndarray, found: list[np.ndarray]) -> np.ndarray:
         """The id of each state of ``vecs``, adding the new ones to ``found``

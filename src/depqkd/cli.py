@@ -117,7 +117,8 @@ def bits_to_hex(bits) -> str:
     return np.packbits(np.frombuffer(bytes(bits), dtype=np.uint8)).tobytes().hex()
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+def _add_session_flags(parser: argparse.ArgumentParser, subcommand: str) -> None:
+    """Give ``parser`` the flags of ``subcommand``, ``run`` or ``sweep``."""
     for setting in _SETTINGS:
         parser.add_argument(
             f"--{setting.flag}",
@@ -133,6 +134,16 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--config", default=None, help="flat key=value config file; flags win"
     )
+    if subcommand == "sweep":
+        parser.add_argument(
+            "--param", required=True, help="parameter to sweep (a run flag name)"
+        )
+        parser.add_argument(
+            "--values",
+            required=True,
+            help="comma-separated values for the swept parameter",
+        )
+    parser._negative_number_matcher = _NEGATIVE_VALUE
 
 
 # A value that starts like a negative number: "-3e-05", "-inf", or a sweep
@@ -147,6 +158,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ConfigError(message)
+
+
+_SESSION_HELP = {
+    "run": "run one configuration for one or more trials",
+    "sweep": "run trials across a list of parameter values",
+}
 
 
 @cache
@@ -165,46 +182,33 @@ def build_parser() -> argparse.ArgumentParser:
             " and state discrimination"
         ),
     )
-    run_p = sub.add_parser("run", help="run one configuration for one or more trials")
-    _add_run_flags(run_p)
-    sweep_p = sub.add_parser(
-        "sweep", help="run trials across a list of parameter values"
-    )
-    _add_run_flags(sweep_p)
-    for p in (run_p, sweep_p):
-        p._negative_number_matcher = _NEGATIVE_VALUE
-    sweep_p.add_argument(
-        "--param", required=True, help="parameter to sweep (a run flag name)"
-    )
-    sweep_p.add_argument(
-        "--values",
-        required=True,
-        help="comma-separated values for the swept parameter",
-    )
+    for name, text in _SESSION_HELP.items():
+        _add_session_flags(sub.add_parser(name, help=text), name)
     return parser
 
 
 @cache
-def _subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
-    """The parser of each subcommand, from the one :func:`build_parser`
-    builds."""
-    (action,) = (a for a in build_parser()._actions if a.dest == "subcommand")
-    return action.choices
+def _session_parser(subcommand: str) -> argparse.ArgumentParser:
+    """The parser of ``run`` or ``sweep`` alone, the same as the subcommand
+    parser :func:`build_parser` adds under the name ``depqkd <subcommand>``."""
+    parser = _Parser(prog=f"depqkd {subcommand}")
+    _add_session_flags(parser, subcommand)
+    return parser
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with a subcommand's flags read
-    by that subcommand's parser alone.
+    """``build_parser().parse_args(argv)``, with the flags of ``run`` and
+    ``sweep`` read by that subcommand's parser alone.
 
-    The top-level parser would scan every flag once before handing them
-    all to the subcommand's parser, which reads them again, and it sees
-    nothing in them but the subcommand's name.  Any other argv, ``--help``
-    or an unknown subcommand among them, goes to the top-level parser.
+    A call runs one subcommand, so it builds only that subcommand's
+    parser, and does not hand every flag through the top-level parser
+    first.  Any other argv, ``--help``, ``verify-tables`` or an unknown
+    subcommand among them, goes to the full tree of :func:`build_parser`.
     """
-    parser = _subcommand_parsers().get(argv[0]) if argv else None
-    if parser is None:
-        return build_parser().parse_args(argv)
-    return parser.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if argv and argv[0] in _SESSION_HELP:
+        namespace = argparse.Namespace(subcommand=argv[0])
+        return _session_parser(argv[0]).parse_args(argv[1:], namespace)
+    return build_parser().parse_args(argv)
 
 
 def _convert(setting: _Setting, raw: str) -> object:

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -206,8 +206,7 @@ class MessageKind(Enum):
     PROCEED = "proceed"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     sender: str
     kind: MessageKind
     payload: object
@@ -359,7 +358,6 @@ def _sizes(offsets: np.ndarray, idx: np.ndarray) -> list[int]:
     return (bounds[1:] - bounds[:-1]).tolist()
 
 
-@dataclass
 class PairBatch:
     """Every pair of a batch of sessions as parallel arrays, one entry per
     pair, session after session.  Session ``s`` has ``sizes[s]`` pairs,
@@ -379,22 +377,9 @@ class PairBatch:
     index order, and empty before.
     """
 
-    sizes: list[int]
-    codeword: np.ndarray = field(init=False)
-    op_a: np.ndarray = field(init=False)
-    op_b: np.ndarray = field(init=False)
-    state: np.ndarray = field(init=False)
-    b_delivered: np.ndarray = field(init=False)
-    a_delivered: np.ndarray = field(init=False)
-    checked: np.ndarray = field(init=False)
-    eve_b: np.ndarray = field(init=False)
-    eve_a: np.ndarray = field(init=False)
-    decoded: np.ndarray = field(init=False)
-    wc_basis_a: np.ndarray = field(init=False)
-    wc_basis_b: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.offsets = np.array([0, *accumulate(self.sizes)])
+    def __init__(self, sizes: list[int]) -> None:
+        self.sizes = sizes
+        self.offsets = np.array([0, *accumulate(sizes)])
         size = int(self.offsets[-1])
         self.codeword, self.op_a, self.op_b = _unset(size), _unset(size), _unset(size)
         self.state = np.full(size, -1, dtype=STATE)
@@ -411,7 +396,6 @@ class PairBatch:
         return _EVERY if all(sessions) else np.repeat(sessions, self.sizes)
 
 
-@dataclass
 class DecoyBatch:
     """Every check photon of a batch as parallel arrays, in slot order.
 
@@ -428,15 +412,11 @@ class DecoyBatch:
     returns with the batch.
     """
 
-    sizes: list[int]  # decoys of each session
-    prepared: np.ndarray
-    state: np.ndarray = field(init=False)
-    delivered: np.ndarray = field(init=False)
-    bob_basis: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.state = self.prepared.copy()
-        self.delivered = np.ones(len(self.prepared), dtype=bool)
+    def __init__(self, sizes: list[int], prepared: np.ndarray) -> None:
+        self.sizes = sizes  # decoys of each session
+        self.prepared = prepared
+        self.state = prepared.copy()
+        self.delivered = np.ones(len(prepared), dtype=bool)
         self.bob_basis = _unset(0)
 
 
@@ -659,8 +639,7 @@ _COUNT_KEYS = {
 }
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Outcome of one session."""
 
     decoy_qber: Optional[float]

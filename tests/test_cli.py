@@ -912,3 +912,52 @@ print("depqkd.channel" in sys.modules)
         check=True,
     )
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_a_call_builds_only_the_records_and_the_parser_it_uses():
+    # every process pays for the classes the package generates methods for
+    # and the parsers a call builds: the CLI loads one dataclass, a run or
+    # a sweep builds its own parser alone, and --help the whole tree
+    script = """
+import argparse, contextlib, dataclasses, io, json, os, sys
+from depqkd import cli
+found = sorted({
+    f"{value.__module__}.{value.__qualname__}"
+    for name, module in list(sys.modules.items())
+    if name.split(".")[0] == "depqkd"
+    for value in vars(module).values()
+    if isinstance(value, type) and dataclasses.is_dataclass(value)
+})
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+parsers = []
+for argv in (
+    ["run", "--pairs", "20"],
+    ["sweep", "--param", "loss", "--values", "0,0.2", "--pairs", "20"],
+):
+    assert cli.main(argv + ["--output", os.devnull]) == 0
+    parsers.append(built[:])
+    built.clear()
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["--help"])
+print(json.dumps([found, parsers, code, out.getvalue()]))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    found, parsers, code, usage = json.loads(result.stdout.splitlines()[-1])
+    assert found == ["depqkd.protocol.ProtocolConfig"]
+    assert parsers == [["depqkd run"], ["depqkd sweep"]]
+    assert code == 0
+    assert usage.startswith("usage: depqkd [-h] {verify-tables,run,sweep}")

@@ -4,6 +4,7 @@ import compileall
 import copy
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import os
 import platform
@@ -21,8 +22,10 @@ from depqkd import (
     ConfigError,
     EveStrategy,
     EveTarget,
+    Message,
     MessageKind,
     ProtocolConfig,
+    RunReport,
     Transcript,
     protocol,
     run_session,
@@ -475,9 +478,8 @@ def reference_transmit_b(pairs, decoys, is_decoy, losses, eves, seeds):
 def batch_fields(batch):
     """Every field of a batch, arrays as (dtype, values)."""
     out = {}
-    for f in dataclasses.fields(batch):
-        value = getattr(batch, f.name)
-        out[f.name] = (
+    for name, value in vars(batch).items():
+        out[name] = (
             (value.dtype, value.tolist()) if isinstance(value, np.ndarray) else value
         )
     return out
@@ -766,6 +768,42 @@ def test_session_replays_byte_for_byte_and_tracks_seed():
     assert first == second
     third = run_session(dataclasses.replace(config, seed=100))
     assert third.alice_key != first.alice_key
+
+
+@pytest.mark.parametrize(
+    "record, values",
+    [
+        (
+            RunReport,
+            dict(
+                decoy_qber=0.0,
+                wc_qber=None,
+                aborted=False,
+                alice_key=b"\x01\x00",
+                bob_key=b"\x01\x00",
+                final_qber=0.0,
+                counts={"pairs": 1},
+                config=ProtocolConfig(pairs=1),
+            ),
+        ),
+        (
+            Message,
+            dict(sender="alice", kind=MessageKind.ABORT, payload={"reason": "r"}),
+        ),
+    ],
+)
+def test_the_records_keep_their_fields_equality_and_immutability(record, values):
+    # what a library caller relies on: the field names in order, keyword
+    # construction, equality of equal values, the repr and no assignment
+    assert list(inspect.signature(record).parameters) == list(values)
+    made = record(**values)
+    assert made == record(**copy.deepcopy(values))
+    assert [getattr(made, name) for name in values] == list(values.values())
+    fields = ", ".join(f"{name}={value!r}" for name, value in values.items())
+    assert repr(made) == f"{record.__name__}({fields})"
+    first = next(iter(values))
+    with pytest.raises(AttributeError):
+        setattr(made, first, values[first])
 
 
 def test_session_transcript_shape():
@@ -1120,10 +1158,10 @@ def test_batch_items_are_at_most_two_bytes_wide(monkeypatch):
     )
     assert not report.aborted and len(seen) == 2
     for batch in seen.values():
-        for f in dataclasses.fields(batch):
-            value = getattr(batch, f.name)
-            if isinstance(value, np.ndarray) and f.name != "position":
-                assert value.itemsize <= 2, f.name
+        # offsets holds one entry per session, not per item
+        for name, value in vars(batch).items():
+            if isinstance(value, np.ndarray) and name not in ("position", "offsets"):
+                assert value.itemsize <= 2, name
 
 
 def test_a_loss_sweep_batch_builds_one_philox_in_its_thread(monkeypatch):
@@ -1340,6 +1378,24 @@ def test_the_decided_codewords_keep_their_values():
     assert ALPHABET.decided.tolist() == DECIDED
     assert not ALPHABET.decided.flags.writeable
     assert StateAlphabet().decided.tobytes() == ALPHABET.decided.tobytes()
+
+
+def test_every_alphabet_table_is_read_only():
+    # every session of a process reads the shared tables, so a stray
+    # in-place write must raise instead of changing the sessions after it
+    tables = {}
+    for name, value in vars(ALPHABET).items():
+        if name == "_ids":  # the id of each state's key bytes
+            continue
+        if isinstance(value, dict):
+            tables.update((f"{name}[{key.value}]", v) for key, v in value.items())
+        elif isinstance(value, np.ndarray):
+            tables[name] = value
+    assert len(tables) == 14 and {"collapsed[a]", "partial[b]"} <= set(tables)
+    for name, table in tables.items():
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = table.flat[0]
 
 
 def test_exactly_the_eight_basis_states_decide_their_codewords():
