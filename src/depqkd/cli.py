@@ -3,6 +3,10 @@
 ``verify-tables`` prints the rows of :func:`depqkd.alphabet.table_checks`,
 which are built beside the tables they check.
 
+A closed stdout, such as a pipe into ``head``, is not an error: a command
+stops writing and returns the code it has earned, the verdict of
+``verify-tables`` and 0 for ``run`` and ``sweep``, with nothing on stderr.
+
 ``run`` and ``sweep`` emit one JSON object per line and per trial with a
 fixed field set, so output files diff cleanly and identical invocations
 produce identical bytes except for the ``elapsed_ms`` timing field.  The
@@ -30,6 +34,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import struct
 import sys
@@ -378,20 +383,22 @@ def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], in
     return [ProtocolConfig(**cell) for cell in cells], trials
 
 
-def cmd_verify_tables(out: TextIO) -> int:
+def _verify_tables() -> tuple[int, list[str]]:
+    """The exit code of ``verify-tables``, 0 when every row passes and 1
+    otherwise, and the lines it prints.  The verdict is settled before any
+    line is written."""
     rows = table_checks()
-    failures = 0
-    for name, ok, detail in rows:
-        status = "PASS" if ok else "FAIL"
-        failures += not ok
-        out.write(f"{status} {name} ({detail})\n")
-    out.write(
+    passed = sum(ok for _, ok, _ in rows)
+    lines = [
+        f"{'PASS' if ok else 'FAIL'} {name} ({detail})\n" for name, ok, detail in rows
+    ]
+    lines.append(
         "note: the duplicated key column in the second half of the operation "
         "table is treated as a typographical slip; both operation pairs that "
         "produce a state share that state's codeword.\n"
     )
-    out.write(f"{len(rows) - failures}/{len(rows)} checks passed\n")
-    return 0 if failures == 0 else 1
+    lines.append(f"{passed}/{len(rows)} checks passed\n")
+    return (0 if passed == len(rows) else 1), lines
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -402,21 +409,34 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.subcommand == "verify-tables":
-        return cmd_verify_tables(sys.stdout)
+    code, out = 0, sys.stdout
     try:
-        configs, trials = _session_configs(args)
-        # opened only once the settings are valid, so a rejected invocation
-        # leaves an existing output file untouched
-        with (
-            open(args.output, "w", encoding="utf-8") if args.output
-            else nullcontext(sys.stdout)
-        ) as out:
-            _run_trials(args.subcommand, configs, trials, out)
+        if args.subcommand == "verify-tables":
+            code, lines = _verify_tables()
+            out.writelines(lines)
+            out.flush()
+        else:
+            configs, trials = _session_configs(args)
+            # opened only once the settings are valid, so a rejected
+            # invocation leaves an existing output file untouched
+            with (
+                open(args.output, "w", encoding="utf-8") if args.output
+                else nullcontext(out)
+            ) as out:
+                _run_trials(args.subcommand, configs, trials, out)
+                out.flush()
+    except BrokenPipeError:
+        # A closed stdout is not an error: the reader took what it wanted.
+        # The real stdout is pointed at the null device, so that the flush
+        # at interpreter exit does not fail on what is still buffered.
+        if out is sys.__stdout__:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

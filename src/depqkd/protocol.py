@@ -13,6 +13,8 @@ each reunited pair jointly and reads three key bits per pair.
 An intercept-resend attacker on the first transmission disturbs both
 checks at known rates and, because each codeword is completed only by the
 second operation, its measurement records never determine final key bits.
+That holds for the measure-and-resend attackers simulated here: one that
+stores every photon b and substitutes its own would read whole codewords.
 
 A session's settings are one flat :class:`ProtocolConfig`, whose fields
 are also the command line's settings and the keys of a report's

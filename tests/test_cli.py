@@ -206,6 +206,55 @@ def test_verify_tables_fails_when_routing_is_broken(capsys, monkeypatch):
     assert all("ports" in l for l in failing)
 
 
+class ClosedStdout(io.TextIOBase):
+    """A stdout whose reader has gone, as under ``| head``: every write
+    raises ``BrokenPipeError``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+SESSION_ARGV = [
+    ["run", "--pairs", "20", "--trials", "3"],
+    ["sweep", "--param", "loss", "--values", "0,0.2", "--pairs", "20"],
+]
+
+
+@pytest.mark.parametrize("argv", [["verify-tables"], *SESSION_ARGV])
+def test_a_closed_stdout_ends_a_command_quietly(argv, capsys, monkeypatch):
+    # not an error: nothing on stderr, and the code the command has
+    # earned, the verdict of verify-tables and 0 for a run or a sweep
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_stdout_keeps_the_verdict_of_verify_tables(capsys, monkeypatch):
+    from depqkd.device import PORT_MODES
+
+    monkeypatch.setitem(PORT_MODES, 3, PORT_MODES[1])
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(["verify-tables"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["verify-tables"], *SESSION_ARGV])
+def test_a_pipe_closed_at_once_ends_a_command_quietly(argv):
+    # whichever side wins the race, the command exits 0 with an empty
+    # stderr: no traceback, and no failed flush at interpreter exit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "depqkd", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    process.stdout.close()
+    _, err = process.communicate(timeout=120)
+    assert process.returncode == 0
+    assert err == b""
+
+
 def test_run_emits_one_schema_line_per_trial(capsys):
     code, out, err = run_cli(
         capsys,

@@ -7,10 +7,13 @@ under a second.  Examples are derandomized: every run checks the same ones.
 
 import hashlib
 import io
+import re
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,8 +28,9 @@ from depqkd import (
     run_session,
     run_sessions,
 )
+from depqkd.alphabet import ALPHABET
 from depqkd.cli import main
-from depqkd.quantum import BatchStream
+from depqkd.quantum import BatchStream, Photon
 
 SMALL = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -74,64 +78,155 @@ def test_without_an_attacker_the_keys_agree(config):
     assert report.final_qber == 0.0
 
 
-# Each setting with values on both sides of its valid range; ``valid`` is
-# the documented range.
+# Each numeric setting: the type its text is read as, values on both sides
+# of its valid range, and the documented range.  A pair count above 50 is
+# generated only past the largest a configuration accepts, which exits 2
+# before any session runs.
 SETTINGS = {
-    "--pairs": (st.integers(-3, 40), lambda v: v >= 1),
-    "--decoy-fraction": (st.floats(-0.5, 1.5), lambda v: 0.0 <= v < 1.0),
-    "--sample-fraction": (st.floats(-0.5, 1.5), lambda v: 0.0 < v <= 1.0),
-    "--threshold": (st.floats(-0.5, 1.5), lambda v: 0.0 < v < 1.0),
-    "--loss": (st.floats(-0.5, 1.5), lambda v: 0.0 <= v <= 1.0),
-    "--trials": (st.integers(-1, 2), lambda v: v >= 1),
+    "--pairs": (int, st.integers(-3, 40), lambda v: 1 <= v <= 50),
+    "--seed": (int, st.integers(-1, 2**64), lambda v: 0 <= v < 2**64),
+    "--decoy-fraction": (float, st.floats(-0.5, 1.5), lambda v: 0.0 <= v < 1.0),
+    "--sample-fraction": (float, st.floats(-0.5, 1.5), lambda v: 0.0 < v <= 1.0),
+    "--threshold": (float, st.floats(-0.5, 1.5), lambda v: 0.0 < v < 1.0),
+    "--loss": (float, st.floats(-0.5, 1.5), lambda v: 0.0 <= v <= 1.0),
+    "--trials": (int, st.integers(-1, 2), lambda v: 1 <= v < 2**64),
+}
+# The texts each enum setting accepts.
+CHOICES = {
+    "--check": [c.value for c in CheckStrategy],
+    "--eve": ["none", *(e.value for e in EveStrategy)],
+    "--eve-targets": [t.value for t in EveTarget],
+}
+
+# Text that is no valid value of any numeric setting: it does not parse, or
+# it parses to a float outside every range.
+BAD_VALUES = ["abc", "1.5.2", "0x10", "", "-", "-abc", "-inf", "nan"]
+# Text at the edges of what int() and float() read: a negative zero, a
+# subnormal, an underflow to 0, 2**64, thirty nines, and Unicode digits
+# for 3, 40 and 0.5.
+ODD_VALUES = ["-0", "1e-320", "2e-400", str(2**64), "9" * 30, "٣", "４０", "०.५"]
+
+# What a sweep's --param may name: sweepable settings in either spelling, a
+# name given with dashes, the unsweepable trials and an unknown name.
+PARAMS = [
+    "pairs", "seed", "decoy_fraction", "decoy-fraction", "sample-fraction",
+    "threshold", "loss", "check", "eve", "eve_targets", "--loss", "trials", "bogus",
+]
+
+# Config files: two that parse (a byte order mark, CRLF line ends), whose
+# keys the flags override, and four that exit 2.
+CONFIG_FILES = {
+    "bom": b"\xef\xbb\xbfthreshold = 0.5\n",
+    "crlf": b"loss = 0.1\r\ncheck = both\r\n",
+    "duplicate": b"loss = 0.1\nloss = 0.2\n",
+    "not-utf8": b"loss = \xff\n",
+    "directory": None,
+    "missing": None,
 }
 
 
-# Text that is no valid value of any setting in SETTINGS: it does not
-# parse, or it parses to a float outside every range.
-BAD_VALUES = st.sampled_from(["abc", "1.5.2", "0x10", "", "-", "-abc", "-inf", "nan"])
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("configs")
+    (root / "directory").mkdir()
+    for name, content in CONFIG_FILES.items():
+        if content is not None:
+            (root / name).write_bytes(content)
+    return {name: str(root / name) for name in CONFIG_FILES}
+
+
+def read(flag, text):
+    """The value the CLI reads from ``text`` for the setting ``flag``, in its
+    range or not, or ``None`` where it reads none."""
+    if flag in CHOICES:
+        return text if text in CHOICES[flag] else None
+    try:
+        return SETTINGS[flag][0](text)
+    except ValueError:
+        return None
+
+
+def valid(flag, text):
+    value = read(flag, text)
+    return value is not None and (flag in CHOICES or SETTINGS[flag][2](value))
+
+
+def any_text(flag, in_range):
+    """Text of a setting's value: in its range, or else on either side of
+    it, bad or odd."""
+    if flag in CHOICES:
+        return st.sampled_from(CHOICES[flag] if in_range else [*CHOICES[flag], "x"])
+    _, values, ok = SETTINGS[flag]
+    if in_range:
+        return values.filter(ok).map(str)
+    return values.map(str) | st.sampled_from(BAD_VALUES) | st.sampled_from(ODD_VALUES)
 
 
 @st.composite
 def cli_settings(draw):
+    """A ``run`` or ``sweep`` command line: its subcommand, each option as
+    ``(flag, text)``, a config file by name or ``None``, and the number of
+    report lines it prints when every setting is valid, else ``None``."""
     # about half the examples keep every setting in range, so that valid
     # settings are generated as well as invalid ones
     in_range = draw(st.booleans())
     values = {
-        flag: draw(strategy.filter(ok) if in_range else strategy)
-        for flag, (strategy, ok) in SETTINGS.items()
+        flag: str(draw(strategy.filter(ok) if in_range else strategy))
+        for flag, (_, strategy, ok) in SETTINGS.items()
     }
-    spoiled = draw(st.none() | st.sampled_from(sorted(SETTINGS)))
-    if spoiled is not None:
-        values[spoiled] = draw(BAD_VALUES)
-    values["--check"] = draw(st.sampled_from([c.value for c in CheckStrategy]))
-    values["--eve"] = draw(st.sampled_from(["none"] + [e.value for e in EveStrategy]))
-    values["--eve-targets"] = draw(st.sampled_from([t.value for t in EveTarget]))
-    values["--seed"] = draw(st.integers(0, 2**64 - 1))
-    return values
-
-
-@SMALL
-@given(cli_settings(), st.lists(st.booleans(), min_size=10, max_size=10))
-def test_valid_settings_run_and_invalid_ones_exit_two(values, joined):
-    # each flag spelt "--flag=value" or "--flag value"
-    argv = ["run"]
-    for (flag, value), join in zip(values.items(), joined, strict=True):
-        argv += [f"{flag}={value}"] if join else [flag, str(value)]
-    valid = all(
-        not isinstance(values[flag], str) and ok(values[flag])
-        for flag, (_, ok) in SETTINGS.items()
+    for texts in (ODD_VALUES,) if in_range else (BAD_VALUES, ODD_VALUES):
+        spoiled = draw(st.none() | st.sampled_from(sorted(SETTINGS)))
+        if spoiled is not None:
+            values[spoiled] = draw(st.sampled_from(texts))
+    for flag, texts in CHOICES.items():
+        values[flag] = draw(st.sampled_from(texts))
+    options = list(values.items())
+    config = draw(st.none() | st.sampled_from(sorted(CONFIG_FILES)))
+    ok = config in (None, "bom", "crlf")
+    subcommand = draw(st.sampled_from(["run", "sweep"]))
+    swept, cells = None, 1
+    if subcommand == "sweep":
+        param = draw(st.sampled_from(PARAMS))
+        swept = "--" + param.replace("_", "-")
+        known = swept != "--trials" and (swept in SETTINGS or swept in CHOICES)
+        text = any_text(swept if known else "--loss", in_range)
+        texts = draw(st.lists(text, min_size=int(in_range), max_size=3))
+        options += [("--param", param), ("--values", ",".join(texts))]
+        cells = sum(1 for text in texts if text)
+        ok = ok and known and cells > 0
+        ok = ok and all(valid(swept, text) for text in texts if text)
+    # the swept setting's flag is read, but each cell replaces its value
+    ok = ok and all(
+        read(flag, text) is not None if flag == swept else valid(flag, text)
+        for flag, text in values.items()
     )
+    lines = cells * int(values["--trials"]) if ok else None
+    return subcommand, options, config, lines
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=cli_settings(), data=st.data())
+def test_valid_settings_run_and_invalid_ones_exit_two(case, data, config_paths):
+    subcommand, options, config, lines = case
+    if config is not None:
+        options = [*options, ("--config", config_paths[config])]
+    # each flag spelt "--flag=value" or "--flag value"
+    argv = [subcommand]
+    for flag, text in options:
+        argv += [f"{flag}={text}"] if data.draw(st.booleans()) else [flag, text]
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    if valid:
-        assert code == 0
-        assert len(out.getvalue().splitlines()) == values["--trials"]
+    # no exception escapes main, and it exits 0 exactly when every setting
+    # is valid, else 2 with one error line and nothing on stdout
+    if lines is not None:
+        assert code == 0 and err.getvalue() == ""
+        assert len(out.getvalue().splitlines()) == lines
     else:
         assert code == 2
         assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        errors = err.getvalue().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: ")
 
 
 @contextmanager
@@ -146,7 +241,8 @@ def recorded_session():
     :data:`~depqkd.quantum.LOCAL_BASIS` table: ``eve_b`` and ``eve_a`` hold
     what the attacker observed of each pair of the batch as the batch ends,
     ``-1`` where it measured none, and ``prepared`` each check photon's
-    preparation.
+    preparation.  ``pairs`` is the batch's :class:`~depqkd.protocol.PairBatch`
+    as the batch ends.
     """
     log = {"streams": [], "draws": [], "eve_b": [], "eve_a": [], "prepared": []}
     init, words, skip = BatchStream.__init__, BatchStream.words, BatchStream.skip
@@ -191,6 +287,7 @@ def recorded_session():
     [(pairs, decoys)] = batches
     log["eve_b"], log["eve_a"] = pairs.eve_b.tolist(), pairs.eve_a.tolist()
     log["prepared"] = decoys.prepared.tolist()
+    log["pairs"] = pairs
 
 
 def per_session(records, sizes):
@@ -456,6 +553,91 @@ def test_an_attacked_session_between_clean_ones_replays_as_if_run_alone():
         [alone], _, log = device_blocks([config])
         assert report == alone
         assert [d for d in batch["draws"] if d[0] == config.seed] == log["draws"]
+
+
+# The phase of each stream, as README's draw schedule names it.
+STREAM_PHASES = {
+    protocol._STREAM_ALICE: "step 1",
+    protocol._STREAM_DECOY: "decoy insertion",
+    protocol._STREAM_CHANNEL_B: "first transmission",
+    protocol._STREAM_BOB_DECOY: "decoy check",
+    protocol._STREAM_WC: "converter check",
+    protocol._STREAM_CHANNEL_A: "second transmission",
+    protocol._STREAM_DEVICE: "joint measurement",
+}
+
+
+def readme_draw_schedule():
+    """{stream: phase} of the rows of README's draw schedule."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    header = "| stream | phase | sessions with the stream | words |"
+    table = readme.split(header, 1)[1].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| (\d+) \| ([^|]+) \|", table, re.M)
+    return {int(stream): phase.strip() for stream, phase in rows}
+
+
+def scheduled_words(config, report, pairs, s):
+    """{stream: (words drawn, words skipped)} of session ``s`` of a finished
+    batch, by README's draw schedule, for each stream the session has."""
+    n, c = config.pairs, report.counts["decoys"]
+    counts, span = report.counts, slice(pairs.offsets[s], pairs.offsets[s + 1])
+    stored = int(np.count_nonzero(pairs.b_delivered[span]))
+    delivered_slots = stored + c - counts["decoys_lost"]
+    arrivals = pairs.state[span][pairs.decoded[span] >= 0]
+    # the photons attacked, and each row's words: the basis coin (only
+    # under a policy without a fixed basis), then the measurement word
+    photons = () if config.eve is None else config.eve_targets.photons
+    rows = 1 if config.eve is None or config.eve.basis is not None else 2
+
+    def coins(k, p):  # drawn, or skipped where p decides every coin
+        return (k, 0) if 0.0 < p < 1.0 else (0, k)
+
+    def attacked(k, photon):
+        return rows * k if photon in photons else 0
+
+    schedule = {}
+    if not decoy_aborted(report):
+        schedule[0] = (2 * n, 0)
+    if config.check.uses_decoy:
+        drawn, skipped = coins(n, config.decoy_fraction)
+        schedule[1] = (drawn + (n + c if c else 0) + 2 * c, skipped)
+    drawn, skipped = coins(n + c, config.loss)
+    schedule[2] = (drawn + attacked(delivered_slots, Photon.B), skipped)
+    if config.check.uses_decoy:
+        schedule[3] = (2 * (c - counts["decoys_lost"]), 0)
+    if config.check.uses_wc and not decoy_aborted(report):
+        drawn, skipped = coins(stored, config.sample_fraction)
+        schedule[4] = (drawn + 3 * counts["checked"], skipped)
+    if not report.aborted:
+        drawn, skipped = coins(stored - counts["checked"], config.loss)
+        schedule[5] = (drawn + attacked(len(arrivals), Photon.A), skipped)
+        decided = (ALPHABET.decided.take(arrivals) >= 0).all()
+        schedule[6] = (0, len(arrivals)) if decided else (len(arrivals), 0)
+    return schedule
+
+
+def test_readme_names_the_phase_of_each_stream():
+    assert readme_draw_schedule() == STREAM_PHASES
+
+
+@pytest.mark.parametrize(
+    "configs",
+    [MIXED_BATCH, (CLEAN, ATTACKED_A, OTHER_CLEAN, ALL_CHECKED, ALL_LOST)],
+    ids=["mixed", "joint-measurement"],
+)
+def test_each_session_draws_and_skips_what_the_draw_schedule_says(configs):
+    # the ledger's totals of words drawn and skipped, per session and stream
+    with recorded_session() as log:
+        reports = run_sessions(configs)
+    ledger = {key: [0, 0] for key in log["streams"]}
+    for seed, stream, kind, n in log["draws"]:
+        ledger[seed, stream][kind == "skip"] += n
+    for s, (config, report) in enumerate(zip(configs, reports)):
+        own = {
+            stream: tuple(words)
+            for (seed, stream), words in ledger.items() if seed == config.seed
+        }
+        assert own == scheduled_words(config, report, log["pairs"], s), config.seed
 
 
 def test_sessions_run_in_four_threads_replay_their_serial_reports():
