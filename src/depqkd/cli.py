@@ -22,6 +22,13 @@ the config-file key and the key of the report's ``config`` echo), its
 default, its help and, through the field's enum type, its choices.  The
 flags come in field order, which is the order of the echo.
 
+:func:`_parse_args` reads a well-formed ``run`` or ``sweep`` call from
+``_FLAGS``, those settings and the CLI's own flags, and builds no parser.
+The argparse tree of :func:`build_parser` is built only for any other
+command line, such as ``--help``, ``verify-tables``, an abbreviated flag,
+a negative value or an error, and it is the one source of help text,
+error lines and abbreviations.
+
 Per-trial seeds derive from the master seed as
 ``sha256(master || sweep_index || trial_index)`` over big-endian 64-bit
 words, truncated to the first 8 digest bytes (big-endian).  ``run`` uses
@@ -58,9 +65,10 @@ _BATCH_PAIRS = 16384
 
 
 class _Setting(NamedTuple):
-    """A setting of ``run`` and ``sweep``: its name in config files, errors
-    and the report, the type its text is read as, its default, the value
-    each allowed text stands for (None for a number) and its help."""
+    """A flag of ``run`` and ``sweep``: its name, for a setting also in
+    config files, errors and the report, the type its text is read as, its
+    default, the value each allowed text stands for (None for any text the
+    type reads) and its help."""
 
     key: str
     type: Callable[[str], object]
@@ -99,6 +107,26 @@ _SETTINGS = (
     _Setting("trials", int, 1, None, "independent trials per configuration"),
 )
 _KEYS = {setting.key for setting in _SETTINGS}
+#: The flags of ``run`` that are no setting, text kept as given, and the
+#: two that ``sweep`` adds and requires.
+_OWN_FLAGS = (
+    _Setting("output", str, None, None, "write JSON lines here instead of stdout"),
+    _Setting("config", str, None, None, "flat key=value config file; flags win"),
+)
+_SWEEP_FLAGS = (
+    _Setting("param", str, None, None, "parameter to sweep (a run flag name)"),
+    _Setting(
+        "values", str, None, None, "comma-separated values for the swept parameter"
+    ),
+)
+#: The flags of each session subcommand, in the order its parser adds them.
+_FLAGS = {
+    subcommand: {f"--{setting.flag}": setting for setting in flags}
+    for subcommand, flags in (
+        ("run", (*_SETTINGS, *_OWN_FLAGS)),
+        ("sweep", (*_SETTINGS, *_OWN_FLAGS, *_SWEEP_FLAGS)),
+    )
+}
 
 
 # The three big-endian 64-bit words a trial seed is derived from.
@@ -124,29 +152,13 @@ def bits_to_hex(bits) -> str:
 
 def _add_session_flags(parser: argparse.ArgumentParser, subcommand: str) -> None:
     """Give ``parser`` the flags of ``subcommand``, ``run`` or ``sweep``."""
-    for setting in _SETTINGS:
+    for flag, setting in _FLAGS[subcommand].items():
         parser.add_argument(
-            f"--{setting.flag}",
-            dest=setting.key,
+            flag,
             type=setting.type,
             choices=setting.choices,
-            default=None,
+            required=setting in _SWEEP_FLAGS,
             help=setting.help,
-        )
-    parser.add_argument(
-        "--output", default=None, help="write JSON lines here instead of stdout"
-    )
-    parser.add_argument(
-        "--config", default=None, help="flat key=value config file; flags win"
-    )
-    if subcommand == "sweep":
-        parser.add_argument(
-            "--param", required=True, help="parameter to sweep (a run flag name)"
-        )
-        parser.add_argument(
-            "--values",
-            required=True,
-            help="comma-separated values for the swept parameter",
         )
     parser._negative_number_matcher = _NEGATIVE_VALUE
 
@@ -192,27 +204,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _session_parser(subcommand: str) -> argparse.ArgumentParser:
-    """The parser of ``run`` or ``sweep`` alone, the same as the subcommand
-    parser :func:`build_parser` adds under the name ``depqkd <subcommand>``."""
-    parser = _Parser(prog=f"depqkd {subcommand}")
-    _add_session_flags(parser, subcommand)
-    return parser
-
-
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, with the flags of ``run`` and
-    ``sweep`` read by that subcommand's parser alone.
+    """``build_parser().parse_args(argv)``, read from :data:`_FLAGS` alone
+    for a well-formed ``run`` or ``sweep`` call: exact long flags, each
+    with a value that does not start with ``-`` and that its type reads
+    and its choices hold, the last of a repeated flag winning.
 
-    A call runs one subcommand, so it builds only that subcommand's
-    parser, and does not hand every flag through the top-level parser
-    first.  Any other argv, ``--help``, ``verify-tables`` or an unknown
-    subcommand among them, goes to the full tree of :func:`build_parser`.
+    A call runs one subcommand, so such a call builds no parser.  Any other
+    argv, ``--help``, an abbreviation or a negative value among them, goes
+    to the full tree of :func:`build_parser`, the one source of help,
+    errors and abbreviations.
     """
-    if argv and argv[0] in _SESSION_HELP:
-        namespace = argparse.Namespace(subcommand=argv[0])
-        return _session_parser(argv[0]).parse_args(argv[1:], namespace)
+    flags = _FLAGS.get(argv[0]) if argv else None
+    if flags is not None:
+        values = dict.fromkeys(setting.key for setting in flags.values())
+        tokens = iter(argv[1:])
+        for token in tokens:
+            flag, eq, text = token.partition("=")
+            setting = flags.get(flag)
+            if not eq:
+                text = next(tokens, "-")
+            if setting is None or text.startswith("-"):
+                break
+            try:
+                value = setting.type(text)
+            except ValueError:
+                break
+            if setting.choices is not None and value not in setting.choices:
+                break
+            values[setting.key] = value
+        else:
+            if argv[0] == "run" or None not in (values["param"], values["values"]):
+                return argparse.Namespace(subcommand=argv[0], **values)
     return build_parser().parse_args(argv)
 
 
@@ -262,7 +285,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _effective_settings(args: argparse.Namespace) -> dict[str, object]:
     """Merge flag values, config-file values, and defaults (in that order)."""
-    file_values = _read_config_file(args.config) if args.config else {}
+    file_values = _read_config_file(args.config) if args.config is not None else {}
     settings: dict[str, object] = {}
     for setting in _SETTINGS:
         key = setting.key
@@ -420,7 +443,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             # opened only once the settings are valid, so a rejected
             # invocation leaves an existing output file untouched
             with (
-                open(args.output, "w", encoding="utf-8") if args.output
+                open(args.output, "w", encoding="utf-8")
+                if args.output is not None
                 else nullcontext(out)
             ) as out:
                 _run_trials(args.subcommand, configs, trials, out)

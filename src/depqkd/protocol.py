@@ -136,7 +136,7 @@ class ProtocolConfig:
     the choices.  An ``eve`` of ``None`` is no attacker, and its
     ``eve_targets`` is then always ``EveTarget.B``.  A bad field raises
     :class:`ConfigError`, the first one in field order; a bool is not a
-    number here.
+    number here.  A float ``-0.0`` is kept as ``0.0``.
     """
 
     pairs: int = _setting(1000, "entangled pairs per trial")
@@ -176,6 +176,9 @@ class ProtocolConfig:
             raise ConfigError(f"eve_targets must be an EveTarget, got {targets!r}")
         if self.eve is None:  # one value, so that the echo does not depend on it
             object.__setattr__(self, "eve_targets", EveTarget.B)
+        for name in ("decoy_fraction", "loss"):  # the ranges that hold zero
+            if (x := getattr(self, name)) == 0 and isinstance(x, float):
+                object.__setattr__(self, name, 0.0)  # a -0.0 echoes as 0.0
 
     def to_dict(self) -> dict:
         """JSON-ready echo of the effective configuration: every field by

@@ -7,6 +7,7 @@ and its report must pass the benchmark's own per-session and pooled
 checks, so a change that breaks them shows here before a benchmark run.
 """
 
+import argparse
 import importlib
 import json
 import os
@@ -14,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cli_parsing import parse_outcome
 from depqkd import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,6 +47,35 @@ def test_every_workload_passes_the_benchmark_output_checks(tmp_path):
             checks = workloads.SessionChecks(workload, seed)
             _, failed, problems = checks.run(out.read_bytes())
             assert failed == 0 and problems == [], (workload.name, seed, problems)
+
+
+def test_every_workload_argv_parses_with_no_parser_built(monkeypatch, tmp_path):
+    # the warm-up and timed calls read their flags from the CLI's flag
+    # table, to the Namespace the full argparse tree gives; the tree is
+    # cached once built, so a call of build_parser counts as well
+    workloads = import_perfbench("workloads")
+    built = []
+    init, tree = argparse.ArgumentParser.__init__, cli.build_parser
+
+    def counted(parser, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(parser, *args, **kwargs)
+
+    def counted_tree():
+        built.append("build_parser")
+        return tree()
+
+    output = ["--output", str(tmp_path / "report.jsonl")]
+    for workload in workloads.WORKLOADS.values():
+        for argv in (workload.argv(0, warmup=True), workload.argv(9101)):
+            argv = argv + output
+            with monkeypatch.context() as patch:
+                patch.setattr(argparse.ArgumentParser, "__init__", counted)
+                patch.setattr(cli, "build_parser", counted_tree)
+                parsed = cli._parse_args(argv)
+            assert built == [], (workload.name, argv)
+            expected = parse_outcome(cli.build_parser().parse_args, argv)
+            assert repr(parsed) == expected, (workload.name, argv)
 
 
 def test_the_tracer_reports_every_declared_per_layer_metric(tmp_path):

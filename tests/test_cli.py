@@ -4,19 +4,19 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
-from contextlib import redirect_stdout
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cli_parsing import parse_outcome
 from depqkd import (
-    ConfigError,
     EveStrategy,
     EveTarget,
     ProtocolConfig,
@@ -42,21 +42,9 @@ SCHEMA = [
 ]
 
 
-def parse_outcome(parse, argv):
-    """The Namespace ``parse(argv)`` returns, or the exception it raises
-    (a rejected command line, or the exit after ``--help``) with what it
-    printed."""
-    out = io.StringIO()
-    try:
-        with redirect_stdout(out):
-            return parse(list(argv))
-    except (ConfigError, SystemExit) as exc:
-        return type(exc), exc.args, out.getvalue()
-
-
 def assert_parsed_as_by_the_top_level_parser(argv):
-    # main hands a subcommand's flags to that subcommand's parser alone:
-    # the same Namespace, or the same error or help, as the whole parser
+    # main reads a well-formed run or sweep from its flag table alone: the
+    # same Namespace, or the same error or help, as the whole parser
     expected = parse_outcome(cli.build_parser().parse_args, argv)
     assert parse_outcome(cli._parse_args, argv) == expected, argv
 
@@ -695,6 +683,11 @@ def test_negative_exponent_values_reach_the_range_check(capsys, subcommand, flag
             ("sweep", "--values", "1"),
             "error: the following arguments are required: --param",
         ),
+        (("run", "--output"), "error: argument --output: expected one argument"),
+        # an empty path is no path: opening it fails before any session
+        (("run", "--output", ""), "error: [Errno 2] No such file or directory: ''"),
+        (("run", "--output="), "error: [Errno 2] No such file or directory: ''"),
+        (("run", "--config", ""), "error: [Errno 2] No such file or directory: ''"),
     ],
 )
 def test_bad_command_lines_print_one_error_line_without_usage(capsys, argv, message):
@@ -808,6 +801,34 @@ def test_every_config_echo_reads_back_as_a_config_file(capsys, tmp_path):
         assert (code, err) == (0, "")
         (line,) = json_lines(out)
         assert list(line["config"].items()) == list(echo.items())
+
+
+def test_a_negative_zero_echoes_as_zero(capsys, tmp_path):
+    # -0 reads as the float -0.0, which json.dumps would echo as "-0.0";
+    # each spelling gives the bytes of its zero up to the timing field
+    cfg = tmp_path / "session.cfg"
+    cfg.write_text("loss = -0\n")
+    common = ("--pairs", "20", "--seed", "3")
+    for argv, zero in (
+        (("run", "--loss", "-0"), ("run", "--loss", "0")),
+        (("run", "--loss=-0.0"), ("run", "--loss", "0")),
+        (("run", "--decoy-fraction", "-0"), ("run", "--decoy-fraction", "0")),
+        (("run", "--config", str(cfg)), ("run", "--loss", "0")),
+        (
+            ("sweep", "--param", "loss", "--values", "0,-0"),
+            ("sweep", "--param", "loss", "--values", "0,0"),
+        ),
+    ):
+        code, out, _ = run_cli(capsys, *argv, *common)
+        assert code == 0 and '"loss": 0.0' in out and "-0.0" not in out
+        expected = run_cli(capsys, *zero, *common)[1]
+        assert list(map(strip_timing, out.splitlines())) == list(
+            map(strip_timing, expected.splitlines())
+        ), argv
+    assert math.copysign(1.0, ProtocolConfig(loss=-0.0).loss) == 1.0
+    assert math.copysign(1.0, ProtocolConfig(decoy_fraction=-0.0).decoy_fraction) == 1.0
+    # an int keeps its type
+    assert type(ProtocolConfig(loss=0).loss) is int
 
 
 def test_config_file_problems_exit_with_code_two(capsys, tmp_path):
@@ -965,8 +986,8 @@ print("depqkd.channel" in sys.modules)
 
 def test_a_call_builds_only_the_records_and_the_parser_it_uses():
     # every process pays for the classes the package generates methods for
-    # and the parsers a call builds: the CLI loads one dataclass, a run or
-    # a sweep builds its own parser alone, and --help the whole tree
+    # and the parsers a call builds: the CLI loads one dataclass, a
+    # well-formed run or sweep builds no parser, and --help the whole tree
     script = """
 import argparse, contextlib, dataclasses, io, json, os, sys
 from depqkd import cli
@@ -1007,6 +1028,6 @@ print(json.dumps([found, parsers, code, out.getvalue()]))
     )
     found, parsers, code, usage = json.loads(result.stdout.splitlines()[-1])
     assert found == ["depqkd.protocol.ProtocolConfig"]
-    assert parsers == [["depqkd run"], ["depqkd sweep"]]
+    assert parsers == [[], []]
     assert code == 0
     assert usage.startswith("usage: depqkd [-h] {verify-tables,run,sweep}")

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_parsing import parse_outcome
 from depqkd import (
     CheckStrategy,
     EveStrategy,
@@ -28,6 +29,7 @@ from depqkd import (
     run_session,
     run_sessions,
 )
+from depqkd import cli
 from depqkd.alphabet import ALPHABET
 from depqkd.cli import main
 from depqkd.quantum import BatchStream, Photon
@@ -204,22 +206,85 @@ def cli_settings(draw):
     return subcommand, options, config, lines
 
 
+# A unique abbreviation of some flags, and one that two flags share.
+ABBREVIATIONS = {
+    "--pairs": "--pai", "--sample-fraction": "--sam", "--threshold": "--thr",
+    "--trials": "--tri",
+}
+AMBIGUOUS = "--s"  # --seed or --sample-fraction
+# How a command line may break: an ambiguous abbreviation, a flag with no
+# value after it, a stray positional, a flag given as "--flag=" with an
+# empty value, --help, or a sweep flag left out.
+BREAKS = ["ambiguous", "trailing", "stray", "empty", "help", "unrequire"]
+
+
+def indices(options, flags):
+    return st.sampled_from([i for i, (flag, _) in enumerate(options) if flag in flags])
+
+
+@st.composite
+def command_lines(draw, subcommand, options, lines):
+    """The argv of ``options``, each spelt ``--flag=value`` or ``--flag
+    value``, maybe with a flag given twice and with an abbreviation, and
+    broken in at most one way of :data:`BREAKS`; and the report lines it
+    prints: ``lines`` unchanged, ``None`` where it exits 2, or ``"help"``
+    where it prints the help."""
+    options = list(options)
+    if draw(st.booleans()):  # a flag given twice: the last one wins
+        i = draw(indices(options, {**SETTINGS, **CHOICES}))
+        flag = options[i][0]
+        options.insert(draw(st.integers(0, i)), (flag, draw(any_text(flag, True))))
+    if draw(st.booleans()):
+        i = draw(indices(options, ABBREVIATIONS))
+        flag, text = options[i]
+        options[i] = (ABBREVIATIONS[flag], text)
+    change = draw(st.none() | st.sampled_from(BREAKS))
+    if change == "unrequire" and subcommand == "run":
+        change = None
+    if change is not None:
+        lines = "help" if change == "help" else None
+    i = draw(indices(options, {**SETTINGS, **CHOICES}))
+    flag, text = options[i]
+    if change == "ambiguous":
+        options[i] = (AMBIGUOUS, text)
+    elif change == "unrequire":
+        left_out = draw(st.sampled_from(["--param", "--values"]))
+        options = [option for option in options if option[0] != left_out]
+    spelt = [
+        [f"{name}="] if change == "empty" and j == i
+        else [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+        for j, (name, value) in enumerate(options)
+    ]
+    if change == "stray":
+        spelt.insert(draw(st.integers(0, len(spelt))), ["stray"])
+    elif change == "trailing":
+        spelt.append([flag])
+    elif change == "help":  # read before any later flag, so it always wins
+        spelt.insert(0, ["--help"])
+    return [subcommand, *(token for tokens in spelt for token in tokens)], lines
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=cli_settings(), data=st.data())
 def test_valid_settings_run_and_invalid_ones_exit_two(case, data, config_paths):
     subcommand, options, config, lines = case
     if config is not None:
         options = [*options, ("--config", config_paths[config])]
-    # each flag spelt "--flag=value" or "--flag value"
-    argv = [subcommand]
-    for flag, text in options:
-        argv += [f"{flag}={text}"] if data.draw(st.booleans()) else [flag, text]
+    argv, lines = data.draw(command_lines(subcommand, options, lines))
+    # the CLI reads the command line as the full argparse tree does: the
+    # same Namespace, or the same error or help
+    assert parse_outcome(cli._parse_args, argv) == parse_outcome(
+        cli.build_parser().parse_args, argv
+    )
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     # no exception escapes main, and it exits 0 exactly when every setting
     # is valid, else 2 with one error line and nothing on stdout
-    if lines is not None:
+    if lines == "help":
+        assert code == 0 and err.getvalue() == ""
+        assert out.getvalue().startswith(f"usage: depqkd {subcommand} [-h]")
+    elif lines is not None:
         assert code == 0 and err.getvalue() == ""
         assert len(out.getvalue().splitlines()) == lines
     else:

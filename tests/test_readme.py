@@ -118,7 +118,7 @@ def resolves(name):
 
 def test_readme_cites_module_names_that_resolve():
     names = cited_names()
-    assert "protocol._sizes" in names and "cli._session_parser" in names
+    assert "protocol._sizes" in names and "cli._BATCH_PAIRS" in names
     assert [name for name in names if not resolves(name)] == []
 
 
