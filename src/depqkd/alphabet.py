@@ -152,8 +152,10 @@ class StateAlphabet:
     ``decided[id]`` is the codeword the joint measurement announces for
     state ``id`` whatever its outcome, when every entry of ``device[id]``
     decodes to that one codeword, and -1 otherwise.  Exactly the eight
-    basis states are decided, and no state an intercept leaves.  Every
-    table is read-only, since every session of the process reads it.
+    basis states are decided, and no state an intercept leaves; the build
+    raises ``ValueError`` naming a codeword that one of its choices does
+    not encode into a state deciding it.  Every table is read-only, since
+    every session of the process reads it.
     """
 
     def __init__(self) -> None:
@@ -203,6 +205,12 @@ class StateAlphabet:
         codes = self.decoded.take(self.device).reshape(-1, _GRID)
         same = (codes == codes[:, :1]).all(axis=1)
         self.decided = np.where(same, codes[:, 0], -1).astype(CODE)
+        # decided[encoded[4 * prepared[op_b] + op_a]] == cw, column 2 * cw + c, in
+        # Python ints: numpy loops no session runs map ~0.1 MB more of numpy's code
+        for column, (op_a, op_b) in enumerate(self.choice_ops.T.tolist()):
+            state = self.encoded.item(4 * self.prepared.item(op_b) + op_a)
+            if self.decided.item(state) != (cw := column >> 1):
+                raise ValueError(f"the encoding of codeword {cw} does not decide it")
         amp = wavelength_convert_global(vecs) @ _CONVERTED_BRAS.T
         self.wc = _lut("wc", (np.abs(amp) ** 2).reshape(-1, 4))
         local = np.concatenate([LOCAL_BASIS[basis] for basis in BASES])

@@ -60,7 +60,8 @@ from .protocol import ConfigError, ProtocolConfig, run_sessions
 #: Pairs per engine batch: consecutive sessions of a run or sweep run
 #: together while their summed pairs fit; a session larger than this runs
 #: alone.  The per-pair cost of a batch of 1,000-pair sessions levels off
-#: between 16 and 32 sessions (README, "Engine and performance").
+#: between 16 and 32 sessions (CHANGES.md, the entry "A sweep's cells run
+#: as one engine batch", which set this budget).
 _BATCH_PAIRS = 16384
 
 

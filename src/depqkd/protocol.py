@@ -41,10 +41,10 @@ index list that holds every entry of its mask is the full slice
 and check photons through views instead of gathers and scatters.
 :func:`transmit_a` returns the pairs whose photon a arrived, which
 :func:`step5_decode_and_sift` measures as given.  A joint measurement
-whose codeword the state decides draws no word: a session whose every
-arrival is in a state the device tells apart with certainty, as every
-pair no attacker touched is, skips its block of device words and reads
-its codewords off ``ALPHABET.decided``.  The checks return per-session
+whose codeword is certain draws no word: a session no attacker touches
+decodes to its own codewords, its states left alone by steps 4 and 5;
+one whose every arrival is in a state the device tells apart reads its
+codewords off ``ALPHABET.decided``.  The checks return per-session
 tallies, and :func:`run_sessions` judges each session against its own
 threshold.  No phase writes the public channel's messages: the checks
 keep the bases they drew on the batches, and :func:`_record` reads a
@@ -375,11 +375,12 @@ class PairBatch:
     attacker observed of each pair's photon b and photon a, as the local
     id ``4 * basis + k`` of row ``k`` of the ``tuple(PolBasis)[basis]``
     :data:`~depqkd.quantum.LOCAL_BASIS` table.  ``-1`` marks a pair that
-    was never prepared (its codeword, operations and state), a photon the
-    attacker did not measure and a pair the receiver never decoded.
-    ``wc_basis_a`` and ``wc_basis_b`` are set by :func:`wc_check`: each
-    party's basis, indexing ``tuple(PolBasis)``, for each checked pair in
-    index order, and empty before.
+    was never prepared (its codeword, operations and state) and a photon
+    the attacker did not measure.  After a run, a session no attacker
+    touched still holds its step-1 states.  ``wc_basis_a`` and
+    ``wc_basis_b`` are set by :func:`wc_check`: each party's basis,
+    indexing ``tuple(PolBasis)``, for each checked pair in index order,
+    and empty before.
     """
 
     def __init__(self, sizes: list[int]) -> None:
@@ -392,7 +393,6 @@ class PairBatch:
         self.a_delivered = np.ones(size, dtype=bool)
         self.checked = np.zeros(size, dtype=bool)
         self.eve_b, self.eve_a = _unset(size), _unset(size)
-        self.decoded = _unset(size)
         self.wc_basis_a = self.wc_basis_b = _unset(0)
 
     def of(self, sessions: Sequence[bool]) -> slice | np.ndarray:
@@ -744,17 +744,24 @@ def wc_check(
     ]
 
 
-def step4_encode_a(pairs: PairBatch, live: Sequence[bool]) -> np.ndarray:
+def step4_encode_a(
+    pairs: PairBatch, live: Sequence[bool], touched: Sequence[bool]
+) -> np.ndarray:
     """Apply the photon-a operation to the stored pairs of each session
     ``s`` where ``live[s]`` holds, completing their codewords; returns the
-    indices of those active pairs."""
+    indices of those active pairs.  Only the sessions an attacker touches
+    (``touched[s]``) have their states written: no phase reads the
+    others' again."""
     stored = pairs.b_delivered & ~pairs.checked
     if not all(live):
         stored &= pairs.of(live)
     active = np.flatnonzero(stored)
-    pairs.state[active] = ALPHABET.encoded.take(
-        4 * pairs.state[active] + pairs.op_a[active]
-    )
+    encode = [on and t for on, t in zip(live, touched)]
+    if any(encode):
+        idx = active
+        if encode != list(live):  # a live session no attacker touches
+            idx = np.flatnonzero(stored & pairs.of(encode))
+        pairs.state[idx] = ALPHABET.encoded.take(4 * pairs.state[idx] + pairs.op_a[idx])
     return active
 
 
@@ -785,27 +792,34 @@ def transmit_a(
 
 
 def step5_decode_and_sift(
-    pairs: PairBatch, arrivals: np.ndarray, streams: BatchStream
-) -> None:
-    """Jointly measure the reunited pairs ``arrivals`` into
-    ``pairs.decoded``, as given: the pairs whose photon a
-    :func:`transmit_a` delivered.
+    pairs: PairBatch,
+    arrivals: np.ndarray,
+    touched: Sequence[bool],
+    streams: BatchStream,
+) -> np.ndarray:
+    """Jointly measure the reunited pairs ``arrivals``, as given: the pairs
+    whose photon a :func:`transmit_a` delivered; returns their codewords.
 
-    A session whose every arrival is in a state that decides its codeword
-    (``ALPHABET.decided``), one with no arrivals included, skips its block
-    of one word per arrival and reads its codewords off that table.  Any
-    other session draws its block and samples every arrival's device row.
-    The verdict reads each session's first arrival, and the rest only when
-    that one is decided, so that an attacked session costs one lookup.
-    Each run of consecutive sessions with an equal
-    verdict is drawn or skipped as one block."""
+    A session no attacker touched (``touched[s]`` false) reads no state
+    and decodes to its own codewords, ``pairs.codeword``, since every
+    encoding decides its codeword (checked at import).  A touched session
+    whose every arrival is in a state that decides its codeword
+    (``ALPHABET.decided``), one with no arrivals included, reads its
+    codewords off that table.  Either kind skips its block of one word
+    per arrival.  Any other session draws its block and samples every
+    arrival's device row.  The verdict reads each session's first arrival,
+    and the rest only when that one is decided, so that an attacked
+    session costs one lookup.  Each run of consecutive sessions with an
+    equal verdict is drawn or skipped as one block."""
     sizes = _sizes(pairs.offsets, arrivals)
-    state = pairs.state[arrivals]
+    state = pairs.state[arrivals] if any(touched) else None
     decided = ALPHABET.decided
     verdicts, start = [], 0  # per session: its codewords, or None to draw
-    for end in accumulate(sizes):
+    for touched_s, end in zip(touched, accumulate(sizes)):
         codes = None
-        if start == end or decided.item(state.item(start)) >= 0:
+        if not touched_s:
+            codes = pairs.codeword.take(arrivals[start:end])
+        elif start == end or decided.item(state.item(start)) >= 0:
             codes = decided.take(state[start:end])
             if start < end and codes.min() < 0:
                 codes = None
@@ -826,7 +840,7 @@ def step5_decode_and_sift(
             streams.skip(sessions, run_sizes)
             blocks += verdicts[span]
         start = end
-    pairs.decoded[arrivals] = _joined(blocks)
+    return _joined(blocks)
 
 
 def _record(
@@ -834,14 +848,15 @@ def _record(
     pairs: PairBatch,
     decoys: DecoyBatch,
     is_decoy: np.ndarray,
+    survivors: np.ndarray,
     report: RunReport,
 ) -> None:
     """Append the public messages of a finished batch of one, in protocol
     order: the received slots; for each check that ran, its positions and
     bases, then an abort when it compared nothing, else its outcome
-    comparison and verdict; and the decoded positions of a session that
-    kept its key.  A check passed when a later check ran or the session
-    kept its key, as :func:`run_sessions` judged it."""
+    comparison and verdict; and the decoded positions, the ``survivors``,
+    of a session that kept its key.  A check passed when a later check ran
+    or the session kept its key, as :func:`run_sessions` judged it."""
     received = np.empty(len(is_decoy), dtype=bool)
     received[~is_decoy] = pairs.b_delivered
     received[is_decoy] = decoys.delivered
@@ -877,7 +892,7 @@ def _record(
         verdict = MessageKind.PROCEED if passed else MessageKind.ABORT
         t.append("alice", verdict, {"check": check, "qber": qber})
     if not report.aborted:
-        decoded = tuple(np.flatnonzero(pairs.decoded >= 0).tolist())
+        decoded = tuple(survivors.tolist())
         t.append("bob", MessageKind.POSITIONS, {"decoded_positions": decoded})
 
 
@@ -919,6 +934,7 @@ def run_sessions(
         [c.eve if photon in c.eve_targets.photons else None for c in configs]
         for photon in (Photon.B, Photon.A)
     )
+    touched = [c.eve is not None for c in configs]
     # Each stream feeds one phase and is made only for the sessions that
     # reach and run that phase.  The pairs are prepared only after the
     # decoy check, for the sessions it lets through.
@@ -967,28 +983,27 @@ def run_sessions(
         fractions = [c.sample_fraction for c in configs]
         judge("wc", runs_wc, wc_check(pairs, fractions, streams))
 
-    survivors = np.zeros(0, dtype=np.intp)
+    survivors, decoded = np.zeros(0, dtype=np.intp), _unset(0)
     if any(live):
-        active = step4_encode_a(pairs, live)
+        active = step4_encode_a(pairs, live, touched)
         streams = BatchStream(seeds, _STREAM_CHANNEL_A, live)
         survivors = transmit_a(pairs, active, losses, eve_a, streams)
         streams = BatchStream(seeds, _STREAM_DEVICE, live)
-        step5_decode_and_sift(pairs, survivors, streams)
+        decoded = step5_decode_and_sift(pairs, survivors, touched, streams)
     kept = _sizes(pairs.offsets, survivors)
-    alice_bits = _key_bits(pairs.codeword.take(survivors))
-    bob_bits = _key_bits(pairs.decoded.take(survivors))
+    # with no session touched, every pair decoded to its own codeword
+    alice_bits = bob_bits = _key_bits(decoded)
+    mismatches = [0] * len(configs)
+    if any(touched):
+        alice_bits = _key_bits(pairs.codeword.take(survivors))
+        mismatches = _tally(alice_bits != bob_bits, [3 * k for k in kept])
     alice_bytes, bob_bytes = alice_bits.tobytes(), bob_bits.tobytes()
     # a pair neither checked nor kept lost a photon; an aborted session
     # never sent its photons a
     lost = ~(pairs.b_delivered & pairs.a_delivered) & ~pairs.checked
     reports, end = [], 0
-    for s, (config, kept_s, lost_s, mismatches) in enumerate(
-        zip(
-            configs,
-            kept,
-            _tally(lost, pairs.sizes),
-            _tally(alice_bits != bob_bits, [3 * k for k in kept]),
-        )
+    for s, (config, kept_s, lost_s, mismatches_s) in enumerate(
+        zip(configs, kept, _tally(lost, pairs.sizes), mismatches)
     ):
         start, end = end, end + 3 * kept_s
         counts[s].update(lost=lost_s, key_pairs=kept_s)
@@ -998,13 +1013,13 @@ def run_sessions(
                 aborted=not live[s],
                 alice_key=alice_bytes[start:end],
                 bob_key=bob_bytes[start:end],
-                final_qber=mismatches / (end - start) if kept_s else 0.0,
+                final_qber=mismatches_s / (end - start) if kept_s else 0.0,
                 counts=counts[s],
                 config=config,
             )
         )
     if transcript is not None:
-        _record(transcript, pairs, decoys, is_decoy, reports[0])
+        _record(transcript, pairs, decoys, is_decoy, survivors, reports[0])
     return reports
 
 

@@ -1,5 +1,9 @@
-"""Golden report fingerprints: the sha256 of every report line, with the
-``elapsed_ms`` timing field stripped, for a fixed set of small invocations.
+"""Golden report fingerprints: the sha256 of every report line projected
+onto the fields and ``config`` keys these digests were pinned with, written
+as the line's text before the ``elapsed_ms`` timing field, for a fixed set
+of small invocations.  Today the projection is the whole line, which a test
+asserts: a field or key added later leaves these digests in place and is
+pinned in a table of its own.
 
 Together the cases cover every check x attacker x target combination,
 loss with and without an attack on photon b among decoys, both
@@ -12,6 +16,7 @@ tests/test_golden.py``) and says why in CHANGES.md.
 
 import hashlib
 import io
+import json
 from contextlib import redirect_stdout
 
 import pytest
@@ -102,7 +107,7 @@ CASES.update({
         "--pairs", "40", "--decoy-fraction", "0.2", "--sample-fraction", "0.3",
         "--threshold", "0.3", "--seed", "16",
     ),
-    # cells of different pair counts, which never share a batch
+    # cells of different pair counts, whose nine sessions run as one batch
     "pairs-sweep": (
         "sweep", "--param", "pairs", "--values", "20,35,20", "--trials", "3",
         "--check", "both", "--eve", "ir-random", "--eve-targets", "a",
@@ -275,24 +280,56 @@ GOLDEN = {
 }
 
 
-def fingerprints(argv) -> list[str]:
+# The report fields before ``elapsed_ms`` and the ``config`` keys, each in
+# order, of the lines GOLDEN pins.
+FIELDS = (
+    "subcommand", "trial_index", "seed", "config", "decoy_qber", "wc_qber",
+    "final_qber", "aborted", "key_len", "alice_key_hex", "bob_key_hex",
+)
+CONFIG_KEYS = (
+    "pairs", "seed", "decoy_fraction", "check", "sample_fraction", "threshold",
+    "loss", "eve", "eve_targets",
+)
+
+
+def report_lines(argv) -> list[str]:
     buf = io.StringIO()
     with redirect_stdout(buf):
         assert main(list(argv)) == 0
-    return [
-        hashlib.sha256(line.partition(', "elapsed_ms"')[0].encode()).hexdigest()
-        for line in buf.getvalue().splitlines()
-    ]
+    return buf.getvalue().splitlines()
+
+
+def projected(line: str) -> str:
+    """``line`` cut down to FIELDS and CONFIG_KEYS, written as a line's text
+    before ``, "elapsed_ms"``: ``json.dumps`` without its closing brace."""
+    report = json.loads(line)
+    report["config"] = {key: report["config"][key] for key in CONFIG_KEYS}
+    return json.dumps({key: report[key] for key in FIELDS})[:-1]
+
+
+def fingerprint(line: str) -> str:
+    return hashlib.sha256(projected(line).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_fingerprints_are_pinned(name):
-    assert fingerprints(CASES[name]) == GOLDEN[name]
+    lines = report_lines(CASES[name])
+    assert [fingerprint(line) for line in lines] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_projection_is_the_whole_line(name):
+    # every line holds exactly the pinned fields and config keys, in order,
+    # and then elapsed_ms alone
+    for line in report_lines(CASES[name]):
+        head, sep, tail = line.partition(', "elapsed_ms": ')
+        assert projected(line) == head
+        assert sep and tail.endswith("}") and "," not in tail
 
 
 if __name__ == "__main__":  # pragma: no cover - prints the table to re-pin
     for name in sorted(CASES):
         print(f'    "{name}": [')
-        for digest in fingerprints(CASES[name]):
-            print(f'        "{digest}",')
+        for line in report_lines(CASES[name]):
+            print(f'        "{fingerprint(line)}",')
         print("    ],")

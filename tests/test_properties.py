@@ -307,12 +307,13 @@ def recorded_session():
     what the attacker observed of each pair of the batch as the batch ends,
     ``-1`` where it measured none, and ``prepared`` each check photon's
     preparation.  ``pairs`` is the batch's :class:`~depqkd.protocol.PairBatch`
-    as the batch ends.
+    as the batch ends, and ``decoded`` each of its pairs' codeword as the
+    joint measurement returned it, ``-1`` for a pair it did not measure.
     """
     log = {"streams": [], "draws": [], "eve_b": [], "eve_a": [], "prepared": []}
     init, words, skip = BatchStream.__init__, BatchStream.words, BatchStream.skip
-    transmit_b = protocol.transmit_b
-    batches = []
+    transmit_b, step5 = protocol.transmit_b, protocol.step5_decode_and_sift
+    batches, decoded = [], []
 
     def counted_init(streams, *args):
         init(streams, *args)
@@ -338,18 +339,28 @@ def recorded_session():
         batches.append((pairs, decoys))
         return transmit_b(pairs, decoys, *args)
 
+    def kept_codewords(pairs, arrivals, *args):
+        codes = step5(pairs, arrivals, *args)
+        decoded.append((arrivals, codes))
+        return codes
+
     BatchStream.__init__ = counted_init
     BatchStream.words = counted("words", words)
     BatchStream.skip = counted("skip", skip)
     protocol.transmit_b = kept_batch
+    protocol.step5_decode_and_sift = kept_codewords
     try:
         yield log
     finally:
         BatchStream.__init__ = init
         BatchStream.words, BatchStream.skip = words, skip
         protocol.transmit_b = transmit_b
+        protocol.step5_decode_and_sift = step5
     # every session sends its photons b, so every batch passes transmit_b
     [(pairs, decoys)] = batches
+    log["decoded"] = np.full(len(pairs.codeword), -1)
+    for arrivals, codes in decoded:  # none when every session aborted
+        log["decoded"][arrivals] = codes
     log["eve_b"], log["eve_a"] = pairs.eve_b.tolist(), pairs.eve_a.tolist()
     log["prepared"] = decoys.prepared.tolist()
     log["pairs"] = pairs
@@ -620,6 +631,59 @@ def test_an_attacked_session_between_clean_ones_replays_as_if_run_alone():
         assert [d for d in batch["draws"] if d[0] == config.seed] == log["draws"]
 
 
+# Untouched sessions between sessions under an attacker on photon a or on
+# photon b, each with a threshold the attack passes, so all keep keys.
+UNTOUCHED_AMONG_ATTACKED = [
+    ProtocolConfig(
+        pairs=60, seed=301, decoy_fraction=0.3, check=CheckStrategy.BOTH,
+        sample_fraction=0.3, loss=0.1,
+    ),
+    ProtocolConfig(
+        pairs=50, seed=302, decoy_fraction=0.3, eve=EveStrategy.Z,
+        eve_targets=EveTarget.A,
+    ),
+    ProtocolConfig(
+        pairs=50, seed=303, decoy_fraction=0.3, check=CheckStrategy.BOTH,
+        sample_fraction=0.3, threshold=0.6, eve=EveStrategy.RANDOM_ZX,
+    ),
+    ProtocolConfig(pairs=45, seed=304, check=WC, sample_fraction=0.2),
+    ProtocolConfig(
+        pairs=50, seed=305, decoy_fraction=0.3, check=CheckStrategy.BOTH,
+        sample_fraction=0.3, threshold=0.6, eve=EveStrategy.Z,
+    ),
+    ProtocolConfig(
+        pairs=50, seed=306, decoy_fraction=0.3, loss=0.1,
+        eve=EveStrategy.RANDOM_ZX, eve_targets=EveTarget.A,
+    ),
+    ProtocolConfig(pairs=40, seed=307, decoy_fraction=0.3, loss=0.2),
+]
+
+
+def test_untouched_sessions_keep_their_step_1_states_and_decode_their_own():
+    configs = UNTOUCHED_AMONG_ATTACKED
+    with recorded_session() as log:
+        reports = run_sessions(configs)
+    pairs = log["pairs"]
+    for s, (config, report) in enumerate(zip(configs, reports)):
+        assert not report.aborted and report.counts["key_pairs"] > 0
+        if config.eve is not None:  # the attack shows in the key
+            assert report.final_qber > 0 and report.alice_key != report.bob_key
+            continue
+        span = slice(pairs.offsets[s], pairs.offsets[s + 1])
+        # step 1 applied the photon-b operation to PSI+, and nothing since
+        # wrote a state of the session
+        first = ALPHABET.prepared.take(pairs.op_b[span])
+        assert pairs.state[span].tolist() == first.tolist()
+        # the states step 4 would make of the decoded pairs decide the
+        # codewords that both keys carry
+        kept = log["decoded"][span] >= 0
+        keys = 4 * pairs.state[span][kept] + pairs.op_a[span][kept]
+        codewords = ALPHABET.decided.take(ALPHABET.encoded.take(keys))
+        assert len(codewords) == report.counts["key_pairs"]
+        bits = (codewords[:, None] >> np.array([2, 1, 0])) & 1
+        assert report.alice_key == report.bob_key == bits.astype(np.uint8).tobytes()
+
+
 # The phase of each stream, as README's draw schedule names it.
 STREAM_PHASES = {
     protocol._STREAM_ALICE: "step 1",
@@ -641,14 +705,16 @@ def readme_draw_schedule():
     return {int(stream): phase.strip() for stream, phase in rows}
 
 
-def scheduled_words(config, report, pairs, s):
+def scheduled_words(config, report, log, s):
     """{stream: (words drawn, words skipped)} of session ``s`` of a finished
-    batch, by README's draw schedule, for each stream the session has."""
+    batch recorded in ``log``, by README's draw schedule, for each stream
+    the session has."""
+    pairs = log["pairs"]
     n, c = config.pairs, report.counts["decoys"]
     counts, span = report.counts, slice(pairs.offsets[s], pairs.offsets[s + 1])
     stored = int(np.count_nonzero(pairs.b_delivered[span]))
     delivered_slots = stored + c - counts["decoys_lost"]
-    arrivals = pairs.state[span][pairs.decoded[span] >= 0]
+    arrivals = pairs.state[span][log["decoded"][span] >= 0]
     # the photons attacked, and each row's words: the basis coin (only
     # under a policy without a fixed basis), then the measurement word
     photons = () if config.eve is None else config.eve_targets.photons
@@ -676,7 +742,8 @@ def scheduled_words(config, report, pairs, s):
     if not report.aborted:
         drawn, skipped = coins(stored - counts["checked"], config.loss)
         schedule[5] = (drawn + attacked(len(arrivals), Photon.A), skipped)
-        decided = (ALPHABET.decided.take(arrivals) >= 0).all()
+        # an untouched session decodes its own codewords, whatever its states
+        decided = config.eve is None or (ALPHABET.decided.take(arrivals) >= 0).all()
         schedule[6] = (0, len(arrivals)) if decided else (len(arrivals), 0)
     return schedule
 
@@ -702,7 +769,7 @@ def test_each_session_draws_and_skips_what_the_draw_schedule_says(configs):
             stream: tuple(words)
             for (seed, stream), words in ledger.items() if seed == config.seed
         }
-        assert own == scheduled_words(config, report, log["pairs"], s), config.seed
+        assert own == scheduled_words(config, report, log, s), config.seed
 
 
 def test_sessions_run_in_four_threads_replay_their_serial_reports():

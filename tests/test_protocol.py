@@ -649,26 +649,30 @@ def test_wc_check_with_no_matched_bases_is_indeterminate():
 
 
 def test_second_encoding_completes_every_codeword():
-    # the second session of the batch was aborted: its pairs stay as the
-    # first encoding left them
-    pairs = prepared_batch([200, 50], [37, 38])
+    # the second session of the batch was aborted and the third has no
+    # attacker: the pairs of both stay as the first encoding left them, and
+    # the third's are active all the same
+    pairs = prepared_batch([200, 50, 30], [37, 38, 39])
     first = pairs.state.copy()
-    active = step4_encode_a(pairs, [True, False])
-    assert active.tolist() == list(range(200))
+    active = step4_encode_a(pairs, [True, False, True], [True, True, False])
+    assert active.tolist() == [*range(200), *range(250, 280)]
     assert np.array_equal(pairs.state[200:], first[200:])
-    for i in active:
+    for i in active[:200]:
         encoding = EncodingPair(PAULIS[pairs.op_a[i]], PAULIS[pairs.op_b[i]])
         produced = oracles.classify(pair_state(pairs, i))
         assert produced == family_sign(ENCODING_TABLE[encoding])
 
 
 def test_decode_step_recovers_every_codeword_without_noise():
-    # no photon a was sent, so the active pairs are measured as the arrivals
-    pairs = prepared(300, 41)
-    active = step4_encode_a(pairs, [True])
-    assert active.tolist() == list(range(300))
-    step5_decode_and_sift(pairs, active, BatchStream([41], 6))
-    assert np.array_equal(pairs.decoded, pairs.codeword)
+    # no photon a was sent, so the active pairs are measured as the arrivals;
+    # a touched session reads its encoded states, an untouched one its
+    # codewords, and both give every codeword back
+    for touched in ([True], [False]):
+        pairs = prepared(300, 41)
+        active = step4_encode_a(pairs, [True], touched)
+        assert active.tolist() == list(range(300))
+        decoded = step5_decode_and_sift(pairs, active, touched, BatchStream([41], 6))
+        assert np.array_equal(decoded, pairs.codeword)
 
 
 class LoggedStream(BatchStream):
@@ -703,7 +707,7 @@ def test_decode_step_skips_only_the_sessions_their_states_decide():
     arrivals = np.arange(len(pairs.state))
     seeds = [51, 52, 53, 54]
     streams = LoggedStream(seeds, 6)
-    step5_decode_and_sift(pairs, arrivals, streams)
+    decoded = step5_decode_and_sift(pairs, arrivals, [True] * 4, streams)
     # the mixed session draws its whole block, the others skip theirs
     assert streams.log == [
         ("skip", 0, 4), ("words", 1, 5), ("skip", 2, 0), ("skip", 3, 3)
@@ -714,7 +718,7 @@ def test_decode_step_skips_only_the_sessions_their_states_decide():
         [SeededGenerator(seed, 6).words(len(s)) for seed, s in zip(seeds, states)]
     )
     drawn = ALPHABET.decoded.take(sample(ALPHABET.device, pairs.state, words))
-    assert pairs.decoded.tolist() == drawn.tolist()
+    assert decoded.tolist() == drawn.tolist()
 
 
 def test_an_index_list_of_every_entry_is_the_full_slice():
@@ -733,7 +737,7 @@ def test_transmit_a_returns_the_active_pairs_themselves_when_none_is_lost():
     seeds = [5, 6]
     for losses in ([0.0, 0.0], [1e-9, 0.0]):
         pairs = prepared_batch([30, 20], seeds)
-        active = step4_encode_a(pairs, [True, True])
+        active = step4_encode_a(pairs, [True, True], [True, False])
         streams = BatchStream(seeds, 5)
         arrivals = transmit_a(pairs, active, losses, [EveStrategy.Z, None], streams)
         assert arrivals is active
@@ -741,7 +745,7 @@ def test_transmit_a_returns_the_active_pairs_themselves_when_none_is_lost():
         assert (pairs.eve_a[:30] >= 0).all() and (pairs.eve_a[30:] == -1).all()
     # under loss, the arrivals are the active pairs whose photon a arrived
     pairs = prepared_batch([30, 20], seeds)
-    active = step4_encode_a(pairs, [True, True])
+    active = step4_encode_a(pairs, [True, True], [False, False])
     arrivals = transmit_a(pairs, active, [0.5, 0.5], [None, None], BatchStream(seeds, 5))
     assert 0 < len(arrivals) < len(active)
     assert arrivals.tolist() == np.flatnonzero(pairs.a_delivered).tolist()
@@ -1418,6 +1422,31 @@ def test_no_state_an_intercept_leaves_decides_its_codeword():
         reached = ALPHABET.collapsed[photon]
         reached = reached[reached >= 0]
         assert len(reached) and (ALPHABET.decided.take(reached) == -1).all()
+
+
+def test_every_choice_of_each_codeword_encodes_a_state_that_decides_it():
+    # the rule by which an untouched pair decodes to its own codeword, on
+    # all 16 columns 2 * cw + c of choice_ops
+    for column in range(16):
+        cw, c = divmod(column, 2)
+        op_a, op_b = ALPHABET.choice_ops[:, column].tolist()
+        pair = encoding_choices(cw)[c]
+        assert (PAULIS[op_a], PAULIS[op_b]) == (pair.op_a, pair.op_b), column
+        state = ALPHABET.encoded[4 * ALPHABET.prepared[op_b] + op_a]
+        assert ALPHABET.decided[state] == cw, column
+
+
+def test_an_encoding_that_decides_another_codeword_fails_the_build(monkeypatch):
+    # choice_ops columns 0 and 2, the first choices of codewords 0 and 1,
+    # swapped: the build raises instead of giving keys that agree
+    real = encoding_choices
+
+    def swapped(cw):
+        return (real(1 - cw)[0], real(cw)[1]) if cw < 2 else real(cw)
+
+    monkeypatch.setattr("depqkd.alphabet.encoding_choices", swapped)
+    with pytest.raises(ValueError, match="codeword 0 does not decide it"):
+        StateAlphabet()
 
 
 # States whose row of photon a measured in H/V lies off the 1/16 grid:
