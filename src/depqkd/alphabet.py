@@ -1,15 +1,12 @@
-"""The closed alphabet of pair states and every table the session phases
-sample, all built once, at import, and the checks ``depqkd verify-tables``
-runs on them.
+"""The closed alphabet of pair states, the generator of the table file
+sessions read, and the checks ``depqkd verify-tables`` runs on both.
 
-:data:`ALPHABET` holds the 40 pair states a session can reach (PSI+ closed
-under the encoding operations and the local measurements), the state each
-transition reaches and the outcomes of each measurement by sampling key,
-and the code tables of codewords, operations and device outcomes.  The
-phases read them through this module's public names: :data:`ALPHABET`,
-:func:`sample`, the dtypes :data:`CODE` and :data:`STATE`, and
-:data:`BASES`.  :func:`table_checks` builds the rows ``verify-tables``
-prints, only when it runs.
+:class:`StateAlphabet` builds and checks the 40 pair states a session can
+reach, the state each transition reaches, the outcomes of each measurement
+by sampling key, and the code tables.  No session builds it:
+``python -m depqkd.alphabet`` writes :func:`table_bytes` of a build to the
+file that :mod:`depqkd.tables` reads.  :func:`table_checks` builds the
+rows ``verify-tables`` prints, only when it runs.
 """
 
 from __future__ import annotations
@@ -45,27 +42,17 @@ from .states import (
     encoding_choices,
     label_to_codeword,
 )
+from .tables import BASES, CODE, GRID_BITS, MAGIC, PATH, STATE, TABLES
 
-# Arrays hold operations as indices into _PAULIS and bases as indices into
-# BASES (0 = H/V, 1 = diagonal).
+# Arrays hold operations as indices into _PAULIS.
 _PAULIS = tuple(Pauli)
-BASES = tuple(PolBasis)
-
-# Per-item dtypes.  Every code (codeword, choice, operation, basis, outcome,
-# decoy preparation and local state, decoded codeword, the -1 markers) is
-# below 16.  A pair state id is one of the 40 of ALPHABET, and every
-# sampling key built from one, up to 8 * id + 7 = 319, fits STATE too.
-# Tables are read with ``take``: indexing with a narrow integer array costs
-# numpy an extra cast to intp, two to six times the gather.
-CODE = np.int8
-STATE = np.int16
 
 # Every transition of a pair state as an operator on its amplitudes, 12 per
 # photon, photon a first (u (x) 1, then 1 (x) u): each operation of _PAULIS,
 # then the projector on row k of LOCAL_BASIS[basis] at 4 + 4 * basis + k.
 # Applied one 16x16 product each: as one wide product OpenBLAS splits them
-# over its threads, which took 30 ms at import on 2 cores and slowed the
-# session after it.
+# over its threads, which took 30 ms a build on 2 cores and slowed what
+# ran after it.
 _PHOTON_OPERATORS = np.array(
     [LOCAL_OPERATORS[op] for op in _PAULIS]
     + [np.outer(row, row.conj()) for basis in BASES for row in LOCAL_BASIS[basis]]
@@ -81,8 +68,7 @@ _TRANSITIONS = np.concatenate(
 _QUBIT_BRAS = np.array([POL_BASES[basis] for basis in BASES])
 _CONVERTED_BRAS = np.einsum("xai,ybj->xyabij", _QUBIT_BRAS, _QUBIT_BRAS).reshape(16, 4)
 
-_GRID_BITS = 4  # an outcome is a function of its word's top 4 bits
-_GRID = 1 << _GRID_BITS
+_GRID = 1 << GRID_BITS
 _DECIMALS = 9  # states are looked up by their amplitudes rounded to 1e-9
 
 
@@ -112,14 +98,6 @@ def _lut(name: str, p: np.ndarray) -> np.ndarray:
     return np.repeat(outcomes, counts.astype(np.intp).ravel())
 
 
-def sample(lut: np.ndarray, keys: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The outcome of each word ``w`` under the row of its key,
-    ``lut[16 * key + (w >> 60)]``."""
-    at = keys.astype(np.intp) << _GRID_BITS
-    at |= (w >> (64 - _GRID_BITS)).view(np.intp)
-    return lut.take(at)
-
-
 class StateAlphabet:
     """Every pair state reachable from PSI+ up to global phase, with dense
     tables of what each state leads to.
@@ -141,9 +119,9 @@ class StateAlphabet:
     :data:`BASES` and operations ``tuple(Pauli)``.  A transition holds the
     id of the state reached, or -1 for an outcome of probability 0, which
     its row gives no entries; an outcome row (:func:`_lut`) holds the
-    probabilities in sixteenths.  Each table is built once, by array
-    products over stacked states, and a row off the 1/16 grid or a state
-    the converters annihilate raises.
+    probabilities in sixteenths.  Each table is built by array products
+    over stacked states, and a row off the 1/16 grid or a state the
+    converters annihilate raises.
 
     The code tables start from PSI+ too: ``choice_ops[:, 2 * cw + c]`` is
     ``(op_a, op_b)`` of ``encoding_choices(cw)[c]``, ``expected_agree[2 *
@@ -154,8 +132,7 @@ class StateAlphabet:
     decodes to that one codeword, and -1 otherwise.  Exactly the eight
     basis states are decided, and no state an intercept leaves; the build
     raises ``ValueError`` naming a codeword that one of its choices does
-    not encode into a state deciding it.  Every table is read-only, since
-    every session of the process reads it.
+    not encode into a state deciding it.  Every table is read-only.
     """
 
     def __init__(self) -> None:
@@ -243,21 +220,35 @@ class StateAlphabet:
         return sid
 
 
-#: The states every session reaches, and their tables, built at import.
-ALPHABET = StateAlphabet()
+def table_bytes(alphabet: StateAlphabet) -> bytes:
+    """The table file of ``alphabet``'s :data:`~depqkd.tables.TABLES`, laid
+    out as :mod:`depqkd.tables` reads it."""
+    arrays = []
+    for name in TABLES:
+        attr, _, photon = name.partition("[")
+        table = getattr(alphabet, attr)
+        arrays.append(table[Photon(photon[:-1])] if photon else table)
+    header = [MAGIC] + [
+        f"{name} {table.dtype.str} {','.join(map(str, table.shape))}"
+        for name, table in zip(TABLES, arrays)
+    ]
+    out = bytearray("\n".join(header).encode("ascii") + b"\n\n")
+    for table in arrays:
+        out += bytes(-len(out) % table.itemsize) + table.tobytes()
+    return bytes(out)
 
 
 def table_checks() -> list[tuple[str, bool, str]]:
-    """Every row ``depqkd verify-tables`` prints, as (name, passed, detail),
-    read from the tables that sessions sample: the transitions, device
-    rows and decided codewords of :data:`ALPHABET` and the device's port
-    routing."""
+    """Every row ``depqkd verify-tables`` prints, as (name, passed, detail):
+    a build's transitions, device rows and decided codewords, the device's
+    port routing, and whether the table file holds exactly that build."""
     rows: list[tuple[str, bool, str]] = []
-    sid = {label: ALPHABET.index(dep_basis(label)) for label in DepLabel}
+    alphabet = StateAlphabet()
+    sid = {label: alphabet.index(dep_basis(label)) for label in DepLabel}
 
     for pair, label in ENCODING_TABLE.items():
-        produced = ALPHABET.encoded[
-            4 * ALPHABET.prepared[_PAULIS.index(pair.op_b)] + _PAULIS.index(pair.op_a)
+        produced = alphabet.encoded[
+            4 * alphabet.prepared[_PAULIS.index(pair.op_b)] + _PAULIS.index(pair.op_a)
         ]
         name = f"encoding {pair.op_a.value} (x) {pair.op_b.value} -> {label}"
         rows.append((name, bool(produced == sid[label]), "closure up to global phase"))
@@ -275,7 +266,7 @@ def table_checks() -> list[tuple[str, bool, str]]:
     )
     # the ports that the decoder reads as each family
     family_ports = {family: ports for ports, family in FAMILY_BY_PORTS.items()}
-    device = ALPHABET.device.reshape(-1, _GRID)  # each state's sampling row
+    device = alphabet.device.reshape(-1, _GRID)  # each state's sampling row
     for label in DepLabel:
         ports = family_ports[label.family]
         support = np.flatnonzero(np.abs(dep_basis(label)) > 1e-12).tolist()
@@ -288,9 +279,17 @@ def table_checks() -> list[tuple[str, bool, str]]:
     # a state is discriminated when its every coincidence decodes to its
     # codeword, which is the codeword the alphabet says it decides
     for label in DepLabel:
-        ok = bool(ALPHABET.decided[sid[label]] == codewords[label])
+        ok = bool(alphabet.decided[sid[label]] == codewords[label])
         rows.append(
             (f"discrimination {label}", ok, "all coincidences decode to the state")
         )
 
+    with open(PATH, "rb") as file:
+        shipped = file.read() == table_bytes(alphabet)
+    rows.append(("shipped tables equal the build", shipped, "tables.bin byte for byte"))
     return rows
+
+
+if __name__ == "__main__":
+    with open(PATH, "wb") as file:
+        file.write(table_bytes(StateAlphabet()))

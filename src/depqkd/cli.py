@@ -1,7 +1,7 @@
 """Command line front end: table verification, single runs, and sweeps.
 
 ``verify-tables`` prints the rows of :func:`depqkd.alphabet.table_checks`,
-which are built beside the tables they check.
+the one command that imports the builder of the tables it checks.
 
 A closed stdout, such as a pipe into ``head``, is not an error: a command
 stops writing and returns the code it has earned, the verdict of
@@ -54,7 +54,6 @@ from typing import Callable, NamedTuple, Optional, TextIO, get_args, get_type_hi
 
 import numpy as np
 
-from .alphabet import table_checks
 from .protocol import ConfigError, ProtocolConfig, run_sessions
 
 #: Pairs per engine batch: consecutive sessions of a run or sweep run
@@ -411,6 +410,7 @@ def _verify_tables() -> tuple[int, list[str]]:
     """The exit code of ``verify-tables``, 0 when every row passes and 1
     otherwise, and the lines it prints.  The verdict is settled before any
     line is written."""
+    from .alphabet import table_checks  # a run or sweep only reads tables
     rows = table_checks()
     passed = sum(ok for _, ok, _ in rows)
     lines = [

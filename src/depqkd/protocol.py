@@ -24,7 +24,7 @@ are also the command line's settings and the keys of a report's
 own settings, and :func:`run_session` is the batch of one.
 :class:`PairBatch` and :class:`DecoyBatch` hold one array entry per item,
 session after session.  Pair states are ids into
-:data:`depqkd.alphabet.ALPHABET`, and every transition, outcome and code
+:data:`depqkd.tables.ALPHABET`, and every transition, outcome and code
 a phase reads is a lookup in that module's tables.  Each phase takes one
 :class:`~depqkd.quantum.BatchStream` for its stream index, which holds
 every session's seed and position, and draws the blocks of every session
@@ -72,7 +72,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .alphabet import ALPHABET, BASES, CODE, STATE, sample
+from . import tables
+from .tables import BASES, CODE, STATE, sample
 from .quantum import BatchStream, Photon, PolBasis
 
 
@@ -291,7 +292,7 @@ def _draw(
     A word stands for the double ``u`` that :func:`~depqkd.quantum.doubles`
     makes of it.  :func:`_coins`, :func:`_basis_coins` and :func:`_randints`
     decide on the word as an integer, with the outcome ``u`` would give;
-    :func:`~depqkd.alphabet.sample` reads its top 4 bits, ``floor(16 * u)``.
+    :func:`~depqkd.tables.sample` reads its top 4 bits, ``floor(16 * u)``.
     """
     if sessions is None:
         sessions = range(len(sizes))
@@ -370,7 +371,7 @@ class PairBatch:
     allocates every array once, for pairs not yet prepared, sent or
     measured: every photon delivered and none checked.
 
-    ``state`` holds ids into :data:`~depqkd.alphabet.ALPHABET`; ``op_a`` and
+    ``state`` holds ids into :data:`~depqkd.tables.ALPHABET`; ``op_a`` and
     ``op_b`` index ``tuple(Pauli)``.  ``eve_b`` and ``eve_a`` hold what the
     attacker observed of each pair's photon b and photon a, as the local
     id ``4 * basis + k`` of row ``k`` of the ``tuple(PolBasis)[basis]``
@@ -488,8 +489,8 @@ def _intercept_pairs(
     """Measure one photon of each pair ``idx``, resend the eigenstate and
     record the outcome's local id in ``pairs.eve_b`` or ``pairs.eve_a``."""
     keys = 2 * pairs.state[idx] + basis
-    k = sample(ALPHABET.partial[photon], keys, w)
-    pairs.state[idx] = ALPHABET.collapsed[photon].take(4 * keys + k)
+    k = sample(tables.ALPHABET.partial[photon], keys, w)
+    pairs.state[idx] = tables.ALPHABET.collapsed[photon].take(4 * keys + k)
     getattr(pairs, f"eve_{photon.value}")[idx] = 4 * basis + k
 
 
@@ -501,9 +502,10 @@ def step1_prepare_and_encode(pairs: PairBatch, streams: BatchStream) -> None:
     w = _draw(streams, pairs.sizes, 2)
     rows = pairs.of([p is not None for p in streams.positions])
     codeword = _randints(w[:, 0], 8)
-    op_a, op_b = ALPHABET.choice_ops.take(2 * codeword + _randints(w[:, 1], 2), axis=1)
+    choice = 2 * codeword + _randints(w[:, 1], 2)
+    op_a, op_b = tables.ALPHABET.choice_ops.take(choice, axis=1)
     pairs.codeword[rows], pairs.op_a[rows], pairs.op_b[rows] = codeword, op_a, op_b
-    pairs.state[rows] = ALPHABET.prepared.take(op_b)
+    pairs.state[rows] = tables.ALPHABET.prepared.take(op_b)
 
 
 def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
@@ -598,7 +600,7 @@ def transmit_b(
     rows = np.flatnonzero(kind)
     hit = _EVERY if measured is _EVERY else np.flatnonzero(seen_decoys)
     decoy_basis = basis.take(rows)
-    k = sample(ALPHABET.local, 2 * decoys.state[hit] + decoy_basis, w.take(rows))
+    k = sample(tables.ALPHABET.local, 2 * decoys.state[hit] + decoy_basis, w.take(rows))
     decoys.state[hit] = 4 * decoy_basis + k
     return seen_pairs, ~kind, basis, w
 
@@ -682,7 +684,7 @@ def decoy_check(decoys: DecoyBatch, streams: BatchStream) -> list[tuple[int, ...
     sizes = decoys.sizes if idx is _EVERY else _tally(decoys.delivered, decoys.sizes)
     w = _draw(streams, sizes, 2)
     basis = decoys.bob_basis = _basis_coins(w[:, 0])
-    k = sample(ALPHABET.local, 2 * decoys.state[idx] + basis, w[:, 1])
+    k = sample(tables.ALPHABET.local, 2 * decoys.state[idx] + basis, w[:, 1])
     prepared = decoys.prepared[idx]
     prepared_basis = prepared >> 2
     matched = basis == prepared_basis
@@ -729,10 +731,10 @@ def wc_check(
     basis_a = pairs.wc_basis_a = _basis_coins(w[:, 0])
     basis_b = pairs.wc_basis_b = _basis_coins(w[:, 1])
     keys = 4 * pairs.state[sampled] + 2 * basis_a + basis_b
-    k = sample(ALPHABET.wc, keys, w[:, 2])
+    k = sample(tables.ALPHABET.wc, keys, w[:, 2])
     matched = basis_a == basis_b
     agree = (k >> 1) == (k & 1)
-    expected = ALPHABET.expected_agree.take(2 * pairs.op_b[sampled] + basis_a)
+    expected = tables.ALPHABET.expected_agree.take(2 * pairs.op_b[sampled] + basis_a)
     bad = matched & (agree != expected)
     z = basis_a == BASES.index(PolBasis.Z)
     # the X-basis counts are the rest of each session's comparisons, and
@@ -761,7 +763,8 @@ def step4_encode_a(
         idx = active
         if encode != list(live):  # a live session no attacker touches
             idx = np.flatnonzero(stored & pairs.of(encode))
-        pairs.state[idx] = ALPHABET.encoded.take(4 * pairs.state[idx] + pairs.op_a[idx])
+        keys = 4 * pairs.state[idx] + pairs.op_a[idx]
+        pairs.state[idx] = tables.ALPHABET.encoded.take(keys)
     return active
 
 
@@ -802,7 +805,7 @@ def step5_decode_and_sift(
 
     A session no attacker touched (``touched[s]`` false) reads no state
     and decodes to its own codewords, ``pairs.codeword``, since every
-    encoding decides its codeword (checked at import).  A touched session
+    encoding decides its codeword (checked by the build).  A touched session
     whose every arrival is in a state that decides its codeword
     (``ALPHABET.decided``), one with no arrivals included, reads its
     codewords off that table.  Either kind skips its block of one word
@@ -813,7 +816,7 @@ def step5_decode_and_sift(
     equal verdict is drawn or skipped as one block."""
     sizes = _sizes(pairs.offsets, arrivals)
     state = pairs.state[arrivals] if any(touched) else None
-    decided = ALPHABET.decided
+    decided = tables.ALPHABET.decided
     verdicts, start = [], 0  # per session: its codewords, or None to draw
     for touched_s, end in zip(touched, accumulate(sizes)):
         codes = None
@@ -834,8 +837,8 @@ def step5_decode_and_sift(
         end = start + sum(run_sizes)
         if draws:
             w = streams.words(sessions, run_sizes)
-            outcomes = sample(ALPHABET.device, state[start:end], w)
-            blocks.append(ALPHABET.decoded.take(outcomes))
+            outcomes = sample(tables.ALPHABET.device, state[start:end], w)
+            blocks.append(tables.ALPHABET.decoded.take(outcomes))
         else:
             streams.skip(sessions, run_sizes)
             blocks += verdicts[span]

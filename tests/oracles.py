@@ -350,3 +350,35 @@ def eve_codeword_mutual_information(strategy: str) -> float:
                     key = ((eve_basis, label), codeword)
                     joint[key] = joint.get(key, 0.0) + 0.125 * 0.5 * w_basis * p
     return mutual_information_bits(joint)
+
+
+# ---------------------------------------------------------------------------
+# Philox4x64-10 (Salmon et al. 2011), without numpy's generator
+
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # Weyl key increments
+_MASK64 = (1 << 64) - 1
+
+
+def philox_block(counter, key) -> tuple[int, int, int, int]:
+    """The four words of Philox4x64-10 at the 256-bit ``counter`` (four
+    64-bit words, least significant first) under the 128-bit ``key``."""
+    x0, x1, x2, x3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0, p1 = _PHILOX_M[0] * x0, _PHILOX_M[1] * x2
+        x0, x1 = (p1 >> 64) ^ x1 ^ k0, p1 & _MASK64
+        x2, x3 = (p0 >> 64) ^ x3 ^ k1, p0 & _MASK64
+        k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+    return x0, x1, x2, x3
+
+
+def philox_stream(seed: int, stream: int, start: int, n: int) -> list[int]:
+    """Words ``start`` to ``start + n`` of the stream keyed ``[seed,
+    stream]``: word ``4 * c + j`` is word ``j`` of the block at counter
+    ``c + 1``, since numpy's Philox increments its counter, from zero,
+    before each block."""
+    words = []
+    for c in range(start // 4 + 1, (start + n + 3) // 4 + 1):
+        words += philox_block((c & _MASK64, c >> 64, 0, 0), (seed, stream))
+    return words[start % 4 : start % 4 + n]

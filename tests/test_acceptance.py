@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 from depqkd import CheckStrategy, EveStrategy, ProtocolConfig, run_session
-from depqkd.alphabet import ALPHABET
+from depqkd.alphabet import StateAlphabet
 from depqkd.cli import main
 from depqkd.device import DEVICE_OUTCOMES, decode, device_probabilities
 from depqkd.quantum import Pauli, Photon, SeededGenerator
@@ -26,6 +26,10 @@ from depqkd.states import (
     dep_basis,
     label_to_codeword,
 )
+from depqkd.tables import ALPHABET
+
+# the states by id, which sessions do not read: only the build holds them
+STATES = StateAlphabet().states
 
 
 @contextmanager
@@ -49,7 +53,7 @@ def test_criterion_1_encoding_table_closure():
         for pair, label in ENCODING_TABLE.items():
             prepared = ALPHABET.prepared[paulis.index(pair.op_b)]
             sid = ALPHABET.encoded[4 * prepared + paulis.index(pair.op_a)]
-            produced = oracles.classify(ALPHABET.states[sid])
+            produced = oracles.classify(STATES[sid])
             assert produced == (label.family.value.lower(), label.sign), pair
 
 
@@ -157,7 +161,7 @@ def test_criterion_6_attacks_always_leave_product_states():
             assert len(reached) == 32
             for sid in reached:
                 for tag in ("a", "b"):
-                    rho = oracles.reduced_density_matrix(ALPHABET.states[sid], tag)
+                    rho = oracles.reduced_density_matrix(STATES[sid], tag)
                     assert oracles.purity(rho) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -125,9 +125,9 @@ def test_verify_tables_passes_and_documents_the_table_reading(capsys):
     assert err == ""
     lines = out.splitlines()
     pass_lines = [l for l in lines if l.startswith("PASS")]
-    assert len(pass_lines) == 33
+    assert len(pass_lines) == 34
     assert not any(l.startswith("FAIL") for l in lines)
-    assert lines[-1] == "33/33 checks passed"
+    assert lines[-1] == "34/34 checks passed"
     assert any("typographical slip" in l for l in lines)
     assert sum("encoding" in l for l in pass_lines) == 16
     assert sum(l.startswith("PASS ports") for l in pass_lines) == 8
@@ -168,10 +168,11 @@ PASS discrimination Gamma+ (all coincidences decode to the state)
 PASS discrimination Gamma- (all coincidences decode to the state)
 PASS discrimination Upsilon+ (all coincidences decode to the state)
 PASS discrimination Upsilon- (all coincidences decode to the state)
+PASS shipped tables equal the build (tables.bin byte for byte)
 note: the duplicated key column in the second half of the operation table is \
 treated as a typographical slip; both operation pairs that produce a state \
 share that state's codeword.
-33/33 checks passed
+34/34 checks passed
 """
 
 
@@ -179,7 +180,7 @@ def test_verify_tables_prints_exactly_its_pinned_bytes(capsys):
     code, out, err = run_cli(capsys, "verify-tables")
     assert (code, err) == (0, "")
     assert out == VERIFY_TABLES_STDOUT
-    assert len(out.splitlines()) == 35
+    assert len(out.splitlines()) == 36
 
 
 def test_verify_tables_fails_when_routing_is_broken(capsys, monkeypatch):
@@ -982,6 +983,33 @@ print("depqkd.channel" in sys.modules)
         check=True,
     )
     assert result.stdout.splitlines()[-1] == "False"
+
+
+def test_a_run_and_a_sweep_load_the_tables_and_build_no_state():
+    # a session reads the shipped table file; the builder and the physics
+    # it builds from (states.py, device.py) stay unloaded
+    script = """
+import sys
+from depqkd.cli import main
+assert main(["run", "--pairs", "100", "--check", "both", "--eve", "ir-random",
+             "--eve-targets", "both", "--threshold", "0.9"]) == 0
+assert main(["sweep", "--param", "loss", "--values", "0,0.2", "--pairs", "100",
+             "--check", "both", "--eve", "ir-z", "--eve-targets", "a"]) == 0
+print(sorted(name for name in sys.modules if name.startswith("depqkd")))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    loaded = result.stdout.splitlines()[-1]
+    for module in ("depqkd.alphabet", "depqkd.states", "depqkd.device"):
+        assert repr(module) not in loaded
+    assert "'depqkd.tables'" in loaded
 
 
 def test_a_call_builds_only_the_records_and_the_parser_it_uses():

@@ -30,7 +30,7 @@ from depqkd import (
     run_sessions,
 )
 from depqkd import cli
-from depqkd.alphabet import ALPHABET
+from depqkd.tables import ALPHABET
 from depqkd.cli import main
 from depqkd.quantum import BatchStream, Photon
 

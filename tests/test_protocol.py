@@ -30,7 +30,7 @@ from depqkd import (
     protocol,
     run_session,
 )
-from depqkd.alphabet import ALPHABET, StateAlphabet, _lut, sample
+from depqkd.alphabet import StateAlphabet, _lut
 from depqkd.protocol import (
     PairBatch,
     _channel,
@@ -74,6 +74,7 @@ from depqkd.states import (
     encoding_choices,
     label_to_codeword,
 )
+from depqkd.tables import ALPHABET, sample
 
 # Exact per-check error rates of an intercept-resend attack on photon b,
 # frozen from the outcome-tree enumeration in oracles.py.
@@ -93,6 +94,9 @@ CHI2_7_CRIT = 18.475
 
 BASES = tuple(PolBasis)
 PAULIS = tuple(Pauli)
+# The states by id and their lookup, which no session reads: only a build
+# of the alphabet holds them.
+BUILT = StateAlphabet()
 
 
 def prepared_batch(sizes, seeds):
@@ -131,7 +135,7 @@ def transmit_pairs_b(pairs, eve, seed):
 
 
 def pair_state(pairs, i):
-    return ALPHABET.states[pairs.state[i]]
+    return BUILT.states[pairs.state[i]]
 
 
 def family_sign(label):
@@ -469,7 +473,7 @@ def reference_transmit_b(pairs, decoys, is_decoy, losses, eves, seeds):
                 p = partial_probabilities(state, Photon.B, BASES[basis])
                 k = oracles.grid_outcome(p, word)
                 pairs.eve_b[i] = 4 * basis + k
-                pairs.state[i] = ALPHABET.index(
+                pairs.state[i] = BUILT.index(
                     partial_collapse(state, Photon.B, BASES[basis], k)
                 )
     return gens
@@ -1289,13 +1293,13 @@ def alphabet_tables(alphabet):
 
 
 def test_state_alphabet_stays_small_and_normalized():
-    # the closed alphabet, as the import built it: no session has run first
-    assert len(ALPHABET.states) == 40
-    for state in ALPHABET.states:
+    # the closed alphabet, as a build gives it
+    assert len(BUILT.states) == 40
+    for state in BUILT.states:
         assert oracles.is_normalized(state)
         lead = state[np.flatnonzero(np.abs(state) > 1e-9)[0]]
         assert lead.imag == 0 and lead.real > 0
-    vecs = np.array([state for state in ALPHABET.states])
+    vecs = np.array([state for state in BUILT.states])
     overlaps = np.abs(vecs.conj() @ vecs.T)
     # no two ids hold the same state up to global phase
     assert (overlaps[~np.eye(40, dtype=bool)] < 1 - 1e-9).all()
@@ -1304,7 +1308,7 @@ def test_state_alphabet_stays_small_and_normalized():
 def test_a_fresh_alphabet_equals_the_shared_one_id_for_id():
     fresh = StateAlphabet()
     assert [s.tobytes() for s in fresh.states] == [
-        s.tobytes() for s in ALPHABET.states
+        s.tobytes() for s in BUILT.states
     ]
     shared = alphabet_tables(ALPHABET)
     for name, table in alphabet_tables(fresh).items():
@@ -1315,24 +1319,25 @@ def test_a_fresh_alphabet_equals_the_shared_one_id_for_id():
 def test_the_alphabet_is_the_oracle_closure_of_psi_plus():
     closure = np.array(oracles.closure(oracles.pair_state("psi", +1)))
     assert len(closure) == 40
-    vecs = np.array([state for state in ALPHABET.states])
+    vecs = np.array([state for state in BUILT.states])
     # one match per state and per closure vector: the same set up to phase
     same = np.abs(vecs.conj() @ closure.T) >= 1 - 1e-9
     assert (same.sum(axis=0) == 1).all() and (same.sum(axis=1) == 1).all()
 
 
 def test_index_finds_a_state_up_to_global_phase_and_refuses_any_other():
-    for sid, state in enumerate(ALPHABET.states):
-        assert ALPHABET.index(np.exp(0.7j) * state) == sid
-        assert ALPHABET.index(-state) == sid
+    for sid, state in enumerate(BUILT.states):
+        assert BUILT.index(np.exp(0.7j) * state) == sid
+        assert BUILT.index(-state) == sid
     with pytest.raises(ValueError):
-        ALPHABET.index(np.full(16, 0.25))
+        BUILT.index(np.full(16, 0.25))
 
 
 def test_the_alphabet_is_the_same_under_any_hash_seed():
     script = """
 import hashlib
-from depqkd.alphabet import ALPHABET
+from depqkd.alphabet import StateAlphabet
+ALPHABET = StateAlphabet()
 h = hashlib.sha256()
 for state in ALPHABET.states:
     h.update(state.tobytes())
@@ -1365,7 +1370,7 @@ TABLES_DIGEST = "e61b831e57451aa6b1ef0f8dac374aff1bd3fe941fce1a0f84d72432ec4e42b
 
 def test_the_states_and_tables_keep_their_bytes():
     h = hashlib.sha256()
-    h.update(b"".join(state.tobytes() for state in ALPHABET.states))
+    h.update(b"".join(state.tobytes() for state in BUILT.states))
     for table in alphabet_tables(ALPHABET).values():
         h.update(table.dtype.str.encode() + table.tobytes())
     h.update(LOCAL_BASIS[PolBasis.Z].tobytes() + LOCAL_BASIS[PolBasis.X].tobytes())
@@ -1384,33 +1389,45 @@ def test_the_decided_codewords_keep_their_values():
     assert StateAlphabet().decided.tobytes() == ALPHABET.decided.tobytes()
 
 
-def test_every_alphabet_table_is_read_only():
-    # every session of a process reads the shared tables, so a stray
-    # in-place write must raise instead of changing the sessions after it
+def alphabet_arrays(alphabet):
+    """Every array of an alphabet, built or loaded, by name."""
     tables = {}
-    for name, value in vars(ALPHABET).items():
+    for name, value in vars(alphabet).items():
         if name == "_ids":  # the id of each state's key bytes
             continue
         if isinstance(value, dict):
             tables.update((f"{name}[{key.value}]", v) for key, v in value.items())
         elif isinstance(value, np.ndarray):
             tables[name] = value
+    return tables
+
+
+def test_every_alphabet_table_is_read_only():
+    # every session of a process reads the loaded tables, so a stray
+    # in-place write must raise instead of changing the sessions after it;
+    # a build's tables, the states included, are read-only as well
+    tables = alphabet_arrays(StateAlphabet())
     assert len(tables) == 14 and {"collapsed[a]", "partial[b]"} <= set(tables)
-    for name, table in tables.items():
+    loaded = alphabet_arrays(ALPHABET)
+    assert set(loaded) == set(tables) - {"states"}
+    for name, table in [*tables.items(), *loaded.items()]:
         assert not table.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             table.flat[0] = table.flat[0]
+    # and each loaded table starts at a multiple of its item size
+    for name, table in loaded.items():
+        assert table.flags.aligned and table.ctypes.data % table.itemsize == 0, name
 
 
 def test_exactly_the_eight_basis_states_decide_their_codewords():
     decided = {int(sid): int(ALPHABET.decided[sid]) for sid in range(40)}
     expected = {
-        ALPHABET.index(dep_basis(label)): label_to_codeword(label) for label in DepLabel
+        BUILT.index(dep_basis(label)): label_to_codeword(label) for label in DepLabel
     }
     assert {sid: cw for sid, cw in decided.items() if cw >= 0} == expected
     # a state decides a codeword exactly when every outcome the scalar
     # device gives it decodes to that codeword
-    for sid, state in enumerate(ALPHABET.states):
+    for sid, state in enumerate(BUILT.states):
         p = device_probabilities(state)
         codes = {decode(DEVICE_OUTCOMES[o])[1] for o in np.flatnonzero(p > 1e-9)}
         assert decided[sid] == (codes.pop() if len(codes) == 1 else -1), sid
@@ -1468,13 +1485,13 @@ def test_wc_check_surfaces_a_state_the_converters_annihilate():
     vec = np.zeros(16, dtype=complex)
     vec[0], vec[4] = 1 / np.sqrt(2), -1 / np.sqrt(2)
     with pytest.raises(StateError, match="annihilated"):
-        wavelength_convert_global(np.array([ALPHABET.states[0], vec]))
+        wavelength_convert_global(np.array([BUILT.states[0], vec]))
 
 
 def outcome_tables():
     """Each outcome table of :data:`ALPHABET` with the scalar function of
     its rows, as ``(table, function)`` by name."""
-    states = ALPHABET.states
+    states = BUILT.states
     local = np.concatenate([LOCAL_BASIS[basis] for basis in BASES])
 
     def wc(key):
@@ -1528,7 +1545,7 @@ def test_sample_reads_each_row_at_the_word_top_4_bits():
 
 
 def test_alphabet_tables_match_the_scalar_functions():
-    states = ALPHABET.states
+    states = BUILT.states
     assert len(ALPHABET.local) == 16 * 2 * 8
     for table, probabilities in outcome_tables().values():
         assert table.dtype == np.int8
@@ -1564,4 +1581,4 @@ def test_alphabet_tables_match_the_scalar_functions():
     for name, successor in successors.items():
         for key, sid in enumerate(tables[name].tolist()):
             if sid != -1:
-                assert sid == ALPHABET.index(successor(key)), (name, key)
+                assert sid == BUILT.index(successor(key)), (name, key)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from depqkd import EveStrategy, quantum
-from depqkd.alphabet import ALPHABET
+from depqkd.alphabet import StateAlphabet
 from depqkd.channel import ir_attack_decoy, ir_attack_entangled
 from depqkd.device import (
     device_probabilities,
@@ -69,6 +69,7 @@ def test_state_vectors_are_read_only():
     # every state the package hands out: 16 amplitudes for a pair, 4 for a
     # photon, in a read-only complex128 array
     g = SeededGenerator(1, 0)
+    alphabet = StateAlphabet()
     pair = dep_basis(DepLabel.PSI_PLUS)
     photon = pol_freq_eigenstate(PolBasis.X, 1, Freq.HIGH)
     pairs = [
@@ -77,15 +78,15 @@ def test_state_vectors_are_read_only():
         partial_collapse(pair, Photon.A, PolBasis.X, 0),
         partial_measure(pair, Photon.B, PolBasis.Z, g)[1],
         ir_attack_entangled(pair, Photon.A, EveStrategy.RANDOM_ZX, g)[0],
-        *ALPHABET.states,
+        *alphabet.states,
     ]
     photons = [
         *(pol_freq_eigenstate(b, c, f) for b in PolBasis for c in (0, 1) for f in Freq),
         *(row for basis in PolBasis for row in LOCAL_BASIS[basis]),
         ir_attack_decoy(photon, EveStrategy.Z, g)[0],
     ]
-    assert ALPHABET.states.shape == (40, 16)
-    assert not ALPHABET.states.flags.writeable
+    assert alphabet.states.shape == (40, 16)
+    assert not alphabet.states.flags.writeable
     for size, states in ((16, pairs), (4, photons)):
         for s in states:
             assert type(s) is np.ndarray and s.dtype == np.complex128
@@ -397,6 +398,52 @@ def test_a_stream_that_is_only_skipped_builds_no_philox(monkeypatch):
     assert built == [] and thread_state() == before
     assert np.array_equal(streams.words([0], [4]), expected)
     assert built == []
+
+
+# Random123's published known answers of Philox4x64-10, (counter, key):
+# block, for its zero, all-ones and pi-digit inputs.
+PHILOX_KAT = {
+    ((0, 0, 0, 0), (0, 0)): (
+        0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B
+    ),
+    ((2**64 - 1,) * 4, (2**64 - 1,) * 2): (
+        0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0
+    ),
+    (
+        (0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0, 0x082EFA98EC4E6C89),
+        (0x452821E638D01377, 0xBE5466CF34E90C6C),
+    ): (0xA528F45403E61D95, 0x38C72DBD566E9788, 0xA5A1610E72FD18B5, 0x57BD43B5E52B7FE6),
+}
+
+# The first four words of the streams keyed [seed, stream] of three keys.
+STREAM_KAT = {
+    (0, 0): (0x02F4BA6408E4D89B, 0x3DD62B0B9CA8C5B2, 0x1C8667A55D902E79, 0x907D7A052FD5B4DC),
+    (5, 1): (0xB7BA3D0AE9C66485, 0x6981B2C7238A07A7, 0xC304055D1ADB46EC, 0xEBDEE496CB533280),
+    (2**64 - 1, 6): (
+        0x2FAD0BD4F198AA4C, 0x7E04CA617D34895D, 0xB7FDA0367F6AC4D5, 0x06ECB10A1938CFC5
+    ),
+}
+
+
+def test_the_philox_reference_gives_the_published_known_answers():
+    for (counter, key), block in PHILOX_KAT.items():
+        assert oracles.philox_block(counter, key) == block
+
+
+def test_batch_stream_words_are_philox_without_numpy_generator():
+    # the draw half of the byte contract, checked against a pure-Python
+    # Philox: report bytes depend only on these words and the tables
+    for (seed, stream), words in STREAM_KAT.items():
+        assert tuple(oracles.philox_stream(seed, stream, 0, 4)) == words
+        assert tuple(BatchStream([seed], stream).words([0], [4]).tolist()) == words
+    # skips that end on, inside and far past a four-word block
+    for seed in (0, 5, 7, 2**63 + 7, 2**64 - 1):
+        for stream in (0, 1, 6):
+            for position in (0, 3, 5, 2**20):
+                streams = BatchStream([seed], stream)
+                streams.skip([0], [position])
+                expected = oracles.philox_stream(seed, stream, position, 9)
+                assert streams.words([0], [9]).tolist() == expected, (seed, position)
 
 
 def test_doubles_are_numpy_generator_random_bit_for_bit():

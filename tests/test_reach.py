@@ -34,7 +34,7 @@ def profile(frame, event, arg):
 sys.setprofile(profile)
 import depqkd
 from depqkd import CheckStrategy, ProtocolConfig, Transcript, run_session
-from depqkd import alphabet, channel, cli, device, protocol, quantum, states
+from depqkd import alphabet, channel, cli, device, protocol, quantum, states, tables
 from depqkd.cli import main
 
 runs = [
@@ -88,7 +88,7 @@ sys.setprofile(None)
 # read by callers of the library only
 unused = {"messages", "kinds", "__len__", "__iter__"}
 missed = []
-for module in (protocol, alphabet, cli, states, quantum, channel, device):
+for module in (protocol, tables, alphabet, cli, states, quantum, channel, device):
     for name, value in vars(module).items():
         members = [(name, value)]
         if isinstance(value, type):
