@@ -132,7 +132,10 @@ class StateAlphabet:
     decodes to that one codeword, and -1 otherwise.  Exactly the eight
     basis states are decided, and no state an intercept leaves; the build
     raises ``ValueError`` naming a codeword that one of its choices does
-    not encode into a state deciding it.  Every table is read-only.
+    not encode into a state deciding it, and an ``op_b`` and basis where
+    a converted pair of ``prepared[op_b]`` measured in that basis on both
+    photons can disagree with ``expected_agree``.  Every table is
+    read-only.
     """
 
     def __init__(self) -> None:
@@ -190,6 +193,17 @@ class StateAlphabet:
                 raise ValueError(f"the encoding of codeword {cw} does not decide it")
         amp = wavelength_convert_global(vecs) @ _CONVERTED_BRAS.T
         self.wc = _lut("wc", (np.abs(amp) ** 2).reshape(-1, 4))
+        # every outcome of wc[4 * prepared[op_b] + 3 * basis], both photons
+        # in one basis, agrees as expected_agree[2 * op_b + basis] says
+        agrees = self.expected_agree.tolist()
+        for op_b, state in enumerate(self.prepared.tolist()):
+            for basis in range(len(BASES)):
+                row = self.wc[_GRID * (4 * state + 3 * basis) :][:_GRID].tolist()
+                if any(((k >> 1) == (k & 1)) != agrees[2 * op_b + basis] for k in row):
+                    raise ValueError(
+                        f"a converted pair of op_b {_PAULIS[op_b].value} measured "
+                        f"in basis {BASES[basis].value} can break expected_agree"
+                    )
         local = np.concatenate([LOCAL_BASIS[basis] for basis in BASES])
         self.local = _lut("local", np.abs(local @ local.conj().T).reshape(-1, 4) ** 2)
         tables = [self.prepared, self.encoded, self.choice_ops, self.expected_agree]

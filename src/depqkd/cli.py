@@ -55,6 +55,7 @@ from typing import Callable, NamedTuple, Optional, TextIO, get_args, get_type_hi
 import numpy as np
 
 from .protocol import ConfigError, ProtocolConfig, run_sessions
+from .tables import TableFileError
 
 #: Pairs per engine batch: consecutive sessions of a run or sweep run
 #: together while their summed pairs fit; a session larger than this runs
@@ -458,7 +459,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, out.fileno())
             os.close(devnull)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, TableFileError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

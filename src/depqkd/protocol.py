@@ -42,13 +42,15 @@ and check photons through views instead of gathers and scatters.
 :func:`transmit_a` returns the pairs whose photon a arrived, which
 :func:`step5_decode_and_sift` measures as given.  A joint measurement
 whose codeword is certain draws no word: a session no attacker touches
-decodes to its own codewords, its states left alone by steps 4 and 5;
-one whose every arrival is in a state the device tells apart reads its
-codewords off ``ALPHABET.decided``.  The checks return per-session
-tallies, and :func:`run_sessions` judges each session against its own
-threshold.  No phase writes the public channel's messages: the checks
-keep the bases they drew on the batches, and :func:`_record` reads a
-session's transcript off its finished batch of one and its report.
+decodes to its own codewords.  Step 1 prepares no state for it, and
+neither the converter check nor steps 4 and 5 read one, though it draws
+every word a prepared session would.  A session whose every arrival is
+in a state the device tells apart reads its codewords off
+``ALPHABET.decided``.  The checks return per-session tallies, and
+:func:`run_sessions` judges each session against its own threshold.
+No phase writes the public channel's messages: the checks keep the bases
+they drew on the batches, and :func:`_record` reads a session's
+transcript off its finished batch of one and its report.
 
 :func:`run_sessions` runs the phases in the order of what they read, not
 in the protocol's.  The decoy check reads only the check photons, and
@@ -377,8 +379,9 @@ class PairBatch:
     id ``4 * basis + k`` of row ``k`` of the ``tuple(PolBasis)[basis]``
     :data:`~depqkd.quantum.LOCAL_BASIS` table.  ``-1`` marks a pair that
     was never prepared (its codeword, operations and state) and a photon
-    the attacker did not measure.  After a run, a session no attacker
-    touched still holds its step-1 states.  ``wc_basis_a`` and
+    the attacker did not measure.  A session no attacker touches gets
+    only its codewords from step 1: its operations and states stay
+    ``-1``, since no phase reads them.  ``wc_basis_a`` and
     ``wc_basis_b`` are set by :func:`wc_check`: each party's basis,
     indexing ``tuple(PolBasis)``, for each checked pair in index order,
     and empty before.
@@ -494,17 +497,30 @@ def _intercept_pairs(
     getattr(pairs, f"eve_{photon.value}")[idx] = 4 * basis + k
 
 
-def step1_prepare_and_encode(pairs: PairBatch, streams: BatchStream) -> None:
+def step1_prepare_and_encode(
+    pairs: PairBatch, touched: Sequence[bool], streams: BatchStream
+) -> None:
     """Draw a codeword for each pair of every session with a stream in
     ``streams``, pick one of its two operation pairs, and apply the
-    photon-b operation to a fresh PSI+ pair.  The pairs of a session
-    without the stream stay unprepared and draw nothing."""
+    photon-b operation to a fresh PSI+ pair.  Only a session an attacker
+    touches (``touched[s]``) keeps its operations and states; one no
+    attacker touches gets only its codewords, since no phase reads the
+    rest of its pairs, but draws its choice words all the same.  The pairs
+    of a session without the stream stay unprepared and draw nothing."""
     w = _draw(streams, pairs.sizes, 2)
-    rows = pairs.of([p is not None for p in streams.positions])
+    live = [p is not None for p in streams.positions]
     codeword = _randints(w[:, 0], 8)
+    pairs.codeword[pairs.of(live)] = codeword
+    encode = [on and t for on, t in zip(live, touched)]
+    if not any(encode):
+        return
+    rows = pairs.of(encode)
+    if encode != live:  # the drawn rows of the sessions an attacker touches
+        kept = rows[pairs.of(live)]
+        w, codeword = w[kept], codeword[kept]
     choice = 2 * codeword + _randints(w[:, 1], 2)
     op_a, op_b = tables.ALPHABET.choice_ops.take(choice, axis=1)
-    pairs.codeword[rows], pairs.op_a[rows], pairs.op_b[rows] = codeword, op_a, op_b
+    pairs.op_a[rows], pairs.op_b[rows] = op_a, op_b
     pairs.state[rows] = tables.ALPHABET.prepared.take(op_b)
 
 
@@ -703,7 +719,10 @@ def decoy_check(decoys: DecoyBatch, streams: BatchStream) -> list[tuple[int, ...
 
 
 def wc_check(
-    pairs: PairBatch, sample_fractions: Sequence[float], streams: BatchStream
+    pairs: PairBatch,
+    sample_fractions: Sequence[float],
+    touched: Sequence[bool],
+    streams: BatchStream,
 ) -> list[tuple[int, ...]]:
     """Convert and measure a random sample of stored pairs, each stored
     pair of session ``s`` with probability ``sample_fractions[s]``.
@@ -711,12 +730,15 @@ def wc_check(
     Both parties wavelength-convert their photon of each sampled pair and
     measure it in an independently random basis; matched-basis outcomes
     are compared against the correlation the first encoding step dictates.
-    Checked pairs are consumed and never contribute key bits.  Both
-    parties' bases are kept as ``pairs.wc_basis_a`` and
-    ``pairs.wc_basis_b``, one entry per checked pair in index order.
-    Returns each session's tallies in the column order of
-    ``_COUNT_KEYS["wc"]``, all 0 for a session without the stream, which
-    samples none.
+    A session no attacker touches (``touched[s]`` false) reads no state
+    and counts no error: a pair that step 1 alone prepared agrees as
+    expected in every matched basis (checked by the build).  It draws its
+    outcome words all the same.  Checked pairs are consumed and never
+    contribute key bits.  Both parties' bases are kept as
+    ``pairs.wc_basis_a`` and ``pairs.wc_basis_b``, one entry per checked
+    pair in index order.  Returns each session's tallies in the column
+    order of ``_COUNT_KEYS["wc"]``, all 0 for a session without the
+    stream, which samples none.
     """
     eligible = _indices(pairs.b_delivered & ~pairs.checked)
     every = eligible is _EVERY
@@ -730,12 +752,16 @@ def wc_check(
     w = _draw(streams, sizes, 3)
     basis_a = pairs.wc_basis_a = _basis_coins(w[:, 0])
     basis_b = pairs.wc_basis_b = _basis_coins(w[:, 1])
-    keys = 4 * pairs.state[sampled] + 2 * basis_a + basis_b
-    k = sample(tables.ALPHABET.wc, keys, w[:, 2])
     matched = basis_a == basis_b
-    agree = (k >> 1) == (k & 1)
-    expected = tables.ALPHABET.expected_agree.take(2 * pairs.op_b[sampled] + basis_a)
-    bad = matched & (agree != expected)
+    bad = np.zeros_like(matched)
+    if any(touched):
+        rows = _EVERY if all(touched) else np.flatnonzero(np.repeat(touched, sizes))
+        at, basis_a_at = sampled[rows], basis_a[rows]
+        keys = 4 * pairs.state[at] + 2 * basis_a_at + basis_b[rows]
+        k = sample(tables.ALPHABET.wc, keys, w[rows, 2])
+        agree = (k >> 1) == (k & 1)
+        expected = tables.ALPHABET.expected_agree.take(2 * pairs.op_b[at] + basis_a_at)
+        bad[rows] = matched[rows] & (agree != expected)
     z = basis_a == BASES.index(PolBasis.Z)
     # the X-basis counts are the rest of each session's comparisons, and
     # every sampled pair is checked
@@ -752,8 +778,8 @@ def step4_encode_a(
     """Apply the photon-a operation to the stored pairs of each session
     ``s`` where ``live[s]`` holds, completing their codewords; returns the
     indices of those active pairs.  Only the sessions an attacker touches
-    (``touched[s]``) have their states written: no phase reads the
-    others' again."""
+    (``touched[s]``) have states to encode: step 1 prepared none for the
+    others."""
     stored = pairs.b_delivered & ~pairs.checked
     if not all(live):
         stored &= pairs.of(live)
@@ -977,14 +1003,15 @@ def run_sessions(
         streams = BatchStream(seeds, _STREAM_BOB_DECOY, uses_decoy)
         judge("decoy", uses_decoy, decoy_check(decoys, streams))
     if any(live):
-        step1_prepare_and_encode(pairs, BatchStream(seeds, _STREAM_ALICE, live))
+        streams = BatchStream(seeds, _STREAM_ALICE, live)
+        step1_prepare_and_encode(pairs, touched, streams)
         if attack_b is not None:
             _intercept_b(pairs, attack_b, live)
     runs_wc = [uses and ok for uses, ok in zip(uses_wc, live)]
     if any(runs_wc):
         streams = BatchStream(seeds, _STREAM_WC, runs_wc)
         fractions = [c.sample_fraction for c in configs]
-        judge("wc", runs_wc, wc_check(pairs, fractions, streams))
+        judge("wc", runs_wc, wc_check(pairs, fractions, touched, streams))
 
     survivors, decoded = np.zeros(0, dtype=np.intp), _unset(0)
     if any(live):

@@ -8,7 +8,7 @@ so no process that runs sessions builds a state.  :data:`ALPHABET` holds
 them under the builder's names (``collapsed`` and ``partial`` by
 :class:`~depqkd.quantum.Photon`), read on first use, so that a broken file
 can still be regenerated: a missing, truncated or malformed file raises
-``ValueError`` naming the file and that command.
+:class:`TableFileError` naming the file and that command.
 
 The file is an ASCII header, then the tables' bytes.  The header's first
 line is :data:`MAGIC`; each further line holds a table's name, numpy dtype
@@ -63,6 +63,10 @@ TABLES = (
 )
 
 
+class TableFileError(ValueError):
+    """Raised for a table file that is missing, truncated or malformed."""
+
+
 def sample(lut: np.ndarray, keys: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The outcome of each word ``w`` under the row of its key,
     ``lut[16 * key + (w >> 60)]``."""
@@ -73,8 +77,8 @@ def sample(lut: np.ndarray, keys: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def load(path: str = PATH) -> SimpleNamespace:
     """The tables of the file at ``path``, as :data:`ALPHABET` holds them;
-    ``ValueError`` naming the file for one that is missing, truncated or
-    not laid out as the module docstring says."""
+    :class:`TableFileError` naming the file for one that is missing,
+    truncated or not laid out as the module docstring says."""
     try:
         with open(path, "rb") as file:
             data = file.read()
@@ -93,7 +97,8 @@ def load(path: str = PATH) -> SimpleNamespace:
         if offset != len(data):
             raise ValueError(f"it holds {len(data)} bytes, not {offset}")
     except (OSError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}; regenerate it with {REGENERATE}") from None
+        message = f"{path}: {exc}; regenerate it with {REGENERATE}"
+        raise TableFileError(message) from None
     per_photon = {
         name: {photon: tables.pop(f"{name}[{photon.value}]") for photon in Photon}
         for name in ("collapsed", "partial")

@@ -659,27 +659,40 @@ UNTOUCHED_AMONG_ATTACKED = [
 ]
 
 
-def test_untouched_sessions_keep_their_step_1_states_and_decode_their_own():
+# The per-pair arrays of a PairBatch.
+PAIR_ARRAYS = (
+    "codeword", "op_a", "op_b", "state", "b_delivered", "a_delivered", "checked",
+    "eve_b", "eve_a",
+)
+
+
+def test_untouched_sessions_prepare_no_state_and_decode_their_own():
+    # step 1 gives an untouched session only its codewords, in a mixed
+    # batch and alone, and its keys carry them; a touched session's pairs
+    # and every report are those of the session run alone
     configs = UNTOUCHED_AMONG_ATTACKED
     with recorded_session() as log:
         reports = run_sessions(configs)
     pairs = log["pairs"]
     for s, (config, report) in enumerate(zip(configs, reports)):
+        with recorded_session() as alone:
+            assert run_sessions([config]) == [report]
+        span = slice(pairs.offsets[s], pairs.offsets[s + 1])
+        batch, single = (
+            {name: getattr(p, name)[cut].tolist() for name in PAIR_ARRAYS}
+            for p, cut in ((pairs, span), (alone["pairs"], slice(None)))
+        )
+        assert batch == single, config.seed
         assert not report.aborted and report.counts["key_pairs"] > 0
         if config.eve is not None:  # the attack shows in the key
             assert report.final_qber > 0 and report.alice_key != report.bob_key
+            assert min(batch["state"]) >= 0
             continue
-        span = slice(pairs.offsets[s], pairs.offsets[s + 1])
-        # step 1 applied the photon-b operation to PSI+, and nothing since
-        # wrote a state of the session
-        first = ALPHABET.prepared.take(pairs.op_b[span])
-        assert pairs.state[span].tolist() == first.tolist()
-        # the states step 4 would make of the decoded pairs decide the
-        # codewords that both keys carry
-        kept = log["decoded"][span] >= 0
-        keys = 4 * pairs.state[span][kept] + pairs.op_a[span][kept]
-        codewords = ALPHABET.decided.take(ALPHABET.encoded.take(keys))
+        for name in ("op_a", "op_b", "state"):
+            assert set(batch[name]) == {-1}, name
+        codewords = pairs.codeword[span][log["decoded"][span] >= 0]
         assert len(codewords) == report.counts["key_pairs"]
+        assert min(codewords) >= 0
         bits = (codewords[:, None] >> np.array([2, 1, 0])) & 1
         assert report.alice_key == report.bob_key == bits.astype(np.uint8).tobytes()
 

@@ -103,7 +103,7 @@ def prepared_batch(sizes, seeds):
     """The pairs of step 1 for sessions of ``sizes[s]`` pairs and seed
     ``seeds[s]``, each on its stream 0."""
     pairs = PairBatch(list(sizes))
-    step1_prepare_and_encode(pairs, BatchStream(seeds, 0))
+    step1_prepare_and_encode(pairs, [True] * len(sizes), BatchStream(seeds, 0))
     return pairs
 
 
@@ -338,7 +338,7 @@ def test_step1_prepares_only_the_sessions_with_a_stream():
     # and the others are prepared as if each ran alone
     pairs = PairBatch([30, 20, 25])
     streams = BatchStream([3, 4, 5], 0, [True, False, True])
-    step1_prepare_and_encode(pairs, streams)
+    step1_prepare_and_encode(pairs, [True] * 3, streams)
     codes = ("codeword", "op_a", "op_b", "state")
     for name in codes:
         assert set(getattr(pairs, name)[30:50].tolist()) == {-1}, name
@@ -515,7 +515,7 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
         attack = transmit_b(pairs, decoys, is_decoy, loss, eves, streams)
         assert set(pairs.state.tolist()) == set(pairs.eve_b.tolist()) == {-1}
         assert (attack is None) == all(eve is None for eve in eves)
-        step1_prepare_and_encode(pairs, BatchStream(seeds, 0))
+        step1_prepare_and_encode(pairs, [True] * sessions, BatchStream(seeds, 0))
         if attack is not None:
             _intercept_b(pairs, attack, [True] * sessions)
         ref_gens = reference_transmit_b(
@@ -542,7 +542,7 @@ def test_the_attack_on_photon_b_reaches_only_the_sessions_given():
         [EveStrategy.RANDOM_ZX] * 3,
         BatchStream(seeds, 2),
     )
-    step1_prepare_and_encode(pairs, BatchStream(seeds, 0))
+    step1_prepare_and_encode(pairs, [True] * 3, BatchStream(seeds, 0))
     every = copy.deepcopy(pairs)
     _intercept_b(every, attack, [True] * 3)
     prepared_state = pairs.state.copy()
@@ -602,7 +602,7 @@ def test_decoy_check_with_nothing_to_compare_is_indeterminate():
 
 def test_wc_check_clean_channel_reports_zero_error():
     pairs = prepared(800, 17)
-    tally = tallies_of("wc", wc_check(pairs, [0.5], BatchStream([17], 4)))
+    tally = tallies_of("wc", wc_check(pairs, [0.5], [True], BatchStream([17], 4)))
     assert tally["wc_errors"] == tally["wc_z_errors"] == tally["wc_x_errors"] == 0
     assert tally["wc_z_compared"] + tally["wc_x_compared"] == tally["wc_compared"]
     assert tally["checked"] == np.count_nonzero(pairs.checked)
@@ -615,7 +615,7 @@ def test_wc_check_clean_channel_reports_zero_error():
 def test_wc_check_skips_lost_pairs_and_marks_checked():
     pairs = prepared(100, 19)
     pairs.b_delivered[:30] = False
-    wc_check(pairs, [1.0], BatchStream([19], 4))
+    wc_check(pairs, [1.0], [True], BatchStream([19], 4))
     assert not pairs.checked[:30].any()
     assert pairs.checked[30:].all()
 
@@ -623,7 +623,7 @@ def test_wc_check_skips_lost_pairs_and_marks_checked():
 def test_wc_check_error_rates_under_fixed_z_attack():
     pairs = prepared(6000, 23)
     transmit_pairs_b(pairs, EveStrategy.Z, 23)
-    tally = tallies_of("wc", wc_check(pairs, [1.0], BatchStream([23], 4)))
+    tally = tallies_of("wc", wc_check(pairs, [1.0], [True], BatchStream([23], 4)))
     rates = WC_RATES["Z"]
     z_rate = tally["wc_z_errors"] / tally["wc_z_compared"]
     x_rate = tally["wc_x_errors"] / tally["wc_x_compared"]
@@ -636,7 +636,7 @@ def test_wc_check_error_rates_under_fixed_z_attack():
 def test_wc_check_error_rates_under_random_basis_attack():
     pairs = prepared(6000, 29)
     transmit_pairs_b(pairs, EveStrategy.RANDOM_ZX, 29)
-    tally = tallies_of("wc", wc_check(pairs, [1.0], BatchStream([29], 4)))
+    tally = tallies_of("wc", wc_check(pairs, [1.0], [True], BatchStream([29], 4)))
     rates = WC_RATES["RANDOM"]
     z_rate = tally["wc_z_errors"] / tally["wc_z_compared"]
     x_rate = tally["wc_x_errors"] / tally["wc_x_compared"]
@@ -649,7 +649,23 @@ def test_wc_check_error_rates_under_random_basis_attack():
 def test_wc_check_with_no_matched_bases_is_indeterminate():
     pairs = prepared(3, 31)
     pairs.b_delivered[:] = False
-    assert wc_check(pairs, [1.0], BatchStream([31], 4)) == [(0,) * 7]
+    assert wc_check(pairs, [1.0], [True], BatchStream([31], 4)) == [(0,) * 7]
+
+
+def test_wc_check_counts_untouched_sessions_as_their_states_would():
+    # on pairs that step 1 alone prepared, skipping the state lookups of
+    # the untouched sessions changes no tally, draw, checked pair or basis
+    sizes, seeds = [300, 200, 250], [41, 42, 43]
+    results = []
+    for touched in ([True] * 3, [False, True, False], [False] * 3):
+        pairs = prepared_batch(sizes, seeds)
+        pairs.b_delivered[::5] = False
+        streams = BatchStream(seeds, 4)
+        tallies = wc_check(pairs, [0.5, 1.0, 0.3], touched, streams)
+        bases = (pairs.wc_basis_a.tolist(), pairs.wc_basis_b.tolist())
+        results.append((tallies, streams.positions, pairs.checked.tolist(), bases))
+    assert results[0] == results[1] == results[2]
+    assert all(tally[0] > 0 for tally in results[0][0])
 
 
 def test_second_encoding_completes_every_codeword():
@@ -1463,6 +1479,16 @@ def test_an_encoding_that_decides_another_codeword_fails_the_build(monkeypatch):
 
     monkeypatch.setattr("depqkd.alphabet.encoding_choices", swapped)
     with pytest.raises(ValueError, match="codeword 0 does not decide it"):
+        StateAlphabet()
+
+
+def test_a_converter_relation_that_a_prepared_pair_breaks_fails_the_build(monkeypatch):
+    # step 1's sigma_x on photon b read as giving PSI+ (anticorrelated in
+    # H/V) where it gives PHI+ (correlated): the build raises instead of
+    # letting an untouched session count no converter-check error
+    table = {**ENCODING_TABLE, EncodingPair(Pauli.I, Pauli.X): DepLabel.PSI_PLUS}
+    monkeypatch.setattr("depqkd.alphabet.ENCODING_TABLE", table)
+    with pytest.raises(ValueError, match="op_b sigma_x measured in basis Z can break"):
         StateAlphabet()
 
 

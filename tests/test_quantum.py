@@ -446,6 +446,29 @@ def test_batch_stream_words_are_philox_without_numpy_generator():
                 assert streams.words([0], [9]).tolist() == expected, (seed, position)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    steps=st.lists(
+        st.tuples(st.integers(0, 2**20) | st.integers(0, 2**62), st.integers(0, 9)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_batch_stream_words_after_any_skips_are_philox(seed, stream, steps):
+    # each draw of a run of skips and draws gives the pure-Python Philox's
+    # words at its position
+    streams, position = BatchStream([seed], stream), 0
+    for skipped, n in steps:
+        streams.skip([0], [skipped])
+        position += skipped
+        words = streams.words([0], [n]).tolist()
+        assert words == oracles.philox_stream(seed, stream, position, n)
+        position += n
+    assert streams.positions == [position]
+
+
 def test_doubles_are_numpy_generator_random_bit_for_bit():
     for seed, stream in ((0, 0), (7, 5), (2**64 - 1, 6)):
         key = np.array([seed, stream], dtype=np.uint64)

@@ -68,8 +68,9 @@ def test_a_stale_file_fails_only_its_verify_tables_row(tmp_path, monkeypatch, ca
 
 
 def test_the_regeneration_command_rewrites_a_broken_file(tmp_path):
-    # a broken file fails the first session, naming the file and the
-    # command, and leaves the package importable so that command runs
+    # a broken file fails the first session with one error line, naming
+    # the file and the command, and leaves the package importable so that
+    # command runs
     package = tmp_path / "depqkd"
     shutil.copytree(ROOT / "src" / "depqkd", package)
     (package / "tables.bin").write_bytes(SHIPPED[:100])
@@ -80,10 +81,10 @@ def test_the_regeneration_command_rewrites_a_broken_file(tmp_path):
         return subprocess.run(command, env=env, capture_output=True, text=True)
 
     failed = depqkd("-m", "depqkd", "run", "--pairs", "20")
-    assert failed.returncode == 1
-    last = failed.stderr.splitlines()[-1]
-    assert last.startswith("ValueError: ") and str(package / "tables.bin") in last
-    assert REGENERATE in last
+    assert failed.returncode == 2 and failed.stdout == ""
+    [line] = failed.stderr.splitlines()
+    assert line.startswith("error: ") and str(package / "tables.bin") in line
+    assert REGENERATE in line
     assert depqkd("-m", "depqkd.alphabet").returncode == 0
     assert (package / "tables.bin").read_bytes() == SHIPPED
     assert depqkd("-m", "depqkd", "run", "--pairs", "20").returncode == 0
