@@ -23,8 +23,9 @@ default, its help and, through the field's enum type, its choices.  The
 flags come in field order, which is the order of the echo.
 
 :func:`_parse_args` reads a well-formed ``run`` or ``sweep`` call from
-``_FLAGS``, those settings and the CLI's own flags, and builds no parser.
-The argparse tree of :func:`build_parser` is built only for any other
+``_FLAGS``, those settings and the CLI's own flags, and builds no parser;
+such a call imports neither ``argparse`` nor ``json``.  The argparse tree
+of :func:`build_parser` is imported and built only for any other
 command line, such as ``--help``, ``verify-tables``, an abbreviated flag,
 a negative value or an error, and it is the one source of help text,
 error lines and abbreviations.
@@ -38,9 +39,7 @@ not change.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import os
 import re
 import struct
@@ -50,12 +49,17 @@ from contextlib import nullcontext
 from dataclasses import Field, fields
 from enum import EnumMeta
 from functools import cache
-from typing import Callable, NamedTuple, Optional, TextIO, get_args, get_type_hints
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, TextIO
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .protocol import ConfigError, ProtocolConfig, run_sessions
 from .tables import TableFileError
+
+if TYPE_CHECKING:
+    import argparse
 
 #: Pairs per engine batch: consecutive sessions of a run or sweep run
 #: together while their summed pairs fit; a session larger than this runs
@@ -151,31 +155,11 @@ def bits_to_hex(bits) -> str:
     return np.packbits(np.frombuffer(bytes(bits), dtype=np.uint8)).tobytes().hex()
 
 
-def _add_session_flags(parser: argparse.ArgumentParser, subcommand: str) -> None:
-    """Give ``parser`` the flags of ``subcommand``, ``run`` or ``sweep``."""
-    for flag, setting in _FLAGS[subcommand].items():
-        parser.add_argument(
-            flag,
-            type=setting.type,
-            choices=setting.choices,
-            required=setting in _SWEEP_FLAGS,
-            help=setting.help,
-        )
-    parser._negative_number_matcher = _NEGATIVE_VALUE
-
-
 # A value that starts like a negative number: "-3e-05", "-inf", or a sweep
 # list such as "-0.1,0.2".  Python 3.11's argparse takes only "-3" and
 # "-0.5" as values and reads the rest as options, so they would never reach
 # the range checks.
 _NEGATIVE_VALUE = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
-
-
-class _Parser(argparse.ArgumentParser):
-    """Reports a bad command line as one ``error:`` line, without usage."""
-
-    def error(self, message: str):
-        raise ConfigError(message)
 
 
 _SESSION_HELP = {
@@ -186,6 +170,16 @@ _SESSION_HELP = {
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, imported and built only for a command line
+    that :func:`_parse_args` does not read itself."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports a bad command line as one ``error:`` line, without usage."""
+
+        def error(self, message: str):
+            raise ConfigError(message)
+
     parser = _Parser(
         prog="depqkd",
         description=(
@@ -201,15 +195,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     for name, text in _SESSION_HELP.items():
-        _add_session_flags(sub.add_parser(name, help=text), name)
+        session = sub.add_parser(name, help=text)
+        for flag, setting in _FLAGS[name].items():
+            session.add_argument(
+                flag,
+                type=setting.type,
+                choices=setting.choices,
+                required=setting in _SWEEP_FLAGS,
+                help=setting.help,
+            )
+        session._negative_number_matcher = _NEGATIVE_VALUE
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, read from :data:`_FLAGS` alone
-    for a well-formed ``run`` or ``sweep`` call: exact long flags, each
-    with a value that does not start with ``-`` and that its type reads
-    and its choices hold, the last of a repeated flag winning.
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The attributes of ``build_parser().parse_args(argv)``, in order,
+    read from :data:`_FLAGS` alone for a well-formed ``run`` or ``sweep``
+    call: exact long flags, each with a value that does not start with
+    ``-`` and that its type reads and its choices hold, the last of a
+    repeated flag winning.
 
     A call runs one subcommand, so such a call builds no parser.  Any other
     argv, ``--help``, an abbreviation or a negative value among them, goes
@@ -236,8 +240,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             values[setting.key] = value
         else:
             if argv[0] == "run" or None not in (values["param"], values["values"]):
-                return argparse.Namespace(subcommand=argv[0], **values)
-    return build_parser().parse_args(argv)
+                return SimpleNamespace(subcommand=argv[0], **values)
+    return SimpleNamespace(**vars(build_parser().parse_args(argv)))
 
 
 def _convert(setting: _Setting, raw: str) -> object:
@@ -284,7 +288,7 @@ def _read_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _effective_settings(args: argparse.Namespace) -> dict[str, object]:
+def _effective_settings(args: SimpleNamespace) -> dict[str, object]:
     """Merge flag values, config-file values, and defaults (in that order)."""
     file_values = _read_config_file(args.config) if args.config is not None else {}
     settings: dict[str, object] = {}
@@ -313,6 +317,21 @@ def _json_float(x: Optional[float]) -> str:
     return "null" if x is None else float.__repr__(x)
 
 
+def _config_echo(config: ProtocolConfig) -> str:
+    """``json.dumps`` of ``config.to_dict()``, by the rule of
+    :func:`_report_line`: an int by its digits, a float as :func:`_json_float`
+    writes it, and a name (an enum's value or ``none``, which needs no
+    escape) in quotes."""
+    items = []
+    for key, value in config.to_dict().items():
+        if isinstance(value, str):
+            text = f'"{value}"'
+        else:
+            text = _json_float(value) if isinstance(value, float) else f"{value:d}"
+        items.append(f'"{key}": {text}')
+    return "{" + ", ".join(items) + "}"
+
+
 def _report_line(
     subcommand: str,
     trial_index: int,
@@ -322,8 +341,13 @@ def _report_line(
     elapsed_ms: float,
 ) -> str:
     """The bytes ``json.dumps`` gives the report line, with the cell's
-    ``config_echo`` (``json.dumps`` of its ``to_dict()``, encoded once per
-    cell) placed after ``seed``."""
+    ``config_echo`` (:func:`_config_echo`, encoded once per cell) placed
+    after ``seed``.  A key equal to Alice's, as every key of a session no
+    attacker touches, reuses her hex."""
+    alice_hex = bits_to_hex(report.alice_key)
+    bob_hex = (
+        alice_hex if report.bob_key == report.alice_key else bits_to_hex(report.bob_key)
+    )
     return (
         f'{{"subcommand": "{subcommand}", "trial_index": {trial_index:d}, '
         f'"seed": {trial_seed:d}, "config": {config_echo}, '
@@ -332,8 +356,7 @@ def _report_line(
         f'"final_qber": {_json_float(report.final_qber)}, '
         f'"aborted": {"true" if report.aborted else "false"}, '
         f'"key_len": {len(report.alice_key):d}, '
-        f'"alice_key_hex": "{bits_to_hex(report.alice_key)}", '
-        f'"bob_key_hex": "{bits_to_hex(report.bob_key)}", '
+        f'"alice_key_hex": "{alice_hex}", "bob_key_hex": "{bob_hex}", '
         f'"elapsed_ms": {_json_float(elapsed_ms)}}}'
     )
 
@@ -360,7 +383,7 @@ def _batches(cells: list[ProtocolConfig], trials: int):
 def _run_trials(
     subcommand: str, cells: list[ProtocolConfig], trials: int, out: TextIO
 ) -> None:
-    echoes = [json.dumps(cell.to_dict()) for cell in cells]
+    echoes = [_config_echo(cell) for cell in cells]
     for batch in _batches(cells, trials):
         configs = [config for _, _, config in batch]
         start = time.perf_counter()
@@ -387,7 +410,7 @@ def _run_trials(
         )
 
 
-def _session_configs(args: argparse.Namespace) -> tuple[list[ProtocolConfig], int]:
+def _session_configs(args: SimpleNamespace) -> tuple[list[ProtocolConfig], int]:
     """Validated configuration of every sweep cell (the one cell of ``run``)
     and the number of trials per cell."""
     settings = _effective_settings(args)

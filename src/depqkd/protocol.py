@@ -34,7 +34,10 @@ once, so no phase loops over its items in Python.  Every stream is a
 counter-based Philox key, so a session's draws do not depend on the
 sessions beside it.  A session that a check aborts stays in the batch,
 but has no stream in the later phases' objects, so none of them draws
-for it or touches its pairs.  A batch without check photons skips their
+for it or touches its pairs.  A session whose first transmission neither
+loses nor is attacked, and that keeps no transcript, has a slot order
+nothing reads: it skips the keys that would place its check photons and
+puts them in its last slots.  A batch without check photons skips their
 slot routing, and a transmission that loses nothing routes nothing: an
 index list that holds every entry of its mask is the full slice
 :data:`_EVERY` (:func:`_indices`), so a lossless batch reads its pairs
@@ -418,7 +421,8 @@ class DecoyBatch:
     :func:`decoy_check`: the receiver's basis, indexing ``tuple(PolBasis)``,
     for each delivered photon in slot order, and empty before.  The slots
     of the photons are the true entries of the mask :func:`insert_decoys`
-    returns with the batch.
+    returns with the batch: uniform among a placed session's slots, and
+    the last slots of any other session.
     """
 
     def __init__(self, sizes: list[int], prepared: np.ndarray) -> None:
@@ -534,15 +538,20 @@ def _smallest(keys: np.ndarray, count: int) -> np.ndarray:
 
 
 def insert_decoys(
-    pairs: PairBatch, decoy_fractions: Sequence[float], streams: BatchStream
+    pairs: PairBatch,
+    decoy_fractions: Sequence[float],
+    placed: Sequence[bool],
+    streams: BatchStream,
 ) -> tuple[np.ndarray, DecoyBatch]:
     """Mix single-photon check states into each session's b sequence.
 
     The decoy count of session ``s`` is binomial with mean
     ``decoy_fractions[s]`` times its pairs; a session without the stream
-    gets none.  Positions are uniform among its mixed slots and
-    preparations are uniform over the eight (frequency bin, polarization)
-    combinations.
+    gets none.  The positions of a session whose slot order something
+    reads (``placed[s]``) are uniform among its mixed slots; any other
+    session skips their keys and puts its check photons in its last
+    slots.  Preparations are uniform over the eight (frequency bin,
+    polarization) combinations.
     Positions and preparations stay secret until the check.  Returns the
     mask of decoy slots in the batch's mixed sequence, session after
     session, whose other slots carry the pairs in order, and the decoys.
@@ -552,14 +561,19 @@ def insert_decoys(
     slots = [n + c for n, c in zip(sizes, count)]
     is_decoy = np.zeros(sum(slots), dtype=bool)
     # The slots of the ``count`` smallest of ``n + count`` uniform keys hold
-    # a session's decoys; a session without decoys draws no keys and its
-    # slots stay pairs.  A key is a word's top 53 bits, which order and tie
-    # like its double.  Each session's keys are freed before the next
+    # a placed session's decoys; a session without decoys draws no keys and
+    # its slots stay pairs.  A key is a word's top 53 bits, which order and
+    # tie like its double.  Each session's keys are freed before the next
     # session's are drawn.
     for s, end in enumerate(accumulate(slots)):
-        if count[s]:
+        if not count[s]:
+            continue
+        if placed[s]:
             keys = streams.words((s,), (slots[s],)) >> 11
             is_decoy[end - slots[s] : end] = _smallest(keys, count[s])
+        else:
+            streams.skip((s,), (slots[s],))
+            is_decoy[end - count[s] : end] = True
     w = _draw(streams, count, 2)  # each photon's bin, then its polarization
     prepared = 2 * _randints(w[:, 1], 4) + _randints(w[:, 0], 2)
     return is_decoy, DecoyBatch(count, prepared)
@@ -945,6 +959,9 @@ def run_sessions(
     phase draws for them.  The phases run in the order of what they read:
     the decoy check comes before step 1, so a session it aborts never
     prepares its pairs and draws nothing from the sender's stream.
+    Only a session whose slot order something reads, one with loss or an
+    attacker on the first transmission or a transcript, places its check
+    photons at random; the others skip those keys, with the same reports.
     A ``transcript``, which only a batch of one accepts, gets the public
     messages, read off the finished batch and report by :func:`_record`.
     An empty batch gives no reports.
@@ -964,6 +981,12 @@ def run_sessions(
         for photon in (Photon.B, Photon.A)
     )
     touched = [c.eve is not None for c in configs]
+    # the sessions whose slot order something reads: a loss coin or an
+    # attacker's row lands on a slot, or the transcript announces it
+    placed = [
+        c.loss > 0 or eve is not None or transcript is not None
+        for c, eve in zip(configs, eve_b)
+    ]
     # Each stream feeds one phase and is made only for the sessions that
     # reach and run that phase.  The pairs are prepared only after the
     # decoy check, for the sessions it lets through.
@@ -971,6 +994,7 @@ def run_sessions(
     is_decoy, decoys = insert_decoys(
         pairs,
         [c.decoy_fraction for c in configs],
+        placed,
         BatchStream(seeds, _STREAM_DECOY, uses_decoy),
     )
     attack_b = transmit_b(
@@ -1021,13 +1045,15 @@ def run_sessions(
         streams = BatchStream(seeds, _STREAM_DEVICE, live)
         decoded = step5_decode_and_sift(pairs, survivors, touched, streams)
     kept = _sizes(pairs.offsets, survivors)
-    # with no session touched, every pair decoded to its own codeword
-    alice_bits = bob_bits = _key_bits(decoded)
+    bob_bits = _key_bits(decoded)
+    # with no session touched, every pair decoded to its own codeword, so
+    # both parties' keys are one bytes object
+    alice_bytes = bob_bytes = bob_bits.tobytes()
     mismatches = [0] * len(configs)
     if any(touched):
         alice_bits = _key_bits(pairs.codeword.take(survivors))
         mismatches = _tally(alice_bits != bob_bits, [3 * k for k in kept])
-    alice_bytes, bob_bytes = alice_bits.tobytes(), bob_bits.tobytes()
+        alice_bytes = alice_bits.tobytes()
     # a pair neither checked nor kept lost a photon; an aborted session
     # never sent its photons a
     lost = ~(pairs.b_delivered & pairs.a_delivered) & ~pairs.checked

@@ -51,7 +51,7 @@ def test_every_workload_passes_the_benchmark_output_checks(tmp_path):
 
 def test_every_workload_argv_parses_with_no_parser_built(monkeypatch, tmp_path):
     # the warm-up and timed calls read their flags from the CLI's flag
-    # table, to the Namespace the full argparse tree gives; the tree is
+    # table, to the attributes the full argparse tree gives; the tree is
     # cached once built, so a call of build_parser counts as well
     workloads = import_perfbench("workloads")
     built = []
@@ -75,7 +75,7 @@ def test_every_workload_argv_parses_with_no_parser_built(monkeypatch, tmp_path):
                 parsed = cli._parse_args(argv)
             assert built == [], (workload.name, argv)
             expected = parse_outcome(cli.build_parser().parse_args, argv)
-            assert repr(parsed) == expected, (workload.name, argv)
+            assert repr(vars(parsed)) == expected, (workload.name, argv)
 
 
 def test_the_tracer_reports_every_declared_per_layer_metric(tmp_path):

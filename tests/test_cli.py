@@ -17,6 +17,7 @@ import pytest
 
 from cli_parsing import parse_outcome
 from depqkd import (
+    CheckStrategy,
     EveStrategy,
     EveTarget,
     ProtocolConfig,
@@ -44,7 +45,7 @@ SCHEMA = [
 
 def assert_parsed_as_by_the_top_level_parser(argv):
     # main reads a well-formed run or sweep from its flag table alone: the
-    # same Namespace, or the same error or help, as the whole parser
+    # same attributes, or the same error or help, as the whole parser
     expected = parse_outcome(cli.build_parser().parse_args, argv)
     assert parse_outcome(cli._parse_args, argv) == expected, argv
 
@@ -359,6 +360,23 @@ def test_report_line_matches_json_dumps_of_the_ordered_fields(
     assert line == json_report_line(
         subcommand, trial_index, seed, config, report, elapsed_ms
     )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ProtocolConfig(),
+        ProtocolConfig(seed=2**64 - 1, sample_fraction=1e-05, threshold=5e-324),
+        # an int where a float is allowed, and numpy floats, print as json does
+        ProtocolConfig(pairs=7, decoy_fraction=0, loss=1, sample_fraction=1),
+        ProtocolConfig(decoy_fraction=np.float64(0.1), loss=np.float64(0.0)),
+        ProtocolConfig(
+            check=CheckStrategy.BOTH, eve=EveStrategy.RANDOM_ZX, eve_targets=EveTarget.A
+        ),
+    ],
+)
+def test_the_config_echo_is_the_bytes_json_dumps_gives(config):
+    assert cli._config_echo(config) == json.dumps(config.to_dict())
 
 
 def spy_on_batches(monkeypatch):
@@ -987,7 +1005,8 @@ print("depqkd.channel" in sys.modules)
 
 def test_a_run_and_a_sweep_load_the_tables_and_build_no_state():
     # a session reads the shipped table file; the builder and the physics
-    # it builds from (states.py, device.py) stay unloaded
+    # it builds from (states.py, device.py) stay unloaded, and so do the
+    # parser and the JSON encoder, which numpy does not load either
     script = """
 import sys
 from depqkd.cli import main
@@ -995,6 +1014,7 @@ assert main(["run", "--pairs", "100", "--check", "both", "--eve", "ir-random",
              "--eve-targets", "both", "--threshold", "0.9"]) == 0
 assert main(["sweep", "--param", "loss", "--values", "0,0.2", "--pairs", "100",
              "--check", "both", "--eve", "ir-z", "--eve-targets", "a"]) == 0
+print([name for name in ("argparse", "gettext", "json") if name in sys.modules])
 print(sorted(name for name in sys.modules if name.startswith("depqkd")))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -1006,7 +1026,8 @@ print(sorted(name for name in sys.modules if name.startswith("depqkd")))
         timeout=120,
         check=True,
     )
-    loaded = result.stdout.splitlines()[-1]
+    *_, stdlib, loaded = result.stdout.splitlines()
+    assert stdlib == "[]"
     for module in ("depqkd.alphabet", "depqkd.states", "depqkd.device"):
         assert repr(module) not in loaded
     assert "'depqkd.tables'" in loaded

@@ -272,7 +272,7 @@ def test_valid_settings_run_and_invalid_ones_exit_two(case, data, config_paths):
         options = [*options, ("--config", config_paths[config])]
     argv, lines = data.draw(command_lines(subcommand, options, lines))
     # the CLI reads the command line as the full argparse tree does: the
-    # same Namespace, or the same error or help
+    # same attributes, or the same error or help
     assert parse_outcome(cli._parse_args, argv) == parse_outcome(
         cli.build_parser().parse_args, argv
     )
@@ -631,6 +631,51 @@ def test_an_attacked_session_between_clean_ones_replays_as_if_run_alone():
         assert [d for d in batch["draws"] if d[0] == config.seed] == log["draws"]
 
 
+def slot_blocks(config, transcript=None):
+    """The report of a session run alone and its blocks of the decoy
+    insertion's stream 1 as ``(kind, size)``: the decoy coins, the slot
+    keys, then two words per check photon."""
+    with recorded_session() as log:
+        report = run_session(config, transcript)
+    stream = (config.seed, protocol._STREAM_DECOY)
+    draws = log["draws"]
+    return report, [(kind, n) for *key, kind, n in draws if tuple(key) == stream]
+
+
+@pytest.mark.parametrize("config", [CLEAN, ATTACKED_A], ids=["clean", "attacked-a"])
+def test_a_slot_order_nothing_reads_skips_its_keys_unless_a_transcript_is_kept(
+    config,
+):
+    # a lossless session with no attacker on photon b reports the same
+    # bytes whether or not its positions are announced; only a transcript
+    # draws the keys that place its check photons
+    kept, drawn = slot_blocks(config, Transcript())
+    report, skipped = slot_blocks(config)
+    assert report == kept
+    n, c = config.pairs, report.counts["decoys"]
+    assert c > 0
+    assert drawn == [("words", n), ("words", n + c), ("words", 2 * c)]
+    assert skipped == [("words", n), ("skip", n + c), ("words", 2 * c)]
+
+
+def test_unplaced_sessions_among_placed_ones_replay_as_if_run_alone():
+    # a lossy session and one attacked on photon b route their slots one
+    # by one; the clean session and the one attacked on photon a between
+    # them skip their slot keys and report what they do alone
+    lossy, attacked_b = UNTOUCHED_AMONG_ATTACKED[0], UNTOUCHED_AMONG_ATTACKED[4]
+    configs = [lossy, CLEAN, ATTACKED_A, attacked_b]
+    with recorded_session() as batch:
+        reports = run_sessions(configs)
+    for config, report in zip(configs, reports):
+        with recorded_session() as alone:
+            assert run_sessions([config]) == [report]
+        draws = [d for d in batch["draws"] if d[0] == config.seed]
+        assert draws == alone["draws"], config.seed
+        kind = "words" if config in (lossy, attacked_b) else "skip"
+        n, c = config.pairs, report.counts["decoys"]
+        assert c > 0 and (config.seed, protocol._STREAM_DECOY, kind, n + c) in draws
+
+
 # Untouched sessions between sessions under an attacker on photon a or on
 # photon b, each with a threshold the attack passes, so all keep keys.
 UNTOUCHED_AMONG_ATTACKED = [
@@ -744,7 +789,11 @@ def scheduled_words(config, report, log, s):
         schedule[0] = (2 * n, 0)
     if config.check.uses_decoy:
         drawn, skipped = coins(n, config.decoy_fraction)
-        schedule[1] = (drawn + (n + c if c else 0) + 2 * c, skipped)
+        # the slot keys are skipped where nothing reads the slot order: no
+        # loss, no attacker on photon b and no transcript
+        placed = config.loss > 0 or Photon.B in photons
+        keys = (0, 0) if not c else (n + c, 0) if placed else (0, n + c)
+        schedule[1] = (drawn + keys[0] + 2 * c, skipped + keys[1])
     drawn, skipped = coins(n + c, config.loss)
     schedule[2] = (drawn + attacked(delivered_slots, Photon.B), skipped)
     if config.check.uses_decoy:

@@ -113,7 +113,7 @@ def prepared(n, seed):
 
 
 def no_decoys():
-    _, decoys = insert_decoys(PairBatch([1]), [0.0], BatchStream([0], 1))
+    _, decoys = insert_decoys(PairBatch([1]), [0.0], [True], BatchStream([0], 1))
     assert decoys.sizes == [0] and len(decoys.prepared) == 0
     return decoys
 
@@ -353,7 +353,7 @@ def test_step1_prepares_only_the_sessions_with_a_stream():
 def test_insert_decoys_zero_fraction_changes_nothing():
     pairs = prepared(30, 1)
     codewords = pairs.codeword.copy()
-    is_decoy, decoys = insert_decoys(pairs, [0.0], BatchStream([1], 1))
+    is_decoy, decoys = insert_decoys(pairs, [0.0], [True], BatchStream([1], 1))
     assert decoys.sizes == [0]
     assert is_decoy.tolist() == [False] * 30
     assert np.array_equal(pairs.codeword, codewords)
@@ -362,7 +362,7 @@ def test_insert_decoys_zero_fraction_changes_nothing():
 def test_insert_decoys_count_positions_and_preparations():
     n = 5000
     pairs = prepared(n, 5)
-    is_decoy, decoys = insert_decoys(pairs, [0.2], BatchStream([5], 1))
+    is_decoy, decoys = insert_decoys(pairs, [0.2], [True], BatchStream([5], 1))
     [count] = decoys.sizes
     sigma = np.sqrt(n * 0.2 * 0.8)
     assert abs(count - n * 0.2) < 4 * sigma
@@ -508,6 +508,7 @@ def test_transmit_b_routes_each_slot_to_its_pair_or_check_photon():
         is_decoy, decoys = insert_decoys(
             pairs,
             [fractions[(fr + s) % 3] for s in range(sessions)],
+            [True] * sessions,
             BatchStream(seeds, 1),
         )
         ref_pairs, ref_decoys = prepared_batch(sizes, seeds), copy.deepcopy(decoys)
@@ -533,7 +534,9 @@ def test_the_attack_on_photon_b_reaches_only_the_sessions_given():
     # the others are measured as when every session is
     sizes, seeds = [40, 30, 50], [7, 8, 9]
     pairs = PairBatch(sizes)
-    is_decoy, decoys = insert_decoys(pairs, [0.5] * 3, BatchStream(seeds, 1))
+    is_decoy, decoys = insert_decoys(
+        pairs, [0.5] * 3, [True] * 3, BatchStream(seeds, 1)
+    )
     attack = transmit_b(
         pairs,
         decoys,
@@ -565,7 +568,7 @@ def tallies_of(check, tallies):
 
 
 def test_decoy_check_clean_channel_reports_zero_error():
-    _, decoys = insert_decoys(PairBatch([500]), [0.5], BatchStream([11], 1))
+    _, decoys = insert_decoys(PairBatch([500]), [0.5], [True], BatchStream([11], 1))
     decoys.delivered[::7] = False
     tally = tallies_of("decoy", decoy_check(decoys, BatchStream([11], 3)))
     assert tally["decoy_errors"] == 0
@@ -582,7 +585,7 @@ def test_decoy_check_clean_channel_reports_zero_error():
 
 
 def test_decoy_check_flags_shifted_bins_and_aborts():
-    _, decoys = insert_decoys(PairBatch([200]), [0.5], BatchStream([13], 1))
+    _, decoys = insert_decoys(PairBatch([200]), [0.5], [True], BatchStream([13], 1))
     # swap every photon's frequency bin: the row of the other bin
     for i in range(decoys.sizes[0]):
         swapped = decoy_state(decoys, i).reshape(2, 2)[:, ::-1].reshape(4)
